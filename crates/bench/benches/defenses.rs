@@ -1,5 +1,6 @@
 //! Defense performance: Apriori mining over uploaded bit vectors and the
-//! two detectors applied to a poisoned population.
+//! two detectors applied to a poisoned population, at 1,050 users and at
+//! Fig. 13's scale (the full Facebook stand-in plus its 5% MGA tail).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_graph::datasets::Dataset;
@@ -9,10 +10,15 @@ use poison_core::{
     craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, TargetSelection,
     ThreatModel,
 };
-use poison_defense::apriori::apriori;
+use poison_defense::apriori::{apriori, apriori_on_columns, item_columns};
 use poison_defense::{Defense, DegreeConsistencyDefense, FrequentItemsetDefense};
 
-fn poisoned_reports(nodes: usize) -> (Vec<ldp_protocols::AdjacencyReport>, LfGdpr) {
+/// A Facebook stand-in of `nodes` users plus a 5% MGA tail crafted
+/// against `metric` on 5% uniform targets, collected under LF-GDPR at ε = 4.
+fn poisoned_reports(
+    nodes: usize,
+    metric: TargetMetric,
+) -> (Vec<ldp_protocols::AdjacencyReport>, LfGdpr) {
     let graph = Dataset::Facebook.generate_with_nodes(nodes, 41);
     let protocol = LfGdpr::new(4.0).unwrap();
     let mut rng = Xoshiro256pp::new(42);
@@ -26,7 +32,7 @@ fn poisoned_reports(nodes: usize) -> (Vec<ldp_protocols::AdjacencyReport>, LfGdp
     let mut attack_rng = Xoshiro256pp::new(44);
     let crafted = craft_reports(
         AttackStrategy::Mga,
-        TargetMetric::DegreeCentrality,
+        metric,
         &protocol,
         &threat,
         &knowledge,
@@ -39,13 +45,30 @@ fn poisoned_reports(nodes: usize) -> (Vec<ldp_protocols::AdjacencyReport>, LfGdp
     (reports, protocol)
 }
 
+/// Fig. 13(a)'s Detect1 input: the full Facebook stand-in (4,039 users)
+/// with the clustering-targeted MGA tail, 4,240 reports.
+fn fig13_reports() -> (Vec<ldp_protocols::AdjacencyReport>, LfGdpr) {
+    poisoned_reports(
+        Dataset::Facebook.paper_nodes(),
+        TargetMetric::ClusteringCoefficient,
+    )
+}
+
 fn bench_apriori(c: &mut Criterion) {
     let mut group = c.benchmark_group("apriori");
     group.sample_size(10);
-    let (reports, _) = poisoned_reports(1_000);
+    let (reports, _) = poisoned_reports(1_000, TargetMetric::DegreeCentrality);
     let transactions: Vec<BitSet> = reports.iter().map(|r| r.bits.clone()).collect();
     group.bench_function("pairs_1050_transactions", |bench| {
         bench.iter(|| black_box(apriori(&transactions, 60, 2)))
+    });
+    // Level 2 at Fig. 13's size: Θ(F²·N/64) column AND-popcounts, the part
+    // of Detect1 that the partner-index scorer leaves in place. Support
+    // 117 is what Detect1 derives on the Fig. 13 input.
+    let (reports, _) = fig13_reports();
+    let columns = item_columns(reports.iter().map(|r| &r.bits));
+    group.bench_function("pairs_4240_transactions", |bench| {
+        bench.iter(|| black_box(apriori_on_columns(&columns, 117, 2)))
     });
     group.finish();
 }
@@ -53,7 +76,7 @@ fn bench_apriori(c: &mut Criterion) {
 fn bench_detectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("detect");
     group.sample_size(10);
-    let (reports, protocol) = poisoned_reports(1_000);
+    let (reports, protocol) = poisoned_reports(1_000, TargetMetric::DegreeCentrality);
     let detect1 = FrequentItemsetDefense::new(100);
     group.bench_function("detect1_1050_users", |bench| {
         bench.iter(|| {
@@ -66,6 +89,16 @@ fn bench_detectors(c: &mut Criterion) {
         bench.iter(|| {
             let mut rng = Xoshiro256pp::new(46);
             black_box(detect2.filter_reports(&reports, &protocol, &mut rng))
+        })
+    });
+    // One Fig. 13(a) Detect1 call: mining, scoring and reconstruction.
+    // Every row scores above the threshold, so every row is rebuilt.
+    let (reports, protocol) = fig13_reports();
+    let detect1 = FrequentItemsetDefense::new(150);
+    group.bench_function("detect1_4240_users", |bench| {
+        bench.iter(|| {
+            let mut rng = Xoshiro256pp::new(45);
+            black_box(detect1.filter_reports(&reports, &protocol, &mut rng))
         })
     });
     group.finish();

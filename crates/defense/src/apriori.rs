@@ -8,7 +8,9 @@
 //! algorithm. Pair support is counted on *column* bitsets (reports
 //! containing each item) so level 2 — the level the detector consumes —
 //! costs one popcount-AND per candidate pair instead of a pass over all
-//! transactions.
+//! transactions. [`PairIndex`] turns the frequent pairs back into per-item
+//! partner bitsets, so counting the pairs a transaction contains is also
+//! word-parallel.
 
 use ldp_graph::BitSet;
 
@@ -40,11 +42,22 @@ impl AprioriResult {
     }
 }
 
-/// Column view: for each item, the set of transactions containing it.
-fn build_columns(transactions: &[BitSet], num_items: usize) -> Vec<BitSet> {
+/// Column view (the transpose of the transactions): for each item, the
+/// set of transactions containing it.
+///
+/// The items are the bit positions of the first transaction, and every
+/// transaction must share its capacity. Each column has one bit per
+/// transaction.
+pub fn item_columns<'a, I>(transactions: I) -> Vec<BitSet>
+where
+    I: IntoIterator<Item = &'a BitSet>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut transactions = transactions.into_iter().peekable();
     let n = transactions.len();
+    let num_items = transactions.peek().map_or(0, |bits| bits.capacity());
     let mut columns = vec![BitSet::new(n); num_items];
-    for (t, bits) in transactions.iter().enumerate() {
+    for (t, bits) in transactions.enumerate() {
         for item in bits.iter_ones() {
             columns[item].set(t);
         }
@@ -55,16 +68,27 @@ fn build_columns(transactions: &[BitSet], num_items: usize) -> Vec<BitSet> {
 /// Runs Apriori up to itemsets of size `max_level` with absolute support
 /// threshold `min_support`.
 ///
-/// Levels 1–2 use column bitsets; deeper levels intersect the columns of
-/// candidate members, which stays cheap because downward closure keeps
-/// candidate counts small at realistic supports.
+/// Levels 1–2 use the [`item_columns`] bitsets; deeper levels intersect
+/// the columns of candidate members, which stays cheap because downward
+/// closure keeps candidate counts small at realistic supports.
 pub fn apriori(transactions: &[BitSet], min_support: usize, max_level: usize) -> AprioriResult {
+    if transactions.is_empty() {
+        return AprioriResult::default();
+    }
+    apriori_on_columns(&item_columns(transactions), min_support, max_level)
+}
+
+/// [`apriori`] over an [`item_columns`] view built by the caller, so one
+/// transpose can serve both the mining and other per-item work.
+pub fn apriori_on_columns(
+    columns: &[BitSet],
+    min_support: usize,
+    max_level: usize,
+) -> AprioriResult {
     let mut result = AprioriResult::default();
-    if transactions.is_empty() || max_level == 0 {
+    if max_level == 0 {
         return result;
     }
-    let num_items = transactions[0].capacity();
-    let columns = build_columns(transactions, num_items);
 
     // Level 1.
     let mut level1 = Vec::new();
@@ -162,13 +186,61 @@ pub fn apriori(transactions: &[BitSet], min_support: usize, max_level: usize) ->
     result
 }
 
-/// Counts how many of `pairs` are fully contained in `bits` — the score
-/// Detect1 thresholds per report.
-pub fn contained_pairs(bits: &BitSet, pairs: &[FrequentItemset]) -> usize {
-    pairs
-        .iter()
-        .filter(|fi| fi.items.iter().all(|&item| bits.get(item as usize)))
-        .count()
+/// Frequent pairs indexed by their smaller item: the partners of `a` are
+/// every `b > a` with `{a, b}` frequent.
+///
+/// The number of pairs a row contains is then `Σ_{a ∈ row} |partners(a) ∩
+/// row|`: one word-AND popcount pass per set bit of the row, instead of
+/// two bit probes per frequent pair. Partners of `a` lie above `a`, so the
+/// pass starts at `a`'s word.
+#[derive(Debug)]
+pub struct PairIndex {
+    /// `partners[a]`, or `None` when `a` is the smaller item of no pair.
+    partners: Vec<Option<BitSet>>,
+}
+
+impl PairIndex {
+    /// Indexes `pairs` (level-2 itemsets) over items `0..num_items`.
+    ///
+    /// # Panics
+    /// Panics if a pair's items are not two distinct ids below `num_items`.
+    pub fn new(num_items: usize, pairs: &[FrequentItemset]) -> Self {
+        let mut partners: Vec<Option<BitSet>> = vec![None; num_items];
+        for fi in pairs {
+            assert_eq!(fi.items.len(), 2, "not a pair: {:?}", fi.items);
+            let (x, y) = (fi.items[0], fi.items[1]);
+            assert_ne!(x, y, "frequent pair of one item");
+            let (a, b) = (x.min(y) as usize, x.max(y) as usize);
+            partners[a]
+                .get_or_insert_with(|| BitSet::new(num_items))
+                .set(b);
+        }
+        PairIndex { partners }
+    }
+
+    /// Number of indexed pairs whose two items are both set in `row` (the
+    /// score Detect1 thresholds per report).
+    ///
+    /// # Panics
+    /// Panics if `row`'s capacity differs from the indexed item count.
+    pub fn contained_pairs(&self, row: &BitSet) -> usize {
+        assert_eq!(
+            row.capacity(),
+            self.partners.len(),
+            "row capacity differs from the indexed item count"
+        );
+        let words = row.words();
+        row.iter_ones()
+            .filter_map(|a| Some((a / 64, self.partners[a].as_ref()?)))
+            .map(|(from, partners)| {
+                partners.words()[from..]
+                    .iter()
+                    .zip(&words[from..])
+                    .map(|(p, r)| (p & r).count_ones() as usize)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -256,13 +328,26 @@ mod tests {
     fn contained_pairs_counts_correctly() {
         let txs = market_basket();
         let result = apriori(&txs, 2, 2);
-        let pairs = result.frequent_pairs();
+        let index = PairIndex::new(5, result.frequent_pairs());
         // Transaction {0,1,2} contains all three frequent pairs.
-        assert_eq!(contained_pairs(&tx(5, &[0, 1, 2]), pairs), 3);
+        assert_eq!(index.contained_pairs(&tx(5, &[0, 1, 2])), 3);
         // Transaction {0,1} contains exactly one.
-        assert_eq!(contained_pairs(&tx(5, &[0, 1]), pairs), 1);
+        assert_eq!(index.contained_pairs(&tx(5, &[0, 1])), 1);
         // Transaction {4} contains none.
-        assert_eq!(contained_pairs(&tx(5, &[4]), pairs), 0);
+        assert_eq!(index.contained_pairs(&tx(5, &[4])), 0);
+    }
+
+    #[test]
+    fn item_columns_is_the_transpose() {
+        let txs = market_basket();
+        let columns = item_columns(&txs);
+        assert_eq!(columns.len(), 5);
+        for (item, column) in columns.iter().enumerate() {
+            assert_eq!(column.capacity(), txs.len());
+            for (t, bits) in txs.iter().enumerate() {
+                assert_eq!(column.get(t), bits.get(item), "item {item}, tx {t}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! connections from the other endpoints' reports instead of dropping them
 //! (step 3 of §VII-A, the difference from Cao et al.'s removal).
 
-use crate::apriori::{apriori, contained_pairs};
+use crate::apriori::{apriori_on_columns, item_columns, PairIndex};
 use ldp_graph::BitSet;
 use ldp_protocols::{AdjacencyReport, LfGdpr};
 use poison_core::{Defense, DefenseApplication};
@@ -54,6 +54,25 @@ impl FrequentItemsetDefense {
         let background = n as f64 * mean_density * mean_density;
         ((background + 6.0 * background.sqrt()).ceil() as usize).max(4)
     }
+
+    /// Mines the frequent pairs of `reports` and scores each report by the
+    /// number it contains. Also returns the item columns the pairs were
+    /// mined from: column `f` is every report claiming `f`, which is what
+    /// reconstruction rebuilds a flagged row `f` from.
+    fn mine(&self, reports: &[AdjacencyReport]) -> (Vec<BitSet>, Vec<usize>) {
+        let columns = item_columns(reports.iter().map(|r| &r.bits));
+        let min_support = self.resolve_min_support(reports);
+        // The mined itemsets are a temporary: only the index outlives them.
+        let index = PairIndex::new(
+            columns.len(),
+            apriori_on_columns(&columns, min_support, 2).frequent_pairs(),
+        );
+        let scores = reports
+            .iter()
+            .map(|r| index.contained_pairs(&r.bits))
+            .collect();
+        (columns, scores)
+    }
 }
 
 impl Defense for FrequentItemsetDefense {
@@ -64,14 +83,8 @@ impl Defense for FrequentItemsetDefense {
     /// Score = number of frequent pairs a report contains (the quantity
     /// the flag threshold cuts).
     fn score_users(&self, reports: &[AdjacencyReport], _protocol: &LfGdpr) -> Vec<f64> {
-        let transactions: Vec<BitSet> = reports.iter().map(|r| r.bits.clone()).collect();
-        let min_support = self.resolve_min_support(reports);
-        let mined = apriori(&transactions, min_support, 2);
-        let pairs = mined.frequent_pairs();
-        reports
-            .iter()
-            .map(|r| contained_pairs(&r.bits, pairs) as f64)
-            .collect()
+        let (_, scores) = self.mine(reports);
+        scores.into_iter().map(|s| s as f64).collect()
     }
 
     fn filter_reports(
@@ -81,33 +94,31 @@ impl Defense for FrequentItemsetDefense {
         _rng: &mut dyn rand::RngCore,
     ) -> DefenseApplication {
         let n = reports.len();
-        let transactions: Vec<BitSet> = reports.iter().map(|r| r.bits.clone()).collect();
-        let min_support = self.resolve_min_support(reports);
-        let mined = apriori(&transactions, min_support, 2);
-        let pairs = mined.frequent_pairs();
-
-        let flagged: Vec<bool> = reports
-            .iter()
-            .map(|r| contained_pairs(&r.bits, pairs) > self.flag_threshold)
-            .collect();
+        let (mut columns, scores) = self.mine(reports);
+        let flagged: Vec<bool> = scores.iter().map(|&s| s > self.flag_threshold).collect();
 
         // Reconstruction: a flagged user's slots are re-derived from the
         // *other* endpoint's (original) report — the genuine side perturbed
-        // honestly, so its claim is the best available evidence.
-        let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
-        for (f, report) in repaired.iter_mut().enumerate() {
-            if !flagged[f] {
-                continue;
-            }
-            let mut rebuilt = BitSet::new(n);
-            for (j, other) in reports.iter().enumerate() {
-                if j != f && other.bits.get(f) {
-                    rebuilt.set(j);
+        // honestly, so its claim is the best available evidence. Those
+        // claims are exactly column `f` of the transpose, less `f`'s own.
+        let repaired = reports
+            .iter()
+            .zip(&flagged)
+            .enumerate()
+            .map(|(f, (report, &flag))| {
+                if !flag {
+                    return report.clone();
                 }
-            }
-            report.bits = rebuilt;
-            report.degree = report.bits.count_ones() as f64;
-        }
+                // Rows are `n` bits wide, so every report id has a column.
+                let mut bits = columns.get_mut(f).map_or_else(
+                    || BitSet::new(n),
+                    |column| std::mem::replace(column, BitSet::new(0)),
+                );
+                bits.clear(f);
+                let degree = bits.count_ones() as f64;
+                AdjacencyReport::new(bits, degree)
+            })
+            .collect();
         DefenseApplication { repaired, flagged }
     }
 }
@@ -207,6 +218,59 @@ mod tests {
         // Rebuilt from others: only user 0 claimed an edge to 2.
         assert_eq!(result.repaired[2].bits.to_indices(), vec![0]);
         assert_eq!(result.repaired[2].degree, 1.0);
+    }
+
+    #[test]
+    fn everyone_flagged_rebuilds_rows_like_the_per_row_scan() {
+        // 150 users (not a multiple of 64), rows dense enough that every
+        // one holds a pair; min_support 1 makes every co-occurring pair
+        // frequent, so threshold 0 flags everybody.
+        let n = 150;
+        let mut rng = Xoshiro256pp::new(7);
+        let reports: Vec<AdjacencyReport> = (0..n)
+            .map(|i| {
+                let mut bits = BitSet::from_indices(n, (0..n).filter(|_| rng.gen_bool(0.2)));
+                bits.set(i); // a self claim, which reconstruction must drop
+                bits.set((i + 1) % n);
+                let degree = rng.gen_range(0.0..50.0);
+                AdjacencyReport::new(bits, degree)
+            })
+            .collect();
+        let defense = FrequentItemsetDefense {
+            min_support: Some(1),
+            flag_threshold: 0,
+        };
+        let protocol = LfGdpr::new(4.0).unwrap();
+        let result = defense.filter_reports(&reports, &protocol, &mut Xoshiro256pp::new(0xD0));
+        assert!(result.flagged.iter().all(|&f| f));
+        // Oracle: row `f` rebuilt by probing every other report's bit `f`.
+        for (f, repaired) in result.repaired.iter().enumerate() {
+            let mut rebuilt = BitSet::new(n);
+            for (j, other) in reports.iter().enumerate() {
+                if j != f && other.bits.get(f) {
+                    rebuilt.set(j);
+                }
+            }
+            let degree = rebuilt.count_ones() as f64;
+            assert_eq!(repaired.bits, rebuilt, "row {f}");
+            assert_eq!(repaired.degree.to_bits(), degree.to_bits(), "row {f}");
+        }
+    }
+
+    #[test]
+    fn score_users_counts_contained_frequent_pairs() {
+        let targets: Vec<usize> = (0..12).collect();
+        let reports = poisoned_population(100, 10, &targets, 4);
+        let protocol = LfGdpr::new(4.0).unwrap();
+        let scores = FrequentItemsetDefense::new(10).score_users(&reports, &protocol);
+        // Every fake holds the 12 targets, so at least their C(12,2) pairs.
+        assert!(scores[100..].iter().all(|&s| s >= 66.0), "{scores:?}");
+        let flagged = FrequentItemsetDefense::new(10)
+            .filter_reports(&reports, &protocol, &mut Xoshiro256pp::new(0xD0))
+            .flagged;
+        for (s, f) in scores.iter().zip(flagged) {
+            assert_eq!(*s > 10.0, f);
+        }
     }
 
     #[test]

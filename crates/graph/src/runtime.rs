@@ -36,6 +36,11 @@ static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
 /// (the `--threads N` flag of the experiment binaries ends up here).
 /// `threads` is clamped to at least 1; results are bit-identical at any
 /// cap, only wall-clock changes.
+///
+/// A cap only ever lowers [`default_threads`]; it never raises it above
+/// the machine default of `available_parallelism − 1`. On a 2-core host
+/// that default is already 1, so `set_thread_cap(2)` changes nothing and
+/// every fan-out sized by [`default_threads`] runs sequentially.
 pub fn set_thread_cap(threads: usize) {
     THREAD_CAP.store(threads.max(1), Ordering::Relaxed);
 }
@@ -45,9 +50,12 @@ pub fn clear_thread_cap() {
     THREAD_CAP.store(0, Ordering::Relaxed);
 }
 
-/// Number of worker threads to use by default: the machine's parallelism,
-/// capped to leave a core for the harness — and further by
-/// [`set_thread_cap`] when a cap is installed.
+/// Number of worker threads to use by default: `available_parallelism − 1`
+/// (at least 1, or 4 when the parallelism is unknown), leaving a core for
+/// the harness, and then `min`'d with the [`set_thread_cap`] cap when one
+/// is installed. A cap therefore only lowers the count: this is 1 on a
+/// 2-core host whatever the cap. The collector's round engine sizes its
+/// fold and worker pools from this value too.
 pub fn default_threads() -> usize {
     let machine =
         std::thread::available_parallelism().map_or(4, |p| p.get().saturating_sub(1).max(1));
