@@ -13,7 +13,7 @@
 //! [`CollectorClient::queue_adjacency_report`] /
 //! [`CollectorClient::queue_degree_vector`]: each call appends one
 //! length-prefixed entry to an in-memory batch, and every
-//! [`CollectorClient::batch_size`] entries the batch leaves as **one**
+//! [`CollectorClient::with_batch_size`] entries the batch leaves as **one**
 //! `REPORT_BATCH` frame — one length prefix, one frame dispatch, and one
 //! engine round-trip on the daemon per *batch* instead of per report.
 //! [`CollectorClient::send_batch`] flushes a partial batch explicitly;
@@ -34,6 +34,30 @@
 //! first, so a batch frame is always homogeneous in its round. Rounds
 //! are owned by a tenant ([`CollectorClient::with_tenant`], default 0)
 //! for the daemon's per-tenant admission quotas.
+//!
+//! ## Retries
+//!
+//! A client survives daemon crashes once given a [`RetryPolicy`] with
+//! more than one attempt ([`CollectorClient::with_retry_policy`]; the
+//! default is one attempt, a plain client). Every control call then runs
+//! through one retry loop: a transport-class failure drops the
+//! connection, backs off (seeded jitter), redials the addresses
+//! [`CollectorClient::connect`] resolved, and tries again. Report frames
+//! sent since the last acknowledged [`CollectorClient::sync`] are kept
+//! whole — each with its own round-id head — in a **resend window** that
+//! is replayed verbatim down every fresh connection, so a replayed frame
+//! can only reach the round it was sent to. Every
+//! [`CollectorClient::WINDOW_BATCHES`] frames an implicit `sync` releases
+//! the window. A plain client keeps no window and sends no extra frames.
+//!
+//! The window makes delivery *at-least-once*: a frame in flight when the
+//! daemon died is resent even though it may already have been folded.
+//! The daemon's per-round duplicate-id rejection (which survives crashes
+//! — the seen-bitmaps are rebuilt from the write-ahead journal) discards
+//! the second copy, so the *fold* happens exactly once and the finalized
+//! output is bit-identical to a fault-free run. Resent duplicates do
+//! tick the round's `rejected_duplicate` counter — the visible (and
+//! reconcilable) cost of the retry, not a correctness leak.
 
 use crate::error::CollectorError;
 use crate::round::{RoundChannel, RoundCounters};
@@ -42,9 +66,9 @@ use ldp_protocols::wire::{
     self, get_f64, get_varint, put_f64, put_varint, read_frame, read_stream_header, write_frame,
     write_stream_header, WireError,
 };
-use ldp_protocols::{AdjacencyReport, PerturbedView, UserReport};
+use ldp_protocols::{AdjacencyReport, PerturbedView};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -59,8 +83,7 @@ static PENDING_FLUSH_FAILURES: AtomicU64 = AtomicU64::new(0);
 /// [`CollectorClient::with_batch_size`]).
 pub const DEFAULT_BATCH_REPORTS: usize = 256;
 
-/// The close-time intake summary the daemon returns, plus how many users
-/// are still outstanding.
+/// The close-time intake summary the daemon returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundSummary {
     /// Intake counters as the daemon saw them.
@@ -74,6 +97,33 @@ pub struct DegreeVectorSummary {
     pub group_totals: Vec<f64>,
     /// Vectors the daemon folded in.
     pub accepted: u64,
+}
+
+/// How a [`CollectorClient`] paces and bounds its reconnects (see the
+/// module docs on retries).
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Attempts per operation before the last transport error surfaces
+    /// (clamped to at least 1; 1 is a plain client).
+    pub max_attempts: u32,
+    /// Backoff before the first retry; doubles each further attempt.
+    pub base_backoff: Duration,
+    /// Ceiling the exponential backoff saturates at.
+    pub max_backoff: Duration,
+    /// Seed of the deterministic backoff jitter — same seed, same
+    /// schedule, so fault-injection tests replay identically.
+    pub seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 8,
+            base_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_secs(2),
+            seed: 0x1d9_c011,
+        }
+    }
 }
 
 /// A connection to the collection daemon.
@@ -90,9 +140,25 @@ pub struct CollectorClient {
     round: u64,
     /// Tenant stamped into `OPEN` frames (admission quotas key on it).
     tenant: u64,
+    /// What [`Self::connect`] resolved — where a reconnect dials.
+    addrs: Vec<SocketAddr>,
+    /// The [`Self::set_op_timeout`] deadline, re-applied on reconnect.
+    op_timeout: Option<Duration>,
+    policy: RetryPolicy,
+    jitter_state: u64,
+    /// Whole `REPORT_BATCH` frames sent since the last acknowledged
+    /// `SYNC` — the at-least-once resend set (empty on a plain client).
+    window: Vec<u8>,
+    window_frames: usize,
+    reconnects: u64,
 }
 
 impl CollectorClient {
+    /// Report frames the resend window holds before an implicit
+    /// [`Self::sync`] releases it, bounding both client memory and the
+    /// resend burst after a crash.
+    pub const WINDOW_BATCHES: usize = 4;
+
     /// Connects and performs the versioned handshake. A socket-level
     /// failure surfaces as [`CollectorError::Transport`] carrying the
     /// address (every resolved candidate is tried), so an operator — or a
@@ -105,45 +171,18 @@ impl CollectorClient {
     /// ([`ldp_protocols::WireError::BadMagic`] /
     /// [`ldp_protocols::WireError::UnsupportedVersion`]).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, CollectorError> {
-        let candidates = addr
+        let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|error| CollectorError::Transport {
                 target: "<address resolution>".to_string(),
                 error,
-            })?;
-        let mut tried = Vec::new();
-        let mut last: Option<std::io::Error> = None;
-        for candidate in candidates {
-            match TcpStream::connect(candidate) {
-                Ok(stream) => return Self::from_stream(stream),
-                Err(error) => {
-                    tried.push(candidate.to_string());
-                    last = Some(error);
-                }
-            }
-        }
-        Err(CollectorError::Transport {
-            target: if tried.is_empty() {
-                "<no addresses resolved>".to_string()
-            } else {
-                tried.join(", ")
-            },
-            error: last.unwrap_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::AddrNotAvailable,
-                    "the address resolved to nothing",
-                )
-            }),
-        })
-    }
-
-    fn from_stream(stream: TcpStream) -> Result<Self, CollectorError> {
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::with_capacity(1 << 16, stream.try_clone()?);
-        let mut reader = BufReader::with_capacity(1 << 16, stream);
-        write_stream_header(&mut writer)?;
-        writer.flush()?;
-        read_stream_header(&mut reader)?;
+            })?
+            .collect();
+        let (reader, writer) = dial(&addrs)?;
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         Ok(CollectorClient {
             reader,
             writer,
@@ -153,25 +192,33 @@ impl CollectorClient {
             batch_cap: DEFAULT_BATCH_REPORTS,
             round: 0,
             tenant: 0,
+            addrs,
+            op_timeout: None,
+            jitter_state: policy.seed,
+            policy,
+            window: Vec::new(),
+            window_frames: 0,
+            reconnects: 0,
         })
     }
 
     /// Bounds how long any single control call may block on the socket
     /// (read and write side): past the deadline the call fails with a
     /// transport-class error instead of hanging on a daemon that died
-    /// mid-reply. `None` restores blocking calls.
+    /// mid-reply. `None` restores blocking calls. Reconnects keep it.
     ///
     /// # Errors
     /// Socket option failures.
     pub fn set_op_timeout(&mut self, timeout: Option<Duration>) -> Result<(), CollectorError> {
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.writer.get_ref().set_write_timeout(timeout)?;
+        self.op_timeout = timeout;
         Ok(())
     }
 
     /// How many dropped clients (process-wide) failed their implicit
     /// batch flush — the destructor's swallowed errors, counted instead
-    /// of silent.
+    /// of silent. Replacing a dead connection on reconnect counts nothing.
     pub fn pending_flush_failed() -> u64 {
         PENDING_FLUSH_FAILURES.load(Ordering::Relaxed)
     }
@@ -183,9 +230,28 @@ impl CollectorClient {
         self
     }
 
-    /// The round id currently stamped into outgoing report frames.
-    pub fn current_round(&self) -> u64 {
-        self.round
+    /// Makes this client retry transport failures under `policy` (see
+    /// the module docs on retries); `max_attempts` 1 keeps it plain.
+    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
+        self.policy = RetryPolicy {
+            max_attempts: policy.max_attempts.max(1),
+            ..policy
+        };
+        self.jitter_state = policy.seed;
+        self
+    }
+
+    /// Reconnections performed so far.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
+    }
+
+    /// Severs the current connection without telling the daemon — the
+    /// fault-injection hook crash tests use to exercise the reconnect
+    /// and resend path deterministically.
+    #[doc(hidden)]
+    pub fn fault_disconnect(&mut self) {
+        let _ = self.reader.get_ref().shutdown(std::net::Shutdown::Both);
     }
 
     /// Points subsequent report frames at `round_id` — how an uploader
@@ -212,14 +278,13 @@ impl CollectorClient {
         self
     }
 
-    /// The batch size in force.
-    pub fn batch_size(&self) -> usize {
-        self.batch_cap
-    }
-
     /// Opens a round on the daemon (as this session's tenant) and makes
     /// it the current round for subsequent reports. `quota: None` lets
     /// the daemon default to the population size.
+    ///
+    /// A retrying client treats a `ROUND_ALREADY_OPEN` refusal as success
+    /// when this call reconnected before it arrived: the open sent down
+    /// the dead connection may have reached the daemon.
     ///
     /// # Errors
     /// Daemon refusals (cap or admission quota exceeded, duplicate round
@@ -247,37 +312,25 @@ impl CollectorClient {
             }
         }
         put_varint(quota.unwrap_or(0), &mut payload);
-        write_frame(&mut self.writer, frames::OPEN, &payload)?;
-        self.expect(frames::ACK)?;
+        let reconnects = self.reconnects;
+        match self.expect(frames::OPEN, &payload, frames::ACK) {
+            Err(CollectorError::Remote { code, .. })
+                if code == codes::ROUND_ALREADY_OPEN && self.reconnects > reconnects => {}
+            other => other?,
+        }
         self.round = round_id;
         Ok(())
     }
 
-    /// Queues one report for the batched send path; a full batch leaves
-    /// as one `REPORT_BATCH` frame. The hot path of a million-report
-    /// round. Entries themselves are unrouted — the batch frame's head
-    /// carries the round id, stamped when the batch is emitted (see
-    /// [`Self::set_round`] for why a batch is homogeneous).
+    /// Queues one report from a borrowed adjacency report for the batched
+    /// send path; a full batch leaves as one `REPORT_BATCH` frame. The
+    /// hot path of a million-report round. Entries themselves are
+    /// unrouted — the batch frame's head carries the round id, stamped
+    /// when the batch is emitted (see [`Self::set_round`] for why a batch
+    /// is homogeneous).
     ///
     /// # Errors
     /// Transport failures (only when a full batch is emitted).
-    pub fn queue_report(
-        &mut self,
-        user_id: u64,
-        report: &UserReport,
-    ) -> Result<(), CollectorError> {
-        let mut scratch = std::mem::take(&mut self.payload);
-        scratch.clear();
-        wire::encode_report(user_id, report, &mut scratch);
-        self.payload = scratch;
-        self.push_batch_entry()
-    }
-
-    /// [`Self::queue_report`] from a borrowed adjacency report — no
-    /// wrapping, no clone.
-    ///
-    /// # Errors
-    /// As [`Self::queue_report`].
     pub fn queue_adjacency_report(
         &mut self,
         user_id: u64,
@@ -290,10 +343,10 @@ impl CollectorClient {
         self.push_batch_entry()
     }
 
-    /// [`Self::queue_report`] from a borrowed degree vector.
+    /// [`Self::queue_adjacency_report`] from a borrowed degree vector.
     ///
     /// # Errors
-    /// As [`Self::queue_report`].
+    /// As [`Self::queue_adjacency_report`].
     pub fn queue_degree_vector(
         &mut self,
         user_id: u64,
@@ -302,21 +355,6 @@ impl CollectorClient {
         let mut scratch = std::mem::take(&mut self.payload);
         scratch.clear();
         wire::encode_degree_vector_report(user_id, vector, &mut scratch);
-        self.payload = scratch;
-        self.push_batch_entry()
-    }
-
-    /// [`Self::queue_report`] from an entry already encoded with
-    /// [`wire::encode_report`] — how [`RetryingClient`] replays its
-    /// resend window without re-encoding (and without knowing which
-    /// channel each entry was).
-    ///
-    /// # Errors
-    /// As [`Self::queue_report`].
-    pub fn queue_encoded_entry(&mut self, entry: &[u8]) -> Result<(), CollectorError> {
-        let mut scratch = std::mem::take(&mut self.payload);
-        scratch.clear();
-        scratch.extend_from_slice(entry);
         self.payload = scratch;
         self.push_batch_entry()
     }
@@ -346,7 +384,8 @@ impl CollectorClient {
 
     /// Emits any queued reports as one `REPORT_BATCH` frame (buffered,
     /// unacknowledged). A no-op when nothing is queued; control calls
-    /// invoke this implicitly.
+    /// invoke this implicitly. A retrying client recovers here from a
+    /// failed write, and syncs once its window is full.
     ///
     /// # Errors
     /// Transport failures.
@@ -354,12 +393,33 @@ impl CollectorClient {
         if self.batch_count == 0 {
             return Ok(());
         }
+        let sent = self.write_batch().map_err(CollectorError::from);
+        // The failed frame is already in the window: reconnecting replays it.
+        self.recover(sent, |_| Ok(()))?;
+        if self.window_frames >= Self::WINDOW_BATCHES {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the queued batch as one frame — through the resend window
+    /// on a retrying client — with no recovery.
+    fn write_batch(&mut self) -> Result<(), WireError> {
         let mut head = Vec::with_capacity(20);
         put_varint(self.round, &mut head);
         put_varint(self.batch_count as u64, &mut head);
-        wire::write_frame_split(&mut self.writer, frames::REPORT_BATCH, &head, &self.batch)?;
-        self.batch.clear();
-        self.batch_count = 0;
+        if self.policy.max_attempts > 1 {
+            let start = self.window.len();
+            wire::write_frame_split(&mut self.window, frames::REPORT_BATCH, &head, &self.batch)?;
+            self.window_frames += 1;
+            self.batch.clear();
+            self.batch_count = 0;
+            self.writer.write_all(&self.window[start..])?;
+        } else {
+            wire::write_frame_split(&mut self.writer, frames::REPORT_BATCH, &head, &self.batch)?;
+            self.batch.clear();
+            self.batch_count = 0;
+        }
         Ok(())
     }
 
@@ -376,10 +436,11 @@ impl CollectorClient {
     }
 
     /// Acknowledged barrier: returns once the daemon has ingested every
-    /// report this session sent so far. Concurrent uploaders call this
-    /// before the coordinating session closes the round — the daemon
-    /// processes a session's frames in order, so the `ACK` proves the
-    /// close summary will include everything sent here.
+    /// report this session sent so far, and releases the resend window.
+    /// Concurrent uploaders call this before the coordinating session
+    /// closes the round — the daemon processes a session's frames in
+    /// order, so the `ACK` proves the close summary will include
+    /// everything sent here.
     ///
     /// This is also where *asynchronous* typed errors land: reports are
     /// unacknowledged, so a misdirected frame (unknown or closed round)
@@ -393,34 +454,40 @@ impl CollectorClient {
     /// frames — and transport failures.
     pub fn sync(&mut self) -> Result<(), CollectorError> {
         self.send_batch()?;
-        write_frame(&mut self.writer, frames::SYNC, &[])?;
-        let mut first_err = None;
-        loop {
-            match self.read_reply() {
-                Ok(kind) if kind == frames::ACK => break,
-                Ok(kind) => return Err(CollectorError::UnexpectedFrame { kind }),
-                Err(e @ CollectorError::Remote { .. }) => first_err = first_err.or(Some(e)),
-                // Transport death (e.g. the daemon dropped a refused
-                // session): report the typed refusal if one arrived.
-                Err(e) => return Err(first_err.unwrap_or(e)),
+        let deferred = self.retry(|c| {
+            write_frame(&mut c.writer, frames::SYNC, &[])?;
+            let mut first_err = None;
+            loop {
+                match c.read_reply() {
+                    Ok(kind) if kind == frames::ACK => return Ok(first_err),
+                    Ok(kind) => return Err(CollectorError::UnexpectedFrame { kind }),
+                    Err(e @ CollectorError::Remote { .. }) => first_err = first_err.or(Some(e)),
+                    // Transport death (e.g. the daemon dropped a refused
+                    // session): report the typed refusal if one arrived.
+                    Err(e) => return Err(first_err.unwrap_or(e)),
+                }
             }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        })?;
+        self.window.clear();
+        self.window_frames = 0;
+        deferred.map_or(Ok(()), Err)
     }
 
-    /// Closes intake and returns the daemon's summary.
+    /// Closes intake and returns the daemon's summary. A retrying client
+    /// syncs first when its window holds frames, so no replay can land
+    /// after the close (closing an already-closed round is a daemon-level
+    /// no-op, so a retried close is safe).
     ///
     /// # Errors
     /// Daemon refusals and transport failures.
     pub fn close_round(&mut self, round_id: u64) -> Result<RoundSummary, CollectorError> {
         self.send_batch()?;
+        if self.window_frames > 0 {
+            self.sync()?;
+        }
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::CLOSE, &payload)?;
-        self.expect(frames::SUMMARY)?;
+        self.expect(frames::CLOSE, &payload, frames::SUMMARY)?;
         let mut buf = self.payload.as_slice();
         let accepted = get_varint(&mut buf)?;
         let rejected_duplicate = get_varint(&mut buf)?;
@@ -452,24 +519,22 @@ impl CollectorClient {
     /// # Errors
     /// Daemon refusals and transport failures.
     pub fn stats(&mut self) -> Result<Vec<wire::StatsEntry>, CollectorError> {
-        self.send_batch()?;
-        write_frame(&mut self.writer, frames::STATS, &[])?;
-        self.expect(frames::STATS_REPLY)?;
+        self.expect(frames::STATS, &[], frames::STATS_REPLY)?;
         Ok(wire::decode_stats_reply(&self.payload)?)
     }
 
     /// Finalizes an adjacency round into the server view — bit-identical
-    /// to aggregating the same reports in process.
+    /// to aggregating the same reports in process. A retrying client
+    /// retries it only until the daemon consumes the round: a reply lost
+    /// after that retries into an unknown round.
     ///
     /// # Errors
     /// [`CollectorError::Remote`] while reports are outstanding or on a
     /// degree-vector round; transport failures otherwise.
     pub fn finalize_adjacency(&mut self, round_id: u64) -> Result<PerturbedView, CollectorError> {
-        self.send_batch()?;
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::FINALIZE, &payload)?;
-        match self.read_reply()? {
+        match self.request(frames::FINALIZE, &payload)? {
             frames::VIEW => Ok(wire::decode_view(&self.payload)?),
             frames::DEGREE_SUMMARY => Err(CollectorError::WrongChannel {
                 expected: "adjacency",
@@ -486,11 +551,9 @@ impl CollectorClient {
         &mut self,
         round_id: u64,
     ) -> Result<DegreeVectorSummary, CollectorError> {
-        self.send_batch()?;
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::FINALIZE, &payload)?;
-        match self.read_reply()? {
+        match self.request(frames::FINALIZE, &payload)? {
             frames::DEGREE_SUMMARY => {
                 let mut buf = self.payload.as_slice();
                 let accepted = get_varint(&mut buf)?;
@@ -523,12 +586,9 @@ impl CollectorClient {
     /// Daemon refusals (no data directory, unknown round) and transport
     /// failures.
     pub fn checkpoint(&mut self, round_id: u64) -> Result<(), CollectorError> {
-        self.send_batch()?;
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
-        write_frame(&mut self.writer, frames::CHECKPOINT, &payload)?;
-        self.expect(frames::ACK)?;
-        Ok(())
+        self.expect(frames::CHECKPOINT, &payload, frames::ACK)
     }
 
     /// Stops the daemon after this session.
@@ -536,10 +596,7 @@ impl CollectorClient {
     /// # Errors
     /// Transport failures.
     pub fn shutdown(&mut self) -> Result<(), CollectorError> {
-        self.send_batch()?;
-        write_frame(&mut self.writer, frames::SHUTDOWN, &[])?;
-        self.expect(frames::ACK)?;
-        Ok(())
+        self.expect(frames::SHUTDOWN, &[], frames::ACK)
     }
 
     /// Convenience: runs one complete adjacency round — open, stream one
@@ -547,9 +604,9 @@ impl CollectorClient {
     /// path, close, finalize.
     ///
     /// # Errors
-    /// Any refusal or transport failure along the way; also
-    /// [`CollectorError::RoundIncomplete`]-style daemon refusals if the
-    /// daemon rejected reports (the summary is consulted first).
+    /// Any refusal or transport failure along the way — e.g. a
+    /// `ROUND_INCOMPLETE` refusal from the finalize if the daemon
+    /// rejected reports (the close summary is discarded).
     pub fn run_adjacency_round(
         &mut self,
         round_id: u64,
@@ -569,6 +626,25 @@ impl CollectorClient {
         }
         self.close_round(round_id)?;
         self.finalize_adjacency(round_id)
+    }
+
+    /// Sends one control frame after any queued batch and reads its
+    /// reply into the internal payload buffer, through the retry loop.
+    fn request(&mut self, kind: u8, payload: &[u8]) -> Result<u8, CollectorError> {
+        self.send_batch()?;
+        self.retry(|c| {
+            write_frame(&mut c.writer, kind, payload)?;
+            c.read_reply()
+        })
+    }
+
+    /// [`Self::request`], requiring the reply kind `reply`.
+    fn expect(&mut self, kind: u8, payload: &[u8], reply: u8) -> Result<(), CollectorError> {
+        let got = self.request(kind, payload)?;
+        if got != reply {
+            return Err(CollectorError::UnexpectedFrame { kind: got });
+        }
+        Ok(())
     }
 
     /// Flushes the report stream and reads the next reply frame into the
@@ -597,26 +673,60 @@ impl CollectorClient {
         }
     }
 
-    fn expect(&mut self, kind: u8) -> Result<(), CollectorError> {
-        let got = self.read_reply()?;
-        if got != kind {
-            return Err(CollectorError::UnexpectedFrame { kind: got });
+    /// Runs `op` once, then as [`Self::recover`] says.
+    fn retry<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Self) -> Result<T, CollectorError>,
+    ) -> Result<T, CollectorError> {
+        let first = op(self);
+        self.recover(first, op)
+    }
+
+    /// The one retry loop: while `result` is a transport-class failure
+    /// and the policy's attempt budget lasts, back off, reconnect (which
+    /// replays the window) and rerun `op`.
+    fn recover<T>(
+        &mut self,
+        mut result: Result<T, CollectorError>,
+        mut op: impl FnMut(&mut Self) -> Result<T, CollectorError>,
+    ) -> Result<T, CollectorError> {
+        let mut attempt = 1;
+        while let Err(e) = &result {
+            if attempt >= self.policy.max_attempts || !is_transport(e) {
+                break;
+            }
+            std::thread::sleep(self.backoff(attempt));
+            attempt += 1;
+            result = self.reconnect().and_then(|()| op(self));
         }
+        result
+    }
+
+    /// Replaces the connection with a fresh one to the same addresses —
+    /// handshake, socket deadline, then the resend window replayed
+    /// verbatim (its duplicates are the daemon's to reject). The old
+    /// connection is dropped without going through [`Drop`], so a
+    /// reconnect never counts as a failed flush.
+    fn reconnect(&mut self) -> Result<(), CollectorError> {
+        (self.reader, self.writer) = dial(&self.addrs)?;
+        self.reconnects += 1;
+        self.set_op_timeout(self.op_timeout)?;
+        self.writer.write_all(&self.window)?;
         Ok(())
     }
 
-    /// Flushes the queued batch and stream buffer, swallowing (but
-    /// counting — see [`Self::pending_flush_failed`]) any failure.
-    /// Returns whether the flush reached the socket.
-    fn flush_lossy(&mut self) -> bool {
-        let flushed = self
-            .send_batch()
-            .and_then(|()| Ok(self.writer.flush()?))
-            .is_ok();
-        if !flushed {
-            PENDING_FLUSH_FAILURES.fetch_add(1, Ordering::Relaxed);
-        }
-        flushed
+    /// Exponential backoff before retry `attempt` (1-based), jittered
+    /// deterministically into `[cap/2, cap)` so a fleet of clients with
+    /// different seeds does not reconnect in lockstep.
+    fn backoff(&mut self, attempt: u32) -> Duration {
+        let doublings = attempt.saturating_sub(1).min(16);
+        let cap = self
+            .policy
+            .base_backoff
+            .saturating_mul(1 << doublings)
+            .min(self.policy.max_backoff);
+        let frac = (splitmix64(&mut self.jitter_state) >> 40) as f64 / (1u64 << 24) as f64;
+        cap.mul_f64(0.5 + 0.5 * frac)
     }
 }
 
@@ -625,41 +735,51 @@ impl CollectorClient {
 /// is **counted** (process-wide, readable via
 /// [`CollectorClient::pending_flush_failed`]) rather than silently
 /// discarded — an uploader that needs delivery *proof* must still end
-/// with [`CollectorClient::sync`].
+/// with [`CollectorClient::sync`]. The destructor never reconnects.
 impl Drop for CollectorClient {
     fn drop(&mut self) {
-        let _ = self.flush_lossy();
-    }
-}
-
-/// How a [`RetryingClient`] paces and bounds its reconnects.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Attempts per operation before the last transport error surfaces
-    /// (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each further attempt.
-    pub base_backoff: Duration,
-    /// Ceiling the exponential backoff saturates at.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic backoff jitter — same seed, same
-    /// schedule, so fault-injection tests replay identically.
-    pub seed: u64,
-    /// Per-operation socket deadline applied to every (re)connection
-    /// (see [`CollectorClient::set_op_timeout`]); `None` blocks forever.
-    pub op_timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            seed: 0x1d9_c011,
-            op_timeout: Some(Duration::from_secs(10)),
+        let flushed =
+            (self.batch_count == 0 || self.write_batch().is_ok()) && self.writer.flush().is_ok();
+        if !flushed {
+            PENDING_FLUSH_FAILURES.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Dials each address in turn and performs the versioned handshake on
+/// the first that accepts; a failure names every address tried.
+fn dial(
+    addrs: &[SocketAddr],
+) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), CollectorError> {
+    let mut last: Option<std::io::Error> = None;
+    for candidate in addrs {
+        match TcpStream::connect(candidate) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                let mut writer = BufWriter::with_capacity(1 << 16, stream.try_clone()?);
+                let mut reader = BufReader::with_capacity(1 << 16, stream);
+                write_stream_header(&mut writer)?;
+                writer.flush()?;
+                read_stream_header(&mut reader)?;
+                return Ok((reader, writer));
+            }
+            Err(error) => last = Some(error),
+        }
+    }
+    let tried: Vec<String> = addrs.iter().map(SocketAddr::to_string).collect();
+    Err(CollectorError::Transport {
+        target: if tried.is_empty() {
+            "<no addresses resolved>".to_string()
+        } else {
+            tried.join(", ")
+        },
+        error: last.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::AddrNotAvailable,
+                "the address resolved to nothing",
+            )
+        }),
+    })
 }
 
 /// True for failures a reconnect can cure: socket-level errors and a
@@ -680,315 +800,4 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A [`CollectorClient`] that survives daemon crashes: transport
-/// failures trigger reconnection with bounded exponential backoff
-/// (deterministically jittered by [`RetryPolicy::seed`]), and reports
-/// queued since the last acknowledged [`Self::barrier`] live in a
-/// **resend window** that is replayed down every fresh connection.
-///
-/// ## Exactly-once ingest
-///
-/// The window makes delivery *at-least-once*: a report in flight when
-/// the daemon died is resent even though it may already have been
-/// folded. The daemon's per-round duplicate-id rejection (which survives
-/// crashes — the seen-bitmaps are rebuilt from the write-ahead journal)
-/// discards the second copy, so the *fold* happens exactly once and the
-/// finalized output is bit-identical to a fault-free run. Resent
-/// duplicates do tick the round's `rejected_duplicate` counter — that is
-/// the visible (and reconcilable) cost of the retry, not a correctness
-/// leak.
-///
-/// Control calls are retried under the same policy. [`Self::open_round`]
-/// is idempotent: a `ROUND_ALREADY_OPEN` refusal — the round survived
-/// (or was recovered by) the daemon we reconnected to — counts as
-/// success.
-pub struct RetryingClient {
-    target: String,
-    policy: RetryPolicy,
-    tenant: u64,
-    batch_size: usize,
-    inner: Option<CollectorClient>,
-    round: u64,
-    /// Entries ([`wire::encode_report`] bytes) sent since the last
-    /// acknowledged barrier — the at-least-once resend set.
-    window: Vec<Vec<u8>>,
-    /// Window length that forces an implicit [`Self::barrier`], bounding
-    /// both client memory and the resend burst after a crash.
-    window_cap: usize,
-    jitter_state: u64,
-    connects: u64,
-}
-
-impl RetryingClient {
-    /// Default resend-window capacity (see [`Self::with_resend_window`]).
-    pub const DEFAULT_WINDOW: usize = 1024;
-
-    /// Creates the client (connection is established lazily, with
-    /// retries, by the first operation). `target` must be a resolvable
-    /// `host:port` string — it is re-resolved on every reconnect.
-    pub fn new(target: impl Into<String>, policy: RetryPolicy) -> Self {
-        RetryingClient {
-            target: target.into(),
-            jitter_state: policy.seed,
-            policy,
-            tenant: 0,
-            batch_size: DEFAULT_BATCH_REPORTS,
-            inner: None,
-            round: 0,
-            window: Vec::new(),
-            window_cap: Self::DEFAULT_WINDOW,
-            connects: 0,
-        }
-    }
-
-    /// Tenant stamped into `OPEN` frames (see
-    /// [`CollectorClient::with_tenant`]).
-    pub fn with_tenant(mut self, tenant: u64) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Batch size of the underlying client (see
-    /// [`CollectorClient::with_batch_size`]).
-    pub fn with_batch_size(mut self, reports: usize) -> Self {
-        self.batch_size = reports.clamp(1, wire::MAX_REPORTS_PER_BATCH);
-        self
-    }
-
-    /// Reports the resend window may hold before an implicit
-    /// [`Self::barrier`] (clamped to at least 1).
-    pub fn with_resend_window(mut self, reports: usize) -> Self {
-        self.window_cap = reports.max(1);
-        self
-    }
-
-    /// Reconnections performed so far (the first connect is not one).
-    pub fn reconnects(&self) -> u64 {
-        self.connects.saturating_sub(1)
-    }
-
-    /// Severs the current connection without telling the daemon — the
-    /// fault-injection hook crash tests use to exercise the reconnect
-    /// and resend path deterministically.
-    #[doc(hidden)]
-    pub fn fault_disconnect(&mut self) {
-        if let Some(client) = &self.inner {
-            let _ = client.reader.get_ref().shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Opens `round_id` (idempotently — see the type docs) and routes
-    /// subsequent reports at it.
-    ///
-    /// # Errors
-    /// Non-transport daemon refusals; [`CollectorError::Transport`] once
-    /// the retry budget is exhausted.
-    pub fn open_round(
-        &mut self,
-        round_id: u64,
-        channel: RoundChannel,
-        quota: Option<u64>,
-    ) -> Result<(), CollectorError> {
-        self.round = round_id;
-        match self.with_retry(|c| c.open_round(round_id, channel, quota)) {
-            Err(CollectorError::Remote { code, .. }) if code == codes::ROUND_ALREADY_OPEN => {
-                // The round survived (or was recovered by) the daemon —
-                // the open already happened; aim reports at it.
-                if let Some(client) = self.inner.as_mut() {
-                    client.set_round(round_id)?;
-                }
-                Ok(())
-            }
-            other => other,
-        }
-    }
-
-    /// Queues one report toward the current round, retrying delivery
-    /// across crashes. May trigger an implicit [`Self::barrier`] when
-    /// the resend window fills.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_report(
-        &mut self,
-        user_id: u64,
-        report: &UserReport,
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_report(user_id, report, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    /// [`Self::queue_report`] from a borrowed degree vector.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_degree_vector(
-        &mut self,
-        user_id: u64,
-        vector: &[f64],
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_degree_vector_report(user_id, vector, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    /// [`Self::queue_report`] from a borrowed adjacency report.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn queue_adjacency_report(
-        &mut self,
-        user_id: u64,
-        report: &AdjacencyReport,
-    ) -> Result<(), CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_adjacency_report(user_id, report, &mut entry);
-        self.queue_entry(entry)
-    }
-
-    fn queue_entry(&mut self, entry: Vec<u8>) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.queue_encoded_entry(&entry))?;
-        self.window.push(entry);
-        if self.window.len() >= self.window_cap {
-            self.barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Acknowledged barrier (see [`CollectorClient::sync`]): once it
-    /// returns, every report queued so far is folded *and durable on the
-    /// daemon's terms*, and the resend window is released — a crash
-    /// after this point resends nothing.
-    ///
-    /// # Errors
-    /// As [`Self::open_round`]; the window is retained on failure.
-    pub fn barrier(&mut self) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.sync())?;
-        self.window.clear();
-        Ok(())
-    }
-
-    /// Closes intake on `round_id` (retried; closing an already-closed
-    /// round is a daemon-level no-op, so a replayed close is safe).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn close_round(&mut self, round_id: u64) -> Result<RoundSummary, CollectorError> {
-        self.barrier()?;
-        self.with_retry(|c| c.close_round(round_id))
-    }
-
-    /// Finalizes a degree-vector round (retried on transport failures
-    /// *before* the daemon consumed the round; see the crate docs on the
-    /// finalize durability gap).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn finalize_degree_vector(
-        &mut self,
-        round_id: u64,
-    ) -> Result<DegreeVectorSummary, CollectorError> {
-        self.with_retry(|c| c.finalize_degree_vector(round_id))
-    }
-
-    /// Finalizes an adjacency round (same caveats as
-    /// [`Self::finalize_degree_vector`]).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn finalize_adjacency(&mut self, round_id: u64) -> Result<PerturbedView, CollectorError> {
-        self.with_retry(|c| c.finalize_adjacency(round_id))
-    }
-
-    /// Scrapes the daemon's metrics (retried).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn stats(&mut self) -> Result<Vec<wire::StatsEntry>, CollectorError> {
-        self.with_retry(|c| c.stats())
-    }
-
-    /// Stops the daemon after this session (not retried past the first
-    /// delivered frame — a dead daemon is already stopped).
-    ///
-    /// # Errors
-    /// As [`Self::open_round`].
-    pub fn shutdown(&mut self) -> Result<(), CollectorError> {
-        self.with_retry(|c| c.shutdown())
-    }
-
-    /// Connects if disconnected: fresh handshake, session settings,
-    /// current round, then the resend window replayed down the new
-    /// connection (its duplicates are the daemon's to reject).
-    fn ensure_connected(&mut self) -> Result<(), CollectorError> {
-        if self.inner.is_some() {
-            return Ok(());
-        }
-        let mut client = CollectorClient::connect(self.target.as_str())?
-            .with_tenant(self.tenant)
-            .with_batch_size(self.batch_size);
-        client.set_op_timeout(self.policy.op_timeout)?;
-        client.set_round(self.round)?;
-        for entry in &self.window {
-            client.queue_encoded_entry(entry)?;
-        }
-        self.connects += 1;
-        self.inner = Some(client);
-        Ok(())
-    }
-
-    /// Runs `op` against a live connection, reconnecting (with backoff
-    /// and window resend) on transport-class failures, up to the
-    /// policy's attempt budget.
-    fn with_retry<T>(
-        &mut self,
-        mut op: impl FnMut(&mut CollectorClient) -> Result<T, CollectorError>,
-    ) -> Result<T, CollectorError> {
-        let budget = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            let result = self.ensure_connected().and_then(|()| {
-                match self.inner.as_mut() {
-                    Some(client) => op(client),
-                    // Unreachable after ensure_connected, typed anyway.
-                    None => Err(CollectorError::Transport {
-                        target: self.target.clone(),
-                        error: std::io::Error::new(
-                            std::io::ErrorKind::NotConnected,
-                            "no live connection",
-                        ),
-                    }),
-                }
-            });
-            match result {
-                Ok(value) => return Ok(value),
-                Err(e) if is_transport(&e) => {
-                    self.inner = None;
-                    attempt += 1;
-                    if attempt >= budget {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.backoff(attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Exponential backoff before retry `attempt` (1-based), jittered
-    /// deterministically into `[cap/2, cap)` so a fleet of clients with
-    /// different seeds does not reconnect in lockstep.
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(16);
-        let cap = self
-            .policy
-            .base_backoff
-            .saturating_mul(1 << doublings)
-            .min(self.policy.max_backoff);
-        let frac = (splitmix64(&mut self.jitter_state) >> 40) as f64 / (1u64 << 24) as f64;
-        cap.mul_f64(0.5 + 0.5 * frac)
-    }
 }

@@ -49,8 +49,10 @@
 //!   [`CollectorConfig::worker_threads`] workers (no thread per session),
 //!   refusing past-cap connects with a typed `SESSION_CAP` error instead
 //!   of queueing them behind slots that may never free; the client
-//!   batches uploads into `REPORT_BATCH` frames and offers a `SYNC`
-//!   barrier for coordinated concurrent uploaders. Every state-changing
+//!   batches uploads into `REPORT_BATCH` frames, offers a `SYNC`
+//!   barrier for coordinated concurrent uploaders, and, given a
+//!   [`RetryPolicy`], rides daemon crashes by reconnecting and replaying
+//!   its unacknowledged batch frames. Every state-changing
 //!   frame goes through one function, `server::apply_frame`: decode,
 //!   journal append, fold, and reply encoding live there once.
 //! * [`wal`] — the crash-durability plane: a daemon given a data
@@ -60,7 +62,7 @@
 //!   through epoch-named markers, and on restart recovers every open
 //!   round bit-identically by replaying the journal through the live
 //!   daemon's own frame-apply path — a torn final record reads as a
-//!   clean end of log. Paired with the client's [`RetryPolicy`] resend window and the
+//!   clean end of log. Paired with the client's resend window and the
 //!   engine's duplicate-id rejection, at-least-once retry becomes
 //!   exactly-once ingest.
 //! * [`bridge`] — [`ServeScenario::serve`] /
@@ -89,8 +91,7 @@ pub mod wal;
 
 pub use bridge::{ServeScenario, WireWorldRunner};
 pub use client::{
-    CollectorClient, DegreeVectorSummary, RetryPolicy, RetryingClient, RoundSummary,
-    DEFAULT_BATCH_REPORTS,
+    CollectorClient, DegreeVectorSummary, RetryPolicy, RoundSummary, DEFAULT_BATCH_REPORTS,
 };
 pub use error::CollectorError;
 pub use metrics::CollectorMetrics;

@@ -2,12 +2,12 @@
 //!
 //! Each schedule spawns the daemon binary on a fixed port with a
 //! journal directory under `target/crash-test/`, drives a degree-vector
-//! round through a [`RetryingClient`], and at randomized ingest points
-//! either SIGKILLs the process or arms the journal's torn-write fault
-//! hook (`LDP_WAL_KILL_AFTER_BYTES`) so the daemon aborts *mid-append*,
-//! leaving a torn record on disk. After every kill the daemon is
-//! restarted on the same directory and the client rides the outage; at
-//! the end the schedule must be invisible:
+//! round through a [`CollectorClient`] with a retry policy, and at
+//! randomized ingest points either SIGKILLs the process or arms the
+//! journal's torn-write fault hook (`LDP_WAL_KILL_AFTER_BYTES`) so the
+//! daemon aborts *mid-append*, leaving a torn record on disk. After
+//! every kill the daemon is restarted on the same directory and the
+//! client rides the outage; at the end the schedule must be invisible:
 //!
 //! * the close summary reconciles exactly — `accepted == population`,
 //!   zero quota/invalid/malformed rejects (duplicate rejects are the
@@ -19,12 +19,15 @@
 //! * finalize after a checkpoint, then SIGKILL: the restarted daemon
 //!   comes up with nothing open — the finalize deleted the round's
 //!   snapshot while its marker survived in the journal — and the round
-//!   id is free again.
+//!   id is free again;
+//! * no client is dropped with unflushed bytes — a reconnect replaces
+//!   its dead connection without counting a failed flush, so
+//!   `pending_flush_failed` reads 0.
 //!
 //! Schedule directories are removed on success and kept on failure — CI
 //! uploads `target/crash-test/` as the post-mortem artifact.
 
-use ldp_collector::{CollectorClient, RetryPolicy, RetryingClient, RoundChannel};
+use ldp_collector::{CollectorClient, RetryPolicy, RoundChannel};
 use ldp_protocols::wire::StatsValue;
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -71,8 +74,19 @@ fn fast_retries() -> RetryPolicy {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(100),
         seed: 7,
-        op_timeout: Some(Duration::from_secs(5)),
     }
+}
+
+/// A client retrying under [`fast_retries`], with a 5 s socket deadline.
+fn retrying_client(port: u16) -> CollectorClient {
+    let mut client = CollectorClient::connect(("127.0.0.1", port))
+        .expect("connect")
+        .with_retry_policy(fast_retries())
+        .with_batch_size(2);
+    client
+        .set_op_timeout(Some(Duration::from_secs(5)))
+        .expect("op timeout");
+    client
 }
 
 /// `target/crash-test/` — derived from the daemon binary's location so
@@ -156,8 +170,7 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
     // abort; the client keeps retrying across the gap.
     let mut watcher: Option<std::thread::JoinHandle<Child>> = None;
 
-    let mut client =
-        RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+    let mut client = retrying_client(port);
     let channel = RoundChannel::DegreeVector {
         population: POPULATION,
         groups: GROUPS,
@@ -196,7 +209,7 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
     }
     // Checkpoint the complete round, so the finalize below deletes a
     // snapshot whose marker stays in the journal.
-    client.barrier().expect("barrier before the checkpoint");
+    client.sync().expect("barrier before the checkpoint");
     CollectorClient::connect(("127.0.0.1", port))
         .and_then(|mut admin| admin.checkpoint(ROUND))
         .expect("checkpoint");
@@ -276,6 +289,52 @@ fn sigkill_schedules_finalize_bit_identically() {
             "{tag} ({kills:?}): finalized totals are not bit-identical"
         );
     }
+    assert_eq!(
+        CollectorClient::pending_flush_failed(),
+        0,
+        "a reconnect counted its dropped connection as a failed flush"
+    );
+}
+
+/// A reconnect that loses nothing counts nothing: the replaced
+/// connection dies with its frames unflushed, but those frames are in
+/// the resend window, and only a dropped client may count a failed
+/// flush. Every test here ends by reading the process-wide counter.
+#[test]
+fn a_lossless_reconnect_counts_no_failed_flush() {
+    let dir = crash_root().join("lossless-reconnect");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let port = free_port();
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = retrying_client(port);
+    let channel = RoundChannel::DegreeVector {
+        population: 8,
+        groups: GROUPS,
+    };
+    client.open_round(ROUND, channel, Some(64)).expect("open");
+    for user in 0..3u64 {
+        client
+            .queue_degree_vector(user, &vector(user))
+            .expect("queue");
+    }
+    client.fault_disconnect();
+    let summary = client
+        .close_round(ROUND)
+        .expect("close across the reconnect");
+    assert_eq!(summary.counters.accepted, 3);
+    assert!(
+        client.reconnects() >= 1,
+        "the fault never forced a reconnect"
+    );
+    client.shutdown().expect("shutdown");
+    daemon.wait().expect("reap");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        CollectorClient::pending_flush_failed(),
+        0,
+        "a reconnect counted its dropped connection as a failed flush"
+    );
 }
 
 /// A daemon that dies while *recovering* (torn hook armed so tightly it
@@ -288,8 +347,7 @@ fn a_crash_during_recovery_is_recoverable() {
     std::fs::create_dir_all(&dir).expect("create dir");
     let port = free_port();
     let mut daemon = spawn_daemon(&dir, port, None);
-    let mut client =
-        RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+    let mut client = retrying_client(port);
     client
         .open_round(
             ROUND,
@@ -305,7 +363,7 @@ fn a_crash_during_recovery_is_recoverable() {
             .queue_degree_vector(user, &vector(user))
             .expect("queue");
     }
-    client.barrier().expect("barrier");
+    client.sync().expect("barrier");
     daemon.kill().expect("SIGKILL");
     daemon.wait().expect("reap");
     // Threshold 1: startup compaction's own checkpoint-marker append
@@ -340,4 +398,9 @@ fn a_crash_during_recovery_is_recoverable() {
     client.shutdown().expect("shutdown");
     daemon.wait().expect("reap");
     let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        CollectorClient::pending_flush_failed(),
+        0,
+        "a reconnect counted its dropped connection as a failed flush"
+    );
 }

@@ -18,12 +18,12 @@
 use ldp_collector::wal::DurableLog;
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RetryPolicy,
-    RetryingClient, RoundChannel, RoundCollector,
+    RoundChannel, RoundCollector,
 };
 use ldp_protocols::wire::StatsValue;
 use ldp_protocols::UserReport;
 use proptest::prelude::*;
-use std::net::TcpListener;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
@@ -79,8 +79,18 @@ fn fast_retries() -> RetryPolicy {
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(50),
         seed: 7,
-        op_timeout: Some(Duration::from_secs(5)),
     }
+}
+
+/// A client retrying under [`fast_retries`], with a 5 s socket deadline.
+fn retrying_client(addr: impl ToSocketAddrs) -> CollectorClient {
+    let mut client = CollectorClient::connect(addr)
+        .expect("connect")
+        .with_retry_policy(fast_retries());
+    client
+        .set_op_timeout(Some(Duration::from_secs(5)))
+        .expect("op timeout");
+    client
 }
 
 /// Runs one fault-free degree-vector round against a plain (non-durable)
@@ -280,7 +290,7 @@ fn transport_errors_name_the_target() {
 #[test]
 fn a_dropped_client_counts_its_failed_flush() {
     let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries());
+    let mut client = retrying_client(addr);
     client
         .open_round(21, channel(8), None)
         .expect("open round 21");
@@ -316,7 +326,7 @@ fn the_retrying_client_rides_disconnects_exactly_once() {
     let dir = scratch_dir("retry-rides");
     let (addr, handle) =
         CollectorServer::spawn_durable(config(), &dir, FsyncPolicy::Always).expect("spawn durable");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries()).with_resend_window(8);
+    let mut client = retrying_client(addr).with_batch_size(2);
     client
         .open_round(ROUND, channel(population), generous_quota(population))
         .expect("open");
@@ -354,7 +364,7 @@ fn the_retrying_client_rides_disconnects_exactly_once() {
 fn open_round_is_idempotent_across_reconnects() {
     let population = 8usize;
     let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
-    let mut client = RetryingClient::new(addr.to_string(), fast_retries());
+    let mut client = retrying_client(addr);
     client
         .open_round(ROUND, channel(population), None)
         .expect("first open");
@@ -370,6 +380,72 @@ fn open_round_is_idempotent_across_reconnects() {
     let summary = client.close_round(ROUND).expect("close");
     assert_eq!(summary.counters.accepted, population as u64);
     client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// Regression: a reconnect replays each unacknowledged report into the
+/// round it was sent to. Round A's reports, still unacknowledged when
+/// the session moves on to round B, must not be replayed into B.
+#[test]
+fn a_reconnect_replays_reports_into_their_own_round() {
+    let (round_a, round_b) = (41, 42);
+    let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
+    let mut client = retrying_client(addr);
+    client
+        .open_round(round_a, channel(8), generous_quota(8))
+        .expect("open A");
+    for user in 0..3u64 {
+        client
+            .queue_degree_vector(user, &vector(user))
+            .expect("queue to A");
+    }
+    client
+        .open_round(round_b, channel(8), generous_quota(8))
+        .expect("open B without a barrier");
+    client.fault_disconnect();
+    client
+        .queue_degree_vector(3, &vector(3))
+        .expect("queue to B");
+    let a = client.close_round(round_a).expect("close A");
+    let b = client.close_round(round_b).expect("close B");
+    assert_eq!(a.counters.accepted, 3, "round A");
+    assert_eq!(
+        b.counters.accepted, 1,
+        "round B folded another round's reports"
+    );
+    assert!(
+        client.reconnects() >= 1,
+        "the fault never forced a reconnect"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// Regression: `ROUND_ALREADY_OPEN` is success for a retrying client
+/// only when its own earlier attempt may have opened the round. A round
+/// id another tenant holds is refused on the first attempt.
+#[test]
+fn a_retrying_open_of_another_tenants_round_is_refused() {
+    let (addr, handle) = CollectorServer::spawn(config()).expect("spawn");
+    let mut owner = CollectorClient::connect(addr)
+        .expect("connect owner")
+        .with_tenant(1);
+    owner
+        .open_round(9, channel(8), None)
+        .expect("tenant 1 opens 9");
+    let mut client = retrying_client(addr).with_tenant(2);
+    let adjacency = RoundChannel::Adjacency {
+        population: 8,
+        p_keep: 0.5,
+    };
+    match client.open_round(9, adjacency, None) {
+        Err(CollectorError::Remote { code, .. }) => {
+            assert_eq!(code, ldp_collector::server::codes::ROUND_ALREADY_OPEN)
+        }
+        other => panic!("tenant 2 reopened tenant 1's round: {other:?}"),
+    }
+    assert_eq!(client.reconnects(), 0);
+    owner.shutdown().expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exit");
 }
 
@@ -438,8 +514,7 @@ proptest! {
         let dir = scratch_dir("prop-schedule");
         let port = free_port();
         let mut handle = start_durable_daemon(port, &dir);
-        let mut client =
-            RetryingClient::new(format!("127.0.0.1:{port}"), fast_retries()).with_resend_window(6);
+        let mut client = retrying_client(("127.0.0.1", port)).with_batch_size(2);
         client
             .open_round(ROUND, channel(population), generous_quota(population))
             .expect("open");

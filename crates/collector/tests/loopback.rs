@@ -9,7 +9,7 @@ use ldp_collector::{
 };
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
-use ldp_protocols::{LfGdpr, Metric, UserReport};
+use ldp_protocols::{LfGdpr, Metric};
 use poison_core::attack::Mga;
 use poison_core::scenario::{Scenario, ScenarioReport};
 use poison_core::{TargetSelection, ThreatModel};
@@ -98,12 +98,9 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
         .unwrap();
     for id in 0..2u64 {
         client
-            .queue_report(
+            .queue_adjacency_report(
                 id,
-                &UserReport::Adjacency(ldp_protocols::AdjacencyReport::new(
-                    ldp_graph::BitSet::new(3),
-                    0.0,
-                )),
+                &ldp_protocols::AdjacencyReport::new(ldp_graph::BitSet::new(3), 0.0),
             )
             .unwrap();
     }
@@ -116,12 +113,9 @@ fn daemon_refusals_arrive_as_typed_remote_errors() {
         }
     ));
     client
-        .queue_report(
+        .queue_adjacency_report(
             2,
-            &UserReport::Adjacency(ldp_protocols::AdjacencyReport::new(
-                ldp_graph::BitSet::new(3),
-                1.0,
-            )),
+            &ldp_protocols::AdjacencyReport::new(ldp_graph::BitSet::new(3), 1.0),
         )
         .unwrap();
     let summary = client.close_round(2).unwrap();
@@ -149,10 +143,7 @@ fn degree_vector_round_over_tcp() {
         .unwrap();
     for id in 0..n {
         client
-            .queue_report(
-                id,
-                &UserReport::DegreeVector(vec![1.0, 0.5, 0.0, id as f64]),
-            )
+            .queue_degree_vector(id, &[1.0, 0.5, 0.0, id as f64])
             .unwrap();
     }
     let summary = client.close_round(1).unwrap();
