@@ -1,17 +1,18 @@
 //! The scenario bridge: run the evaluation engine *over the wire*.
 //!
-//! [`WireWorldRunner`] implements [`poison_core::scenario::WorldRunner`]:
-//! the honest collection, attack crafting, and defense filtering happen on
-//! the client side exactly as the in-process engine does them (same RNG
-//! streams, same validation, same order), but every fold of an upload set
-//! into a server view is a *round over TCP* — reports encoded frame by
-//! frame, sharded and aggregated by the daemon, the finalized view shipped
-//! back. Because the protocol's randomness discipline is reproduced
-//! verbatim and the daemon's sharded fold is bit-identical to the
-//! in-process one, a `Scenario` run through this bridge produces a
-//! `ScenarioReport` **bit-identical** to the in-process engine at the same
-//! seed — pinned by `tests/loopback.rs` and the CI `collector_smoke`
-//! step at 10k users.
+//! [`WireWorldRunner`] implements [`poison_core::scenario::WorldRunner`]
+//! on the protocol's own world builder,
+//! [`LfGdpr::run_worlds_with`](ldp_protocols::LfGdpr::run_worlds_with):
+//! the honest collection, attack crafting, and defense filtering run
+//! client side through the same code as the in-process engine (same RNG
+//! streams, same validation, same order), and only the fold of an upload
+//! set into a server view differs — here it is a *round over TCP*,
+//! reports encoded frame by frame, sharded and aggregated by the daemon,
+//! the finalized view shipped back. Because the daemon's sharded fold is
+//! bit-identical to the in-process one, a `Scenario` run through this
+//! bridge produces a `ScenarioReport` **bit-identical** to the in-process
+//! engine at the same seed — pinned by `tests/loopback.rs` and the CI
+//! `collector_smoke` step at 10k users.
 //!
 //! ```no_run
 //! use ldp_collector::ServeScenario;
@@ -41,10 +42,8 @@
 use crate::client::CollectorClient;
 use crate::error::CollectorError;
 use ldp_graph::{CsrGraph, Xoshiro256pp};
-use ldp_protocols::protocol::{STREAM_ATTACK, STREAM_DEFENSE};
 use ldp_protocols::{
-    AdjacencyReport, CraftContext, GraphLdpProtocol, ProtocolError, ReportCrafter, ReportFilter,
-    ServerView, WorldViews,
+    AdjacencyReport, GraphLdpProtocol, ReportCrafter, ReportFilter, ServerView, WorldViews,
 };
 use poison_core::scenario::{InProcessRunner, ScenarioBuilder, WorldRunner};
 use poison_core::ScenarioError;
@@ -108,9 +107,7 @@ impl WorldRunner for WireWorldRunner {
         "wire-collector"
     }
 
-    /// Mirrors `LfGdpr::run_worlds` step for step — same streams
-    /// (per-user, [`STREAM_ATTACK`], [`STREAM_DEFENSE`]), same typed
-    /// validation — with the two world folds running as wire rounds.
+    /// `LfGdpr::run_worlds_with` with each world's fold a wire round.
     fn run_worlds(
         &self,
         protocol: &dyn GraphLdpProtocol,
@@ -133,71 +130,9 @@ impl WorldRunner for WireWorldRunner {
                 ingest_batch,
             );
         };
-
         let base = Xoshiro256pp::new(trial_seed);
-        let n = graph.num_nodes();
-        if m_fake > n {
-            return Err(ProtocolError::CraftedOverrun {
-                population: n,
-                crafted: m_fake,
-            }
-            .into());
-        }
-        let mut reports = lf.collect_honest(graph, &base);
-        let honest = self.fold_world(lf.p_keep(), &reports)?;
-
-        let attacked = if let Some(crafter) = crafter {
-            let mut rng = base.derive(STREAM_ATTACK);
-            let crafted = crafter.craft(CraftContext::Adjacency { protocol: lf }, &mut rng);
-            if crafted.len() != m_fake {
-                return Err(ProtocolError::CraftedCountMismatch {
-                    expected: m_fake,
-                    got: crafted.len(),
-                }
-                .into());
-            }
-            for (offset, report) in crafted.into_iter().enumerate() {
-                let report = report.into_adjacency()?;
-                if report.population() != n {
-                    return Err(ProtocolError::PopulationMismatch {
-                        expected: n,
-                        got: report.population(),
-                    }
-                    .into());
-                }
-                reports[n - m_fake + offset] = report;
-            }
-            true
-        } else {
-            false
-        };
-
-        let mut flagged = None;
-        let attacked_view = if attacked || filter.is_some() {
-            let working = if let Some(filter) = filter {
-                let mut rng = base.derive(STREAM_DEFENSE);
-                let decision = filter.filter(&reports, lf, &mut rng);
-                if decision.repaired.len() != n || decision.flagged.len() != n {
-                    return Err(ProtocolError::FilterShape {
-                        expected: n,
-                        got: decision.repaired.len().min(decision.flagged.len()),
-                    }
-                    .into());
-                }
-                flagged = Some(decision.flagged);
-                decision.repaired
-            } else {
-                reports
-            };
-            Some(self.fold_world(lf.p_keep(), &working)?)
-        } else {
-            None
-        };
-
-        Ok(WorldViews {
-            honest,
-            attacked: attacked_view,
-            flagged,
+        lf.run_worlds_with(graph, &base, m_fake, crafter, filter, |reports| {
+            self.fold_world(lf.p_keep(), reports)
         })
     }
 }

@@ -26,10 +26,11 @@
 //! `rejected_malformed` counter), and every other version is refused
 //! with a typed error.
 
+use crate::codec::{decode_round_header, encode_round_header, RoundHeader};
 use crate::error::CollectorError;
-use crate::round::{write_lock, RoundChannel, RoundCollector, Store};
+use crate::round::{write_lock, RoundCollector};
 use ldp_obs::TraceEvent;
-use ldp_protocols::wire::{get_f64, get_u64, get_varint, put_f64, put_u64, put_varint, WireError};
+use ldp_protocols::wire::{get_u64s, get_varint, put_u64s, put_varint};
 use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -40,13 +41,6 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 /// Checkpoint format version (3: the `rejected_malformed` counter
 /// follows `rejected_invalid`; 2 added the owning tenant).
 pub const CHECKPOINT_VERSION: u8 = 3;
-
-const CHANNEL_ADJACENCY: u8 = 0;
-const CHANNEL_DEGREE_VECTOR: u8 = 1;
-
-/// One shard's checkpointable pieces: `(accepted, duplicates, seen words,
-/// degrees-or-sums, packed row words)`.
-type ShardSnapshot<'a> = (u64, u64, &'a [u64], &'a [f64], &'a [u64]);
 
 impl RoundCollector {
     /// Snapshots the named round to `w`. Quiesces that round's concurrent
@@ -68,47 +62,28 @@ impl RoundCollector {
         let mut buf = Vec::new();
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
         buf.push(CHECKPOINT_VERSION);
-        put_varint(round.round_id, &mut buf);
-        put_varint(slot.tenant, &mut buf);
-        match round.channel {
-            RoundChannel::Adjacency { population, p_keep } => {
-                buf.push(CHANNEL_ADJACENCY);
-                put_varint(population as u64, &mut buf);
-                put_f64(p_keep, &mut buf);
-            }
-            RoundChannel::DegreeVector { population, groups } => {
-                buf.push(CHANNEL_DEGREE_VECTOR);
-                put_varint(population as u64, &mut buf);
-                put_varint(groups as u64, &mut buf);
-            }
-        }
-        put_varint(round.quota, &mut buf);
+        let header = RoundHeader {
+            round_id: round.round_id,
+            tenant: slot.tenant,
+            channel: round.channel,
+            quota: round.quota,
+        };
+        encode_round_header(&header, &mut buf);
         put_varint(round.submitted.load(Ordering::Acquire), &mut buf);
         put_varint(round.rejected_quota.load(Ordering::Acquire), &mut buf);
         put_varint(round.rejected_invalid.load(Ordering::Acquire), &mut buf);
         put_varint(round.rejected_malformed.load(Ordering::Acquire), &mut buf);
         buf.push(u8::from(round.closed.load(Ordering::Acquire)));
 
-        let snapshot: Vec<ShardSnapshot<'_>> = match &mut round.store {
-            Store::Adjacency { shards, .. } => shards.snapshot_shards().collect(),
-            Store::DegreeVector { shards, .. } => shards.snapshot_shards().collect(),
-        };
-        put_varint(snapshot.len() as u64, &mut buf);
-        for (accepted, duplicates, seen, floats, words) in snapshot {
-            put_varint(accepted, &mut buf);
-            put_varint(duplicates, &mut buf);
-            put_varint(seen.len() as u64, &mut buf);
-            for &wd in seen {
-                put_u64(wd, &mut buf);
-            }
-            put_varint(floats.len() as u64, &mut buf);
-            for &x in floats {
-                put_f64(x, &mut buf);
-            }
-            put_varint(words.len() as u64, &mut buf);
-            for &wd in words {
-                put_u64(wd, &mut buf);
-            }
+        let shards = round.shards.iter_mut();
+        put_varint(shards.len() as u64, &mut buf);
+        for shard in shards {
+            put_varint(shard.accepted, &mut buf);
+            put_varint(shard.duplicates, &mut buf);
+            put_words(shard.seen.words(), &mut buf);
+            let bits: Vec<u64> = shard.floats.iter().map(|x| x.to_bits()).collect();
+            put_words(&bits, &mut buf);
+            put_words(&shard.words, &mut buf);
         }
         w.write_all(&buf)?;
         w.flush()?;
@@ -132,6 +107,10 @@ impl RoundCollector {
     /// differently-configured daemon and is refused rather than
     /// re-sharded. Returns the restored round's id.
     ///
+    /// All or nothing: the round enters the registry only once the whole
+    /// file has decoded and matched this engine's geometry, so a refused
+    /// file leaves the engine exactly as it was.
+    ///
     /// # Errors
     /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard
     /// count differing from `config.shards`; admission refusals if the
@@ -151,78 +130,58 @@ impl RoundCollector {
                 detail: "unsupported checkpoint version",
             });
         }
-        let round_id = get_varint(buf).map_err(bad("round id"))?;
-        let tenant = get_varint(buf).map_err(bad("tenant"))?;
-        let channel = match take(buf, 1)?[0] {
-            CHANNEL_ADJACENCY => {
-                let population = get_varint(buf).map_err(bad("population"))? as usize;
-                let p_keep = get_f64(buf).map_err(bad("p_keep"))?;
-                RoundChannel::Adjacency { population, p_keep }
-            }
-            CHANNEL_DEGREE_VECTOR => {
-                let population = get_varint(buf).map_err(bad("population"))? as usize;
-                let groups = get_varint(buf).map_err(bad("groups"))? as usize;
-                RoundChannel::DegreeVector { population, groups }
-            }
-            _ => {
-                return Err(CollectorError::BadCheckpoint {
-                    detail: "unknown channel tag",
-                })
-            }
-        };
-        let quota = get_varint(buf).map_err(bad("quota"))?;
-        let submitted = get_varint(buf).map_err(bad("submitted"))?;
-        let rejected_quota = get_varint(buf).map_err(bad("rejected_quota"))?;
-        let rejected_invalid = get_varint(buf).map_err(bad("rejected_invalid"))?;
-        let rejected_malformed = get_varint(buf).map_err(bad("rejected_malformed"))?;
+        let header = decode_round_header(buf).map_err(|_| CollectorError::BadCheckpoint {
+            detail: "malformed round header",
+        })?;
+        let submitted = get_varint(buf).map_err(malformed)?;
+        let rejected_quota = get_varint(buf).map_err(malformed)?;
+        let rejected_invalid = get_varint(buf).map_err(malformed)?;
+        let rejected_malformed = get_varint(buf).map_err(malformed)?;
         let closed = take(buf, 1)?[0] != 0;
-        let num_shards = get_varint(buf).map_err(bad("shard count"))? as usize;
-        if num_shards != self.config().shards {
+        let num_shards = get_varint(buf).map_err(malformed)?;
+        if num_shards != self.config().shards as u64 {
             return Err(CollectorError::BadCheckpoint {
                 detail: "shard geometry differs from the engine's configuration",
             });
         }
-        self.open_round_as(tenant, round_id, channel, Some(quota))?;
-        let slot = self.slot(round_id)?;
-        let mut guard = write_lock(&slot.inner);
-        // The round was opened three lines up, so this is always `Some` —
-        // but restore is a decode path, and decode paths return typed
-        // errors rather than panic (ldp-lint no-unwrap).
-        let round = guard.as_mut().ok_or(CollectorError::BadCheckpoint {
-            detail: "round vanished while restoring shards",
+        let RoundHeader {
+            round_id,
+            tenant,
+            channel,
+            quota,
+        } = header;
+        self.admit(tenant, round_id, channel, quota, |round| {
+            for shard in round.shards.iter_mut() {
+                shard.accepted = get_varint(buf).map_err(malformed)?;
+                shard.duplicates = get_varint(buf).map_err(malformed)?;
+                get_words(buf, shard.seen.words_mut())?;
+                shard.seen.mask_tail();
+                // Floats travel as their bit patterns.
+                let mut bits: Vec<u64> = shard.floats.iter().map(|x| x.to_bits()).collect();
+                get_words(buf, &mut bits)?;
+                for (x, b) in shard.floats.iter_mut().zip(bits) {
+                    *x = f64::from_bits(b);
+                }
+                get_words(buf, &mut shard.words)?;
+            }
+            if !buf.is_empty() {
+                return Err(CollectorError::BadCheckpoint {
+                    detail: "trailing bytes",
+                });
+            }
+            round.submitted.store(submitted, Ordering::Release);
+            round
+                .rejected_quota
+                .store(rejected_quota, Ordering::Release);
+            round
+                .rejected_invalid
+                .store(rejected_invalid, Ordering::Release);
+            round
+                .rejected_malformed
+                .store(rejected_malformed, Ordering::Release);
+            round.closed.store(closed, Ordering::Release);
+            Ok(())
         })?;
-        for shard_idx in 0..num_shards {
-            let accepted = get_varint(buf).map_err(bad("shard accepted"))?;
-            let duplicates = get_varint(buf).map_err(bad("shard duplicates"))?;
-            let seen = read_u64s(buf)?;
-            let floats = read_f64s(buf)?;
-            let words = read_u64s(buf)?;
-            let restored = match &mut round.store {
-                Store::Adjacency { shards, .. } => {
-                    shards.restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
-                }
-                Store::DegreeVector { shards, .. } => {
-                    shards.restore_shard(shard_idx, accepted, duplicates, seen, floats, words)
-                }
-            };
-            restored.map_err(|detail| CollectorError::BadCheckpoint { detail })?;
-        }
-        if !buf.is_empty() {
-            return Err(CollectorError::BadCheckpoint {
-                detail: "trailing bytes",
-            });
-        }
-        round.submitted.store(submitted, Ordering::Release);
-        round
-            .rejected_quota
-            .store(rejected_quota, Ordering::Release);
-        round
-            .rejected_invalid
-            .store(rejected_invalid, Ordering::Release);
-        round
-            .rejected_malformed
-            .store(rejected_malformed, Ordering::Release);
-        round.closed.store(closed, Ordering::Release);
         Ok(round_id)
     }
 }
@@ -237,46 +196,39 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CollectorError> {
     Ok(head)
 }
 
-fn bad(_field: &'static str) -> impl Fn(WireError) -> CollectorError {
-    move |_| CollectorError::BadCheckpoint {
+fn malformed<E>(_: E) -> CollectorError {
+    CollectorError::BadCheckpoint {
         detail: "malformed integer field",
     }
 }
 
-fn read_u64s(buf: &mut &[u8]) -> Result<Vec<u64>, CollectorError> {
-    let len = get_varint(buf).map_err(bad("len"))? as usize;
-    if buf.len() < len.saturating_mul(8) {
-        return Err(CollectorError::BadCheckpoint {
-            detail: "truncated word array",
-        });
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_u64(buf).map_err(bad("word"))?);
-    }
-    Ok(out)
+/// Writes one length-prefixed `u64` array.
+fn put_words(words: &[u64], buf: &mut Vec<u8>) {
+    put_varint(words.len() as u64, buf);
+    put_u64s(words, buf);
 }
 
-fn read_f64s(buf: &mut &[u8]) -> Result<Vec<f64>, CollectorError> {
-    let len = get_varint(buf).map_err(bad("len"))? as usize;
-    if buf.len() < len.saturating_mul(8) {
+/// Reads one length-prefixed `u64` array into `dst`. The engine's shard
+/// geometry sized `dst`, and a file whose length disagrees is refused,
+/// so nothing read from the file sizes an allocation.
+fn get_words(buf: &mut &[u8], dst: &mut [u64]) -> Result<(), CollectorError> {
+    if get_varint(buf).map_err(malformed)? != dst.len() as u64 {
         return Err(CollectorError::BadCheckpoint {
-            detail: "truncated float array",
+            detail: "shard size differs from the round's geometry",
         });
     }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(get_f64(buf).map_err(bad("float"))?);
-    }
-    Ok(out)
+    get_u64s(buf, dst).map_err(|_| CollectorError::BadCheckpoint {
+        detail: "truncated word array",
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::{CollectorConfig, IngestOutcome, RoundOutcome};
+    use crate::round::{CollectorConfig, IngestOutcome, RoundChannel, RoundOutcome};
     use ldp_graph::{BitSet, Xoshiro256pp};
     use ldp_protocols::{AdjacencyReport, UserReport};
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn synth(n: usize, seed: u64) -> Vec<AdjacencyReport> {
@@ -426,11 +378,33 @@ mod tests {
         assert_eq!(group_totals, vec![9.0, 36.0]);
     }
 
-    #[test]
-    fn malformed_checkpoints_are_typed() {
-        // Empty, bad magic, bad version, and a version-2 header (the
-        // pre-`rejected_malformed` layout, which no writer produces).
-        for bytes in [
+    /// The valid checkpoint of an open 30-user adjacency round.
+    fn valid_checkpoint() -> Vec<u8> {
+        let engine = RoundCollector::new(config()).unwrap();
+        engine.open_round(1, adjacency(30), None).unwrap();
+        let mut snapshot = Vec::new();
+        engine.checkpoint(1, &mut snapshot).unwrap();
+        snapshot
+    }
+
+    fn adjacency(population: usize) -> RoundChannel {
+        RoundChannel::Adjacency {
+            population,
+            p_keep: 0.8,
+        }
+    }
+
+    /// Files every engine must refuse: empty, bad magic, bad version, a
+    /// version-2 header (the pre-`rejected_malformed` layout, which no
+    /// writer produces), a valid checkpoint with its tail chopped off,
+    /// and one with a trailing byte (refused only after every shard has
+    /// decoded).
+    fn malformed_checkpoints() -> Vec<Vec<u8>> {
+        let mut truncated = valid_checkpoint();
+        truncated.truncate(truncated.len() - 3);
+        let mut trailing = valid_checkpoint();
+        trailing.push(0);
+        vec![
             Vec::new(),
             b"NOPE\x01".to_vec(),
             {
@@ -443,30 +417,77 @@ mod tests {
                 v.extend_from_slice(&[2, 2, 0, 1, 9, 2, 9, 6, 0, 0, 0]);
                 v
             },
-        ] {
+            truncated,
+            trailing,
+        ]
+    }
+
+    #[test]
+    fn malformed_checkpoints_are_typed() {
+        for bytes in malformed_checkpoints() {
             assert!(matches!(
                 resume(&bytes),
                 Err(CollectorError::BadCheckpoint { .. })
             ));
         }
-        // A valid checkpoint with the tail chopped off.
+    }
+
+    /// Resume is all or nothing: a refused file leaves no round, no
+    /// memory charge and no claim on the round id behind.
+    #[test]
+    fn a_refused_checkpoint_leaves_the_engine_empty() {
         let engine = RoundCollector::new(config()).unwrap();
-        engine
-            .open_round(
-                1,
-                RoundChannel::Adjacency {
-                    population: 30,
-                    p_keep: 0.8,
-                },
-                None,
-            )
-            .unwrap();
-        let mut snapshot = Vec::new();
-        engine.checkpoint(1, &mut snapshot).unwrap();
-        snapshot.truncate(snapshot.len() - 3);
-        assert!(matches!(
-            resume(&snapshot),
-            Err(CollectorError::BadCheckpoint { .. })
-        ));
+        for bytes in malformed_checkpoints() {
+            assert!(matches!(
+                engine.resume_round_into(&mut &bytes[..]),
+                Err(CollectorError::BadCheckpoint { .. })
+            ));
+            assert!(engine.open_round_ids().is_empty());
+            assert_eq!(engine.memory_used(), 0);
+        }
+        engine.open_round(1, adjacency(30), None).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn every_strict_prefix_is_refused_and_leaves_the_engine_empty(
+            adjacency_round in 0u8..2,
+            n in 1usize..90,
+            folded in 0usize..90,
+            seed in 0u64..1000,
+        ) {
+            let engine = RoundCollector::new(config()).unwrap();
+            let channel = if adjacency_round == 1 {
+                adjacency(n)
+            } else {
+                RoundChannel::DegreeVector { population: n, groups: 3 }
+            };
+            engine.open_round_as(2, 4, channel, Some(2 * n as u64)).unwrap();
+            for (i, r) in synth(n, seed).into_iter().enumerate().take(folded) {
+                let report = if adjacency_round == 1 {
+                    UserReport::Adjacency(r)
+                } else {
+                    UserReport::DegreeVector(vec![r.degree, 1.0, -0.5])
+                };
+                engine.ingest(4, i as u64, report).unwrap();
+            }
+            let mut snapshot = Vec::new();
+            engine.checkpoint(4, &mut snapshot).unwrap();
+
+            let fresh = RoundCollector::new(config()).unwrap();
+            for len in 0..snapshot.len() {
+                let refused = fresh.resume_round_into(&mut &snapshot[..len]);
+                prop_assert!(
+                    matches!(refused, Err(CollectorError::BadCheckpoint { .. })),
+                    "prefix of {} bytes: {:?}", len, refused
+                );
+                prop_assert!(fresh.open_round_ids().is_empty());
+                prop_assert_eq!(fresh.memory_used(), 0);
+            }
+            prop_assert_eq!(fresh.resume_round_into(&mut &snapshot[..]).ok(), Some(4));
+            prop_assert_eq!(fresh.counters(4).ok(), engine.counters(4).ok());
+        }
     }
 }

@@ -59,12 +59,14 @@
 //! tick the round's `rejected_duplicate` counter — the visible (and
 //! reconcilable) cost of the retry, not a correctness leak.
 
+use crate::codec::{
+    decode_degree_summary, decode_error, decode_summary, encode_round_header, RoundHeader,
+};
 use crate::error::CollectorError;
 use crate::round::{RoundChannel, RoundCounters};
-use crate::server::{channel_tags, codes, frames};
+use crate::server::{codes, frames};
 use ldp_protocols::wire::{
-    self, get_f64, get_varint, put_f64, put_varint, read_frame, read_stream_header, write_frame,
-    write_stream_header, WireError,
+    self, put_varint, read_frame, read_stream_header, write_frame, write_stream_header, WireError,
 };
 use ldp_protocols::{AdjacencyReport, PerturbedView};
 use std::io::{BufReader, BufWriter, Write};
@@ -296,22 +298,15 @@ impl CollectorClient {
         quota: Option<u64>,
     ) -> Result<(), CollectorError> {
         self.send_batch()?;
+        let header = RoundHeader {
+            round_id,
+            tenant: self.tenant,
+            channel,
+            // 0 asks the daemon for a quota of the population.
+            quota: quota.unwrap_or(0),
+        };
         let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        put_varint(self.tenant, &mut payload);
-        match channel {
-            RoundChannel::Adjacency { population, p_keep } => {
-                payload.push(channel_tags::ADJACENCY);
-                put_varint(population as u64, &mut payload);
-                put_f64(p_keep, &mut payload);
-            }
-            RoundChannel::DegreeVector { population, groups } => {
-                payload.push(channel_tags::DEGREE_VECTOR);
-                put_varint(population as u64, &mut payload);
-                put_varint(groups as u64, &mut payload);
-            }
-        }
-        put_varint(quota.unwrap_or(0), &mut payload);
+        encode_round_header(&header, &mut payload);
         let reconnects = self.reconnects;
         match self.expect(frames::OPEN, &payload, frames::ACK) {
             Err(CollectorError::Remote { code, .. })
@@ -488,24 +483,7 @@ impl CollectorClient {
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
         self.expect(frames::CLOSE, &payload, frames::SUMMARY)?;
-        let mut buf = self.payload.as_slice();
-        let accepted = get_varint(&mut buf)?;
-        let rejected_duplicate = get_varint(&mut buf)?;
-        let rejected_quota = get_varint(&mut buf)?;
-        let rejected_invalid = get_varint(&mut buf)?;
-        let rejected_malformed = get_varint(&mut buf)?;
-        let (&finalized, rest) = buf
-            .split_first()
-            .ok_or(CollectorError::Wire(wire::WireError::Truncated))?;
-        wire::expect_end(rest)?;
-        let counters = RoundCounters {
-            accepted,
-            rejected_duplicate,
-            rejected_quota,
-            rejected_invalid,
-            rejected_malformed,
-            finalized_at_close: finalized != 0,
-        };
+        let counters = decode_summary(&self.payload)?;
         Ok(RoundSummary { counters })
     }
 
@@ -554,25 +532,7 @@ impl CollectorClient {
         let mut payload = Vec::new();
         put_varint(round_id, &mut payload);
         match self.request(frames::FINALIZE, &payload)? {
-            frames::DEGREE_SUMMARY => {
-                let mut buf = self.payload.as_slice();
-                let accepted = get_varint(&mut buf)?;
-                let k = get_varint(&mut buf)? as usize;
-                if k > wire::MAX_WIRE_POPULATION {
-                    return Err(CollectorError::Wire(wire::WireError::OversizePopulation {
-                        claimed: k as u64,
-                    }));
-                }
-                let mut group_totals = Vec::with_capacity(k);
-                for _ in 0..k {
-                    group_totals.push(get_f64(&mut buf)?);
-                }
-                wire::expect_end(buf)?;
-                Ok(DegreeVectorSummary {
-                    group_totals,
-                    accepted,
-                })
-            }
+            frames::DEGREE_SUMMARY => Ok(decode_degree_summary(&self.payload)?),
             frames::VIEW => Err(CollectorError::WrongChannel {
                 expected: "degree-vector",
             }),
@@ -652,19 +612,7 @@ impl CollectorClient {
     fn read_reply(&mut self) -> Result<u8, CollectorError> {
         self.writer.flush()?;
         match read_frame(&mut self.reader, &mut self.payload)? {
-            Some(frames::ERR) => {
-                let mut buf = self.payload.as_slice();
-                let (&code, rest) = buf
-                    .split_first()
-                    .ok_or(CollectorError::Wire(wire::WireError::Truncated))?;
-                buf = rest;
-                let len = get_varint(&mut buf)? as usize;
-                if buf.len() != len {
-                    return Err(CollectorError::Wire(wire::WireError::Truncated));
-                }
-                let message = String::from_utf8_lossy(buf).into_owned();
-                Err(CollectorError::Remote { code, message })
-            }
+            Some(frames::ERR) => Err(decode_error(&self.payload)?),
             Some(kind) => Ok(kind),
             None => Err(CollectorError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

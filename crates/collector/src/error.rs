@@ -39,8 +39,6 @@ pub enum CollectorError {
         /// Id of the round already in the registry.
         round_id: u64,
     },
-    /// The operation needs an open round and none is.
-    NoOpenRound,
     /// The frame names a round id the registry does not hold — never
     /// opened, or already finalized.
     UnknownRound {
@@ -164,7 +162,6 @@ impl fmt::Display for CollectorError {
             CollectorError::RoundAlreadyOpen { round_id } => {
                 write!(f, "round {round_id} is still open")
             }
-            CollectorError::NoOpenRound => write!(f, "no round is open"),
             CollectorError::UnknownRound { round_id } => {
                 write!(f, "no open round has id {round_id}")
             }
@@ -257,7 +254,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("107614") && s.contains("O(N²/8)"));
-        assert!(CollectorError::NoOpenRound.to_string().contains("no round"));
         let e = CollectorError::from(WireError::Truncated);
         assert!(std::error::Error::source(&e).is_some());
         let e = CollectorError::TenantQuota {

@@ -21,15 +21,17 @@
 //!   number of threads ingest one round concurrently under its read
 //!   lock.
 //! * `shard` (internal) — reports routed by `user_id % shards` into
-//!   disjoint per-shard state behind per-shard locks; the lower-triangle
+//!   disjoint per-shard state behind per-shard locks, one shard shape for
+//!   both channels (exactly what a checkpoint stores); the lower-triangle
 //!   ownership rule of the in-process ingestion engine extends to
 //!   out-of-order, multi-session arrival (OR-folds into exclusively
 //!   owned rows commute), so concurrent folds merge by row copy into a
 //!   finalize that is bit-identical however sessions interleave.
 //! * [`checkpoint`] — snapshot/restore of an in-flight round: the
 //!   snapshot quiesces concurrent sessions at a frame boundary, and
-//!   [`RoundCollector::resume_round_into`] restores it with the same
-//!   duplicate set, finalizing bit-identically to an uninterrupted run.
+//!   [`RoundCollector::resume_round_into`] restores it — all or nothing —
+//!   with the same duplicate set, finalizing bit-identically to an
+//!   uninterrupted run.
 //!   Snapshots are written into a durable daemon's data directory,
 //!   coordinated with its journal ([`wal`]) — the one persistence
 //!   mechanism.
@@ -54,7 +56,10 @@
 //!   [`RetryPolicy`], rides daemon crashes by reconnecting and replaying
 //!   its unacknowledged batch frames. Every state-changing
 //!   frame goes through one function, `server::apply_frame`: decode,
-//!   journal append, fold, and reply encoding live there once.
+//!   journal append, fold, and reply encoding live there once. The
+//!   payloads the client, the daemon and the checkpoint share (the round
+//!   header, `SUMMARY`, `DEGREE_SUMMARY`, `ERR`) have one encoder and one
+//!   decoder each, in the internal `codec` module.
 //! * [`wal`] — the crash-durability plane: a daemon given a data
 //!   directory write-ahead-journals every state-changing frame (report
 //!   payloads verbatim, *before* the fold) under a configurable
@@ -67,8 +72,9 @@
 //!   exactly-once ingest.
 //! * [`bridge`] — [`ServeScenario::serve`] /
 //!   [`WireWorldRunner`]: the `poison-core` scenario engine evaluated
-//!   end-to-end **over the wire**, bit-identical to the in-process path at
-//!   the same seed.
+//!   end-to-end **over the wire** — the protocol's own world builder with
+//!   each world folded by a wire round — bit-identical to the in-process
+//!   path at the same seed.
 //!
 //! Two channels are served: **adjacency** rounds (LF-GDPR) finalize into a
 //! [`ldp_protocols::PerturbedView`]; **degree-vector** rounds
@@ -82,6 +88,7 @@
 pub mod bridge;
 pub mod checkpoint;
 pub mod client;
+mod codec;
 pub mod error;
 pub mod metrics;
 pub mod round;

@@ -56,7 +56,7 @@
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::shard::{AdjacencyShards, DegreeVectorShards};
+use crate::shard::Shards;
 use ldp_graph::runtime::default_threads;
 use ldp_mechanisms::RandomizedResponse;
 use ldp_obs::TraceEvent;
@@ -281,18 +281,6 @@ pub enum RoundOutcome {
     },
 }
 
-pub(crate) enum Store {
-    Adjacency {
-        shards: AdjacencyShards,
-        /// The flip mechanism, validated and constructed at open so
-        /// finalize is infallible on it (no re-parse, no panic path).
-        rr: RandomizedResponse,
-    },
-    DegreeVector {
-        shards: DegreeVectorShards,
-    },
-}
-
 pub(crate) struct OpenRound {
     pub(crate) round_id: u64,
     pub(crate) channel: RoundChannel,
@@ -308,18 +296,54 @@ pub(crate) struct OpenRound {
     /// Written only under the engine's write lock; read under the read
     /// lock, so a close is a quiesce point for every in-flight ingest.
     pub(crate) closed: AtomicBool,
-    pub(crate) store: Store,
+    pub(crate) shards: Shards,
+    /// An adjacency round's flip mechanism (`None` on a degree-vector
+    /// round), validated and constructed at open so finalize is
+    /// infallible on it (no re-parse, no panic path).
+    rr: Option<RandomizedResponse>,
 }
 
 impl OpenRound {
-    fn counters(&self) -> RoundCounters {
-        let (accepted, rejected_duplicate) = match &self.store {
-            Store::Adjacency { shards, .. } => (shards.accepted(), shards.duplicates()),
-            Store::DegreeVector { shards } => (shards.accepted(), shards.duplicates()),
+    /// A fresh round: the flip mechanism is validated before the shards
+    /// are allocated.
+    fn new(
+        round_id: u64,
+        channel: RoundChannel,
+        quota: u64,
+        num_shards: usize,
+    ) -> Result<Self, CollectorError> {
+        let (shards, rr) = match channel {
+            RoundChannel::Adjacency { population, p_keep } => {
+                let rr = RandomizedResponse::from_keep_probability(p_keep).map_err(|_| {
+                    CollectorError::InvalidConfig {
+                        detail: "keep probability outside (0.5, 1)",
+                    }
+                })?;
+                (Shards::adjacency(population, num_shards), Some(rr))
+            }
+            RoundChannel::DegreeVector { population, groups } => {
+                (Shards::degree_vector(population, groups, num_shards), None)
+            }
         };
+        Ok(OpenRound {
+            round_id,
+            channel,
+            quota,
+            submitted: AtomicU64::new(0),
+            rejected_quota: AtomicU64::new(0),
+            rejected_invalid: AtomicU64::new(0),
+            rejected_malformed: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
+            shards,
+            rr,
+        })
+    }
+
+    fn counters(&self) -> RoundCounters {
+        let accepted = self.shards.accepted();
         RoundCounters {
             accepted,
-            rejected_duplicate,
+            rejected_duplicate: self.shards.duplicates(),
             rejected_quota: self.rejected_quota.load(Ordering::Acquire),
             rejected_invalid: self.rejected_invalid.load(Ordering::Acquire),
             rejected_malformed: self.rejected_malformed.load(Ordering::Acquire),
@@ -461,12 +485,28 @@ impl RoundCollector {
         channel: RoundChannel,
         quota: Option<u64>,
     ) -> Result<(), CollectorError> {
+        let quota = quota.unwrap_or(channel.population() as u64);
+        self.admit(tenant, round_id, channel, quota, |_| Ok(()))
+    }
+
+    /// The one registry insert, for opens and checkpoint restores alike:
+    /// admission control, then a fresh round that `fill` may populate
+    /// (a restore decodes its shards and counters there). The round
+    /// enters the registry only if every step succeeds, so a refused
+    /// open or restore leaves the engine as it was.
+    pub(crate) fn admit(
+        &self,
+        tenant: u64,
+        round_id: u64,
+        channel: RoundChannel,
+        quota: u64,
+        fill: impl FnOnce(&mut OpenRound) -> Result<(), CollectorError>,
+    ) -> Result<(), CollectorError> {
         let open_begin = self.metrics.active().then(Instant::now);
         let mut rounds = write_lock(&self.rounds);
         if rounds.contains_key(&round_id) {
             return Err(CollectorError::RoundAlreadyOpen { round_id });
         }
-        let n = channel.population();
         // Per-round caps and parameter validation come first (those
         // refusals predate multi-tenancy and keep their error types),
         // then the admission checks — all of it before any allocation.
@@ -492,37 +532,14 @@ impl RoundCollector {
         // is rare and the size is already budget-checked, so holding the
         // map for the bounded allocation keeps check-then-charge atomic
         // without a reservation protocol.
-        let store = match channel {
-            RoundChannel::Adjacency { population, p_keep } => Store::Adjacency {
-                // Construct (and thereby validate) the flip mechanism
-                // before the shard allocation; finalize reuses it as-is.
-                rr: RandomizedResponse::from_keep_probability(p_keep).map_err(|_| {
-                    CollectorError::InvalidConfig {
-                        detail: "keep probability outside (0.5, 1)",
-                    }
-                })?,
-                shards: AdjacencyShards::new(population, self.config.shards),
-            },
-            RoundChannel::DegreeVector { population, groups } => Store::DegreeVector {
-                shards: DegreeVectorShards::new(population, groups, self.config.shards),
-            },
-        };
+        let mut round = OpenRound::new(round_id, channel, quota, self.config.shards)?;
+        fill(&mut round)?;
         rounds.insert(
             round_id,
             Arc::new(RoundSlot {
                 tenant,
                 cost,
-                inner: RwLock::new(Some(OpenRound {
-                    round_id,
-                    channel,
-                    quota: quota.unwrap_or(n as u64),
-                    submitted: AtomicU64::new(0),
-                    rejected_quota: AtomicU64::new(0),
-                    rejected_invalid: AtomicU64::new(0),
-                    rejected_malformed: AtomicU64::new(0),
-                    closed: AtomicBool::new(false),
-                    store,
-                })),
+                inner: RwLock::new(Some(round)),
             }),
         );
         let used = self.memory_used.fetch_add(cost, Ordering::AcqRel) + cost;
@@ -544,7 +561,7 @@ impl RoundCollector {
     /// refusal messages claim. Nothing is allocated before this passes.
     fn validate_channel(&self, channel: &RoundChannel) -> Result<(), CollectorError> {
         match *channel {
-            // The keep probability is validated where the store's
+            // The keep probability is validated where the round's
             // RandomizedResponse is constructed, before any allocation.
             RoundChannel::Adjacency {
                 population,
@@ -684,34 +701,19 @@ impl RoundCollector {
         // wait timed; the untimed rest pay only the `sampled` branch.
         let m = &*self.metrics;
         let fold_begin = sampled.then(Instant::now);
-        let folded = match (&round.store, report) {
-            (Store::Adjacency { shards, .. }, UserReport::Adjacency(r)) => {
-                if r.population() != n {
-                    return refund_invalid();
-                }
-                if sampled {
-                    let (folded, wait_nanos) = shards.fold_one_timed(user_id as usize, r);
-                    m.shard_lock_wait_nanos.observe(wait_nanos);
-                    folded
-                } else {
-                    shards.fold_one(user_id as usize, r)
-                }
+        let (folded, wait_nanos) = match (round.channel, report) {
+            (RoundChannel::Adjacency { .. }, UserReport::Adjacency(r)) if r.population() == n => {
+                round.shards.fold_row(user_id as usize, r, sampled)
             }
-            (Store::DegreeVector { shards }, UserReport::DegreeVector(v)) => {
-                if v.len() != shards.groups() {
-                    return refund_invalid();
-                }
-                if sampled {
-                    let (folded, wait_nanos) = shards.fold_one_timed(user_id as usize, v);
-                    m.shard_lock_wait_nanos.observe(wait_nanos);
-                    folded
-                } else {
-                    shards.fold_one(user_id as usize, v)
-                }
+            (RoundChannel::DegreeVector { groups, .. }, UserReport::DegreeVector(v))
+                if v.len() == groups =>
+            {
+                round.shards.fold_vector(user_id as usize, v, sampled)
             }
             _ => return refund_invalid(),
         };
         if let Some(begin) = fold_begin {
+            m.shard_lock_wait_nanos.observe(wait_nanos);
             m.fold_nanos.observe(begin.elapsed().as_nanos() as u64);
         }
         Ok(match folded {
@@ -801,10 +803,7 @@ impl RoundCollector {
                 .take()
                 .ok_or(CollectorError::UnknownRound { round_id })?;
             let n = round.channel.population();
-            let accepted = match &round.store {
-                Store::Adjacency { shards, .. } => shards.accepted(),
-                Store::DegreeVector { shards } => shards.accepted(),
-            };
+            let accepted = round.shards.accepted();
             if accepted != n as u64 {
                 // Not complete yet: put the state back so intake (and a
                 // later finalize) can continue as if untouched.
@@ -828,13 +827,14 @@ impl RoundCollector {
                 self.metrics.rounds_open.sub(1);
             }
         }
-        let outcome = match round.store {
-            Store::Adjacency { shards, rr } => {
-                let (matrix, degrees) = shards.merge();
+        // Only adjacency rounds carry a flip mechanism.
+        let outcome = match round.rr {
+            Some(rr) => {
+                let (matrix, degrees) = round.shards.merge();
                 RoundOutcome::Adjacency(finalize_lower(matrix, degrees, rr, self.config.threads))
             }
-            Store::DegreeVector { shards } => RoundOutcome::DegreeVector {
-                group_totals: shards.group_totals(),
+            None => RoundOutcome::DegreeVector {
+                group_totals: round.shards.group_totals(),
                 accepted,
             },
         };

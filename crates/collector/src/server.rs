@@ -65,14 +65,17 @@
 //! so a restarted daemon re-makes every accept/reject decision the live
 //! one made because it runs the same code.
 
+use crate::codec::{
+    decode_round_header, encode_degree_summary, encode_error, encode_summary, error_code,
+    RoundHeader,
+};
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::round::{CollectorConfig, IngestOutcome, RoundChannel, RoundCollector, RoundOutcome};
+use crate::round::{CollectorConfig, IngestOutcome, RoundCollector, RoundOutcome};
 use crate::wal::{DurableLog, FsyncPolicy, Journal, Recovery};
 use ldp_obs::{Gauge, TraceEvent};
 use ldp_protocols::wire::{
-    self, get_f64, get_varint, journal, put_f64, put_varint, write_frame, write_stream_header,
-    MAX_FRAME_LEN,
+    self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -86,12 +89,6 @@ use std::time::{Duration, Instant};
 /// to the codec in [`ldp_protocols::wire::frames`]; this re-export keeps
 /// the daemon-side spelling (`frames::OPEN`, …) stable.
 pub use ldp_protocols::wire::frames;
-
-/// Channel tag bytes inside `OPEN` frames.
-pub(crate) mod channel_tags {
-    pub(crate) const ADJACENCY: u8 = 0;
-    pub(crate) const DEGREE_VECTOR: u8 = 1;
-}
 
 /// Stable error codes carried by `ERR` frames.
 pub mod codes {
@@ -121,27 +118,6 @@ pub mod codes {
     pub const MEMORY_BUDGET: u8 = 11;
     /// The named round's intake is already closed.
     pub const ROUND_CLOSED: u8 = 12;
-}
-
-fn error_code(e: &CollectorError) -> u8 {
-    match e {
-        CollectorError::PopulationCap { .. } | CollectorError::GroupCap { .. } => {
-            codes::POPULATION_CAP
-        }
-        CollectorError::RoundAlreadyOpen { .. } => codes::ROUND_ALREADY_OPEN,
-        CollectorError::NoOpenRound | CollectorError::UnknownRound { .. } => codes::NO_OPEN_ROUND,
-        CollectorError::RoundClosed { .. } => codes::ROUND_CLOSED,
-        CollectorError::TenantQuota { .. } => codes::TENANT_QUOTA,
-        CollectorError::MemoryBudget { .. } => codes::MEMORY_BUDGET,
-        CollectorError::SessionCap { .. } => codes::SESSION_CAP,
-        CollectorError::RoundIncomplete { .. } => codes::ROUND_INCOMPLETE,
-        CollectorError::Wire(_) | CollectorError::UnexpectedFrame { .. } => codes::BAD_FRAME,
-        CollectorError::InvalidConfig { .. } => codes::BAD_FRAME,
-        CollectorError::BadCheckpoint { .. } | CollectorError::BadJournal { .. } => {
-            codes::CHECKPOINT_FAILED
-        }
-        _ => codes::INTERNAL,
-    }
 }
 
 /// Bytes one pump reads from a socket before handing the cursor on.
@@ -472,13 +448,6 @@ fn refuse_session_cap(stream: &TcpStream, cap: usize, metrics: &CollectorMetrics
     let _ = stream.set_read_timeout(Some(ADMIT_WAIT));
     let mut sink = [0u8; 512];
     while matches!((&*stream).read(&mut sink), Ok(n) if n > 0) {}
-}
-
-fn encode_error(e: &CollectorError, reply: &mut Vec<u8>) {
-    reply.push(error_code(e));
-    let message = e.to_string();
-    put_varint(message.len() as u64, reply);
-    reply.extend_from_slice(message.as_bytes());
 }
 
 /// What one pump of a connection concluded.
@@ -929,8 +898,10 @@ pub(crate) fn apply_frame(
     let mut reply = Vec::new();
     let result: Result<u8, CollectorError> = match kind {
         frames::OPEN => decode_open(payload)
-            .and_then(|(tenant, id, channel, quota)| {
-                engine.open_round_as(tenant, id, channel, quota)
+            .and_then(|h| {
+                // An `OPEN` quota of 0 means "the population".
+                let quota = (h.quota != 0).then_some(h.quota);
+                engine.open_round_as(h.tenant, h.round_id, h.channel, quota)
             })
             .and_then(|()| append_accepted(journal, journal::REC_OPEN, payload, metrics))
             .map(|()| frames::ACK),
@@ -941,12 +912,7 @@ pub(crate) fn apply_frame(
                 Ok(counters)
             })
             .map(|counters| {
-                put_varint(counters.accepted, &mut reply);
-                put_varint(counters.rejected_duplicate, &mut reply);
-                put_varint(counters.rejected_quota, &mut reply);
-                put_varint(counters.rejected_invalid, &mut reply);
-                put_varint(counters.rejected_malformed, &mut reply);
-                reply.push(u8::from(counters.finalized_at_close));
+                encode_summary(&counters, &mut reply);
                 frames::SUMMARY
             }),
         frames::FINALIZE => decode_round_id(payload)
@@ -964,11 +930,7 @@ pub(crate) fn apply_frame(
                     group_totals,
                     accepted,
                 } => {
-                    put_varint(accepted, &mut reply);
-                    put_varint(group_totals.len() as u64, &mut reply);
-                    for &t in &group_totals {
-                        put_f64(t, &mut reply);
-                    }
+                    encode_degree_summary(accepted, &group_totals, &mut reply);
                     frames::DEGREE_SUMMARY
                 }
             }),
@@ -1111,36 +1073,11 @@ fn retire(shared: &Shared, metrics: &CollectorMetrics) -> usize {
     remaining
 }
 
-pub(crate) fn decode_open(
-    payload: &[u8],
-) -> Result<(u64, u64, RoundChannel, Option<u64>), CollectorError> {
+fn decode_open(payload: &[u8]) -> Result<RoundHeader, CollectorError> {
     let mut buf = payload;
-    let round_id = get_varint(&mut buf)?;
-    let tenant = get_varint(&mut buf)?;
-    let (&tag, rest) = buf
-        .split_first()
-        .ok_or(CollectorError::Wire(wire::WireError::Truncated))?;
-    buf = rest;
-    let channel = match tag {
-        channel_tags::ADJACENCY => {
-            let population = get_varint(&mut buf)? as usize;
-            let p_keep = get_f64(&mut buf)?;
-            RoundChannel::Adjacency { population, p_keep }
-        }
-        channel_tags::DEGREE_VECTOR => {
-            let population = get_varint(&mut buf)? as usize;
-            let groups = get_varint(&mut buf)? as usize;
-            RoundChannel::DegreeVector { population, groups }
-        }
-        _ => {
-            return Err(CollectorError::Wire(wire::WireError::UnknownReportTag {
-                tag,
-            }))
-        }
-    };
-    let quota = get_varint(&mut buf)?;
+    let header = decode_round_header(&mut buf)?;
     wire::expect_end(buf)?;
-    Ok((tenant, round_id, channel, (quota != 0).then_some(quota)))
+    Ok(header)
 }
 
 fn decode_round_id(payload: &[u8]) -> Result<u64, CollectorError> {

@@ -12,12 +12,15 @@
 //! ownership. Merging at finalize is a straight row copy — the shard
 //! states never overlap.
 //!
-//! Adjacency shards store their rows *triangularly packed*: row `i` is
-//! allotted exactly its `⌈i/64⌉` owned words, so the whole shard set costs
-//! one lower triangle (`≈ N²/16` bytes) on top of the final matrix instead
-//! of a second full matrix. Degree-vector shards keep running per-group
-//! sums — `O(groups)` per shard, which is what lets a million-user
-//! degree-vector round run in constant aggregate memory.
+//! Both channels use one shard shape, and it is exactly what a checkpoint
+//! stores per shard: `(accepted, duplicates, seen words, floats, row
+//! words)`. An adjacency shard stores its rows *triangularly packed* —
+//! row `i` is allotted exactly its `⌈i/64⌉` owned words, so the whole
+//! shard set costs one lower triangle (`≈ N²/16` bytes) on top of the
+//! final matrix instead of a second full matrix — and its floats are the
+//! reported degrees. A degree-vector shard has no rows; its floats are
+//! running per-group sums — `O(groups)` per shard, which is what lets a
+//! million-user degree-vector round run in constant aggregate memory.
 //!
 //! Determinism under concurrency: an adjacency fold ORs a report's owned
 //! words into zeroed, exclusively-owned storage — a commutative,
@@ -31,6 +34,7 @@ use ldp_graph::{BitMatrix, BitSet};
 use ldp_protocols::ingest::fold_lower_bits;
 use ldp_protocols::AdjacencyReport;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Number of owned (lower-triangle) words of row `i`.
 #[inline]
@@ -50,10 +54,6 @@ fn inner<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn inner_mut<T>(m: &mut Mutex<T>) -> &mut T {
-    m.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Why a report bounced off a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShardReject {
@@ -61,87 +61,83 @@ pub(crate) enum ShardReject {
     Duplicate,
 }
 
-/// One shard of an adjacency round: rows `i ≡ shard (mod stride)`.
+/// One shard: the users `i ≡ shard (mod stride)`, user `i` in slot
+/// `i / stride`. Its fields are the five pieces a checkpoint stores.
 #[derive(Debug)]
-pub(crate) struct AdjacencyShard {
-    shard: usize,
-    stride: usize,
+pub(crate) struct Shard {
+    pub(crate) accepted: u64,
+    pub(crate) duplicates: u64,
     /// Which of this shard's slots have reported.
-    seen: BitSet,
-    /// Reported (Laplace) degree per slot.
-    degrees: Vec<f64>,
-    /// Triangular row storage: slot `s` (row `shard + s·stride`) owns
-    /// `words[offsets[s]..offsets[s+1]]`.
-    words: Vec<u64>,
-    offsets: Vec<usize>,
-    accepted: u64,
-    duplicates: u64,
+    pub(crate) seen: BitSet,
+    /// Adjacency: the reported (Laplace) degree per slot. Degree vector:
+    /// the running per-group sums.
+    pub(crate) floats: Vec<f64>,
+    /// Adjacency: triangular row storage, slot `s` owning
+    /// `words[offsets[s]..offsets[s + 1]]`. Degree vector: empty.
+    pub(crate) words: Vec<u64>,
 }
 
-impl AdjacencyShard {
-    fn new(shard: usize, stride: usize, n: usize) -> Self {
-        let slots = if n > shard {
-            (n - shard).div_ceil(stride)
-        } else {
-            0
-        };
-        let mut offsets = Vec::with_capacity(slots + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for s in 0..slots {
-            total += owned_words(shard + s * stride);
-            offsets.push(total);
-        }
-        AdjacencyShard {
-            shard,
-            stride,
-            seen: BitSet::new(slots),
-            degrees: vec![0.0; slots],
-            words: vec![0; total],
-            offsets,
-            accepted: 0,
-            duplicates: 0,
-        }
-    }
-
-    /// Folds one report owned by this shard. The caller guarantees
-    /// `user_id % stride == shard` and `user_id < n`.
-    // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
-    // accepted report; acquiring any further lock here would serialize the
-    // whole ingest plane (or deadlock against the checkpoint quiesce)
-    fn fold(&mut self, user_id: usize, report: &AdjacencyReport) -> Result<(), ShardReject> {
-        debug_assert_eq!(user_id % self.stride, self.shard);
-        let slot = user_id / self.stride;
-        if self.seen.get(slot) {
-            self.duplicates += 1;
-            return Err(ShardReject::Duplicate);
-        }
-        self.seen.set(slot);
-        let row = &mut self.words[self.offsets[slot]..self.offsets[slot + 1]];
-        fold_lower_bits(row, &report.bits, user_id);
-        self.degrees[slot] = report.degree;
-        self.accepted += 1;
-        Ok(())
-    }
-    // ldp-lint: hot-path(end)
+/// Slots of shard `shard` out of `stride` over `n` users.
+fn slots(n: usize, shard: usize, stride: usize) -> usize {
+    n.saturating_sub(shard).div_ceil(stride)
 }
 
-/// The full shard set of an adjacency round. Each shard sits behind its
-/// own mutex so concurrent sessions fold without a global lock.
+fn shard(slots: usize, floats: usize, words: usize) -> Mutex<Shard> {
+    Mutex::new(Shard {
+        accepted: 0,
+        duplicates: 0,
+        seen: BitSet::new(slots),
+        floats: vec![0.0; floats],
+        words: vec![0; words],
+    })
+}
+
+/// The shard set of one round, on either channel. Each shard sits behind
+/// its own mutex so concurrent sessions fold without a global lock.
 #[derive(Debug)]
-pub(crate) struct AdjacencyShards {
+pub(crate) struct Shards {
     n: usize,
-    shards: Vec<Mutex<AdjacencyShard>>,
+    shards: Vec<Mutex<Shard>>,
+    /// Row offsets of each adjacency shard (none on a degree-vector
+    /// round): geometry fixed at construction, read by folds unlocked.
+    offsets: Vec<Vec<usize>>,
 }
 
-impl AdjacencyShards {
-    pub(crate) fn new(n: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        AdjacencyShards {
+impl Shards {
+    /// The shards of an adjacency round over `n` users.
+    pub(crate) fn adjacency(n: usize, num_shards: usize) -> Self {
+        let stride = num_shards.max(1);
+        let offsets: Vec<Vec<usize>> = (0..stride)
+            .map(|s| {
+                let mut total = 0;
+                let ends = (0..slots(n, s, stride)).map(|slot| {
+                    total += owned_words(s + slot * stride);
+                    total
+                });
+                std::iter::once(0).chain(ends).collect()
+            })
+            .collect();
+        let shards = offsets
+            .iter()
+            .map(|o| {
+                // One degree per slot; the last offset is the row words.
+                let slots = o.len() - 1;
+                shard(slots, slots, o[slots])
+            })
+            .collect();
+        Shards { n, shards, offsets }
+    }
+
+    /// The shards of a degree-vector round over `n` users and `groups`
+    /// groups.
+    pub(crate) fn degree_vector(n: usize, groups: usize, num_shards: usize) -> Self {
+        let stride = num_shards.max(1);
+        Shards {
             n,
-            shards: (0..num_shards)
-                .map(|s| Mutex::new(AdjacencyShard::new(s, num_shards, n)))
+            shards: (0..stride)
+                .map(|s| shard(slots(n, s, stride), groups, 0))
                 .collect(),
+            offsets: Vec::new(),
         }
     }
 
@@ -153,265 +149,119 @@ impl AdjacencyShards {
         self.shards.iter().map(|s| lock(s).duplicates).sum()
     }
 
-    /// Folds one report under its owning shard's lock. The caller
-    /// guarantees `user_id < n`; duplicate ids are counted in the shard
-    /// and rejected.
-    pub(crate) fn fold_one(
+    /// Folds one adjacency report under its owning shard's lock. The
+    /// caller guarantees `user_id < n` on an adjacency round; duplicate
+    /// ids are counted in the shard and rejected. `timed` also measures
+    /// the shard-lock wait — the sampled probe behind the
+    /// `ingest_shard_lock_wait_nanos` metric. Returns `(fold result,
+    /// nanoseconds spent waiting for the mutex, 0 when untimed)`.
+    pub(crate) fn fold_row(
         &self,
         user_id: usize,
         report: &AdjacencyReport,
-    ) -> Result<(), ShardReject> {
-        let stride = self.shards.len();
-        lock(&self.shards[user_id % stride]).fold(user_id, report)
+        timed: bool,
+    ) -> (Result<(), ShardReject>, u64) {
+        let offsets = &self.offsets[user_id % self.shards.len()];
+        self.fold(user_id, timed, |shard, slot| {
+            // ldp-lint: hot-path(begin) -- runs under the shard's mutex on
+            // every accepted report
+            let row = &mut shard.words[offsets[slot]..offsets[slot + 1]];
+            fold_lower_bits(row, &report.bits, user_id);
+            shard.floats[slot] = report.degree;
+            // ldp-lint: hot-path(end)
+        })
     }
 
-    /// [`Self::fold_one`] with the shard-lock acquisition timed — the
-    /// sampled probe behind the `ingest_shard_lock_wait_nanos` metric.
-    /// Returns `(fold result, nanoseconds spent waiting for the mutex)`.
-    pub(crate) fn fold_one_timed(
+    /// [`Self::fold_row`] for a degree vector. The caller guarantees
+    /// `user_id < n` and `vector.len() == groups` on a degree-vector round.
+    pub(crate) fn fold_vector(
         &self,
         user_id: usize,
-        report: &AdjacencyReport,
+        vector: &[f64],
+        timed: bool,
+    ) -> (Result<(), ShardReject>, u64) {
+        self.fold(user_id, timed, |shard, _| {
+            // ldp-lint: hot-path(begin) -- runs under the shard's mutex on
+            // every accepted vector
+            for (acc, x) in shard.floats.iter_mut().zip(vector) {
+                *acc += x;
+            }
+            // ldp-lint: hot-path(end)
+        })
+    }
+
+    /// The duplicate check and counters both folds share; `apply` writes
+    /// the report into the owning shard's slot.
+    fn fold(
+        &self,
+        user_id: usize,
+        timed: bool,
+        apply: impl FnOnce(&mut Shard, usize),
     ) -> (Result<(), ShardReject>, u64) {
         let stride = self.shards.len();
-        let begin = std::time::Instant::now();
+        let begin = timed.then(Instant::now);
         let mut shard = lock(&self.shards[user_id % stride]);
-        let wait_nanos = begin.elapsed().as_nanos() as u64;
-        (shard.fold(user_id, report), wait_nanos)
+        // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
+        // report; acquiring any further lock here would serialize the whole
+        // ingest plane (or deadlock against the checkpoint quiesce)
+        let wait_nanos = begin.map_or(0, |b| b.elapsed().as_nanos() as u64);
+        let slot = user_id / stride;
+        if shard.seen.get(slot) {
+            shard.duplicates += 1;
+            return (Err(ShardReject::Duplicate), wait_nanos);
+        }
+        shard.seen.set(slot);
+        apply(&mut shard, slot);
+        shard.accepted += 1;
+        (Ok(()), wait_nanos)
+        // ldp-lint: hot-path(end)
     }
 
-    /// Merges the shards into one lower-triangle matrix plus the
-    /// reported-degree vector (deterministic: a straight copy of disjoint
-    /// rows). The shard set is consumed; finalize the result with
-    /// [`ldp_protocols::ingest::finalize_lower`].
+    /// Merges an adjacency round's shards into one lower-triangle matrix
+    /// plus the reported-degree vector (deterministic: a straight copy of
+    /// disjoint rows). The shard set is consumed; finalize the result
+    /// with [`ldp_protocols::ingest::finalize_lower`].
     pub(crate) fn merge(self) -> (BitMatrix, Vec<f64>) {
-        let n = self.n;
+        let Shards { n, shards, offsets } = self;
         let mut matrix = BitMatrix::new(n);
         let wpr = matrix.words_per_row();
         let mut degrees = vec![0.0f64; n];
-        let stride = self.shards.len();
+        let stride = shards.len();
         {
             let rows = matrix.rows_mut(0, n);
-            for (s, shard) in self.shards.into_iter().map(inner).enumerate() {
-                let mut id = s;
-                let mut slot = 0;
-                while id < n {
-                    let owned = &shard.words[shard.offsets[slot]..shard.offsets[slot + 1]];
+            for (s, (shard, offsets)) in shards.into_iter().map(inner).zip(&offsets).enumerate() {
+                for (slot, id) in (s..n).step_by(stride).enumerate() {
+                    let owned = &shard.words[offsets[slot]..offsets[slot + 1]];
                     rows[id * wpr..id * wpr + owned.len()].copy_from_slice(owned);
-                    degrees[id] = shard.degrees[slot];
-                    id += stride;
-                    slot += 1;
+                    degrees[id] = shard.floats[slot];
                 }
             }
         }
         (matrix, degrees)
     }
 
-    /// Raw pieces for checkpointing, per shard in index order:
-    /// `(accepted, duplicates, seen words, degrees, row words)`. Takes
-    /// `&mut self` — the checkpointing caller holds the engine's write
-    /// lock, so shard access is exclusive and lock-free here.
-    pub(crate) fn snapshot_shards(
-        &mut self,
-    ) -> impl Iterator<Item = (u64, u64, &[u64], &[f64], &[u64])> {
-        self.shards.iter_mut().map(|m| {
-            let s = inner_mut(m);
-            (
-                s.accepted,
-                s.duplicates,
-                s.seen.words(),
-                &s.degrees[..],
-                &s.words[..],
-            )
-        })
-    }
-
-    /// Rebuilds one shard from checkpointed pieces; `Err` on any size that
-    /// does not match this population/shard geometry.
-    pub(crate) fn restore_shard(
-        &mut self,
-        shard_idx: usize,
-        accepted: u64,
-        duplicates: u64,
-        seen_words: Vec<u64>,
-        degrees: Vec<f64>,
-        words: Vec<u64>,
-    ) -> Result<(), &'static str> {
-        let shard = self
-            .shards
-            .get_mut(shard_idx)
-            .map(inner_mut)
-            .ok_or("shard index out of range")?;
-        if seen_words.len() != shard.seen.words().len() {
-            return Err("seen bitmap size mismatch");
-        }
-        if degrees.len() != shard.degrees.len() {
-            return Err("degree vector size mismatch");
-        }
-        if words.len() != shard.words.len() {
-            return Err("row storage size mismatch");
-        }
-        shard.seen.words_mut().copy_from_slice(&seen_words);
-        shard.seen.mask_tail();
-        shard.degrees = degrees;
-        shard.words = words;
-        shard.accepted = accepted;
-        shard.duplicates = duplicates;
-        Ok(())
-    }
-}
-
-/// The shard set of a degree-vector round: running per-group sums, one
-/// partial accumulator per shard, each behind its own mutex.
-#[derive(Debug)]
-pub(crate) struct DegreeVectorShards {
-    groups: usize,
-    shards: Vec<Mutex<DegreeVectorShard>>,
-}
-
-#[derive(Debug)]
-pub(crate) struct DegreeVectorShard {
-    seen: BitSet,
-    sums: Vec<f64>,
-    accepted: u64,
-    duplicates: u64,
-}
-
-impl DegreeVectorShard {
-    /// Folds one vector owned by this shard (`slot` = `user_id / stride`).
-    // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
-    // accepted vector; no further lock may be acquired here
-    fn fold(&mut self, slot: usize, vector: &[f64]) -> Result<(), ShardReject> {
-        if self.seen.get(slot) {
-            self.duplicates += 1;
-            return Err(ShardReject::Duplicate);
-        }
-        self.seen.set(slot);
-        for (acc, x) in self.sums.iter_mut().zip(vector) {
-            *acc += x;
-        }
-        self.accepted += 1;
-        Ok(())
-    }
-    // ldp-lint: hot-path(end)
-}
-
-impl DegreeVectorShards {
-    pub(crate) fn new(n: usize, groups: usize, num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        DegreeVectorShards {
-            groups,
-            shards: (0..num_shards)
-                .map(|s| {
-                    let slots = if n > s {
-                        (n - s).div_ceil(num_shards)
-                    } else {
-                        0
-                    };
-                    Mutex::new(DegreeVectorShard {
-                        seen: BitSet::new(slots),
-                        sums: vec![0.0; groups],
-                        accepted: 0,
-                        duplicates: 0,
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn groups(&self) -> usize {
-        self.groups
-    }
-
-    pub(crate) fn accepted(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).accepted).sum()
-    }
-
-    pub(crate) fn duplicates(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).duplicates).sum()
-    }
-
-    /// Folds one vector under its owning shard's lock. The caller
-    /// guarantees `user_id < n` and `vector.len() == groups`.
-    pub(crate) fn fold_one(&self, user_id: usize, vector: &[f64]) -> Result<(), ShardReject> {
-        let stride = self.shards.len();
-        lock(&self.shards[user_id % stride]).fold(user_id / stride, vector)
-    }
-
-    /// [`Self::fold_one`] with the shard-lock acquisition timed (see the
-    /// adjacency twin).
-    pub(crate) fn fold_one_timed(
-        &self,
-        user_id: usize,
-        vector: &[f64],
-    ) -> (Result<(), ShardReject>, u64) {
-        let stride = self.shards.len();
-        let begin = std::time::Instant::now();
-        let mut shard = lock(&self.shards[user_id % stride]);
-        let wait_nanos = begin.elapsed().as_nanos() as u64;
-        (shard.fold(user_id / stride, vector), wait_nanos)
-    }
-
-    /// Per-group totals: shard partials summed in shard order
-    /// (deterministic for a fixed shard count and per-shard arrival order).
-    pub(crate) fn group_totals(&self) -> Vec<f64> {
-        let mut totals = vec![0.0f64; self.groups];
-        for shard in &self.shards {
-            let shard = lock(shard);
-            for (t, s) in totals.iter_mut().zip(&shard.sums) {
+    /// A degree-vector round's per-group totals: shard partials summed in
+    /// shard order (deterministic for a fixed shard count and per-shard
+    /// arrival order). The shard set is consumed.
+    pub(crate) fn group_totals(self) -> Vec<f64> {
+        let mut totals = Vec::new();
+        for shard in self.shards.into_iter().map(inner) {
+            // Every shard holds one sum per group; the totals start at +0.0.
+            totals.resize(shard.floats.len(), 0.0f64);
+            for (t, s) in totals.iter_mut().zip(&shard.floats) {
                 *t += s;
             }
         }
         totals
     }
 
-    /// Raw pieces for checkpointing, per shard in index order. `&mut
-    /// self` for the same exclusivity argument as the adjacency twin.
-    pub(crate) fn snapshot_shards(
-        &mut self,
-    ) -> impl Iterator<Item = (u64, u64, &[u64], &[f64], &[u64])> {
-        self.shards.iter_mut().map(|m| {
-            let s = inner_mut(m);
-            (
-                s.accepted,
-                s.duplicates,
-                s.seen.words(),
-                &s.sums[..],
-                &[][..],
-            )
-        })
-    }
-
-    /// Rebuilds one shard from checkpointed pieces.
-    pub(crate) fn restore_shard(
-        &mut self,
-        shard_idx: usize,
-        accepted: u64,
-        duplicates: u64,
-        seen_words: Vec<u64>,
-        sums: Vec<f64>,
-        words: Vec<u64>,
-    ) -> Result<(), &'static str> {
-        let shard = self
-            .shards
-            .get_mut(shard_idx)
-            .map(inner_mut)
-            .ok_or("shard index out of range")?;
-        if seen_words.len() != shard.seen.words().len() {
-            return Err("seen bitmap size mismatch");
-        }
-        if sums.len() != shard.sums.len() {
-            return Err("group sum size mismatch");
-        }
-        if !words.is_empty() {
-            return Err("degree-vector shards carry no row words");
-        }
-        shard.seen.words_mut().copy_from_slice(&seen_words);
-        shard.seen.mask_tail();
-        shard.sums = sums;
-        shard.accepted = accepted;
-        shard.duplicates = duplicates;
-        Ok(())
+    /// Every shard in index order, for the checkpoint codec. Takes `&mut
+    /// self` — the checkpointing caller holds the round's write lock, so
+    /// shard access is exclusive and lock-free here.
+    pub(crate) fn iter_mut(&mut self) -> impl ExactSizeIterator<Item = &mut Shard> {
+        self.shards
+            .iter_mut()
+            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -438,9 +288,9 @@ mod tests {
             .collect()
     }
 
-    fn fold_all(shards: &AdjacencyShards, batch: &[(u64, AdjacencyReport)]) {
+    fn fold_all(shards: &Shards, batch: &[(u64, AdjacencyReport)]) {
         for (id, report) in batch {
-            let _ = shards.fold_one(*id as usize, report);
+            let _ = shards.fold_row(*id as usize, report, false);
         }
     }
 
@@ -455,7 +305,7 @@ mod tests {
         let reference = agg.finalize();
 
         for num_shards in [1, 3, 8, 64] {
-            let shards = AdjacencyShards::new(n, num_shards);
+            let shards = Shards::adjacency(n, num_shards);
             // Reverse arrival order, in two batches.
             let mut batch: Vec<(u64, AdjacencyReport)> = reports
                 .iter()
@@ -480,9 +330,9 @@ mod tests {
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
         let reports = synth_reports(n, 0xFEED);
 
-        let sequential = AdjacencyShards::new(n, 8);
+        let sequential = Shards::adjacency(n, 8);
         for (i, r) in reports.iter().enumerate() {
-            sequential.fold_one(i, r).unwrap();
+            sequential.fold_row(i, r, false).0.unwrap();
         }
         let (matrix, degrees) = sequential.merge();
         let reference = finalize_lower(matrix, degrees, rr, 1);
@@ -490,7 +340,7 @@ mod tests {
         // Four threads racing interleaved id slices (i % 4 == t) into the
         // same shard set — plus every thread replaying thread 0's slice,
         // so duplicate races hit the seen-bitmaps from all sides.
-        let concurrent = AdjacencyShards::new(n, 8);
+        let concurrent = Shards::adjacency(n, 8);
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let shards = &concurrent;
@@ -498,7 +348,7 @@ mod tests {
                 scope.spawn(move || {
                     for (i, r) in reports.iter().enumerate() {
                         if i % 4 == t || i % 4 == 0 {
-                            let _ = shards.fold_one(i, r);
+                            let _ = shards.fold_row(i, r, t == 1);
                         }
                     }
                 });
@@ -517,13 +367,13 @@ mod tests {
     fn duplicates_are_rejected_not_refolded() {
         let n = 40;
         let reports = synth_reports(n, 7);
-        let shards = AdjacencyShards::new(n, 4);
+        let shards = Shards::adjacency(n, 4);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_one(i, r).unwrap();
+            shards.fold_row(i, r, false).0.unwrap();
         }
         // Replay half the population with different contents.
         for (i, r) in synth_reports(n, 8).iter().enumerate().take(n / 2) {
-            assert_eq!(shards.fold_one(i, r), Err(ShardReject::Duplicate));
+            assert_eq!(shards.fold_row(i, r, false).0, Err(ShardReject::Duplicate));
         }
         assert_eq!(shards.accepted(), n as u64);
         assert_eq!(shards.duplicates(), (n / 2) as u64);
@@ -541,13 +391,16 @@ mod tests {
     fn degree_vector_totals_accumulate() {
         let n = 10;
         let k = 3;
-        let shards = DegreeVectorShards::new(n, k, 4);
+        let shards = Shards::degree_vector(n, k, 4);
         for i in 0..n as u64 {
-            shards.fold_one(i as usize, &[1.0, 2.0, i as f64]).unwrap();
+            shards
+                .fold_vector(i as usize, &[1.0, 2.0, i as f64], i == 5)
+                .0
+                .unwrap();
         }
         // A duplicate upload changes nothing.
         assert_eq!(
-            shards.fold_one(3, &[100.0, 100.0, 100.0]),
+            shards.fold_vector(3, &[100.0, 100.0, 100.0], false).0,
             Err(ShardReject::Duplicate)
         );
         assert_eq!(shards.accepted(), 10);
@@ -560,7 +413,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_populations() {
-        let shards = AdjacencyShards::new(0, 8);
+        let shards = Shards::adjacency(0, 8);
         assert_eq!(shards.accepted(), 0);
         let (matrix, degrees) = shards.merge();
         assert_eq!(matrix.num_nodes(), 0);
@@ -569,9 +422,9 @@ mod tests {
         // More shards than users.
         let n = 3;
         let reports = synth_reports(n, 1);
-        let shards = AdjacencyShards::new(n, 16);
+        let shards = Shards::adjacency(n, 16);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_one(i, r).unwrap();
+            shards.fold_row(i, r, false).0.unwrap();
         }
         assert_eq!(shards.accepted(), 3);
     }

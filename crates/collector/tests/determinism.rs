@@ -254,3 +254,131 @@ fn geometry_mismatched_checkpoint_is_typed() {
         }
     }
 }
+
+/// A fixed report for user `i` of an `n`-user round: a sparse arithmetic
+/// neighbour pattern and a fractional degree, with no RNG in the way.
+fn fixed_report(n: usize, i: usize) -> AdjacencyReport {
+    let mut bits = BitSet::new(n);
+    for j in (0..n).filter(|&j| j != i && (i * 7 + j * 3).is_multiple_of(5)) {
+        bits.set(j);
+    }
+    AdjacencyReport::new(bits, i as f64 * 0.75 - 2.0)
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The `LDPK` v3 bytes of an open adjacency round: tenant 3, a quota of
+/// 70 over 66 users (so rows 64 and 65 own two packed words), eight
+/// accepted reports, one duplicate, one out-of-range id and one malformed
+/// upload.
+#[test]
+fn adjacency_checkpoint_bytes_are_pinned() {
+    let n = 66;
+    let engine = RoundCollector::new(config()).unwrap();
+    engine
+        .open_round_as(
+            3,
+            11,
+            RoundChannel::Adjacency {
+                population: n,
+                p_keep: 0.8,
+            },
+            Some(70),
+        )
+        .unwrap();
+    for i in [65, 0, 1, 2, 3, 64, 10, 30] {
+        let report = UserReport::Adjacency(fixed_report(n, i));
+        assert_eq!(
+            engine.ingest(11, i as u64, report).unwrap(),
+            IngestOutcome::Queued
+        );
+    }
+    let duplicate = UserReport::Adjacency(fixed_report(n, 4));
+    assert_eq!(
+        engine.ingest(11, 3, duplicate).unwrap(),
+        IngestOutcome::Duplicate
+    );
+    let out_of_range = UserReport::Adjacency(fixed_report(n, 5));
+    assert_eq!(
+        engine.ingest(11, n as u64, out_of_range).unwrap(),
+        IngestOutcome::Invalid
+    );
+    engine.note_invalid(11);
+    let mut snapshot = Vec::new();
+    engine.checkpoint(11, &mut snapshot).unwrap();
+    assert_eq!(hex(&snapshot), GOLDEN_ADJACENCY);
+}
+
+/// The `LDPK` v3 bytes of a closed degree-vector round: tenant 5, a quota
+/// of 12 over 10 users and 3 groups, six accepted vectors and one
+/// duplicate.
+#[test]
+fn degree_vector_checkpoint_bytes_are_pinned() {
+    let engine = RoundCollector::new(config()).unwrap();
+    engine
+        .open_round_as(
+            5,
+            12,
+            RoundChannel::DegreeVector {
+                population: 10,
+                groups: 3,
+            },
+            Some(12),
+        )
+        .unwrap();
+    let vector = |i: u64| UserReport::DegreeVector(vec![i as f64, 0.25, -1.5 * i as f64]);
+    for i in 0..6 {
+        assert_eq!(
+            engine.ingest(12, i, vector(i)).unwrap(),
+            IngestOutcome::Queued
+        );
+    }
+    assert_eq!(
+        engine.ingest(12, 2, vector(9)).unwrap(),
+        IngestOutcome::Duplicate
+    );
+    engine.close_round(12).unwrap();
+    let mut snapshot = Vec::new();
+    engine.checkpoint(12, &mut snapshot).unwrap();
+    assert_eq!(hex(&snapshot), GOLDEN_DEGREE_VECTOR);
+}
+
+// The `LDPK` v3 bytes the two tests above pin. A change to either is a
+// checkpoint format change.
+const GOLDEN_DEGREE_VECTOR: &str = concat!(
+    "4c44504b030c05010a030c0700000001040200010300000000000000030000000000001040000000000000e0",
+    "3f00000000000018c0000200010300000000000000030000000000001840000000000000e03f000000000000",
+    "22c0000101010100000000000000030000000000000040000000000000d03f00000000000008c00001000101",
+    "00000000000000030000000000000840000000000000d03f00000000000012c000",
+);
+
+const GOLDEN_ADJACENCY: &str = concat!(
+    "4c44504b030b0300429a9999999999e93f4609000101000402000101000100000000001100000000000000c0",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000474010000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000104208218410420802000101000100",
+    "0000000011000000000000f4bf00000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000006047401200000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000021841042082184100000000000000000030001850000000000000010000000000000e0bf0000",
+    "0000000000000000000000001640000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000080344000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000001000000000000000000000000000",
+    "0000002100000000000000000000000000000000000000000000000000000000000000000000000000000021",
+    "8410020000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000101010100000000000000100000000000",
+    "00d03f0000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000100000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+);

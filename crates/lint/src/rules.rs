@@ -45,6 +45,7 @@ const DETERMINISTIC_PREFIXES: &[&str] = &[
 const ALLOC_CAP_FILES: &[&str] = &[
     "crates/protocols/src/wire.rs",
     "crates/collector/src/checkpoint.rs",
+    "crates/collector/src/codec.rs",
 ];
 
 const WIRE_FILE: &str = "crates/protocols/src/wire.rs";

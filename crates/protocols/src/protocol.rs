@@ -493,6 +493,94 @@ impl LfGdpr {
         };
         Ok(ServerView::Perturbed(view))
     }
+
+    /// Builds the honest and the attacked world of one trial
+    /// ([`GraphLdpProtocol::run_worlds`]) with `fold` turning each
+    /// world's upload set into a server view: the in-process aggregation,
+    /// or a collection round over the wire. Collection, crafting and
+    /// filtering run here, on the same derived streams either way, so
+    /// both backends fold identical upload sets.
+    ///
+    /// # Errors
+    /// The typed validation errors of [`GraphLdpProtocol::run_worlds`],
+    /// and whatever `fold` returns.
+    pub fn run_worlds_with<E: From<ProtocolError>>(
+        &self,
+        graph: &CsrGraph,
+        base: &Xoshiro256pp,
+        m_fake: usize,
+        crafter: Option<&mut dyn ReportCrafter>,
+        filter: Option<&mut dyn ReportFilter>,
+        mut fold: impl FnMut(&[AdjacencyReport]) -> Result<ServerView, E>,
+    ) -> Result<WorldViews, E> {
+        let n = graph.num_nodes();
+        if m_fake > n {
+            return Err(ProtocolError::CraftedOverrun {
+                population: n,
+                crafted: m_fake,
+            }
+            .into());
+        }
+        // One collection pass serves both worlds: per-user derived streams
+        // make the honest reports identical either way, and only the fake
+        // tail changes between worlds.
+        let mut reports = LfGdpr::collect_honest(self, graph, base);
+        let honest = fold(&reports)?;
+
+        let attacked = if let Some(crafter) = crafter {
+            let mut rng = base.derive(STREAM_ATTACK);
+            let crafted = crafter.craft(CraftContext::Adjacency { protocol: self }, &mut rng);
+            if crafted.len() != m_fake {
+                return Err(ProtocolError::CraftedCountMismatch {
+                    expected: m_fake,
+                    got: crafted.len(),
+                }
+                .into());
+            }
+            for (offset, report) in crafted.into_iter().enumerate() {
+                let report = report.into_adjacency()?;
+                if report.population() != n {
+                    return Err(ProtocolError::PopulationMismatch {
+                        expected: n,
+                        got: report.population(),
+                    }
+                    .into());
+                }
+                reports[n - m_fake + offset] = report;
+            }
+            true
+        } else {
+            false
+        };
+
+        let mut flagged = None;
+        let attacked_view = if attacked || filter.is_some() {
+            let working = if let Some(filter) = filter {
+                let mut rng = base.derive(STREAM_DEFENSE);
+                let decision = filter.filter(&reports, self, &mut rng);
+                if decision.repaired.len() != n || decision.flagged.len() != n {
+                    return Err(ProtocolError::FilterShape {
+                        expected: n,
+                        got: decision.repaired.len().min(decision.flagged.len()),
+                    }
+                    .into());
+                }
+                flagged = Some(decision.flagged);
+                decision.repaired
+            } else {
+                reports
+            };
+            Some(fold(&working)?)
+        } else {
+            None
+        };
+
+        Ok(WorldViews {
+            honest,
+            attacked: attacked_view,
+            flagged,
+        })
+    }
 }
 
 impl GraphLdpProtocol for LfGdpr {
@@ -537,68 +625,8 @@ impl GraphLdpProtocol for LfGdpr {
         filter: Option<&mut dyn ReportFilter>,
         ingest_batch: Option<usize>,
     ) -> Result<WorldViews, ProtocolError> {
-        let n = graph.num_nodes();
-        if m_fake > n {
-            return Err(ProtocolError::CraftedOverrun {
-                population: n,
-                crafted: m_fake,
-            });
-        }
-        // One collection pass serves both worlds: per-user derived streams
-        // make the honest reports identical either way, and only the fake
-        // tail changes between worlds.
-        let mut reports = LfGdpr::collect_honest(self, graph, base);
-        let honest = self.fold_reports(&reports, ingest_batch)?;
-
-        let attacked = if let Some(crafter) = crafter {
-            let mut rng = base.derive(STREAM_ATTACK);
-            let crafted = crafter.craft(CraftContext::Adjacency { protocol: self }, &mut rng);
-            if crafted.len() != m_fake {
-                return Err(ProtocolError::CraftedCountMismatch {
-                    expected: m_fake,
-                    got: crafted.len(),
-                });
-            }
-            for (offset, report) in crafted.into_iter().enumerate() {
-                let report = report.into_adjacency()?;
-                if report.population() != n {
-                    return Err(ProtocolError::PopulationMismatch {
-                        expected: n,
-                        got: report.population(),
-                    });
-                }
-                reports[n - m_fake + offset] = report;
-            }
-            true
-        } else {
-            false
-        };
-
-        let mut flagged = None;
-        let attacked_view = if attacked || filter.is_some() {
-            let working = if let Some(filter) = filter {
-                let mut rng = base.derive(STREAM_DEFENSE);
-                let decision = filter.filter(&reports, self, &mut rng);
-                if decision.repaired.len() != n || decision.flagged.len() != n {
-                    return Err(ProtocolError::FilterShape {
-                        expected: n,
-                        got: decision.repaired.len().min(decision.flagged.len()),
-                    });
-                }
-                flagged = Some(decision.flagged);
-                decision.repaired
-            } else {
-                reports
-            };
-            Some(self.fold_reports(&working, ingest_batch)?)
-        } else {
-            None
-        };
-
-        Ok(WorldViews {
-            honest,
-            attacked: attacked_view,
-            flagged,
+        self.run_worlds_with(graph, base, m_fake, crafter, filter, |reports| {
+            self.fold_reports(reports, ingest_batch)
         })
     }
 
