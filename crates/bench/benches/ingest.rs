@@ -40,10 +40,11 @@ fn bench_ingest(c: &mut Criterion) {
 }
 
 /// The clustering-estimation kernel over a finalized view: per-node
-/// triangle counts on the dense matrix. The prefix-intersection rewrite
-/// of `BitMatrix::triangles_at` (count each triangle once via the word
-/// prefix below `v`, mirroring the ingest fold's `iter_ones_below`
-/// bound) halves the word traffic; this group records the speedup.
+/// triangle counts on the dense matrix, one call of the row-streamed
+/// `BitMatrix::triangles_at_many` over every node. Counting each triangle
+/// once via the word prefix below `v` (mirroring the ingest fold's
+/// `iter_ones_below` bound) halves the word traffic; this group records
+/// the speedup.
 fn bench_triangles(c: &mut Criterion) {
     let mut group = c.benchmark_group("triangles");
     group.sample_size(10);
@@ -53,11 +54,8 @@ fn bench_triangles(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("triangles_at_all", nodes),
             &nodes,
-            |bench, &n| {
-                bench.iter(|| {
-                    let matrix = view.matrix();
-                    black_box((0..n).map(|u| matrix.triangles_at(u)).sum::<u64>())
-                })
+            |bench, _| {
+                bench.iter(|| black_box(view.matrix().triangles_per_node().iter().sum::<u64>()))
             },
         );
         // The pre-PR-5 formulation (full-row intersection per neighbor,

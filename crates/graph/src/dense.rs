@@ -8,6 +8,7 @@
 
 use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
+use crate::runtime::parallel_map;
 
 /// A square, symmetric bit matrix over `n` nodes.
 ///
@@ -146,27 +147,64 @@ impl BitMatrix {
     /// lower-triangle write ([`Self::rows_mut`]). Existing upper-triangle
     /// bits are preserved; the diagonal is untouched.
     ///
-    /// Sequential: a Θ(n²/128) word scan plus one scattered column write
-    /// per set bit (the writes race if partitioned by source row).
+    /// Works on 64×64 blocks: block `(I, J)` with `J ≤ I` (rows `64I..`,
+    /// word `J`; strictly-lower bits only on the diagonal) is transposed in
+    /// registers and OR-ed into rows `64J..` at word `I`. All-zero blocks
+    /// are skipped. No block is read after a write lands in it, so the
+    /// visiting order is free; it is cache-line tiled. That is `N²/8192` block transposes in place of one
+    /// scattered column write per set bit. Sequential and allocation-free.
     pub fn mirror_lower(&mut self) {
-        for u in 0..self.n {
-            let row_start = u * self.words_per_row;
-            let col_word = u / WORD_BITS;
-            let col_bit = 1u64 << (u % WORD_BITS);
-            // Bits below u live in words 0..=u/64 of row u; the last word
-            // is masked down to the bits strictly below u.
-            for wi in 0..=col_word {
-                let mut w = self.bits[row_start + wi];
-                if wi == col_word {
-                    w &= col_bit - 1;
-                }
-                while w != 0 {
-                    let v = wi * WORD_BITS + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    self.bits[v * self.words_per_row + col_word] |= col_bit;
+        let mut block = [0u64; WORD_BITS];
+        for (bi, bj) in lower_blocks(self.words_per_row) {
+            self.load_block(bi, bj, &mut block);
+            if bi == bj {
+                for (r, word) in block.iter_mut().enumerate() {
+                    *word &= (1u64 << r) - 1;
                 }
             }
+            if block.iter().all(|&w| w == 0) {
+                continue;
+            }
+            transpose64(&mut block);
+            let first = bj * WORD_BITS;
+            let rows = (self.n - first).min(WORD_BITS);
+            for (c, &word) in block[..rows].iter().enumerate() {
+                self.bits[(first + c) * self.words_per_row + bi] |= word;
+            }
         }
+    }
+
+    /// Whether the matrix is a simple undirected graph: symmetric, zero
+    /// diagonal, and no bits at columns `≥ n`. The mutators keep these
+    /// invariants; this checks words that arrived by other means (a
+    /// decoded payload, a [`Self::rows_mut`] write).
+    ///
+    /// Compares every 64×64 block `(I, J)`, `J ≤ I`, transposed, against
+    /// block `(J, I)`; rows past `n` read as zero, so the comparison also
+    /// proves the tail columns empty.
+    pub fn is_well_formed(&self) -> bool {
+        let mut lower = [0u64; WORD_BITS];
+        let mut upper = [0u64; WORD_BITS];
+        lower_blocks(self.words_per_row).all(|(bi, bj)| {
+            self.load_block(bi, bj, &mut lower);
+            if bi == bj && lower.iter().enumerate().any(|(r, &w)| (w >> r) & 1 == 1) {
+                return false;
+            }
+            self.load_block(bj, bi, &mut upper);
+            transpose64(&mut lower);
+            lower == upper
+        })
+    }
+
+    /// Loads word `word` of rows `64·block_row ..` into `block`, with zero
+    /// for rows past `n`.
+    fn load_block(&self, block_row: usize, word: usize, block: &mut [u64; WORD_BITS]) {
+        let first = block_row * WORD_BITS;
+        let rows = (self.n - first).min(WORD_BITS);
+        for (r, slot) in block[..rows].iter_mut().enumerate() {
+            *slot = self.bits[(first + r) * self.words_per_row + word];
+        }
+        block[rows..].fill(0);
     }
 
     /// Overwrites row `u` from a bitset of capacity `n` and mirrors the bits
@@ -224,39 +262,131 @@ impl BitMatrix {
     }
 
     /// Number of triangles incident to node `u`:
-    /// `τ_u = ½ Σ_{v ∈ N(u)} |N(u) ∩ N(v)|`.
+    /// `τ_u = ½ Σ_{v ∈ N(u)} |N(u) ∩ N(v)|`. The one-node call of
+    /// [`Self::triangles_at_many`].
     ///
-    /// Computed without the double count: for each neighbor `v` of `u`,
-    /// only the word-prefix of row `v` *below* `v` is intersected with
-    /// row `u` (the word-wise form of [`BitSet::iter_ones_below`]'s
-    /// bound), so the triangle `{u, v, w}` with `w < v` is found exactly
-    /// once — half the word traffic of intersecting full rows and
-    /// halving at the end. Results are identical on the symmetric,
-    /// zero-diagonal matrices this type maintains.
+    /// # Panics
+    /// Panics if `u` is out of range.
     pub fn triangles_at(&self, u: usize) -> u64 {
-        let row_u = self.row(u);
-        let mut count: u64 = 0;
-        for (wi, &word) in row_u.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let v = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let row_v = self.row(v);
-                let full = v / WORD_BITS;
-                for k in 0..full {
-                    count += u64::from((row_u[k] & row_v[k]).count_ones());
-                }
-                // Bits strictly below v in v's own word.
-                let mask = (1u64 << (v % WORD_BITS)) - 1;
-                count += u64::from((row_u[full] & row_v[full] & mask).count_ones());
-            }
-        }
-        count
+        self.triangles_at_many(&[u], 1)[0]
     }
 
-    /// Per-node triangle counts for the whole matrix.
+    /// Per-node triangle counts for the whole matrix: the all-node call of
+    /// [`Self::triangles_at_many`].
     pub fn triangles_per_node(&self) -> Vec<u64> {
-        (0..self.n).map(|u| self.triangles_at(u)).collect()
+        let nodes: Vec<usize> = (0..self.n).collect();
+        self.triangles_at_many(&nodes, 1)
+    }
+
+    /// Triangle counts at each of `nodes` (in order; duplicates allowed),
+    /// on up to `threads` workers of the shared runtime.
+    ///
+    /// Row-streamed: every row `v` adjacent to some target is visited
+    /// once, in increasing order. For each target `t` with bit `t` of row
+    /// `v` set, `|row_t[..v) ∩ row_v[..v)|` is added to `t`'s count, so
+    /// the triangle `{t, v, w}` with `w < v` is found exactly once (the
+    /// word-wise form of [`BitSet::iter_ones_below`]'s bound). The
+    /// targets' rows stay hot in cache while the other rows stream past
+    /// once; the cost is `Σ_t d_t · n/128` word ops. Row ranges are
+    /// counted in chunks and the chunk counts summed in chunk order; the
+    /// sums are exact, so the result is the same at any thread count.
+    ///
+    /// Relies on the symmetric, zero-diagonal invariant
+    /// ([`Self::is_well_formed`]).
+    ///
+    /// # Panics
+    /// Panics if any node is out of range.
+    pub fn triangles_at_many(&self, nodes: &[usize], threads: usize) -> Vec<u64> {
+        if nodes.is_empty() {
+            return Vec::new();
+        }
+        let wpr = self.words_per_row;
+        let mut mask = vec![0u64; wpr];
+        let mut union = vec![0u64; wpr];
+        for &t in nodes {
+            let row = self.row(t);
+            let bit = 1u64 << (t % WORD_BITS);
+            if mask[t / WORD_BITS] & bit == 0 {
+                mask[t / WORD_BITS] |= bit;
+                for (acc, &w) in union.iter_mut().zip(row) {
+                    *acc |= w;
+                }
+            }
+        }
+        // Distinct targets get slots in increasing node order; `rank[k]`
+        // is the slot of the lowest target in mask word `k`.
+        let mut rank = Vec::with_capacity(wpr);
+        let mut targets = Vec::new();
+        let mut slots = 0;
+        for (k, &w) in mask.iter().enumerate() {
+            rank.push(slots);
+            if w != 0 {
+                targets.push(MaskWord {
+                    index: k,
+                    bits: w,
+                    first_slot: slots,
+                });
+                slots += w.count_ones() as usize;
+            }
+        }
+        let chunks = row_word_chunks(wpr, threads);
+        let per_chunk = parallel_map(chunks, threads, |&(lo, hi)| {
+            self.stream_triangles(&union[lo..hi], lo, &targets, slots)
+        });
+        let mut counts = vec![0u64; slots];
+        for chunk in per_chunk {
+            for (acc, c) in counts.iter_mut().zip(chunk) {
+                *acc += c;
+            }
+        }
+        nodes
+            .iter()
+            .map(|&t| {
+                let below = mask[t / WORD_BITS] & ((1u64 << (t % WORD_BITS)) - 1);
+                counts[rank[t / WORD_BITS] + below.count_ones() as usize]
+            })
+            .collect()
+    }
+
+    /// The per-chunk body of [`Self::triangles_at_many`]: streams the rows
+    /// set in `union` (words `first_word..` of the union of the target
+    /// rows) and returns the partial count of every target slot.
+    fn stream_triangles(
+        &self,
+        union: &[u64],
+        first_word: usize,
+        targets: &[MaskWord],
+        slots: usize,
+    ) -> Vec<u64> {
+        let mut counts = vec![0u64; slots];
+        for (wi, &word) in union.iter().enumerate() {
+            let mut rows = word;
+            while rows != 0 {
+                let v = (first_word + wi) * WORD_BITS + rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                let row_v = self.row(v);
+                let full = v / WORD_BITS;
+                let below_v = (1u64 << (v % WORD_BITS)) - 1;
+                for target in targets {
+                    let mut hits = row_v[target.index] & target.bits;
+                    while hits != 0 {
+                        let b = hits.trailing_zeros() as usize;
+                        hits &= hits - 1;
+                        let slot = target.first_slot
+                            + (target.bits & ((1u64 << b) - 1)).count_ones() as usize;
+                        let row_t = self.row(target.index * WORD_BITS + b);
+                        let mut common: u64 = row_t[..full]
+                            .iter()
+                            .zip(&row_v[..full])
+                            .map(|(x, y)| u64::from((x & y).count_ones()))
+                            .sum();
+                        common += u64::from((row_t[full] & row_v[full] & below_v).count_ones());
+                        counts[slot] += common;
+                    }
+                }
+            }
+        }
+        counts
     }
 
     /// Converts to a sparse CSR graph (used in tests and for small matrices).
@@ -278,6 +408,73 @@ impl BitMatrix {
             return 0.0;
         }
         2.0 * self.num_edges() as f64 / (self.n as f64 * (self.n as f64 - 1.0))
+    }
+}
+
+/// One non-zero word of the target mask in
+/// [`BitMatrix::triangles_at_many`].
+struct MaskWord {
+    /// Word index within a row.
+    index: usize,
+    /// The targets in this word.
+    bits: u64,
+    /// Slot of the word's lowest target.
+    first_slot: usize,
+}
+
+/// Splits the `words` row words into at most `4 · threads` contiguous
+/// ranges of equal estimated work: row `v` costs ∝ `v` (its prefix), so
+/// the cumulative cost grows as `v²` and the boundaries sit at
+/// `words · √(k/K)`. One range when `threads` is 1.
+fn row_word_chunks(words: usize, threads: usize) -> Vec<(usize, usize)> {
+    let k = if threads <= 1 { 1 } else { threads * 4 };
+    let mut chunks = Vec::with_capacity(k);
+    let mut lo = 0;
+    for i in 1..=k {
+        let hi = if i == k {
+            words
+        } else {
+            ((words as f64) * (i as f64 / k as f64).sqrt()) as usize
+        };
+        if hi > lo {
+            chunks.push((lo, hi));
+            lo = hi;
+        }
+    }
+    chunks
+}
+
+/// The 64×64 blocks `(I, J)` with `J ≤ I` of a matrix `words` blocks
+/// wide, in tiles of 8×8 blocks: a tile's blocks and their mirror blocks
+/// `(J, I)` each span whole 64-byte cache lines of 512 rows, so the
+/// strided block reads use every word of the lines they fetch.
+fn lower_blocks(words: usize) -> impl Iterator<Item = (usize, usize)> {
+    const TILE: usize = 8;
+    (0..words).step_by(TILE).flat_map(move |ti| {
+        (0..=ti).step_by(TILE).flat_map(move |tj| {
+            (ti..(ti + TILE).min(words))
+                .flat_map(move |bi| (tj..(tj + TILE).min(bi + 1)).map(move |bj| (bi, bj)))
+        })
+    })
+}
+
+/// Transposes a 64×64 bit block in place: afterwards bit `c` of
+/// `block[r]` is what bit `r` of `block[c]` was. Six butterfly stages
+/// swap the off-diagonal 32-, 16-, …, 1-bit sub-blocks.
+fn transpose64(block: &mut [u64; WORD_BITS]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for pair in block.chunks_exact_mut(2 * width) {
+            let (low, high) = pair.split_at_mut(width);
+            for (a, b) in low.iter_mut().zip(high) {
+                let swap = ((*a >> width) ^ *b) & mask;
+                *a ^= swap << width;
+                *b ^= swap;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
@@ -408,6 +605,44 @@ mod tests {
         let before = m.clone();
         m.mirror_lower();
         assert_eq!(m, before);
+    }
+
+    #[test]
+    fn transpose64_matches_naive() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut block = [0u64; 64];
+        for w in &mut block {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *w = state;
+        }
+        let original = block;
+        transpose64(&mut block);
+        for (r, &row) in original.iter().enumerate() {
+            for (c, &column) in block.iter().enumerate() {
+                assert_eq!((column >> r) & 1, (row >> c) & 1, "({r},{c})");
+            }
+        }
+        transpose64(&mut block);
+        assert_eq!(block, original);
+    }
+
+    #[test]
+    fn well_formed_rejects_each_broken_invariant() {
+        let mut m = BitMatrix::new(130);
+        m.set_edge(3, 70);
+        m.set_edge(129, 64);
+        m.set_edge(1, 2);
+        assert!(m.is_well_formed());
+        assert!(BitMatrix::new(0).is_well_formed());
+        let wpr = m.words_per_row();
+        // Diagonal bit, one asymmetric bit in each block shape, tail bit.
+        for (row, word, bit) in [(5, 0, 5), (70, 0, 4), (4, 1, 6), (100, 1, 37), (64, 2, 3)] {
+            let mut broken = m.clone();
+            broken.rows_mut(0, 130)[row * wpr + word] |= 1u64 << bit;
+            assert!(!broken.is_well_formed(), "row {row} word {word} bit {bit}");
+        }
     }
 
     #[test]

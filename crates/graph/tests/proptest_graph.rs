@@ -9,6 +9,34 @@ use ldp_graph::io::{read_edge_list, write_edge_list};
 use ldp_graph::metrics::{degree_centralities, modularity, total_triangles};
 use ldp_graph::{BitMatrix, Xoshiro256pp};
 use proptest::prelude::*;
+use rand::Rng;
+
+/// Populations around the 64-bit word and block boundaries.
+const KERNEL_SIZES: [usize; 8] = [1, 2, 63, 64, 65, 127, 129, 200];
+
+/// A random symmetric, zero-diagonal matrix; each slot is set with
+/// probability `2^-density_shift`.
+fn random_symmetric(n: usize, density_shift: u32, rng: &mut Xoshiro256pp) -> BitMatrix {
+    let mut m = BitMatrix::new(n);
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen::<u64>() >> (64 - density_shift) == 0 {
+                m.set_edge(u, v);
+            }
+        }
+    }
+    m
+}
+
+/// `Σ_{v ∈ N(u)} |N(u) ∩ N(v)| / 2`, straight from the definition.
+fn naive_triangles(m: &BitMatrix, u: usize) -> u64 {
+    let twice: usize = m
+        .row_indices(u)
+        .into_iter()
+        .map(|v| m.common_neighbors(u, v))
+        .sum();
+    twice as u64 / 2
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -96,6 +124,70 @@ proptest! {
             ldp_graph::metrics::triangles_per_node(&g),
             dense.triangles_per_node()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The row-streamed kernel equals the naive count on unsorted node
+    /// lists with duplicates (and the empty list), at any thread count.
+    #[test]
+    fn triangles_at_many_matches_naive(
+        seed in 0u64..1_000_000,
+        size in 0usize..8,
+        density_shift in 1u32..4,
+        len in 0usize..16,
+    ) {
+        let n = KERNEL_SIZES[size];
+        let mut rng = Xoshiro256pp::new(seed);
+        let m = random_symmetric(n, density_shift, &mut rng);
+        let naive: Vec<u64> = (0..n).map(|u| naive_triangles(&m, u)).collect();
+        let mut nodes: Vec<usize> = (0..len).map(|_| rng.gen_range(0..n)).collect();
+        if let Some(&first) = nodes.first() {
+            nodes.push(first);
+        }
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for threads in [1, 2, 3, 7] {
+            let got = m.triangles_at_many(&nodes, threads);
+            prop_assert_eq!(got, nodes.iter().map(|&u| naive[u]).collect::<Vec<_>>());
+            let got = m.triangles_at_many(&reversed, threads);
+            prop_assert_eq!(got, reversed.iter().map(|&u| naive[u]).collect::<Vec<_>>());
+            prop_assert!(m.triangles_at_many(&[], threads).is_empty());
+        }
+        prop_assert_eq!(m.triangles_per_node(), naive);
+    }
+
+    /// The blocked mirror of a lower triangle, with some of its upper
+    /// twins already written, equals the `set_edge`-built matrix and is
+    /// idempotent.
+    #[test]
+    fn mirror_lower_matches_set_edge_reference(
+        seed in 0u64..1_000_000,
+        size in 0usize..8,
+        density_shift in 1u32..4,
+    ) {
+        let n = KERNEL_SIZES[size];
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut m = BitMatrix::new(n);
+        let mut reference = BitMatrix::new(n);
+        for u in 0..n {
+            for v in 0..u {
+                if rng.gen::<u64>() >> (64 - density_shift) == 0 {
+                    m.rows_mut(u, u + 1)[v / 64] |= 1u64 << (v % 64);
+                    reference.set_edge(u, v);
+                    // Some upper twins are already set before the mirror.
+                    if rng.gen::<bool>() {
+                        m.rows_mut(v, v + 1)[u / 64] |= 1u64 << (u % 64);
+                    }
+                }
+            }
+        }
+        m.mirror_lower();
+        prop_assert!(m.is_well_formed());
+        prop_assert_eq!(&m, &reference);
+        m.mirror_lower();
+        prop_assert_eq!(&m, &reference);
     }
 }
 

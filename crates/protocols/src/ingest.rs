@@ -193,8 +193,8 @@ impl StreamingAggregator {
 /// (in-order batches, out-of-order shards), identical triangles finalize
 /// into bit-identical views.
 ///
-/// Mirroring is a sequential Θ(n²/128) word scan plus one write per set
-/// bit (its scattered column writes cannot be partitioned without racing);
+/// Mirroring ([`BitMatrix::mirror_lower`]) is a sequential pass of
+/// `n²/8192` in-register 64×64 block transposes over the lower triangle;
 /// the degree derivation that follows scans the full `n·⌈n/64⌉` words, so
 /// that one is parallelized (read-only) whenever it outweighs spawn cost.
 ///

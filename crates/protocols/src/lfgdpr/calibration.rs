@@ -16,15 +16,16 @@
 
 use super::view::PerturbedView;
 use ldp_graph::metrics::clustering::clustering_from_parts;
-use ldp_graph::runtime::{default_threads, parallel_map, threads_for_work};
+use ldp_graph::runtime::{default_threads, threads_for_work};
 
-/// Worker count for calibrating `targets` nodes of `view`: each target's
-/// triangle count scans its `d̃` neighbor rows of `⌈N/64⌉` words, so the
-/// job is `targets · d̃ · N/64` word ops (the shared runtime threshold
-/// decides when that amortizes a thread scope).
+/// Worker count for calibrating `targets` nodes of `view`: the
+/// row-streamed triangle count intersects each target's `d̃` neighbor
+/// rows over their prefixes, `N/128` words on average, so the job is
+/// `targets · d̃ · N/128` word ops (the shared runtime threshold decides
+/// when that amortizes a thread scope).
 fn calibration_threads(view: &PerturbedView, targets: usize) -> usize {
-    let words_per_row = view.num_users().div_ceil(64).max(1);
-    let work = (view.average_perturbed_degree() * targets as f64) as usize * words_per_row;
+    let prefix_words = view.num_users().div_ceil(128).max(1);
+    let work = (view.average_perturbed_degree() * targets as f64) as usize * prefix_words;
     threads_for_work(work, default_threads())
 }
 
@@ -80,6 +81,24 @@ fn degree_of(view: &PerturbedView, i: usize, source: DegreeSource) -> f64 {
     }
 }
 
+/// Counts `τ̃` at every node of `nodes` in one kernel call, then applies
+/// Eq. 15–16 per node: `(R(τ̃_i), cc_i)` in the order of `nodes`.
+fn calibrate_nodes(view: &PerturbedView, nodes: &[usize], source: DegreeSource) -> Vec<(f64, f64)> {
+    let nf = view.num_users() as f64;
+    let p = view.rr().p_keep();
+    let theta = view.edge_density();
+    let tau_tilde = view.perturbed_triangles_at(nodes, calibration_threads(view, nodes.len()));
+    nodes
+        .iter()
+        .zip(tau_tilde)
+        .map(|(&i, tau_tilde)| {
+            let degree = degree_of(view, i, source);
+            let tau = calibrate_triangles(tau_tilde as f64, degree, nf, p, theta);
+            (tau, clustering_from_parts(tau, degree))
+        })
+        .collect()
+}
+
 /// The per-node output of the clustering-coefficient estimator.
 #[derive(Debug, Clone)]
 pub struct ClusteringEstimate {
@@ -94,25 +113,16 @@ pub struct ClusteringEstimate {
 /// Runs the full LF-GDPR clustering-coefficient estimation over a view:
 /// `cc_i = 2·R(τ̃_i) / (ẽd_i(ẽd_i − 1))`, with `ẽd_i` chosen by `source`.
 ///
-/// Per-node triangle counting dominates, and nodes are independent, so the
-/// loop is chunk-parallelized over the shared runtime for large views;
-/// results are identical at any thread count.
+/// Triangle counting dominates; it is one call of the row-streamed
+/// kernel over every node, chunk-parallelized on the shared runtime for
+/// large views. Results are identical at any thread count.
 pub fn estimate_clustering_with(view: &PerturbedView, source: DegreeSource) -> ClusteringEstimate {
-    let n = view.num_users();
-    let nf = n as f64;
-    let p = view.rr().p_keep();
-    let theta = view.edge_density();
-    let pairs = parallel_map((0..n).collect(), calibration_threads(view, n), |&i| {
-        let tau_tilde = view.perturbed_triangles(i) as f64;
-        let degree = degree_of(view, i, source);
-        let tau = calibrate_triangles(tau_tilde, degree, nf, p, theta);
-        (tau, clustering_from_parts(tau, degree))
-    });
-    let (taus, cc) = pairs.into_iter().unzip();
+    let nodes: Vec<usize> = (0..view.num_users()).collect();
+    let (taus, cc) = calibrate_nodes(view, &nodes, source).into_iter().unzip();
     ClusteringEstimate {
         cc,
         calibrated_triangles: taus,
-        theta_tilde: theta,
+        theta_tilde: view.edge_density(),
     }
 }
 
@@ -122,22 +132,17 @@ pub fn estimate_clustering(view: &PerturbedView) -> ClusteringEstimate {
 }
 
 /// Clustering estimate restricted to chosen nodes (the attack pipeline only
-/// needs targets, and triangle counting dominates the cost).
+/// needs targets, and triangle counting dominates the cost). Bit-identical
+/// to the same nodes of [`estimate_clustering_with`].
 pub fn estimate_clustering_at_with(
     view: &PerturbedView,
     nodes: &[usize],
     source: DegreeSource,
 ) -> Vec<f64> {
-    let nf = view.num_users() as f64;
-    let p = view.rr().p_keep();
-    let theta = view.edge_density();
-    let threads = calibration_threads(view, nodes.len());
-    parallel_map(nodes.to_vec(), threads, |&i| {
-        let tau_tilde = view.perturbed_triangles(i) as f64;
-        let degree = degree_of(view, i, source);
-        let tau = calibrate_triangles(tau_tilde, degree, nf, p, theta);
-        clustering_from_parts(tau, degree)
-    })
+    calibrate_nodes(view, nodes, source)
+        .into_iter()
+        .map(|(_, cc)| cc)
+        .collect()
 }
 
 /// [`estimate_clustering_at_with`] at the paper-default degree source.
@@ -204,8 +209,8 @@ mod tests {
         let view = proto.aggregate(&proto.collect_honest(&g, &base));
         let full = estimate_clustering(&view);
         let subset = estimate_clustering_at(&view, &[0, 5, 10]);
-        assert!((subset[0] - full.cc[0]).abs() < 1e-12);
-        assert!((subset[1] - full.cc[5]).abs() < 1e-12);
-        assert!((subset[2] - full.cc[10]).abs() < 1e-12);
+        assert_eq!(subset[0].to_bits(), full.cc[0].to_bits());
+        assert_eq!(subset[1].to_bits(), full.cc[5].to_bits());
+        assert_eq!(subset[2].to_bits(), full.cc[10].to_bits());
     }
 }

@@ -41,8 +41,10 @@ impl PerturbedView {
     }
 
     /// Assembles a view from already-aggregated parts; reserved for the
-    /// ingestion engine, which upholds the invariants (symmetric matrix,
-    /// degree vectors of length `N` consistent with it).
+    /// ingestion engine and `wire::decode_view`, which uphold the
+    /// invariants (symmetric, zero-diagonal matrix with no bits past `N`;
+    /// degree vectors of length `N` consistent with it). The decoder
+    /// checks them on the bytes it receives.
     pub(crate) fn from_parts(
         matrix: BitMatrix,
         reported_degrees: Vec<f64>,
@@ -150,9 +152,14 @@ impl PerturbedView {
         self.calibrated_degree(i) / (n as f64 - 1.0)
     }
 
-    /// Number of triangles incident to `i` in the perturbed graph — `τ̃_i`.
-    pub fn perturbed_triangles(&self, i: NodeId) -> u64 {
-        self.matrix.triangles_at(i)
+    /// Triangles incident to each of `nodes` in the perturbed graph —
+    /// `τ̃_i` — counted by [`BitMatrix::triangles_at_many`] on up to
+    /// `threads` workers (results do not depend on `threads`).
+    ///
+    /// # Panics
+    /// Panics if any node is out of range.
+    pub fn perturbed_triangles_at(&self, nodes: &[NodeId], threads: usize) -> Vec<u64> {
+        self.matrix.triangles_at_many(nodes, threads)
     }
 }
 
@@ -221,8 +228,7 @@ mod tests {
     #[test]
     fn perturbed_triangles_counts_matrix_triangles() {
         let view = view_from_rows(vec![vec![], vec![0], vec![0, 1], vec![]], vec![0.0; 4]);
-        assert_eq!(view.perturbed_triangles(0), 1);
-        assert_eq!(view.perturbed_triangles(3), 0);
+        assert_eq!(view.perturbed_triangles_at(&[0, 3, 0], 1), vec![1, 0, 1]);
     }
 
     #[test]

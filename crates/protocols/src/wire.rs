@@ -899,7 +899,10 @@ pub fn encode_view(view: &PerturbedView, out: &mut Vec<u8>) {
 ///
 /// # Errors
 /// A typed [`WireError`] on truncation, oversize populations, an invalid
-/// keep probability, out-of-range degrees, or trailing bytes.
+/// keep probability, out-of-range degrees, or trailing bytes; and
+/// [`WireError::BadValue`] when the matrix is not symmetric, has a
+/// diagonal bit or a bit past `N` ([`BitMatrix::is_well_formed`]), or a
+/// perturbed degree differs from its row's popcount.
 pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
     let n = checked_len(get_varint(&mut buf)?)?;
     let p_keep = get_f64(&mut buf)?;
@@ -930,8 +933,21 @@ pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
         return Err(WireError::Truncated);
     }
     let mut matrix = BitMatrix::new(n);
-    get_u64s(&mut buf, matrix.rows_mut(0, n))?;
+    for (u, &d) in perturbed.iter().enumerate() {
+        let row = matrix.rows_mut(u, u + 1);
+        get_u64s(&mut buf, row)?;
+        // Each degree is checked while its row is still in cache.
+        if row.iter().map(|w| w.count_ones() as usize).sum::<usize>() != d {
+            return Err(WireError::BadValue {
+                field: "perturbed_degree",
+            });
+        }
+    }
     expect_end(buf)?;
+    // The estimator's triangle kernel relies on a symmetric matrix.
+    if !matrix.is_well_formed() {
+        return Err(WireError::BadValue { field: "matrix" });
+    }
     Ok(PerturbedView::from_parts(matrix, reported, perturbed, rr))
 }
 
@@ -1322,6 +1338,71 @@ mod tests {
             decode_view(&out),
             Err(WireError::BadValue { field: "p_keep" })
         ));
+    }
+
+    /// Encodes a 65-user view (rows own two words) after `tamper` edits
+    /// its matrix words and perturbed degrees.
+    fn tampered_view_65(tamper: impl FnOnce(&mut [u64], &mut [usize])) -> Vec<u8> {
+        use ldp_graph::generate::caveman_graph;
+        use ldp_graph::Xoshiro256pp;
+
+        let g = caveman_graph(13, 5);
+        let proto = crate::LfGdpr::new(4.0).unwrap();
+        let view = proto.aggregate(&proto.collect_honest(&g, &Xoshiro256pp::new(3)));
+        let mut matrix = view.matrix().clone();
+        let mut degrees: Vec<usize> = (0..65).map(|u| view.perturbed_degree(u)).collect();
+        tamper(matrix.rows_mut(0, 65), &mut degrees);
+        let tampered =
+            PerturbedView::from_parts(matrix, view.reported_degrees().to_vec(), degrees, view.rr());
+        let mut out = Vec::new();
+        encode_view(&tampered, &mut out);
+        out
+    }
+
+    /// Flips bit `(row, col)` and sets the row's degree to its new
+    /// popcount, so only the matrix invariant breaks.
+    fn flip_keeping_degree(words: &mut [u64], degrees: &mut [usize], row: usize, col: usize) {
+        words[row * 2 + col / 64] ^= 1 << (col % 64);
+        degrees[row] = words[row * 2..row * 2 + 2]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+    }
+
+    fn rejects(out: &[u8], field: &'static str) -> bool {
+        matches!(decode_view(out), Err(WireError::BadValue { field: f }) if f == field)
+    }
+
+    #[test]
+    fn view_decode_rejects_a_bit_past_the_population() {
+        // Row 64, column 65 ≥ N: the bit the triangle kernel would follow
+        // to a row that does not exist.
+        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 64, 65));
+        assert!(rejects(&out, "matrix"));
+        let out = tampered_view_65(|w, _| w[64 * 2 + 1] ^= 1 << 1);
+        assert!(rejects(&out, "perturbed_degree"));
+    }
+
+    #[test]
+    fn view_decode_rejects_a_diagonal_bit() {
+        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 40, 40));
+        assert!(rejects(&out, "matrix"));
+    }
+
+    #[test]
+    fn view_decode_rejects_one_asymmetric_bit() {
+        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 64, 2));
+        assert!(rejects(&out, "matrix"));
+    }
+
+    #[test]
+    fn view_decode_rejects_a_degree_off_by_one() {
+        let out = tampered_view_65(|_, d| {
+            // A degree that stays below N, so only the popcount disagrees.
+            let u = (0..65).find(|&u| d[u] < 63).unwrap();
+            d[u] += 1;
+        });
+        assert!(rejects(&out, "perturbed_degree"));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! never panic, whatever bytes arrive.
 
 use ldp_graph::{BitSet, Xoshiro256pp};
+use ldp_protocols::lfgdpr::estimate_clustering_at;
 use ldp_protocols::wire::{
     self, decode_report, encode_report, put_f64, put_u64, put_varint, WireError,
 };
-use ldp_protocols::{AdjacencyReport, UserReport};
+use ldp_protocols::{AdjacencyReport, LfGdpr, PerturbedView, UserReport};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -296,6 +297,46 @@ proptest! {
                 "cut at {} decoded",
                 cut
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `VIEW` payload corruption: flipping bits anywhere in an encoded view
+    /// either fails to decode with a typed error or yields a view that
+    /// upholds the invariants the estimator relies on (symmetric matrix,
+    /// zero diagonal, no bits past `N`, degrees equal to row popcounts).
+    #[test]
+    fn corrupted_views_decode_only_when_well_formed(
+        n in 1usize..140,
+        density_shift in 1u32..4,
+        flips in 1usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let reports: Vec<AdjacencyReport> = (0..n)
+            .map(|i| match synth_report(true, n, density_shift, seed ^ i as u64) {
+                UserReport::Adjacency(r) => r,
+                UserReport::DegreeVector(_) => unreachable!("adjacency requested"),
+            })
+            .collect();
+        let view = PerturbedView::from_reports(&reports, LfGdpr::new(2.0).unwrap().rr());
+        let mut out = Vec::new();
+        wire::encode_view(&view, &mut out);
+        let mut rng = Xoshiro256pp::new(seed);
+        for _ in 0..flips {
+            let at = rng.gen_range(0..out.len());
+            out[at] ^= 1 << rng.gen_range(0..8u32);
+        }
+        if let Ok(got) = wire::decode_view(&out) {
+            let m = got.matrix();
+            prop_assert!(m.is_well_formed());
+            for u in 0..got.num_users() {
+                prop_assert_eq!(got.perturbed_degree(u), m.degree(u));
+            }
+            let nodes: Vec<usize> = (0..got.num_users()).collect();
+            prop_assert_eq!(estimate_clustering_at(&got, &nodes).len(), nodes.len());
         }
     }
 }
