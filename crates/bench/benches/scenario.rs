@@ -1,19 +1,17 @@
-//! Scenario-engine overhead: the unified builder versus a hand-inlined
-//! replica of the pre-refactor pipeline (collect → aggregate → craft →
-//! swap tail → aggregate → estimate). The engine's cost on top of the
-//! protocol work — trait dispatch, report-enum wrapping, adapters — must
-//! stay in the noise (`scenario_smoke` pins the same comparison in CI).
+//! Scenario-engine overhead: the unified builder versus
+//! [`manual_exact_degree`], the hand-inlined replica of the pre-refactor
+//! pipeline (collect → aggregate → craft → swap tail → aggregate →
+//! estimate). The engine's cost on top of the protocol work — trait
+//! dispatch, report-enum wrapping, adapters — must stay in the noise
+//! (the `scenario_smoke` binary gates the same comparison in CI).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
-use ldp_protocols::protocol::STREAM_ATTACK;
 use ldp_protocols::{LdpGen, LfGdpr, Metric};
+use poison_bench::manual_exact_degree;
 use poison_core::scenario::Scenario;
-use poison_core::{
-    craft_reports, AttackOutcome, AttackStrategy, AttackerKnowledge, Mga, MgaOptions, TargetMetric,
-    TargetSelection, ThreatModel,
-};
+use poison_core::{AttackOutcome, Mga, TargetSelection, ThreatModel};
 
 fn setup(nodes: usize) -> (ldp_graph::CsrGraph, LfGdpr, ThreatModel) {
     let graph = Dataset::Facebook.generate_with_nodes(nodes, 21);
@@ -22,47 +20,6 @@ fn setup(nodes: usize) -> (ldp_graph::CsrGraph, LfGdpr, ThreatModel) {
     let threat =
         ThreatModel::from_fractions(&graph, 0.05, 0.05, TargetSelection::UniformRandom, &mut rng);
     (graph, protocol, threat)
-}
-
-/// The pre-refactor exact pipeline, inlined: what `run_lfgdpr_attack` did
-/// before it became a wrapper over the engine.
-pub fn manual_exact_degree(
-    graph: &ldp_graph::CsrGraph,
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    seed: u64,
-) -> AttackOutcome {
-    let extended = graph.with_isolated_nodes(threat.m_fake);
-    let base = Xoshiro256pp::new(seed);
-    let mut reports = protocol.collect_honest(&extended, &base);
-    let view_before = protocol.aggregate(&reports);
-    let before: Vec<f64> = threat
-        .targets
-        .iter()
-        .map(|&t| view_before.degree_centrality(t))
-        .collect();
-    let knowledge =
-        AttackerKnowledge::derive(protocol, threat.population(), graph.average_degree());
-    let mut attack_rng = base.derive(STREAM_ATTACK);
-    let crafted = craft_reports(
-        AttackStrategy::Mga,
-        TargetMetric::DegreeCentrality,
-        protocol,
-        threat,
-        &knowledge,
-        MgaOptions::default(),
-        &mut attack_rng,
-    );
-    for (offset, report) in crafted.into_iter().enumerate() {
-        reports[threat.n_genuine + offset] = report;
-    }
-    let view_after = protocol.aggregate(&reports);
-    let after: Vec<f64> = threat
-        .targets
-        .iter()
-        .map(|&t| view_after.degree_centrality(t))
-        .collect();
-    AttackOutcome::new(before, after)
 }
 
 fn engine_exact_degree(

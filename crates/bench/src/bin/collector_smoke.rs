@@ -1,46 +1,41 @@
-//! Collection-service smoke benchmark, run in CI after the unit suites:
+//! Collection-service smoke benchmark, run in CI after the unit suites.
+//! Every leg replays load against a loopback daemon and asserts a timing
+//! gate; the numbers go to stderr and no file is written.
 //!
-//! 1. **Equivalence** — a loopback round with 10k users: LF-GDPR + MGA +
-//!    Detect2 evaluated in process and with every fold over TCP (batched
-//!    frames), asserted bit-for-bit identical (estimates, defense
-//!    verdicts, gain bits).
-//! 2. **Round throughput** — the 2²⁰ (≈1.05M)-report degree-vector round
-//!    at 1 and at 4 concurrent uploader sessions (aggregate reports/s of
-//!    the concurrent ingest plane), plus one adjacency round at the
-//!    Facebook stand-in's scale; reports/sec and peak RSS recorded.
-//! 3. **Concurrent bit-identity** — the Facebook-scale adjacency round
-//!    streamed by 4 racing sessions finalizes bit-identical to the
-//!    in-process aggregation of the same reports.
-//! 4. **Multi-round sweep** — R ∈ {1, 4, 16} *simultaneous* rounds (one
-//!    tenant/session per round, all streaming at once) with the
-//!    aggregate reports/s across rounds recorded, plus 4 simultaneous
-//!    adjacency rounds each asserted bit-identical to its single-round
-//!    in-process reference.
-//! 5. **Observability** — the same 2²⁰-report round replayed on an
+//! 1. **Round throughput** — the 2²⁰ (≈1.05M)-report degree-vector round,
+//!    honest plus a 1% MGA-crafted tail, at 1 and at 4 concurrent
+//!    uploader sessions. The 4-session aggregate must reach ×0.5 of the
+//!    1-session rate and 250k reports/s.
+//! 2. **Multi-round sweep** — R ∈ {1, 4, 16} *simultaneous* rounds (one
+//!    tenant/session per round, all streaming at once); every R's
+//!    aggregate reports/s must reach ×0.5 of R = 1.
+//! 3. **Observability** — the 2²⁰-report round replayed on an
 //!    instrumented daemon and on a `metrics: false` daemon (interleaved
-//!    A/B pairs, best wall each): the `metrics_overhead` ratio is
-//!    recorded and asserted ≤ 1.03. Then one live 2²⁰-report round is
-//!    scraped over `STATS` while streaming, and the registry is
-//!    asserted to reconcile exactly with the round's close `SUMMARY`.
+//!    A/B pairs, best wall each, at most 8 pairs): `metrics_overhead`
+//!    must be ≤ 1.03.
+//! 4. **Durability** — a 2¹⁸-report round against a journal-less daemon
+//!    and against the journal at each fsync policy; `fsync=off` must
+//!    reach ×0.5 of the journal-less rate.
 //!
-//! Results land in `BENCH_collector.json` for the perf trajectory. The
-//! multi-connection assertion is a *loose floor* (CI boxes may have one
-//! core, where parallel sessions cannot beat the single-session CPU
-//! bound); the recorded ratio is the trajectory signal.
+//! The ×0.5 floors are *loose* on purpose: CI boxes may have one core,
+//! where parallel sessions cannot beat the single-session CPU bound, and
+//! fsync latency varies wildly between hosts. perfbench (`BENCHMARK.json`)
+//! is the benchmark of record; this binary only catches collapses.
 
-use ldp_collector::CollectorClient;
-use poison_bench::collector::{
-    assert_concurrent_adjacency_equivalence, assert_live_scrape_reconciles,
-    assert_simultaneous_adjacency_equivalence, peak_rss_bytes, run_adjacency_round,
-    run_degree_vector_round, run_degree_vector_round_concurrent, run_durability_tax,
-    run_equivalence_smoke, run_metrics_overhead, run_simultaneous_degree_vector_rounds,
-    shutdown_daemon, spawn_daemon, LoadAttack,
+use ldp_collector::{
+    CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RoundChannel,
 };
+use ldp_graph::Xoshiro256pp;
+use ldp_protocols::{CraftContext, LfGdpr};
+use poison_core::{Attack, AttackerKnowledge, Mga, TargetMetric, ThreatModel};
+use rand::{Rng, RngCore};
+use std::net::SocketAddr;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-const EQUIVALENCE_USERS: usize = 10_000;
 const ROUND_USERS: usize = 1 << 20; // 1,048,576 reports in one round
 const ROUND_GROUPS: usize = 8;
-const ADJACENCY_USERS: usize = 4_039; // Facebook stand-in scale
+const MGA_BETA: f64 = 0.01; // crafted share of the headline round
 const CONNECTIONS: usize = 4;
 const MULTI_ROUND_USERS: usize = 1 << 16; // 65,536 reports per simultaneous round
 const ROUND_SWEEP: [usize; 3] = [1, 4, 16];
@@ -48,54 +43,426 @@ const OVERHEAD_RUNS: usize = 8; // max A/B pairs; stops once within budget
 const OVERHEAD_BUDGET: f64 = 1.03; // instrumented / baseline, hard ceiling
 const DURABILITY_USERS: usize = 1 << 18; // 262,144 reports per fsync-policy leg
 
-fn main() {
-    // 1. Wire == in-process, to the bit, at 10k users.
-    let eq = run_equivalence_smoke(EQUIVALENCE_USERS, 2024).expect("equivalence smoke");
-    let wire_over_in_process = eq.wire.as_secs_f64() / eq.in_process.as_secs_f64();
-    eprintln!(
-        "equivalence: {} users, in-process {:.1} ms, wire {:.1} ms ({:.2}x), gain {:.4}",
-        eq.users,
-        eq.in_process.as_secs_f64() * 1e3,
-        eq.wire.as_secs_f64() * 1e3,
-        wire_over_in_process,
-        eq.mean_gain
-    );
+/// How many times [`run_durability_tax`] replays each leg, keeping the
+/// fastest: single ~100 ms rounds swing ±25% on a shared VM, which would
+/// drown the journal tax in scheduler noise.
+const DURABILITY_REPS: usize = 3;
 
-    // 2. The ≥1M-report degree-vector round at 1 and 4 connections, and
-    //    one Facebook-scale adjacency round, all honest + MGA-crafted.
-    let (addr, handle) = spawn_daemon(8).expect("daemon");
-    let mut client = CollectorClient::connect(addr).expect("connect");
-    let degvec = run_degree_vector_round(
-        &mut client,
-        1,
-        ROUND_USERS,
-        ROUND_GROUPS,
-        LoadAttack::Mga,
-        0.01,
+type Daemon = (SocketAddr, JoinHandle<Result<(), CollectorError>>);
+
+/// The benchmark daemon: 8 shards, sized for the 16-round sweep (each
+/// round with its own session). Admission limits themselves are
+/// exercised by the collector's multitenant/chaos suites, not here.
+///
+/// `metrics: false` leaves every handle constructed but turns each
+/// hot-path tick into a single predictable dead branch — the baseline
+/// leg of the overhead measurement.
+fn config(metrics: bool) -> CollectorConfig {
+    CollectorConfig {
+        shards: 8,
+        max_sessions: 64,
+        max_rounds_per_tenant: 64,
+        metrics,
+        ..CollectorConfig::default()
+    }
+}
+
+fn spawn_daemon(metrics: bool) -> Result<Daemon, CollectorError> {
+    CollectorServer::spawn(config(metrics))
+}
+
+/// Sends the daemon a shutdown and joins its thread.
+fn shutdown_daemon((addr, handle): Daemon) {
+    if let Ok(mut client) = CollectorClient::connect(addr) {
+        let _ = client.shutdown();
+    }
+    let _ = handle.join();
+}
+
+/// Timing of one replayed workload.
+struct Throughput {
+    /// Reports streamed, across every round of the workload.
+    reports: u64,
+    /// Wall-clock from the first open to the last finalize reply.
+    wall: Duration,
+    /// `reports / wall`.
+    reports_per_sec: f64,
+}
+
+impl Throughput {
+    fn since(start: Instant, reports: usize) -> Self {
+        let wall = start.elapsed();
+        Throughput {
+            reports: reports as u64,
+            wall,
+            reports_per_sec: reports as f64 / wall.as_secs_f64(),
+        }
+    }
+}
+
+/// Refills `vector` with one honest Laplace-style degree vector.
+fn honest_vector(vector: &mut [f64], rng: &mut Xoshiro256pp) {
+    for x in vector {
+        *x = rng.gen_range(0.0..4.0);
+    }
+}
+
+/// Crafts the MGA fake tail of a degree-vector round — a `beta` share of
+/// `users`, none at `beta = 0` — through the [`Attack`] trait: returns
+/// the genuine population, the crafted vectors, and the RNG the honest
+/// stream continues from.
+fn craft_degree_vector_tail(
+    users: usize,
+    groups: usize,
+    beta: f64,
+    seed: u64,
+) -> (usize, Vec<Vec<f64>>, Xoshiro256pp) {
+    let mut rng = Xoshiro256pp::new(seed);
+    let m_fake = ((users as f64 * beta) as usize).min(users / 2);
+    if m_fake == 0 {
+        return (users, Vec::new(), rng);
+    }
+    let n_genuine = users - m_fake;
+    let targets: Vec<usize> = (0..n_genuine.min(64)).step_by(4).collect();
+    let threat = ThreatModel::explicit(n_genuine, m_fake, targets);
+    // The server's grouping: user i in group i % groups.
+    let group_of: Vec<usize> = (0..users).map(|u| u % groups).collect();
+    let knowledge = AttackerKnowledge::derive(&LfGdpr::new(4.0).expect("valid budget"), users, 8.0);
+    let crafted = Mga::default()
+        .craft(
+            CraftContext::DegreeVectors {
+                phase: 1,
+                groups: &group_of,
+                num_groups: groups,
+                noise_scale: 0.5,
+            },
+            TargetMetric::DegreeCentrality,
+            &threat,
+            &knowledge,
+            &mut rng as &mut dyn RngCore,
+        )
+        .into_iter()
+        .map(|r| r.into_degree_vector().expect("degree-vector channel"))
+        .collect();
+    (n_genuine, crafted, rng)
+}
+
+fn open_degree_vector_round(
+    client: &mut CollectorClient,
+    round_id: u64,
+    users: usize,
+    groups: usize,
+) -> Result<(), CollectorError> {
+    client.open_round(
+        round_id,
+        RoundChannel::DegreeVector {
+            population: users,
+            groups,
+        },
         None,
-        7,
     )
-    .expect("degree-vector round");
+}
+
+/// Closes and finalizes a replayed round.
+///
+/// # Panics
+/// Panics if the close summary or the finalize shows any report missing
+/// (the replay is well-formed by construction).
+fn finish_degree_vector_round(
+    client: &mut CollectorClient,
+    round_id: u64,
+    users: usize,
+) -> Result<(), CollectorError> {
+    let summary = client.close_round(round_id)?;
+    assert_eq!(
+        summary.counters.accepted, users as u64,
+        "round {round_id} replay must be fully accepted: {:?}",
+        summary.counters
+    );
+    let out = client.finalize_degree_vector(round_id)?;
+    assert_eq!(out.accepted, users as u64);
+    Ok(())
+}
+
+/// Replays one **degree-vector round** of `users` reports — honest
+/// vectors plus a `beta` MGA tail — over one batched `REPORT_BATCH`
+/// connection. This is the million-users-per-round regime: the daemon's
+/// aggregate stays `O(shards·groups)`.
+fn run_degree_vector_round(
+    client: &mut CollectorClient,
+    round_id: u64,
+    users: usize,
+    groups: usize,
+    beta: f64,
+    seed: u64,
+) -> Result<Throughput, CollectorError> {
+    let (n_genuine, crafted, mut rng) = craft_degree_vector_tail(users, groups, beta, seed);
+    let start = Instant::now();
+    open_degree_vector_round(client, round_id, users, groups)?;
+    let mut vector = vec![0.0f64; groups];
+    for id in 0..n_genuine as u64 {
+        honest_vector(&mut vector, &mut rng);
+        // Borrowed, batched send: no clone per report, one frame per
+        // DEFAULT_BATCH_REPORTS on the hot path.
+        client.queue_degree_vector(id, &vector)?;
+    }
+    for (offset, v) in crafted.iter().enumerate() {
+        client.queue_degree_vector((n_genuine + offset) as u64, v)?;
+    }
+    finish_degree_vector_round(client, round_id, users)?;
+    Ok(Throughput::since(start, users))
+}
+
+/// Replays one degree-vector round over `connections` concurrent client
+/// sessions: a coordinator session opens the round, `C` uploader threads
+/// stream disjoint contiguous id slices through the batched send path
+/// and end with a `SYNC` barrier, then the coordinator closes and
+/// finalizes. The aggregate-throughput workload of the concurrent ingest
+/// plane.
+fn run_degree_vector_round_concurrent(
+    addr: SocketAddr,
+    round_id: u64,
+    users: usize,
+    groups: usize,
+    beta: f64,
+    connections: usize,
+    seed: u64,
+) -> Result<Throughput, CollectorError> {
+    let (n_genuine, crafted, _) = craft_degree_vector_tail(users, groups, beta, seed);
+    let mut coordinator = CollectorClient::connect(addr)?;
+    let start = Instant::now();
+    open_degree_vector_round(&mut coordinator, round_id, users, groups)?;
+    std::thread::scope(|scope| -> Result<(), CollectorError> {
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                let crafted = &crafted;
+                scope.spawn(move || -> Result<(), CollectorError> {
+                    let mut client = CollectorClient::connect(addr)?;
+                    client.set_round(round_id)?;
+                    // Per-connection honest stream (throughput workload;
+                    // totals are not compared across connection counts).
+                    let mut rng = Xoshiro256pp::new(seed).derive(0xC0_u64 + c as u64);
+                    let lo = users * c / connections;
+                    let hi = users * (c + 1) / connections;
+                    let mut vector = vec![0.0f64; groups];
+                    for id in lo..hi {
+                        if id < n_genuine {
+                            honest_vector(&mut vector, &mut rng);
+                            client.queue_degree_vector(id as u64, &vector)?;
+                        } else {
+                            client.queue_degree_vector(id as u64, &crafted[id - n_genuine])?;
+                        }
+                    }
+                    // Barrier: the ACK proves this session's reports are
+                    // folded before the coordinator closes.
+                    client.sync()
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("uploader thread")?;
+        }
+        Ok(())
+    })?;
+    finish_degree_vector_round(&mut coordinator, round_id, users)?;
+    Ok(Throughput::since(start, users))
+}
+
+/// Replays `rounds` **simultaneous honest degree-vector rounds** — one
+/// session per round, each opened as its own tenant, all streaming at
+/// once so the daemon multiplexes `R` live aggregates — and returns the
+/// aggregate throughput across rounds. The headline workload of the
+/// round registry: sessions on different rounds share no lock.
+fn run_simultaneous_degree_vector_rounds(
+    addr: SocketAddr,
+    rounds: usize,
+    users_per_round: usize,
+    groups: usize,
+    seed: u64,
+) -> Result<Throughput, CollectorError> {
+    let start = Instant::now();
+    std::thread::scope(|scope| -> Result<(), CollectorError> {
+        let handles: Vec<_> = (0..rounds as u64)
+            .map(|r| {
+                scope.spawn(move || -> Result<(), CollectorError> {
+                    let mut client = CollectorClient::connect(addr)?.with_tenant(r);
+                    run_degree_vector_round(
+                        &mut client,
+                        r + 1,
+                        users_per_round,
+                        groups,
+                        0.0,
+                        seed + r,
+                    )
+                    .map(drop)
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("round thread")?;
+        }
+        Ok(())
+    })?;
+    Ok(Throughput::since(start, rounds * users_per_round))
+}
+
+/// Result of the instrumented-vs-baseline overhead measurement.
+struct MetricsOverhead {
+    /// A/B pairs run (best wall of each side is kept).
+    runs: usize,
+    /// Best wall-clock with the registry live.
+    instrumented_wall: Duration,
+    /// Best wall-clock with the registry inactive.
+    baseline_wall: Duration,
+    /// `instrumented_wall / baseline_wall`, the ratio gated at
+    /// [`OVERHEAD_BUDGET`].
+    ratio: f64,
+}
+
+/// Measures what the metrics registry costs on the headline workload:
+/// replays the same honest degree-vector round on a fresh instrumented
+/// daemon and on a fresh `metrics: false` daemon in interleaved A/B
+/// pairs, and reports the ratio of the best walls (interleaving plus
+/// best-of-N squeezes out scheduler drift, which on a shared CI box
+/// dwarfs the few relaxed ticks per report being measured).
+///
+/// Pairs keep running — at least two, at most `max_runs` — until the
+/// ratio lands at or under `target`, so a one-off scheduler stall on
+/// the instrumented leg costs extra pairs instead of a flaked gate. A
+/// real regression holds across retries: the pre-optimization probe
+/// counter, at ~+9%, blew every pair it was measured under.
+fn run_metrics_overhead(
+    users: usize,
+    groups: usize,
+    max_runs: usize,
+    target: f64,
+    seed: u64,
+) -> Result<MetricsOverhead, CollectorError> {
+    let max_runs = max_runs.max(2);
+    let mut best = [Duration::MAX; 2];
+    let mut runs = 0;
+    for run in 0..max_runs {
+        for (slot, metrics) in [(0usize, true), (1, false)] {
+            let daemon = spawn_daemon(metrics)?;
+            let mut client = CollectorClient::connect(daemon.0)?;
+            let result =
+                run_degree_vector_round(&mut client, 1, users, groups, 0.0, seed + run as u64)?;
+            drop(client);
+            shutdown_daemon(daemon);
+            best[slot] = best[slot].min(result.wall);
+        }
+        runs = run + 1;
+        if runs >= 2 && best[0].as_secs_f64() <= target * best[1].as_secs_f64() {
+            break;
+        }
+    }
+    Ok(MetricsOverhead {
+        runs,
+        instrumented_wall: best[0],
+        baseline_wall: best[1],
+        ratio: best[0].as_secs_f64() / best[1].as_secs_f64(),
+    })
+}
+
+/// One fsync policy's leg of the durability-tax sweep.
+struct DurabilityTax {
+    /// Operator spelling of the policy (`off`, `every:<bytes>`, `always`).
+    policy: &'static str,
+    /// The measured round.
+    throughput: Throughput,
+    /// `reports_per_sec` relative to the journal-less baseline (1.0 =
+    /// free, lower = the tax).
+    ratio_vs_baseline: f64,
+}
+
+/// Measures the write-ahead journal's ingest tax: one honest
+/// degree-vector round replayed over a single batched connection against
+/// a journal-less daemon (the baseline) and against durable daemons at
+/// each fsync policy, best of [`DURABILITY_REPS`] runs per leg, journals
+/// on a scratch directory that is removed afterwards. Every rep gets a
+/// fresh daemon and a fresh journal directory, so no leg pays for a
+/// predecessor's dirty pages.
+///
+/// # Panics
+/// Panics if any leg's replay is not fully accepted or the scratch
+/// directory cannot be created.
+fn run_durability_tax(
+    users: usize,
+    groups: usize,
+    seed: u64,
+) -> Result<(Throughput, Vec<DurabilityTax>), CollectorError> {
+    let best_of = |policy: Option<FsyncPolicy>, tag: &str| -> Result<Throughput, CollectorError> {
+        let mut best: Option<Throughput> = None;
+        for rep in 0..DURABILITY_REPS {
+            let dir = std::env::temp_dir()
+                .join(format!("ldp-bench-wal-{}-{tag}-{rep}", std::process::id()));
+            let daemon = match policy {
+                None => spawn_daemon(true)?,
+                Some(policy) => {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    CollectorServer::spawn_durable(config(true), &dir, policy)?
+                }
+            };
+            let mut client = CollectorClient::connect(daemon.0)?;
+            let throughput = run_degree_vector_round(&mut client, 90, users, groups, 0.0, seed)?;
+            drop(client);
+            shutdown_daemon(daemon);
+            let _ = std::fs::remove_dir_all(&dir);
+            if best
+                .as_ref()
+                .is_none_or(|b| throughput.reports_per_sec > b.reports_per_sec)
+            {
+                best = Some(throughput);
+            }
+        }
+        Ok(best.expect("DURABILITY_REPS > 0"))
+    };
+
+    let baseline = best_of(None, "none")?;
+    let policies: [(&'static str, FsyncPolicy); 3] = [
+        ("off", FsyncPolicy::Off),
+        ("every:1048576", FsyncPolicy::EveryBytes(1 << 20)),
+        ("always", FsyncPolicy::Always),
+    ];
+    let mut taxes = Vec::new();
+    for (name, policy) in policies {
+        let throughput = best_of(Some(policy), &name.replace(':', "-"))?;
+        taxes.push(DurabilityTax {
+            policy: name,
+            ratio_vs_baseline: throughput.reports_per_sec / baseline.reports_per_sec,
+            throughput,
+        });
+    }
+    Ok((baseline, taxes))
+}
+
+fn main() {
+    // 1. The ≥1M-report degree-vector round at 1 and 4 connections,
+    //    honest + MGA-crafted.
+    let daemon = spawn_daemon(true).expect("daemon");
+    let mut client = CollectorClient::connect(daemon.0).expect("connect");
+    let degvec = run_degree_vector_round(&mut client, 1, ROUND_USERS, ROUND_GROUPS, MGA_BETA, 7)
+        .expect("degree-vector round");
     assert!(
         degvec.reports >= 1_000_000,
         "the headline round must carry ≥1M reports"
     );
     let degvec_multi = run_degree_vector_round_concurrent(
-        addr,
+        daemon.0,
         2,
         ROUND_USERS,
         ROUND_GROUPS,
-        LoadAttack::Mga,
-        0.01,
-        None,
+        MGA_BETA,
         CONNECTIONS,
         7,
     )
     .expect("concurrent degree-vector round");
-    let speedup = degvec_multi.reports_per_sec / degvec.reports_per_sec;
     eprintln!(
         "degree-vector: 1 conn {:.0} reports/s, {} conns {:.0} reports/s (x{:.2})",
-        degvec.reports_per_sec, CONNECTIONS, degvec_multi.reports_per_sec, speedup
+        degvec.reports_per_sec,
+        CONNECTIONS,
+        degvec_multi.reports_per_sec,
+        degvec_multi.reports_per_sec / degvec.reports_per_sec
     );
     // Loose floor: concurrency must never *halve* aggregate ingest (a
     // single-core box caps the ratio near 1; multi-core should exceed 2).
@@ -111,77 +478,44 @@ fn main() {
         "absolute aggregate floor: {:.0} reports/s",
         degvec_multi.reports_per_sec
     );
-
-    let adjacency = run_adjacency_round(
-        &mut client,
-        3,
-        ADJACENCY_USERS,
-        LoadAttack::Mga,
-        0.05,
-        None,
-        7,
-    )
-    .expect("adjacency round");
-
-    // 3. Concurrent sessions racing the same adjacency stream finalize
-    //    bit-identical to the in-process aggregation.
-    let adjacency_multi = assert_concurrent_adjacency_equivalence(
-        addr,
-        4,
-        ADJACENCY_USERS,
-        LoadAttack::Mga,
-        0.05,
-        CONNECTIONS,
-        7,
-    )
-    .expect("concurrent adjacency equivalence");
-    eprintln!(
-        "adjacency: 1 conn {:.0} reports/s, {} conns {:.0} reports/s, bit-identical",
-        adjacency.reports_per_sec, CONNECTIONS, adjacency_multi.reports_per_sec
-    );
     drop(client);
-    shutdown_daemon(addr, handle);
+    shutdown_daemon(daemon);
 
-    // 4. R simultaneous rounds on a fresh daemon: the aggregate ingest
-    //    of the round registry, then the R=4 adjacency bit-identity pin.
-    let (addr, handle) = spawn_daemon(8).expect("multi-round daemon");
+    // 2. R simultaneous rounds on a fresh daemon: the aggregate ingest
+    //    of the round registry.
+    let daemon = spawn_daemon(true).expect("multi-round daemon");
     let mut sweep = Vec::new();
     for rounds in ROUND_SWEEP {
-        let result =
-            run_simultaneous_degree_vector_rounds(addr, rounds, MULTI_ROUND_USERS, ROUND_GROUPS, 7)
-                .expect("simultaneous degree-vector rounds");
+        let result = run_simultaneous_degree_vector_rounds(
+            daemon.0,
+            rounds,
+            MULTI_ROUND_USERS,
+            ROUND_GROUPS,
+            7,
+        )
+        .expect("simultaneous degree-vector rounds");
         eprintln!(
-            "multi-round: {} simultaneous rounds x {} users in {:.3}s = {:.0} reports/s aggregate",
-            result.rounds,
-            result.users_per_round,
+            "multi-round: {rounds} simultaneous rounds x {MULTI_ROUND_USERS} users in {:.3}s \
+             = {:.0} reports/s aggregate",
             result.wall.as_secs_f64(),
             result.reports_per_sec
         );
-        sweep.push(result);
+        sweep.push((rounds, result.reports_per_sec));
     }
     // Loose floor, like the multi-connection one: multiplexing rounds
     // must never halve aggregate ingest relative to one round at a time.
     assert!(
-        sweep
-            .iter()
-            .all(|r| r.reports_per_sec >= 0.5 * sweep[0].reports_per_sec),
+        sweep.iter().all(|&(_, rate)| rate >= 0.5 * sweep[0].1),
         "aggregate throughput collapsed under simultaneous rounds: {:?}",
         sweep
             .iter()
-            .map(|r| (r.rounds, r.reports_per_sec as u64))
+            .map(|&(rounds, rate)| (rounds, rate as u64))
             .collect::<Vec<_>>()
     );
-    let multi_adjacency = assert_simultaneous_adjacency_equivalence(addr, 4, ADJACENCY_USERS, 7)
-        .expect("simultaneous adjacency equivalence");
-    eprintln!(
-        "multi-round adjacency: {} simultaneous rounds, each bit-identical, {:.0} reports/s aggregate",
-        multi_adjacency.rounds, multi_adjacency.reports_per_sec
-    );
-    shutdown_daemon(addr, handle);
+    shutdown_daemon(daemon);
 
-    // 5. Observability: the registry's per-report ticks stay inside the
-    //    3% budget, and scraping a live 2²⁰-report round reconciles
-    //    exactly with its close summary.
+    // 3. Observability: the registry's per-report ticks stay inside the
+    //    3% budget.
     let overhead =
         run_metrics_overhead(ROUND_USERS, ROUND_GROUPS, OVERHEAD_RUNS, OVERHEAD_BUDGET, 7)
             .expect("metrics overhead measurement");
@@ -197,14 +531,8 @@ fn main() {
         "metrics overhead x{:.3} blew the x{OVERHEAD_BUDGET} budget",
         overhead.ratio
     );
-    let scrape = assert_live_scrape_reconciles(ROUND_USERS, ROUND_GROUPS, 7)
-        .expect("live scrape reconciliation");
-    eprintln!(
-        "live scrape: {} mid-round scrapes, final fold counters == accepted == {}",
-        scrape.mid_scrapes, scrape.folded_total
-    );
 
-    // 6. Durability: the write-ahead journal's ingest tax per fsync
+    // 4. Durability: the write-ahead journal's ingest tax per fsync
     //    policy, against a journal-less baseline on the same round.
     let (wal_baseline, taxes) =
         run_durability_tax(DURABILITY_USERS, ROUND_GROUPS, 7).expect("durability tax");
@@ -218,108 +546,10 @@ fn main() {
         );
     }
     // Loose floor (CI boxes have wildly varying fsync latency): the
-    // journal with fsync *off* must never halve ingest. The recorded
-    // ratios are the trajectory signal.
+    // journal with fsync *off* must never halve ingest.
     assert!(
         taxes[0].ratio_vs_baseline >= 0.5,
         "fsync=off journaling halved ingest: x{:.3}",
         taxes[0].ratio_vs_baseline
     );
-
-    let durability_json: Vec<String> = taxes
-        .iter()
-        .map(|tax| {
-            format!(
-                "    {{ \"fsync\": \"{}\", \"wall_s\": {:.3}, \"reports_per_sec\": {:.0}, \
-                 \"ratio_vs_no_journal\": {:.3} }}",
-                tax.policy,
-                tax.throughput.wall.as_secs_f64(),
-                tax.throughput.reports_per_sec,
-                tax.ratio_vs_baseline
-            )
-        })
-        .collect();
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"rounds\": {}, \"users_per_round\": {}, \"wall_s\": {:.3}, \
-                 \"reports_per_sec\": {:.0} }}",
-                r.rounds,
-                r.users_per_round,
-                r.wall.as_secs_f64(),
-                r.reports_per_sec
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"collector\",\n  \"equivalence\": {{\n    \"users\": {},\n    \
-         \"bit_identical\": true,\n    \"in_process_ms\": {:.1},\n    \"wire_ms\": {:.1},\n    \
-         \"wire_over_in_process\": {:.3}\n  }},\n  \
-         \"degree_vector_round\": {{\n    \"users\": {},\n    \"groups\": {},\n    \
-         \"connections\": 1,\n    \"crafted_reports\": {},\n    \"wall_s\": {:.3},\n    \
-         \"reports_per_sec\": {:.0}\n  }},\n  \
-         \"degree_vector_round_concurrent\": {{\n    \"users\": {},\n    \"groups\": {},\n    \
-         \"connections\": {},\n    \"wall_s\": {:.3},\n    \"reports_per_sec\": {:.0},\n    \
-         \"speedup_vs_single\": {:.2}\n  }},\n  \
-         \"adjacency_round\": {{\n    \"users\": {},\n    \"connections\": 1,\n    \
-         \"crafted_reports\": {},\n    \"wall_s\": {:.3},\n    \"reports_per_sec\": {:.0}\n  }},\n  \
-         \"adjacency_round_concurrent\": {{\n    \"users\": {},\n    \"connections\": {},\n    \
-         \"bit_identical\": true,\n    \"wall_s\": {:.3},\n    \"reports_per_sec\": {:.0}\n  }},\n  \
-         \"multi_round\": [\n{}\n  ],\n  \
-         \"multi_round_adjacency\": {{\n    \"rounds\": {},\n    \"users_per_round\": {},\n    \
-         \"bit_identical\": true,\n    \"wall_s\": {:.3},\n    \"reports_per_sec\": {:.0}\n  }},\n  \
-         \"metrics_overhead\": {:.3},\n  \
-         \"metrics_overhead_detail\": {{\n    \"users\": {},\n    \"ab_pairs\": {},\n    \
-         \"instrumented_wall_s\": {:.3},\n    \"baseline_wall_s\": {:.3},\n    \
-         \"budget\": {:.2}\n  }},\n  \
-         \"live_scrape\": {{\n    \"users\": {},\n    \"mid_round_scrapes\": {},\n    \
-         \"folded_total\": {},\n    \"reconciles_with_summary\": true\n  }},\n  \
-         \"durability\": {{\n    \"users\": {},\n    \"no_journal_reports_per_sec\": {:.0},\n    \
-         \"policies\": [\n{}\n    ]\n  }},\n  \
-         \"peak_rss_bytes\": {}\n}}\n",
-        eq.users,
-        eq.in_process.as_secs_f64() * 1e3,
-        eq.wire.as_secs_f64() * 1e3,
-        wire_over_in_process,
-        degvec.reports,
-        ROUND_GROUPS,
-        degvec.crafted,
-        degvec.wall.as_secs_f64(),
-        degvec.reports_per_sec,
-        degvec_multi.reports,
-        ROUND_GROUPS,
-        CONNECTIONS,
-        degvec_multi.wall.as_secs_f64(),
-        degvec_multi.reports_per_sec,
-        speedup,
-        adjacency.reports,
-        adjacency.crafted,
-        adjacency.wall.as_secs_f64(),
-        adjacency.reports_per_sec,
-        adjacency_multi.reports,
-        CONNECTIONS,
-        adjacency_multi.wall.as_secs_f64(),
-        adjacency_multi.reports_per_sec,
-        sweep_json.join(",\n"),
-        multi_adjacency.rounds,
-        multi_adjacency.users_per_round,
-        multi_adjacency.wall.as_secs_f64(),
-        multi_adjacency.reports_per_sec,
-        overhead.ratio,
-        overhead.users,
-        overhead.runs,
-        overhead.instrumented_wall.as_secs_f64(),
-        overhead.baseline_wall.as_secs_f64(),
-        OVERHEAD_BUDGET,
-        scrape.throughput.reports,
-        scrape.mid_scrapes,
-        scrape.folded_total,
-        DURABILITY_USERS,
-        wal_baseline.reports_per_sec,
-        durability_json.join(",\n"),
-        peak_rss_bytes(),
-    );
-    std::fs::write("BENCH_collector.json", &json).expect("write BENCH_collector.json");
-    print!("{json}");
 }

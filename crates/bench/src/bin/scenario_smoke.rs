@@ -1,69 +1,25 @@
-//! Scenario-engine smoke benchmark: the unified builder versus a
-//! hand-inlined replica of the pre-refactor exact pipeline, written to
-//! `BENCH_scenario.json` for the perf trajectory (CI runs this after the
-//! bench smoke step, alongside `BENCH_ingest.json`).
+//! Scenario-engine smoke benchmark, run in CI after the bench smoke
+//! step: the unified builder versus [`manual_exact_degree`], the
+//! hand-inlined replica of the pre-refactor exact pipeline.
 //!
-//! The two paths are asserted bit-identical first; the JSON then records
-//! median-of-reps wall-clock for each and the engine's relative overhead,
-//! which must stay small (the builder adds trait dispatch and adapters,
-//! not protocol work — target ≤ 2%, hard-failed at 25% to catch gross
-//! regressions without flaking on machine noise).
+//! The two paths are asserted bit-identical first; then the
+//! median-of-reps wall-clock of each and the engine's relative overhead
+//! are printed to stderr. The overhead must stay small (the builder adds
+//! trait dispatch and adapters, not protocol work — target ≤ 2%,
+//! hard-failed at 25% to catch gross regressions without flaking on
+//! machine noise).
 
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
-use ldp_protocols::protocol::STREAM_ATTACK;
 use ldp_protocols::{LfGdpr, Metric};
+use poison_bench::manual_exact_degree;
 use poison_core::scenario::Scenario;
-use poison_core::{
-    craft_reports, AttackOutcome, AttackStrategy, AttackerKnowledge, Mga, MgaOptions, TargetMetric,
-    TargetSelection, ThreatModel,
-};
+use poison_core::{Mga, TargetSelection, ThreatModel};
 use std::time::Instant;
 
 const NODES: usize = 400;
 const REPS: usize = 7;
 const SEED: u64 = 61;
-
-/// What `run_lfgdpr_attack` did before it became a wrapper over the
-/// engine, inlined.
-fn manual_exact_degree(
-    graph: &ldp_graph::CsrGraph,
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    seed: u64,
-) -> AttackOutcome {
-    let extended = graph.with_isolated_nodes(threat.m_fake);
-    let base = Xoshiro256pp::new(seed);
-    let mut reports = protocol.collect_honest(&extended, &base);
-    let view_before = protocol.aggregate(&reports);
-    let before: Vec<f64> = threat
-        .targets
-        .iter()
-        .map(|&t| view_before.degree_centrality(t))
-        .collect();
-    let knowledge =
-        AttackerKnowledge::derive(protocol, threat.population(), graph.average_degree());
-    let mut attack_rng = base.derive(STREAM_ATTACK);
-    let crafted = craft_reports(
-        AttackStrategy::Mga,
-        TargetMetric::DegreeCentrality,
-        protocol,
-        threat,
-        &knowledge,
-        MgaOptions::default(),
-        &mut attack_rng,
-    );
-    for (offset, report) in crafted.into_iter().enumerate() {
-        reports[threat.n_genuine + offset] = report;
-    }
-    let view_after = protocol.aggregate(&reports);
-    let after: Vec<f64> = threat
-        .targets
-        .iter()
-        .map(|&t| view_after.degree_centrality(t))
-        .collect();
-    AttackOutcome::new(before, after)
-}
 
 fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -112,13 +68,10 @@ fn main() {
     let builder_ms = median_ms(engine_samples);
     let overhead_pct = (builder_ms - manual_ms) / manual_ms * 100.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"scenario\",\n  \"n\": {NODES},\n  \"reps\": {REPS},\n  \
-         \"manual_ms\": {manual_ms:.3},\n  \"builder_ms\": {builder_ms:.3},\n  \
-         \"engine_overhead_pct\": {overhead_pct:.2}\n}}\n"
+    eprintln!(
+        "scenario engine: n={NODES}, {REPS} reps, manual {manual_ms:.3} ms, \
+         builder {builder_ms:.3} ms, overhead {overhead_pct:.2}%"
     );
-    std::fs::write("BENCH_scenario.json", &json).expect("write BENCH_scenario.json");
-    print!("{json}");
 
     assert!(
         overhead_pct < 25.0,

@@ -11,8 +11,9 @@
 //! the finalized view shipped back. Because the daemon's sharded fold is
 //! bit-identical to the in-process one, a `Scenario` run through this
 //! bridge produces a `ScenarioReport` **bit-identical** to the in-process
-//! engine at the same seed — pinned by `tests/loopback.rs` and the CI
-//! `collector_smoke` step at 10k users.
+//! engine at the same seed — pinned by `tests/loopback.rs`
+//! (`scenario_over_the_wire_is_bit_identical`: MGA + Detect2, three
+//! trials).
 //!
 //! ```no_run
 //! use ldp_collector::ServeScenario;

@@ -1,6 +1,6 @@
 //! The collection client: typed calls over the frame protocol.
 //!
-//! [`CollectorClient`] is what simulated users (the load generator), the
+//! [`CollectorClient`] is what simulated users (perfbench, the benches), the
 //! scenario bridge, and operational tooling speak to a
 //! [`crate::server::CollectorServer`]. Reports are written through a
 //! buffered stream and are unacknowledged (see the server docs for why);

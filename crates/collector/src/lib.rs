@@ -80,7 +80,7 @@
 //! [`ldp_protocols::PerturbedView`]; **degree-vector** rounds
 //! (LDPGen-style) keep `O(shards·groups)` running totals, which is what
 //! lets a million-user round run in constant aggregate memory — the
-//! regime the `collector_loadgen` bench exercises.
+//! regime perfbench's `degvec_stream` workload exercises.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -121,8 +121,8 @@ pub struct CollectorConfig {
     pub memory_budget: u64,
     /// Whether the observability plane records (default `true`). Off, every
     /// hot-path instrumentation site reduces to one predictable branch —
-    /// the baseline the `collector_smoke` bench measures its
-    /// `metrics_overhead` ratio against. The scrape surface (`STATS`
+    /// the baseline of the `collector_smoke` bench's `metrics_overhead`
+    /// ≤ 1.03 gate. The scrape surface (`STATS`
     /// frames, [`crate::CollectorMetrics::render_text`]) stays structurally
     /// valid either way, reading zeros while off.
     pub metrics: bool,

@@ -272,8 +272,7 @@ impl CollectorServer {
     }
 
     /// Binds to a loopback ephemeral port and serves on a background
-    /// thread — the one-call setup tests, benches, and the load generator
-    /// use. Returns the address to connect to and the thread handle
+    /// thread — the one-call setup tests and benches use. Returns the address to connect to and the thread handle
     /// (joins once a client sends `SHUTDOWN`).
     ///
     /// # Errors

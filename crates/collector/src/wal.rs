@@ -50,8 +50,9 @@
 //! [`CollectorError::BadJournal`] (clear the data dir to proceed) when
 //! the surviving pages have holes. Checkpoint markers and `FINALIZE`
 //! records are synced under every policy — they gate deletions, which
-//! are not take-backable. The `collector_smoke` bench records the ingest
-//! tax of each policy in `BENCH_collector.json`.
+//! are not take-backable. The `collector_smoke` bench prints the ingest
+//! tax of each policy against a journal-less daemon and fails if `Off`
+//! costs more than half the throughput.
 //!
 //! ## Checkpoint coordination
 //!

@@ -11,7 +11,11 @@ use ldp_collector::{
 };
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
+use ldp_protocols::protocol::STREAM_ATTACK;
 use ldp_protocols::{AdjacencyReport, LfGdpr, UserReport};
+use poison_core::{
+    craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, ThreatModel,
+};
 use std::net::SocketAddr;
 
 fn spawn_daemon(
@@ -49,52 +53,84 @@ fn assert_views_identical(a: &ldp_protocols::PerturbedView, b: &ldp_protocols::P
     }
 }
 
+/// [`honest_reports`] over `n - m_fake` genuine users, with the last
+/// `m_fake` ids' reports crafted by MGA: every fake row sets the same
+/// target columns, so uploaders fold crafted bits into shared columns.
+fn mga_tailed_reports(n: usize, m_fake: usize, seed: u64) -> (LfGdpr, Vec<AdjacencyReport>) {
+    let n_genuine = n - m_fake;
+    let g = Dataset::Facebook
+        .generate_with_nodes(n_genuine, 3)
+        .with_isolated_nodes(m_fake);
+    let proto = LfGdpr::new(4.0).unwrap();
+    let base = Xoshiro256pp::new(seed);
+    let mut reports = proto.collect_honest(&g, &base);
+    let threat = ThreatModel::explicit(n_genuine, m_fake, (0..n_genuine).step_by(12).collect());
+    let knowledge = AttackerKnowledge::derive(&proto, n, g.average_degree());
+    let crafted = craft_reports(
+        AttackStrategy::Mga,
+        TargetMetric::DegreeCentrality,
+        &proto,
+        &threat,
+        &knowledge,
+        MgaOptions::default(),
+        &mut base.derive(STREAM_ATTACK),
+    );
+    assert_eq!(crafted.len(), m_fake);
+    reports.splice(n_genuine.., crafted);
+    (proto, reports)
+}
+
 /// Four clients stream disjoint contiguous id slices concurrently (small
 /// batch size, so many REPORT_BATCH frames interleave); the finalized
-/// view is bit-identical to the in-process aggregation.
+/// view is bit-identical to the in-process aggregation. Run on an honest
+/// round and on one whose last 12 ids carry an MGA-crafted tail.
 #[test]
 fn disjoint_concurrent_clients_match_in_process() {
     let n = 240;
-    let (proto, reports) = honest_reports(n, 21);
-    let reference = proto.aggregate(&reports);
-
     let (addr, handle) = spawn_daemon(8);
     let mut coordinator = CollectorClient::connect(addr).unwrap();
-    coordinator
-        .open_round(
-            1,
-            RoundChannel::Adjacency {
-                population: n,
-                p_keep: proto.p_keep(),
-            },
-            None,
-        )
-        .unwrap();
-    let connections = 4;
-    std::thread::scope(|scope| {
-        for c in 0..connections {
-            let reports = &reports;
-            scope.spawn(move || {
-                let mut client = CollectorClient::connect(addr)
-                    .expect("worker connect")
-                    .with_batch_size(7);
-                client.set_round(1).expect("set round");
-                let lo = n * c / connections;
-                let hi = n * (c + 1) / connections;
-                for (id, report) in reports.iter().enumerate().take(hi).skip(lo) {
-                    client.queue_adjacency_report(id as u64, report).unwrap();
-                }
-                // Barrier: the ACK proves this session's reports are
-                // folded before the coordinator closes.
-                client.sync().expect("sync");
-            });
-        }
-    });
-    let summary = coordinator.close_round(1).unwrap();
-    assert_eq!(summary.counters.accepted, n as u64);
-    assert_eq!(summary.counters.rejected_duplicate, 0);
-    let view = coordinator.finalize_adjacency(1).unwrap();
-    assert_views_identical(&view, &reference);
+    for (round, (proto, reports)) in [honest_reports(n, 21), mga_tailed_reports(n, 12, 21)]
+        .into_iter()
+        .enumerate()
+    {
+        let round = round as u64 + 1;
+        let reference = proto.aggregate(&reports);
+        coordinator
+            .open_round(
+                round,
+                RoundChannel::Adjacency {
+                    population: n,
+                    p_keep: proto.p_keep(),
+                },
+                None,
+            )
+            .unwrap();
+        let connections = 4;
+        std::thread::scope(|scope| {
+            for c in 0..connections {
+                let reports = &reports;
+                scope.spawn(move || {
+                    let mut client = CollectorClient::connect(addr)
+                        .expect("worker connect")
+                        .with_batch_size(7);
+                    client.set_round(round).expect("set round");
+                    let lo = n * c / connections;
+                    let hi = n * (c + 1) / connections;
+                    for (id, report) in reports.iter().enumerate().take(hi).skip(lo) {
+                        client.queue_adjacency_report(id as u64, report).unwrap();
+                    }
+                    // Barrier: the ACK proves this session's reports are
+                    // folded before the coordinator closes.
+                    client.sync().expect("sync");
+                });
+            }
+        });
+        let summary = coordinator.close_round(round).unwrap();
+        assert_eq!(summary.counters.accepted, n as u64);
+        assert_eq!(summary.counters.rejected_duplicate, 0);
+        let view = coordinator.finalize_adjacency(round).unwrap();
+        assert_views_identical(&view, &reference);
+    }
     drop(coordinator);
     shutdown(addr, handle);
 }

@@ -297,10 +297,9 @@ impl Registry {
     }
 }
 
-/// Renders a snapshot (local or decoded off the wire) as
-/// Prometheus-style text lines — the shared formatter behind
-/// [`Registry::render_text`] and the load generator's `--dump-metrics`.
-pub fn render_samples(samples: &[Sample]) -> String {
+/// Renders a snapshot as Prometheus-style text lines; the formatter
+/// behind [`Registry::render_text`].
+fn render_samples(samples: &[Sample]) -> String {
     let mut out = String::new();
     for s in samples {
         match &s.value {
