@@ -12,6 +12,7 @@
 //! partner bitsets, so counting the pairs a transaction contains is also
 //! word-parallel.
 
+use ldp_graph::popcount::and_popcount;
 use ldp_graph::BitSet;
 
 /// A frequent itemset: sorted item ids plus its support count.
@@ -233,11 +234,7 @@ impl PairIndex {
         row.iter_ones()
             .filter_map(|a| Some((a / 64, self.partners[a].as_ref()?)))
             .map(|(from, partners)| {
-                partners.words()[from..]
-                    .iter()
-                    .zip(&words[from..])
-                    .map(|(p, r)| (p & r).count_ones() as usize)
-                    .sum::<usize>()
+                and_popcount(&partners.words()[from..], &words[from..]) as usize
             })
             .sum()
     }

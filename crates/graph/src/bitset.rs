@@ -4,7 +4,9 @@
 //! whose `j`-th bit says whether an edge `{i, j}` exists. Users perturb this
 //! vector with randomized response and upload it, so the bitset is the
 //! central data structure of the whole pipeline. It is stored as `u64`
-//! words; all counting operations use hardware popcount.
+//! words; all counting operations go through [`crate::popcount`].
+
+use crate::popcount::{and_popcount, popcount};
 
 /// A fixed-capacity packed bitset.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -100,21 +102,17 @@ impl BitSet {
 
     /// Number of set bits. For an adjacency bit vector this is the degree.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        popcount(&self.words) as usize
     }
 
-    /// `|self ∩ other|` — the popcount of the bitwise AND. This is the inner
-    /// loop of triangle counting on perturbed graphs.
+    /// `|self ∩ other|` — the popcount of the bitwise AND. This is
+    /// Detect1's level-2 support count: the AND of two item columns.
     ///
     /// # Panics
     /// Panics if capacities differ.
     pub fn intersection_count(&self, other: &BitSet) -> usize {
         assert_eq!(self.nbits, other.nbits, "bitset capacities differ");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        and_popcount(&self.words, &other.words) as usize
     }
 
     /// In-place union: `self |= other`.

@@ -24,6 +24,10 @@
 //! * Synthetic stand-ins for the four SNAP datasets of the paper
 //!   (see [`datasets`]), plus edge-list I/O (see [`io`]) so real datasets can
 //!   be dropped in when available.
+//! * Word-slice popcounts (see [`popcount`]), shared by every dense bit
+//!   kernel, with an AVX-512 VPOPCNTDQ path selected at run time. It is
+//!   the crate's one module allowed `unsafe` (the crate denies it
+//!   elsewhere; every other crate forbids it).
 //! * A shared parallel [`runtime`]: order-preserving `parallel_map` and
 //!   disjoint-chunk `parallel_chunks_mut` over scoped threads, used by the
 //!   protocol ingestion and experiment layers above.
@@ -33,7 +37,7 @@
 //! PRNG is provided for the simulation-heavy upper layers.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod bitset;
 pub mod builder;
@@ -45,6 +49,8 @@ pub mod error;
 pub mod generate;
 pub mod io;
 pub mod metrics;
+#[allow(unsafe_code)]
+pub mod popcount;
 pub mod rng;
 pub mod runtime;
 

@@ -14,6 +14,11 @@ use rand::Rng;
 /// Populations around the 64-bit word and block boundaries.
 const KERNEL_SIZES: [usize; 8] = [1, 2, 63, 64, 65, 127, 129, 200];
 
+/// Populations whose row prefixes reach 9 and 17 words, so the triangle
+/// kernel's prefix AND-popcount runs the vector loops of
+/// `ldp_graph::popcount`, not only their scalar remainder.
+const VECTOR_SIZES: [usize; 2] = [600, 1_100];
+
 /// A random symmetric, zero-diagonal matrix; each slot is set with
 /// probability `2^-density_shift`.
 fn random_symmetric(n: usize, density_shift: u32, rng: &mut Xoshiro256pp) -> BitMatrix {
@@ -28,14 +33,46 @@ fn random_symmetric(n: usize, density_shift: u32, rng: &mut Xoshiro256pp) -> Bit
     m
 }
 
-/// `Σ_{v ∈ N(u)} |N(u) ∩ N(v)| / 2`, straight from the definition.
+/// The edges among `N(u)`, straight from the definition. Single-bit
+/// probes only: the reference shares no code with the popcount kernels.
 fn naive_triangles(m: &BitMatrix, u: usize) -> u64 {
-    let twice: usize = m
-        .row_indices(u)
-        .into_iter()
-        .map(|v| m.common_neighbors(u, v))
-        .sum();
-    twice as u64 / 2
+    let n = m.num_nodes();
+    let neighbors: Vec<usize> = (0..n).filter(|&v| m.has_edge(u, v)).collect();
+    let mut count = 0;
+    for (i, &v) in neighbors.iter().enumerate() {
+        for &w in &neighbors[i + 1..] {
+            count += u64::from(m.has_edge(v, w));
+        }
+    }
+    count
+}
+
+/// The row-streamed kernel equals the naive count on an unsorted node
+/// list of `len` random nodes plus a duplicate, on all nodes in reverse
+/// order and on the empty list, at several thread counts.
+fn check_triangles_at_many(
+    n: usize,
+    density_shift: u32,
+    seed: u64,
+    len: usize,
+) -> Result<(), TestCaseError> {
+    let mut rng = Xoshiro256pp::new(seed);
+    let m = random_symmetric(n, density_shift, &mut rng);
+    let naive: Vec<u64> = (0..n).map(|u| naive_triangles(&m, u)).collect();
+    let mut nodes: Vec<usize> = (0..len).map(|_| rng.gen_range(0..n)).collect();
+    if let Some(&first) = nodes.first() {
+        nodes.push(first);
+    }
+    let reversed: Vec<usize> = (0..n).rev().collect();
+    for threads in [1, 2, 3, 7] {
+        let got = m.triangles_at_many(&nodes, threads);
+        prop_assert_eq!(got, nodes.iter().map(|&u| naive[u]).collect::<Vec<_>>());
+        let got = m.triangles_at_many(&reversed, threads);
+        prop_assert_eq!(got, reversed.iter().map(|&u| naive[u]).collect::<Vec<_>>());
+        prop_assert!(m.triangles_at_many(&[], threads).is_empty());
+    }
+    prop_assert_eq!(m.triangles_per_node(), naive);
+    Ok(())
 }
 
 proptest! {
@@ -139,23 +176,7 @@ proptest! {
         density_shift in 1u32..4,
         len in 0usize..16,
     ) {
-        let n = KERNEL_SIZES[size];
-        let mut rng = Xoshiro256pp::new(seed);
-        let m = random_symmetric(n, density_shift, &mut rng);
-        let naive: Vec<u64> = (0..n).map(|u| naive_triangles(&m, u)).collect();
-        let mut nodes: Vec<usize> = (0..len).map(|_| rng.gen_range(0..n)).collect();
-        if let Some(&first) = nodes.first() {
-            nodes.push(first);
-        }
-        let reversed: Vec<usize> = (0..n).rev().collect();
-        for threads in [1, 2, 3, 7] {
-            let got = m.triangles_at_many(&nodes, threads);
-            prop_assert_eq!(got, nodes.iter().map(|&u| naive[u]).collect::<Vec<_>>());
-            let got = m.triangles_at_many(&reversed, threads);
-            prop_assert_eq!(got, reversed.iter().map(|&u| naive[u]).collect::<Vec<_>>());
-            prop_assert!(m.triangles_at_many(&[], threads).is_empty());
-        }
-        prop_assert_eq!(m.triangles_per_node(), naive);
+        check_triangles_at_many(KERNEL_SIZES[size], density_shift, seed, len)?;
     }
 
     /// The blocked mirror of a lower triangle, with some of its upper
@@ -188,6 +209,24 @@ proptest! {
         prop_assert_eq!(&m, &reference);
         m.mirror_lower();
         prop_assert_eq!(&m, &reference);
+    }
+}
+
+proptest! {
+    // The reference is cubic in the node count; fewer, sparser cases keep
+    // the debug-build test time in check.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// As `triangles_at_many_matches_naive`, at populations large enough
+    /// for the vector popcount loops.
+    #[test]
+    fn triangles_at_many_matches_naive_on_long_rows(
+        seed in 0u64..1_000_000,
+        size in 0usize..2,
+        density_shift in 3u32..6,
+        len in 0usize..16,
+    ) {
+        check_triangles_at_many(VECTOR_SIZES[size], density_shift, seed, len)?;
     }
 }
 

@@ -934,10 +934,9 @@ pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
     }
     let mut matrix = BitMatrix::new(n);
     for (u, &d) in perturbed.iter().enumerate() {
-        let row = matrix.rows_mut(u, u + 1);
-        get_u64s(&mut buf, row)?;
+        get_u64s(&mut buf, matrix.rows_mut(u, u + 1))?;
         // Each degree is checked while its row is still in cache.
-        if row.iter().map(|w| w.count_ones() as usize).sum::<usize>() != d {
+        if matrix.degree(u) != d {
             return Err(WireError::BadValue {
                 field: "perturbed_degree",
             });
