@@ -284,9 +284,10 @@ mod tests {
                 .unwrap();
         }
         reference.close_round(5).unwrap();
-        let RoundOutcome::Adjacency(reference_view) = reference.finalize(5).unwrap() else {
+        let RoundOutcome::Adjacency(finalized) = reference.finalize(5).unwrap() else {
             panic!("adjacency outcome expected");
         };
+        let reference_view = finalized.into_view();
 
         // Interrupted run: ingest 40, checkpoint, drop, resume, finish.
         // Opened as tenant 9 to pin that resume restores ownership.
@@ -330,9 +331,10 @@ mod tests {
         let counters = resumed.close_round(5).unwrap();
         assert_eq!(counters.accepted, n as u64);
         assert_eq!(counters.rejected_duplicate, 1);
-        let RoundOutcome::Adjacency(view) = resumed.finalize(5).unwrap() else {
+        let RoundOutcome::Adjacency(finalized) = resumed.finalize(5).unwrap() else {
             panic!("adjacency outcome expected");
         };
+        let view = finalized.into_view();
         assert_eq!(view.matrix(), reference_view.matrix());
         assert_eq!(view.reported_degrees(), reference_view.reported_degrees());
         for u in 0..n {

@@ -25,8 +25,10 @@
 //!   both channels (exactly what a checkpoint stores); the lower-triangle
 //!   ownership rule of the in-process ingestion engine extends to
 //!   out-of-order, multi-session arrival (OR-folds into exclusively
-//!   owned rows commute), so concurrent folds merge by row copy into a
-//!   finalize that is bit-identical however sessions interleave.
+//!   owned rows commute), so the shards together hold the view's lower
+//!   triangle, bit-identical however sessions interleave, and a
+//!   finalize encodes the `VIEW` reply straight from them
+//!   ([`FinalizedShards`]).
 //! * [`checkpoint`] — snapshot/restore of an in-flight round: the
 //!   snapshot quiesces concurrent sessions at a frame boundary, and
 //!   [`RoundCollector::resume_round_into`] restores it — all or nothing —
@@ -45,8 +47,9 @@
 //! * [`server`] / [`client`] — the TCP daemon over
 //!   [`std::net::TcpListener`] and its typed client, speaking the
 //!   [`ldp_protocols::wire`] frame codec (length-prefixed frames, varint
-//!   ids, bit-packed rows, versioned handshake — **wire v2** routes every
-//!   report frame by round id). The daemon serves up to
+//!   ids, bit-packed rows, versioned handshake — every report frame is
+//!   routed by round id, and **wire v3** ships a finalized view as its
+//!   lower triangle). The daemon serves up to
 //!   [`CollectorConfig::max_sessions`] connections on a bounded pool of
 //!   [`CollectorConfig::worker_threads`] workers (no thread per session),
 //!   refusing past-cap connects with a typed `SESSION_CAP` error instead
@@ -106,4 +109,5 @@ pub use round::{
     CollectorConfig, IngestOutcome, RoundChannel, RoundCollector, RoundCounters, RoundOutcome,
 };
 pub use server::CollectorServer;
+pub use shard::FinalizedShards;
 pub use wal::{FsyncPolicy, Recovery};

@@ -98,7 +98,8 @@ pub struct CollectorMetrics {
     pub(crate) open_nanos: Arc<Histogram>,
     /// Duration of round closes (including the quiesce), nanoseconds.
     pub(crate) close_nanos: Arc<Histogram>,
-    /// Duration of round finalizations, nanoseconds.
+    /// Duration of round finalizations, nanoseconds; on the daemon this
+    /// includes encoding the reply payload.
     pub(crate) finalize_nanos: Arc<Histogram>,
     /// Duration of checkpoint snapshots, nanoseconds.
     pub(crate) checkpoint_nanos: Arc<Histogram>,

@@ -56,12 +56,11 @@
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::shard::Shards;
+use crate::shard::{FinalizedShards, Shards};
 use ldp_graph::runtime::default_threads;
 use ldp_mechanisms::RandomizedResponse;
 use ldp_obs::TraceEvent;
-use ldp_protocols::ingest::finalize_lower;
-use ldp_protocols::{PerturbedView, UserReport};
+use ldp_protocols::UserReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -79,11 +78,10 @@ pub struct CollectorConfig {
     /// cap of 16,384 users and ≈ 1.4 GiB at Google+ scale (`N = 107,614`),
     /// which is why oversize rounds are refused with a typed
     /// [`CollectorError::PopulationCap`] instead of found out by the OOM
-    /// killer. Independently of this knob, a population whose finalized
-    /// view cannot fit one wire frame
-    /// ([`ldp_protocols::wire::MAX_FRAME_LEN`], `N ≈ 23,000`) is refused
-    /// at open — never discovered at finalize with the round already
-    /// consumed.
+    /// killer. Independently of this knob, populations above 23,000 are
+    /// refused at open, so a finalized view always fits one wire frame
+    /// ([`ldp_protocols::wire::MAX_FRAME_LEN`]) — never discovered at
+    /// finalize with the round already consumed.
     pub max_population: usize,
     /// Largest degree-vector-round population. That channel's state is
     /// only `O(N/8)` seen-bitmap bytes plus `O(shards·groups)` sums, so
@@ -179,8 +177,9 @@ impl CollectorConfig {
 /// The channel a round collects on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoundChannel {
-    /// LF-GDPR adjacency reports; finalizes into a [`PerturbedView`]
-    /// calibrated for the given keep probability.
+    /// LF-GDPR adjacency reports; finalizes into a
+    /// [`PerturbedView`](ldp_protocols::PerturbedView) calibrated for the
+    /// given keep probability.
     Adjacency {
         /// Population `N` (one report per user).
         population: usize,
@@ -208,11 +207,15 @@ impl RoundChannel {
 
     /// Bytes a round on this channel charges against
     /// [`CollectorConfig::memory_budget`] while open — the same math the
-    /// population caps price refusals with: the dense `O(N²/8)` aggregate
-    /// for adjacency rounds, the `O(N/8)` seen-bitmaps plus
-    /// `O(shards·groups)` sums for degree-vector rounds. The price is
-    /// computed (and the admission decision made) *before* anything is
-    /// allocated.
+    /// population caps price refusals with: `N²/8` for adjacency rounds,
+    /// the `O(N/8)` seen-bitmaps plus `O(shards·groups)` sums for
+    /// degree-vector rounds. The price is computed (and the admission
+    /// decision made) *before* anything is allocated.
+    ///
+    /// An adjacency round's daemon-side peak is its triangular shards
+    /// (`≈ N²/16`) plus, during `FINALIZE`, the `VIEW` reply encoded from
+    /// them (another `≈ N²/16`); no full matrix is ever built in the
+    /// daemon, so `N²/8` prices that peak.
     pub fn memory_cost(&self, shards: usize) -> u64 {
         match *self {
             RoundChannel::Adjacency { population, .. } => {
@@ -269,9 +272,12 @@ pub enum IngestOutcome {
 /// A finalized round.
 #[derive(Debug)]
 pub enum RoundOutcome {
-    /// The adjacency channel's server view, bit-identical to the
-    /// in-process aggregation of the same reports.
-    Adjacency(PerturbedView),
+    /// The adjacency channel's aggregate, still in its shards: the daemon
+    /// encodes the `VIEW` reply from it ([`FinalizedShards::encode`]), an
+    /// in-process caller takes the server view
+    /// ([`FinalizedShards::into_view`]), bit-identical to the in-process
+    /// aggregation of the same reports.
+    Adjacency(FinalizedShards),
     /// The degree-vector channel's running aggregate.
     DegreeVector {
         /// Per-group totals over all accepted vectors.
@@ -393,10 +399,15 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 impl RoundCollector {
-    /// Largest adjacency population whose finalized view — `N²/8` matrix
-    /// bytes plus ≤ 11 bytes of degree fields per user and a small
-    /// header — fits a single [`ldp_protocols::wire::MAX_FRAME_LEN`]
-    /// frame. Checked against the real encoding by a unit test.
+    /// Largest adjacency population admitted regardless of
+    /// `max_population`, so a finalized view always fits a single
+    /// [`ldp_protocols::wire::MAX_FRAME_LEN`] frame. The value was sized
+    /// for the wire-v2 view (the full `N²/8` matrix plus degree fields);
+    /// the v3 view ships only the lower triangle,
+    /// [`ldp_protocols::wire::view_payload_len`] `≈ N²/16 + 8N` bytes,
+    /// so at 23,000 users it fills about half a frame and the cap is
+    /// conservative. Raising it is a population-cap change, not a wire
+    /// one. A unit test checks the exact v3 size against the frame.
     const WIRE_VIEW_CAP: usize = 23_000;
 
     /// Creates an engine with the given configuration.
@@ -788,13 +799,31 @@ impl RoundCollector {
     /// Finalizes the named round into its aggregate, consuming the round
     /// state, removing it from the registry, and refunding its memory
     /// charge. Requires every user to have reported exactly once. The
-    /// merge itself runs outside every lock, so other rounds keep
+    /// finalize itself runs outside every lock, so other rounds keep
     /// ingesting and finalizing meanwhile.
     ///
     /// # Errors
     /// [`CollectorError::RoundIncomplete`] while reports are outstanding;
     /// [`CollectorError::UnknownRound`] when no round has this id.
     pub fn finalize(&self, round_id: u64) -> Result<RoundOutcome, CollectorError> {
+        self.finalize_then(round_id, |outcome| outcome)
+    }
+
+    /// [`Self::finalize`], then `reply` on the outcome, both inside the
+    /// `round_finalize_nanos` measurement. The daemon encodes its reply
+    /// payload here, so the histogram covers its whole `FINALIZE`, from
+    /// taking the round to having the reply bytes.
+    ///
+    /// Kept out of line: inlined into the daemon's frame-apply function,
+    /// which also runs every report-batch fold, it cost the journaled
+    /// degree-vector ingest about 5% (perfbench `durable_multitenant`,
+    /// 13 alternating pairs on a 2-core x86-64 container).
+    #[inline(never)]
+    pub(crate) fn finalize_then<T>(
+        &self,
+        round_id: u64,
+        reply: impl FnOnce(RoundOutcome) -> T,
+    ) -> Result<T, CollectorError> {
         let finalize_begin = self.metrics.active().then(Instant::now);
         let slot = self.slot(round_id)?;
         let (round, accepted) = {
@@ -828,16 +857,13 @@ impl RoundCollector {
             }
         }
         // Only adjacency rounds carry a flip mechanism.
-        let outcome = match round.rr {
-            Some(rr) => {
-                let (matrix, degrees) = round.shards.merge();
-                RoundOutcome::Adjacency(finalize_lower(matrix, degrees, rr, self.config.threads))
-            }
+        let outcome = reply(match round.rr {
+            Some(rr) => RoundOutcome::Adjacency(round.shards.finalize(rr, self.config.threads)),
             None => RoundOutcome::DegreeVector {
                 group_totals: round.shards.group_totals(),
                 accepted,
             },
-        };
+        });
         if let Some(begin) = finalize_begin {
             self.metrics
                 .finalize_nanos
@@ -903,9 +929,10 @@ mod tests {
         let counters = engine.close_round(1).unwrap();
         assert_eq!(counters.accepted, n as u64);
         assert_eq!(counters.rejected_duplicate, 0);
-        let RoundOutcome::Adjacency(view) = engine.finalize(1).unwrap() else {
+        let RoundOutcome::Adjacency(finalized) = engine.finalize(1).unwrap() else {
             panic!("adjacency round must finalize into a view");
         };
+        let view = finalized.into_view();
 
         let trait_obj: &dyn GraphLdpProtocol = &proto;
         let in_process = trait_obj
@@ -979,9 +1006,10 @@ mod tests {
             }
             let counters = engine.close_round(9).unwrap();
             assert_eq!(counters.accepted, n as u64);
-            let RoundOutcome::Adjacency(view) = engine.finalize(9).unwrap() else {
+            let RoundOutcome::Adjacency(finalized) = engine.finalize(9).unwrap() else {
                 panic!("adjacency round expected");
             };
+            let view = finalized.into_view();
             (counters, view)
         };
 
@@ -1156,10 +1184,10 @@ mod tests {
                 ..
             }
         ));
-        // The wire cap itself is honest: a view at that population fits
-        // one frame (N²/8 matrix bytes + ≤11 per-user degree bytes).
-        let n = RoundCollector::WIRE_VIEW_CAP as u64;
-        assert!(n * n / 8 + 11 * n + 32 <= ldp_protocols::wire::MAX_FRAME_LEN as u64);
+        // The wire cap itself is honest: a view at that population, kind
+        // byte included, fits one frame.
+        let n = RoundCollector::WIRE_VIEW_CAP;
+        assert!(ldp_protocols::wire::view_payload_len(n) < ldp_protocols::wire::MAX_FRAME_LEN);
     }
 
     #[test]

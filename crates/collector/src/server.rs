@@ -26,7 +26,7 @@
 //! sessions and other rounds interleave (OR-folds into
 //! exclusively-owned rows commute).
 //!
-//! ## Frame protocol (wire version 2)
+//! ## Frame protocol (wire version 3)
 //!
 //! | kind | direction | payload |
 //! |------|-----------|---------|
@@ -42,7 +42,7 @@
 //! | `ACK` `0x81` | s→c | empty |
 //! | `ERR` `0x82` | s→c | code byte + message |
 //! | `SUMMARY` `0x83` | s→c | intake counters + finalized-at-close flag |
-//! | `VIEW` `0x84` | s→c | a finalized [`PerturbedView`](ldp_protocols::PerturbedView) |
+//! | `VIEW` `0x84` | s→c | a finalized [`PerturbedView`](ldp_protocols::PerturbedView) as `N`, keep probability, reported degrees and the strict lower triangle, encoded straight from the shards ([`wire::encode_lower_view`]); the client mirrors it |
 //! | `DEGREE_SUMMARY` `0x85` | s→c | group totals + accepted count |
 //! | `STATS_REPLY` `0x86` | s→c | typed metric samples (see [`wire::decode_stats_reply`]) |
 //!
@@ -914,24 +914,27 @@ pub(crate) fn apply_frame(
                 encode_summary(&counters, &mut reply);
                 frames::SUMMARY
             }),
+        // The reply is encoded inside the engine's finalize measurement;
+        // it leaves the socket only once the record is journaled.
         frames::FINALIZE => decode_round_id(payload)
-            .and_then(|id| engine.finalize(id))
-            .and_then(|outcome| {
-                append_accepted(journal, journal::REC_FINALIZE, payload, metrics)?;
-                Ok(outcome)
+            .and_then(|id| {
+                engine.finalize_then(id, |outcome| match outcome {
+                    RoundOutcome::Adjacency(shards) => {
+                        shards.encode(&mut reply);
+                        frames::VIEW
+                    }
+                    RoundOutcome::DegreeVector {
+                        group_totals,
+                        accepted,
+                    } => {
+                        encode_degree_summary(accepted, &group_totals, &mut reply);
+                        frames::DEGREE_SUMMARY
+                    }
+                })
             })
-            .map(|outcome| match outcome {
-                RoundOutcome::Adjacency(view) => {
-                    wire::encode_view(&view, &mut reply);
-                    frames::VIEW
-                }
-                RoundOutcome::DegreeVector {
-                    group_totals,
-                    accepted,
-                } => {
-                    encode_degree_summary(accepted, &group_totals, &mut reply);
-                    frames::DEGREE_SUMMARY
-                }
+            .and_then(|kind| {
+                append_accepted(journal, journal::REC_FINALIZE, payload, metrics)?;
+                Ok(kind)
             }),
         frames::CHECKPOINT => decode_round_id(payload)
             .and_then(|id| match journal {

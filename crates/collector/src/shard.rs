@@ -9,38 +9,36 @@
 //! own mutex; a session folds a report by locking exactly the one shard
 //! that owns the id, so sessions touching different shards never contend
 //! and the duplicate-id check (the shard's seen-bitmap) is race-free by
-//! ownership. Merging at finalize is a straight row copy — the shard
-//! states never overlap.
+//! ownership. Finalize merges nothing: the daemon encodes the `VIEW`
+//! reply straight from the shards, row `i` read from shard `i % shards`,
+//! slot `i / shards` ([`FinalizedShards`]) — the shard states never
+//! overlap, so the triangle they hold together is the whole view.
 //!
 //! Both channels use one shard shape, and it is exactly what a checkpoint
 //! stores per shard: `(accepted, duplicates, seen words, floats, row
 //! words)`. An adjacency shard stores its rows *triangularly packed* —
 //! row `i` is allotted exactly its `⌈i/64⌉` owned words, so the whole
-//! shard set costs one lower triangle (`≈ N²/16` bytes) on top of the
-//! final matrix instead of a second full matrix — and its floats are the
-//! reported degrees. A degree-vector shard has no rows; its floats are
+//! shard set costs one lower triangle (`≈ N²/16` bytes), the size of the
+//! `VIEW` payload it encodes into — and its floats are the reported
+//! degrees. A degree-vector shard has no rows; its floats are
 //! running per-group sums — `O(groups)` per shard, which is what lets a
 //! million-user degree-vector round run in constant aggregate memory.
 //!
 //! Determinism under concurrency: an adjacency fold ORs a report's owned
 //! words into zeroed, exclusively-owned storage — a commutative,
-//! first-write-wins operation — so the merged bit pattern is independent
+//! first-write-wins operation — so the finalized bit pattern is independent
 //! of arrival order and of how sessions interleave. Degree-vector sums
 //! accumulate within a shard in arrival order; totals are exact (hence
 //! order-independent) whenever the additions are, and each shard's
 //! partial is summed in shard-index order at finalize.
 
 use ldp_graph::{BitMatrix, BitSet};
-use ldp_protocols::ingest::fold_lower_bits;
-use ldp_protocols::AdjacencyReport;
+use ldp_mechanisms::RandomizedResponse;
+use ldp_protocols::ingest::{finalize_lower, fold_lower_bits};
+use ldp_protocols::wire::{self, lower_row_mask, lower_row_words};
+use ldp_protocols::{AdjacencyReport, PerturbedView};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// Number of owned (lower-triangle) words of row `i`.
-#[inline]
-pub(crate) fn owned_words(i: usize) -> usize {
-    i / 64 + usize::from(!i.is_multiple_of(64))
-}
 
 /// Locks one shard. Fold closures are panic-free on the documented
 /// preconditions, and the shard invariants (OR into owned words, counter
@@ -111,7 +109,7 @@ impl Shards {
             .map(|s| {
                 let mut total = 0;
                 let ends = (0..slots(n, s, stride)).map(|slot| {
-                    total += owned_words(s + slot * stride);
+                    total += lower_row_words(s + slot * stride);
                     total
                 });
                 std::iter::once(0).chain(ends).collect()
@@ -217,27 +215,19 @@ impl Shards {
         // ldp-lint: hot-path(end)
     }
 
-    /// Merges an adjacency round's shards into one lower-triangle matrix
-    /// plus the reported-degree vector (deterministic: a straight copy of
-    /// disjoint rows). The shard set is consumed; finalize the result
-    /// with [`ldp_protocols::ingest::finalize_lower`].
-    pub(crate) fn merge(self) -> (BitMatrix, Vec<f64>) {
+    /// Takes an adjacency round's shards out of their locks, unchanged:
+    /// finalize copies, mirrors and counts nothing here. The shard set is
+    /// consumed; `rr` and `threads` are what
+    /// [`FinalizedShards::into_view`] finalizes with.
+    pub(crate) fn finalize(self, rr: RandomizedResponse, threads: usize) -> FinalizedShards {
         let Shards { n, shards, offsets } = self;
-        let mut matrix = BitMatrix::new(n);
-        let wpr = matrix.words_per_row();
-        let mut degrees = vec![0.0f64; n];
-        let stride = shards.len();
-        {
-            let rows = matrix.rows_mut(0, n);
-            for (s, (shard, offsets)) in shards.into_iter().map(inner).zip(&offsets).enumerate() {
-                for (slot, id) in (s..n).step_by(stride).enumerate() {
-                    let owned = &shard.words[offsets[slot]..offsets[slot + 1]];
-                    rows[id * wpr..id * wpr + owned.len()].copy_from_slice(owned);
-                    degrees[id] = shard.floats[slot];
-                }
-            }
+        FinalizedShards {
+            n,
+            shards: shards.into_iter().map(inner).collect(),
+            offsets,
+            rr,
+            threads,
         }
-        (matrix, degrees)
     }
 
     /// A degree-vector round's per-group totals: shard partials summed in
@@ -265,12 +255,72 @@ impl Shards {
     }
 }
 
+/// A finalized adjacency round, still in its triangularly packed shards.
+///
+/// The shards together hold the view's strict lower triangle and its
+/// reported degrees, which is all a `VIEW` payload carries: the daemon
+/// [`encode`](Self::encode)s the reply straight from them, and the
+/// client's [`wire::decode_view`] mirrors the triangle once. In-process
+/// callers take the view with [`into_view`](Self::into_view). Both read
+/// the shards through one row accessor, and both finish on the
+/// decoder's path, so `decode_view(encode)` equals `into_view()` bit for
+/// bit.
+#[derive(Debug)]
+pub struct FinalizedShards {
+    n: usize,
+    shards: Vec<Shard>,
+    offsets: Vec<Vec<usize>>,
+    rr: RandomizedResponse,
+    threads: usize,
+}
+
+impl FinalizedShards {
+    /// User `i`'s reported degree and owned row words: shard `i %
+    /// shards`, slot `i / shards`. The caller guarantees `i < N`.
+    fn row(&self, i: usize) -> (f64, &[u64]) {
+        let stride = self.shards.len();
+        let (shard, offsets) = (&self.shards[i % stride], &self.offsets[i % stride]);
+        let slot = i / stride;
+        (
+            shard.floats[slot],
+            &shard.words[offsets[slot]..offsets[slot + 1]],
+        )
+    }
+
+    /// Appends the round's `VIEW` reply payload
+    /// ([`wire::encode_lower_view`]): the reported degrees, then every
+    /// shard row in id order.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        wire::encode_lower_view(self.n, self.rr.p_keep(), |i| self.row(i), out);
+    }
+
+    /// The finalized view: the rows copied into the lower words of a
+    /// [`BitMatrix`] (the last word masked below the diagonal, as the
+    /// encoder ships it) and finalized by
+    /// [`ldp_protocols::ingest::finalize_lower`] — the path
+    /// [`wire::decode_view`] takes.
+    pub fn into_view(self) -> PerturbedView {
+        let n = self.n;
+        let mut matrix = BitMatrix::new(n);
+        let wpr = matrix.words_per_row().max(1);
+        let mut degrees = Vec::with_capacity(n);
+        for (i, dst) in matrix.rows_mut(0, n).chunks_exact_mut(wpr).enumerate() {
+            let (degree, words) = self.row(i);
+            let dst = &mut dst[..words.len()];
+            dst.copy_from_slice(words);
+            if let Some(last) = dst.last_mut() {
+                *last &= lower_row_mask(i);
+            }
+            degrees.push(degree);
+        }
+        finalize_lower(matrix, degrees, self.rr, self.threads)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldp_graph::Xoshiro256pp;
-    use ldp_mechanisms::RandomizedResponse;
-    use ldp_protocols::ingest::finalize_lower;
     use ldp_protocols::StreamingAggregator;
     use rand::Rng;
 
@@ -317,8 +367,7 @@ mod tests {
             fold_all(&shards, &batch);
             fold_all(&shards, &second);
             assert_eq!(shards.accepted(), n as u64);
-            let (matrix, degrees) = shards.merge();
-            let view = finalize_lower(matrix, degrees, rr, 4);
+            let view = shards.finalize(rr, 4).into_view();
             assert_eq!(view.matrix(), reference.matrix(), "{num_shards} shards");
             assert_eq!(view.reported_degrees(), reference.reported_degrees());
         }
@@ -334,8 +383,7 @@ mod tests {
         for (i, r) in reports.iter().enumerate() {
             sequential.fold_row(i, r, false).0.unwrap();
         }
-        let (matrix, degrees) = sequential.merge();
-        let reference = finalize_lower(matrix, degrees, rr, 1);
+        let reference = sequential.finalize(rr, 1).into_view();
 
         // Four threads racing interleaved id slices (i % 4 == t) into the
         // same shard set — plus every thread replaying thread 0's slice,
@@ -357,8 +405,7 @@ mod tests {
         assert_eq!(concurrent.accepted(), n as u64);
         // Thread 0's slice was replayed by the other three threads.
         assert_eq!(concurrent.duplicates(), 3 * (n as u64).div_ceil(4));
-        let (matrix, degrees) = concurrent.merge();
-        let view = finalize_lower(matrix, degrees, rr, 1);
+        let view = concurrent.finalize(rr, 1).into_view();
         assert_eq!(view.matrix(), reference.matrix());
         assert_eq!(view.reported_degrees(), reference.reported_degrees());
     }
@@ -378,13 +425,51 @@ mod tests {
         assert_eq!(shards.accepted(), n as u64);
         assert_eq!(shards.duplicates(), (n / 2) as u64);
 
-        // The merged matrix matches the first-arrival-only fold.
+        // The finalized matrix matches the first-arrival-only fold.
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
-        let (matrix, degrees) = shards.merge();
-        let view = finalize_lower(matrix, degrees, rr, 1);
+        let view = shards.finalize(rr, 1).into_view();
         let mut agg = StreamingAggregator::new(n, rr);
         agg.ingest_batch(&reports);
         assert_eq!(view.matrix(), agg.finalize().matrix());
+    }
+
+    /// The daemon's encoder and the in-process view go through one
+    /// layout: the bytes encoded from the shards are the bytes of the
+    /// view they finalize into, and decode back to that view.
+    #[test]
+    fn shard_encoding_is_the_view_encoding() {
+        let rr = RandomizedResponse::from_keep_probability(0.8).unwrap();
+        for n in [1, 64, 65, 200] {
+            let reports = synth_reports(n, n as u64);
+            for num_shards in [1, 3, 8] {
+                // Fisher–Yates arrival order.
+                let mut order: Vec<usize> = (0..n).collect();
+                let mut rng = Xoshiro256pp::new(num_shards as u64);
+                for k in (1..n).rev() {
+                    order.swap(k, rng.gen_range(0..k + 1));
+                }
+                let shards = Shards::adjacency(n, num_shards);
+                for &i in &order {
+                    shards.fold_row(i, &reports[i], false).0.unwrap();
+                }
+                let finalized = shards.finalize(rr, 2);
+                let mut encoded = Vec::new();
+                finalized.encode(&mut encoded);
+                let view = finalized.into_view();
+                let mut reencoded = Vec::new();
+                wire::encode_view(&view, &mut reencoded);
+                let at = format!("N = {n}, {num_shards} shards");
+                assert_eq!(encoded, reencoded, "{at}");
+
+                let decoded = wire::decode_view(&encoded).unwrap();
+                assert_eq!(decoded.matrix(), view.matrix(), "{at}");
+                assert_eq!(decoded.reported_degrees(), view.reported_degrees());
+                for u in 0..n {
+                    assert_eq!(decoded.perturbed_degree(u), view.perturbed_degree(u));
+                }
+                assert_eq!(decoded.rr().p_keep().to_bits(), rr.p_keep().to_bits());
+            }
+        }
     }
 
     #[test]
@@ -415,9 +500,10 @@ mod tests {
     fn empty_and_tiny_populations() {
         let shards = Shards::adjacency(0, 8);
         assert_eq!(shards.accepted(), 0);
-        let (matrix, degrees) = shards.merge();
-        assert_eq!(matrix.num_nodes(), 0);
-        assert!(degrees.is_empty());
+        let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
+        let view = shards.finalize(rr, 1).into_view();
+        assert_eq!(view.matrix().num_nodes(), 0);
+        assert!(view.reported_degrees().is_empty());
 
         // More shards than users.
         let n = 3;

@@ -384,9 +384,10 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
         );
     }
     resumed.close_round(3).unwrap();
-    let RoundOutcome::Adjacency(resumed_view) = resumed.finalize(3).unwrap() else {
+    let RoundOutcome::Adjacency(finalized) = resumed.finalize(3).unwrap() else {
         panic!("adjacency round expected");
     };
+    let resumed_view = finalized.into_view();
     assert_views_identical(&resumed_view, &reference);
 
     // Recovery: a daemon restarted on the copied directory holds every

@@ -151,9 +151,10 @@ fn failed_finalize_leaves_the_round_usable() {
             .ingest(3, i as u64, UserReport::Adjacency(r.clone()))
             .unwrap();
     }
-    let RoundOutcome::Adjacency(reference_view) = reference.finalize(3).unwrap() else {
+    let RoundOutcome::Adjacency(finalized) = reference.finalize(3).unwrap() else {
         panic!("adjacency outcome expected");
     };
+    let reference_view = finalized.into_view();
 
     let engine = RoundCollector::new(config()).unwrap();
     engine.open_round(3, adjacency(n), None).unwrap();
@@ -177,9 +178,10 @@ fn failed_finalize_leaves_the_round_usable() {
             IngestOutcome::Queued
         );
     }
-    let RoundOutcome::Adjacency(view) = engine.finalize(3).unwrap() else {
+    let RoundOutcome::Adjacency(finalized) = engine.finalize(3).unwrap() else {
         panic!("adjacency outcome expected");
     };
+    let view = finalized.into_view();
     assert_eq!(view.matrix(), reference_view.matrix());
     assert_eq!(view.reported_degrees(), reference_view.reported_degrees());
 }

@@ -177,8 +177,11 @@ impl BitMatrix {
 
     /// Whether the matrix is a simple undirected graph: symmetric, zero
     /// diagonal, and no bits at columns `≥ n`. The mutators keep these
-    /// invariants; this checks words that arrived by other means (a
-    /// decoded payload, a [`Self::rows_mut`] write).
+    /// invariants, and so does [`Self::mirror_lower`] over a strict lower
+    /// triangle — the only words a decoded view is built from. This is
+    /// the oracle property tests check those paths against (words
+    /// written through [`Self::rows_mut`], decoded payloads), not a check
+    /// any decoder runs.
     ///
     /// Compares every 64×64 block `(I, J)`, `J ≤ I`, transposed, against
     /// block `(J, I)`; rows past `n` read as zero, so the comparison also

@@ -187,11 +187,13 @@ impl StreamingAggregator {
 /// the accumulated lower triangle into a symmetric matrix, derives the
 /// per-node perturbed degrees, and assembles the view.
 ///
-/// This is the single finalization path of the server side — used by
-/// [`StreamingAggregator::finalize`] and by the sharded collector service
-/// (`ldp-collector`), so however the lower triangle was accumulated
-/// (in-order batches, out-of-order shards), identical triangles finalize
-/// into bit-identical views.
+/// This is the single finalization path — used by
+/// [`StreamingAggregator::finalize`], by the sharded collector service's
+/// in-process finalize (`ldp-collector`), and by
+/// [`crate::wire::decode_view`], which receives the triangle the daemon
+/// shipped. However the lower triangle was accumulated (in-order
+/// batches, out-of-order shards, a `VIEW` payload), identical triangles
+/// finalize into bit-identical views.
 ///
 /// Mirroring ([`BitMatrix::mirror_lower`]) is a sequential pass of
 /// `n²/8192` in-register 64×64 block transposes over the lower triangle;

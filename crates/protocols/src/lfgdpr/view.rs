@@ -40,11 +40,12 @@ impl PerturbedView {
         agg.finalize()
     }
 
-    /// Assembles a view from already-aggregated parts; reserved for the
-    /// ingestion engine and `wire::decode_view`, which uphold the
-    /// invariants (symmetric, zero-diagonal matrix with no bits past `N`;
-    /// degree vectors of length `N` consistent with it). The decoder
-    /// checks them on the bytes it receives.
+    /// Assembles a view from already-aggregated parts; reserved for
+    /// [`crate::ingest::finalize_lower`], which upholds the invariants
+    /// (symmetric, zero-diagonal matrix with no bits past `N`; degree
+    /// vectors of length `N` consistent with it) by mirroring a strict
+    /// lower triangle and counting the rows. Every view — aggregated in
+    /// process or decoded by `wire::decode_view` — is built there.
     pub(crate) fn from_parts(
         matrix: BitMatrix,
         reported_degrees: Vec<f64>,

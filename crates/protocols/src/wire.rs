@@ -12,7 +12,7 @@
 //! sides: the magic `b"LDPC"`, a protocol [`VERSION`] byte, and a reserved
 //! flags byte (zero). Peers speaking another protocol fail fast with
 //! [`WireError::BadMagic`]; a peer on an *older* protocol version (v1 had
-//! no round routing — its report frames name no round) is a typed
+//! no round routing, v2 shipped the full finalized matrix) is a typed
 //! [`WireError::VersionDowngrade`], a *newer* one a
 //! [`WireError::UnsupportedVersion`]. The split matters operationally: a
 //! downgrade names the exact remediation (upgrade the peer), while an
@@ -56,8 +56,10 @@
 //! `encode ∘ decode == id` for every well-formed [`UserReport`] — pinned by
 //! `tests/proptest_wire.rs` along with the malformed-frame cases.
 
+use crate::ingest::finalize_lower;
 use crate::lfgdpr::PerturbedView;
 use crate::report::{AdjacencyReport, UserReport};
+use ldp_graph::runtime::default_threads;
 use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
 use std::fmt;
@@ -66,12 +68,14 @@ use std::io::{Read, Write};
 /// Magic bytes opening every collection stream.
 pub const MAGIC: [u8; 4] = *b"LDPC";
 
-/// Wire protocol version this codec speaks. Version 2 routes every
-/// report-bearing frame by an explicit round id (see
-/// [`encode_routed_batch`]) so one daemon can
-/// multiplex many concurrent rounds; version 1 frames carried none and
-/// are refused at the handshake with [`WireError::VersionDowngrade`].
-pub const VERSION: u8 = 2;
+/// Wire protocol version this codec speaks. Version 3 ships a finalized
+/// view as its strict lower triangle ([`encode_lower_view`]); version 2
+/// sent the full symmetric matrix plus per-user perturbed degrees, and
+/// version 1 frames named no round (every report-bearing frame has
+/// carried an explicit round id since v2, see [`encode_routed_batch`],
+/// so one daemon can multiplex many concurrent rounds). Older peers are
+/// refused at the handshake with [`WireError::VersionDowngrade`].
+pub const VERSION: u8 = 3;
 
 /// Upper bound on one frame's `kind + payload` length (64 MiB). Large
 /// enough for a finalized view at the collector's population cap, small
@@ -89,7 +93,7 @@ pub const MAX_WIRE_POPULATION: usize = 1 << 27;
 /// per-entry work: a hostile count is a typed refusal, not a loop bound.
 pub const MAX_REPORTS_PER_BATCH: usize = 1 << 16;
 
-/// Frame kind bytes of the collection protocol (wire version 2).
+/// Frame kind bytes of the collection protocol (wire version 3).
 ///
 /// `0x02` is reserved: it was the singleton `REPORT` frame, retired in
 /// favour of a one-entry `REPORT_BATCH`. The daemon answers it like any
@@ -190,8 +194,8 @@ pub enum WireError {
         got: u8,
     },
     /// The peer speaks a protocol version *older* than this codec — its
-    /// report frames would carry no round id, so multiplexed rounds
-    /// cannot be served to it. The peer needs upgrading.
+    /// frames (report routing, the finalized-view layout) would be
+    /// misread. The peer needs upgrading.
     VersionDowngrade {
         /// Version byte received.
         got: u8,
@@ -255,8 +259,8 @@ impl fmt::Display for WireError {
             WireError::VersionDowngrade { got } => {
                 write!(
                     f,
-                    "peer speaks wire version {got}, older than {VERSION}: its report \
-                     frames carry no round id — upgrade the peer"
+                    "peer speaks wire version {got}, older than {VERSION}: its frames \
+                     would be misread — upgrade the peer"
                 )
             }
             WireError::OversizeFrame { len } => {
@@ -874,80 +878,122 @@ pub fn decode_stats_reply(mut buf: &[u8]) -> Result<Vec<StatsEntry>, WireError> 
 // Finalized-view payload
 // ---------------------------------------------------------------------------
 
-/// Encodes a finalized [`PerturbedView`] — the collector's reply to a round
-/// finalize on the adjacency channel. Layout: varint `N`, `f64` keep
-/// probability, `N` × `f64` reported degrees, `N` × varint perturbed
-/// degrees, `N·⌈N/64⌉` × `u64` matrix words.
-pub fn encode_view(view: &PerturbedView, out: &mut Vec<u8>) {
-    let n = view.num_users();
-    put_varint(n as u64, out);
-    put_f64(view.rr().p_keep(), out);
-    for &d in view.reported_degrees() {
-        put_f64(d, out);
-    }
-    for i in 0..n {
-        put_varint(view.perturbed_degree(i) as u64, out);
-    }
-    out.reserve(n * view.matrix().words_per_row() * 8);
-    for i in 0..n {
-        put_u64s(view.matrix().row(i), out);
+/// Words row `i` owns in the strict lower triangle, `⌈i/64⌉`: its
+/// columns `0..i`, where LF-GDPR's slot ownership puts every bit the
+/// protocol carries (slot `{i, j}`, `i > j`, comes from report `i`).
+pub fn lower_row_words(i: usize) -> usize {
+    i.div_ceil(64)
+}
+
+/// Mask of the columns below the diagonal in row `i`'s last owned word
+/// (all ones when `i` is a multiple of 64: that word ends at column
+/// `i − 1`).
+pub fn lower_row_mask(i: usize) -> u64 {
+    match i % 64 {
+        0 => u64::MAX,
+        rem => (1 << rem) - 1,
     }
 }
 
-/// Decodes a payload produced by [`encode_view`] back into the identical
-/// [`PerturbedView`] (bit-exact degrees, matrix, and mechanism).
+/// Words of an `N`-user strict lower triangle, `Σ_{i<N} ⌈i/64⌉`.
+pub fn lower_triangle_words(n: usize) -> usize {
+    // Rows 64(k−1)+1 ..= 64k own k words each; rows 1..N split into
+    // `full` whole blocks of 64 plus `rem` rows owning `full + 1`.
+    let Some(last) = n.checked_sub(1) else {
+        return 0;
+    };
+    let (full, rem) = (last / 64, last % 64);
+    (full + 1) * (32 * full + rem)
+}
+
+/// Exact byte length of a `VIEW` payload over `N` users (see
+/// [`encode_lower_view`] for the layout).
+pub fn view_payload_len(n: usize) -> usize {
+    let varint = (u64::BITS - (n as u64).leading_zeros()).max(1).div_ceil(7) as usize;
+    varint + 8 + 8 * n + 8 * lower_triangle_words(n)
+}
+
+/// Writes a `VIEW` payload — the one layout every finalized-view encoder
+/// goes through. Layout: varint `N`, `f64` keep probability, `N` × `f64`
+/// reported degrees, then the strict lower triangle: row `i`'s
+/// [`lower_row_words`]`(i)` words, `u64` little-endian, rows in id order.
+/// The upper triangle and the perturbed degrees are implied (the matrix
+/// is symmetric, a degree is its row's popcount), so they stay off the
+/// wire and [`decode_view`] rebuilds them.
+///
+/// `row(i)` yields user `i`'s reported degree and at least its owned
+/// words; only those ship, the last masked below column `i`
+/// ([`lower_row_mask`]). A full symmetric matrix row and a triangularly
+/// packed row therefore encode alike.
+pub fn encode_lower_view<'a>(
+    n: usize,
+    p_keep: f64,
+    row: impl Fn(usize) -> (f64, &'a [u64]),
+    out: &mut Vec<u8>,
+) {
+    out.reserve(view_payload_len(n));
+    put_varint(n as u64, out);
+    put_f64(p_keep, out);
+    for i in 0..n {
+        put_f64(row(i).0, out);
+    }
+    for i in 0..n {
+        let words = &row(i).1[..lower_row_words(i)];
+        if let Some((&last, full)) = words.split_last() {
+            put_u64s(full, out);
+            put_u64(last & lower_row_mask(i), out);
+        }
+    }
+}
+
+/// Encodes a finalized [`PerturbedView`] through [`encode_lower_view`].
+pub fn encode_view(view: &PerturbedView, out: &mut Vec<u8>) {
+    let (degrees, matrix) = (view.reported_degrees(), view.matrix());
+    encode_lower_view(
+        view.num_users(),
+        view.rr().p_keep(),
+        |i| (degrees[i], matrix.row(i)),
+        out,
+    );
+}
+
+/// Decodes a payload produced by [`encode_lower_view`] back into the
+/// identical [`PerturbedView`] (bit-exact degrees, matrix, and
+/// mechanism). The triangle is read into the lower words of a
+/// [`BitMatrix`] and finalized by [`finalize_lower`], the in-process
+/// aggregator's path, so the view is symmetric, zero-diagonal and
+/// degree-consistent by construction.
 ///
 /// # Errors
 /// A typed [`WireError`] on truncation, oversize populations, an invalid
-/// keep probability, out-of-range degrees, or trailing bytes; and
-/// [`WireError::BadValue`] when the matrix is not symmetric, has a
-/// diagonal bit or a bit past `N` ([`BitMatrix::is_well_formed`]), or a
-/// perturbed degree differs from its row's popcount.
+/// keep probability, or trailing bytes; and [`WireError::BadValue`] for
+/// `"matrix"` when a row sets a bit at or above its diagonal.
 pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
     let n = checked_len(get_varint(&mut buf)?)?;
     let p_keep = get_f64(&mut buf)?;
     let rr = RandomizedResponse::from_keep_probability(p_keep)
         .map_err(|_| WireError::BadValue { field: "p_keep" })?;
-    if buf.len() < n.saturating_mul(8) {
+    // Prove the degrees and the triangle are actually present *before*
+    // allocating the O(N²/8) matrix: a hostile peer claiming a huge `n`
+    // with a short payload must fail here, not in the allocator.
+    if buf.len() < 8 * (n + lower_triangle_words(n)) {
         return Err(WireError::Truncated);
     }
     let mut reported = Vec::with_capacity(n);
     for _ in 0..n {
         reported.push(get_f64(&mut buf)?);
     }
-    let mut perturbed = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = get_varint(&mut buf)? as usize;
-        if d >= n.max(1) {
-            return Err(WireError::BadValue {
-                field: "perturbed_degree",
-            });
-        }
-        perturbed.push(d);
-    }
-    // Prove the matrix words are actually present *before* allocating the
-    // O(N²/8) matrix: a hostile peer claiming a huge `n` with a short
-    // payload must fail here, not in the allocator.
-    let wpr = n.div_ceil(64);
-    if buf.len() < n.saturating_mul(wpr).saturating_mul(8) {
-        return Err(WireError::Truncated);
-    }
     let mut matrix = BitMatrix::new(n);
-    for (u, &d) in perturbed.iter().enumerate() {
-        get_u64s(&mut buf, matrix.rows_mut(u, u + 1))?;
-        // Each degree is checked while its row is still in cache.
-        if matrix.degree(u) != d {
-            return Err(WireError::BadValue {
-                field: "perturbed_degree",
-            });
+    let wpr = matrix.words_per_row().max(1);
+    for (i, row) in matrix.rows_mut(0, n).chunks_exact_mut(wpr).enumerate() {
+        let owned = &mut row[..lower_row_words(i)];
+        get_u64s(&mut buf, owned)?;
+        if owned.last().is_some_and(|&w| w & !lower_row_mask(i) != 0) {
+            return Err(WireError::BadValue { field: "matrix" });
         }
     }
     expect_end(buf)?;
-    // The estimator's triangle kernel relies on a symmetric matrix.
-    if !matrix.is_well_formed() {
-        return Err(WireError::BadValue { field: "matrix" });
-    }
-    Ok(PerturbedView::from_parts(matrix, reported, perturbed, rr))
+    Ok(finalize_lower(matrix, reported, rr, default_threads()))
 }
 
 #[cfg(test)]
@@ -1339,85 +1385,115 @@ mod tests {
         ));
     }
 
-    /// Encodes a 65-user view (rows own two words) after `tamper` edits
-    /// its matrix words and perturbed degrees.
-    fn tampered_view_65(tamper: impl FnOnce(&mut [u64], &mut [usize])) -> Vec<u8> {
-        use ldp_graph::generate::caveman_graph;
+    /// A view over `n` users aggregated from random reports.
+    fn random_view(n: usize, seed: u64) -> PerturbedView {
         use ldp_graph::Xoshiro256pp;
+        use rand::Rng;
 
-        let g = caveman_graph(13, 5);
-        let proto = crate::LfGdpr::new(4.0).unwrap();
-        let view = proto.aggregate(&proto.collect_honest(&g, &Xoshiro256pp::new(3)));
-        let mut matrix = view.matrix().clone();
-        let mut degrees: Vec<usize> = (0..65).map(|u| view.perturbed_degree(u)).collect();
-        tamper(matrix.rows_mut(0, 65), &mut degrees);
-        let tampered =
-            PerturbedView::from_parts(matrix, view.reported_degrees().to_vec(), degrees, view.rr());
+        let mut rng = Xoshiro256pp::new(seed);
+        let reports: Vec<AdjacencyReport> = (0..n)
+            .map(|_| {
+                let mut bits = BitSet::new(n);
+                for w in bits.words_mut() {
+                    *w = rng.gen::<u64>();
+                }
+                bits.mask_tail();
+                AdjacencyReport::new(bits, rng.gen_range(0.0..n as f64))
+            })
+            .collect();
+        let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
+        PerturbedView::from_reports(&reports, rr)
+    }
+
+    /// Encodes `random_view(n)` with bit `(row, col)` of the triangle
+    /// flipped; `col` must fall in one of the row's owned words.
+    fn flipped_view(n: usize, row: usize, col: usize) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_view(&tampered, &mut out);
+        encode_view(&random_view(n, 5), &mut out);
+        // The triangle follows the header and the degrees; the words of
+        // rows before `row` are exactly the triangle of `row` users.
+        let triangle = view_payload_len(n) - 8 * lower_triangle_words(n);
+        let word = triangle + 8 * (lower_triangle_words(row) + col / 64);
+        out[word + (col % 64) / 8] ^= 1 << (col % 8);
         out
     }
 
-    /// Flips bit `(row, col)` and sets the row's degree to its new
-    /// popcount, so only the matrix invariant breaks.
-    fn flip_keeping_degree(words: &mut [u64], degrees: &mut [usize], row: usize, col: usize) {
-        words[row * 2 + col / 64] ^= 1 << (col % 64);
-        degrees[row] = words[row * 2..row * 2 + 2]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-    }
-
-    fn rejects(out: &[u8], field: &'static str) -> bool {
-        matches!(decode_view(out), Err(WireError::BadValue { field: f }) if f == field)
+    fn rejects_matrix(out: &[u8]) -> bool {
+        matches!(
+            decode_view(out),
+            Err(WireError::BadValue { field: "matrix" })
+        )
     }
 
     #[test]
     fn view_decode_rejects_a_bit_past_the_population() {
-        // Row 64, column 65 ≥ N: the bit the triangle kernel would follow
-        // to a row that does not exist.
-        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 64, 65));
-        assert!(rejects(&out, "matrix"));
-        let out = tampered_view_65(|w, _| w[64 * 2 + 1] ^= 1 << 1);
-        assert!(rejects(&out, "perturbed_degree"));
+        // Row 129 of 130 owns three words (columns 0..192); columns 130
+        // and up are users that do not exist.
+        assert!(rejects_matrix(&flipped_view(130, 129, 131)));
+        assert!(rejects_matrix(&flipped_view(130, 129, 191)));
     }
 
     #[test]
     fn view_decode_rejects_a_diagonal_bit() {
-        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 40, 40));
-        assert!(rejects(&out, "matrix"));
+        assert!(rejects_matrix(&flipped_view(130, 40, 40)));
     }
 
     #[test]
-    fn view_decode_rejects_one_asymmetric_bit() {
-        let out = tampered_view_65(|w, d| flip_keeping_degree(w, d, 64, 2));
-        assert!(rejects(&out, "matrix"));
+    fn view_decode_rejects_bits_on_or_above_the_diagonal() {
+        // The diagonal bit and the top bit of the last owned word, for
+        // rows ending mid-word (1, 65) and a word short of a multiple of
+        // 64 (63, 127).
+        for row in [1, 63, 65, 127] {
+            let top = 64 * lower_row_words(row) - 1;
+            for col in [row, top] {
+                assert!(
+                    rejects_matrix(&flipped_view(130, row, col)),
+                    "({row}, {col})"
+                );
+            }
+        }
+        // A strictly-lower flip is a different but well-formed view, and
+        // it lands on both sides of the diagonal.
+        let got = decode_view(&flipped_view(130, 65, 64)).unwrap();
+        let base = random_view(130, 5);
+        assert_ne!(
+            got.matrix().has_edge(65, 64),
+            base.matrix().has_edge(65, 64)
+        );
+        assert_eq!(got.matrix().has_edge(64, 65), got.matrix().has_edge(65, 64));
+        assert!(got.matrix().is_well_formed());
     }
 
     #[test]
-    fn view_decode_rejects_a_degree_off_by_one() {
-        let out = tampered_view_65(|_, d| {
-            // A degree that stays below N, so only the popcount disagrees.
-            let u = (0..65).find(|&u| d[u] < 63).unwrap();
-            d[u] += 1;
-        });
-        assert!(rejects(&out, "perturbed_degree"));
+    fn view_payload_is_exactly_the_lower_triangle() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let mut out = Vec::new();
+            encode_view(&random_view(n, 9), &mut out);
+            let mut varint = Vec::new();
+            put_varint(n as u64, &mut varint);
+            let triangle: usize = (0..n).map(|i| i.div_ceil(64)).sum();
+            let want = varint.len() + 8 + 8 * n + 8 * triangle;
+            assert_eq!(out.len(), want, "N = {n}");
+            assert_eq!(view_payload_len(n), want, "N = {n}");
+            assert_eq!(lower_triangle_words(n), triangle, "N = {n}");
+        }
     }
 
     #[test]
     fn view_decode_checks_matrix_bytes_before_allocating() {
-        // A hostile peer claims a huge population but ships only the
-        // degree fields; the O(N²/8) matrix must never be allocated.
-        let n: u64 = 4_000_000;
+        // A hostile peer claims a large population and ships every
+        // reported degree but almost none of the triangle; the O(N²/8)
+        // matrix (≈ 5 GB here) must never be allocated.
+        let n: usize = 200_000;
         let mut out = Vec::new();
-        put_varint(n, &mut out);
+        put_varint(n as u64, &mut out);
         put_f64(0.9, &mut out);
-        for _ in 0..n.min(100_000) {
+        for _ in 0..n {
             put_f64(1.0, &mut out);
         }
-        // Fails on truncation (reported degrees short), not in the
-        // allocator — and even with full degree arrays, the matrix-words
-        // length check fires before BitMatrix::new.
+        put_u64s(&[0; 64], &mut out);
+        assert!(out.len() < view_payload_len(n));
+        // Fails on the up-front length proof, before BitMatrix::new.
         assert!(matches!(decode_view(&out), Err(WireError::Truncated)));
     }
 }

@@ -341,6 +341,62 @@ proptest! {
     }
 }
 
+/// An adjacency view over `n` users from [`synth_report`] rows.
+fn synth_view(n: usize, density_shift: u32, seed: u64) -> PerturbedView {
+    let reports: Vec<AdjacencyReport> = (0..n)
+        .map(
+            |i| match synth_report(true, n, density_shift, seed ^ i as u64) {
+                UserReport::Adjacency(r) => r,
+                UserReport::DegreeVector(_) => unreachable!("adjacency requested"),
+            },
+        )
+        .collect();
+    PerturbedView::from_reports(&reports, LfGdpr::new(2.0).unwrap().rr())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The v3 `VIEW` layout: the payload is exactly
+    /// [`wire::view_payload_len`] bytes, it decodes to the view it came
+    /// from, and setting any bit at or above the diagonal in a row's last
+    /// owned word — the only non-lower bits the layout can express — is
+    /// refused as a malformed matrix.
+    #[test]
+    fn lower_triangle_views_round_trip_and_refuse_upper_bits(
+        n in 2usize..200,
+        density_shift in 0u32..3,
+        pick in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        let view = synth_view(n, density_shift, seed);
+        let mut out = Vec::new();
+        wire::encode_view(&view, &mut out);
+        prop_assert_eq!(out.len(), wire::view_payload_len(n));
+        let got = wire::decode_view(&out).expect("well-formed view decodes");
+        prop_assert!(got.matrix() == view.matrix());
+        prop_assert_eq!(got.reported_degrees(), view.reported_degrees());
+        for u in 0..n {
+            prop_assert_eq!(got.perturbed_degree(u), view.perturbed_degree(u));
+        }
+
+        // A row that is a multiple of 64 ends its last word at column
+        // `row − 1`, so it has no such bit; step down to the row before.
+        let row = 1 + (pick % (n as u64 - 1)) as usize;
+        let row = row - usize::from(row.is_multiple_of(64));
+        let top = 64 * wire::lower_row_words(row);
+        let col = row + ((pick >> 32) % (top - row) as u64) as usize;
+        let triangle = out.len() - 8 * wire::lower_triangle_words(n);
+        let word = triangle + 8 * (wire::lower_triangle_words(row) + col / 64);
+        out[word + (col % 64) / 8] |= 1 << (col % 8);
+        let refused = matches!(
+            wire::decode_view(&out),
+            Err(WireError::BadValue { field: "matrix" })
+        );
+        prop_assert!(refused, "bit ({}, {}) of N = {} accepted", row, col, n);
+    }
+}
+
 /// Every opcode in [`wire::frames`] — request and reply — survives a
 /// `write_frame` → `read_frame` round trip with an arbitrary payload, and
 /// the kind bytes are pairwise distinct so no frame can masquerade as
