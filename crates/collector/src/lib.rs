@@ -50,10 +50,10 @@
 //!   ids, bit-packed rows, versioned handshake — every report frame is
 //!   routed by round id, and **wire v3** ships a finalized view as its
 //!   lower triangle). The daemon serves up to
-//!   [`CollectorConfig::max_sessions`] connections on a bounded pool of
-//!   [`CollectorConfig::worker_threads`] workers (no thread per session),
-//!   refusing past-cap connects with a typed `SESSION_CAP` error instead
-//!   of queueing them behind slots that may never free; the client
+//!   [`CollectorConfig::max_sessions`] connections, each on its own
+//!   session thread blocked in `read` under a short timeout, and refuses
+//!   past-cap connects with a typed `SESSION_CAP` error instead of
+//!   queueing them behind slots that may never free; the client
 //!   batches uploads into `REPORT_BATCH` frames, offers a `SYNC`
 //!   barrier for coordinated concurrent uploaders, and, given a
 //!   [`RetryPolicy`], rides daemon crashes by reconnecting and replaying

@@ -83,8 +83,6 @@ pub struct CollectorMetrics {
     pub(crate) shard_lock_wait_nanos: Arc<Histogram>,
     /// Wall time one `REPORT_BATCH` frame took to fold end-to-end.
     pub(crate) batch_nanos: Arc<Histogram>,
-    /// Connections parked in the worker rotation queue right now.
-    pub(crate) queue_depth: Arc<Gauge>,
     /// Connections admitted and not yet retired.
     pub(crate) sessions_active: Arc<Gauge>,
     /// Connects refused at the session cap (typed `SESSION_CAP`).
@@ -136,7 +134,6 @@ impl CollectorMetrics {
         let fold_nanos = reg.histogram("ingest_fold_nanos");
         let shard_lock_wait_nanos = reg.histogram("ingest_shard_lock_wait_nanos");
         let batch_nanos = reg.histogram("ingest_batch_nanos");
-        let queue_depth = reg.gauge("worker_queue_depth");
         let sessions_active = reg.gauge("sessions_active");
         let sessions_refused_cap = reg.counter("sessions_refused_cap");
         let stall_reaps = reg.counter("stall_reaps");
@@ -165,7 +162,6 @@ impl CollectorMetrics {
             fold_nanos,
             shard_lock_wait_nanos,
             batch_nanos,
-            queue_depth,
             sessions_active,
             sessions_refused_cap,
             stall_reaps,
@@ -381,7 +377,7 @@ mod tests {
     fn wire_entries_mirror_the_registry_snapshot() {
         let m = CollectorMetrics::new(2, true);
         m.bytes_read.add(77);
-        m.queue_depth.set(3);
+        m.sessions_active.set(3);
         m.fold_nanos.observe(100);
         let entries = m.wire_entries();
         let find = |name: &str| entries.iter().find(|e| e.name == name).cloned();
@@ -390,7 +386,7 @@ mod tests {
             Some(StatsValue::Counter(77))
         );
         assert_eq!(
-            find("worker_queue_depth").map(|e| e.value),
+            find("sessions_active").map(|e| e.value),
             Some(StatsValue::Gauge(3))
         );
         let Some(StatsEntry {

@@ -95,20 +95,16 @@ pub struct CollectorConfig {
     /// Worker cap for finalization (further bounded by the process-wide
     /// [`ldp_graph::runtime::set_thread_cap`]).
     pub threads: usize,
-    /// Most TCP connections the daemon holds at once. Connections are
-    /// cheap — a bounded worker pool multiplexes them, so an idle
-    /// connection costs a small buffer, not a thread — hence the high
-    /// default. A connect past the cap is **refused with a typed error**
-    /// (`ERR` code `SESSION_CAP`) after a short bounded wait for a slot,
-    /// never queued indefinitely: a cap below the number of
-    /// interdependent clients surfaces as a clean
+    /// Most TCP connections the daemon holds at once; each is served by
+    /// its own session thread, which sleeps in a blocking read while its
+    /// peer is quiet, so an idle connection costs a thread stack and a
+    /// small buffer, not CPU. The default is 1024. A connect past the cap
+    /// is **refused with a typed error** (`ERR` code `SESSION_CAP`) after
+    /// a short bounded wait for a slot, never queued indefinitely: a cap
+    /// below the number of interdependent clients surfaces as a clean
     /// [`CollectorError::SessionCap`] on the latecomer instead of a
     /// starvation deadlock.
     pub max_sessions: usize,
-    /// Session worker threads: how many connections make progress
-    /// *simultaneously* (each worker drains one connection's burst, then
-    /// rotates to the next ready one).
-    pub worker_threads: usize,
     /// Most rounds one tenant may hold open concurrently; the admission
     /// check behind [`CollectorError::TenantQuota`].
     pub max_rounds_per_tenant: usize,
@@ -135,7 +131,6 @@ impl Default for CollectorConfig {
             max_groups: 1 << 16,
             threads: default_threads(),
             max_sessions: 1024,
-            worker_threads: default_threads().max(4),
             max_rounds_per_tenant: 8,
             memory_budget: 1 << 30,
             metrics: true,
@@ -153,11 +148,6 @@ impl CollectorConfig {
         if self.max_sessions == 0 {
             return Err(CollectorError::InvalidConfig {
                 detail: "max_sessions must be positive",
-            });
-        }
-        if self.worker_threads == 0 {
-            return Err(CollectorError::InvalidConfig {
-                detail: "worker_threads must be positive",
             });
         }
         if self.max_rounds_per_tenant == 0 {
@@ -414,7 +404,7 @@ impl RoundCollector {
     ///
     /// # Errors
     /// [`CollectorError::InvalidConfig`] on a zero shard count, session
-    /// cap, worker count, tenant quota, or memory budget.
+    /// cap, tenant quota, or memory budget.
     pub fn new(config: CollectorConfig) -> Result<Self, CollectorError> {
         config.validate()?;
         let metrics = Arc::new(CollectorMetrics::new(config.shards, config.metrics));

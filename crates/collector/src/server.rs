@@ -1,20 +1,17 @@
 //! The collection daemon: a TCP front-end over the round engine.
 //!
 //! One [`CollectorServer`] owns a [`std::net::TcpListener`] and a
-//! [`RoundCollector`]. Accepted connections are **not** threads: they are
-//! small state machines (a socket, an assembly buffer, a warn-once set)
-//! multiplexed over a bounded pool of
-//! [`CollectorConfig::worker_threads`](crate::CollectorConfig::worker_threads)
-//! workers, so an idle connection costs a buffer, not a stack — the
-//! daemon holds up to
+//! [`RoundCollector`]. Each admitted connection gets its own scoped
+//! session thread: it blocks in `read` for at most a short tick (so it
+//! still sees a daemon shutdown and its own stall clock), processes
+//! every complete frame its buffer then holds, and writes the replies
+//! under a write timeout set once at accept. The daemon holds up to
 //! [`CollectorConfig::max_sessions`](crate::CollectorConfig::max_sessions)
-//! of them, and a connect past that cap is refused with a typed
+//! sessions, and a connect past that cap is refused with a typed
 //! `ERR`/`SESSION_CAP` after a short bounded wait, never queued
-//! indefinitely. Each worker pops a connection, drains whatever bytes the
-//! socket holds, processes up to a burst of complete frames, stages the
-//! replies, and rotates to the next connection; a connection stuck
-//! mid-frame past the stall timeout (half-written batch, wedged peer) is
-//! dropped rather than allowed to pin its buffer forever.
+//! indefinitely. A connection stuck mid-frame past the stall timeout
+//! (half-written batch, wedged peer) is dropped rather than allowed to
+//! pin its buffer forever.
 //!
 //! Every report-bearing frame names its round: the engine multiplexes
 //! any number of concurrent rounds (see [`crate::RoundCollector`]), and
@@ -73,16 +70,14 @@ use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::{CollectorConfig, IngestOutcome, RoundCollector, RoundOutcome};
 use crate::wal::{DurableLog, FsyncPolicy, Journal, Recovery};
-use ldp_obs::{Gauge, TraceEvent};
+use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{
     self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
 };
-use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frame kind bytes of the collection protocol. The constants moved next
@@ -120,25 +115,22 @@ pub mod codes {
     pub const ROUND_CLOSED: u8 = 12;
 }
 
-/// Bytes one pump reads from a socket before handing the cursor on.
+/// Most bytes one socket read takes.
 const READ_CHUNK: usize = 64 << 10;
-/// Complete frames one pump processes before rotating to the next
-/// connection, so one fast uploader cannot starve the rest of the pool.
-const BURST_FRAMES: usize = 256;
 /// Cap on the warn-once set of misdirected round ids per connection.
 const WARN_CAP: usize = 32;
-/// How long a staged reply write may block before the connection is
-/// declared wedged and dropped.
+/// How long a reply write may block before the connection is declared
+/// wedged and dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Longest a session blocks in one socket read; bounds how stale its
+/// view of the shutdown flag and of its stall clock can get.
+const READ_TICK: Duration = Duration::from_millis(10);
 /// Longest the acceptor waits for a session slot before refusing with a
-/// typed `SESSION_CAP` error (polled; disconnects free slots within a
-/// worker rotation, so sequential clients reuse slots well inside this).
+/// typed `SESSION_CAP` error (polled; a disconnect frees its slot within
+/// one read tick, so sequential clients reuse slots well inside this),
+/// and the longest it then spends draining the refused peer.
 const ADMIT_WAIT: Duration = Duration::from_secs(1);
 const ADMIT_POLL: Duration = Duration::from_millis(10);
-/// Longest an idle connection's holding worker blocks on its socket when
-/// every live connection is worker-held (the event-driven regime); also
-/// bounds how stale a parked worker's view of the shutdown flag can get.
-const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Default mid-frame stall timeout: how long a connection may hold a
 /// partial frame without new bytes before the daemon drops it.
@@ -212,11 +204,11 @@ impl CollectorServer {
     }
 
     /// Accepts and serves sessions until a client sends `SHUTDOWN`.
-    /// Connections are multiplexed over the bounded worker pool (see the
+    /// Each admitted connection runs on its own session thread (see the
     /// module docs); session-level failures (a peer speaking garbage, a
     /// stalled frame) end that connection and the daemon keeps serving;
     /// only listener failures propagate. Returns once the shutdown is
-    /// observed **and** every worker has drained.
+    /// observed **and** every session thread has ended.
     ///
     /// # Errors
     /// Accept failures on the listener.
@@ -225,6 +217,7 @@ impl CollectorServer {
         let durable = self.durable.as_ref();
         let listener = &self.listener;
         let stall = self.stall_timeout;
+        let metrics = engine.metrics();
         // The shutdown wake-up connects to ourselves; a wildcard bind
         // (0.0.0.0 / ::) is not connectable on every platform, so aim
         // the wake at loopback on the bound port instead.
@@ -236,37 +229,38 @@ impl CollectorServer {
             });
         }
         let shared = Shared {
-            queue: ConnQueue::new(engine.metrics().queue_depth.clone()),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             wake_addr,
         };
-        std::thread::scope(|scope| -> Result<(), CollectorError> {
-            let workers = engine.config().worker_threads;
-            for _ in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || worker(shared, engine, durable, stall, workers));
-            }
-            let result = (|| -> Result<(), CollectorError> {
-                loop {
-                    let (stream, _) = listener.accept()?;
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        // Woken (or raced) by a shutting-down session; the
-                        // throwaway connection is dropped here.
-                        return Ok(());
-                    }
-                    admit(
-                        stream,
-                        engine.config().max_sessions,
-                        &shared,
-                        engine.metrics(),
-                    );
+        std::thread::scope(|scope| {
+            let result = loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) => break Err(e.into()),
+                };
+                if shared.shutdown.load(Ordering::Acquire) {
+                    // Woken (or raced) by a shutting-down session; the
+                    // throwaway connection is dropped here.
+                    break Ok(());
                 }
-            })();
+                let Some(conn) = admit(stream, engine.config().max_sessions, &shared, metrics)
+                else {
+                    continue;
+                };
+                let shared = &shared;
+                let spawned = std::thread::Builder::new()
+                    .name("ldp-session".into())
+                    .spawn_scoped(scope, move || session(conn, shared, engine, durable, stall));
+                if spawned.is_err() {
+                    // The OS refused a thread; the connection went down
+                    // with the closure, so release its slot.
+                    retire(shared, metrics);
+                }
+            };
             // Every exit path — clean shutdown or listener failure — must
-            // release the workers, or the scope join would hang.
+            // end the sessions, or the scope join would hang.
             shared.shutdown.store(true, Ordering::Release);
-            shared.queue.notify_all();
             result
         })
     }
@@ -317,103 +311,45 @@ impl CollectorServer {
     }
 }
 
-/// State shared between the acceptor and the worker pool.
+/// State shared between the acceptor and the session threads.
 struct Shared {
-    queue: ConnQueue,
     shutdown: AtomicBool,
-    /// Live connections (owned by the queue or a worker). Incremented by
-    /// the single-threaded acceptor, decremented by whichever worker
-    /// retires the connection — so the acceptor's check-then-increment
-    /// cannot race another incrementer.
+    /// Live sessions. Incremented by the single-threaded acceptor,
+    /// decremented by whichever session thread retires — so the
+    /// acceptor's check-then-increment cannot race another incrementer.
     active: AtomicUsize,
     wake_addr: SocketAddr,
 }
 
-/// The rotation queue: connections waiting for a worker.
-struct ConnQueue {
-    inner: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
-    /// Scrape-surface mirror of the queue length (`worker_queue_depth`);
-    /// push and successful pop keep it balanced, so the gauge reads how
-    /// many connections are waiting for a worker right now.
-    depth: Arc<Gauge>,
-}
-
-impl ConnQueue {
-    fn new(depth: Arc<Gauge>) -> Self {
-        ConnQueue {
-            inner: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            depth,
-        }
-    }
-
-    fn push(&self, conn: Conn) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(conn);
-        self.depth.add(1);
-        self.ready.notify_one();
-    }
-
-    /// Pops the next connection, blocking while the queue is empty.
-    /// Returns `None` once shutdown is flagged and nothing is queued.
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Conn> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(conn) = q.pop_front() {
-                self.depth.sub(1);
-                return Some(conn);
-            }
-            if shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            // Timed wait: a shutdown flagged between the check and the
-            // wait cannot strand a worker past one tick.
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-        }
-    }
-
-    fn notify_all(&self) {
-        self.ready.notify_all();
-    }
-}
-
-/// Admits one accepted socket into the pool, or refuses it with a typed
-/// `SESSION_CAP` error after a bounded wait for a slot.
-fn admit(stream: TcpStream, cap: usize, shared: &Shared, metrics: &CollectorMetrics) {
+/// Admits one accepted socket as a session, taking a slot, or refuses it
+/// with a typed `SESSION_CAP` error after a bounded wait for one.
+fn admit(
+    stream: TcpStream,
+    cap: usize,
+    shared: &Shared,
+    metrics: &CollectorMetrics,
+) -> Option<Conn> {
     let mut waited = Duration::ZERO;
     while shared.active.load(Ordering::Acquire) >= cap {
         if waited >= ADMIT_WAIT {
             refuse_session_cap(&stream, cap, metrics, shared.active.load(Ordering::Relaxed));
-            return;
+            return None;
         }
         std::thread::sleep(ADMIT_POLL);
         waited += ADMIT_POLL;
         if shared.shutdown.load(Ordering::Acquire) {
-            return;
+            return None;
         }
     }
+    let conn = Conn::new(stream).ok()?;
     let active = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
-    match Conn::new(stream) {
-        Ok(conn) => {
-            if metrics.active() {
-                metrics.sessions_active.add(1);
-                metrics.emit(TraceEvent::SessionAccepted {
-                    active: active as u64,
-                });
-            }
-            shared.queue.push(conn);
-        }
-        Err(_) => {
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-        }
+    if metrics.active() {
+        metrics.sessions_active.add(1);
+        metrics.emit(TraceEvent::SessionAccepted {
+            active: active as u64,
+        });
     }
+    Some(conn)
 }
 
 /// The typed connect refusal: a valid stream header followed by one
@@ -443,27 +379,34 @@ fn refuse_session_cap(stream: &TcpStream, cap: usize, metrics: &CollectorMetrics
     // socket: closing with unread bytes queued turns the close into an
     // RST, and an RST discards the refusal from the peer's receive
     // queue before it can be read. FIN keeps the typed error readable.
+    // The whole drain shares one deadline: this runs on the acceptor, so
+    // a peer that keeps trickling bytes must not hold the accept loop.
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(ADMIT_WAIT));
+    let deadline = Instant::now() + ADMIT_WAIT;
     let mut sink = [0u8; 512];
-    while matches!((&*stream).read(&mut sink), Ok(n) if n > 0) {}
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero()
+            || stream.set_read_timeout(Some(left)).is_err()
+            || !matches!((&*stream).read(&mut sink), Ok(n) if n > 0)
+        {
+            return;
+        }
+    }
 }
 
 /// What one pump of a connection concluded.
 enum Pump {
-    /// Socket had nothing new and nothing completed.
-    Idle,
-    /// Bytes were read or frames were processed.
-    Progress,
+    /// The connection stays up.
+    Open,
     /// The connection is finished (clean EOF, error, or refusal).
     Closed,
     /// The peer requested daemon shutdown (already acked).
     Shutdown,
 }
 
-/// One multiplexed connection: a nonblocking socket plus the incremental
-/// frame-assembly state a worker needs to continue it from any byte
-/// boundary.
+/// One session's connection: a socket plus the incremental
+/// frame-assembly state.
 struct Conn {
     stream: TcpStream,
     /// Unparsed inbound bytes (handshake, then length-prefixed frames).
@@ -479,7 +422,8 @@ struct Conn {
 /// recovery runs every record through one [`Session::replay`].
 #[derive(Default)]
 pub(crate) struct Session {
-    /// Staged outbound replies, flushed at the end of each burst.
+    /// Staged outbound replies, flushed once the frames buffered so far
+    /// are processed.
     out: Vec<u8>,
     /// Misdirected round ids already answered with a typed ERR — one
     /// warning per (connection, round), so a flood of unknown-round
@@ -531,10 +475,9 @@ impl Session {
 impl Conn {
     fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        // The server's header goes out immediately (6 bytes always fit
-        // the fresh socket buffer); everything after is nonblocking.
-        write_stream_header(&mut &stream).map_err(|_| std::io::ErrorKind::BrokenPipe)?;
-        stream.set_nonblocking(true)?;
+        stream.set_read_timeout(Some(READ_TICK))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        write_stream_header(&mut &stream).map_err(|_| ErrorKind::BrokenPipe)?;
         Ok(Conn {
             stream,
             buf: Vec::new(),
@@ -544,57 +487,21 @@ impl Conn {
         })
     }
 
-    /// True while the buffer holds a partial unit (header or frame) —
-    /// the state the stall timeout applies to.
-    fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Blocks on this connection's socket until bytes are readable, the
-    /// peer hangs up, or `timeout` passes — then restores nonblocking
-    /// mode. A failed mode flip degrades to a plain nap so the worker
-    /// loop's pacing still holds.
-    fn park(&mut self, timeout: Duration) {
-        let mut probe = [0u8; 1];
-        if self.stream.set_nonblocking(false).is_err()
-            || self.stream.set_read_timeout(Some(timeout)).is_err()
-        {
-            std::thread::sleep(timeout);
-        } else {
-            let _ = self.stream.peek(&mut probe);
-        }
-        let _ = self.stream.set_nonblocking(true);
-    }
-
-    /// Drains available socket bytes, processes up to [`BURST_FRAMES`]
-    /// complete frames, and flushes staged replies.
-    fn pump(
-        &mut self,
-        engine: &RoundCollector,
-        durable: Option<&DurableLog>,
-        payload_scratch: &mut Vec<u8>,
-    ) -> Pump {
-        let (read_bytes, eof) = match self.fill() {
-            Ok(pair) => pair,
+    /// Reads what arrives within one [`READ_TICK`], processes every
+    /// complete frame the buffer then holds, and flushes staged replies.
+    fn pump(&mut self, engine: &RoundCollector, durable: Option<&DurableLog>) -> Pump {
+        let eof = match self.fill(engine.metrics()) {
+            Ok(eof) => eof,
             Err(_) => return Pump::Closed,
         };
-        let mut progressed = read_bytes > 0;
-        if progressed {
-            self.last_progress = Instant::now();
-            if engine.metrics().active() {
-                engine.metrics().bytes_read.add(read_bytes as u64);
-            }
-        }
-
+        // A peer that wrote and hung up still has every complete frame it
+        // sent processed below. Then the connection ends: a clean close
+        // at a frame boundary, or a mid-frame EOF from a peer that died
+        // half-write — the partial frame is never half-ingested.
+        let mut outcome = if eof { Pump::Closed } else { Pump::Open };
         if !self.handshaken {
             if self.buf.len() < 6 {
-                return if eof {
-                    Pump::Closed
-                } else if progressed {
-                    Pump::Progress
-                } else {
-                    Pump::Idle
-                };
+                return outcome;
             }
             if wire::read_stream_header(&mut &self.buf[..6]).is_err() {
                 // A foreign or downgraded peer: nothing it sends can be
@@ -604,12 +511,11 @@ impl Conn {
             }
             self.buf.drain(..6);
             self.handshaken = true;
-            progressed = true;
         }
 
-        let mut outcome = None;
-        for _ in 0..BURST_FRAMES {
-            let (kind, frame_len) = match self.peek_frame() {
+        let mut used = 0;
+        loop {
+            let frame_len = match frame_head(&self.buf[used..]) {
                 Head::Incomplete => break,
                 Head::Bad(len) => {
                     // Hostile or corrupt length prefix: answer typed, drop.
@@ -617,118 +523,90 @@ impl Conn {
                         &CollectorError::Wire(wire::WireError::OversizeFrame { len }),
                         engine.metrics(),
                     );
-                    outcome = Some(Pump::Closed);
+                    outcome = Pump::Closed;
                     break;
                 }
-                Head::Frame(kind, len) => (kind, len),
+                Head::Frame(len) => len,
             };
-            payload_scratch.clear();
-            payload_scratch.extend_from_slice(&self.buf[5..4 + frame_len]);
-            self.buf.drain(..4 + frame_len);
-            progressed = true;
-            match process_frame(&mut self.session, engine, durable, kind, payload_scratch) {
+            let frame = &self.buf[used + 4..used + 4 + frame_len];
+            used += 4 + frame_len;
+            match process_frame(&mut self.session, engine, durable, frame[0], &frame[1..]) {
                 Frame::Continue | Frame::Refused(_) => {}
                 Frame::Shutdown => {
-                    outcome = Some(Pump::Shutdown);
+                    outcome = Pump::Shutdown;
                     break;
                 }
                 Frame::Fatal => {
-                    outcome = Some(Pump::Closed);
+                    outcome = Pump::Closed;
                     break;
                 }
             }
         }
+        self.buf.drain(..used);
 
-        if self.flush_replies().is_err() {
+        // The write timeout set at accept makes a slow reader a typed I/O
+        // failure on this connection, not an unbounded stall.
+        let flushed = self.stream.write_all(&self.session.out);
+        self.session.out.clear();
+        if flushed.is_err() {
             return Pump::Closed;
         }
-        if let Some(outcome) = outcome {
-            return outcome;
-        }
-        if eof {
-            // A closed peer may still have complete frames buffered past
-            // this burst (it wrote and hung up; TCP delivered the lot) —
-            // keep the connection rotating until they are all processed.
-            // Then: clean close at a frame boundary; a mid-frame EOF is a
-            // peer that died half-write — either way the connection ends
-            // and the partial frame is never half-ingested.
-            return if matches!(self.peek_frame(), Head::Frame(..)) {
-                Pump::Progress
-            } else {
-                Pump::Closed
-            };
-        }
-        if progressed {
-            Pump::Progress
-        } else {
-            Pump::Idle
-        }
+        outcome
     }
 
-    /// Reads whatever the socket holds, up to ~1 MiB per pump so one
-    /// firehose connection cannot monopolize its worker's rotation.
-    /// Returns `(bytes_read, saw_eof)`.
-    fn fill(&mut self) -> std::io::Result<(usize, bool)> {
-        let mut total = 0;
+    /// One socket read of up to [`READ_CHUNK`] bytes, blocking at most
+    /// one [`READ_TICK`]. Returns whether the peer hung up.
+    fn fill(&mut self, metrics: &CollectorMetrics) -> std::io::Result<bool> {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok((total, true)),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    total += n;
-                    if n < chunk.len() || total >= 1 << 20 {
-                        return Ok((total, false));
-                    }
+        match self.stream.read(&mut chunk) {
+            Ok(0) => Ok(true),
+            Ok(n) => {
+                // `read` never reports more than the chunk holds.
+                self.buf.extend_from_slice(&chunk[..n.min(READ_CHUNK)]);
+                self.last_progress = Instant::now();
+                if metrics.active() {
+                    metrics.bytes_read.add(n as u64);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok((total, false)),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => Err(e)?,
+                Ok(false)
             }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(e),
         }
-    }
-
-    /// Inspects the head of the buffer for a complete frame: its kind and
-    /// total `kind+payload` length, an incomplete prefix, or a hostile
-    /// length claim (refused before any buffering toward it).
-    fn peek_frame(&self) -> Head {
-        if self.buf.len() < 4 {
-            return Head::Incomplete;
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Head::Bad(len);
-        }
-        if self.buf.len() < 4 + len {
-            return Head::Incomplete;
-        }
-        Head::Frame(self.buf[4], len)
-    }
-
-    /// Writes the staged replies in temporary blocking mode (with a write
-    /// timeout), so a slow reader surfaces as a typed I/O failure on this
-    /// connection instead of a busy-loop or an unbounded stall.
-    fn flush_replies(&mut self) -> std::io::Result<()> {
-        if self.session.out.is_empty() {
-            return Ok(());
-        }
-        self.stream.set_nonblocking(false)?;
-        self.stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-        let result = self.stream.write_all(&self.session.out);
-        self.session.out.clear();
-        self.stream.set_nonblocking(true)?;
-        result
     }
 }
 
-/// Head-of-buffer parse state (see [`Conn::peek_frame`]).
+/// Inspects the head of `buf` for a complete frame: its `kind+payload`
+/// length, an incomplete prefix, or a hostile length claim (refused
+/// before any buffering toward it).
+fn frame_head(buf: &[u8]) -> Head {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Head::Incomplete;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Head::Bad(len);
+    }
+    if buf.len() < 4 + len {
+        return Head::Incomplete;
+    }
+    Head::Frame(len)
+}
+
+/// Head-of-buffer parse state (see [`frame_head`]).
 enum Head {
     /// Not enough bytes for a length prefix or the frame it claims.
     Incomplete,
     /// A zero or oversize length claim — the protocol is broken.
     Bad(usize),
-    /// A complete frame: kind byte and `kind+payload` length.
-    Frame(u8, usize),
+    /// A complete frame of this `kind+payload` length.
+    Frame(usize),
 }
 
 /// What processing one frame concluded.
@@ -950,24 +828,14 @@ pub(crate) fn apply_frame(
 }
 
 /// Journals one lifecycle frame the engine accepted (a no-op without a
-/// journal). A `FINALIZE` is also synced whatever the append-path
-/// policy: it must survive the crash window between the fold and the
-/// reply leaving the socket — replaying a consumed round as still-open
-/// would resurrect it.
+/// journal). The journal itself syncs a `FINALIZE` whatever the policy.
 fn append_accepted(
     journal: Option<&mut Journal>,
     rec: u8,
     payload: &[u8],
     metrics: &CollectorMetrics,
 ) -> Result<(), CollectorError> {
-    let Some(journal) = journal else {
-        return Ok(());
-    };
-    journal.append(rec, payload, metrics)?;
-    if rec == journal::REC_FINALIZE {
-        journal.sync(metrics)?;
-    }
-    Ok(())
+    journal.map_or(Ok(()), |journal| journal.append(rec, payload, metrics))
 }
 
 /// Stages the outcome of a request/response frame: the typed reply on
@@ -992,31 +860,22 @@ fn stage_reply(
     }
 }
 
-/// One pool worker: pop a connection, pump it, requeue or retire it.
-fn worker(
+/// One session thread: pumps its connection until the peer leaves, the
+/// stall reaper drops it, or the daemon shuts down, then frees its slot.
+/// A shutdown drops the connection unpumped, so a partial frame it holds
+/// is never ingested.
+fn session(
+    mut conn: Conn,
     shared: &Shared,
     engine: &RoundCollector,
     durable: Option<&DurableLog>,
     stall: Duration,
-    workers: usize,
 ) {
     let metrics = engine.metrics();
-    let mut payload_scratch = Vec::new();
-    // Backoff bookkeeping: after a full rotation of nothing-but-idle
-    // connections, nap briefly — bounded CPU when 10k connections sit
-    // quiet, sub-millisecond pickup when one wakes.
-    let mut idle_pops = 0usize;
-    while let Some(mut conn) = shared.queue.pop(&shared.shutdown) {
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Drain mode: surviving connections are dropped, not pumped —
-            // otherwise idle ones would be requeued forever and the pool
-            // could never join.
-            retire(shared, metrics);
-            continue;
-        }
-        match conn.pump(engine, durable, &mut payload_scratch) {
-            Pump::Idle => {
-                if conn.mid_frame() && conn.last_progress.elapsed() > stall {
+    while !shared.shutdown.load(Ordering::Acquire) {
+        match conn.pump(engine, durable) {
+            Pump::Open => {
+                if !conn.buf.is_empty() && conn.last_progress.elapsed() > stall {
                     // Wedged mid-frame past the timeout: drop it. The
                     // partial frame was never ingested, so every round's
                     // aggregate is exactly as if the bytes never arrived.
@@ -1027,45 +886,22 @@ fn worker(
                             active: remaining as u64,
                         });
                     }
-                    continue;
-                }
-                if shared.active.load(Ordering::Relaxed) <= workers {
-                    // Every live connection is held by some worker, so
-                    // nobody is waiting on the queue for this one: park
-                    // on *its* socket instead of napping blind. Wakes
-                    // the instant bytes arrive — request/response
-                    // traffic stays event-driven, not poll-paced.
-                    conn.park(IDLE_PARK);
-                    shared.queue.push(conn);
-                    idle_pops = 0;
-                } else {
-                    shared.queue.push(conn);
-                    idle_pops += 1;
-                    if idle_pops >= shared.active.load(Ordering::Relaxed).max(1) {
-                        idle_pops = 0;
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
+                    return;
                 }
             }
-            Pump::Progress => {
-                shared.queue.push(conn);
-                idle_pops = 0;
-            }
-            Pump::Closed => {
-                retire(shared, metrics);
-            }
+            Pump::Closed => break,
             Pump::Shutdown => {
-                retire(shared, metrics);
                 shared.shutdown.store(true, Ordering::Release);
-                shared.queue.notify_all();
                 // Unblock the accept loop so it observes the flag.
                 let _ = TcpStream::connect_timeout(&shared.wake_addr, WRITE_TIMEOUT);
+                break;
             }
         }
     }
+    retire(shared, metrics);
 }
 
-/// Retires one connection: the pool's count and its gauge mirror move
+/// Retires one session: the live count and its gauge mirror move
 /// together. Returns the remaining live-session count.
 fn retire(shared: &Shared, metrics: &CollectorMetrics) -> usize {
     let remaining = shared.active.fetch_sub(1, Ordering::AcqRel) - 1;

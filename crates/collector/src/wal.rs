@@ -129,7 +129,7 @@ pub struct Recovery {
     pub replayed_records: u64,
 }
 
-/// The durable plane a data-dir daemon threads through its workers: one
+/// The durable plane a data-dir daemon shares among its sessions: one
 /// journal behind a mutex. The mutex is the serialization point of the
 /// durable path — an append and the engine mutation it covers happen
 /// under one guard, so a checkpoint (which also takes the guard) can
@@ -259,7 +259,8 @@ impl Journal {
     /// Appends one record (frame-coded) and applies the fsync policy.
     /// Report payloads are appended **verbatim and before decoding**, so
     /// replay re-derives every accept *and* reject decision from the
-    /// same bytes the live path saw.
+    /// same bytes the live path saw. A `FINALIZE` record is synced
+    /// whatever the policy, before the snapshots it retires are deleted.
     ///
     /// # Errors
     /// Disk I/O failures; the record is not durable and the caller must
@@ -295,6 +296,12 @@ impl Journal {
         }
         match kind {
             journal::REC_FINALIZE => {
+                // Synced under every policy, before the deletions it
+                // gates and before the reply leaves the socket: a power
+                // cut that kept the unlink but lost the record would
+                // leave a checkpoint marker with no snapshot, and a
+                // consumed round replayed as still open would resurrect.
+                self.sync(metrics)?;
                 if let Ok(round) = get_varint(&mut &payload[..]) {
                     self.live_since.remove(&round);
                     self.epochs.remove(&round);
@@ -819,6 +826,34 @@ mod tests {
         assert_eq!(recovery.replayed_records, 0);
         let counters = eng.counters(3).expect("counters");
         assert_eq!(counters.accepted, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finalize_record_is_durable_before_its_snapshot_is_deleted() {
+        let dir = scratch_dir("finalize-sync");
+        let eng = engine();
+        // `Off` never syncs on the append path, so only the FINALIZE
+        // rule itself can make the record durable.
+        let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+        let mut journal = log.lock();
+        journal_round(&mut journal, &eng, 5, 4, 4);
+        journal
+            .checkpoint_round(&eng, 5, eng.metrics())
+            .expect("checkpoint");
+        let snapshot = dir.join(checkpoint_name(5, 1));
+        assert!(snapshot.exists(), "the checkpoint wrote its snapshot");
+        let mut finalize = Vec::new();
+        put_varint(5, &mut finalize);
+        journal
+            .append(journal::REC_FINALIZE, &finalize, eng.metrics())
+            .expect("append");
+        assert!(!snapshot.exists(), "the finalize deletes the snapshot");
+        assert_eq!(
+            journal.unsynced_bytes, 0,
+            "the snapshot was deleted ahead of a durable FINALIZE record"
+        );
+        drop(journal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,7 @@ use ldp_protocols::{LfGdpr, UserReport};
 use rand::Rng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Spawns a daemon with a fault-friendly stall timeout so reap tests run
 /// in milliseconds, not minutes.
@@ -591,6 +591,125 @@ fn session_cap_refusals_are_counted_exactly() {
     assert_eq!(stat_counter(&scrape, "err_session_cap"), 1);
     drop(client);
     shutdown(addr, handle);
+}
+
+/// A peer refused at the session cap that keeps trickling bytes cannot
+/// hold the accept loop: the daemon drains a refused socket under one
+/// bounded deadline, so the next client is admitted promptly once a
+/// slot frees.
+#[test]
+fn a_trickling_refused_peer_cannot_hold_the_accept_loop() {
+    use ldp_collector::server::{codes, frames};
+    let (addr, handle) = spawn_chaos_daemon(
+        CollectorConfig {
+            shards: 1,
+            max_sessions: 1,
+            ..CollectorConfig::default()
+        },
+        Duration::from_secs(60),
+    );
+    let holder = CollectorClient::connect(addr).unwrap();
+    // Refused after the bounded admit wait: a stream header, then one
+    // typed ERR; the daemon then drains the socket.
+    let mut refused = ChaosClient::connect(addr).expect("a refused peer still reads a header");
+    let mut payload = Vec::new();
+    assert_eq!(
+        wire::read_frame(&mut &refused.stream, &mut payload).expect("refusal"),
+        Some(frames::ERR)
+    );
+    assert_eq!(payload.first(), Some(&codes::SESSION_CAP));
+    // One byte every 300 ms for 6 s, each well inside any per-read
+    // timeout of the drain.
+    let trickle = std::thread::spawn(move || {
+        for _ in 0..20 {
+            if refused.write_all(&[0]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    drop(holder);
+    let freed = Instant::now();
+    let mut client = CollectorClient::connect(addr).unwrap();
+    client.sync().expect("admitted once the slot frees");
+    let waited = freed.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "the next client was admitted {waited:?} after the slot freed"
+    );
+    drop(client);
+    trickle.join().expect("trickle thread");
+    shutdown(addr, handle);
+}
+
+/// A `SHUTDOWN` while other sessions are still open — one idle, one
+/// holding a half-written batch — ends `serve` within a second, and the
+/// partial frame is never folded: a restart on the journal recovers the
+/// round with exactly the one complete report.
+#[test]
+fn shutdown_with_live_sessions_is_prompt_and_folds_no_partial_frame() {
+    use ldp_collector::server::frames;
+    use ldp_collector::{FsyncPolicy, RoundCounters};
+    let dir = std::env::temp_dir().join(format!("ldp-chaos-shutdown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = CollectorConfig {
+        shards: 1,
+        ..CollectorConfig::default()
+    };
+    let channel = RoundChannel::DegreeVector {
+        population: 4,
+        groups: 2,
+    };
+    let (addr, handle) =
+        CollectorServer::spawn_durable(config.clone(), &dir, FsyncPolicy::Off).expect("daemon");
+    let mut coordinator = CollectorClient::connect(addr).unwrap();
+    coordinator.open_round(1, channel, None).unwrap();
+
+    // The idle session folds one complete report, proves it with a SYNC
+    // ack, then stays connected and quiet.
+    let mut idle = ChaosClient::connect(addr).expect("idle connect");
+    let mut bytes = ChaosClient::report_frame(1, 0, &[1.0, 2.0]);
+    wire::write_frame(&mut bytes, frames::SYNC, &[]).expect("frame");
+    idle.write_all(&bytes).expect("write");
+    let mut payload = Vec::new();
+    assert_eq!(
+        wire::read_frame(&mut &idle.stream, &mut payload).expect("ack"),
+        Some(frames::ACK)
+    );
+    // The other session stops halfway through a batch.
+    let mut partial = ChaosClient::connect(addr).expect("partial connect");
+    let frame = ChaosClient::report_frame(1, 1, &[3.0, 4.0]);
+    partial
+        .write_truncated(&frame, frame.len() / 2)
+        .expect("write");
+    std::thread::sleep(Duration::from_millis(100));
+
+    coordinator.shutdown().expect("shutdown");
+    let asked = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "serve still running 1 s after SHUTDOWN with live sessions"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("daemon thread").expect("daemon exit");
+    drop((idle, partial));
+
+    let (addr, handle) =
+        CollectorServer::spawn_durable(config, &dir, FsyncPolicy::Off).expect("recover");
+    let mut client = CollectorClient::connect(addr).unwrap();
+    let summary = client.close_round(1).unwrap();
+    assert_eq!(
+        summary.counters,
+        RoundCounters {
+            accepted: 1,
+            ..RoundCounters::default()
+        }
+    );
+    drop(client);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Opcode 0x02 — the retired singleton `REPORT` frame — is reserved: a

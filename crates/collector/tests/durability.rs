@@ -626,17 +626,9 @@ struct Lifecycle {
 }
 
 impl Lifecycle {
-    fn lifecycle_config() -> CollectorConfig {
-        CollectorConfig {
-            worker_threads: 2,
-            ..config()
-        }
-    }
-
     fn start(dir: PathBuf) -> Self {
-        let (addr, handle) =
-            CollectorServer::spawn_durable(Self::lifecycle_config(), &dir, FsyncPolicy::Off)
-                .expect("every restart must recover");
+        let (addr, handle) = CollectorServer::spawn_durable(config(), &dir, FsyncPolicy::Off)
+            .expect("every restart must recover");
         let client = CollectorClient::connect(addr).expect("connect");
         Lifecycle {
             dir,
