@@ -19,12 +19,13 @@
 //! The format reuses the wire codec's primitives (varints, `f64`/`u64`
 //! bit patterns) under its own magic `LDPK`, so a checkpoint is as
 //! versioned and as type-checked on load as a network frame: every
-//! malformed or geometry-mismatched file is a typed
+//! malformed or geometry-mismatched snapshot is a typed
 //! [`CollectorError::BadCheckpoint`]. Only the current version loads:
-//! the journal, the one writer of these files, has only ever written
-//! version 3 (version 2 added the owning tenant, version 3 the
-//! `rejected_malformed` counter), and every other version is refused
-//! with a typed error.
+//! the journal, the one writer of snapshots (each is the payload of a
+//! checkpoint record, [`ldp_protocols::wire::journal::REC_CHECKPOINT`]),
+//! has only ever written version 3 (version 2 added the owning tenant,
+//! version 3 the `rejected_malformed` counter), and every other version
+//! is refused with a typed error.
 
 use crate::codec::{decode_round_header, encode_round_header, RoundHeader};
 use crate::error::CollectorError;
@@ -35,7 +36,7 @@ use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// Magic bytes opening a checkpoint file.
+/// Magic bytes opening a checkpoint snapshot.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 
 /// Checkpoint format version (3: the `rejected_malformed` counter
@@ -102,14 +103,14 @@ impl RoundCollector {
     /// one restore entry point, which write-ahead-journal recovery uses
     /// to rebuild every open round from a data directory. The shard
     /// geometry must match this engine's configuration exactly: the
-    /// daemon's own journal-coordinated checkpoints are written by the
-    /// same engine, so a mismatch means the file belongs to a
+    /// daemon's own journaled checkpoints are written by the same
+    /// engine, so a mismatch means the snapshot belongs to a
     /// differently-configured daemon and is refused rather than
     /// re-sharded. Returns the restored round's id.
     ///
     /// All or nothing: the round enters the registry only once the whole
-    /// file has decoded and matched this engine's geometry, so a refused
-    /// file leaves the engine exactly as it was.
+    /// snapshot has decoded and matched this engine's geometry, so a
+    /// refused snapshot leaves the engine exactly as it was.
     ///
     /// # Errors
     /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard
@@ -209,8 +210,8 @@ fn put_words(words: &[u64], buf: &mut Vec<u8>) {
 }
 
 /// Reads one length-prefixed `u64` array into `dst`. The engine's shard
-/// geometry sized `dst`, and a file whose length disagrees is refused,
-/// so nothing read from the file sizes an allocation.
+/// geometry sized `dst`, and a snapshot whose length disagrees is
+/// refused, so nothing read from the snapshot sizes an allocation.
 fn get_words(buf: &mut &[u8], dst: &mut [u64]) -> Result<(), CollectorError> {
     if get_varint(buf).map_err(malformed)? != dst.len() as u64 {
         return Err(CollectorError::BadCheckpoint {

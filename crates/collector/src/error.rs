@@ -25,11 +25,13 @@ pub enum CollectorError {
         matrix_bytes: u64,
     },
     /// A degree-vector round's group count exceeds the configured cap
-    /// (bounds the per-shard sum vectors and the finalize reply frame).
+    /// (bounds the per-shard sum vectors and the finalize reply frame),
+    /// or on a durable daemon what one checkpoint record can hold.
     GroupCap {
         /// Groups the round declared.
         requested: usize,
-        /// Configured cap ([`crate::CollectorConfig::max_groups`]).
+        /// Configured cap ([`crate::CollectorConfig::max_groups`]), or
+        /// the most groups whose snapshot fits one journal record.
         cap: usize,
     },
     /// A round with this id is already open; close and finalize it first
@@ -123,8 +125,9 @@ pub enum CollectorError {
         detail: &'static str,
     },
     /// A write-ahead journal segment is malformed in a way truncation
-    /// cannot explain (bad magic mid-directory, a torn record followed by
-    /// more segments) — recovery refuses with this rather than guess.
+    /// cannot explain (bad magic or version, a torn record followed by
+    /// more segments, a checkpoint record naming no round or another
+    /// round) — recovery refuses with this rather than guess.
     BadJournal {
         /// What was wrong.
         detail: &'static str,

@@ -34,9 +34,8 @@
 //!   [`RoundCollector::resume_round_into`] restores it — all or nothing —
 //!   with the same duplicate set, finalizing bit-identically to an
 //!   uninterrupted run.
-//!   Snapshots are written into a durable daemon's data directory,
-//!   coordinated with its journal ([`wal`]) — the one persistence
-//!   mechanism.
+//!   Snapshots are written into a durable daemon's journal ([`wal`]) as
+//!   checkpoint records — the one persistence mechanism.
 //! * [`metrics`] — the observability plane: pre-registered relaxed-atomic
 //!   counters/gauges/histograms over [`ldp_obs`] plus a lock-free
 //!   structured trace ring, scraped over the wire with a `STATS` frame
@@ -66,11 +65,11 @@
 //! * [`wal`] — the crash-durability plane: a daemon given a data
 //!   directory write-ahead-journals every state-changing frame (report
 //!   payloads verbatim, *before* the fold) under a configurable
-//!   [`FsyncPolicy`], coordinates checkpoint snapshots with the journal
-//!   through epoch-named markers, and on restart recovers every open
-//!   round bit-identically by replaying the journal through the live
-//!   daemon's own frame-apply path — a torn final record reads as a
-//!   clean end of log. Paired with the client's resend window and the
+//!   [`FsyncPolicy`], journals checkpoint snapshots as records of their
+//!   own (its segment files are all it writes), and on restart recovers
+//!   every open round bit-identically by replaying the journal through
+//!   the live daemon's own frame-apply path — a torn final record reads
+//!   as a clean end of log. Paired with the client's resend window and the
 //!   engine's duplicate-id rejection, at-least-once retry becomes
 //!   exactly-once ingest.
 //! * [`bridge`] — [`ServeScenario::serve`] /

@@ -57,7 +57,6 @@
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::shard::{FinalizedShards, Shards};
-use ldp_graph::runtime::default_threads;
 use ldp_mechanisms::RandomizedResponse;
 use ldp_obs::TraceEvent;
 use ldp_protocols::UserReport;
@@ -92,9 +91,6 @@ pub struct CollectorConfig {
     /// Largest group count of a degree-vector round (bounds both the
     /// per-shard sum vectors and the finalize reply frame).
     pub max_groups: usize,
-    /// Worker cap for finalization (further bounded by the process-wide
-    /// [`ldp_graph::runtime::set_thread_cap`]).
-    pub threads: usize,
     /// Most TCP connections the daemon holds at once; each is served by
     /// its own session thread, which sleeps in a blocking read while its
     /// peer is quiet, so an idle connection costs a thread stack and a
@@ -129,7 +125,6 @@ impl Default for CollectorConfig {
             max_population: 16_384,
             max_degree_vector_population: 1 << 24,
             max_groups: 1 << 16,
-            threads: default_threads(),
             max_sessions: 1024,
             max_rounds_per_tenant: 8,
             memory_budget: 1 << 30,
@@ -848,7 +843,7 @@ impl RoundCollector {
         }
         // Only adjacency rounds carry a flip mechanism.
         let outcome = reply(match round.rr {
-            Some(rr) => RoundOutcome::Adjacency(round.shards.finalize(rr, self.config.threads)),
+            Some(rr) => RoundOutcome::Adjacency(round.shards.finalize(rr)),
             None => RoundOutcome::DegreeVector {
                 group_totals: round.shards.group_totals(),
                 accepted,

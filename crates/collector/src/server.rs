@@ -31,7 +31,7 @@
 //! | `0x02` | — | reserved (the retired singleton `REPORT`); answered `ERR`/`BAD_FRAME` |
 //! | `CLOSE` `0x03` | c→s | round id |
 //! | `FINALIZE` `0x04` | c→s | round id |
-//! | `CHECKPOINT` `0x05` | c→s | round id (snapshots that round into the data directory) |
+//! | `CHECKPOINT` `0x05` | c→s | round id (snapshots that round into the journal) |
 //! | `SHUTDOWN` `0x06` | c→s | empty; stops the accept loop |
 //! | `REPORT_BATCH` `0x07` | c→s | round id + varint count + length-prefixed reports (no ack) |
 //! | `SYNC` `0x08` | c→s | empty; acked once every prior frame of this session is ingested |
@@ -69,7 +69,7 @@ use crate::codec::{
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::{CollectorConfig, IngestOutcome, RoundCollector, RoundOutcome};
-use crate::wal::{DurableLog, FsyncPolicy, Journal, Recovery};
+use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{
     self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
@@ -163,7 +163,7 @@ impl CollectorServer {
     /// Turns on the crash-durability plane: every state-changing frame is
     /// write-ahead-journaled into `dir` under `policy` before it is acted
     /// on, and this call **recovers** whatever rounds a previous
-    /// incarnation left there — checkpoint snapshots first, then the
+    /// incarnation left there — checkpoint records first, then the
     /// journal tail, rebuilding each open round bit-identically (see
     /// [`crate::wal`]). Read what was rebuilt via [`Self::recovery`].
     ///
@@ -746,9 +746,8 @@ fn process_frame(
 /// * the fold and its malformed-upload accounting;
 /// * the `ACK`/`SUMMARY`/`VIEW`/`DEGREE_SUMMARY` reply encoding.
 ///
-/// Without a journal, `CHECKPOINT` is a typed `CHECKPOINT_FAILED`:
-/// snapshots live in the data directory, next to the journal they
-/// supersede.
+/// Without a journal, `CHECKPOINT` is a typed `CHECKPOINT_FAILED`: a
+/// snapshot is a journal record, superseding the records before it.
 pub(crate) fn apply_frame(
     engine: &RoundCollector,
     session: &mut Session,
@@ -776,6 +775,10 @@ pub(crate) fn apply_frame(
     let result: Result<u8, CollectorError> = match kind {
         frames::OPEN => decode_open(payload)
             .and_then(|h| {
+                // A durable round's snapshot must fit one journal record.
+                if journal.is_some() || session.replay {
+                    wal::check_snapshot_fits(&h.channel, engine.config().shards)?;
+                }
                 // An `OPEN` quota of 0 means "the population".
                 let quota = (h.quota != 0).then_some(h.quota);
                 engine.open_round_as(h.tenant, h.round_id, h.channel, quota)

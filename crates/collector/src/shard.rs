@@ -32,6 +32,7 @@
 //! order-independent) whenever the additions are, and each shard's
 //! partial is summed in shard-index order at finalize.
 
+use ldp_graph::runtime::default_threads;
 use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
 use ldp_protocols::ingest::{finalize_lower, fold_lower_bits};
@@ -217,16 +218,15 @@ impl Shards {
 
     /// Takes an adjacency round's shards out of their locks, unchanged:
     /// finalize copies, mirrors and counts nothing here. The shard set is
-    /// consumed; `rr` and `threads` are what
-    /// [`FinalizedShards::into_view`] finalizes with.
-    pub(crate) fn finalize(self, rr: RandomizedResponse, threads: usize) -> FinalizedShards {
+    /// consumed; `rr` is what [`FinalizedShards::into_view`] finalizes
+    /// with.
+    pub(crate) fn finalize(self, rr: RandomizedResponse) -> FinalizedShards {
         let Shards { n, shards, offsets } = self;
         FinalizedShards {
             n,
             shards: shards.into_iter().map(inner).collect(),
             offsets,
             rr,
-            threads,
         }
     }
 
@@ -271,7 +271,6 @@ pub struct FinalizedShards {
     shards: Vec<Shard>,
     offsets: Vec<Vec<usize>>,
     rr: RandomizedResponse,
-    threads: usize,
 }
 
 impl FinalizedShards {
@@ -297,8 +296,9 @@ impl FinalizedShards {
     /// The finalized view: the rows copied into the lower words of a
     /// [`BitMatrix`] (the last word masked below the diagonal, as the
     /// encoder ships it) and finalized by
-    /// [`ldp_protocols::ingest::finalize_lower`] — the path
-    /// [`wire::decode_view`] takes.
+    /// [`ldp_protocols::ingest::finalize_lower`] on
+    /// [`default_threads`] workers — the path [`wire::decode_view`]
+    /// takes. The bits do not depend on the worker count.
     pub fn into_view(self) -> PerturbedView {
         let n = self.n;
         let mut matrix = BitMatrix::new(n);
@@ -313,7 +313,7 @@ impl FinalizedShards {
             }
             degrees.push(degree);
         }
-        finalize_lower(matrix, degrees, self.rr, self.threads)
+        finalize_lower(matrix, degrees, self.rr, default_threads())
     }
 }
 
@@ -367,7 +367,7 @@ mod tests {
             fold_all(&shards, &batch);
             fold_all(&shards, &second);
             assert_eq!(shards.accepted(), n as u64);
-            let view = shards.finalize(rr, 4).into_view();
+            let view = shards.finalize(rr).into_view();
             assert_eq!(view.matrix(), reference.matrix(), "{num_shards} shards");
             assert_eq!(view.reported_degrees(), reference.reported_degrees());
         }
@@ -383,7 +383,7 @@ mod tests {
         for (i, r) in reports.iter().enumerate() {
             sequential.fold_row(i, r, false).0.unwrap();
         }
-        let reference = sequential.finalize(rr, 1).into_view();
+        let reference = sequential.finalize(rr).into_view();
 
         // Four threads racing interleaved id slices (i % 4 == t) into the
         // same shard set — plus every thread replaying thread 0's slice,
@@ -405,7 +405,7 @@ mod tests {
         assert_eq!(concurrent.accepted(), n as u64);
         // Thread 0's slice was replayed by the other three threads.
         assert_eq!(concurrent.duplicates(), 3 * (n as u64).div_ceil(4));
-        let view = concurrent.finalize(rr, 1).into_view();
+        let view = concurrent.finalize(rr).into_view();
         assert_eq!(view.matrix(), reference.matrix());
         assert_eq!(view.reported_degrees(), reference.reported_degrees());
     }
@@ -427,7 +427,7 @@ mod tests {
 
         // The finalized matrix matches the first-arrival-only fold.
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
-        let view = shards.finalize(rr, 1).into_view();
+        let view = shards.finalize(rr).into_view();
         let mut agg = StreamingAggregator::new(n, rr);
         agg.ingest_batch(&reports);
         assert_eq!(view.matrix(), agg.finalize().matrix());
@@ -452,7 +452,7 @@ mod tests {
                 for &i in &order {
                     shards.fold_row(i, &reports[i], false).0.unwrap();
                 }
-                let finalized = shards.finalize(rr, 2);
+                let finalized = shards.finalize(rr);
                 let mut encoded = Vec::new();
                 finalized.encode(&mut encoded);
                 let view = finalized.into_view();
@@ -501,7 +501,7 @@ mod tests {
         let shards = Shards::adjacency(0, 8);
         assert_eq!(shards.accepted(), 0);
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
-        let view = shards.finalize(rr, 1).into_view();
+        let view = shards.finalize(rr).into_view();
         assert_eq!(view.matrix().num_nodes(), 0);
         assert!(view.reported_degrees().is_empty());
 

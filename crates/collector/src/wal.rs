@@ -5,16 +5,17 @@
 //! frames are appended verbatim ahead of the fold, lifecycle frames
 //! (`OPEN`, `CLOSE`, `FINALIZE`) ahead of their `ACK`/`SUMMARY`. After a
 //! crash — power loss, SIGKILL, a torn write mid-record — recovery
-//! rebuilds every open round bit-identically by reloading the last
-//! checkpoint snapshot per round and replaying the journal tail on top
+//! rebuilds every open round bit-identically by restoring the last
+//! checkpoint record per round and replaying the journal tail on top
 //! through the live daemon's own `server::apply_frame`, so rejects
 //! (duplicates, quota, malformed entries) replay with the exact counter
-//! moves of the original run.
+//! moves of the original run. The journal segments are the only files
+//! the data directory holds.
 //!
 //! A round's live history starts after its last `FINALIZE` record: a
-//! finalized incarnation left no state, so its records — and any
-//! checkpoint marker it wrote, whose snapshot the finalize deleted — are
-//! skipped, and a round id reopened afterwards replays as a fresh round.
+//! finalized incarnation left no state, so its records — checkpoints
+//! included — are skipped, and a round id reopened afterwards replays as
+//! a fresh round.
 //!
 //! ## Journal format
 //!
@@ -31,9 +32,9 @@
 //! A **torn final record** — the crash hit mid-append — is treated as a
 //! clean end of log: the record never reached the fold on the live path
 //! either (the append happens first), so dropping it recovers the exact
-//! pre-crash state. A torn record *followed by more segments*, or a bad
-//! magic, is real corruption and refuses with a typed
-//! [`CollectorError::BadJournal`] rather than guessing.
+//! pre-crash state. A torn record *followed by more segments*, a bad
+//! magic or another segment version is real corruption and refuses with
+//! a typed [`CollectorError::BadJournal`] rather than guessing.
 //!
 //! ## Fsync policy
 //!
@@ -48,28 +49,31 @@
 //! `Off` recovery after power loss is best-effort: it lands on a
 //! consistent earlier state when the tail tore cleanly, and refuses with
 //! [`CollectorError::BadJournal`] (clear the data dir to proceed) when
-//! the surviving pages have holes. Checkpoint markers and `FINALIZE`
-//! records are synced under every policy — they gate deletions, which
-//! are not take-backable. The `collector_smoke` bench prints the ingest
-//! tax of each policy against a journal-less daemon and fails if `Off`
-//! costs more than half the throughput.
+//! the surviving pages have holes. Checkpoint and `FINALIZE` records are
+//! synced under every policy: a checkpoint lets segments be deleted, and
+//! a lost `FINALIZE` would replay a consumed round as still open. The
+//! `collector_smoke` bench prints the ingest tax of each policy against
+//! a journal-less daemon and fails if `Off` costs more than half the
+//! throughput.
 //!
-//! ## Checkpoint coordination
+//! ## Checkpoints
 //!
-//! A checkpoint of round `R` supersedes the journal prefix it covers:
-//! the snapshot is written to `round-<id>.<epoch>.ldpk` **atomically**
-//! (tmp file, fsync, rename, fsync the directory), then a
-//! `REC_CHECKPOINT` marker carrying the epoch is appended and synced,
-//! and only then are the previous epoch's file and any fully-superseded
-//! segments deleted. Recovery loads the epoch named by the *last marker
-//! on disk* — a crash between writing the new snapshot and appending its
-//! marker leaves the old epoch's file in place and replays from the old
-//! marker, so the orphaned newer snapshot is simply ignored. Epochs make
-//! the snapshot/marker pair atomic without needing the two writes to be.
+//! A checkpoint of round `R` is one `REC_CHECKPOINT` record: `R`'s id,
+//! then its `LDPK` snapshot ([`RoundCollector::checkpoint`]). Appending
+//! it syncs it and moves `R`'s live start to the segment that holds it.
+//! Every open round whose live start is older is checkpointed too, then
+//! the directory is synced and the segments before `R`'s record are
+//! deleted: the journal never holds more than the segments since the
+//! last checkpoint. Recovery restores `R` from its last such record and
+//! replays only the records after it. A crash mid-checkpoint leaves a
+//! torn final record, which the torn-tail rule drops, so recovery falls
+//! back to the previous checkpoint: the one write is crash-atomic on
+//! its own. A durable `OPEN` is refused when the round's snapshot could
+//! outgrow one record (`check_snapshot_fits`).
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::round::RoundCollector;
+use crate::round::{RoundChannel, RoundCollector};
 use crate::server::{apply_frame, frames, Frame, Session};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{self, get_varint, journal, put_varint, WireError};
@@ -91,8 +95,8 @@ pub enum FsyncPolicy {
     /// earlier state).
     EveryBytes(u64),
     /// Never `fsync` on the append path; the OS flushes at its leisure.
-    /// Rotation and checkpoint markers still sync, so loss is bounded to
-    /// the current segment's tail.
+    /// Checkpoint and `FINALIZE` records still sync (see the module
+    /// docs for what a power cut can lose).
     Off,
 }
 
@@ -141,9 +145,9 @@ pub struct DurableLog {
 
 impl DurableLog {
     /// Opens the durable plane over `dir`: recovers every round the
-    /// directory holds into `engine` (checkpoint snapshots first, then
-    /// the journal tail), re-snapshots the recovered rounds so the next
-    /// crash replays from here, and starts a fresh journal segment.
+    /// directory holds into `engine` (checkpoint records first, then the
+    /// journal tail), starts a fresh journal segment, and checkpoints the
+    /// recovered rounds into it so the next crash replays from here.
     ///
     /// # Errors
     /// I/O failures, [`CollectorError::BadJournal`] /
@@ -156,7 +160,7 @@ impl DurableLog {
     ) -> Result<(Self, Recovery), CollectorError> {
         std::fs::create_dir_all(dir)?;
         let (records, last_seq) = read_segments(dir)?;
-        let (per_round, epochs) = apply_records(engine, dir, &records)?;
+        let per_round = apply_records(engine, &records)?;
         let replayed_records: u64 = per_round.values().sum();
         let mut rounds = engine.open_round_ids();
         rounds.sort_unstable();
@@ -176,7 +180,6 @@ impl DurableLog {
             });
         }
         let mut journal = Journal::create(dir, policy, last_seq + 1)?;
-        journal.epochs = epochs;
         // Crash-harness hook, armed *before* startup compaction so a
         // kill schedule can land inside recovery itself (the daemon
         // binary documents `LDP_WAL_KILL_AFTER_BYTES`; see
@@ -187,11 +190,18 @@ impl DurableLog {
         {
             journal.kill_after = Some(bytes);
         }
-        // Compact: snapshot every recovered round into a fresh epoch, so
-        // the pre-crash segments are superseded and pruned — repeated
-        // crash/restart cycles cannot grow the journal without bound.
-        for &round in &rounds {
-            journal.checkpoint_round(engine, round, metrics)?;
+        // Compact: checkpoint every recovered round into the new
+        // segment, so the pre-crash segments are superseded and pruned —
+        // repeated crash/restart cycles cannot grow the journal without
+        // bound. Each round needs the old segments until its own record
+        // is written, so one checkpoint writes them all. With no round
+        // open nothing in them is needed.
+        journal
+            .live_since
+            .extend(rounds.iter().map(|&round| (round, 0)));
+        match rounds.first() {
+            Some(&first) => journal.checkpoint_round(engine, first, metrics)?,
+            None => journal.prune(),
         }
         Ok((
             DurableLog {
@@ -224,11 +234,9 @@ pub struct Journal {
     unsynced_bytes: u64,
     rotate_bytes: u64,
     /// Per open round: the earliest segment still needed to recover it
-    /// (its last checkpoint marker's segment, or its `REC_OPEN`'s).
+    /// (its last checkpoint record's segment, or its `REC_OPEN`'s).
     /// Segments below the minimum are superseded and prunable.
     live_since: BTreeMap<u64, u64>,
-    /// Per round: the snapshot epoch its last checkpoint marker named.
-    epochs: BTreeMap<u64, u64>,
     /// Fault hook: abort the process mid-write once this many total
     /// bytes have been appended, leaving a torn record on disk — how the
     /// crash harness pins torn-tail recovery (see `tests/crash.rs`).
@@ -249,7 +257,6 @@ impl Journal {
             unsynced_bytes: 0,
             rotate_bytes: DEFAULT_SEGMENT_BYTES,
             live_since: BTreeMap::new(),
-            epochs: BTreeMap::new(),
             kill_after: None,
             total_bytes: 0,
             frame_buf: Vec::new(),
@@ -259,8 +266,10 @@ impl Journal {
     /// Appends one record (frame-coded) and applies the fsync policy.
     /// Report payloads are appended **verbatim and before decoding**, so
     /// replay re-derives every accept *and* reject decision from the
-    /// same bytes the live path saw. A `FINALIZE` record is synced
-    /// whatever the policy, before the snapshots it retires are deleted.
+    /// same bytes the live path saw. `FINALIZE` and checkpoint records
+    /// are synced whatever the policy, and a checkpoint record moves its
+    /// round's live start to the segment it landed in — both before the
+    /// append can rotate.
     ///
     /// # Errors
     /// Disk I/O failures; the record is not durable and the caller must
@@ -286,7 +295,10 @@ impl Journal {
         }
         let n = buf.len() as u64;
         let write = self.file.write_all(&buf);
-        self.frame_buf = buf;
+        if kind != journal::REC_CHECKPOINT {
+            // Reuse a batch-sized buffer; a snapshot-sized one is freed.
+            self.frame_buf = buf;
+        }
         write?;
         self.total_bytes += n;
         self.segment_bytes += n;
@@ -294,37 +306,28 @@ impl Journal {
         if metrics.active() {
             metrics.wal_appended_bytes.add(n);
         }
-        match kind {
-            journal::REC_FINALIZE => {
-                // Synced under every policy, before the deletions it
-                // gates and before the reply leaves the socket: a power
-                // cut that kept the unlink but lost the record would
-                // leave a checkpoint marker with no snapshot, and a
-                // consumed round replayed as still open would resurrect.
-                self.sync(metrics)?;
-                if let Ok(round) = get_varint(&mut &payload[..]) {
-                    self.live_since.remove(&round);
-                    self.epochs.remove(&round);
-                    remove_round_files(&self.dir, round, None);
-                }
-            }
-            // Checkpoint markers manage their own tracking (the caller
-            // is `checkpoint_round`, which pins the marker's segment).
-            journal::REC_CHECKPOINT => {}
-            _ => {
-                if let Ok(round) = get_varint(&mut &payload[..]) {
-                    self.live_since.entry(round).or_insert(self.seq);
-                }
-            }
+        // `FINALIZE` and checkpoint records are synced under every policy,
+        // before the reply leaves the socket and before `prune` deletes
+        // what a checkpoint supersedes: a power cut that lost a `FINALIZE`
+        // would replay a consumed round as still open, and one that lost
+        // a checkpoint after the prune would lose its round.
+        let forced = matches!(kind, journal::REC_FINALIZE | journal::REC_CHECKPOINT);
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryBytes(window) => self.unsynced_bytes >= window,
+            FsyncPolicy::Off => false,
+        };
+        if forced || due {
+            self.sync(metrics)?;
         }
-        match self.policy {
-            FsyncPolicy::Always => self.sync(metrics)?,
-            FsyncPolicy::EveryBytes(window) => {
-                if self.unsynced_bytes >= window {
-                    self.sync(metrics)?;
-                }
+        if let Ok(round) = get_varint(&mut &payload[..]) {
+            if kind == journal::REC_FINALIZE {
+                self.live_since.remove(&round);
+            } else if kind == journal::REC_CHECKPOINT {
+                self.live_since.insert(round, self.seq);
+            } else {
+                self.live_since.entry(round).or_insert(self.seq);
             }
-            FsyncPolicy::Off => {}
         }
         if self.segment_bytes >= self.rotate_bytes {
             self.rotate(metrics)?;
@@ -371,11 +374,11 @@ impl Journal {
         Ok(())
     }
 
-    /// Snapshots `round_id` and supersedes its journal prefix: atomic
-    /// snapshot write (next epoch), synced `REC_CHECKPOINT` marker, then
-    /// deletion of the previous epoch's file and any segment every round
-    /// has checkpointed past. See the module docs for why the epoch in
-    /// the marker makes the snapshot/marker pair crash-atomic.
+    /// Snapshots `round_id` into one `REC_CHECKPOINT` record, which
+    /// supersedes its journal prefix, checkpoints every round that still
+    /// pins a segment before that record, then deletes the segments
+    /// before it. See the module docs for why the single record is
+    /// crash-atomic.
     ///
     /// # Errors
     /// [`CollectorError::UnknownRound`] when no round has this id; disk
@@ -386,67 +389,74 @@ impl Journal {
         round_id: u64,
         metrics: &CollectorMetrics,
     ) -> Result<(), CollectorError> {
-        let epoch = self.epochs.get(&round_id).copied().unwrap_or(0) + 1;
-        let mut snapshot = Vec::new();
-        engine.checkpoint(round_id, &mut snapshot)?;
-        atomic_write_file(&self.dir.join(checkpoint_name(round_id, epoch)), &snapshot)?;
-        let mut marker = Vec::new();
-        put_varint(round_id, &mut marker);
-        put_varint(epoch, &mut marker);
-        self.append(journal::REC_CHECKPOINT, &marker, metrics)?;
-        // The marker must be durable before anything it supersedes is
-        // deleted — unconditionally, whatever the append-path policy.
-        self.sync(metrics)?;
-        self.epochs.insert(round_id, epoch);
-        self.live_since.insert(round_id, self.seq);
-        remove_round_files(&self.dir, round_id, Some(epoch));
+        // The record lands in this segment. A round pinning older ones
+        // would keep its predecessors on disk, one snapshot more per
+        // checkpoint without bound, so that round is checkpointed too.
+        let since = self.seq;
+        let pinning = (self.live_since.iter())
+            .filter_map(|(&round, &s)| (s < since && round != round_id).then_some(round));
+        let rounds: Vec<u64> = std::iter::once(round_id).chain(pinning).collect();
+        for (i, round) in rounds.into_iter().enumerate() {
+            let mut record = Vec::new();
+            put_varint(round, &mut record);
+            match engine.checkpoint(round, &mut record) {
+                // A round the engine never admitted (a stray batch named
+                // it) has nothing to recover.
+                Err(CollectorError::UnknownRound { .. }) if i > 0 => {
+                    self.live_since.remove(&round);
+                    continue;
+                }
+                result => result?,
+            }
+            self.append(journal::REC_CHECKPOINT, &record, metrics)?;
+        }
         self.prune();
         Ok(())
     }
 
     /// Deletes segments wholly superseded by checkpoints (every round's
-    /// `live_since` is past them). Best-effort: a failed unlink costs
+    /// `live_since` is past them), after syncing the directory so the
+    /// segments that supersede them cannot be lost while the unlinks
+    /// survive a power cut. Best-effort: a failed sync or unlink costs
     /// disk, never correctness.
     fn prune(&mut self) {
-        let min_live = self
-            .live_since
-            .values()
-            .min()
-            .copied()
-            .unwrap_or(self.seq)
-            .min(self.seq);
+        let min_live = self.live_since.values().fold(self.seq, |m, &s| m.min(s));
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            if let Some(seq) = segment_seq(&name.to_string_lossy()) {
-                if seq < min_live {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
+        let doomed: Vec<PathBuf> = (entries.flatten())
+            .filter(|e| segment_seq(&e.file_name().to_string_lossy()).is_some_and(|s| s < min_live))
+            .map(|e| e.path())
+            .collect();
+        if doomed.is_empty() || File::open(&self.dir).and_then(|d| d.sync_all()).is_err() {
+            return;
+        }
+        for path in doomed {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// Writes `bytes` to `path` atomically: tmp file, fsync, rename over the
-/// target, fsync the parent directory. A crash at any point leaves
-/// either the old file or the new one — never a torn mix. Disk I/O
-/// failures leave the target untouched.
-fn atomic_write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            File::open(parent)?.sync_all()?;
-        }
+/// Refuses, as a [`CollectorError::GroupCap`], a round whose snapshot
+/// could outgrow one record ([`wire::MAX_FRAME_LEN`]). Only a
+/// degree-vector round can: no cap bounds its `N/8` seen-bitmap bytes
+/// and `shards · groups` sums together, and the rest of a record is
+/// under 128 bytes per shard plus 128. (An adjacency snapshot is at
+/// most ≈ 33 MB, at the wire view cap.)
+pub(crate) fn check_snapshot_fits(
+    channel: &RoundChannel,
+    shards: usize,
+) -> Result<(), CollectorError> {
+    let RoundChannel::DegreeVector { population, groups } = *channel else {
+        return Ok(());
+    };
+    let fixed = population as u64 / 8 + 128 * (shards as u64 + 1);
+    let cap = (wire::MAX_FRAME_LEN as u64).saturating_sub(fixed) / (8 * shards as u64);
+    if groups as u64 > cap {
+        return Err(CollectorError::GroupCap {
+            requested: groups,
+            cap: cap as usize,
+        });
     }
     Ok(())
 }
@@ -461,36 +471,6 @@ fn create_segment(dir: &Path, seq: u64) -> Result<File, CollectorError> {
 fn segment_seq(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("wal-")?.strip_suffix(".ldpw")?;
     u64::from_str_radix(hex, 16).ok()
-}
-
-fn checkpoint_name(round_id: u64, epoch: u64) -> String {
-    format!("round-{round_id:016x}.{epoch:016x}.ldpk")
-}
-
-/// Parses `round-<id>.<epoch>.ldpk` back into `(id, epoch)`.
-fn checkpoint_file(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("round-")?.strip_suffix(".ldpk")?;
-    let (id, epoch) = rest.split_once('.')?;
-    Some((
-        u64::from_str_radix(id, 16).ok()?,
-        u64::from_str_radix(epoch, 16).ok()?,
-    ))
-}
-
-/// Deletes `round_id`'s snapshot files, keeping only `keep_epoch` (all
-/// of them when `None`). Best-effort.
-fn remove_round_files(dir: &Path, round_id: u64, keep_epoch: Option<u64>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        if let Some((id, epoch)) = checkpoint_file(&name.to_string_lossy()) {
-            if id == round_id && Some(epoch) != keep_epoch {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
 }
 
 /// One journal record as read back from disk.
@@ -584,20 +564,16 @@ fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
 
 /// Replays `records` into `engine`. Per round, the live history starts
 /// just past its last `REC_FINALIZE` (an earlier incarnation left no
-/// state), or at its last `REC_CHECKPOINT` marker after that, whose
-/// snapshot is loaded; every later record re-runs through
-/// [`apply_frame`] with a replay session. Returns per-round
-/// applied-record counts and the marker epochs (seeding the new
-/// journal's epoch map).
-#[allow(clippy::type_complexity)]
+/// state), or at its last `REC_CHECKPOINT` after that, whose snapshot is
+/// restored; every later record re-runs through [`apply_frame`] with a
+/// replay session. Returns per-round applied-record counts.
 fn apply_records(
     engine: &RoundCollector,
-    dir: &Path,
     records: &[Rec],
-) -> Result<(BTreeMap<u64, u64>, BTreeMap<u64, u64>), CollectorError> {
+) -> Result<BTreeMap<u64, u64>, CollectorError> {
     // Pass 1: where each round's live history starts, and the snapshot
-    // epoch when that start is a checkpoint marker.
-    let mut start: BTreeMap<u64, (usize, Option<u64>)> = BTreeMap::new();
+    // when that start is a checkpoint record.
+    let mut start: BTreeMap<u64, (usize, Option<&[u8]>)> = BTreeMap::new();
     for (i, rec) in records.iter().enumerate() {
         let mut buf = rec.payload.as_slice();
         match rec.kind {
@@ -607,31 +583,25 @@ fn apply_records(
                 }
             }
             journal::REC_CHECKPOINT => {
-                let malformed = |_| CollectorError::BadJournal {
-                    detail: "malformed checkpoint marker",
-                };
-                let round = get_varint(&mut buf).map_err(malformed)?;
-                let epoch = get_varint(&mut buf).map_err(malformed)?;
-                start.insert(round, (i, Some(epoch)));
+                // Never skipped: the records it superseded may be gone.
+                let round = get_varint(&mut buf).map_err(|_| CollectorError::BadJournal {
+                    detail: "malformed checkpoint record",
+                })?;
+                start.insert(round, (i, Some(buf)));
             }
             _ => {}
         }
     }
-    // Load each marked round's snapshot — the state at its marker.
-    let mut epochs = BTreeMap::new();
-    for (&round, &(_, epoch)) in &start {
-        let Some(epoch) = epoch else { continue };
-        let path = dir.join(checkpoint_name(round, epoch));
-        let mut file = File::open(&path).map_err(|_| CollectorError::BadJournal {
-            detail: "checkpoint marker without its snapshot file",
-        })?;
-        let restored = engine.resume_round_into(&mut file)?;
-        if restored != round {
+    // Restore each checkpointed round — its state at that record.
+    for (&round, &(_, snapshot)) in &start {
+        let Some(mut snapshot) = snapshot else {
+            continue;
+        };
+        if engine.resume_round_into(&mut snapshot)? != round {
             return Err(CollectorError::BadJournal {
-                detail: "snapshot round id disagrees with its marker",
+                detail: "snapshot round id disagrees with its record",
             });
         }
-        epochs.insert(round, epoch);
     }
     // Pass 2: apply everything after each round's start, in order,
     // through the live frame path — identical accept/reject decisions,
@@ -652,9 +622,8 @@ fn apply_records(
             journal::REC_OPEN => frames::OPEN,
             journal::REC_BATCH => frames::REPORT_BATCH,
             journal::REC_CLOSE => frames::CLOSE,
-            // A round's history starts after its last FINALIZE, so every
-            // FINALIZE was skipped above; superseded markers (an older
-            // epoch) carry no state.
+            // Every FINALIZE and checkpoint record sits at or before its
+            // round's start, so none gets here.
             _ => continue,
         };
         let outcome = apply_frame(engine, &mut session, None, kind, &rec.payload);
@@ -666,7 +635,7 @@ fn apply_records(
         }
         *applied.entry(round).or_insert(0) += 1;
     }
-    Ok((applied, epochs))
+    Ok(applied)
 }
 
 #[cfg(test)]
@@ -806,7 +775,7 @@ mod tests {
             journal
                 .checkpoint_round(&eng, 3, eng.metrics())
                 .expect("checkpoint");
-            // Everything before the marker now lives in the snapshot;
+            // Everything before the record now lives in its snapshot;
             // earlier segments are gone.
             let segments: Vec<u64> = std::fs::read_dir(&dir)
                 .expect("read dir")
@@ -814,7 +783,7 @@ mod tests {
                 .filter_map(|e| segment_seq(&e.file_name().to_string_lossy()))
                 .collect();
             assert!(
-                segments.iter().all(|&s| s >= journal.seq),
+                segments.iter().all(|&s| s >= journal.live_since[&3]),
                 "superseded segments survived prune: {segments:?}"
             );
         }
@@ -841,14 +810,11 @@ mod tests {
         journal
             .checkpoint_round(&eng, 5, eng.metrics())
             .expect("checkpoint");
-        let snapshot = dir.join(checkpoint_name(5, 1));
-        assert!(snapshot.exists(), "the checkpoint wrote its snapshot");
         let mut finalize = Vec::new();
         put_varint(5, &mut finalize);
         journal
             .append(journal::REC_FINALIZE, &finalize, eng.metrics())
             .expect("append");
-        assert!(!snapshot.exists(), "the finalize deletes the snapshot");
         assert_eq!(
             journal.unsynced_bytes, 0,
             "the snapshot was deleted ahead of a durable FINALIZE record"
@@ -906,50 +872,287 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir2);
     }
 
+    /// The data directory's file names, sorted.
+    fn dir_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn orphaned_newer_snapshot_is_ignored() {
-        // Crash window: snapshot epoch N+1 written, marker never
-        // appended. Recovery must load epoch N (the last *marked* one).
-        let dir = scratch_dir("orphan");
+    fn a_torn_tail_with_no_open_round_survives_two_restarts() {
+        let dir = scratch_dir("torn-no-round");
+        {
+            let eng = engine();
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+            journal_round(&mut log.lock(), &eng, 9, 16, 12);
+        }
+        // Only a torn OPEN survives: no round is open after recovery,
+        // and the torn segment must not outlive the restart that read it.
+        let seg = dir.join("wal-0000000000000001.ldpw");
+        let intact = std::fs::read(&seg).expect("read segment");
+        std::fs::write(&seg, &intact[..8]).expect("tear");
+        for restart in 0..2 {
+            let eng = engine();
+            let (_log, recovery) = DurableLog::open(&dir, FsyncPolicy::Off, &eng)
+                .unwrap_or_else(|e| panic!("restart {restart}: {e}"));
+            assert!(recovery.rounds.is_empty());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_that_rotates_the_segment_survives_restart() {
+        let dir = scratch_dir("checkpoint-rotates");
         {
             let eng = engine();
             let (log, _) = DurableLog::open(&dir, FsyncPolicy::Always, &eng).expect("open");
+            let mut journal = log.lock();
+            journal_round(&mut journal, &eng, 3, 16, 10);
+            // The checkpoint record's own append crosses the rotation
+            // threshold, so the journal moves on to a new segment.
+            journal.rotate_bytes = journal.segment_bytes + 1;
+            journal
+                .checkpoint_round(&eng, 3, eng.metrics())
+                .expect("checkpoint");
+            assert!(journal.live_since[&3] < journal.seq, "the append rotated");
+            let files = dir_files(&dir);
+            assert!(
+                files.iter().all(|f| segment_seq(f).is_some()),
+                "a checkpoint left a file other than a segment: {files:?}"
+            );
+        }
+        let eng = engine();
+        let (_log, recovery) = DurableLog::open(&dir, FsyncPolicy::Always, &eng).expect("recover");
+        assert_eq!(recovery.rounds, vec![3]);
+        assert_eq!(eng.counters(3).expect("counters").accepted, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_snapshot_record_falls_back_to_the_previous_one() {
+        // Crash window: the second checkpoint record of round 4 is half
+        // written. Recovery must restore the first (6 accepted), not
+        // whatever the torn one would have held (9).
+        let dir = scratch_dir("torn-snapshot");
+        {
+            let eng = engine();
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
             let mut journal = log.lock();
             journal_round(&mut journal, &eng, 4, 16, 6);
             journal
                 .checkpoint_round(&eng, 4, eng.metrics())
                 .expect("checkpoint");
-            // Fake the torn second checkpoint: a newer-epoch snapshot
-            // file with no marker, containing *more* state.
+            assert_eq!(journal.unsynced_bytes, 0, "a checkpoint syncs under `Off`");
             for u in 6..9u64 {
                 eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
                     .expect("ingest");
             }
-            let mut snapshot = Vec::new();
-            eng.checkpoint(4, &mut snapshot).expect("snapshot");
-            std::fs::write(dir.join(checkpoint_name(4, 99)), &snapshot).expect("orphan");
+            let mut record = Vec::new();
+            put_varint(4, &mut record);
+            eng.checkpoint(4, &mut record).expect("snapshot");
+            let mut frame = Vec::new();
+            wire::write_frame(&mut frame, journal::REC_CHECKPOINT, &record).expect("frame");
+            journal
+                .file
+                .write_all(&frame[..frame.len() / 2])
+                .expect("torn append");
         }
         let eng = engine();
-        let (_log, recovery) = DurableLog::open(&dir, FsyncPolicy::Always, &eng).expect("recover");
+        let (_log, recovery) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("recover");
         assert_eq!(recovery.rounds, vec![4]);
-        // State is the *marked* epoch: 6 accepted, not the orphan's 9.
         assert_eq!(eng.counters(4).expect("counters").accepted, 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn atomic_write_replaces_never_tears() {
-        let dir = scratch_dir("atomic");
-        let target = dir.join("state.bin");
-        atomic_write_file(&target, b"first-generation").expect("first write");
-        assert_eq!(std::fs::read(&target).expect("read"), b"first-generation");
-        atomic_write_file(&target, b"second").expect("second write");
-        assert_eq!(std::fs::read(&target).expect("read"), b"second");
-        // No tmp residue.
-        assert_eq!(
-            std::fs::read_dir(&dir).expect("read dir").flatten().count(),
-            1
+    fn repeated_checkpoints_while_another_round_stays_open_stay_bounded() {
+        let dir = scratch_dir("retention");
+        {
+            let eng = engine();
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+            let mut journal = log.lock();
+            journal.rotate_bytes = 64; // every record rotates
+            journal_round(&mut journal, &eng, 3, 16, 5);
+            journal_round(&mut journal, &eng, 4, 16, 6);
+            // A stray batch names a round the engine never admitted.
+            let mut stray = Vec::new();
+            let entries = [(0, UserReport::DegreeVector(vec![1.0, 0.0]))];
+            wire::encode_routed_batch(99, &entries, &mut stray);
+            let mut session = Session::default();
+            apply_frame(
+                &eng,
+                &mut session,
+                Some(&mut journal),
+                frames::REPORT_BATCH,
+                &stray,
+            );
+            for u in 6..12u64 {
+                eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
+                    .expect("ingest");
+                journal
+                    .checkpoint_round(&eng, 4, eng.metrics())
+                    .expect("checkpoint");
+                // Round 3 never checkpoints itself, yet only the latest
+                // snapshot of each round is kept.
+                let (records, _) = read_segments(&dir).expect("read journal");
+                let snapshots = records
+                    .iter()
+                    .filter(|r| r.kind == journal::REC_CHECKPOINT)
+                    .count();
+                assert_eq!(snapshots, 2, "after checkpoint {u}");
+            }
+        }
+        let eng = engine();
+        let (_log, recovery) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("recover");
+        assert_eq!(recovery.rounds, vec![3, 4]);
+        assert_eq!(eng.counters(3).expect("counters").accepted, 5);
+        assert_eq!(eng.counters(4).expect("counters").accepted, 12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_durable_open_whose_snapshot_outgrows_one_record_is_refused() {
+        let dir = scratch_dir("snapshot-cap");
+        let open = |round: u64, groups: u64| {
+            let mut open = Vec::new();
+            put_varint(round, &mut open);
+            put_varint(0, &mut open); // tenant
+            open.push(1); // degree-vector tag
+            put_varint(1 << 10, &mut open);
+            put_varint(groups, &mut open);
+            put_varint(0, &mut open); // quota default
+            open
+        };
+        let eng = RoundCollector::new(CollectorConfig {
+            shards: 128,
+            ..CollectorConfig::default()
+        })
+        .expect("engine");
+        let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+        let mut journal = log.lock();
+        // 128 shards × 65,536 groups × 8 bytes of sums is the whole
+        // 64 MiB frame before any header.
+        let mut session = Session::default();
+        match apply_frame(
+            &eng,
+            &mut session,
+            Some(&mut journal),
+            frames::OPEN,
+            &open(1, 1 << 16),
+        ) {
+            Frame::Refused(CollectorError::GroupCap { requested, cap }) => {
+                assert_eq!(requested, 1 << 16);
+                assert!(cap < 1 << 16);
+            }
+            _ => panic!("a 64 MiB snapshot was not refused with GroupCap"),
+        }
+        assert!(eng.open_round_ids().is_empty());
+        assert!(read_segments(&dir).expect("read journal").0.is_empty());
+        let outcome = apply_frame(
+            &eng,
+            &mut session,
+            Some(&mut journal),
+            frames::OPEN,
+            &open(2, 64),
         );
+        assert!(matches!(outcome, Frame::Continue));
+        drop(journal);
+        // A replayed `OPEN` is checked too: 2 shards hold 65,536 groups
+        // in one record, so a restart with 128 refuses before compaction.
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let eng = engine(); // 2 shards
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+            let mut journal = log.lock();
+            let outcome = apply_frame(
+                &eng,
+                &mut Session::default(),
+                Some(&mut journal),
+                frames::OPEN,
+                &open(3, 1 << 16),
+            );
+            assert!(matches!(outcome, Frame::Continue));
+        }
+        assert!(matches!(
+            DurableLog::open(&dir, FsyncPolicy::Off, &eng),
+            Err(CollectorError::GroupCap { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The check's per-shard slack holds for real records, with every
+        // varint of the header at its widest.
+        for (n, groups, shards) in [(1, 1, 1), (100, 3, 7), (1000, 50, 2), (4096, 1, 64)] {
+            let eng = RoundCollector::new(CollectorConfig {
+                shards,
+                ..CollectorConfig::default()
+            })
+            .expect("engine");
+            let channel = RoundChannel::DegreeVector {
+                population: n,
+                groups,
+            };
+            eng.open_round_as(u64::MAX, u64::MAX, channel, Some(u64::MAX))
+                .expect("open");
+            let mut record = Vec::new();
+            put_varint(u64::MAX, &mut record);
+            eng.checkpoint(u64::MAX, &mut record).expect("snapshot");
+            let bound = n / 8 + 128 * (shards + 1) + 8 * shards * groups;
+            assert!(
+                record.len() < bound, // the frame adds one kind byte
+                "{n} users, {groups} groups, {shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_checkpoints_and_old_segments_refuse_typed() {
+        let dir = scratch_dir("refusals");
+        let eng = engine();
+        let snapshot = {
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+            journal_round(&mut log.lock(), &eng, 3, 16, 10);
+            let mut snapshot = Vec::new();
+            eng.checkpoint(3, &mut snapshot).expect("snapshot");
+            snapshot
+        };
+        let segment = |version: u8, payload: &[u8]| {
+            let mut bytes = journal::SEGMENT_MAGIC.to_vec();
+            bytes.push(version);
+            wire::write_frame(&mut bytes, journal::REC_CHECKPOINT, payload).expect("frame");
+            bytes
+        };
+        let with_id = |round: u64, snapshot: &[u8]| {
+            let mut payload = Vec::new();
+            put_varint(round, &mut payload);
+            payload.extend_from_slice(snapshot);
+            payload
+        };
+        let current = journal::SEGMENT_VERSION;
+        let cases: [(Vec<u8>, &str); 4] = [
+            // A version-1 segment: its markers carried an epoch.
+            (segment(1, &[3, 1]), "unsupported segment version"),
+            // The round id itself does not parse: never a silent skip.
+            (segment(current, &[0x80]), "malformed checkpoint record"),
+            (segment(current, &with_id(3, b"LDPKjunk")), "bad checkpoint"),
+            (
+                segment(current, &with_id(4, &snapshot)),
+                "snapshot round id disagrees with its record",
+            ),
+        ];
+        for (bytes, expected) in cases {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create dir");
+            std::fs::write(dir.join("wal-0000000000000001.ldpw"), bytes).expect("write");
+            match DurableLog::open(&dir, FsyncPolicy::Off, &engine()) {
+                Err(CollectorError::BadJournal { detail }) => assert_eq!(detail, expected),
+                Err(CollectorError::BadCheckpoint { .. }) => assert_eq!(expected, "bad checkpoint"),
+                other => panic!("{expected}: refused as {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

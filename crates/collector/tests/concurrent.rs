@@ -12,11 +12,13 @@ use ldp_collector::{
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
 use ldp_protocols::protocol::STREAM_ATTACK;
+use ldp_protocols::wire;
 use ldp_protocols::{AdjacencyReport, LfGdpr, UserReport};
 use poison_core::{
     craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, ThreatModel,
 };
 use std::net::SocketAddr;
+use std::path::Path;
 
 fn spawn_daemon(
     max_sessions: usize,
@@ -30,6 +32,32 @@ fn spawn_daemon(
         ..CollectorConfig::default()
     })
     .expect("bind loopback daemon")
+}
+
+/// The `LDPK` snapshot in the data directory's last `REC_CHECKPOINT`
+/// journal record (the record's payload past its round id).
+fn last_checkpoint_snapshot(dir: &Path) -> Option<Vec<u8>> {
+    let mut segments: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ldpw"))
+        .collect();
+    segments.sort();
+    let mut snapshot = None;
+    for segment in segments {
+        let bytes = std::fs::read(segment).unwrap();
+        let mut records = &bytes[5..];
+        let mut payload = Vec::new();
+        while let Some(kind) = wire::read_frame(&mut records, &mut payload).unwrap() {
+            if kind == wire::journal::REC_CHECKPOINT {
+                let mut rest = payload.as_slice();
+                wire::get_varint(&mut rest).unwrap();
+                snapshot = Some(rest.to_vec());
+            }
+        }
+    }
+    snapshot
 }
 
 fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<Result<(), CollectorError>>) {
@@ -342,8 +370,9 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     });
 
     // Every session has synced, and journal appends are unbuffered
-    // writes: a copy of the data directory taken now holds every record
-    // and the snapshot, as a crash at this instant would leave them.
+    // writes: a copy of the data directory taken now holds every record,
+    // the checkpoint's included, as a crash at this instant would leave
+    // them.
     let crashed = std::env::temp_dir().join(format!("ldp-concurrent-{}-copy", std::process::id()));
     let _ = std::fs::remove_dir_all(&crashed);
     std::fs::create_dir_all(&crashed).unwrap();
@@ -364,15 +393,10 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     // The snapshot alone, with the *full* stream replayed over it:
     // already-folded ids are rejected as duplicates, missing ids fold
     // now, and the finalize is bit-identical.
-    let snapshot = std::fs::read_dir(&crashed)
-        .unwrap()
-        .flatten()
-        .find(|e| e.file_name().to_string_lossy().ends_with(".ldpk"))
-        .expect("the checkpoint wrote a snapshot")
-        .path();
+    let snapshot = last_checkpoint_snapshot(&crashed).expect("the checkpoint wrote a snapshot");
     let resumed = RoundCollector::new(config.clone()).unwrap();
     resumed
-        .resume_round_into(&mut std::fs::File::open(&snapshot).unwrap())
+        .resume_round_into(&mut snapshot.as_slice())
         .expect("restore snapshot");
     for (id, report) in reports.iter().enumerate() {
         let outcome = resumed

@@ -17,9 +17,9 @@
 //! * the daemon's scrape surface shows the recovery
 //!   (`recovered_rounds`, `wal_replayed_frames`);
 //! * finalize after a checkpoint, then SIGKILL: the restarted daemon
-//!   comes up with nothing open — the finalize deleted the round's
-//!   snapshot while its marker survived in the journal — and the round
-//!   id is free again;
+//!   comes up with nothing open — the round's checkpoint record
+//!   survives in the journal, but its `FINALIZE` comes later — and the
+//!   round id is free again;
 //! * no client is dropped with unflushed bytes — a reconnect replaces
 //!   its dead connection without counting a failed flush, so
 //!   `pending_flush_failed` reads 0.
@@ -207,8 +207,8 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
     if let Some(handle) = watcher.take() {
         daemon = Some(handle.join().expect("torn-append watcher"));
     }
-    // Checkpoint the complete round, so the finalize below deletes a
-    // snapshot whose marker stays in the journal.
+    // Checkpoint the complete round, so the finalize below follows a
+    // checkpoint record that stays in the journal.
     client.sync().expect("barrier before the checkpoint");
     CollectorClient::connect(("127.0.0.1", port))
         .and_then(|mut admin| admin.checkpoint(ROUND))
@@ -260,10 +260,11 @@ fn schedule(index: u64) -> BTreeMap<u64, Kill> {
     if index % 3 == 2 {
         // One torn-append kill, strictly after the SIGKILLs so its
         // watcher never races another kill's respawn. The byte threshold
-        // clears startup compaction (~a marker record) but is crossed by
-        // the first post-restart report batches.
+        // clears startup compaction (one checkpoint record, 98 bytes for
+        // this round) but is crossed by the first post-restart report
+        // batches.
         let last = kills.keys().max().copied().unwrap_or(0);
-        let threshold = 64 + splitmix64(&mut state) % 128;
+        let threshold = 128 + splitmix64(&mut state) % 128;
         kills.insert((last + 4).min(LAST_KILL_INDEX), Kill::TornAppend(threshold));
     }
     kills
@@ -338,7 +339,7 @@ fn a_lossless_reconnect_counts_no_failed_flush() {
 }
 
 /// A daemon that dies while *recovering* (torn hook armed so tightly it
-/// fires during startup compaction's checkpoint marker) must still come
+/// fires during startup compaction's checkpoint record) must still come
 /// back on the next, unarmed restart — recovery itself is crash-safe.
 #[test]
 fn a_crash_during_recovery_is_recoverable() {
@@ -366,7 +367,7 @@ fn a_crash_during_recovery_is_recoverable() {
     client.sync().expect("barrier");
     daemon.kill().expect("SIGKILL");
     daemon.wait().expect("reap");
-    // Threshold 1: startup compaction's own checkpoint-marker append
+    // Threshold 1: startup compaction's own checkpoint-record append
     // crosses it, so this incarnation aborts mid-recovery before it ever
     // prints ADDR. spawn_daemon would retry such a death; spawn by hand
     // to give it exactly one shot.
@@ -395,6 +396,72 @@ fn a_crash_during_recovery_is_recoverable() {
     assert_eq!(summary.counters.accepted, 16);
     let finalized = client.finalize_degree_vector(ROUND).expect("finalize");
     assert_eq!(finalized.accepted, 16);
+    client.shutdown().expect("shutdown");
+    daemon.wait().expect("reap");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        CollectorClient::pending_flush_failed(),
+        0,
+        "a reconnect counted its dropped connection as a failed flush"
+    );
+}
+
+/// A daemon that dies between two of startup compaction's checkpoint
+/// records must lose neither round: the first round's record may not
+/// prune the old segments the second round still needs.
+#[test]
+fn a_crash_between_compaction_checkpoints_loses_no_round() {
+    let dir = crash_root().join("compaction-crash");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let port = free_port();
+    let mut daemon = spawn_daemon(&dir, port, None);
+    let mut client = retrying_client(port);
+    let channel = RoundChannel::DegreeVector {
+        population: 16,
+        groups: GROUPS,
+    };
+    for round in [ROUND, ROUND + 1] {
+        client.open_round(round, channel, Some(256)).expect("open");
+        for user in 0..8u64 {
+            client
+                .queue_degree_vector(user, &vector(user))
+                .expect("queue");
+        }
+    }
+    client.sync().expect("barrier");
+    daemon.kill().expect("SIGKILL");
+    daemon.wait().expect("reap");
+    // Each round's compaction record is 98 bytes, so a 128-byte
+    // threshold lets the first one land and tears the second.
+    let mut command = Command::new(env!("CARGO_BIN_EXE_ldp-collectord"));
+    command
+        .arg("--addr")
+        .arg(format!("127.0.0.1:{port}"))
+        .arg("--data-dir")
+        .arg(&dir)
+        .arg("--shards")
+        .arg(SHARDS.to_string())
+        .env("LDP_WAL_KILL_AFTER_BYTES", "128")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+    let mut dying = command.spawn().expect("spawn the doomed incarnation");
+    // A daemon that outlives compaction would serve forever: bound the
+    // wait, so a smaller record fails this test instead of hanging it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while dying.try_wait().expect("poll").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = dying.kill();
+            let _ = dying.wait();
+            panic!("the armed daemon survived startup compaction");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut daemon = spawn_daemon(&dir, port, None);
+    for round in [ROUND, ROUND + 1] {
+        let summary = client.close_round(round).expect("close a recovered round");
+        assert_eq!(summary.counters.accepted, 8, "round {round}");
+    }
     client.shutdown().expect("shutdown");
     daemon.wait().expect("reap");
     let _ = std::fs::remove_dir_all(&dir);

@@ -166,12 +166,12 @@ fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
 }
 
 /// Every prefix of a journal segment — cutting through record frames,
-/// the checkpoint marker, and the segment header alike — must either
-/// recover a consistent prefix of the round (torn tail = clean end of
-/// log) or refuse typed. The source directory is produced by a real
-/// durable daemon, so the bytes under the knife are exactly what
-/// production writes: OPEN + report batches + a checkpoint marker + a
-/// post-marker tail of journaled duplicates.
+/// the checkpoint record's snapshot, and the segment header alike — must
+/// either recover a consistent prefix of the round (torn tail = clean
+/// end of log) or refuse typed. The source directory is produced by a
+/// real durable daemon, so the bytes under the knife are exactly what
+/// production writes: OPEN + report batches + a checkpoint record + a
+/// post-checkpoint tail of journaled duplicates.
 #[test]
 fn wal_segment_truncated_at_every_offset_recovers_or_refuses() {
     let population = 16usize;
@@ -200,33 +200,24 @@ fn wal_segment_truncated_at_every_offset_recovers_or_refuses() {
     handle.join().expect("daemon thread").expect("daemon exit");
 
     // Collect the directory: exactly one journal segment (nothing
-    // rotated) plus the round's snapshot file(s) from the marker.
+    // rotated), which holds the checkpoint record, and no side files.
     let mut segment: Option<(std::ffi::OsString, Vec<u8>)> = None;
-    let mut side_files: Vec<(std::ffi::OsString, Vec<u8>)> = Vec::new();
     for entry in std::fs::read_dir(&dir).expect("read data dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name();
-        let bytes = std::fs::read(entry.path()).expect("read file");
-        if name.to_string_lossy().ends_with(".ldpw") {
-            assert!(segment.is_none(), "expected a single journal segment");
-            segment = Some((name, bytes));
-        } else {
-            side_files.push((name, bytes));
-        }
+        assert!(
+            name.to_string_lossy().ends_with(".ldpw"),
+            "a file other than a journal segment: {name:?}"
+        );
+        assert!(segment.is_none(), "expected a single journal segment");
+        segment = Some((name, std::fs::read(entry.path()).expect("read file")));
     }
     let (segment_name, segment_bytes) = segment.expect("a journal segment must exist");
-    assert!(
-        !side_files.is_empty(),
-        "the checkpoint marker must have written a snapshot file"
-    );
 
     let sweep_root = scratch_dir("wal-sweep");
     for cut in 0..=segment_bytes.len() {
         let case_dir = sweep_root.join(format!("cut-{cut}"));
         std::fs::create_dir_all(&case_dir).expect("case dir");
-        for (name, bytes) in &side_files {
-            std::fs::write(case_dir.join(name), bytes).expect("copy side file");
-        }
         std::fs::write(case_dir.join(&segment_name), &segment_bytes[..cut])
             .expect("write truncated segment");
         let engine = RoundCollector::new(config()).expect("fresh engine");
@@ -569,10 +560,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Regression: a durable daemon that checkpoints a round and then closes
-/// and finalizes it must restart on its data directory. The finalize
-/// deleted the round's snapshot while its checkpoint marker survived in
-/// the journal; recovery must not demand the snapshot of a round that
-/// finalized later in the log. The id is then free for a fresh round.
+/// and finalizes it must restart on its data directory. The round's
+/// checkpoint record survives in the journal ahead of its `FINALIZE`;
+/// recovery must not restore a round that finalized later in the log.
+/// The id is then free for a fresh round.
 #[test]
 fn finalize_after_checkpoint_restarts_cleanly() {
     let population = 4usize;

@@ -161,8 +161,10 @@ pub mod frames {
 pub mod journal {
     /// Magic bytes opening a WAL segment file.
     pub const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
-    /// Journal format version.
-    pub const SEGMENT_VERSION: u8 = 1;
+    /// Journal format version (2: a checkpoint record carries its
+    /// round's snapshot; version 1's carried an epoch naming a snapshot
+    /// file, and such segments are refused).
+    pub const SEGMENT_VERSION: u8 = 2;
     /// A round was opened; payload = the `OPEN` frame payload verbatim.
     pub const REC_OPEN: u8 = 0x01;
     /// A routed report batch; payload = the `REPORT_BATCH` frame payload
@@ -173,9 +175,10 @@ pub mod journal {
     /// The named round finalized (left the registry); payload = round id
     /// varint.
     pub const REC_FINALIZE: u8 = 0x05;
-    /// The named round's state through this point is captured by its
-    /// checkpoint file — replay discards the round's earlier records and
-    /// reloads the snapshot instead; payload = round id varint.
+    /// The named round's state through this point; payload = round id
+    /// varint, then the round's `LDPK` checkpoint snapshot. Replay
+    /// restores the round from its last such record and discards the
+    /// round's earlier records.
     pub const REC_CHECKPOINT: u8 = 0x06;
 }
 
