@@ -8,7 +8,7 @@
 
 use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
-use crate::popcount::{and_popcount, popcount};
+use crate::popcount::{and_popcount, and_popcount4, popcount};
 use crate::runtime::parallel_map;
 
 /// A square, symmetric bit matrix over `n` nodes.
@@ -281,17 +281,22 @@ impl BitMatrix {
     /// Triangle counts at each of `nodes` (in order; duplicates allowed),
     /// on up to `threads` workers of the shared runtime.
     ///
-    /// Row-streamed: every row `v` adjacent to some target is visited
-    /// once, in increasing order. For each target `t` with bit `t` of row
-    /// `v` set, `|row_t[..v) ∩ row_v[..v)|` is added to `t`'s count, so
-    /// the triangle `{t, v, w}` with `w < v` is found exactly once (the
-    /// word-wise form of [`BitSet::iter_ones_below`]'s bound). The
-    /// targets' rows stay hot in cache while the other rows stream past
-    /// once; the cost is `Σ_t d_t · n/128` word AND-popcounts
-    /// ([`crate::popcount::and_popcount`], vectorized where the CPU has
-    /// AVX-512 VPOPCNTDQ). Row ranges are counted in chunks and the chunk
-    /// counts summed in chunk order; the sums are exact, so the result is
-    /// the same at any thread count.
+    /// Row-streamed: for each target `t` and each neighbor `v` of `t`,
+    /// `|row_t[..v) ∩ row_v[..v)|` is added to `t`'s count, so the
+    /// triangle `{t, v, w}` with `w < v` is found exactly once (the
+    /// word-wise form of [`BitSet::iter_ones_below`]'s bound). The cost
+    /// is `Σ_t d_t · n/128` word AND-popcounts.
+    ///
+    /// The distinct targets, in increasing order, are split into
+    /// contiguous blocks whose rows fill at most 1 MiB, half of a 2 MiB
+    /// L2, so a block's rows stay in L2 while the rows adjacent to the block
+    /// (the union of its target rows) stream past once, in increasing
+    /// order. Per streamed row `v`, the block's targets adjacent to `v`
+    /// are counted four at a time ([`crate::popcount::and_popcount4`],
+    /// vectorized where the CPU has AVX-512 VPOPCNTDQ), so each word of
+    /// `v`'s prefix is read once per four targets. Row ranges are
+    /// counted in chunks and the chunk counts summed in chunk order; the
+    /// sums are exact, so the result is the same at any thread count.
     ///
     /// Relies on the symmetric, zero-diagonal invariant
     /// ([`Self::is_well_formed`]).
@@ -304,36 +309,54 @@ impl BitMatrix {
         }
         let wpr = self.words_per_row;
         let mut mask = vec![0u64; wpr];
-        let mut union = vec![0u64; wpr];
         for &t in nodes {
-            let row = self.row(t);
-            let bit = 1u64 << (t % WORD_BITS);
-            if mask[t / WORD_BITS] & bit == 0 {
-                mask[t / WORD_BITS] |= bit;
-                for (acc, &w) in union.iter_mut().zip(row) {
-                    *acc |= w;
-                }
-            }
+            assert!(t < self.n, "row {t} out of range for {} nodes", self.n);
+            mask[t / WORD_BITS] |= 1u64 << (t % WORD_BITS);
         }
         // Distinct targets get slots in increasing node order; `rank[k]`
-        // is the slot of the lowest target in mask word `k`.
+        // is the slot of the lowest target in mask word `k`. A mask word
+        // that straddles a block boundary is split between the blocks.
+        let per_block = (TARGET_BLOCK_BYTES / (wpr * 8).max(1)).max(1);
         let mut rank = Vec::with_capacity(wpr);
-        let mut targets = Vec::new();
+        let mut blocks: Vec<TargetBlock> = Vec::new();
         let mut slots = 0;
         for (k, &w) in mask.iter().enumerate() {
             rank.push(slots);
-            if w != 0 {
-                targets.push(MaskWord {
+            let mut rest = w;
+            while rest != 0 {
+                if blocks.last().is_none_or(|b| b.targets == per_block) {
+                    blocks.push(TargetBlock {
+                        words: Vec::new(),
+                        union: vec![0; wpr],
+                        targets: 0,
+                    });
+                }
+                let block = blocks.last_mut().expect("a block was just pushed");
+                let mut bits = 0;
+                while rest != 0 && block.targets < per_block {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    bits |= 1u64 << b;
+                    block.targets += 1;
+                    for (acc, &w) in block.union.iter_mut().zip(self.row(k * WORD_BITS + b)) {
+                        *acc |= w;
+                    }
+                }
+                block.words.push(MaskWord {
                     index: k,
-                    bits: w,
+                    bits,
                     first_slot: slots,
                 });
-                slots += w.count_ones() as usize;
+                slots += bits.count_ones() as usize;
             }
         }
         let chunks = row_word_chunks(wpr, threads);
         let per_chunk = parallel_map(chunks, threads, |&(lo, hi)| {
-            self.stream_triangles(&union[lo..hi], lo, &targets, slots)
+            let mut counts = vec![0u64; slots];
+            for block in &blocks {
+                self.stream_triangles(block, lo, hi, &mut counts);
+            }
+            counts
         });
         let mut counts = vec![0u64; slots];
         for chunk in per_chunk {
@@ -350,18 +373,24 @@ impl BitMatrix {
             .collect()
     }
 
-    /// The per-chunk body of [`Self::triangles_at_many`]: streams the rows
-    /// set in `union` (words `first_word..` of the union of the target
-    /// rows) and returns the partial count of every target slot.
+    /// The per-chunk, per-block body of [`Self::triangles_at_many`]:
+    /// streams the rows set in words `first_word..end_word` of the
+    /// block's union and adds each target's partial count to its slot of
+    /// `counts`.
     fn stream_triangles(
         &self,
-        union: &[u64],
+        block: &TargetBlock,
         first_word: usize,
-        targets: &[MaskWord],
-        slots: usize,
-    ) -> Vec<u64> {
-        let mut counts = vec![0u64; slots];
-        for (wi, &word) in union.iter().enumerate() {
+        end_word: usize,
+        counts: &mut [u64],
+    ) {
+        // Up to four (slot, row) hits of a streamed row wait here for one
+        // `and_popcount4` pass over it. A block of fewer than four targets
+        // never fills a group, so its hits are counted as they come (the
+        // one-node call).
+        let mut group: [(usize, &[u64]); 4] = [(0, &[]); 4];
+        let grouping = block.targets >= 4;
+        for (wi, &word) in block.union[first_word..end_word].iter().enumerate() {
             let mut rows = word;
             while rows != 0 {
                 let v = (first_word + wi) * WORD_BITS + rows.trailing_zeros() as usize;
@@ -369,7 +398,14 @@ impl BitMatrix {
                 let row_v = self.row(v);
                 let full = v / WORD_BITS;
                 let below_v = (1u64 << (v % WORD_BITS)) - 1;
-                for target in targets {
+                // `|row_t[..v) ∩ row_v[..v)|` given the prefix count over
+                // the full words.
+                let mut add = |slot: usize, row_t: &[u64], prefix: u64| {
+                    counts[slot] +=
+                        prefix + u64::from((row_t[full] & row_v[full] & below_v).count_ones());
+                };
+                let mut grouped = 0;
+                for target in &block.words {
                     let mut hits = row_v[target.index] & target.bits;
                     while hits != 0 {
                         let b = hits.trailing_zeros() as usize;
@@ -377,13 +413,27 @@ impl BitMatrix {
                         let slot = target.first_slot
                             + (target.bits & ((1u64 << b) - 1)).count_ones() as usize;
                         let row_t = self.row(target.index * WORD_BITS + b);
-                        counts[slot] += and_popcount(&row_t[..full], &row_v[..full])
-                            + u64::from((row_t[full] & row_v[full] & below_v).count_ones());
+                        if !grouping {
+                            add(slot, row_t, and_popcount(&row_t[..full], &row_v[..full]));
+                            continue;
+                        }
+                        group[grouped] = (slot, row_t);
+                        grouped += 1;
+                        if grouped == 4 {
+                            let prefixes =
+                                and_popcount4(&row_v[..full], group.map(|(_, row)| &row[..full]));
+                            for (&(slot, row_t), prefix) in group.iter().zip(prefixes) {
+                                add(slot, row_t, prefix);
+                            }
+                            grouped = 0;
+                        }
                     }
+                }
+                for &(slot, row_t) in &group[..grouped] {
+                    add(slot, row_t, and_popcount(&row_t[..full], &row_v[..full]));
                 }
             }
         }
-        counts
     }
 
     /// Converts to a sparse CSR graph (used in tests and for small matrices).
@@ -408,14 +458,29 @@ impl BitMatrix {
     }
 }
 
-/// One non-zero word of the target mask in
-/// [`BitMatrix::triangles_at_many`].
+/// Bytes of target rows one block of [`BitMatrix::triangles_at_many`]
+/// holds: half of a 2 MiB L2, which leaves the other half to the
+/// streamed rows. At `N = 16,384` (2 KiB rows) that is 512 targets.
+const TARGET_BLOCK_BYTES: usize = 1 << 20;
+
+/// A contiguous run of targets of [`BitMatrix::triangles_at_many`].
+struct TargetBlock {
+    /// The block's targets, by mask word.
+    words: Vec<MaskWord>,
+    /// The union of the block's target rows: the rows to stream.
+    union: Vec<u64>,
+    /// Number of targets in `words`.
+    targets: usize,
+}
+
+/// The part of one non-zero word of the target mask that falls in a
+/// [`TargetBlock`].
 struct MaskWord {
     /// Word index within a row.
     index: usize,
-    /// The targets in this word.
+    /// The block's targets in this word.
     bits: u64,
-    /// Slot of the word's lowest target.
+    /// Slot of the lowest target in `bits`.
     first_slot: usize,
 }
 

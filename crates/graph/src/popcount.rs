@@ -3,7 +3,7 @@
 //! [`BitMatrix`](crate::BitMatrix)'s triangle kernel, degrees and common
 //! neighbors, [`BitSet`](crate::BitSet)'s counts (Detect1's level-2
 //! support counts) and the defense's pair index all count set bits over
-//! `u64` slices through these two functions.
+//! `u64` slices through these functions.
 //!
 //! Each function is one portable `count_ones` loop. On x86-64 the same
 //! loop is compiled a second time with AVX-512F and AVX-512 VPOPCNTDQ
@@ -42,6 +42,22 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     and_popcount_portable(a, b)
 }
 
+/// `[|v ∩ rows[0]|, …, |v ∩ rows[3]|]` over the words of `v`: four
+/// [`and_popcount`]s that read each word of `v` once. The triangle
+/// kernel counts four targets per pass over a streamed row this way.
+///
+/// # Panics
+/// Panics if any row is shorter than `v`.
+#[inline]
+pub fn and_popcount4(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if x86::has_vpopcntdq() {
+        // SAFETY: the CPU supports every feature the twin enables.
+        return unsafe { x86::and_popcount4(v, rows) };
+    }
+    and_popcount4_portable(v, rows)
+}
+
 // `inline(always)` so that each twin below compiles this body with its
 // own target features.
 #[inline(always)]
@@ -55,6 +71,19 @@ fn and_popcount_portable(a: &[u64], b: &[u64]) -> u64 {
         .zip(b)
         .map(|(x, y)| u64::from((x & y).count_ones()))
         .sum()
+}
+
+#[inline(always)]
+fn and_popcount4_portable(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
+    let [a, b, c, d] = rows.map(|row| &row[..v.len()]);
+    let mut counts = [0u64; 4];
+    for ((((&x, &a), &b), &c), &d) in v.iter().zip(a).zip(b).zip(c).zip(d) {
+        counts[0] += u64::from((x & a).count_ones());
+        counts[1] += u64::from((x & b).count_ones());
+        counts[2] += u64::from((x & c).count_ones());
+        counts[3] += u64::from((x & d).count_ones());
+    }
+    counts
 }
 
 /// The AVX-512 twins: the portable loops, inlined into functions compiled
@@ -76,6 +105,11 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     pub(super) fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         super::and_popcount_portable(a, b)
+    }
+
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub(super) fn and_popcount4(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
+        super::and_popcount4_portable(v, rows)
     }
 }
 
@@ -150,6 +184,49 @@ mod tests {
         assert_eq!(and_popcount(&a, &[]), 0);
     }
 
+    /// Four rows of `len + extra` words each, from distinct seeds.
+    fn four_rows(len: usize, extra: usize, seed: u64) -> [Vec<u64>; 4] {
+        std::array::from_fn(|k| words(len + extra, seed ^ ((k as u64 + 1) << 40) ^ len as u64))
+    }
+
+    fn references4(v: &[u64], rows: &[Vec<u64>; 4]) -> [u64; 4] {
+        std::array::from_fn(|k| bits_set(&and_words(v, &rows[k])))
+    }
+
+    #[test]
+    fn and_popcount4_matches_per_bit_reference() {
+        for len in LENGTHS {
+            let v = words(len, 0x3C6E_F372_FE94_F82B ^ len as u64);
+            let rows = four_rows(len, 0, 0xA54F_F53A_5F1D_36F1);
+            let refs = rows.each_ref().map(Vec::as_slice);
+            let expected = references4(&v, &rows);
+            assert_eq!(and_popcount4(&v, refs), expected, "len {len}");
+            assert_eq!(and_popcount4_portable(&v, refs), expected, "len {len}");
+        }
+    }
+
+    #[test]
+    fn and_popcount4_counts_the_words_of_v() {
+        for len in LENGTHS {
+            let v = words(len, 0x510E_527F_ADE6_82D1 ^ len as u64);
+            let rows = four_rows(len, 1 + len % 9, 0x9B05_688C_2B3E_6C1F);
+            let got = and_popcount4(&v, rows.each_ref().map(Vec::as_slice));
+            assert_eq!(got, references4(&v, &rows), "len {len}");
+            let singles: [u64; 4] = std::array::from_fn(|k| and_popcount(&v, &rows[k]));
+            assert_eq!(got, singles, "len {len}");
+        }
+        let ones = [!0u64; 5];
+        assert_eq!(and_popcount4(&ones[..2], [&ones; 4]), [128; 4]);
+        assert_eq!(and_popcount4(&[], [&[], &ones, &[], &ones]), [0; 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn and_popcount4_rejects_a_row_shorter_than_v() {
+        let ones = [!0u64; 5];
+        and_popcount4(&ones, [&ones, &ones, &ones[..4], &ones]);
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_twin_matches_when_the_cpu_has_it() {
@@ -163,6 +240,10 @@ mod tests {
             let (ones, common) = unsafe { (x86::popcount(&a), x86::and_popcount(&a, &b)) };
             assert_eq!(ones, bits_set(&a), "len {len}");
             assert_eq!(common, bits_set(&and_words(&a, &b)), "len {len}");
+            let rows = four_rows(len, 3, 0x1F83_D9AB_FB41_BD6B);
+            // SAFETY: as above.
+            let four = unsafe { x86::and_popcount4(&a, rows.each_ref().map(Vec::as_slice)) };
+            assert_eq!(four, references4(&a, &rows), "len {len}");
         }
     }
 }

@@ -37,10 +37,11 @@ static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
 /// `threads` is clamped to at least 1; results are bit-identical at any
 /// cap, only wall-clock changes.
 ///
-/// A cap only ever lowers [`default_threads`]; it never raises it above
-/// the machine default of `available_parallelism − 1`. On a 2-core host
-/// that default is already 1, so `set_thread_cap(2)` changes nothing and
-/// every fan-out sized by [`default_threads`] runs sequentially.
+/// A cap only ever lowers a worker count; it never raises
+/// [`default_threads`] or [`kernel_threads`] above their machine values
+/// (cores − 1 and every core). On a 2-core host `set_thread_cap(1)`
+/// makes the clustering kernel sequential and leaves everything sized
+/// by [`default_threads`] as it was, already one worker.
 pub fn set_thread_cap(threads: usize) {
     THREAD_CAP.store(threads.max(1), Ordering::Relaxed);
 }
@@ -50,19 +51,38 @@ pub fn clear_thread_cap() {
     THREAD_CAP.store(0, Ordering::Relaxed);
 }
 
-/// Number of worker threads to use by default: `available_parallelism − 1`
-/// (at least 1, or 4 when the parallelism is unknown), leaving a core for
-/// the harness, and then `min`'d with the [`set_thread_cap`] cap when one
-/// is installed. A cap therefore only lowers the count: this is 1 on a
-/// 2-core host whatever the cap. The collector's round engine sizes its
-/// fold and worker pools from this value too.
-pub fn default_threads() -> usize {
-    let machine =
-        std::thread::available_parallelism().map_or(4, |p| p.get().saturating_sub(1).max(1));
+/// Number of cores the process may run on (`available_parallelism`, or
+/// 4 when it is unknown): the one source of both worker counts below.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(4, |p| p.get())
+}
+
+/// `machine` `min`'d with the [`set_thread_cap`] cap when one is installed.
+fn capped(machine: usize) -> usize {
     match THREAD_CAP.load(Ordering::Relaxed) {
         0 => machine,
         cap => machine.min(cap),
     }
+}
+
+/// Worker count for a fan-out whose workers build worlds, reports or
+/// matrices of their own (experiment sweeps, `collect_honest`, the view
+/// decode's finalize): the core count − 1, at least 1, capped by
+/// [`set_thread_cap`]. Each such worker holds its own large buffers, so
+/// one core is left out to bound peak memory; this is 1 on a 2-core
+/// host.
+pub fn default_threads() -> usize {
+    capped(available_cores().saturating_sub(1).max(1))
+}
+
+/// Worker count for a kernel whose workers only read one shared matrix
+/// and allocate one count vector each (the clustering estimate's
+/// triangle count): every core, capped by [`set_thread_cap`]. Such a
+/// fan-out adds almost no memory per worker, and the caller only waits
+/// while the workers run, so the core [`default_threads`] leaves out
+/// would sit idle.
+pub fn kernel_threads() -> usize {
+    capped(available_cores())
 }
 
 /// Estimated word operations below which a thread scope costs more than
@@ -273,17 +293,20 @@ mod tests {
 
     #[test]
     fn thread_cap_bounds_default_threads() {
-        // Other tests read default_threads() but none install a cap, so
+        // Other tests read the worker counts but none install a cap, so
         // this serialized-by-itself mutation is safe to restore.
-        let uncapped = default_threads();
+        let cores = available_cores();
+        let uncapped = (default_threads(), kernel_threads());
+        assert_eq!(uncapped, (cores.saturating_sub(1).max(1), cores));
         set_thread_cap(1);
-        assert_eq!(default_threads(), 1);
+        assert_eq!((default_threads(), kernel_threads()), (1, 1));
         set_thread_cap(0); // clamps to 1
-        assert_eq!(default_threads(), 1);
+        assert_eq!((default_threads(), kernel_threads()), (1, 1));
         set_thread_cap(usize::MAX);
-        assert_eq!(default_threads(), uncapped, "cap above machine is inert");
+        let capped = (default_threads(), kernel_threads());
+        assert_eq!(capped, uncapped, "cap above machine is inert");
         clear_thread_cap();
-        assert_eq!(default_threads(), uncapped);
+        assert_eq!((default_threads(), kernel_threads()), uncapped);
     }
 
     #[test]

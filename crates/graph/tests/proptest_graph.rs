@@ -230,6 +230,44 @@ proptest! {
     }
 }
 
+/// The triangle kernel splits its distinct targets into blocks of 1 MiB
+/// of rows. At N = 4,160 a row is 65 words (520 bytes), so a block holds
+/// 2,016 targets (31.5 mask words): all nodes make 3 blocks, and block
+/// boundaries fall inside mask words. Each block streams only the rows
+/// adjacent to its own targets; in the caveman graph (260 cliques of 16)
+/// those rows differ from block to block. The sparse CSR count shares no
+/// code with the dense kernel.
+#[test]
+fn triangles_at_many_crosses_target_blocks() {
+    const PER_BLOCK: usize = (1 << 20) / 520;
+    let n = 4_160;
+    let mut rng = Xoshiro256pp::new(0xB10C_4160);
+    let graphs = [
+        erdos_renyi_gnm(n, 32 * n, &mut rng).unwrap(),
+        caveman_graph(260, 16),
+    ];
+    let all: Vec<usize> = (0..n).collect();
+    // 3,330 distinct targets (2 blocks): the non-multiples of 5 in
+    // decreasing order and two multiples; then the targets on both sides
+    // of the block boundary, the first and the last again.
+    let mut subset: Vec<usize> = (0..n).rev().filter(|v| v % 5 != 0).collect();
+    subset.extend([2_015, 0]);
+    let mut distinct = subset.clone();
+    distinct.sort_unstable();
+    subset.extend([distinct[PER_BLOCK], distinct[PER_BLOCK - 1], 0, n - 1]);
+    for g in &graphs {
+        let m = BitMatrix::from_csr(g);
+        let expected = ldp_graph::metrics::triangles_per_node(g);
+        let want: Vec<u64> = subset.iter().map(|&u| expected[u]).collect();
+        for threads in [1, 2, 3] {
+            let got = m.triangles_at_many(&all, threads);
+            assert_eq!(got, expected, "all nodes, {threads} threads");
+            let got = m.triangles_at_many(&subset, threads);
+            assert_eq!(got, want, "subset, {threads} threads");
+        }
+    }
+}
+
 #[test]
 fn caveman_triangle_count_closed_form() {
     for (cliques, size) in [(3usize, 4usize), (5, 6), (2, 8)] {

@@ -16,17 +16,33 @@
 
 use super::view::PerturbedView;
 use ldp_graph::metrics::clustering::clustering_from_parts;
-use ldp_graph::runtime::{default_threads, threads_for_work};
+use ldp_graph::runtime::{default_threads, kernel_threads, threads_for_work};
+
+/// Word ops from which the triangle count also takes the core that
+/// [`default_threads`] leaves out. Below it, on a 2-core host, waking
+/// that core saved no time and slowed the caller's work after the
+/// estimate: `fig13_defenses` (N ≈ 4,240, about 2^22 word ops per
+/// estimate) read 0.82 of the parent's reports/s with every core and
+/// 0.95 with cores − 1. The adjacency round's estimate (N = 16,384) is
+/// about 2^27.5.
+const EVERY_CORE_WORK: usize = 1 << 24;
 
 /// Worker count for calibrating `targets` nodes of `view`: the
 /// row-streamed triangle count intersects each target's `d̃` neighbor
 /// rows over their prefixes, `N/128` words on average, so the job is
 /// `targets · d̃ · N/128` word ops (the shared runtime threshold decides
-/// when that amortizes a thread scope).
+/// when that amortizes a thread scope). The workers only read the view's
+/// matrix and fill one count vector each, so a large count runs on every
+/// core ([`kernel_threads`]).
 fn calibration_threads(view: &PerturbedView, targets: usize) -> usize {
     let prefix_words = view.num_users().div_ceil(128).max(1);
     let work = (view.average_perturbed_degree() * targets as f64) as usize * prefix_words;
-    threads_for_work(work, default_threads())
+    let threads = if work < EVERY_CORE_WORK {
+        default_threads()
+    } else {
+        kernel_threads()
+    };
+    threads_for_work(work, threads)
 }
 
 /// Applies Eq. 16: calibrates a perturbed triangle count back to an
