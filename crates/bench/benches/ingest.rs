@@ -1,5 +1,5 @@
-//! Report-aggregation throughput: one-shot `from_reports` versus the
-//! streaming engine at the population sizes the scaling roadmap targets.
+//! Report-aggregation throughput: the in-process fold behind
+//! `from_reports` at the population sizes the scaling roadmap targets.
 //!
 //! Reports are synthesized at the word level (≈12.5% density, the regime a
 //! perturbed graph lives in) so the bench isolates ingestion cost from
@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ldp_mechanisms::RandomizedResponse;
-use ldp_protocols::{PerturbedView, StreamingAggregator};
+use ldp_protocols::PerturbedView;
 use poison_bench::synthetic_reports;
 
 fn rr() -> RandomizedResponse {
@@ -22,19 +22,6 @@ fn bench_ingest(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("oneshot", nodes), &nodes, |bench, _| {
             bench.iter(|| black_box(PerturbedView::from_reports(&reports, rr())))
         });
-        group.bench_with_input(
-            BenchmarkId::new("streamed_512", nodes),
-            &nodes,
-            |bench, &n| {
-                bench.iter(|| {
-                    let mut agg = StreamingAggregator::new(n, rr());
-                    for chunk in reports.chunks(512) {
-                        agg.ingest_batch(chunk);
-                    }
-                    black_box(agg.finalize())
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -117,19 +117,12 @@ impl WorldRunner for WireWorldRunner {
         m_fake: usize,
         crafter: Option<&mut dyn ReportCrafter>,
         filter: Option<&mut dyn ReportFilter>,
-        ingest_batch: Option<usize>,
+        _ingest_batch: Option<usize>,
     ) -> Result<WorldViews, ScenarioError> {
         let Some(lf) = protocol.as_adjacency_protocol() else {
             // No adjacency channel to stream (LDPGen): evaluate in process.
-            return InProcessRunner.run_worlds(
-                protocol,
-                graph,
-                trial_seed,
-                m_fake,
-                crafter,
-                filter,
-                ingest_batch,
-            );
+            return InProcessRunner
+                .run_worlds(protocol, graph, trial_seed, m_fake, crafter, filter, None);
         };
         let base = Xoshiro256pp::new(trial_seed);
         lf.run_worlds_with(graph, &base, m_fake, crafter, filter, |reports| {

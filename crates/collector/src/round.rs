@@ -921,13 +921,9 @@ mod tests {
 
         let trait_obj: &dyn GraphLdpProtocol = &proto;
         let in_process = trait_obj
-            .aggregate(
-                &g,
-                &base,
-                reports.into_iter().map(UserReport::Adjacency).collect(),
-            )
+            .run_worlds(&g, &base, 0, None, None, None)
             .unwrap();
-        let ServerView::Perturbed(reference) = in_process else {
+        let ServerView::Perturbed(reference) = in_process.honest else {
             panic!("LF-GDPR aggregates into a perturbed view");
         };
         assert_eq!(view.matrix(), reference.matrix());

@@ -321,7 +321,6 @@ impl FinalizedShards {
 mod tests {
     use super::*;
     use ldp_graph::Xoshiro256pp;
-    use ldp_protocols::StreamingAggregator;
     use rand::Rng;
 
     fn synth_reports(n: usize, seed: u64) -> Vec<AdjacencyReport> {
@@ -350,9 +349,7 @@ mod tests {
         let rr = RandomizedResponse::from_keep_probability(0.85).unwrap();
         let reports = synth_reports(n, 0xC0FFEE);
 
-        let mut agg = StreamingAggregator::new(n, rr);
-        agg.ingest_batch(&reports);
-        let reference = agg.finalize();
+        let reference = PerturbedView::from_reports(&reports, rr);
 
         for num_shards in [1, 3, 8, 64] {
             let shards = Shards::adjacency(n, num_shards);
@@ -428,9 +425,8 @@ mod tests {
         // The finalized matrix matches the first-arrival-only fold.
         let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
         let view = shards.finalize(rr).into_view();
-        let mut agg = StreamingAggregator::new(n, rr);
-        agg.ingest_batch(&reports);
-        assert_eq!(view.matrix(), agg.finalize().matrix());
+        let reference = PerturbedView::from_reports(&reports, rr);
+        assert_eq!(view.matrix(), reference.matrix());
     }
 
     /// The daemon's encoder and the in-process view go through one

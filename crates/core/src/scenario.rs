@@ -12,9 +12,6 @@
 //! * **exact vs. analytic-sampled mode**: degree-centrality scenarios on
 //!   protocols with a closed-form degree model switch to `O(r)`-per-trial
 //!   sampling above [`SAMPLED_MODE_THRESHOLD`] users (or on request);
-//! * **streaming ingest**: [`ScenarioBuilder::ingest_batch`] routes
-//!   LF-GDPR aggregation through the bounded-memory streaming path from
-//!   the ingestion engine (bit-identical to the one-shot fold);
 //! * **trials**: independent seeds per trial with the experiment runner's
 //!   seed schedule, folded into a structured [`ScenarioReport`].
 //!
@@ -110,7 +107,9 @@ pub trait WorldRunner {
 
     /// Builds the honest and (when a crafter is given) attacked views for
     /// one trial — the same contract as [`GraphLdpProtocol::run_worlds`],
-    /// with the trial's base RNG specified by seed.
+    /// with the trial's base RNG specified by seed. `ingest_batch` has no
+    /// effect (the scenario engine passes `None`); it stays so existing
+    /// backends keep compiling.
     ///
     /// # Errors
     /// Protocol failures map to [`ScenarioError::Protocol`]; backend
@@ -146,10 +145,10 @@ impl WorldRunner for InProcessRunner {
         m_fake: usize,
         crafter: Option<&mut dyn ReportCrafter>,
         filter: Option<&mut dyn ReportFilter>,
-        ingest_batch: Option<usize>,
+        _ingest_batch: Option<usize>,
     ) -> Result<WorldViews, ScenarioError> {
         let base = Xoshiro256pp::new(trial_seed);
-        Ok(protocol.run_worlds(graph, &base, m_fake, crafter, filter, ingest_batch)?)
+        Ok(protocol.run_worlds(graph, &base, m_fake, crafter, filter, None)?)
     }
 }
 
@@ -170,7 +169,6 @@ impl Scenario {
             trials: 1,
             seed: 0,
             mode: EvalMode::Auto,
-            ingest_batch: None,
             runner: None,
         }
     }
@@ -188,7 +186,6 @@ pub struct ScenarioBuilder<'a> {
     trials: u64,
     seed: u64,
     mode: EvalMode,
-    ingest_batch: Option<usize>,
     runner: Option<Box<dyn WorldRunner + 'a>>,
 }
 
@@ -255,14 +252,6 @@ impl<'a> ScenarioBuilder<'a> {
     /// Shorthand for [`EvalMode::Sampled`].
     pub fn sampled(self) -> Self {
         self.mode(EvalMode::Sampled)
-    }
-
-    /// Routes exact-mode aggregation through the streaming ingest path
-    /// with this batch size, bounding resident report memory to
-    /// `O(batch·N)` bits (bit-identical results).
-    pub fn ingest_batch(mut self, batch_size: usize) -> Self {
-        self.ingest_batch = Some(batch_size.max(1));
-        self
     }
 
     /// Routes exact-mode collection/aggregation through an alternative
@@ -434,7 +423,7 @@ impl<'a> ScenarioBuilder<'a> {
             threat.m_fake,
             crafter.as_mut().map(|c| c as &mut dyn ReportCrafter),
             filter.as_mut().map(|f| f as &mut dyn ReportFilter),
-            self.ingest_batch,
+            None,
         )?;
 
         let before =
@@ -875,26 +864,6 @@ mod tests {
             .run(&graph)
             .unwrap_err();
         assert!(matches!(err, ScenarioError::SampledModeUnavailable { .. }));
-    }
-
-    #[test]
-    fn streaming_ingest_is_bit_identical_to_oneshot() {
-        let (graph, protocol, threat) = small_world();
-        let run = |builder: ScenarioBuilder<'_>| {
-            builder
-                .attack(Mga::default())
-                .metric(Metric::Clustering)
-                .threat(threat.clone())
-                .exact()
-                .seed(21)
-                .run(&graph)
-                .unwrap()
-                .into_single_outcome()
-        };
-        let oneshot = run(Scenario::on(protocol));
-        let streamed = run(Scenario::on(protocol).ingest_batch(37));
-        assert_eq!(oneshot.before, streamed.before);
-        assert_eq!(oneshot.after, streamed.after);
     }
 
     #[test]

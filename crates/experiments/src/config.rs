@@ -15,8 +15,9 @@ pub mod defaults {
 /// Global knobs shared by every experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
-    /// Multiplier on the per-dataset experiment node counts (1.0 ≈ 1,000
-    /// nodes per dataset; raise toward paper scale when time allows).
+    /// Multiplier on the per-dataset experiment node counts: 1.0 gives
+    /// 4,039 / 2,000 / 2,000 / 900 nodes for Facebook / Enron / AstroPh /
+    /// Gplus (see [`Self::nodes_for`]).
     pub scale: f64,
     /// Independent trials per point; figures plot the mean.
     pub trials: u64,
@@ -53,7 +54,7 @@ impl ExperimentConfig {
     /// Average degree always matches the paper's Table II. Gplus is the
     /// exception: its paper density cannot be reproduced below ~19k nodes,
     /// so exact-mode Gplus panels saturate the budget and their ε-trend
-    /// flattens (recorded in EXPERIMENTS.md); degree-centrality sweeps use
+    /// flattens; degree-centrality sweeps use
     /// [`Self::degree_sweep_nodes_for`] instead.
     pub fn nodes_for(&self, dataset: Dataset) -> usize {
         let base: f64 = match dataset {

@@ -20,10 +20,11 @@
 //! | Fig. 14 (LF-GDPR vs LDPGen, cc) | [`fig14`] | `fig14` |
 //! | Fig. 15 (LF-GDPR vs LDPGen, modularity) | [`fig15`] | `fig15` |
 //!
-//! The experiments run on seeded synthetic stand-ins scaled to ~1,000
-//! nodes per dataset by default (`ExperimentConfig::scale` adjusts this);
-//! DESIGN.md §2 records the substitution and EXPERIMENTS.md the measured
-//! outcomes.
+//! The experiments run on seeded synthetic stand-ins (DESIGN.md §2
+//! records the substitution). At the default scale 1.0 they have 4,039
+//! (Facebook), 2,000 (Enron, AstroPh) and 900 (Gplus) nodes;
+//! `ExperimentConfig::scale` multiplies these, with a floor of 250, and
+//! the degree-centrality sweeps run Gplus at 20,000 × scale.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,9 +1,9 @@
 //! Figure/series containers and their text renderings.
 //!
 //! A [`Figure`] corresponds to one panel of a paper figure: a set of named
-//! series over a shared x-grid. Renderings: aligned markdown table (for
-//! EXPERIMENTS.md), CSV (for external plotting), and a quick ASCII chart
-//! (for terminal inspection).
+//! series over a shared x-grid. Renderings: aligned markdown table (the
+//! `.md` file each figure binary writes under `--out`), CSV (for external
+//! plotting), and a quick ASCII chart (for terminal inspection).
 
 use std::fmt::Write as _;
 

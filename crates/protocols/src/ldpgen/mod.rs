@@ -138,19 +138,34 @@ impl LdpGen {
     where
         F: FnMut(/*phase*/ usize, &[usize], usize) -> Vec<DegreeVector>,
     {
-        // Phase 1: random initial grouping (stream shared with
-        // `GraphLdpProtocol::collect_honest`).
-        let groups0 = self.initial_groups(graph.num_nodes(), base_rng);
+        // Phase 1: random initial grouping.
+        let n = graph.num_nodes();
+        let mut seed_rng = base_rng.derive(0xA11);
+        let groups0: Vec<usize> = (0..n).map(|_| seed_rng.gen_range(0..self.k0)).collect();
         let crafted1 = craft(1, &groups0, self.k0);
         let vectors1 = self.collect_phase(graph, base_rng, 1, &groups0, self.k0, crafted1);
-        self.finish_from_phase1(graph, base_rng, vectors1, craft)
-    }
 
-    /// The phase-1 random grouping (stream `0xA11`); shared by the
-    /// aggregation pipeline and `GraphLdpProtocol::collect_honest`.
-    pub(crate) fn initial_groups(&self, n: usize, base_rng: &Xoshiro256pp) -> Vec<usize> {
-        let mut seed_rng = base_rng.derive(0xA11);
-        (0..n).map(|_| seed_rng.gen_range(0..self.k0)).collect()
+        // Refined cluster count: k1 ≈ √(average reported degree), clamped.
+        let avg_degree: f64 =
+            vectors1.iter().map(|v| v.iter().sum::<f64>()).sum::<f64>() / n.max(1) as f64;
+        let k1 = (avg_degree.max(1.0).sqrt().round() as usize)
+            .clamp(2, 32)
+            .min(n.max(2));
+
+        let mut kmeans_rng = base_rng.derive(0xB22);
+        let phase1 = cluster::kmeans(&vectors1, k1, 25, &mut kmeans_rng);
+
+        // Phase 2: report toward refined groups, cluster once more.
+        let crafted2 = craft(2, &phase1.assignment, k1);
+        let vectors2 = self.collect_phase(graph, base_rng, 2, &phase1.assignment, k1, crafted2);
+        let mut kmeans_rng2 = base_rng.derive(0xC33);
+        let phase2 = cluster::kmeans(&vectors2, k1, 25, &mut kmeans_rng2);
+
+        LdpGenAggregate {
+            groups: phase2.assignment,
+            num_groups: k1,
+            degree_vectors: vectors2,
+        }
     }
 
     /// Collects one phase's degree vectors: honest users first (per-node
@@ -177,45 +192,6 @@ impl LdpGen {
             vectors.push(v);
         }
         vectors
-    }
-
-    /// Runs everything after phase-1 collection: refined clustering, the
-    /// phase-2 round (with optional crafted tail), and the final
-    /// clustering. Split out so the [`crate::protocol::GraphLdpProtocol`]
-    /// implementation can aggregate an externally supplied phase-1 upload
-    /// set.
-    pub(crate) fn finish_from_phase1<F>(
-        &self,
-        graph: &CsrGraph,
-        base_rng: &Xoshiro256pp,
-        vectors1: Vec<DegreeVector>,
-        mut craft: F,
-    ) -> LdpGenAggregate
-    where
-        F: FnMut(/*phase*/ usize, &[usize], usize) -> Vec<DegreeVector>,
-    {
-        let n = graph.num_nodes();
-        // Refined cluster count: k1 ≈ √(average reported degree), clamped.
-        let avg_degree: f64 =
-            vectors1.iter().map(|v| v.iter().sum::<f64>()).sum::<f64>() / n.max(1) as f64;
-        let k1 = (avg_degree.max(1.0).sqrt().round() as usize)
-            .clamp(2, 32)
-            .min(n.max(2));
-
-        let mut kmeans_rng = base_rng.derive(0xB22);
-        let phase1 = cluster::kmeans(&vectors1, k1, 25, &mut kmeans_rng);
-
-        // Phase 2: report toward refined groups, cluster once more.
-        let crafted2 = craft(2, &phase1.assignment, k1);
-        let vectors2 = self.collect_phase(graph, base_rng, 2, &phase1.assignment, k1, crafted2);
-        let mut kmeans_rng2 = base_rng.derive(0xC33);
-        let phase2 = cluster::kmeans(&vectors2, k1, 25, &mut kmeans_rng2);
-
-        LdpGenAggregate {
-            groups: phase2.assignment,
-            num_groups: k1,
-            degree_vectors: vectors2,
-        }
     }
 
     /// The honest protocol: aggregate without any crafted reports.

@@ -13,7 +13,6 @@ pub use modularity::estimate_modularity;
 pub use sampled::SampledDegreeModel;
 pub use view::PerturbedView;
 
-use crate::ingest::StreamingAggregator;
 use crate::report::AdjacencyReport;
 use ldp_graph::runtime::{default_threads, parallel_map, threads_for_work};
 use ldp_graph::CsrGraph;
@@ -110,33 +109,14 @@ impl LfGdpr {
         })
     }
 
-    /// Aggregates reports into the server-side perturbed view.
+    /// Aggregates reports into the server-side perturbed view (an entry
+    /// onto [`crate::ingest::fold_reports`]).
     ///
     /// # Panics
-    /// Panics if reports disagree on the population size or their count
-    /// differs from it.
+    /// Panics if a report spans a population other than the number of
+    /// reports.
     pub fn aggregate(&self, reports: &[AdjacencyReport]) -> PerturbedView {
         PerturbedView::from_reports(reports, self.rr)
-    }
-
-    /// Starts a [`StreamingAggregator`] for a population of `n` users,
-    /// bound to this protocol's randomized-response mechanism. Ingest
-    /// reports in id-ordered batches and `finalize()` into the view.
-    pub fn streaming_aggregator(&self, n: usize) -> StreamingAggregator {
-        StreamingAggregator::new(n, self.rr)
-    }
-
-    /// Aggregates a lazily produced report stream while holding at most
-    /// `batch_size` reports in memory — see [`crate::ingest::aggregate_stream`].
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero or the stream does not yield exactly
-    /// `n` reports spanning `n` users.
-    pub fn aggregate_streamed<I>(&self, n: usize, batch_size: usize, reports: I) -> PerturbedView
-    where
-        I: IntoIterator<Item = AdjacencyReport>,
-    {
-        crate::ingest::aggregate_stream(n, self.rr, batch_size, reports)
     }
 
     /// Expected average perturbed degree for a graph of `n` nodes with true
@@ -190,18 +170,6 @@ mod tests {
             assert_eq!(x.bits, y.bits);
             assert_eq!(x.degree, y.degree);
         }
-    }
-
-    #[test]
-    fn streamed_aggregate_matches_oneshot() {
-        let g = complete_graph(40);
-        let proto = LfGdpr::new(4.0).unwrap();
-        let base = Xoshiro256pp::new(5);
-        let reports = proto.collect_honest(&g, &base);
-        let oneshot = proto.aggregate(&reports);
-        let streamed = proto.aggregate_streamed(40, 7, reports);
-        assert_eq!(streamed.matrix(), oneshot.matrix());
-        assert_eq!(streamed.reported_degrees(), oneshot.reported_degrees());
     }
 
     #[test]

@@ -23,21 +23,14 @@ pub struct PerturbedView {
 }
 
 impl PerturbedView {
-    /// Builds the view from one report per user.
-    ///
-    /// This is a thin wrapper over the streaming path
-    /// ([`crate::ingest::StreamingAggregator`]) with the whole input as a
-    /// single batch, so it inherits the parallel lower-triangle fold and
-    /// the bounded per-report bit scan. Callers that can produce reports
-    /// lazily should stream batches instead to keep report memory bounded.
+    /// Builds the view from one report per user: an entry onto
+    /// [`crate::ingest::fold_reports`], the one in-process fold.
     ///
     /// # Panics
-    /// Panics if the number of reports differs from the population size
-    /// they claim, or if reports disagree on the population size.
+    /// Panics if a report spans a population other than the number of
+    /// reports.
     pub fn from_reports(reports: &[AdjacencyReport], rr: RandomizedResponse) -> Self {
-        let mut agg = crate::ingest::StreamingAggregator::new(reports.len(), rr);
-        agg.ingest_batch(reports);
-        agg.finalize()
+        crate::ingest::fold_reports(reports, rr).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Assembles a view from already-aggregated parts; reserved for

@@ -13,10 +13,11 @@
 //!   Laplace-noisy degree vectors toward server-chosen groups over two
 //!   phases; the server clusters users and synthesizes a whole graph from
 //!   which any metric can be read.
-//! * [`ingest`] — the streaming, sharded report-aggregation engine behind
-//!   LF-GDPR's server side: bounded batches folded in parallel into the
-//!   lower-triangle aggregate, finalized into a [`PerturbedView`]. The
-//!   one-shot `PerturbedView::from_reports` is a wrapper over this path.
+//! * [`ingest`] — LF-GDPR's server-side fold: one function folds every
+//!   report's owned words in parallel into the lower-triangle aggregate
+//!   and finalizes it into a [`PerturbedView`]; `PerturbedView::from_reports`
+//!   and `LfGdpr::aggregate` are entries onto it, and the collector
+//!   service reuses its kernel and finalize.
 //! * [`protocol`] — the object-safe [`GraphLdpProtocol`] trait both
 //!   protocols implement, exchanging the protocol-agnostic [`UserReport`]
 //!   enum ([`report`]): the surface the scenario engine in `poison-core`
@@ -46,7 +47,6 @@ pub mod protocol;
 pub mod report;
 pub mod wire;
 
-pub use ingest::StreamingAggregator;
 pub use ldpgen::LdpGen;
 pub use lfgdpr::{LfGdpr, PerturbedView};
 pub use protocol::{

@@ -5,13 +5,11 @@
 //!
 //! ## Shape
 //!
-//! * [`GraphLdpProtocol::collect_honest`] / [`GraphLdpProtocol::aggregate`]
-//!   / [`GraphLdpProtocol::aggregate_streamed`] — the report-level
-//!   primitives, exchanging the protocol-agnostic [`UserReport`] enum.
 //! * [`GraphLdpProtocol::run_worlds`] — the evaluation workhorse: builds
 //!   the honest-world and (optionally) attacked-and-defended server views
 //!   over *shared genuine randomness*, invoking the attack through a
-//!   [`ReportCrafter`] callback and the defense through a [`ReportFilter`]
+//!   [`ReportCrafter`] callback (which returns the protocol-agnostic
+//!   [`UserReport`] enum) and the defense through a [`ReportFilter`]
 //!   callback. Putting both worlds in one call is what lets LF-GDPR
 //!   collect its `O(N²)`-cost honest reports once and lets LDPGen keep its
 //!   interactive per-phase crafting, while callers stay protocol-agnostic.
@@ -27,6 +25,7 @@
 //! callbacks), so scenario-engine output is bit-for-bit identical to the
 //! legacy entry points — pinned by `tests/scenario_equivalence.rs`.
 
+use crate::ingest::fold_reports;
 use crate::ldpgen::LdpGen;
 use crate::lfgdpr::{
     estimate_clustering_at, estimate_modularity, LfGdpr, PerturbedView, SampledDegreeModel,
@@ -102,13 +101,6 @@ pub enum ProtocolError {
         /// View kind it needs.
         expected: &'static str,
     },
-    /// The report set does not cover the population exactly once.
-    ReportCountMismatch {
-        /// Population size.
-        expected: usize,
-        /// Reports supplied.
-        got: usize,
-    },
     /// Reports disagree with the declared population size.
     PopulationMismatch {
         /// Declared population.
@@ -176,9 +168,6 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::WrongViewKind { protocol, expected } => {
                 write!(f, "{protocol} estimates from a {expected} view")
-            }
-            ProtocolError::ReportCountMismatch { expected, got } => {
-                write!(f, "population of {expected} users but {got} reports")
             }
             ProtocolError::PopulationMismatch { expected, got } => {
                 write!(
@@ -346,44 +335,6 @@ pub trait GraphLdpProtocol {
     /// Display name (as used in figures and error messages).
     fn name(&self) -> &'static str;
 
-    /// Collects the honest upload of every user of `graph`, one derived
-    /// RNG stream per user id — the common-random-numbers device that
-    /// makes per-user randomness independent of population size and
-    /// collection order. For interactive protocols (LDPGen) this is the
-    /// first round's uploads.
-    fn collect_honest(&self, graph: &CsrGraph, base: &Xoshiro256pp) -> Vec<UserReport>;
-
-    /// Folds a full upload set into the server view, running any remaining
-    /// protocol rounds honestly (LDPGen clusters, re-collects phase 2, and
-    /// synthesizes; LF-GDPR folds the reports directly).
-    ///
-    /// # Errors
-    /// Returns a typed error on foreign report kinds or population
-    /// mismatches.
-    fn aggregate(
-        &self,
-        graph: &CsrGraph,
-        base: &Xoshiro256pp,
-        reports: Vec<UserReport>,
-    ) -> Result<ServerView, ProtocolError>;
-
-    /// Like [`Self::aggregate`], but bounds resident report memory to
-    /// `batch_size` uploads where the protocol has a streaming ingest path
-    /// (LF-GDPR; bit-identical to the one-shot fold). Protocols without
-    /// one fall back to [`Self::aggregate`].
-    ///
-    /// # Errors
-    /// As [`Self::aggregate`].
-    fn aggregate_streamed(
-        &self,
-        graph: &CsrGraph,
-        base: &Xoshiro256pp,
-        _batch_size: usize,
-        reports: Vec<UserReport>,
-    ) -> Result<ServerView, ProtocolError> {
-        self.aggregate(graph, base, reports)
-    }
-
     /// Builds the honest world and, when a crafter is given, the attacked
     /// world — over shared genuine randomness, so per-target differences
     /// are caused by the fake uploads alone (paper Eq. 4). A filter, when
@@ -394,8 +345,12 @@ pub trait GraphLdpProtocol {
     /// `m_fake`-user fake tail as isolated nodes — each crafting round
     /// must return exactly `m_fake` uploads, or the run fails with
     /// [`ProtocolError::CraftedCountMismatch`] before any slot is
-    /// overwritten. `ingest_batch` routes LF-GDPR aggregation through the
-    /// streaming path with that batch size.
+    /// overwritten; a fake tail larger than the population fails with
+    /// [`ProtocolError::CraftedOverrun`] before any crafting.
+    ///
+    /// `ingest_batch` has no effect: each world's upload set is folded in
+    /// one pass. The argument stays so existing implementors and callers
+    /// of this signature keep compiling.
     ///
     /// # Errors
     /// Returns a typed error on foreign report kinds, shape mismatches, or
@@ -471,35 +426,13 @@ pub struct PublicParams {
 // ---------------------------------------------------------------------------
 
 impl LfGdpr {
-    /// Validates an adjacency upload set and folds it into a view, through
-    /// the streaming path when a batch size is given.
-    fn fold_reports(
-        &self,
-        reports: &[AdjacencyReport],
-        ingest_batch: Option<usize>,
-    ) -> Result<ServerView, ProtocolError> {
-        let n = reports.len();
-        for r in reports {
-            if r.population() != n {
-                return Err(ProtocolError::PopulationMismatch {
-                    expected: n,
-                    got: r.population(),
-                });
-            }
-        }
-        let view = match ingest_batch {
-            Some(batch) => self.aggregate_streamed(n, batch.max(1), reports.iter().cloned()),
-            None => self.aggregate(reports),
-        };
-        Ok(ServerView::Perturbed(view))
-    }
-
     /// Builds the honest and the attacked world of one trial
     /// ([`GraphLdpProtocol::run_worlds`]) with `fold` turning each
-    /// world's upload set into a server view: the in-process aggregation,
-    /// or a collection round over the wire. Collection, crafting and
-    /// filtering run here, on the same derived streams either way, so
-    /// both backends fold identical upload sets.
+    /// world's upload set into a server view: the in-process fold
+    /// ([`crate::ingest::fold_reports`]), or a collection round over the
+    /// wire. Collection, crafting and filtering run here, on the same
+    /// derived streams either way, so both backends fold identical upload
+    /// sets.
     ///
     /// # Errors
     /// The typed validation errors of [`GraphLdpProtocol::run_worlds`],
@@ -524,7 +457,7 @@ impl LfGdpr {
         // One collection pass serves both worlds: per-user derived streams
         // make the honest reports identical either way, and only the fake
         // tail changes between worlds.
-        let mut reports = LfGdpr::collect_honest(self, graph, base);
+        let mut reports = self.collect_honest(graph, base);
         let honest = fold(&reports)?;
 
         let attacked = if let Some(crafter) = crafter {
@@ -588,34 +521,6 @@ impl GraphLdpProtocol for LfGdpr {
         "LF-GDPR"
     }
 
-    fn collect_honest(&self, graph: &CsrGraph, base: &Xoshiro256pp) -> Vec<UserReport> {
-        LfGdpr::collect_honest(self, graph, base)
-            .into_iter()
-            .map(UserReport::Adjacency)
-            .collect()
-    }
-
-    fn aggregate(
-        &self,
-        _graph: &CsrGraph,
-        _base: &Xoshiro256pp,
-        reports: Vec<UserReport>,
-    ) -> Result<ServerView, ProtocolError> {
-        let reports = unwrap_adjacency(reports)?;
-        self.fold_reports(&reports, None)
-    }
-
-    fn aggregate_streamed(
-        &self,
-        _graph: &CsrGraph,
-        _base: &Xoshiro256pp,
-        batch_size: usize,
-        reports: Vec<UserReport>,
-    ) -> Result<ServerView, ProtocolError> {
-        let reports = unwrap_adjacency(reports)?;
-        self.fold_reports(&reports, Some(batch_size))
-    }
-
     fn run_worlds(
         &self,
         graph: &CsrGraph,
@@ -623,10 +528,10 @@ impl GraphLdpProtocol for LfGdpr {
         m_fake: usize,
         crafter: Option<&mut dyn ReportCrafter>,
         filter: Option<&mut dyn ReportFilter>,
-        ingest_batch: Option<usize>,
+        _ingest_batch: Option<usize>,
     ) -> Result<WorldViews, ProtocolError> {
         self.run_worlds_with(graph, base, m_fake, crafter, filter, |reports| {
-            self.fold_reports(reports, ingest_batch)
+            fold_reports(reports, self.rr()).map(ServerView::Perturbed)
         })
     }
 
@@ -682,61 +587,6 @@ impl GraphLdpProtocol for LdpGen {
         "LDPGen"
     }
 
-    fn collect_honest(&self, graph: &CsrGraph, base: &Xoshiro256pp) -> Vec<UserReport> {
-        // Phase 1: the server's initial grouping is random (stream 0xA11,
-        // as in `aggregate_with_crafted`), and every user reports toward it
-        // from its own derived stream.
-        let n = graph.num_nodes();
-        let groups0 = self.initial_groups(n, base);
-        (0..n)
-            .map(|node| {
-                let mut rng = base.derive((1u64 << 32) | node as u64);
-                UserReport::DegreeVector(self.honest_degree_vector(
-                    graph,
-                    node,
-                    &groups0,
-                    self.k0(),
-                    &mut rng,
-                ))
-            })
-            .collect()
-    }
-
-    fn aggregate(
-        &self,
-        graph: &CsrGraph,
-        base: &Xoshiro256pp,
-        reports: Vec<UserReport>,
-    ) -> Result<ServerView, ProtocolError> {
-        // The supplied reports are the phase-1 uploads; the remaining
-        // rounds (refined clustering, phase 2, synthesis) run honestly, so
-        // `aggregate(collect_honest(g))` reproduces the honest pipeline
-        // bit for bit.
-        let n = graph.num_nodes();
-        if reports.len() != n {
-            return Err(ProtocolError::ReportCountMismatch {
-                expected: n,
-                got: reports.len(),
-            });
-        }
-        let mut vectors1 = Vec::with_capacity(n);
-        for report in reports {
-            let v = report.into_degree_vector()?;
-            if v.len() != self.k0() {
-                return Err(ProtocolError::GroupCountMismatch {
-                    expected: self.k0(),
-                    got: v.len(),
-                });
-            }
-            vectors1.push(v);
-        }
-        let aggregate = self.finish_from_phase1(graph, base, vectors1, |_, _, _| Vec::new());
-        let mut synth_rng = base.derive(STREAM_LDPGEN_SYNTH);
-        Ok(ServerView::Synthetic(
-            self.synthesize(&aggregate, &mut synth_rng),
-        ))
-    }
-
     fn run_worlds(
         &self,
         graph: &CsrGraph,
@@ -750,6 +600,13 @@ impl GraphLdpProtocol for LdpGen {
             // LDPGen collects degree vectors, not adjacency reports; the
             // paper's defenses have nothing to filter here.
             return Err(ProtocolError::DefenseUnsupported { protocol: "LDPGen" });
+        }
+        let n = graph.num_nodes();
+        if m_fake > n {
+            return Err(ProtocolError::CraftedOverrun {
+                population: n,
+                crafted: m_fake,
+            });
         }
         let honest_agg = self.aggregate(graph, base);
         let mut synth_rng = base.derive(STREAM_LDPGEN_SYNTH);
@@ -862,13 +719,6 @@ impl GraphLdpProtocol for LdpGen {
     }
 }
 
-fn unwrap_adjacency(reports: Vec<UserReport>) -> Result<Vec<AdjacencyReport>, ProtocolError> {
-    reports
-        .into_iter()
-        .map(UserReport::into_adjacency)
-        .collect()
-}
-
 fn check_targets(targets: &[usize], population: usize) -> Result<(), ProtocolError> {
     for &t in targets {
         if t >= population {
@@ -909,10 +759,11 @@ mod tests {
         let g = caveman_graph(4, 6);
         let proto = LfGdpr::new(4.0).unwrap();
         let trait_obj: &dyn GraphLdpProtocol = &proto;
-        let reports = trait_obj.collect_honest(&g, &base());
-        let view = trait_obj.aggregate(&g, &base(), reports).unwrap();
+        let views = trait_obj
+            .run_worlds(&g, &base(), 0, None, None, None)
+            .unwrap();
         let inherent = proto.aggregate(&proto.collect_honest(&g, &base()));
-        let ServerView::Perturbed(v) = view else {
+        let ServerView::Perturbed(v) = views.honest else {
             panic!("LF-GDPR must produce a perturbed view");
         };
         assert_eq!(v.matrix(), inherent.matrix());
@@ -920,32 +771,17 @@ mod tests {
     }
 
     #[test]
-    fn lfgdpr_streamed_aggregate_is_bit_identical() {
-        let g = caveman_graph(5, 8);
-        let proto = LfGdpr::new(2.0).unwrap();
-        let trait_obj: &dyn GraphLdpProtocol = &proto;
-        let reports = trait_obj.collect_honest(&g, &base());
-        let oneshot = trait_obj.aggregate(&g, &base(), reports.clone()).unwrap();
-        let streamed = trait_obj
-            .aggregate_streamed(&g, &base(), 7, reports)
-            .unwrap();
-        assert_eq!(
-            oneshot.as_perturbed().unwrap().matrix(),
-            streamed.as_perturbed().unwrap().matrix()
-        );
-    }
-
-    #[test]
     fn ldpgen_collect_aggregate_matches_honest_run() {
         let g = caveman_graph(6, 6);
         let proto = LdpGen::with_defaults(4.0).unwrap();
         let trait_obj: &dyn GraphLdpProtocol = &proto;
-        let reports = trait_obj.collect_honest(&g, &base());
-        let view = trait_obj.aggregate(&g, &base(), reports).unwrap();
+        let views = trait_obj
+            .run_worlds(&g, &base(), 0, None, None, None)
+            .unwrap();
         let direct_agg = proto.aggregate(&g, &base());
         let mut synth_rng = base().derive(STREAM_LDPGEN_SYNTH);
         let direct = proto.synthesize(&direct_agg, &mut synth_rng);
-        assert_eq!(view.as_synthetic().unwrap(), &direct);
+        assert_eq!(views.honest.as_synthetic().unwrap(), &direct);
     }
 
     #[test]
@@ -958,21 +794,98 @@ mod tests {
         assert_eq!(views.honest.population(), 15);
     }
 
+    /// A crafter whose uploads `craft` shapes from the round's context.
+    struct Forger<F>(F);
+
+    impl<F: FnMut(CraftContext<'_>) -> Vec<UserReport>> ReportCrafter for Forger<F> {
+        fn craft(&mut self, ctx: CraftContext<'_>, _rng: &mut dyn RngCore) -> Vec<UserReport> {
+            (self.0)(ctx)
+        }
+    }
+
+    /// Runs both worlds with `m_fake` fakes crafted by `craft` and returns
+    /// the error the run must fail with.
+    fn forged_run(
+        protocol: &dyn GraphLdpProtocol,
+        g: &CsrGraph,
+        m_fake: usize,
+        craft: impl FnMut(CraftContext<'_>) -> Vec<UserReport>,
+    ) -> ProtocolError {
+        let mut crafter = Forger(craft);
+        protocol
+            .run_worlds(g, &base(), m_fake, Some(&mut crafter), None, None)
+            .unwrap_err()
+    }
+
+    /// `count` uploads of the channel the round asks for, or of the other
+    /// one when `swap`; degree vectors get `extra_groups` more entries.
+    fn uploads(
+        ctx: CraftContext<'_>,
+        n: usize,
+        count: usize,
+        swap: bool,
+        extra_groups: usize,
+    ) -> Vec<UserReport> {
+        let (adjacency, groups) = match ctx {
+            CraftContext::Adjacency { .. } => (true, 4),
+            CraftContext::DegreeVectors { num_groups, .. } => (false, num_groups),
+        };
+        let report = if adjacency != swap {
+            UserReport::Adjacency(AdjacencyReport::new(ldp_graph::BitSet::new(n), 0.0))
+        } else {
+            UserReport::DegreeVector(vec![0.0; groups + extra_groups])
+        };
+        vec![report; count]
+    }
+
     #[test]
     fn foreign_reports_are_rejected_with_typed_errors() {
         let g = caveman_graph(2, 4);
+        let n = g.num_nodes();
         let lf = LfGdpr::new(4.0).unwrap();
         let lg = LdpGen::with_defaults(4.0).unwrap();
-        let adj_reports = GraphLdpProtocol::collect_honest(&lf, &g, &base());
-        let vec_reports = GraphLdpProtocol::collect_honest(&lg, &g, &base());
-        assert!(matches!(
-            GraphLdpProtocol::aggregate(&lf, &g, &base(), vec_reports),
-            Err(ProtocolError::WrongReportKind { .. })
-        ));
-        assert!(matches!(
-            GraphLdpProtocol::aggregate(&lg, &g, &base(), adj_reports),
-            Err(ProtocolError::WrongReportKind { .. })
-        ));
+        for protocol in [&lf as &dyn GraphLdpProtocol, &lg] {
+            let name = protocol.name();
+            let err = forged_run(protocol, &g, 2, |ctx| uploads(ctx, n, 2, true, 0));
+            assert!(
+                matches!(err, ProtocolError::WrongReportKind { .. }),
+                "{name}: got {err}"
+            );
+            let err = forged_run(protocol, &g, 2, |ctx| uploads(ctx, n, 3, false, 0));
+            assert_eq!(
+                err,
+                ProtocolError::CraftedCountMismatch {
+                    expected: 2,
+                    got: 3
+                },
+                "{name}"
+            );
+        }
+        let err = forged_run(&lg, &g, 2, |ctx| uploads(ctx, n, 2, false, 1));
+        assert!(
+            matches!(err, ProtocolError::GroupCountMismatch { expected, got } if got == expected + 1),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn fake_tail_overrunning_the_population_is_a_typed_error() {
+        let g = caveman_graph(2, 4);
+        let n = g.num_nodes();
+        let lf = LfGdpr::new(4.0).unwrap();
+        let lg = LdpGen::with_defaults(4.0).unwrap();
+        for protocol in [&lf as &dyn GraphLdpProtocol, &lg] {
+            let err = forged_run(protocol, &g, n + 1, |ctx| uploads(ctx, n, n + 1, false, 0));
+            assert_eq!(
+                err,
+                ProtocolError::CraftedOverrun {
+                    population: n,
+                    crafted: n + 1
+                },
+                "{}",
+                protocol.name()
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! linear in `m` while the realized prioritized attack completes `C(m,2)`
 //! fake-pair triangles per target, so there we check the *qualitative*
 //! contracts: positivity, monotonicity in m, and that the simulation
-//! dominates the bound (see EXPERIMENTS.md).
+//! dominates the bound (its `C(m,2)` term outgrows the linear factor).
 
 use graph_ldp_poisoning::prelude::*;
 
