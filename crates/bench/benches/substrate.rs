@@ -1,5 +1,6 @@
 //! Substrate performance: bitset kernels, graph construction, exact
-//! metrics, generators, and randomized-response throughput. These are the
+//! metrics, generators, and randomized-response throughput (one row, and
+//! one honest LF-GDPR collection at Fig. 13's size). These are the
 //! primitives every experiment spends its time in.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -8,6 +9,7 @@ use ldp_graph::generate::{barabasi_albert, erdos_renyi_gnp, holme_kim};
 use ldp_graph::metrics::{local_clustering_coefficients, triangles_per_node};
 use ldp_graph::{BitMatrix, BitSet, CsrGraph, Xoshiro256pp};
 use ldp_mechanisms::RandomizedResponse;
+use ldp_protocols::LfGdpr;
 
 fn bench_bitset_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitset");
@@ -79,16 +81,28 @@ fn bench_randomized_response(c: &mut Criterion) {
     let n = 4_039;
     let truth = BitSet::from_indices(n, (0..n).step_by(90));
     for epsilon in [1.0f64, 4.0] {
-        let rr = RandomizedResponse::new(epsilon / 2.0).unwrap();
+        let flips = RandomizedResponse::new(epsilon / 2.0)
+            .unwrap()
+            .flip_sampler();
         group.bench_with_input(
             BenchmarkId::new("perturb_bitvector_4039", format!("eps{epsilon}")),
             &epsilon,
             |bench, _| {
                 let mut rng = Xoshiro256pp::new(7);
-                bench.iter(|| black_box(rr.perturb_bitset(&truth, Some(0), &mut rng)))
+                bench.iter(|| black_box(flips.perturb_bitset(&truth, Some(0), &mut rng)))
             },
         );
     }
+    // Fig. 13's collection: the Facebook stand-in plus its 5% fake tail
+    // (4,240 users) at ε = 4, so each of the N − 1 bits flips with
+    // probability ≈ 0.119.
+    let graph = Dataset::Facebook.generate_with_nodes(4_240, 6);
+    let protocol = LfGdpr::new(4.0).unwrap();
+    let base = Xoshiro256pp::new(8);
+    group.sample_size(10);
+    group.bench_function("collect_honest_4240", |bench| {
+        bench.iter(|| black_box(protocol.collect_honest(&graph, &base)))
+    });
     group.finish();
 }
 

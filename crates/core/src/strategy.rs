@@ -157,12 +157,13 @@ fn craft_rva<R: Rng>(
 /// Laplace on the degree.
 fn craft_rna<R: Rng>(protocol: &LfGdpr, threat: &ThreatModel, rng: &mut R) -> Vec<AdjacencyReport> {
     let population = threat.population();
+    let flips = protocol.rr().flip_sampler();
     threat
         .fake_ids()
         .map(|fake| {
             let target = threat.targets[rng.gen_range(0..threat.targets.len())];
             let truth = BitSet::from_indices(population, [target]);
-            let bits = protocol.rr().perturb_bitset(&truth, Some(fake), rng);
+            let bits = flips.perturb_bitset(&truth, Some(fake), rng);
             let degree = protocol
                 .laplace()
                 .perturb_degree(1.0, (population - 1) as f64, rng);

@@ -139,12 +139,14 @@ mod tests {
         seed: u64,
     ) -> Vec<AdjacencyReport> {
         let n = n_genuine + m_fake;
-        let rr = RandomizedResponse::from_keep_probability(0.9).unwrap();
+        let flips = RandomizedResponse::from_keep_probability(0.9)
+            .unwrap()
+            .flip_sampler();
         let mut rng = Xoshiro256pp::new(seed);
         let mut reports = Vec::with_capacity(n);
         for i in 0..n_genuine {
             let truth = BitSet::new(n);
-            let bits = rr.perturb_bitset(&truth, Some(i), &mut rng);
+            let bits = flips.perturb_bitset(&truth, Some(i), &mut rng);
             let degree = bits.count_ones() as f64;
             reports.push(AdjacencyReport::new(bits, degree));
         }

@@ -79,11 +79,12 @@ impl Defense for DegreeConsistencyDefense {
         // row is re-drawn as an RR pass over an empty neighborhood so the
         // slots still carry the mechanism noise calibration assumes.
         let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
+        let flips = protocol.rr().flip_sampler();
         for (f, (report, &is_flagged)) in repaired.iter_mut().zip(&flagged).enumerate() {
             if is_flagged {
                 let n = report.population();
                 let empty = BitSet::new(n);
-                report.bits = protocol.rr().perturb_bitset(&empty, Some(f), &mut rng);
+                report.bits = flips.perturb_bitset(&empty, Some(f), &mut rng);
                 report.degree = protocol
                     .laplace()
                     .perturb_degree(0.0, (n - 1) as f64, &mut rng);

@@ -113,10 +113,11 @@ impl Defense for NaiveDegreeTails {
             flagged[i] = true;
         }
         let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
+        let flips = protocol.rr().flip_sampler();
         for (f, report) in repaired.iter_mut().enumerate() {
             if flagged[f] {
                 let empty = BitSet::new(report.population());
-                report.bits = protocol.rr().perturb_bitset(&empty, Some(f), &mut rng);
+                report.bits = flips.perturb_bitset(&empty, Some(f), &mut rng);
                 report.degree = protocol.laplace().perturb_degree(
                     0.0,
                     (report.population() - 1) as f64,

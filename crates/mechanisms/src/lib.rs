@@ -9,7 +9,8 @@
 //!   perturbation with budget ε₂).
 //! * [`rr`] — symmetric randomized response over bits and packed bit
 //!   vectors (adjacency perturbation with budget ε₁), including an
-//!   `O(#flips)` sparse implementation and the unbiased count calibration.
+//!   `O(#flips)` sparse implementation ([`FlipSampler`]) and the unbiased
+//!   count calibration.
 //! * [`sampling`] — exact/approximate Binomial and Geometric samplers that
 //!   make whole-population simulation tractable at the paper's scales.
 //! * [`freq`] — frequency-estimation LDP protocols (GRR, OUE, OLH) together
@@ -29,4 +30,4 @@ pub mod sampling;
 pub use budget::PrivacyBudget;
 pub use error::MechanismError;
 pub use laplace::LaplaceMechanism;
-pub use rr::RandomizedResponse;
+pub use rr::{FlipSampler, RandomizedResponse};

@@ -6,10 +6,11 @@
 //! to each entry of the adjacency bit vector. Because the flip decision is
 //! independent of the bit value, perturbation equals XOR-ing with a random
 //! mask of density `1 − p`; sampling only the flip *positions* (geometric
-//! skipping) makes perturbation `O(#flips)` instead of `O(N)`.
+//! skipping) makes perturbation `O(#flips)` instead of `O(N)`. A
+//! [`FlipSampler`] prepares that skip sampler once for many rows.
 
 use crate::error::MechanismError;
-use crate::sampling::sample_geometric;
+use crate::sampling::GeometricSampler;
 use ldp_graph::BitSet;
 use rand::Rng;
 
@@ -75,6 +76,39 @@ impl RandomizedResponse {
         }
     }
 
+    /// Prepares the bit-vector perturbation: the flip-position sampler
+    /// of [`FlipSampler`]. Build it once per batch of rows: building takes
+    /// as many logarithms as 16 rows of 4,240 bits draw at ε = 2.
+    pub fn flip_sampler(&self) -> FlipSampler {
+        FlipSampler {
+            skips: GeometricSampler::new(self.p_flip()),
+        }
+    }
+
+    /// Unbiased estimate of the number of true ones among `n` perturbed
+    /// bits given `observed` reported ones:
+    /// `(observed − n(1−p)) / (2p − 1)`.
+    pub fn calibrate_count(&self, observed: f64, n: f64) -> f64 {
+        (observed - n * self.p_flip()) / (2.0 * self.p_keep - 1.0)
+    }
+
+    /// Expected number of reported ones when the truth has `true_ones` ones
+    /// among `n` bits: `true_ones·p + (n − true_ones)(1 − p)`.
+    pub fn expected_observed(&self, true_ones: f64, n: f64) -> f64 {
+        true_ones * self.p_keep + (n - true_ones) * self.p_flip()
+    }
+}
+
+/// A [`RandomizedResponse`] prepared to perturb bit vectors: its flip
+/// positions come from a [`GeometricSampler`] at the flip probability
+/// `1 − p`, built once by [`RandomizedResponse::flip_sampler`] and shared
+/// by every row (and thread) that perturbs with it.
+#[derive(Debug, Clone)]
+pub struct FlipSampler {
+    skips: GeometricSampler,
+}
+
+impl FlipSampler {
     /// Perturbs a bit vector in place, skipping the bit at `skip_self`
     /// (a node never reports a self-edge slot; pass `None` to perturb all
     /// bits). `O(#flips)` expected time.
@@ -85,10 +119,9 @@ impl RandomizedResponse {
         rng: &mut R,
     ) {
         let n = bits.capacity();
-        let q = self.p_flip();
         let mut pos = 0usize;
         loop {
-            let skip = sample_geometric(q, rng);
+            let skip = self.skips.sample(rng);
             pos = match pos.checked_add(skip) {
                 Some(v) => v,
                 None => break,
@@ -119,19 +152,6 @@ impl RandomizedResponse {
         let mut out = bits.clone();
         self.perturb_bitset_in_place(&mut out, skip_self, rng);
         out
-    }
-
-    /// Unbiased estimate of the number of true ones among `n` perturbed
-    /// bits given `observed` reported ones:
-    /// `(observed − n(1−p)) / (2p − 1)`.
-    pub fn calibrate_count(&self, observed: f64, n: f64) -> f64 {
-        (observed - n * self.p_flip()) / (2.0 * self.p_keep - 1.0)
-    }
-
-    /// Expected number of reported ones when the truth has `true_ones` ones
-    /// among `n` bits: `true_ones·p + (n − true_ones)(1 − p)`.
-    pub fn expected_observed(&self, true_ones: f64, n: f64) -> f64 {
-        true_ones * self.p_keep + (n - true_ones) * self.p_flip()
     }
 }
 
@@ -173,7 +193,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(2);
         let n = 50_000;
         let truth = BitSet::from_indices(n, (0..n).step_by(10));
-        let perturbed = rr.perturb_bitset(&truth, None, &mut rng);
+        let perturbed = rr.flip_sampler().perturb_bitset(&truth, None, &mut rng);
         // Count disagreement positions.
         let mut flips = 0usize;
         for (a, b) in truth.words().iter().zip(perturbed.words()) {
@@ -186,10 +206,11 @@ mod tests {
     #[test]
     fn self_slot_is_never_reported() {
         let rr = RandomizedResponse::from_keep_probability(0.6).unwrap();
+        let flips = rr.flip_sampler();
         let mut rng = Xoshiro256pp::new(3);
         for _ in 0..50 {
             let truth = BitSet::from_indices(100, [7usize, 50]);
-            let perturbed = rr.perturb_bitset(&truth, Some(7), &mut rng);
+            let perturbed = flips.perturb_bitset(&truth, Some(7), &mut rng);
             assert!(!perturbed.get(7), "self slot must stay clear");
         }
     }
@@ -211,9 +232,10 @@ mod tests {
         let n = 2_000;
         let truth = BitSet::from_indices(n, (0..200).map(|i| i * 10));
         let trials = 400;
+        let flips = rr.flip_sampler();
         let mut sum = 0.0;
         for _ in 0..trials {
-            let perturbed = rr.perturb_bitset(&truth, None, &mut rng);
+            let perturbed = flips.perturb_bitset(&truth, None, &mut rng);
             sum += rr.calibrate_count(perturbed.count_ones() as f64, n as f64);
         }
         let mean = sum / trials as f64;
@@ -228,7 +250,7 @@ mod tests {
         let rr = RandomizedResponse::from_keep_probability(0.55).unwrap();
         let mut rng = Xoshiro256pp::new(5);
         let truth = BitSet::new(70);
-        let perturbed = rr.perturb_bitset(&truth, None, &mut rng);
+        let perturbed = rr.flip_sampler().perturb_bitset(&truth, None, &mut rng);
         assert_eq!(perturbed.capacity(), 70);
         // No bits beyond capacity.
         assert!(perturbed.to_indices().iter().all(|&i| i < 70));

@@ -129,6 +129,10 @@ impl LdpGen {
     /// (fake users — the attack entry point; pass an empty slice for the
     /// honest protocol). The crafting closure receives the current grouping
     /// and must return one degree vector per fake user.
+    ///
+    /// # Panics
+    /// Panics if the closure returns more vectors than `graph` has users,
+    /// or a vector whose length is not the phase's group count.
     pub fn aggregate_with_crafted<F>(
         &self,
         graph: &CsrGraph,
@@ -180,6 +184,11 @@ impl LdpGen {
         crafted: Vec<DegreeVector>,
     ) -> Vec<DegreeVector> {
         let n = graph.num_nodes();
+        assert!(
+            crafted.len() <= n,
+            "{} crafted vectors overrun a population of {n}",
+            crafted.len()
+        );
         let honest_count = n - crafted.len();
         let mut vectors: Vec<DegreeVector> = (0..honest_count)
             .map(|node| {
@@ -245,6 +254,14 @@ mod tests {
             let v = proto.honest_degree_vector(&g, node, &groups, 2, &mut rng);
             assert!(v.iter().all(|&x| x >= 0.0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "9 crafted vectors overrun a population of 8")]
+    fn crafted_tail_overrunning_the_population_panics() {
+        let g = caveman_graph(2, 4);
+        let proto = LdpGen::new(2.0, 2).unwrap();
+        proto.aggregate_with_crafted(&g, &Xoshiro256pp::new(3), |_, _, k| vec![vec![0.0; k]; 9]);
     }
 
     #[test]

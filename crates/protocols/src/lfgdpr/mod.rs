@@ -16,7 +16,9 @@ pub use view::PerturbedView;
 use crate::report::AdjacencyReport;
 use ldp_graph::runtime::{default_threads, parallel_map, threads_for_work};
 use ldp_graph::CsrGraph;
-use ldp_mechanisms::{LaplaceMechanism, MechanismError, PrivacyBudget, RandomizedResponse};
+use ldp_mechanisms::{
+    FlipSampler, LaplaceMechanism, MechanismError, PrivacyBudget, RandomizedResponse,
+};
 use rand::Rng;
 
 /// The LF-GDPR protocol instance: a privacy budget split plus the two local
@@ -71,15 +73,28 @@ impl LfGdpr {
         self.rr.p_keep()
     }
 
-    /// Produces the honest report of `node` in `graph`.
+    /// Produces the honest report of `node` in `graph`. It prepares the
+    /// RR flip sampler for this one report; [`Self::collect_honest`]
+    /// prepares it once for the whole population.
     pub fn honest_report<R: Rng>(
         &self,
         graph: &CsrGraph,
         node: usize,
         rng: &mut R,
     ) -> AdjacencyReport {
+        self.report_with(&self.rr.flip_sampler(), graph, node, rng)
+    }
+
+    /// [`Self::honest_report`] with a prepared flip sampler of `self.rr`.
+    fn report_with<R: Rng>(
+        &self,
+        flips: &FlipSampler,
+        graph: &CsrGraph,
+        node: usize,
+        rng: &mut R,
+    ) -> AdjacencyReport {
         let truth = graph.adjacency_bit_vector(node);
-        let bits = self.rr.perturb_bitset(&truth, Some(node), rng);
+        let bits = flips.perturb_bitset(&truth, Some(node), rng);
         let max_degree = (graph.num_nodes() - 1) as f64;
         let degree = self
             .laplace
@@ -103,9 +118,10 @@ impl LfGdpr {
         let n = graph.num_nodes();
         // Perturbation samples per adjacency bit, so the job is ~n² ops.
         let threads = threads_for_work(n.saturating_mul(n), default_threads());
+        let flips = self.rr.flip_sampler();
         parallel_map((0..n).collect(), threads, |&node| {
             let mut rng = base_rng.derive(node as u64);
-            self.honest_report(graph, node, &mut rng)
+            self.report_with(&flips, graph, node, &mut rng)
         })
     }
 
