@@ -10,7 +10,7 @@ use poison_core::{
     craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, TargetSelection,
     ThreatModel,
 };
-use poison_defense::apriori::{apriori, apriori_on_columns, item_columns};
+use poison_defense::apriori::{apriori, apriori_on_columns, item_columns, PairIndex};
 use poison_defense::{Defense, DegreeConsistencyDefense, FrequentItemsetDefense};
 
 /// A Facebook stand-in of `nodes` users plus a 5% MGA tail crafted
@@ -69,6 +69,11 @@ fn bench_apriori(c: &mut Criterion) {
     let columns = item_columns(reports.iter().map(|r| &r.bits));
     group.bench_function("pairs_4240_transactions", |bench| {
         bench.iter(|| black_box(apriori_on_columns(&columns, 117, 2)))
+    });
+    // The same level 2 as Detect1 runs it: pairs set straight into the
+    // partner index, with no itemsets built.
+    group.bench_function("pair_index_4240_transactions", |bench| {
+        bench.iter(|| black_box(PairIndex::mine(&columns, 117)))
     });
     group.finish();
 }

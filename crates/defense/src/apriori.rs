@@ -8,12 +8,20 @@
 //! algorithm. Pair support is counted on *column* bitsets (reports
 //! containing each item) so level 2 — the level the detector consumes —
 //! costs one popcount-AND per candidate pair instead of a pass over all
-//! transactions. [`PairIndex`] turns the frequent pairs back into per-item
-//! partner bitsets, so counting the pairs a transaction contains is also
-//! word-parallel.
+//! transactions. One level-2 routine (`for_each_frequent_pair`) serves
+//! both callers: it takes the frequent items eight at a time and reads each
+//! later column once for all eight ([`and_popcount8`]).
+//! [`apriori_on_columns`] collects and sorts the pairs it finds;
+//! [`PairIndex::mine`] (Detect1's miner) sets them straight into per-item
+//! partner bitsets, so no itemset is built and counting the pairs a
+//! transaction contains is also word-parallel.
 
-use ldp_graph::popcount::and_popcount;
+use ldp_graph::popcount::{and_popcount, and_popcount8};
 use ldp_graph::BitSet;
+
+/// Frequent items per level-2 pass: each later column is read once for
+/// this many columns.
+const PAIR_GROUP: usize = 8;
 
 /// A frequent itemset: sorted item ids plus its support count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,21 +115,23 @@ pub fn apriori_on_columns(
         return result;
     }
 
-    // Level 2: candidate pairs of frequent items, counted by column AND.
+    // Level 2: candidate pairs of frequent items, counted by column AND
+    // and sorted back into ascending `(a, b)` order.
     let frequent_items: Vec<u32> = result.levels[0].iter().map(|fi| fi.items[0]).collect();
-    let mut level2 = Vec::new();
-    for (a_idx, &a) in frequent_items.iter().enumerate() {
-        for &b in &frequent_items[a_idx + 1..] {
-            let support = columns[a as usize].intersection_count(&columns[b as usize]);
-            if support >= min_support {
-                level2.push(FrequentItemset {
-                    items: vec![a, b],
-                    support,
-                });
-            }
-        }
-    }
-    result.levels.push(level2);
+    let mut pairs = Vec::new();
+    for_each_frequent_pair(columns, &frequent_items, min_support, |a, b, support| {
+        pairs.push((a, b, support));
+    });
+    pairs.sort_unstable();
+    result.levels.push(
+        pairs
+            .into_iter()
+            .map(|(a, b, support)| FrequentItemset {
+                items: vec![a, b],
+                support,
+            })
+            .collect(),
+    );
 
     // Levels ≥ 3: classic join + prune on the previous level, support by
     // intersecting member columns.
@@ -187,6 +197,59 @@ pub fn apriori_on_columns(
     result
 }
 
+/// Apriori's level 2: calls `visit(a, b, support)` for every pair `a < b`
+/// of `frequent_items` whose columns share at least `min_support`
+/// transactions.
+///
+/// `frequent_items` must be ascending. They are taken eight at a time:
+/// the pairs inside a group are counted one by one, and each later
+/// frequent column `b` is read once for all eight of the group's columns
+/// ([`and_popcount8`]). Pairs are therefore visited group by group, not in
+/// `(a, b)` order. Supports are exact, so the pairs and supports are
+/// those of a per-pair scan.
+///
+/// # Panics
+/// Panics if the frequent items' columns differ in capacity.
+fn for_each_frequent_pair(
+    columns: &[BitSet],
+    frequent_items: &[u32],
+    min_support: usize,
+    mut visit: impl FnMut(u32, u32, usize),
+) {
+    if let Some((&first, rest)) = frequent_items.split_first() {
+        let capacity = columns[first as usize].capacity();
+        assert!(
+            rest.iter()
+                .all(|&b| columns[b as usize].capacity() == capacity),
+            "item column capacities differ"
+        );
+    }
+    for (g, group) in frequent_items.chunks(PAIR_GROUP).enumerate() {
+        for (i, &a) in group.iter().enumerate() {
+            for &b in &group[i + 1..] {
+                let support = columns[a as usize].intersection_count(&columns[b as usize]);
+                if support >= min_support {
+                    visit(a, b, support);
+                }
+            }
+        }
+        // Only the last group can be short, and no item follows it.
+        let Ok(group) = <[u32; PAIR_GROUP]>::try_from(group) else {
+            continue;
+        };
+        let rows = group.map(|a| columns[a as usize].words());
+        for &b in &frequent_items[(g + 1) * PAIR_GROUP..] {
+            let supports = and_popcount8(columns[b as usize].words(), rows);
+            for (&a, support) in group.iter().zip(supports) {
+                let support = support as usize;
+                if support >= min_support {
+                    visit(a, b, support);
+                }
+            }
+        }
+    }
+}
+
 /// Frequent pairs indexed by their smaller item: the partners of `a` are
 /// every `b > a` with `{a, b}` frequent.
 ///
@@ -216,6 +279,30 @@ impl PairIndex {
                 .get_or_insert_with(|| BitSet::new(num_items))
                 .set(b);
         }
+        PairIndex { partners }
+    }
+
+    /// Mines the frequent pairs of `columns` (an [`item_columns`] view)
+    /// at `min_support` and indexes them over items `0..columns.len()`.
+    ///
+    /// The index equals `PairIndex::new(columns.len(),
+    /// apriori_on_columns(columns, min_support, 2).frequent_pairs())`, but
+    /// each partner bit is set as the level-2 pass finds its pair, so no
+    /// itemset is built.
+    ///
+    /// # Panics
+    /// Panics if the frequent items' columns differ in capacity.
+    pub fn mine(columns: &[BitSet], min_support: usize) -> Self {
+        let num_items = columns.len();
+        let frequent_items: Vec<u32> = (0..num_items as u32)
+            .filter(|&item| columns[item as usize].count_ones() >= min_support)
+            .collect();
+        let mut partners: Vec<Option<BitSet>> = vec![None; num_items];
+        for_each_frequent_pair(columns, &frequent_items, min_support, |a, b, _| {
+            partners[a as usize]
+                .get_or_insert_with(|| BitSet::new(num_items))
+                .set(b as usize);
+        });
         PairIndex { partners }
     }
 

@@ -8,7 +8,7 @@
 //! connections from the other endpoints' reports instead of dropping them
 //! (step 3 of §VII-A, the difference from Cao et al.'s removal).
 
-use crate::apriori::{apriori_on_columns, item_columns, PairIndex};
+use crate::apriori::{item_columns, PairIndex};
 use ldp_graph::BitSet;
 use ldp_protocols::{AdjacencyReport, LfGdpr};
 use poison_core::{Defense, DefenseApplication};
@@ -62,11 +62,7 @@ impl FrequentItemsetDefense {
     fn mine(&self, reports: &[AdjacencyReport]) -> (Vec<BitSet>, Vec<usize>) {
         let columns = item_columns(reports.iter().map(|r| &r.bits));
         let min_support = self.resolve_min_support(reports);
-        // The mined itemsets are a temporary: only the index outlives them.
-        let index = PairIndex::new(
-            columns.len(),
-            apriori_on_columns(&columns, min_support, 2).frequent_pairs(),
-        );
+        let index = PairIndex::mine(&columns, min_support);
         let scores = reports
             .iter()
             .map(|r| index.contained_pairs(&r.bits))

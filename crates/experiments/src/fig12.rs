@@ -2,11 +2,15 @@
 //! centrality** (Facebook stand-in).
 //!
 //! * Panel (a): Detect1 (frequent itemsets) vs. Naive1 vs. no defense
-//!   against MGA, sweeping the Detect1 flag threshold — the U-shape:
-//!   over-flagging at low thresholds distorts genuine reports, high
-//!   thresholds let the attack through.
+//!   against MGA, sweeping the Detect1 flag threshold. Each point is the
+//!   mean Eq. 5 gain after the defense. Naive1 and no defense ignore the
+//!   threshold, so their spread along the axis is seed noise. Detect1's
+//!   pair-count score flags most genuine rows on this grid, and its
+//!   series shows no U-shape (see ROADMAP, "Detect1: a threshold that
+//!   means something").
 //! * Panel (b): Detect2 (degree consistency) vs. Naive2 vs. no defense
-//!   against RVA, sweeping β.
+//!   against RVA, sweeping β. Each point is the mean Eq. 5 gain after
+//!   the defense.
 //!
 //! Every cell is one [`Scenario`] run; the defended and undefended
 //! variants differ only by `.defend(...)`.

@@ -1,10 +1,17 @@
 //! Exp 8 / Fig. 13: countermeasures against attacks to the **clustering
 //! coefficient** (Facebook stand-in).
 //!
-//! Panel (a): Detect1 vs. Naive1 against MGA over flag thresholds
-//! {50, 75, 100, 125, 150}; panel (b): Detect2 vs. Naive2 against RVA over
-//! β — gains after defense stay below the undefended attack but never
-//! reach zero, the paper's "defenses are insufficient" takeaway.
+//! Panel (a): Detect1 vs. Naive1 vs. no defense against MGA over flag
+//! thresholds {50, 75, 100, 125, 150}; panel (b): Detect2 vs. Naive2 vs.
+//! no defense against RVA over β. Each point is the mean Eq. 5 gain after
+//! the defense, computed as in Fig. 12.
+//!
+//! At the paper's scale, (a)'s Detect1 flags and rebuilds every row at
+//! every threshold of the grid, so its series is flat (see ROADMAP,
+//! "Detect1: a threshold that means something"). In (b) RVA's gain sits
+//! on the protocol's own noise floor, so Detect2's gain stays close to the
+//! undefended one and is above it at some β (see ROADMAP, "Measure gains
+//! above the noise floor").
 
 use crate::config::{grids, ExperimentConfig};
 use crate::fig12::{panel_beta_sweep, panel_threshold_sweep};

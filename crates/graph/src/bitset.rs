@@ -105,8 +105,9 @@ impl BitSet {
         popcount(&self.words) as usize
     }
 
-    /// `|self ∩ other|` — the popcount of the bitwise AND. This is
-    /// Detect1's level-2 support count: the AND of two item columns.
+    /// `|self ∩ other|` — the popcount of the bitwise AND. Detect1's
+    /// level 2 counts the support of each pair inside an eight-item group
+    /// this way (the AND of two item columns).
     ///
     /// # Panics
     /// Panics if capacities differ.

@@ -1,9 +1,10 @@
 //! Word-slice popcounts: the inner loop of every dense bit kernel.
 //!
 //! [`BitMatrix`](crate::BitMatrix)'s triangle kernel, degrees and common
-//! neighbors, [`BitSet`](crate::BitSet)'s counts (Detect1's level-2
-//! support counts) and the defense's pair index all count set bits over
-//! `u64` slices through these functions.
+//! neighbors, [`BitSet`](crate::BitSet)'s counts and the defense's pair
+//! index all count set bits over `u64` slices through these functions.
+//! Detect1's level-2 support count (`poison_defense::apriori`) reads each
+//! item column once for eight others through [`and_popcount8`].
 //!
 //! Each function is one portable `count_ones` loop. On x86-64 the same
 //! loop is compiled a second time with AVX-512F and AVX-512 VPOPCNTDQ
@@ -58,6 +59,23 @@ pub fn and_popcount4(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
     and_popcount4_portable(v, rows)
 }
 
+/// `[|v ∩ rows[0]|, …, |v ∩ rows[7]|]` over the words of `v`: eight
+/// [`and_popcount`]s that read each word of `v` once. Apriori's level 2
+/// counts the supports of eight pairs per pass over one item column this
+/// way.
+///
+/// # Panics
+/// Panics if any row is shorter than `v`.
+#[inline]
+pub fn and_popcount8(v: &[u64], rows: [&[u64]; 8]) -> [u64; 8] {
+    #[cfg(target_arch = "x86_64")]
+    if x86::has_vpopcntdq() {
+        // SAFETY: the CPU supports every feature the twin enables.
+        return unsafe { x86::and_popcount8(v, rows) };
+    }
+    and_popcount8_portable(v, rows)
+}
+
 // `inline(always)` so that each twin below compiles this body with its
 // own target features.
 #[inline(always)]
@@ -86,6 +104,18 @@ fn and_popcount4_portable(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
     counts
 }
 
+#[inline(always)]
+fn and_popcount8_portable(v: &[u64], rows: [&[u64]; 8]) -> [u64; 8] {
+    let rows = rows.map(|row| &row[..v.len()]);
+    let mut counts = [0u64; 8];
+    for (i, &x) in v.iter().enumerate() {
+        for (count, row) in counts.iter_mut().zip(&rows) {
+            *count += u64::from((x & row[i]).count_ones());
+        }
+    }
+    counts
+}
+
 /// The AVX-512 twins: the portable loops, inlined into functions compiled
 /// with the vector popcount enabled. Calling a twin is sound only after
 /// `has_vpopcntdq` has returned `true`.
@@ -110,6 +140,11 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     pub(super) fn and_popcount4(v: &[u64], rows: [&[u64]; 4]) -> [u64; 4] {
         super::and_popcount4_portable(v, rows)
+    }
+
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub(super) fn and_popcount8(v: &[u64], rows: [&[u64]; 8]) -> [u64; 8] {
+        super::and_popcount8_portable(v, rows)
     }
 }
 
@@ -227,6 +262,52 @@ mod tests {
         and_popcount4(&ones, [&ones, &ones, &ones[..4], &ones]);
     }
 
+    /// Eight rows of `len + extra` words each, from distinct seeds.
+    fn eight_rows(len: usize, extra: usize, seed: u64) -> [Vec<u64>; 8] {
+        std::array::from_fn(|k| words(len + extra, seed ^ ((k as u64 + 1) << 40) ^ len as u64))
+    }
+
+    fn references8(v: &[u64], rows: &[Vec<u64>; 8]) -> [u64; 8] {
+        std::array::from_fn(|k| bits_set(&and_words(v, &rows[k])))
+    }
+
+    #[test]
+    fn and_popcount8_matches_per_bit_reference() {
+        for len in LENGTHS {
+            let v = words(len, 0x6A09_E667_F3BC_C908 ^ len as u64);
+            let rows = eight_rows(len, 0, 0xBB67_AE85_84CA_A73B);
+            let refs = rows.each_ref().map(Vec::as_slice);
+            let expected = references8(&v, &rows);
+            assert_eq!(and_popcount8(&v, refs), expected, "len {len}");
+            assert_eq!(and_popcount8_portable(&v, refs), expected, "len {len}");
+        }
+    }
+
+    #[test]
+    fn and_popcount8_counts_the_words_of_v() {
+        for len in LENGTHS {
+            let v = words(len, 0x3C6E_F372_FE94_F82B ^ len as u64);
+            let rows = eight_rows(len, 1 + len % 9, 0xA54F_F53A_5F1D_36F1);
+            let got = and_popcount8(&v, rows.each_ref().map(Vec::as_slice));
+            assert_eq!(got, references8(&v, &rows), "len {len}");
+            let singles: [u64; 8] = std::array::from_fn(|k| and_popcount(&v, &rows[k]));
+            assert_eq!(got, singles, "len {len}");
+        }
+        let ones = [!0u64; 5];
+        assert_eq!(and_popcount8(&ones[..2], [&ones; 8]), [128; 8]);
+        let mixed = [&[][..], &ones, &[], &ones, &ones, &[], &ones, &[]];
+        assert_eq!(and_popcount8(&[], mixed), [0; 8]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn and_popcount8_rejects_a_row_shorter_than_v() {
+        let ones = [!0u64; 5];
+        let mut rows = [&ones[..]; 8];
+        rows[6] = &ones[..4];
+        and_popcount8(&ones, rows);
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn vector_twin_matches_when_the_cpu_has_it() {
@@ -244,6 +325,10 @@ mod tests {
             // SAFETY: as above.
             let four = unsafe { x86::and_popcount4(&a, rows.each_ref().map(Vec::as_slice)) };
             assert_eq!(four, references4(&a, &rows), "len {len}");
+            let rows = eight_rows(len, 3, 0x5BE0_CD19_137E_2179);
+            // SAFETY: as above.
+            let eight = unsafe { x86::and_popcount8(&a, rows.each_ref().map(Vec::as_slice)) };
+            assert_eq!(eight, references8(&a, &rows), "len {len}");
         }
     }
 }
