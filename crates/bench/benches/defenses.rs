@@ -60,7 +60,7 @@ fn bench_apriori(c: &mut Criterion) {
     let (reports, _) = poisoned_reports(1_000, TargetMetric::DegreeCentrality);
     let transactions: Vec<BitSet> = reports.iter().map(|r| r.bits.clone()).collect();
     group.bench_function("pairs_1050_transactions", |bench| {
-        bench.iter(|| black_box(apriori(&transactions, 60, 2)))
+        bench.iter(|| black_box(apriori(&transactions, 60)))
     });
     // Level 2 at Fig. 13's size: Θ(F²·N/64) column AND-popcounts, the part
     // of Detect1 that the partner-index scorer leaves in place. Support
@@ -68,7 +68,7 @@ fn bench_apriori(c: &mut Criterion) {
     let (reports, _) = fig13_reports();
     let columns = item_columns(reports.iter().map(|r| &r.bits));
     group.bench_function("pairs_4240_transactions", |bench| {
-        bench.iter(|| black_box(apriori_on_columns(&columns, 117, 2)))
+        bench.iter(|| black_box(apriori_on_columns(&columns, 117)))
     });
     // The same level 2 as Detect1 runs it: pairs set straight into the
     // partner index, with no itemsets built.

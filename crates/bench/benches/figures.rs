@@ -33,22 +33,22 @@ fn bench_attack_figures(c: &mut Criterion) {
     group.sample_size(10);
     let cfg = smoke();
     group.bench_function("fig6_point", |b| {
-        b.iter(|| black_box(px::fig6::run_with_grid(&cfg, &[4.0], None)))
+        b.iter(|| black_box(px::sweep::FIG6.run_with_grid(&cfg, &[4.0], None)))
     });
     group.bench_function("fig7_point", |b| {
-        b.iter(|| black_box(px::fig7::run_with_grid(&cfg, &[0.05], None)))
+        b.iter(|| black_box(px::sweep::FIG7.run_with_grid(&cfg, &[0.05], None)))
     });
     group.bench_function("fig8_point", |b| {
-        b.iter(|| black_box(px::fig8::run_with_grid(&cfg, &[0.05], None)))
+        b.iter(|| black_box(px::sweep::FIG8.run_with_grid(&cfg, &[0.05], None)))
     });
     group.bench_function("fig9_point", |b| {
-        b.iter(|| black_box(px::fig9::run_with_grid(&cfg, &[4.0], None)))
+        b.iter(|| black_box(px::sweep::FIG9.run_with_grid(&cfg, &[4.0], None)))
     });
     group.bench_function("fig10_point", |b| {
-        b.iter(|| black_box(px::fig10::run_with_grid(&cfg, &[0.05], None)))
+        b.iter(|| black_box(px::sweep::FIG10.run_with_grid(&cfg, &[0.05], None)))
     });
     group.bench_function("fig11_point", |b| {
-        b.iter(|| black_box(px::fig11::run_with_grid(&cfg, &[0.05], None)))
+        b.iter(|| black_box(px::sweep::FIG11.run_with_grid(&cfg, &[0.05], None)))
     });
     group.finish();
 }

@@ -14,17 +14,8 @@
 //!   suspicious), the ranking the flag rule thresholds; exposed so
 //!   scenario reports can carry verdict diagnostics beyond binary flags.
 
-use ldp_protocols::{AdjacencyReport, LfGdpr};
+use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
 use rand::RngCore;
-
-/// What a defense did to one upload set.
-#[derive(Debug, Clone)]
-pub struct DefenseApplication {
-    /// The repaired reports the server aggregates instead.
-    pub repaired: Vec<AdjacencyReport>,
-    /// Which users were flagged as fake.
-    pub flagged: Vec<bool>,
-}
 
 /// A server-side countermeasure operating on collected adjacency reports.
 /// Object-safe: scenarios hold `Box<dyn Defense>`.
@@ -49,7 +40,7 @@ pub trait Defense {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         rng: &mut dyn RngCore,
-    ) -> DefenseApplication;
+    ) -> FilterDecision;
 }
 
 impl<D: Defense + ?Sized> Defense for &D {
@@ -66,7 +57,7 @@ impl<D: Defense + ?Sized> Defense for &D {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         rng: &mut dyn RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         (**self).filter_reports(reports, protocol, rng)
     }
 }
@@ -85,7 +76,7 @@ impl<D: Defense + ?Sized> Defense for Box<D> {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         rng: &mut dyn RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         (**self).filter_reports(reports, protocol, rng)
     }
 }

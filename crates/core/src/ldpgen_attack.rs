@@ -21,7 +21,6 @@
 use crate::strategy::AttackStrategy;
 use crate::threat::ThreatModel;
 use ldp_mechanisms::sampling::sample_laplace_vec;
-use ldp_protocols::Metric;
 use rand::Rng;
 
 /// Crafts the phase reports of all `m` fake users for one LDPGen phase.
@@ -77,26 +76,6 @@ pub fn craft_degree_vectors<R: Rng>(
         .collect()
 }
 
-/// Which LDPGen metric the attack is evaluated on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LdpGenMetric {
-    /// Local clustering coefficient of the targets, read off the synthetic
-    /// graph (Fig. 14b).
-    ClusteringCoefficient,
-    /// Modularity of the (extended) ground-truth partition on the synthetic
-    /// graph (Fig. 15b).
-    Modularity,
-}
-
-impl From<LdpGenMetric> for Metric {
-    fn from(metric: LdpGenMetric) -> Self {
-        match metric {
-            LdpGenMetric::ClusteringCoefficient => Metric::Clustering,
-            LdpGenMetric::Modularity => Metric::Modularity,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +84,7 @@ mod tests {
     use crate::strategy::MgaOptions;
     use ldp_graph::generate::caveman_graph;
     use ldp_graph::{CsrGraph, Xoshiro256pp};
-    use ldp_protocols::LdpGen;
+    use ldp_protocols::{LdpGen, Metric};
 
     fn setup() -> (CsrGraph, LdpGen, ThreatModel) {
         let graph = caveman_graph(10, 8);
@@ -151,7 +130,7 @@ mod tests {
         for strategy in AttackStrategy::ALL {
             let outcome = Scenario::on(protocol)
                 .attack(attack_for(strategy, MgaOptions::default()))
-                .metric(LdpGenMetric::ClusteringCoefficient.into())
+                .metric(Metric::Clustering)
                 .threat(threat.clone())
                 .seed(5)
                 .run(&graph)
@@ -168,7 +147,7 @@ mod tests {
         let partition: Vec<usize> = (0..80).map(|u| u / 8).collect();
         let outcome = Scenario::on(protocol)
             .attack(attack_for(AttackStrategy::Mga, MgaOptions::default()))
-            .metric(LdpGenMetric::Modularity.into())
+            .metric(Metric::Modularity)
             .threat(threat.clone())
             .partition(&partition)
             .seed(7)
@@ -184,7 +163,7 @@ mod tests {
         let (graph, protocol, threat) = setup();
         let err = Scenario::on(protocol)
             .attack(attack_for(AttackStrategy::Mga, MgaOptions::default()))
-            .metric(LdpGenMetric::Modularity.into())
+            .metric(Metric::Modularity)
             .threat(threat)
             .seed(7)
             .run(&graph)

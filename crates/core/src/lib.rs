@@ -50,7 +50,7 @@ pub mod theory;
 pub mod threat;
 
 pub use attack::{attack_for, Attack, DegreeFootprint, Mga, Rna, Rva};
-pub use defense::{Defense, DefenseApplication};
+pub use defense::Defense;
 pub use error::ScenarioError;
 pub use gain::AttackOutcome;
 pub use knowledge::AttackerKnowledge;

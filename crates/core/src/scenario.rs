@@ -71,8 +71,8 @@ const STREAM_SAMPLED_HONEST_FAKE: u64 = 0x0BEF_0000_0000_0000;
 /// Per-target RNG stream tag of the sampled mode's crafted fake slots.
 const STREAM_SAMPLED_ATTACK_FAKE: u64 = 0x0AF7_0000_0000_0000;
 
-/// Trial-seed stride of the experiment runner; trial `i` runs with
-/// `seed + i·STRIDE` (wrapping), matching `mean_gain_over_trials`.
+/// Trial-seed stride: trial `i` of a scenario runs with `seed + i·STRIDE`
+/// (wrapping).
 const TRIAL_SEED_STRIDE: u64 = 0x9E37_79B9;
 
 /// How the engine evaluates the scenario.
@@ -546,11 +546,7 @@ impl ReportFilter for DefenseFilter<'_> {
         protocol: &LfGdpr,
         rng: &mut dyn RngCore,
     ) -> FilterDecision {
-        let application = self.defense.filter_reports(reports, protocol, rng);
-        FilterDecision {
-            repaired: application.repaired,
-            flagged: application.flagged,
-        }
+        self.defense.filter_reports(reports, protocol, rng)
     }
 }
 

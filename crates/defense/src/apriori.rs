@@ -2,11 +2,11 @@
 //! bit-vector transactions.
 //!
 //! Transactions here are uploaded adjacency bit vectors: the items of
-//! transaction `i` are the node ids user `i` claims as neighbors. The
-//! downward-closure property ("every subset of a frequent itemset is
-//! frequent") drives candidate generation exactly as in the original
-//! algorithm. Pair support is counted on *column* bitsets (reports
-//! containing each item) so level 2 — the level the detector consumes —
+//! transaction `i` are the node ids user `i` claims as neighbors. Mining
+//! stops at level 2, the only level the detector reads: by downward
+//! closure ("every subset of a frequent itemset is frequent") the
+//! candidate pairs are the pairs of frequent items. Pair support is
+//! counted on *column* bitsets (reports containing each item), so it
 //! costs one popcount-AND per candidate pair instead of a pass over all
 //! transactions. One level-2 routine (`for_each_frequent_pair`) serves
 //! both callers: it takes the frequent items eight at a time and reads each
@@ -32,7 +32,8 @@ pub struct FrequentItemset {
     pub support: usize,
 }
 
-/// Mining output, grouped by itemset size (`levels[0]` = 1-itemsets, …).
+/// Mining output, grouped by itemset size: `levels[0]` holds the frequent
+/// items and `levels[1]` the frequent pairs.
 #[derive(Debug, Clone, Default)]
 pub struct AprioriResult {
     /// Frequent itemsets per level.
@@ -74,31 +75,16 @@ where
     columns
 }
 
-/// Runs Apriori up to itemsets of size `max_level` with absolute support
-/// threshold `min_support`.
-///
-/// Levels 1–2 use the [`item_columns`] bitsets; deeper levels intersect
-/// the columns of candidate members, which stays cheap because downward
-/// closure keeps candidate counts small at realistic supports.
-pub fn apriori(transactions: &[BitSet], min_support: usize, max_level: usize) -> AprioriResult {
-    if transactions.is_empty() {
-        return AprioriResult::default();
-    }
-    apriori_on_columns(&item_columns(transactions), min_support, max_level)
+/// Runs Apriori's levels 1 and 2 — the frequent items and pairs — with
+/// absolute support threshold `min_support`, on the [`item_columns`]
+/// bitsets.
+pub fn apriori(transactions: &[BitSet], min_support: usize) -> AprioriResult {
+    apriori_on_columns(&item_columns(transactions), min_support)
 }
 
 /// [`apriori`] over an [`item_columns`] view built by the caller, so one
 /// transpose can serve both the mining and other per-item work.
-pub fn apriori_on_columns(
-    columns: &[BitSet],
-    min_support: usize,
-    max_level: usize,
-) -> AprioriResult {
-    let mut result = AprioriResult::default();
-    if max_level == 0 {
-        return result;
-    }
-
+pub fn apriori_on_columns(columns: &[BitSet], min_support: usize) -> AprioriResult {
     // Level 1.
     let mut level1 = Vec::new();
     for (item, col) in columns.iter().enumerate() {
@@ -110,91 +96,25 @@ pub fn apriori_on_columns(
             });
         }
     }
-    result.levels.push(level1);
-    if max_level == 1 {
-        return result;
-    }
 
     // Level 2: candidate pairs of frequent items, counted by column AND
     // and sorted back into ascending `(a, b)` order.
-    let frequent_items: Vec<u32> = result.levels[0].iter().map(|fi| fi.items[0]).collect();
+    let frequent_items: Vec<u32> = level1.iter().map(|fi| fi.items[0]).collect();
     let mut pairs = Vec::new();
     for_each_frequent_pair(columns, &frequent_items, min_support, |a, b, support| {
         pairs.push((a, b, support));
     });
     pairs.sort_unstable();
-    result.levels.push(
-        pairs
-            .into_iter()
-            .map(|(a, b, support)| FrequentItemset {
-                items: vec![a, b],
-                support,
-            })
-            .collect(),
-    );
-
-    // Levels ≥ 3: classic join + prune on the previous level, support by
-    // intersecting member columns.
-    for level in 3..=max_level {
-        let prev = &result.levels[level - 2];
-        if prev.len() < 2 {
-            break;
-        }
-        let prev_set: std::collections::HashSet<&[u32]> =
-            prev.iter().map(|fi| fi.items.as_slice()).collect();
-        let mut next = Vec::new();
-        for (i, x) in prev.iter().enumerate() {
-            for y in &prev[i + 1..] {
-                // Join step: both share the first k−2 items.
-                let k = x.items.len();
-                if x.items[..k - 1] != y.items[..k - 1] {
-                    continue;
-                }
-                let mut candidate = x.items.clone();
-                candidate.push(y.items[k - 1]);
-                candidate.sort_unstable();
-                // Prune step: every (k)-subset must be frequent.
-                let mut all_frequent = true;
-                let mut subset = Vec::with_capacity(k);
-                for skip in 0..candidate.len() {
-                    subset.clear();
-                    subset.extend(
-                        candidate
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != skip)
-                            .map(|(_, &v)| v),
-                    );
-                    if !prev_set.contains(subset.as_slice()) {
-                        all_frequent = false;
-                        break;
-                    }
-                }
-                if !all_frequent {
-                    continue;
-                }
-                // Count support by column intersection.
-                let mut acc = columns[candidate[0] as usize].clone();
-                for &item in &candidate[1..] {
-                    acc.intersect_with(&columns[item as usize]);
-                }
-                let support = acc.count_ones();
-                if support >= min_support {
-                    next.push(FrequentItemset {
-                        items: candidate,
-                        support,
-                    });
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        next.sort_by(|a, b| a.items.cmp(&b.items));
-        next.dedup_by(|a, b| a.items == b.items);
-        result.levels.push(next);
+    let level2 = pairs
+        .into_iter()
+        .map(|(a, b, support)| FrequentItemset {
+            items: vec![a, b],
+            support,
+        })
+        .collect();
+    AprioriResult {
+        levels: vec![level1, level2],
     }
-    result
 }
 
 /// Apriori's level 2: calls `visit(a, b, support)` for every pair `a < b`
@@ -286,7 +206,7 @@ impl PairIndex {
     /// at `min_support` and indexes them over items `0..columns.len()`.
     ///
     /// The index equals `PairIndex::new(columns.len(),
-    /// apriori_on_columns(columns, min_support, 2).frequent_pairs())`, but
+    /// apriori_on_columns(columns, min_support).frequent_pairs())`, but
     /// each partner bit is set as the level-2 pass finds its pair, so no
     /// itemset is built.
     ///
@@ -358,7 +278,7 @@ mod tests {
     #[test]
     fn level1_supports_match_brute_force() {
         let txs = market_basket();
-        let result = apriori(&txs, 2, 1);
+        let result = apriori(&txs, 2);
         for fi in &result.levels[0] {
             assert_eq!(fi.support, brute_support(&txs, &fi.items));
         }
@@ -369,7 +289,7 @@ mod tests {
     #[test]
     fn level2_matches_brute_force() {
         let txs = market_basket();
-        let result = apriori(&txs, 2, 2);
+        let result = apriori(&txs, 2);
         let pairs = result.frequent_pairs();
         // Frequent pairs with support >= 2: (0,1)=3, (0,2)=3, (1,2)=3.
         assert_eq!(pairs.len(), 3);
@@ -380,21 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn level3_triple_found() {
-        let txs = market_basket();
-        let result = apriori(&txs, 2, 3);
-        assert_eq!(result.levels.len(), 3);
-        let triples = &result.levels[2];
-        assert_eq!(triples.len(), 1);
-        assert_eq!(triples[0].items, vec![0, 1, 2]);
-        assert_eq!(triples[0].support, 2);
-    }
-
-    #[test]
     fn downward_closure_prunes() {
         // (0,1) frequent, (2) infrequent → no candidate with 2 at level 2+.
         let txs = vec![tx(3, &[0, 1]), tx(3, &[0, 1]), tx(3, &[2])];
-        let result = apriori(&txs, 2, 3);
+        let result = apriori(&txs, 2);
         assert!(result
             .frequent_pairs()
             .iter()
@@ -402,16 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_zero_level_inputs() {
-        assert_eq!(apriori(&[], 1, 2).total(), 0);
-        let txs = market_basket();
-        assert_eq!(apriori(&txs, 1, 0).total(), 0);
+    fn empty_input_mines_nothing() {
+        assert_eq!(apriori(&[], 1).total(), 0);
     }
 
     #[test]
     fn contained_pairs_counts_correctly() {
         let txs = market_basket();
-        let result = apriori(&txs, 2, 2);
+        let result = apriori(&txs, 2);
         let index = PairIndex::new(5, result.frequent_pairs());
         // Transaction {0,1,2} contains all three frequent pairs.
         assert_eq!(index.contained_pairs(&tx(5, &[0, 1, 2])), 3);
@@ -437,7 +344,7 @@ mod tests {
     #[test]
     fn high_min_support_yields_nothing() {
         let txs = market_basket();
-        let result = apriori(&txs, 100, 3);
+        let result = apriori(&txs, 100);
         assert_eq!(result.total(), 0);
     }
 }

@@ -6,8 +6,8 @@
 
 use crate::detect1::FrequentItemsetDefense;
 use crate::detect2::DegreeConsistencyDefense;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
-use poison_core::{Defense, DefenseApplication};
+use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
+use poison_core::Defense;
 
 /// Detect2 followed by Detect1.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +60,7 @@ impl Defense for CombinedDefense {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         rng: &mut dyn rand::RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         let first = self.degree.filter_reports(reports, protocol, rng);
         let second = self.itemset.filter_reports(&first.repaired, protocol, rng);
         let flagged: Vec<bool> = first
@@ -69,7 +69,7 @@ impl Defense for CombinedDefense {
             .zip(&second.flagged)
             .map(|(&a, &b)| a || b)
             .collect();
-        DefenseApplication {
+        FilterDecision {
             repaired: second.repaired,
             flagged,
         }

@@ -10,8 +10,8 @@
 
 use crate::apriori::{item_columns, PairIndex};
 use ldp_graph::BitSet;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
-use poison_core::{Defense, DefenseApplication};
+use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
+use poison_core::Defense;
 
 /// Configuration of the frequent-itemset defense.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +88,7 @@ impl Defense for FrequentItemsetDefense {
         reports: &[AdjacencyReport],
         _protocol: &LfGdpr,
         _rng: &mut dyn rand::RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         let n = reports.len();
         let (mut columns, scores) = self.mine(reports);
         let flagged: Vec<bool> = scores.iter().map(|&s| s > self.flag_threshold).collect();
@@ -115,7 +115,7 @@ impl Defense for FrequentItemsetDefense {
                 AdjacencyReport::new(bits, degree)
             })
             .collect();
-        DefenseApplication { repaired, flagged }
+        FilterDecision { repaired, flagged }
     }
 }
 

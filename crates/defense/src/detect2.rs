@@ -11,8 +11,8 @@
 //! noise calibration intact (see [`poison_core::Defense`]).
 
 use ldp_graph::BitSet;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
-use poison_core::{Defense, DefenseApplication};
+use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
+use poison_core::Defense;
 
 /// Configuration of the degree-consistency defense.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +59,7 @@ impl Defense for DegreeConsistencyDefense {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         mut rng: &mut dyn rand::RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         let sigma = protocol.laplace().std_dev();
         let calibrated: Vec<f64> = reports
             .iter()
@@ -90,7 +90,7 @@ impl Defense for DegreeConsistencyDefense {
                     .perturb_degree(0.0, (n - 1) as f64, &mut rng);
             }
         }
-        DefenseApplication { repaired, flagged }
+        FilterDecision { repaired, flagged }
     }
 }
 

@@ -6,8 +6,8 @@
 //! one of them plugs into the scenario engine's
 //! `Scenario::on(protocol).attack(…).defend(…)` builder:
 //!
-//! * [`apriori`] — a from-scratch Apriori frequent-itemset miner over
-//!   adjacency bit vectors (transactions = reported one-sets).
+//! * [`apriori`] — a from-scratch Apriori miner of frequent items and
+//!   pairs over adjacency bit vectors (transactions = reported one-sets).
 //! * [`detect1`] — frequent-itemset-based detection (§VII-A): fake nodes
 //!   reveal themselves by sharing crafted connection patterns; flagged
 //!   nodes have their connections *reconstructed* from the genuine side's
@@ -40,4 +40,4 @@ pub use combined::CombinedDefense;
 pub use detect1::FrequentItemsetDefense;
 pub use detect2::DegreeConsistencyDefense;
 pub use naive::{NaiveDegreeTails, NaiveTopDegree};
-pub use poison_core::{Defense, DefenseApplication};
+pub use poison_core::Defense;

@@ -6,8 +6,8 @@
 //!   the reported-degree distribution and remove their connections.
 
 use ldp_graph::BitSet;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
-use poison_core::{Defense, DefenseApplication};
+use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
+use poison_core::Defense;
 
 /// Naive1: degree-rank flagging with reconstruction.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +38,7 @@ impl Defense for NaiveTopDegree {
         reports: &[AdjacencyReport],
         _protocol: &LfGdpr,
         _rng: &mut dyn rand::RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         let n = reports.len();
         let k = ((n as f64 * self.fraction).round() as usize).min(n);
         let mut order: Vec<usize> = (0..n).collect();
@@ -61,7 +61,7 @@ impl Defense for NaiveTopDegree {
             report.bits = rebuilt;
             report.degree = report.bits.count_ones() as f64;
         }
-        DefenseApplication { repaired, flagged }
+        FilterDecision { repaired, flagged }
     }
 }
 
@@ -100,7 +100,7 @@ impl Defense for NaiveDegreeTails {
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
         mut rng: &mut dyn rand::RngCore,
-    ) -> DefenseApplication {
+    ) -> FilterDecision {
         let n = reports.len();
         let k = ((n as f64 * self.fraction).round() as usize).min(n / 2);
         let mut order: Vec<usize> = (0..n).collect();
@@ -125,7 +125,7 @@ impl Defense for NaiveDegreeTails {
                 );
             }
         }
-        DefenseApplication { repaired, flagged }
+        FilterDecision { repaired, flagged }
     }
 }
 

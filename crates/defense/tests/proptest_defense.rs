@@ -132,7 +132,7 @@ proptest! {
         let mut rng = Xoshiro256pp::new(seed);
         let min_support = (1 + (support_fraction * rows as f64) as usize).min(rows);
         let (txs, frequent_items) = mixed_support_transactions(&mut rng, rows, frequent, min_support);
-        let mined = apriori(&txs, min_support, 2);
+        let mined = apriori(&txs, min_support);
         let level1: Vec<u32> = mined.levels[0].iter().map(|fi| fi.items[0]).collect();
         prop_assert_eq!(&level1, &frequent_items);
         let brute = brute_level2(&txs, &frequent_items, min_support);
@@ -154,7 +154,7 @@ proptest! {
             mixed_support_transactions(&mut rng, rows, frequent, min_support);
         let capacity = txs[0].capacity();
         let mined = PairIndex::mine(&item_columns(&txs), min_support);
-        let from_itemsets = PairIndex::new(capacity, apriori(&txs, min_support, 2).frequent_pairs());
+        let from_itemsets = PairIndex::new(capacity, apriori(&txs, min_support).frequent_pairs());
         let brute = brute_level2(&txs, &frequent_items, min_support);
         txs.push(BitSet::from_indices(capacity, 0..capacity));
         txs.push(BitSet::new(capacity));
@@ -178,7 +178,7 @@ proptest! {
     ) {
         let mut rng = Xoshiro256pp::new(seed);
         let txs = transactions(&mut rng, rows, capacity, density);
-        let mined = apriori(&txs, min_support, 2);
+        let mined = apriori(&txs, min_support);
         let pairs = mined.frequent_pairs();
         let index = PairIndex::new(capacity, pairs);
         for t in &txs {

@@ -2,169 +2,147 @@
 //! does not isolate:
 //!
 //! * **A1 — connection-budget cap.** MGA capped at `⌊d̃⌋` (paper) vs.
-//!   uncapped: uncapped buys more degree-centrality gain but lights up the
-//!   Detect1/Naive1 detectors.
-//! * **A2 — MGA padding.** Random non-target padding on/off: gains are
-//!   unchanged, Detect1's flag counts are not.
+//!   uncapped: the degree-centrality gain of each, and Detect1's recall
+//!   over the same worlds.
+//! * **A2 — MGA padding.** Random non-target padding on/off: the
+//!   degree-centrality gain of each.
 //! * **A3 — prioritized fake↔fake allocation** for MGA-cc (§VI): the
 //!   fake-clique pre-pay roughly doubles the clustering gain.
 //! * **A4 — clustering degree source.** Paper's `ẽd` (perturbed-row
-//!   degree) vs. LF-GDPR's reported degree: honest estimation error and
-//!   MGA gain under each.
+//!   degree) vs. LF-GDPR's reported degree: honest estimation error under
+//!   each.
 
 use crate::config::{defaults, ExperimentConfig};
 use crate::output::Figure;
 use ldp_graph::datasets::Dataset;
 use ldp_graph::metrics::local_clustering_coefficients;
-use ldp_graph::Xoshiro256pp;
+use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::lfgdpr::{estimate_clustering_with, DegreeSource};
 use ldp_protocols::{LfGdpr, Metric};
-use poison_core::scenario::Scenario;
-use poison_core::{
-    craft_reports, AttackStrategy, AttackerKnowledge, Defense, Mga, MgaOptions, ScenarioError,
-    TargetMetric, TargetSelection, ThreatModel,
-};
+use poison_core::scenario::{Scenario, ScenarioBuilder};
+use poison_core::{Mga, MgaOptions, ScenarioError, TargetSelection, ThreatModel};
 use poison_defense::FrequentItemsetDefense;
 
-/// Mean MGA gain through the scenario engine (exact mode, runner seed
-/// schedule).
-fn mga_mean_gain(
-    cfg: &ExperimentConfig,
-    graph: &ldp_graph::CsrGraph,
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    metric: Metric,
-    options: MgaOptions,
-    seed: u64,
-) -> Result<f64, ScenarioError> {
-    Ok(Scenario::on(*protocol)
-        .attack(Mga::new(options))
-        .metric(metric)
-        .threat(threat.clone())
-        .exact()
-        .trials(cfg.trials)
-        .seed(seed)
-        .run(graph)?
-        .mean_gain())
-}
-
-fn setup(cfg: &ExperimentConfig) -> (ldp_graph::CsrGraph, LfGdpr, ThreatModel) {
+/// The Facebook stand-in, LF-GDPR at `epsilon`, and a threat model with
+/// the default β and target fraction `gamma`.
+fn setup(cfg: &ExperimentConfig, epsilon: f64, gamma: f64) -> (CsrGraph, LfGdpr, ThreatModel) {
     let graph = cfg.graph_for(Dataset::Facebook);
-    let protocol = LfGdpr::new(defaults::EPSILON).expect("default epsilon valid");
+    let protocol = LfGdpr::new(epsilon).expect("positive epsilon");
     let mut rng = Xoshiro256pp::new(cfg.seed ^ 0xAB1);
     let threat = ThreatModel::from_fractions(
         &graph,
         defaults::BETA,
-        defaults::GAMMA,
+        gamma,
         TargetSelection::UniformRandom,
         &mut rng,
     );
     (graph, protocol, threat)
 }
 
-/// A1: gain and Detect1 flag rate, capped vs. uncapped MGA (degree
+/// The exact-mode scenario of one MGA variant.
+fn mga_scenario<'a>(
+    cfg: &ExperimentConfig,
+    protocol: LfGdpr,
+    threat: &ThreatModel,
+    metric: Metric,
+    options: MgaOptions,
+    seed: u64,
+) -> ScenarioBuilder<'a> {
+    Scenario::on(protocol)
+        .attack(Mga::new(options))
+        .metric(metric)
+        .threat(threat.clone())
+        .exact()
+        .trials(cfg.trials)
+        .seed(seed)
+}
+
+/// Mean gain of each MGA variant at one seed, with the Table III defaults.
+fn variant_gains(
+    cfg: &ExperimentConfig,
+    metric: Metric,
+    seed: u64,
+    variants: [MgaOptions; 2],
+) -> Result<Vec<f64>, ScenarioError> {
+    let (graph, protocol, threat) = setup(cfg, defaults::EPSILON, defaults::GAMMA);
+    variants
+        .into_iter()
+        .map(|options| {
+            let scenario = mga_scenario(cfg, protocol, &threat, metric, options, seed);
+            Ok(scenario.run(&graph)?.mean_gain())
+        })
+        .collect()
+}
+
+/// A1: gain and Detect1 recall, capped vs. uncapped MGA (degree
 /// centrality). The cap only matters when `⌊d̃⌋ < r`, so this ablation
 /// runs at ε = 8 (smallest budget) with γ = 0.25 (largest target set) —
-/// the regime where stealth costs the attacker real gain.
+/// the regime where stealth costs the attacker real gain. The recall is
+/// Detect1's over the same worlds the gain is measured on.
 ///
 /// # Errors
 /// Propagates the first scenario failure.
 pub fn budget_cap_ablation(cfg: &ExperimentConfig) -> Result<Figure, ScenarioError> {
-    let graph = cfg.graph_for(Dataset::Facebook);
-    let protocol = LfGdpr::new(8.0).expect("epsilon 8 valid");
-    let mut rng = Xoshiro256pp::new(cfg.seed ^ 0xAB1);
-    let threat = ThreatModel::from_fractions(
-        &graph,
-        defaults::BETA,
-        0.25,
-        TargetSelection::UniformRandom,
-        &mut rng,
-    );
-    let run_with = |options: MgaOptions| -> Result<(f64, f64), ScenarioError> {
-        let gain = mga_mean_gain(
-            cfg,
-            &graph,
-            &protocol,
-            &threat,
-            Metric::Degree,
-            options,
-            cfg.seed ^ 0xA1,
-        )?;
-        // Detection recall of Detect1 against this crafting.
-        let knowledge =
-            AttackerKnowledge::derive(&protocol, threat.population(), graph.average_degree());
-        let extended = graph.with_isolated_nodes(threat.m_fake);
-        let base = Xoshiro256pp::new(cfg.seed ^ 0xA1F);
-        let mut reports = protocol.collect_honest(&extended, &base);
-        let mut rng = base.derive(0xC4AF);
-        let crafted = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
-            &protocol,
-            &threat,
-            &knowledge,
-            options,
-            &mut rng,
-        );
-        for (offset, report) in crafted.into_iter().enumerate() {
-            reports[threat.n_genuine + offset] = report;
-        }
-        let defense = FrequentItemsetDefense::new(100);
-        let mut defense_rng = base.derive(0xDEF);
-        let app = defense.filter_reports(&reports, &protocol, &mut defense_rng);
-        let recall = app.flagged[threat.n_genuine..]
-            .iter()
-            .filter(|&&f| f)
-            .count() as f64
-            / threat.m_fake as f64;
-        Ok((gain, recall))
-    };
-    let capped = run_with(MgaOptions::default())?;
-    let uncapped = run_with(MgaOptions {
+    let (graph, protocol, threat) = setup(cfg, 8.0, 0.25);
+    let uncapped = MgaOptions {
         budget_override: Some(usize::MAX),
         ..Default::default()
-    })?;
+    };
+    let (mut gain, mut recall) = (Vec::new(), Vec::new());
+    for options in [MgaOptions::default(), uncapped] {
+        let scenario = || {
+            mga_scenario(
+                cfg,
+                protocol,
+                &threat,
+                Metric::Degree,
+                options,
+                cfg.seed ^ 0xA1,
+            )
+        };
+        gain.push(scenario().run(&graph)?.mean_gain());
+        let defended = scenario()
+            .defend(FrequentItemsetDefense::new(100))
+            .run(&graph)?;
+        recall.push(
+            defended
+                .mean_recall()
+                .expect("Detect1 ran on a fake population"),
+        );
+    }
     let mut fig = Figure::new(
         "Ablation A1: MGA budget cap",
         "variant (0=capped, 1=uncapped)",
         "gain / Detect1 recall",
         vec![0.0, 1.0],
     );
-    fig.push_series("gain", vec![capped.0, uncapped.0]);
-    fig.push_series("detect1_recall", vec![capped.1, uncapped.1]);
+    fig.push_series("gain", gain);
+    fig.push_series("detect1_recall", recall);
     Ok(fig)
 }
 
-/// A2: MGA padding on/off — gain and Detect1 genuine-flag (false-positive)
-/// counts.
+/// A2: MGA padding on/off — the degree-centrality gain of each.
 ///
 /// # Errors
 /// Propagates the first scenario failure.
 pub fn padding_ablation(cfg: &ExperimentConfig) -> Result<Figure, ScenarioError> {
-    let (graph, protocol, threat) = setup(cfg);
-    let gain_with = |options: MgaOptions| {
-        mga_mean_gain(
-            cfg,
-            &graph,
-            &protocol,
-            &threat,
-            Metric::Degree,
-            options,
-            cfg.seed ^ 0xA2,
-        )
-    };
-    let padded = gain_with(MgaOptions::default())?;
-    let bare = gain_with(MgaOptions {
+    let bare = MgaOptions {
         pad_to_budget: false,
         ..Default::default()
-    })?;
+    };
+    let gains = variant_gains(
+        cfg,
+        Metric::Degree,
+        cfg.seed ^ 0xA2,
+        [MgaOptions::default(), bare],
+    )?;
     let mut fig = Figure::new(
         "Ablation A2: MGA padding",
         "variant (0=padded, 1=bare)",
         "degree-centrality gain",
         vec![0.0, 1.0],
     );
-    fig.push_series("gain", vec![padded, bare]);
+    fig.push_series("gain", gains);
     Ok(fig)
 }
 
@@ -173,36 +151,29 @@ pub fn padding_ablation(cfg: &ExperimentConfig) -> Result<Figure, ScenarioError>
 /// # Errors
 /// Propagates the first scenario failure.
 pub fn prioritization_ablation(cfg: &ExperimentConfig) -> Result<Figure, ScenarioError> {
-    let (graph, protocol, threat) = setup(cfg);
-    let gain_with = |options: MgaOptions| {
-        mga_mean_gain(
-            cfg,
-            &graph,
-            &protocol,
-            &threat,
-            Metric::Clustering,
-            options,
-            cfg.seed ^ 0xA3,
-        )
-    };
-    let with = gain_with(MgaOptions::default())?;
-    let without = gain_with(MgaOptions {
+    let flat = MgaOptions {
         prioritize_fake_edges: false,
         ..Default::default()
-    })?;
+    };
+    let gains = variant_gains(
+        cfg,
+        Metric::Clustering,
+        cfg.seed ^ 0xA3,
+        [MgaOptions::default(), flat],
+    )?;
     let mut fig = Figure::new(
         "Ablation A3: MGA-cc prioritized allocation",
         "variant (0=prioritized, 1=flat)",
         "clustering-coefficient gain",
         vec![0.0, 1.0],
     );
-    fig.push_series("gain", vec![with, without]);
+    fig.push_series("gain", gains);
     Ok(fig)
 }
 
 /// A4: honest clustering-estimation error under the two degree sources.
 pub fn degree_source_ablation(cfg: &ExperimentConfig) -> Figure {
-    let (graph, protocol, _) = setup(cfg);
+    let (graph, protocol, _) = setup(cfg, defaults::EPSILON, defaults::GAMMA);
     let truth = local_clustering_coefficients(&graph);
     let base = Xoshiro256pp::new(cfg.seed ^ 0xA4);
     let view = protocol.aggregate(&protocol.collect_honest(&graph, &base));

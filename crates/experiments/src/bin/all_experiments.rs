@@ -1,8 +1,9 @@
 //! Regenerates every table and figure in sequence (Tables II-III,
 //! Figs. 6-15). Expect minutes at the default scale.
 
+use poison_core::ScenarioError;
 use poison_experiments as px;
-use px::{ExperimentConfig, Figure};
+use px::Figure;
 
 fn main() {
     let opts = px::cli::options_from_env();
@@ -17,26 +18,17 @@ fn main() {
     println!("{md3}");
     let _ = std::fs::write(opts.out_dir.join("table3.md"), md3);
 
-    type FigResult = Result<Vec<Figure>, poison_core::ScenarioError>;
-    type Runner = fn(&ExperimentConfig) -> FigResult;
-    type SweepRunner = fn(&ExperimentConfig, Option<ldp_graph::datasets::Dataset>) -> FigResult;
-    type Phase = Box<dyn Fn(&ExperimentConfig) -> FigResult>;
-    let sweep = |run: SweepRunner| move |cfg: &ExperimentConfig| run(cfg, opts.dataset);
-    let phases: [(&str, Phase); 10] = [
-        ("fig6", Box::new(sweep(px::fig6::run))),
-        ("fig7", Box::new(sweep(px::fig7::run))),
-        ("fig8", Box::new(sweep(px::fig8::run))),
-        ("fig9", Box::new(sweep(px::fig9::run))),
-        ("fig10", Box::new(sweep(px::fig10::run))),
-        ("fig11", Box::new(sweep(px::fig11::run))),
-        ("fig12", Box::new(px::fig12::run as Runner)),
-        ("fig13", Box::new(px::fig13::run as Runner)),
-        ("fig14", Box::new(px::fig14::run as Runner)),
-        ("fig15", Box::new(px::fig15::run as Runner)),
-    ];
-    for (name, runner) in phases {
+    let timed = |name: &str, run: &dyn Fn() -> Result<Vec<Figure>, ScenarioError>| {
         let start = std::time::Instant::now();
-        px::cli::emit_or_exit(runner(cfg), &opts);
+        px::cli::emit_or_exit(run(), &opts);
         eprintln!("== {name} done in {:.1}s ==", start.elapsed().as_secs_f64());
+    };
+    for fig in px::sweep::FIGURES {
+        let name = fig.name.to_lowercase().replace(' ', "");
+        timed(&name, &|| fig.run(cfg, opts.dataset));
     }
+    timed("fig12", &|| px::fig12::run(cfg));
+    timed("fig13", &|| px::fig13::run(cfg));
+    timed("fig14", &|| px::fig14::run(cfg));
+    timed("fig15", &|| px::fig15::run(cfg));
 }

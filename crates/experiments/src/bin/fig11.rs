@@ -1,7 +1,7 @@
-//! Regenerates paper Fig. 11. See `poison_experiments::fig11`.
+//! Regenerates paper Fig. 11. See `poison_experiments::sweep::FIG11`.
 
 fn main() {
     let opts = poison_experiments::cli::options_from_env();
-    let figures = poison_experiments::fig11::run(&opts.config, opts.dataset);
+    let figures = poison_experiments::sweep::FIG11.run(&opts.config, opts.dataset);
     poison_experiments::cli::emit_or_exit(figures, &opts);
 }

@@ -1,7 +1,7 @@
-//! Regenerates paper Fig. 7. See `poison_experiments::fig7`.
+//! Regenerates paper Fig. 7. See `poison_experiments::sweep::FIG7`.
 
 fn main() {
     let opts = poison_experiments::cli::options_from_env();
-    let figures = poison_experiments::fig7::run(&opts.config, opts.dataset);
+    let figures = poison_experiments::sweep::FIG7.run(&opts.config, opts.dataset);
     poison_experiments::cli::emit_or_exit(figures, &opts);
 }

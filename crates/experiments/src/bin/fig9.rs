@@ -1,7 +1,7 @@
-//! Regenerates paper Fig. 9. See `poison_experiments::fig9`.
+//! Regenerates paper Fig. 9. See `poison_experiments::sweep::FIG9`.
 
 fn main() {
     let opts = poison_experiments::cli::options_from_env();
-    let figures = poison_experiments::fig9::run(&opts.config, opts.dataset);
+    let figures = poison_experiments::sweep::FIG9.run(&opts.config, opts.dataset);
     poison_experiments::cli::emit_or_exit(figures, &opts);
 }

@@ -17,9 +17,9 @@
 
 use crate::config::{defaults, grids, ExperimentConfig};
 use crate::output::Figure;
-use crate::runner::{default_threads, parallel_map};
+use crate::runner::run_grid;
 use ldp_graph::datasets::Dataset;
-use ldp_graph::Xoshiro256pp;
+use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::{LfGdpr, Metric};
 use poison_core::scenario::Scenario;
 use poison_core::{
@@ -59,30 +59,36 @@ pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Figure>, ScenarioError> {
     ])
 }
 
-/// One figure cell: mean gain of `strategy` on `metric`, defended by
-/// `defense` (or undefended when `None`).
-#[allow(clippy::too_many_arguments)] // one slot per scenario knob, named at call sites
-fn mean_defended_gain(
-    graph: &ldp_graph::CsrGraph,
-    protocol: &LfGdpr,
+/// One panel point: the mean gain of `strategy` under each of `defenses`,
+/// then undefended, all at `seed`.
+fn defended_row(
+    graph: &CsrGraph,
     threat: &ThreatModel,
     strategy: AttackStrategy,
     metric: Metric,
-    defense: Option<&dyn Defense>,
+    defenses: [&dyn Defense; 2],
     trials: u64,
     seed: u64,
-) -> Result<f64, ScenarioError> {
-    let mut builder = Scenario::on(*protocol)
-        .attack(attack_for(strategy, MgaOptions::default()))
-        .metric(metric)
-        .threat(threat.clone())
-        .exact()
-        .trials(trials)
-        .seed(seed);
-    if let Some(defense) = defense {
-        builder = builder.defend(defense);
-    }
-    Ok(builder.run(graph)?.mean_gain())
+) -> Result<[f64; 3], ScenarioError> {
+    let protocol = LfGdpr::new(defaults::EPSILON).expect("default epsilon valid");
+    let gain = |defense: Option<&dyn Defense>| {
+        let mut builder = Scenario::on(protocol)
+            .attack(attack_for(strategy, MgaOptions::default()))
+            .metric(metric)
+            .threat(threat.clone())
+            .exact()
+            .trials(trials)
+            .seed(seed);
+        if let Some(defense) = defense {
+            builder = builder.defend(defense);
+        }
+        builder.run(graph).map(|report| report.mean_gain())
+    };
+    Ok([
+        gain(Some(defenses[0]))?,
+        gain(Some(defenses[1]))?,
+        gain(None)?,
+    ])
 }
 
 /// Shared panel (a)-shape implementation, reused by Fig. 13(a).
@@ -94,7 +100,6 @@ pub(crate) fn panel_threshold_sweep(
     title: &str,
 ) -> Result<Figure, ScenarioError> {
     let graph = cfg.graph_for(Dataset::Facebook);
-    let protocol = LfGdpr::new(defaults::EPSILON).expect("default epsilon valid");
     let mut threat_rng = Xoshiro256pp::new(cfg.seed ^ 0x000F_1612);
     let threat = ThreatModel::from_fractions(
         &graph,
@@ -103,33 +108,27 @@ pub(crate) fn panel_threshold_sweep(
         TargetSelection::UniformRandom,
         &mut threat_rng,
     );
-
-    let points: Vec<(usize, usize)> = thresholds.iter().copied().enumerate().collect();
-    let rows = parallel_map(points, default_threads(), |&(xi, threshold)| {
-        let seed0 = cfg.seed ^ ((xi as u64) << 20);
-        let cell = |defense: Option<&dyn Defense>| {
-            mean_defended_gain(
-                &graph, &protocol, &threat, strategy, metric, defense, cfg.trials, seed0,
-            )
-        };
+    let rows = run_grid(thresholds, |xi, threshold| {
         let detect1 = FrequentItemsetDefense::new(threshold);
         let naive1 = NaiveTopDegree::default();
-        Ok((cell(Some(&detect1))?, cell(Some(&naive1))?, cell(None)?))
-    });
-    let rows = rows
-        .into_iter()
-        .collect::<Result<Vec<(f64, f64, f64)>, ScenarioError>>()?;
-
-    let mut figure = Figure::new(
+        let seed0 = cfg.seed ^ ((xi as u64) << 20);
+        defended_row(
+            &graph,
+            &threat,
+            strategy,
+            metric,
+            [&detect1, &naive1],
+            cfg.trials,
+            seed0,
+        )
+    })?;
+    Ok(Figure::new(
         title,
         "detection threshold",
         "overall gain after defense",
         thresholds.iter().map(|&t| t as f64).collect(),
-    );
-    figure.push_series("Detect1", rows.iter().map(|r| r.0).collect());
-    figure.push_series("Naive1", rows.iter().map(|r| r.1).collect());
-    figure.push_series("NoDefense", rows.iter().map(|r| r.2).collect());
-    Ok(figure)
+    )
+    .with_columns(["Detect1", "Naive1", "NoDefense"], &rows))
 }
 
 /// Shared panel (b)-shape implementation, reused by Fig. 13(b).
@@ -141,10 +140,7 @@ pub(crate) fn panel_beta_sweep(
     title: &str,
 ) -> Result<Figure, ScenarioError> {
     let graph = cfg.graph_for(Dataset::Facebook);
-    let protocol = LfGdpr::new(defaults::EPSILON).expect("default epsilon valid");
-
-    let points: Vec<(usize, f64)> = betas.iter().copied().enumerate().collect();
-    let rows = parallel_map(points, default_threads(), |&(xi, beta)| {
+    let rows = run_grid(betas, |xi, beta| {
         let mut threat_rng = Xoshiro256pp::new(cfg.seed ^ 0x00F1_612B ^ (xi as u64));
         let threat = ThreatModel::from_fractions(
             &graph,
@@ -153,25 +149,23 @@ pub(crate) fn panel_beta_sweep(
             TargetSelection::UniformRandom,
             &mut threat_rng,
         );
-        let seed0 = cfg.seed ^ ((xi as u64) << 24);
-        let cell = |defense: Option<&dyn Defense>| {
-            mean_defended_gain(
-                &graph, &protocol, &threat, strategy, metric, defense, cfg.trials, seed0,
-            )
-        };
         let detect2 = DegreeConsistencyDefense::default();
         let naive2 = NaiveDegreeTails::default();
-        Ok((cell(Some(&detect2))?, cell(Some(&naive2))?, cell(None)?))
-    });
-    let rows = rows
-        .into_iter()
-        .collect::<Result<Vec<(f64, f64, f64)>, ScenarioError>>()?;
-
-    let mut figure = Figure::new(title, "beta", "overall gain after defense", betas.to_vec());
-    figure.push_series("Detect2", rows.iter().map(|r| r.0).collect());
-    figure.push_series("Naive2", rows.iter().map(|r| r.1).collect());
-    figure.push_series("NoDefense", rows.iter().map(|r| r.2).collect());
-    Ok(figure)
+        let seed0 = cfg.seed ^ ((xi as u64) << 24);
+        defended_row(
+            &graph,
+            &threat,
+            strategy,
+            metric,
+            [&detect2, &naive2],
+            cfg.trials,
+            seed0,
+        )
+    })?;
+    Ok(
+        Figure::new(title, "beta", "overall gain after defense", betas.to_vec())
+            .with_columns(["Detect2", "Naive2", "NoDefense"], &rows),
+    )
 }
 
 #[cfg(test)]

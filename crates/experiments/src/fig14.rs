@@ -8,7 +8,7 @@
 
 use crate::config::{defaults, grids, ExperimentConfig};
 use crate::output::Figure;
-use crate::runner::{default_threads, parallel_map};
+use crate::runner::run_grid;
 use ldp_graph::datasets::Dataset;
 use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::{GraphLdpProtocol, LdpGen, LfGdpr, Metric};
@@ -53,8 +53,7 @@ pub(crate) fn epsilon_panel<P>(
 where
     P: GraphLdpProtocol + Copy,
 {
-    let points: Vec<(usize, f64)> = epsilons.iter().copied().enumerate().collect();
-    let rows = parallel_map(points, default_threads(), |&(xi, epsilon)| {
+    let rows = run_grid(epsilons, |xi, epsilon| {
         let protocol = make_protocol(epsilon);
         AttackStrategy::ALL
             .iter()
@@ -68,14 +67,12 @@ where
                 if let Some(partition) = partition {
                     builder = builder.partition(partition);
                 }
-                Ok(builder.run(graph)?.mean_gain())
+                builder.run(graph).map(|report| report.mean_gain())
             })
             .collect::<Result<Vec<f64>, ScenarioError>>()
-    });
-    let rows = rows
-        .into_iter()
-        .collect::<Result<Vec<Vec<f64>>, ScenarioError>>()?;
-    Ok(build_figure(title, epsilons, &rows, y_label))
+    })?;
+    Ok(Figure::new(title, "epsilon", y_label, epsilons.to_vec())
+        .with_columns(AttackStrategy::ALL.map(|s| s.name()), &rows))
 }
 
 /// Panel (a): LF-GDPR clustering-coefficient gains over ε.
@@ -116,14 +113,6 @@ pub fn run_panel_b(cfg: &ExperimentConfig, epsilons: &[f64]) -> Result<Figure, S
         "Fig 14(b) LDPGen",
         "clustering-coefficient gain",
     )
-}
-
-pub(crate) fn build_figure(title: &str, xs: &[f64], rows: &[Vec<f64>], y_label: &str) -> Figure {
-    let mut figure = Figure::new(title, "epsilon", y_label, xs.to_vec());
-    for (si, strategy) in AttackStrategy::ALL.iter().enumerate() {
-        figure.push_series(strategy.name(), rows.iter().map(|r| r[si]).collect());
-    }
-    figure
 }
 
 /// Runs both panels on the paper's ε grid.

@@ -1,20 +1,23 @@
 //! # poison-experiments
 //!
-//! The evaluation harness: one module (and one binary) per table/figure of
-//! the paper's §VIII. Each experiment returns [`output::Figure`] values
-//! that render as aligned text tables, CSV, and ASCII charts; the binaries
-//! write them under `results/`.
+//! The evaluation harness for the tables and figures of the paper's
+//! §VIII, with one binary per artifact. Figs. 6–11 are rows of one table
+//! ([`sweep::SweepFigure`]); every panel runs its grid through
+//! [`runner::run_grid`], one [`Scenario`](poison_core::scenario::Scenario)
+//! per cell. Each experiment returns [`output::Figure`] values that render
+//! as aligned text tables, CSV, and ASCII charts; the binaries write them
+//! under `results/`.
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | code | binary |
 //! |----------------|--------|--------|
 //! | Table II (datasets) | [`table2`] | `table2` |
 //! | Table III (defaults) | [`table3`] | `table3` |
-//! | Fig. 6 (degree centrality vs ε) | [`fig6`] | `fig6` |
-//! | Fig. 7 (degree centrality vs β) | [`fig7`] | `fig7` |
-//! | Fig. 8 (degree centrality vs γ) | [`fig8`] | `fig8` |
-//! | Fig. 9 (clustering coefficient vs ε) | [`fig9`] | `fig9` |
-//! | Fig. 10 (clustering coefficient vs β) | [`fig10`] | `fig10` |
-//! | Fig. 11 (clustering coefficient vs γ) | [`fig11`] | `fig11` |
+//! | Fig. 6 (degree centrality vs ε) | [`sweep::FIG6`] | `fig6` |
+//! | Fig. 7 (degree centrality vs β) | [`sweep::FIG7`] | `fig7` |
+//! | Fig. 8 (degree centrality vs γ) | [`sweep::FIG8`] | `fig8` |
+//! | Fig. 9 (clustering coefficient vs ε) | [`sweep::FIG9`] | `fig9` |
+//! | Fig. 10 (clustering coefficient vs β) | [`sweep::FIG10`] | `fig10` |
+//! | Fig. 11 (clustering coefficient vs γ) | [`sweep::FIG11`] | `fig11` |
 //! | Fig. 12 (countermeasures, degree) | [`fig12`] | `fig12` |
 //! | Fig. 13 (countermeasures, clustering) | [`fig13`] | `fig13` |
 //! | Fig. 14 (LF-GDPR vs LDPGen, cc) | [`fig14`] | `fig14` |
@@ -32,19 +35,12 @@
 pub mod ablations;
 pub mod cli;
 pub mod config;
-pub mod fig10;
-pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
 pub mod output;
 pub mod runner;
-pub mod stats;
 pub mod sweep;
 pub mod table2;
 pub mod table3;

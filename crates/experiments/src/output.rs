@@ -64,6 +64,24 @@ impl Figure {
         });
     }
 
+    /// Adds one series per label: series `i` takes column `i` of every
+    /// row, one row per x point (as [`crate::runner::run_grid`] returns
+    /// them).
+    ///
+    /// # Panics
+    /// Panics if the row count differs from the x grid, or a row is
+    /// shorter than the label count.
+    pub fn with_columns<L: Into<String>>(
+        mut self,
+        labels: impl IntoIterator<Item = L>,
+        rows: &[impl AsRef<[f64]>],
+    ) -> Self {
+        for (i, label) in labels.into_iter().enumerate() {
+            self.push_series(label, rows.iter().map(|r| r.as_ref()[i]).collect());
+        }
+        self
+    }
+
     /// Markdown table: x column plus one column per series.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -181,6 +199,15 @@ mod tests {
         f.push_series("MGA", vec![0.5, 0.25]);
         f.push_series("RVA", vec![0.1, 0.05]);
         f
+    }
+
+    #[test]
+    fn with_columns_splits_rows_into_series() {
+        let f = Figure::new("T", "x", "y", vec![1.0, 2.0])
+            .with_columns(["a", "b"], &[[1.0, 2.0], [3.0, 4.0]]);
+        assert_eq!(f.series[0].label, "a");
+        assert_eq!(f.series[0].values, vec![1.0, 3.0]);
+        assert_eq!(f.series[1].values, vec![2.0, 4.0]);
     }
 
     #[test]

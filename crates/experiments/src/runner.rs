@@ -1,25 +1,30 @@
-//! Parallel sweep execution.
+//! Parallel grid execution.
 //!
-//! Experiment points (dataset × x-value × strategy) are independent, so the
-//! runner fans them out over the workspace-shared parallel runtime
+//! The points of a figure panel are independent, so [`run_grid`] fans
+//! them out over the workspace-shared parallel runtime
 //! ([`ldp_graph::runtime`], where `parallel_map` was promoted once the
 //! protocol layer needed it too). Each point carries its own seeds;
-//! results come back in input order regardless of thread interleaving.
+//! results come back in grid order regardless of thread interleaving.
 
-use poison_core::AttackOutcome;
+use poison_core::ScenarioError;
 
 pub use ldp_graph::runtime::{default_threads, parallel_map};
 
-/// Mean overall gain across trials; `run` receives `(trial_index, seed)`.
-pub fn mean_gain_over_trials<F>(trials: u64, base_seed: u64, mut run: F) -> f64
+/// Runs `row(index, x)` at every point of the grid `xs` in parallel and
+/// returns the rows in grid order, or the first error in grid order.
+///
+/// # Errors
+/// Propagates the first failing point's error.
+pub fn run_grid<X, R, F>(xs: &[X], row: F) -> Result<Vec<R>, ScenarioError>
 where
-    F: FnMut(u64, u64) -> AttackOutcome,
+    X: Copy + Send + Sync,
+    R: Send,
+    F: Fn(usize, X) -> Result<R, ScenarioError> + Sync,
 {
-    assert!(trials > 0);
-    (0..trials)
-        .map(|i| run(i, base_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9))).gain())
-        .sum::<f64>()
-        / trials as f64
+    let points: Vec<(usize, X)> = xs.iter().copied().enumerate().collect();
+    parallel_map(points, default_threads(), |&(xi, x)| row(xi, x))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -36,15 +41,15 @@ mod tests {
     }
 
     #[test]
-    fn mean_gain_passes_distinct_seeds() {
-        let mut seeds = Vec::new();
-        let mean = mean_gain_over_trials(3, 10, |_, seed| {
-            seeds.push(seed);
-            AttackOutcome::new(vec![0.0], vec![seed as f64 % 7.0])
+    fn run_grid_keeps_grid_order_and_returns_the_first_error() {
+        let rows = run_grid(&[3.0, 1.0, 2.0], |i, x| Ok((i, x))).unwrap();
+        assert_eq!(rows, vec![(0, 3.0), (1, 1.0), (2, 2.0)]);
+        let err = run_grid(&[0usize, 1, 2, 3], |_, x| match x {
+            2 => Err(ScenarioError::MissingThreat),
+            3 => Err(ScenarioError::NoTrials),
+            _ => Ok(x),
         });
-        assert_eq!(seeds.len(), 3);
-        assert!(seeds.windows(2).all(|w| w[0] != w[1]));
-        assert!(mean >= 0.0);
+        assert!(matches!(err, Err(ScenarioError::MissingThreat)));
     }
 
     #[test]

@@ -13,16 +13,12 @@
 //!   count calibration.
 //! * [`sampling`] — exact/approximate Binomial and Geometric samplers that
 //!   make whole-population simulation tractable at the paper's scales.
-//! * [`freq`] — frequency-estimation LDP protocols (GRR, OUE, OLH) together
-//!   with the RPA/RIA/MGA poisoning attacks of Cao et al. (USENIX Sec'21),
-//!   which the paper's graph attacks generalize (paper §III-A, §IV-B).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod error;
-pub mod freq;
 pub mod laplace;
 pub mod rr;
 pub mod sampling;
