@@ -1,6 +1,6 @@
-//! Scenario-engine smoke benchmark, run in CI after the bench smoke
-//! step: the unified builder versus [`manual_exact_degree`], the
-//! hand-inlined replica of the pre-refactor exact pipeline.
+//! Scenario-engine smoke benchmark, run in CI after the unit suites:
+//! the unified builder versus [`manual_exact_degree`], the hand-inlined
+//! replica of the pre-refactor exact pipeline.
 //!
 //! The two paths are asserted bit-identical first; then the
 //! median-of-reps wall-clock of each and the engine's relative overhead

@@ -1,57 +1,24 @@
 //! # poison-bench
 //!
-//! Criterion benchmark suites for the workspace. The crate exports only
-//! shared bench fixtures ([`synthetic_reports`] and the reference
-//! pipeline [`manual_exact_degree`]); see the `benches/` targets:
-//!
-//! * `substrate` — bitset kernels, CSR/bit-matrix triangle counting,
-//!   generators, randomized-response throughput;
-//! * `ingest` — one-shot vs. streamed report aggregation at n ∈ {1k, 5k,
-//!   10k};
-//! * `protocols` — LF-GDPR collection/aggregation/estimation, LDPGen
-//!   end-to-end;
-//! * `attacks` — report crafting and both evaluation pipelines;
-//! * `defenses` — Apriori mining and the two detectors;
-//! * `figures` — one bench per paper table/figure at smoke scale;
-//! * `scenario` — the scenario engine against [`manual_exact_degree`].
-//!
-//! Two smoke binaries assert timing gates in CI and print to stderr:
+//! The reference pipeline [`manual_exact_degree`] and two smoke binaries
+//! that assert timing gates in CI and print to stderr:
 //! `scenario_smoke` (engine overhead against [`manual_exact_degree`]) and
 //! `collector_smoke` (loopback-daemon throughput floors, the metrics
-//! overhead budget and the journal's fsync tax).
+//! overhead budget and the journal's fsync tax). The tier-1 test
+//! `tests/engine_matches_manual.rs` pins the scenario engine to
+//! [`manual_exact_degree`] bit for bit. perfbench (`BENCHMARK.json`) is
+//! the benchmark of record.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use ldp_graph::{BitSet, CsrGraph, Xoshiro256pp};
+use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::protocol::STREAM_ATTACK;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
+use ldp_protocols::LfGdpr;
 use poison_core::{
     craft_reports, AttackOutcome, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric,
     ThreatModel,
 };
-use rand::Rng;
-
-/// Synthesizes one report over `n` users with word-level random bits at
-/// ≈12.5% density (three AND-ed words — the regime an RR-perturbed graph
-/// lives in), so ingestion benches isolate aggregation cost from
-/// randomized-response cost.
-fn synthetic_report(n: usize, rng: &mut Xoshiro256pp) -> AdjacencyReport {
-    let mut bits = BitSet::new(n);
-    for w in bits.words_mut() {
-        *w = rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>();
-    }
-    bits.mask_tail();
-    let degree = rng.gen_range(0.0..n.max(1) as f64);
-    AdjacencyReport::new(bits, degree)
-}
-
-/// A full population of synthetic reports from one seed: `n` reports
-/// over `n` users, word-level random bits at ≈12.5% density.
-pub fn synthetic_reports(n: usize, seed: u64) -> Vec<AdjacencyReport> {
-    let mut rng = Xoshiro256pp::new(seed);
-    (0..n).map(|_| synthetic_report(n, &mut rng)).collect()
-}
 
 /// The exact LF-GDPR + MGA degree-centrality pipeline written out by
 /// hand (collect → aggregate → craft → swap tail → aggregate →

@@ -70,20 +70,6 @@ impl WireWorldRunner {
         })
     }
 
-    /// Wraps an already-connected client.
-    pub fn from_client(client: CollectorClient) -> Self {
-        WireWorldRunner {
-            client: RefCell::new(client),
-            next_round: Cell::new(1),
-        }
-    }
-
-    /// Consumes the bridge, handing the connection back (e.g. to send the
-    /// daemon a shutdown).
-    pub fn into_client(self) -> CollectorClient {
-        self.client.into_inner()
-    }
-
     /// One world fold = one wire round.
     fn fold_world(
         &self,

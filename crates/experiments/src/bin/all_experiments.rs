@@ -5,22 +5,17 @@ use poison_core::ScenarioError;
 use poison_experiments as px;
 use px::Figure;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let opts = px::cli::options_from_env();
     let cfg = &opts.config;
 
-    let rows = px::table2::run(cfg);
-    let md = px::table2::to_markdown(&rows);
-    println!("{md}");
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    let _ = std::fs::write(opts.out_dir.join("table2.md"), md);
-    let md3 = px::table3::to_markdown();
-    println!("{md3}");
-    let _ = std::fs::write(opts.out_dir.join("table3.md"), md3);
+    let table2 = px::table2::to_markdown(&px::table2::run(cfg));
+    let mut written = px::cli::emit_table("table2.md", &table2, &opts);
+    written &= px::cli::emit_table("table3.md", &px::table3::to_markdown(), &opts);
 
-    let timed = |name: &str, run: &dyn Fn() -> Result<Vec<Figure>, ScenarioError>| {
+    let mut timed = |name: &str, run: &dyn Fn() -> Result<Vec<Figure>, ScenarioError>| {
         let start = std::time::Instant::now();
-        px::cli::emit_or_exit(run(), &opts);
+        written &= px::cli::emit_or_exit(run(), &opts);
         eprintln!("== {name} done in {:.1}s ==", start.elapsed().as_secs_f64());
     };
     for fig in px::sweep::FIGURES {
@@ -31,4 +26,5 @@ fn main() {
     timed("fig13", &|| px::fig13::run(cfg));
     timed("fig14", &|| px::fig14::run(cfg));
     timed("fig15", &|| px::fig15::run(cfg));
+    px::cli::exit_code(written)
 }

@@ -1,12 +1,8 @@
 //! Regenerates paper Table II (dataset statistics, paper vs. stand-in).
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let opts = poison_experiments::cli::options_from_env();
     let rows = poison_experiments::table2::run(&opts.config);
     let md = poison_experiments::table2::to_markdown(&rows);
-    println!("{md}");
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    if let Err(e) = std::fs::write(opts.out_dir.join("table2.md"), md) {
-        eprintln!("warning: could not write table2.md: {e}");
-    }
+    poison_experiments::cli::exit_code(poison_experiments::cli::emit_table("table2.md", &md, &opts))
 }

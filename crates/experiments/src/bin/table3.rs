@@ -1,11 +1,7 @@
 //! Regenerates paper Table III (default parameter settings).
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let opts = poison_experiments::cli::options_from_env();
     let md = poison_experiments::table3::to_markdown();
-    println!("{md}");
-    let _ = std::fs::create_dir_all(&opts.out_dir);
-    if let Err(e) = std::fs::write(opts.out_dir.join("table3.md"), md) {
-        eprintln!("warning: could not write table3.md: {e}");
-    }
+    poison_experiments::cli::exit_code(poison_experiments::cli::emit_table("table3.md", &md, &opts))
 }

@@ -12,11 +12,12 @@
 //!
 //! Every binary prints each figure as an ASCII chart plus a markdown table
 //! and writes CSV/markdown files under the output directory (default
-//! `results/`).
+//! `results/`); a file it cannot write is a warning and exit status 1.
 
 use crate::config::ExperimentConfig;
 use crate::output::Figure;
 use ldp_graph::datasets::Dataset;
+use poison_core::ScenarioError;
 use std::path::PathBuf;
 
 /// Parsed command-line options.
@@ -54,48 +55,31 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut i = 0;
     while i < args.len() {
-        let take_value = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i)
-                .ok_or_else(|| format!("flag {} needs a value", args[*i - 1]))
-        };
         match args[i].as_str() {
             "--trials" => {
-                opts.config.trials = take_value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--trials: {e}"))?;
+                opts.config.trials = flag_value(args, &mut i)?;
                 if opts.config.trials == 0 {
                     return Err("--trials must be >= 1".into());
                 }
             }
             "--scale" => {
-                opts.config.scale = take_value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
+                opts.config.scale = flag_value(args, &mut i)?;
                 if opts.config.scale <= 0.0 {
                     return Err("--scale must be positive".into());
                 }
             }
-            "--seed" => {
-                opts.config.seed = take_value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--out" => {
-                opts.out_dir = PathBuf::from(take_value(&mut i)?);
-            }
+            "--seed" => opts.config.seed = flag_value(args, &mut i)?,
+            "--out" => opts.out_dir = flag_value(args, &mut i)?,
             "--threads" => {
-                let threads: usize = take_value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                let threads: usize = flag_value(args, &mut i)?;
                 if threads == 0 {
                     return Err("--threads must be >= 1".into());
                 }
                 opts.threads = Some(threads);
             }
             "--dataset" => {
-                let name = take_value(&mut i)?;
-                opts.dataset = Some(Dataset::from_name(name).ok_or_else(|| {
+                let name: String = flag_value(args, &mut i)?;
+                opts.dataset = Some(Dataset::from_name(&name).ok_or_else(|| {
                     format!(
                         "--dataset: unknown dataset {name} (expected one of \
                          Facebook, Enron, AstroPh, Gplus)"
@@ -108,6 +92,19 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         i += 1;
     }
     Ok(opts)
+}
+
+/// Parses the value that follows the flag `args[*i]` and moves `i` onto it.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &args[*i];
+    *i += 1;
+    let value = args
+        .get(*i)
+        .ok_or_else(|| format!("flag {flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Parses `std::env::args`, exiting with a message on error, and installs
@@ -132,29 +129,44 @@ pub fn options_from_env() -> CliOptions {
     }
 }
 
-/// Prints and persists a batch of figures.
-pub fn emit(figures: &[Figure], opts: &CliOptions) {
-    for fig in figures {
+/// Prints and persists an experiment's figures, or reports its scenario
+/// error and exits 1 instead of panicking mid-sweep. Returns whether every
+/// file was written; each failed write is reported as a warning.
+pub fn emit_or_exit(figures: Result<Vec<Figure>, ScenarioError>, opts: &CliOptions) -> bool {
+    let figures = figures.unwrap_or_else(|e| {
+        eprintln!("error: scenario failed: {e}");
+        std::process::exit(1);
+    });
+    let mut written = true;
+    for fig in &figures {
         if !opts.quiet {
             println!("{}", fig.to_ascii_chart());
             println!("{}", fig.to_markdown());
         }
         if let Err(e) = fig.write_to_dir(&opts.out_dir) {
             eprintln!("warning: could not write {}: {e}", fig.title);
+            written = false;
         }
     }
+    written
 }
 
-/// Unwraps an experiment result and emits its figures; a scenario error is
-/// reported and exits nonzero instead of panicking mid-sweep.
-pub fn emit_or_exit(figures: Result<Vec<Figure>, poison_core::ScenarioError>, opts: &CliOptions) {
-    match figures {
-        Ok(figures) => emit(&figures, opts),
-        Err(e) => {
-            eprintln!("error: scenario failed: {e}");
-            std::process::exit(1);
-        }
+/// Prints a markdown table and writes it to `file` under the output
+/// directory. Returns whether the file was written; a failed write is
+/// reported as a warning.
+pub fn emit_table(file: &str, markdown: &str, opts: &CliOptions) -> bool {
+    println!("{markdown}");
+    let result = std::fs::create_dir_all(&opts.out_dir)
+        .and_then(|()| std::fs::write(opts.out_dir.join(file), markdown));
+    if let Err(e) = &result {
+        eprintln!("warning: could not write {file}: {e}");
     }
+    result.is_ok()
+}
+
+/// A binary's exit status: 0 when every output file was written, else 1.
+pub fn exit_code(written: bool) -> std::process::ExitCode {
+    std::process::ExitCode::from(u8::from(!written))
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ pub use synthesis::synthesize_block_graph;
 use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_mechanisms::{sampling::sample_laplace_vec, LaplaceMechanism, MechanismError};
 use rand::Rng;
+use std::convert::Infallible;
 
 pub use crate::report::DegreeVector;
 
@@ -126,27 +127,31 @@ impl LdpGen {
 
     /// Runs both phases over honest users, with optional crafted reports
     /// replacing the tail `crafted.len()` users' uploads in each phase
-    /// (fake users — the attack entry point; pass an empty slice for the
-    /// honest protocol). The crafting closure receives the current grouping
-    /// and must return one degree vector per fake user.
+    /// (fake users — the attack entry point; return no vectors for the
+    /// honest protocol). The crafting closure receives the phase, the
+    /// current grouping and the group count, and returns one degree vector
+    /// per fake user.
+    ///
+    /// # Errors
+    /// The first error the crafting closure returns; the run stops there.
     ///
     /// # Panics
     /// Panics if the closure returns more vectors than `graph` has users,
     /// or a vector whose length is not the phase's group count.
-    pub fn aggregate_with_crafted<F>(
+    pub fn aggregate_with_crafted<F, E>(
         &self,
         graph: &CsrGraph,
         base_rng: &Xoshiro256pp,
         mut craft: F,
-    ) -> LdpGenAggregate
+    ) -> Result<LdpGenAggregate, E>
     where
-        F: FnMut(/*phase*/ usize, &[usize], usize) -> Vec<DegreeVector>,
+        F: FnMut(/*phase*/ usize, &[usize], usize) -> Result<Vec<DegreeVector>, E>,
     {
         // Phase 1: random initial grouping.
         let n = graph.num_nodes();
         let mut seed_rng = base_rng.derive(0xA11);
         let groups0: Vec<usize> = (0..n).map(|_| seed_rng.gen_range(0..self.k0)).collect();
-        let crafted1 = craft(1, &groups0, self.k0);
+        let crafted1 = craft(1, &groups0, self.k0)?;
         let vectors1 = self.collect_phase(graph, base_rng, 1, &groups0, self.k0, crafted1);
 
         // Refined cluster count: k1 ≈ √(average reported degree), clamped.
@@ -160,16 +165,16 @@ impl LdpGen {
         let phase1 = cluster::kmeans(&vectors1, k1, 25, &mut kmeans_rng);
 
         // Phase 2: report toward refined groups, cluster once more.
-        let crafted2 = craft(2, &phase1.assignment, k1);
+        let crafted2 = craft(2, &phase1.assignment, k1)?;
         let vectors2 = self.collect_phase(graph, base_rng, 2, &phase1.assignment, k1, crafted2);
         let mut kmeans_rng2 = base_rng.derive(0xC33);
         let phase2 = cluster::kmeans(&vectors2, k1, 25, &mut kmeans_rng2);
 
-        LdpGenAggregate {
+        Ok(LdpGenAggregate {
             groups: phase2.assignment,
             num_groups: k1,
             degree_vectors: vectors2,
-        }
+        })
     }
 
     /// Collects one phase's degree vectors: honest users first (per-node
@@ -205,7 +210,9 @@ impl LdpGen {
 
     /// The honest protocol: aggregate without any crafted reports.
     pub fn aggregate(&self, graph: &CsrGraph, base_rng: &Xoshiro256pp) -> LdpGenAggregate {
-        self.aggregate_with_crafted(graph, base_rng, |_, _, _| Vec::new())
+        let Ok(aggregate) =
+            self.aggregate_with_crafted(graph, base_rng, |_, _, _| Ok::<_, Infallible>(Vec::new()));
+        aggregate
     }
 
     /// Synthesizes the output graph from an aggregate. Deterministic in
@@ -261,7 +268,9 @@ mod tests {
     fn crafted_tail_overrunning_the_population_panics() {
         let g = caveman_graph(2, 4);
         let proto = LdpGen::new(2.0, 2).unwrap();
-        proto.aggregate_with_crafted(&g, &Xoshiro256pp::new(3), |_, _, k| vec![vec![0.0; k]; 9]);
+        let _ = proto.aggregate_with_crafted(&g, &Xoshiro256pp::new(3), |_, _, k| {
+            Ok::<_, Infallible>(vec![vec![0.0; k]; 9])
+        });
     }
 
     #[test]
@@ -293,9 +302,11 @@ mod tests {
         let g = caveman_graph(4, 6);
         let proto = LdpGen::with_defaults(4.0).unwrap();
         let base = Xoshiro256pp::new(4);
-        let agg = proto.aggregate_with_crafted(&g, &base, |_, _, num_groups| {
-            vec![vec![99.0; num_groups]; 3]
-        });
+        let agg = proto
+            .aggregate_with_crafted(&g, &base, |_, _, num_groups| {
+                Ok::<_, Infallible>(vec![vec![99.0; num_groups]; 3])
+            })
+            .unwrap();
         let n = g.num_nodes();
         for v in &agg.degree_vectors[n - 3..] {
             assert!(v.iter().all(|&x| x == 99.0));

@@ -136,16 +136,6 @@ impl PerturbedView {
             .calibrate_count(self.perturbed_degrees[i] as f64, n - 1.0)
     }
 
-    /// Calibrated degree-centrality estimate (ablation: shows the attack
-    /// also moves the unbiased estimator, scaled by `1/(2p−1)`).
-    pub fn calibrated_degree_centrality(&self, i: NodeId) -> f64 {
-        let n = self.num_users();
-        if n < 2 {
-            return 0.0;
-        }
-        self.calibrated_degree(i) / (n as f64 - 1.0)
-    }
-
     /// Triangles incident to each of `nodes` in the perturbed graph —
     /// `τ̃_i` — counted by [`BitMatrix::triangles_at_many`] on up to
     /// `threads` workers (results do not depend on `threads`).

@@ -617,14 +617,8 @@ impl GraphLdpProtocol for LdpGen {
             Some(crafter) => {
                 let mut craft_rng = base.derive(STREAM_LDPGEN_ATTACK);
                 let noise_scale = 2.0 / self.epsilon();
-                // `aggregate_with_crafted` takes an infallible closure;
-                // capture the first conversion error and surface it after.
-                let mut craft_err: Option<ProtocolError> = None;
                 let attacked_agg =
                     self.aggregate_with_crafted(graph, base, |phase, groups, num_groups| {
-                        if craft_err.is_some() {
-                            return Vec::new();
-                        }
                         let crafted = crafter.craft(
                             CraftContext::DegreeVectors {
                                 phase,
@@ -635,34 +629,24 @@ impl GraphLdpProtocol for LdpGen {
                             &mut craft_rng,
                         );
                         if crafted.len() != m_fake {
-                            craft_err = Some(ProtocolError::CraftedCountMismatch {
+                            return Err(ProtocolError::CraftedCountMismatch {
                                 expected: m_fake,
                                 got: crafted.len(),
                             });
-                            return Vec::new();
                         }
                         let mut vectors: Vec<DegreeVector> = Vec::with_capacity(crafted.len());
                         for report in crafted {
-                            match report.into_degree_vector() {
-                                Ok(v) if v.len() == num_groups => vectors.push(v),
-                                Ok(v) => {
-                                    craft_err = Some(ProtocolError::GroupCountMismatch {
-                                        expected: num_groups,
-                                        got: v.len(),
-                                    });
-                                    return Vec::new();
-                                }
-                                Err(e) => {
-                                    craft_err = Some(e);
-                                    return Vec::new();
-                                }
+                            let v = report.into_degree_vector()?;
+                            if v.len() != num_groups {
+                                return Err(ProtocolError::GroupCountMismatch {
+                                    expected: num_groups,
+                                    got: v.len(),
+                                });
                             }
+                            vectors.push(v);
                         }
-                        vectors
-                    });
-                if let Some(e) = craft_err {
-                    return Err(e);
-                }
+                        Ok(vectors)
+                    })?;
                 let mut synth_rng = base.derive(STREAM_LDPGEN_SYNTH);
                 Some(ServerView::Synthetic(
                     self.synthesize(&attacked_agg, &mut synth_rng),

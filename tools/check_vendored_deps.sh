@@ -31,7 +31,7 @@ if [ "${1:-}" = "--update" ]; then
     exit 0
 fi
 
-ALLOWLIST="ldp-graph ldp-mechanisms ldp-protocols poison-core poison-defense ldp-obs ldp-collector poison-experiments poison-bench rand proptest criterion"
+ALLOWLIST="ldp-graph ldp-mechanisms ldp-protocols poison-core poison-defense ldp-obs ldp-collector poison-experiments poison-bench rand proptest"
 
 status=0
 for manifest in Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml; do
