@@ -39,7 +39,7 @@
 //! * [`metrics`] — the observability plane: pre-registered relaxed-atomic
 //!   counters/gauges/histograms over [`ldp_obs`] plus a lock-free
 //!   structured trace ring, scraped over the wire with a `STATS` frame
-//!   (`CollectorClient::stats`) or rendered as Prometheus-style text.
+//!   (`CollectorClient::stats`).
 //!   Hot paths tick pre-resolved handles — no allocation, no locks — and
 //!   the whole plane compiles down to one branch when
 //!   [`CollectorConfig::metrics`] is off.

@@ -6,8 +6,7 @@
 //! (session pump, batch decode, shard fold) hold pre-resolved `Arc`
 //! handles and a tick is one relaxed `fetch_add` — zero allocation, zero
 //! locks, no registry walk. The registry is only iterated on the cold
-//! scrape path: a `STATS` wire frame ([`CollectorMetrics::wire_entries`])
-//! or the Prometheus-style text dump ([`CollectorMetrics::render_text`]).
+//! scrape path: a `STATS` wire frame ([`CollectorMetrics::wire_entries`]).
 //!
 //! Alongside the numeric registry lives a fixed-capacity
 //! [`TraceRing`] of structured lifecycle events (sessions
@@ -274,11 +273,6 @@ impl CollectorMetrics {
                 },
             })
             .collect()
-    }
-
-    /// Prometheus-style text exposition of the registry.
-    pub fn render_text(&self) -> String {
-        self.registry.render_text()
     }
 
     /// The stable events currently in the trace ring, in sequence order.

@@ -112,8 +112,7 @@ pub struct CollectorConfig {
     /// Whether the observability plane records (default `true`). Off, every
     /// hot-path instrumentation site reduces to one predictable branch —
     /// the baseline of the `collector_smoke` bench's `metrics_overhead`
-    /// ≤ 1.03 gate. The scrape surface (`STATS`
-    /// frames, [`crate::CollectorMetrics::render_text`]) stays structurally
+    /// ≤ 1.03 gate. The scrape surface (`STATS` frames) stays structurally
     /// valid either way, reading zeros while off.
     pub metrics: bool,
 }

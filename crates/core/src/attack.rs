@@ -43,10 +43,6 @@ pub trait Attack {
     /// Display name (as used in the paper's figures).
     fn name(&self) -> &'static str;
 
-    /// The §IV-B strategy this attack realizes (used for theory curves
-    /// and legacy interop).
-    fn strategy(&self) -> AttackStrategy;
-
     /// Crafts one upload per fake user for the channel described by
     /// `ctx`. `metric` is the metric the attack optimizes for (modularity
     /// scenarios craft with the clustering pattern, as in the paper).
@@ -74,10 +70,6 @@ impl<A: Attack + ?Sized> Attack for &A {
         (**self).name()
     }
 
-    fn strategy(&self) -> AttackStrategy {
-        (**self).strategy()
-    }
-
     fn craft(
         &self,
         ctx: CraftContext<'_>,
@@ -102,10 +94,6 @@ impl<A: Attack + ?Sized> Attack for &A {
 impl<A: Attack + ?Sized> Attack for Box<A> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn strategy(&self) -> AttackStrategy {
-        (**self).strategy()
     }
 
     fn craft(
@@ -257,10 +245,6 @@ macro_rules! impl_attack {
                 $strategy.name()
             }
 
-            fn strategy(&self) -> AttackStrategy {
-                $strategy
-            }
-
             fn craft(
                 &self,
                 ctx: CraftContext<'_>,
@@ -402,9 +386,5 @@ mod tests {
         assert_eq!(Rva.name(), "RVA");
         assert_eq!(Rna.name(), "RNA");
         assert_eq!(Mga::default().name(), "MGA");
-        assert_eq!(
-            attack_for(AttackStrategy::Rna, MgaOptions::default()).strategy(),
-            AttackStrategy::Rna
-        );
     }
 }

@@ -6,13 +6,9 @@
 //! degree-consistency screen, the naive baselines, and their composition)
 //! live in `poison-defense`, which re-exports this trait and implements it.
 //!
-//! A defense answers two questions:
-//!
-//! * [`Defense::filter_reports`] — flag suspicious uploads and repair the
-//!   set the server aggregates (the operation the paper's §VII evaluates);
-//! * [`Defense::score_users`] — a per-user suspicion score (higher = more
-//!   suspicious), the ranking the flag rule thresholds; exposed so
-//!   scenario reports can carry verdict diagnostics beyond binary flags.
+//! A defense answers one question, in [`Defense::filter_reports`]: which
+//! uploads are suspicious, and what set should the server aggregate in
+//! their place (the operation the paper's §VII evaluates).
 
 use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
 use rand::RngCore;
@@ -30,10 +26,6 @@ pub trait Defense {
     /// Display name (as used in the paper's figures).
     fn name(&self) -> &'static str;
 
-    /// Per-user suspicion scores (higher = more suspicious). The scale is
-    /// defense-specific; only the ordering is meaningful.
-    fn score_users(&self, reports: &[AdjacencyReport], protocol: &LfGdpr) -> Vec<f64>;
-
     /// Flags suspicious reports and repairs the upload set.
     fn filter_reports(
         &self,
@@ -46,10 +38,6 @@ pub trait Defense {
 impl<D: Defense + ?Sized> Defense for &D {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn score_users(&self, reports: &[AdjacencyReport], protocol: &LfGdpr) -> Vec<f64> {
-        (**self).score_users(reports, protocol)
     }
 
     fn filter_reports(
@@ -65,10 +53,6 @@ impl<D: Defense + ?Sized> Defense for &D {
 impl<D: Defense + ?Sized> Defense for Box<D> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn score_users(&self, reports: &[AdjacencyReport], protocol: &LfGdpr) -> Vec<f64> {
-        (**self).score_users(reports, protocol)
     }
 
     fn filter_reports(

@@ -72,16 +72,6 @@ impl AttackerKnowledge {
     pub fn degree_domain(&self) -> usize {
         self.population.saturating_sub(1)
     }
-
-    /// Probability that a uniformly random slot of the perturbed graph is
-    /// an edge — `p' = d̃/(N−1)`, the quantity Theorem 2 calls the
-    /// "probability of forming a connection".
-    pub fn perturbed_edge_probability(&self) -> f64 {
-        if self.population < 2 {
-            return 0.0;
-        }
-        (self.avg_perturbed_degree / (self.population as f64 - 1.0)).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -123,14 +113,6 @@ mod tests {
             avg_true_degree: 5.0,
         };
         assert_eq!(k.connection_budget(), 9);
-    }
-
-    #[test]
-    fn edge_probability_in_unit_interval() {
-        let k = knowledge(2.0, 500, 12.0);
-        let p = k.perturbed_edge_probability();
-        assert!((0.0..=1.0).contains(&p));
-        assert!((p - k.avg_perturbed_degree / 499.0).abs() < 1e-12);
     }
 
     #[test]

@@ -33,28 +33,6 @@ impl Defense for CombinedDefense {
         "Detect1+Detect2"
     }
 
-    /// Score = elementwise max of the two stages' scores, each normalized
-    /// by its population maximum (the scales are incommensurable: pair
-    /// counts vs. degree discrepancies).
-    fn score_users(&self, reports: &[AdjacencyReport], protocol: &LfGdpr) -> Vec<f64> {
-        let normalize = |mut scores: Vec<f64>| {
-            let max = scores.iter().copied().fold(0.0f64, f64::max);
-            if max > 0.0 {
-                for s in &mut scores {
-                    *s /= max;
-                }
-            }
-            scores
-        };
-        let degree = normalize(self.degree.score_users(reports, protocol));
-        let itemset = normalize(self.itemset.score_users(reports, protocol));
-        degree
-            .into_iter()
-            .zip(itemset)
-            .map(|(a, b)| a.max(b))
-            .collect()
-    }
-
     fn filter_reports(
         &self,
         reports: &[AdjacencyReport],

@@ -76,13 +76,6 @@ impl Defense for FrequentItemsetDefense {
         "Detect1"
     }
 
-    /// Score = number of frequent pairs a report contains (the quantity
-    /// the flag threshold cuts).
-    fn score_users(&self, reports: &[AdjacencyReport], _protocol: &LfGdpr) -> Vec<f64> {
-        let (_, scores) = self.mine(reports);
-        scores.into_iter().map(|s| s as f64).collect()
-    }
-
     fn filter_reports(
         &self,
         reports: &[AdjacencyReport],
@@ -256,18 +249,18 @@ mod tests {
     }
 
     #[test]
-    fn score_users_counts_contained_frequent_pairs() {
+    fn mined_scores_count_contained_frequent_pairs() {
         let targets: Vec<usize> = (0..12).collect();
         let reports = poisoned_population(100, 10, &targets, 4);
         let protocol = LfGdpr::new(4.0).unwrap();
-        let scores = FrequentItemsetDefense::new(10).score_users(&reports, &protocol);
+        let (_, scores) = FrequentItemsetDefense::new(10).mine(&reports);
         // Every fake holds the 12 targets, so at least their C(12,2) pairs.
-        assert!(scores[100..].iter().all(|&s| s >= 66.0), "{scores:?}");
+        assert!(scores[100..].iter().all(|&s| s >= 66), "{scores:?}");
         let flagged = FrequentItemsetDefense::new(10)
             .filter_reports(&reports, &protocol, &mut Xoshiro256pp::new(0xD0))
             .flagged;
         for (s, f) in scores.iter().zip(flagged) {
-            assert_eq!(*s > 10.0, f);
+            assert_eq!(*s > 10, f);
         }
     }
 

@@ -45,20 +45,11 @@ impl Defense for DegreeConsistencyDefense {
         "Detect2"
     }
 
-    /// Score = channel discrepancy `|reported − calibrated bit degree|`
-    /// (the quantity the `max + k·σ` threshold cuts).
-    fn score_users(&self, reports: &[AdjacencyReport], protocol: &LfGdpr) -> Vec<f64> {
-        reports
-            .iter()
-            .map(|r| (r.degree - Self::calibrated_bit_degree(r, protocol).max(0.0)).abs())
-            .collect()
-    }
-
     fn filter_reports(
         &self,
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
-        mut rng: &mut dyn rand::RngCore,
+        rng: &mut dyn rand::RngCore,
     ) -> FilterDecision {
         let sigma = protocol.laplace().std_dev();
         let calibrated: Vec<f64> = reports
@@ -74,24 +65,36 @@ impl Defense for DegreeConsistencyDefense {
             .map(|(r, &c)| (r.degree - c).abs() > threshold)
             .collect();
 
-        // Removal: a flagged user's claimed connections disappear from the
-        // aggregate (restoring genuine nodes' degrees, §VII-B step 3). The
-        // row is re-drawn as an RR pass over an empty neighborhood so the
-        // slots still carry the mechanism noise calibration assumes.
-        let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
-        let flips = protocol.rr().flip_sampler();
-        for (f, (report, &is_flagged)) in repaired.iter_mut().zip(&flagged).enumerate() {
-            if is_flagged {
-                let n = report.population();
-                let empty = BitSet::new(n);
-                report.bits = flips.perturb_bitset(&empty, Some(f), &mut rng);
-                report.degree = protocol
-                    .laplace()
-                    .perturb_degree(0.0, (n - 1) as f64, &mut rng);
-            }
-        }
+        let repaired = remove_flagged(reports, &flagged, protocol, rng);
         FilterDecision { repaired, flagged }
     }
+}
+
+/// Removal (§VII-B step 3), shared by Detect2 and Naive2: a flagged user's
+/// claimed connections disappear from the aggregate, restoring genuine
+/// nodes' degrees. Each flagged row, in id order, is re-drawn from `rng`
+/// as an RR pass over an empty neighborhood plus a Laplace degree of 0, so
+/// its slots still carry the mechanism noise calibration assumes.
+/// Unflagged rows are returned unchanged.
+pub(crate) fn remove_flagged(
+    reports: &[AdjacencyReport],
+    flagged: &[bool],
+    protocol: &LfGdpr,
+    mut rng: &mut dyn rand::RngCore,
+) -> Vec<AdjacencyReport> {
+    let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
+    let flips = protocol.rr().flip_sampler();
+    for (f, (report, &is_flagged)) in repaired.iter_mut().zip(flagged).enumerate() {
+        if is_flagged {
+            let n = report.population();
+            let empty = BitSet::new(n);
+            report.bits = flips.perturb_bitset(&empty, Some(f), &mut rng);
+            report.degree = protocol
+                .laplace()
+                .perturb_degree(0.0, (n - 1) as f64, &mut rng);
+        }
+    }
+    repaired
 }
 
 #[cfg(test)]
@@ -154,6 +157,40 @@ mod tests {
                     rep.degree
                 );
                 assert!(!rep.bits.get(i));
+            }
+        }
+    }
+
+    #[test]
+    fn removal_redraws_only_flagged_rows_like_the_inline_loop() {
+        let g = caveman_graph(25, 8);
+        let protocol = LfGdpr::new(2.0).unwrap();
+        let reports = protocol.collect_honest(&g, &Xoshiro256pp::new(5));
+        let mut flag_rng = Xoshiro256pp::new(6);
+        for seed in 0..8u64 {
+            let flagged: Vec<bool> = (0..reports.len()).map(|_| flag_rng.gen_bool(0.2)).collect();
+            let repaired =
+                remove_flagged(&reports, &flagged, &protocol, &mut Xoshiro256pp::new(seed));
+            // Reference: the same per-row loop, written out.
+            let mut rng = Xoshiro256pp::new(seed);
+            let flips = protocol.rr().flip_sampler();
+            for (f, (orig, rep)) in reports.iter().zip(&repaired).enumerate() {
+                let (bits, degree) = if flagged[f] {
+                    let n = orig.population();
+                    let bits = flips.perturb_bitset(&BitSet::new(n), Some(f), &mut rng);
+                    let degree = protocol
+                        .laplace()
+                        .perturb_degree(0.0, (n - 1) as f64, &mut rng);
+                    (bits, degree)
+                } else {
+                    (orig.bits.clone(), orig.degree)
+                };
+                assert_eq!(rep.bits, bits, "seed {seed} row {f}");
+                assert_eq!(
+                    rep.degree.to_bits(),
+                    degree.to_bits(),
+                    "seed {seed} row {f}"
+                );
             }
         }
     }

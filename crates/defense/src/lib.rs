@@ -2,9 +2,9 @@
 //!
 //! The two countermeasures of paper §VII against graph-LDP poisoning,
 //! their naive baselines, and their composition — all implementing the
-//! unified [`Defense`] trait (`filter_reports`/`score_users`), so every
-//! one of them plugs into the scenario engine's
-//! `Scenario::on(protocol).attack(…).defend(…)` builder:
+//! unified [`Defense`] trait (`name` plus `filter_reports`, which flags
+//! uploads and repairs the set), so every one of them plugs into the
+//! scenario engine's `Scenario::on(protocol).attack(…).defend(…)` builder:
 //!
 //! * [`apriori`] — a from-scratch Apriori miner of frequent items and
 //!   pairs over adjacency bit vectors (transactions = reported one-sets).
@@ -18,7 +18,7 @@
 //!   does not. Flagged nodes have their claimed connections removed.
 //! * [`naive`] — the paper's comparison baselines: Naive1 flags the top 3%
 //!   highest-degree nodes; Naive2 flags the top and bottom 3% of the
-//!   reported-degree distribution.
+//!   reported-degree distribution and removes them with Detect2's repair.
 //! * [`combined`] — Detect2 then Detect1, flags unioned (an extension
 //!   beyond the paper).
 //!

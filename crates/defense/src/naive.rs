@@ -5,6 +5,7 @@
 //! * **Naive2** (vs. Detect2, Fig. 12b): flag the top *and* bottom 3% of
 //!   the reported-degree distribution and remove their connections.
 
+use crate::detect2::remove_flagged;
 use ldp_graph::BitSet;
 use ldp_protocols::{AdjacencyReport, FilterDecision, LfGdpr};
 use poison_core::Defense;
@@ -27,12 +28,6 @@ impl Defense for NaiveTopDegree {
         "Naive1"
     }
 
-    /// Score = claimed bit-vector degree (the rank the top fraction is
-    /// cut from).
-    fn score_users(&self, reports: &[AdjacencyReport], _protocol: &LfGdpr) -> Vec<f64> {
-        reports.iter().map(|r| r.bit_degree() as f64).collect()
-    }
-
     fn filter_reports(
         &self,
         reports: &[AdjacencyReport],
@@ -52,6 +47,8 @@ impl Defense for NaiveTopDegree {
             if !flagged[f] {
                 continue;
             }
+            // Detect1 moves its mined columns instead; with ~3% flagged and
+            // no transpose built here, probing column `f` row by row is cheaper.
             let mut rebuilt = BitSet::new(n);
             for (j, other) in reports.iter().enumerate() {
                 if j != f && other.bits.get(f) {
@@ -83,23 +80,11 @@ impl Defense for NaiveDegreeTails {
         "Naive2"
     }
 
-    /// Score = distance of the reported degree from the population median
-    /// (both tails rank high).
-    fn score_users(&self, reports: &[AdjacencyReport], _protocol: &LfGdpr) -> Vec<f64> {
-        if reports.is_empty() {
-            return Vec::new();
-        }
-        let mut degrees: Vec<f64> = reports.iter().map(|r| r.degree).collect();
-        degrees.sort_by(f64::total_cmp);
-        let median = degrees[degrees.len() / 2];
-        reports.iter().map(|r| (r.degree - median).abs()).collect()
-    }
-
     fn filter_reports(
         &self,
         reports: &[AdjacencyReport],
         protocol: &LfGdpr,
-        mut rng: &mut dyn rand::RngCore,
+        rng: &mut dyn rand::RngCore,
     ) -> FilterDecision {
         let n = reports.len();
         let k = ((n as f64 * self.fraction).round() as usize).min(n / 2);
@@ -112,19 +97,7 @@ impl Defense for NaiveDegreeTails {
         for &i in order.iter().rev().take(k) {
             flagged[i] = true;
         }
-        let mut repaired: Vec<AdjacencyReport> = reports.to_vec();
-        let flips = protocol.rr().flip_sampler();
-        for (f, report) in repaired.iter_mut().enumerate() {
-            if flagged[f] {
-                let empty = BitSet::new(report.population());
-                report.bits = flips.perturb_bitset(&empty, Some(f), &mut rng);
-                report.degree = protocol.laplace().perturb_degree(
-                    0.0,
-                    (report.population() - 1) as f64,
-                    &mut rng,
-                );
-            }
-        }
+        let repaired = remove_flagged(reports, &flagged, protocol, rng);
         FilterDecision { repaired, flagged }
     }
 }

@@ -116,44 +116,6 @@ impl BitSet {
         and_popcount(&self.words, &other.words) as usize
     }
 
-    /// In-place union: `self |= other`.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacities differ");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection: `self &= other`.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacities differ");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place difference: `self &= !other`.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.nbits, other.nbits, "bitset capacities differ");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Clears all bits.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> OnesIter<'_> {
         OnesIter {
@@ -356,24 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersect() {
-        let mut a = BitSet::from_indices(70, [1, 2]);
-        let b = BitSet::from_indices(70, [2, 3, 69]);
-        a.union_with(&b);
-        assert_eq!(a.to_indices(), vec![1, 2, 3, 69]);
-        a.intersect_with(&b);
-        assert_eq!(a.to_indices(), vec![2, 3, 69]);
-    }
-
-    #[test]
-    fn difference_with_removes() {
-        let mut a = BitSet::from_indices(70, [1, 2, 3]);
-        let b = BitSet::from_indices(70, [2]);
-        a.difference_with(&b);
-        assert_eq!(a.to_indices(), vec![1, 3]);
-    }
-
-    #[test]
     fn mask_tail_clears_spurious_bits() {
         let mut bs = BitSet::new(65);
         bs.words_mut()[1] = u64::MAX;
@@ -395,12 +339,5 @@ mod tests {
         let bs = BitSet::new(0);
         assert_eq!(bs.count_ones(), 0);
         assert_eq!(bs.iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let mut bs = BitSet::from_indices(100, [0, 50, 99]);
-        bs.clear_all();
-        assert!(bs.is_empty());
     }
 }

@@ -1,10 +1,9 @@
 //! Incremental graph construction.
 //!
-//! [`GraphBuilder`] accumulates edges (from generators, parsers, or attack
-//! code that grafts fake edges onto a base graph) and finalizes into a
-//! [`CsrGraph`]. Deduplication and self-loop removal are delegated to the
-//! CSR constructor, so the builder itself stays allocation-friendly: one
-//! growing edge vector.
+//! [`GraphBuilder`] accumulates edges (from the generators and the dataset
+//! stand-ins) and finalizes into a [`CsrGraph`]. Deduplication and
+//! self-loop removal are delegated to the CSR constructor, so the builder
+//! itself stays allocation-friendly: one growing edge vector.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
@@ -33,13 +32,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Starts from an existing graph (e.g. to graft attack edges on top).
-    pub fn from_graph(g: &CsrGraph) -> Self {
-        let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
-        b.edges.extend(g.edges());
-        b
-    }
-
     /// Number of nodes the final graph will have.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -55,23 +47,11 @@ impl GraphBuilder {
         self.edges.is_empty()
     }
 
-    /// Grows the node set (new nodes are isolated until edges are added).
-    pub fn add_nodes(&mut self, extra: usize) {
-        self.num_nodes += extra;
-    }
-
     /// Adds an undirected edge. Out-of-range endpoints are detected at
     /// [`Self::build`] time; self-loops are silently dropped there too.
     #[inline]
     pub fn add_edge(&mut self, u: usize, v: usize) {
         self.edges.push((u as u32, v as u32));
-    }
-
-    /// Adds every edge from an iterator of `(u, v)` pairs.
-    pub fn extend_edges(&mut self, it: impl IntoIterator<Item = (usize, usize)>) {
-        for (u, v) in it {
-            self.add_edge(u, v);
-        }
     }
 
     /// Finalizes into a CSR graph.
@@ -98,25 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_roundtrip() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let g2 = GraphBuilder::from_graph(&g).build().unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn add_nodes_then_edges() {
-        let g = CsrGraph::from_edges(2, &[(0, 1)]).unwrap();
-        let mut b = GraphBuilder::from_graph(&g);
-        b.add_nodes(2);
-        b.add_edge(2, 3);
-        b.add_edge(3, 0);
-        let g2 = b.build().unwrap();
-        assert_eq!(g2.num_nodes(), 4);
-        assert_eq!(g2.num_edges(), 3);
-    }
-
-    #[test]
     fn out_of_range_detected_at_build() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 5);
@@ -124,10 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_edges_and_len() {
+    fn len_counts_records_before_dedup() {
         let mut b = GraphBuilder::new(5);
         assert!(b.is_empty());
-        b.extend_edges([(0, 1), (1, 2), (0, 1)]);
+        for (u, v) in [(0, 1), (1, 2), (0, 1)] {
+            b.add_edge(u, v);
+        }
         assert_eq!(b.len(), 3);
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 2, "duplicates removed at build");

@@ -2,12 +2,9 @@
 //!
 //! Modularity estimation (paper Fig. 15, following LF-GDPR) needs a node
 //! partition. We provide asynchronous label propagation — fast, decent
-//! quality — plus a greedy modularity refinement pass that merges small
-//! communities while modularity improves. Both are seeded and deterministic
-//! for a given RNG.
+//! quality — seeded and deterministic for a given RNG.
 
 use crate::csr::CsrGraph;
-use crate::metrics::modularity;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -77,78 +74,10 @@ pub fn compact_labels(labels: &mut [usize]) -> usize {
     remap.len()
 }
 
-/// Greedily merges pairs of connected communities while the merge improves
-/// modularity. A single pass over community pairs connected by at least one
-/// edge; good enough to clean up fragmented label-propagation output.
-pub fn greedy_modularity_merge(g: &CsrGraph, labels: &mut [usize]) {
-    let mut improved = true;
-    while improved {
-        improved = false;
-        let k = compact_labels(labels);
-        if k <= 1 {
-            return;
-        }
-        let base_q = modularity(g, labels);
-        // Find connected community pairs.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut seen = std::collections::HashSet::new();
-            for (u, v) in g.edges() {
-                let (cu, cv) = (labels[u as usize], labels[v as usize]);
-                if cu != cv {
-                    let key = (cu.min(cv), cu.max(cv));
-                    if seen.insert(key) {
-                        pairs.push(key);
-                    }
-                }
-            }
-        }
-        let mut best_gain = 0.0;
-        let mut best_pair: Option<(usize, usize)> = None;
-        let mut scratch = labels.to_vec();
-        for &(a, b) in &pairs {
-            for l in scratch.iter_mut() {
-                if *l == b {
-                    *l = a;
-                }
-            }
-            let q = modularity(g, &scratch);
-            if q - base_q > best_gain + 1e-12 {
-                best_gain = q - base_q;
-                best_pair = Some((a, b));
-            }
-            scratch.copy_from_slice(labels);
-        }
-        if let Some((a, b)) = best_pair {
-            for l in labels.iter_mut() {
-                if *l == b {
-                    *l = a;
-                }
-            }
-            improved = true;
-        }
-    }
-    compact_labels(labels);
-}
-
-/// Convenience: label propagation followed by greedy modularity merging.
-pub fn detect_communities<R: Rng>(g: &CsrGraph, rng: &mut R) -> Vec<usize> {
-    let mut labels = label_propagation(g, 20, rng);
-    // The merge pass is O(pairs × modularity); cap it to modest graphs.
-    if g.num_nodes() <= 2_000 {
-        greedy_modularity_merge(g, &mut labels);
-    }
-    labels
-}
-
-/// Number of communities in a compact labeling.
-pub fn num_communities(labels: &[usize]) -> usize {
-    labels.iter().copied().max().map_or(0, |m| m + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::modularity;
     use crate::rng::Xoshiro256pp;
 
     fn two_cliques() -> CsrGraph {
@@ -169,7 +98,7 @@ mod tests {
     fn label_propagation_splits_cliques() {
         let g = two_cliques();
         let mut rng = Xoshiro256pp::new(3);
-        let labels = detect_communities(&g, &mut rng);
+        let labels = label_propagation(&g, 20, &mut rng);
         // The two cliques should receive internally-consistent labels.
         for i in 1..5 {
             assert_eq!(labels[0], labels[i], "first clique fragmented: {labels:?}");
@@ -198,22 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_merge_improves_or_keeps_modularity() {
-        let g = two_cliques();
-        let mut rng = Xoshiro256pp::new(5);
-        let mut labels = label_propagation(&g, 1, &mut rng);
-        let before = modularity(&g, &labels);
-        greedy_modularity_merge(&g, &mut labels);
-        let after = modularity(&g, &labels);
-        assert!(after >= before - 1e-12);
-    }
-
-    #[test]
     fn empty_graph_ok() {
         let g = CsrGraph::from_edges(0, &[]).unwrap();
         let mut rng = Xoshiro256pp::new(1);
-        let labels = detect_communities(&g, &mut rng);
+        let labels = label_propagation(&g, 20, &mut rng);
         assert!(labels.is_empty());
-        assert_eq!(num_communities(&labels), 0);
     }
 }

@@ -185,11 +185,6 @@ impl Dataset {
         let nodes = ((self.paper_nodes() as f64 * fraction).round() as usize).max(200);
         self.generate_with_nodes(nodes, seed)
     }
-
-    /// Paper average degree `2E/N`.
-    pub fn paper_average_degree(self) -> f64 {
-        2.0 * self.paper_edges() as f64 / self.paper_nodes() as f64
-    }
 }
 
 /// One row of the paper's Table II, next to the synthetic stand-in actually
@@ -259,7 +254,8 @@ mod tests {
     #[test]
     fn scaled_facebook_matches_average_degree() {
         let g = Dataset::Facebook.generate_scaled(0.25, 7);
-        let paper_avg = Dataset::Facebook.paper_average_degree();
+        let facebook = Dataset::Facebook;
+        let paper_avg = 2.0 * facebook.paper_edges() as f64 / facebook.paper_nodes() as f64;
         let got = g.average_degree();
         assert!(
             (got - paper_avg).abs() / paper_avg < 0.15,

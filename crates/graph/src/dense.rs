@@ -6,7 +6,6 @@
 //! reduces to row-AND + popcount, which is the only way the clustering
 //! coefficient pipeline stays tractable at the paper's scales.
 
-use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
 use crate::popcount::{and_popcount, and_popcount4, popcount};
 use crate::runtime::parallel_map;
@@ -14,8 +13,9 @@ use crate::runtime::parallel_map;
 /// A square, symmetric bit matrix over `n` nodes.
 ///
 /// Rows are contiguous `u64` words. The matrix is kept symmetric by the
-/// mutators ([`BitMatrix::set_edge`], [`BitMatrix::clear_edge`]); the
-/// diagonal is always zero (simple graphs, no self-loops).
+/// mutator [`BitMatrix::set_edge`] (and, after a bulk lower-triangle write,
+/// by [`BitMatrix::mirror_lower`]); the diagonal is always zero (simple
+/// graphs, no self-loops).
 #[derive(Clone, PartialEq, Eq)]
 pub struct BitMatrix {
     n: usize,
@@ -78,24 +78,6 @@ impl BitMatrix {
         }
         self.bits[u * self.words_per_row + v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
         self.bits[v * self.words_per_row + u / WORD_BITS] |= 1u64 << (u % WORD_BITS);
-    }
-
-    /// Clears the undirected edge `{u, v}`.
-    ///
-    /// # Panics
-    /// Panics if `u` or `v` is out of range.
-    #[inline]
-    pub fn clear_edge(&mut self, u: usize, v: usize) {
-        assert!(
-            u < self.n && v < self.n,
-            "edge ({u},{v}) out of range for {} nodes",
-            self.n
-        );
-        if u == v {
-            return;
-        }
-        self.bits[u * self.words_per_row + v / WORD_BITS] &= !(1u64 << (v % WORD_BITS));
-        self.bits[v * self.words_per_row + u / WORD_BITS] &= !(1u64 << (u % WORD_BITS));
     }
 
     /// Tests the edge `{u, v}`.
@@ -211,24 +193,6 @@ impl BitMatrix {
         block[rows..].fill(0);
     }
 
-    /// Overwrites row `u` from a bitset of capacity `n` and mirrors the bits
-    /// into the corresponding columns, so the matrix stays symmetric.
-    ///
-    /// This is how the server folds one user's (perturbed or crafted)
-    /// adjacency bit vector into its aggregate view when the *row owner* is
-    /// authoritative for its slots.
-    pub fn assign_row_symmetric(&mut self, u: usize, row: &BitSet) {
-        assert_eq!(row.capacity(), self.n, "row capacity must equal node count");
-        // Clear u's old bits from the columns.
-        let old: Vec<usize> = self.row_indices(u);
-        for v in old {
-            self.clear_edge(u, v);
-        }
-        for v in row.iter_ones() {
-            self.set_edge(u, v);
-        }
-    }
-
     /// Degree of node `u` (popcount of its row).
     pub fn degree(&self, u: usize) -> usize {
         popcount(self.row(u)) as usize
@@ -284,7 +248,7 @@ impl BitMatrix {
     /// Row-streamed: for each target `t` and each neighbor `v` of `t`,
     /// `|row_t[..v) ∩ row_v[..v)|` is added to `t`'s count, so the
     /// triangle `{t, v, w}` with `w < v` is found exactly once (the
-    /// word-wise form of [`BitSet::iter_ones_below`]'s bound). The cost
+    /// word-wise form of [`crate::BitSet::iter_ones_below`]'s bound). The cost
     /// is `Σ_t d_t · n/128` word AND-popcounts.
     ///
     /// The distinct targets, in increasing order, are split into
@@ -436,19 +400,6 @@ impl BitMatrix {
         }
     }
 
-    /// Converts to a sparse CSR graph (used in tests and for small matrices).
-    pub fn to_csr(&self) -> CsrGraph {
-        let mut edges = Vec::new();
-        for u in 0..self.n {
-            for v in self.row_indices(u) {
-                if u < v {
-                    edges.push((u as u32, v as u32));
-                }
-            }
-        }
-        CsrGraph::from_edges(self.n, &edges).expect("bit matrix always yields a valid graph")
-    }
-
     /// Edge density `2E / (n(n-1))`.
     pub fn density(&self) -> f64 {
         if self.n < 2 {
@@ -557,8 +508,6 @@ mod tests {
         assert!(m.has_edge(3, 70));
         assert!(m.has_edge(70, 3));
         assert_eq!(m.num_edges(), 1);
-        m.clear_edge(70, 3);
-        assert!(!m.has_edge(3, 70));
     }
 
     #[test]
@@ -620,18 +569,6 @@ mod tests {
                 .sum();
             assert_eq!(m.triangles_at(u), twice / 2, "node {u}");
         }
-    }
-
-    #[test]
-    fn assign_row_symmetric_replaces_old_row() {
-        let mut m = BitMatrix::new(6);
-        m.set_edge(0, 1);
-        m.set_edge(0, 2);
-        let new_row = BitSet::from_indices(6, [3, 4]);
-        m.assign_row_symmetric(0, &new_row);
-        assert!(!m.has_edge(0, 1) && !m.has_edge(0, 2));
-        assert!(m.has_edge(0, 3) && m.has_edge(4, 0));
-        assert_eq!(m.degree(0), 2);
     }
 
     #[test]
@@ -718,10 +655,10 @@ mod tests {
     fn csr_roundtrip() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 4)]).unwrap();
         let m = BitMatrix::from_csr(&g);
-        let g2 = m.to_csr();
-        assert_eq!(g.num_edges(), g2.num_edges());
+        assert_eq!(g.num_edges(), m.num_edges());
         for u in 0..5 {
-            assert_eq!(g.neighbors(u), g2.neighbors(u));
+            let row: Vec<u32> = m.row_indices(u).into_iter().map(|v| v as u32).collect();
+            assert_eq!(g.neighbors(u), row.as_slice());
         }
     }
 

@@ -21,15 +21,6 @@ pub fn degree_centralities(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
-/// Degree centrality computed from a raw degree and population size, used
-/// when the degree comes from an estimator rather than a materialized graph.
-pub fn centrality_from_degree(degree: f64, num_nodes: usize) -> f64 {
-    if num_nodes < 2 {
-        return 0.0;
-    }
-    degree / (num_nodes as f64 - 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,11 +46,5 @@ mod tests {
     fn degenerate_graphs() {
         let g1 = CsrGraph::from_edges(1, &[]).unwrap();
         assert_eq!(degree_centrality(&g1, 0), 0.0);
-        assert_eq!(centrality_from_degree(3.0, 1), 0.0);
-    }
-
-    #[test]
-    fn centrality_from_estimated_degree() {
-        assert!((centrality_from_degree(5.0, 11) - 0.5).abs() < 1e-12);
     }
 }

@@ -1,75 +1,14 @@
 //! Degree-distribution analysis.
 //!
 //! The dataset stand-ins (DESIGN.md §2) claim to match the paper's graphs
-//! on degree *structure*, not just averages. These utilities make that
-//! claim checkable: degree histograms, the complementary CDF, and a Hill
-//! estimator for the power-law tail exponent that social networks exhibit.
+//! on degree *structure*, not just averages. The degree Gini coefficient
+//! makes that claim checkable (Table II reports it).
 
 use crate::csr::CsrGraph;
 
-/// Degree histogram: `histogram[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in 0..g.num_nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
-/// Complementary CDF over degrees: `ccdf[d]` = fraction of nodes with
-/// degree `≥ d`. Always starts at 1.0 (every node has degree ≥ 0).
-pub fn degree_ccdf(g: &CsrGraph) -> Vec<f64> {
-    let hist = degree_histogram(g);
-    let n = g.num_nodes().max(1) as f64;
-    let mut ccdf = vec![0.0; hist.len()];
-    let mut above = 0usize;
-    for d in (0..hist.len()).rev() {
-        above += hist[d];
-        ccdf[d] = above as f64 / n;
-    }
-    ccdf
-}
-
-/// Hill estimator of the power-law tail exponent α: for the `k` largest
-/// degrees `d_(1) ≥ … ≥ d_(k)` above the cut `d_(k+1)`,
-/// `α̂ = 1 + k / Σ ln(d_(i)/d_(k+1))`.
-///
-/// Returns `None` when the graph has fewer than `k + 1` nodes with
-/// positive degree or when the tail is degenerate (all cut values equal).
-pub fn hill_tail_exponent(g: &CsrGraph, k: usize) -> Option<f64> {
-    let mut degrees: Vec<usize> = (0..g.num_nodes())
-        .map(|u| g.degree(u))
-        .filter(|&d| d > 0)
-        .collect();
-    if degrees.len() < k + 1 || k == 0 {
-        return None;
-    }
-    degrees.sort_unstable_by(|a, b| b.cmp(a));
-    let cut = degrees[k] as f64;
-    if cut <= 0.0 {
-        return None;
-    }
-    let sum: f64 = degrees[..k].iter().map(|&d| (d as f64 / cut).ln()).sum();
-    if sum <= 0.0 {
-        return None;
-    }
-    Some(1.0 + k as f64 / sum)
-}
-
-/// Median degree (0 for empty graphs).
-pub fn median_degree(g: &CsrGraph) -> usize {
-    let n = g.num_nodes();
-    if n == 0 {
-        return 0;
-    }
-    let mut degrees: Vec<usize> = (0..n).map(|u| g.degree(u)).collect();
-    degrees.sort_unstable();
-    degrees[n / 2]
-}
-
 /// Gini coefficient of the degree sequence — 0 for perfectly regular
 /// graphs, approaching 1 for hub-dominated ones. A compact "heavy tail"
-/// indicator that is robust where the Hill estimator is noisy.
+/// indicator that is robust where a tail-exponent fit is noisy.
 pub fn degree_gini(g: &CsrGraph) -> f64 {
     let n = g.num_nodes();
     if n == 0 {
@@ -95,59 +34,6 @@ mod tests {
     use super::*;
     use crate::generate::{barabasi_albert, complete_graph, star_graph};
     use crate::rng::Xoshiro256pp;
-
-    #[test]
-    fn histogram_counts_all_nodes() {
-        let g = star_graph(10);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 10);
-        assert_eq!(hist[1], 9, "nine leaves");
-        assert_eq!(hist[9], 1, "one hub");
-    }
-
-    #[test]
-    fn ccdf_is_monotone_and_starts_at_one() {
-        let mut rng = Xoshiro256pp::new(1);
-        let g = barabasi_albert(200, 3, &mut rng).unwrap();
-        let ccdf = degree_ccdf(&g);
-        assert!((ccdf[0] - 1.0).abs() < 1e-12);
-        assert!(
-            ccdf.windows(2).all(|w| w[0] >= w[1]),
-            "CCDF must be non-increasing"
-        );
-        assert!(*ccdf.last().unwrap() > 0.0, "someone has the max degree");
-    }
-
-    #[test]
-    fn hill_estimator_reasonable_on_ba() {
-        // BA graphs have tail exponent ≈ 3.
-        let mut rng = Xoshiro256pp::new(2);
-        let g = barabasi_albert(5_000, 4, &mut rng).unwrap();
-        let alpha = hill_tail_exponent(&g, 200).expect("enough tail");
-        assert!(
-            (2.0..4.5).contains(&alpha),
-            "BA tail exponent should be near 3, got {alpha}"
-        );
-    }
-
-    #[test]
-    fn hill_estimator_degenerate_cases() {
-        let g = complete_graph(5);
-        // All degrees equal → sum of logs is 0 → None.
-        assert!(hill_tail_exponent(&g, 2).is_none());
-        assert!(hill_tail_exponent(&g, 0).is_none());
-        assert!(
-            hill_tail_exponent(&g, 100).is_none(),
-            "k larger than the graph"
-        );
-    }
-
-    #[test]
-    fn median_degree_on_known_graphs() {
-        assert_eq!(median_degree(&complete_graph(7)), 6);
-        assert_eq!(median_degree(&star_graph(9)), 1);
-        assert_eq!(median_degree(&crate::generate::empty_graph(0)), 0);
-    }
 
     #[test]
     fn gini_orders_regular_vs_hub_graphs() {

@@ -14,8 +14,6 @@ pub use clustering::{
     average_clustering_coefficient, global_transitivity, local_clustering_coefficients,
 };
 pub use degree::{degree_centralities, degree_centrality};
-pub use distribution::{
-    degree_ccdf, degree_gini, degree_histogram, hill_tail_exponent, median_degree,
-};
+pub use distribution::degree_gini;
 pub use modularity::modularity;
 pub use triangles::{total_triangles, triangles_per_node};

@@ -67,15 +67,6 @@ impl RandomizedResponse {
         (self.p_keep / (1.0 - self.p_keep)).ln()
     }
 
-    /// Perturbs one bit.
-    pub fn perturb_bit<R: Rng>(&self, bit: bool, rng: &mut R) -> bool {
-        if rng.gen::<f64>() < self.p_keep {
-            bit
-        } else {
-            !bit
-        }
-    }
-
     /// Prepares the bit-vector perturbation: the flip-position sampler
     /// of [`FlipSampler`]. Build it once per batch of rows: building takes
     /// as many logarithms as 16 rows of 4,240 bits draw at ε = 2.
@@ -175,16 +166,6 @@ mod tests {
         assert!(RandomizedResponse::from_keep_probability(0.5).is_err());
         assert!(RandomizedResponse::from_keep_probability(1.0).is_err());
         assert!(RandomizedResponse::from_keep_probability(0.75).is_ok());
-    }
-
-    #[test]
-    fn perturb_bit_statistics() {
-        let rr = RandomizedResponse::from_keep_probability(0.8).unwrap();
-        let mut rng = Xoshiro256pp::new(1);
-        let n = 100_000;
-        let kept = (0..n).filter(|_| rr.perturb_bit(true, &mut rng)).count();
-        let frac = kept as f64 / n as f64;
-        assert!((frac - 0.8).abs() < 0.01, "kept fraction {frac}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! zero locks, zero fences**. Registration happens once, at daemon or
 //! round construction ([`Registry::counter`] and friends return the
 //! shared handle); the registry itself is only walked on the cold
-//! scrape path ([`Registry::snapshot`] / [`Registry::render_text`]).
+//! scrape path ([`Registry::snapshot`], which the daemon's `STATS`
+//! frame serves).
 //! `ldp-lint`'s `hot-path-ordering` rule mechanically enforces the
 //! relaxed-only discipline inside marked fold regions.
 //!
@@ -287,56 +288,6 @@ impl Registry {
             })
             .collect()
     }
-
-    /// Renders the registry as Prometheus-style text exposition lines
-    /// (`# TYPE` comments, cumulative `_bucket{le="…"}` series with a
-    /// `+Inf` terminator, `_sum`/`_count` companions). Histograms label
-    /// bucket `i` with its inclusive upper bound `2^i − 1`.
-    pub fn render_text(&self) -> String {
-        render_samples(&self.snapshot())
-    }
-}
-
-/// Renders a snapshot as Prometheus-style text lines; the formatter
-/// behind [`Registry::render_text`].
-fn render_samples(samples: &[Sample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        match &s.value {
-            SampleValue::Counter(v) => {
-                out.push_str(&format!("# TYPE {} counter\n{} {}\n", s.name, s.name, v));
-            }
-            SampleValue::Gauge(v) => {
-                out.push_str(&format!("# TYPE {} gauge\n{} {}\n", s.name, s.name, v));
-            }
-            SampleValue::Histogram { sum, buckets } => {
-                out.push_str(&format!("# TYPE {} histogram\n", s.name));
-                let mut cumulative = 0u64;
-                for (i, b) in buckets.iter().enumerate() {
-                    cumulative = cumulative.wrapping_add(*b);
-                    if *b == 0 {
-                        continue;
-                    }
-                    let le = if i == 0 {
-                        0
-                    } else if i >= 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << i) - 1
-                    };
-                    out.push_str(&format!(
-                        "{}_bucket{{le=\"{}\"}} {}\n",
-                        s.name, le, cumulative
-                    ));
-                }
-                out.push_str(&format!(
-                    "{}_bucket{{le=\"+Inf\"}} {}\n{}_sum {}\n{}_count {}\n",
-                    s.name, cumulative, s.name, sum, s.name, cumulative
-                ));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -405,26 +356,5 @@ mod tests {
         h.observe(5); // bucket 3
         let (_, buckets) = h.snapshot();
         assert_eq!(buckets, vec![0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn render_text_is_prometheus_shaped() {
-        let mut reg = Registry::new();
-        let c = reg.counter("ingest_reports_folded");
-        let g = reg.gauge("worker_queue_depth");
-        let h = reg.histogram("fold_nanos");
-        c.add(42);
-        g.set(3);
-        h.observe(0);
-        h.observe(100); // bucket 7, le = 127
-        let text = reg.render_text();
-        assert!(text.contains("# TYPE ingest_reports_folded counter\n"));
-        assert!(text.contains("ingest_reports_folded 42\n"));
-        assert!(text.contains("worker_queue_depth 3\n"));
-        assert!(text.contains("fold_nanos_bucket{le=\"0\"} 1\n"));
-        assert!(text.contains("fold_nanos_bucket{le=\"127\"} 2\n"));
-        assert!(text.contains("fold_nanos_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("fold_nanos_sum 100\n"));
-        assert!(text.contains("fold_nanos_count 2\n"));
     }
 }
