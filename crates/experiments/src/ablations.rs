@@ -14,13 +14,14 @@
 
 use crate::config::{defaults, ExperimentConfig};
 use crate::output::Figure;
+use crate::runner::draw_threat;
 use ldp_graph::datasets::Dataset;
 use ldp_graph::metrics::local_clustering_coefficients;
 use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::lfgdpr::{estimate_clustering_with, DegreeSource};
 use ldp_protocols::{LfGdpr, Metric};
 use poison_core::scenario::{Scenario, ScenarioBuilder};
-use poison_core::{Mga, MgaOptions, ScenarioError, TargetSelection, ThreatModel};
+use poison_core::{Mga, MgaOptions, ScenarioError, ThreatModel};
 use poison_defense::FrequentItemsetDefense;
 
 /// The Facebook stand-in, LF-GDPR at `epsilon`, and a threat model with
@@ -28,14 +29,7 @@ use poison_defense::FrequentItemsetDefense;
 fn setup(cfg: &ExperimentConfig, epsilon: f64, gamma: f64) -> (CsrGraph, LfGdpr, ThreatModel) {
     let graph = cfg.graph_for(Dataset::Facebook);
     let protocol = LfGdpr::new(epsilon).expect("positive epsilon");
-    let mut rng = Xoshiro256pp::new(cfg.seed ^ 0xAB1);
-    let threat = ThreatModel::from_fractions(
-        &graph,
-        defaults::BETA,
-        gamma,
-        TargetSelection::UniformRandom,
-        &mut rng,
-    );
+    let (threat, _) = draw_threat(&graph, defaults::BETA, gamma, cfg.seed ^ 0xAB1);
     (graph, protocol, threat)
 }
 

@@ -18,13 +18,15 @@ fn main() -> std::process::ExitCode {
         written &= px::cli::emit_or_exit(run(), &opts);
         eprintln!("== {name} done in {:.1}s ==", start.elapsed().as_secs_f64());
     };
+    let short_name = |name: &str| name.to_lowercase().replace(' ', "");
     for fig in px::sweep::FIGURES {
-        let name = fig.name.to_lowercase().replace(' ', "");
-        timed(&name, &|| fig.run(cfg, opts.dataset));
+        timed(&short_name(fig.name), &|| fig.run(cfg, opts.dataset));
     }
-    timed("fig12", &|| px::fig12::run(cfg));
-    timed("fig13", &|| px::fig13::run(cfg));
-    timed("fig14", &|| px::fig14::run(cfg));
-    timed("fig15", &|| px::fig15::run(cfg));
+    for fig in px::countermeasures::FIGURES {
+        timed(&short_name(fig.name), &|| fig.run(cfg));
+    }
+    for fig in px::protocols::FIGURES {
+        timed(&short_name(fig.name), &|| fig.run(cfg));
+    }
     px::cli::exit_code(written)
 }

@@ -64,8 +64,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             }
             "--scale" => {
                 opts.config.scale = flag_value(args, &mut i)?;
-                if opts.config.scale <= 0.0 {
-                    return Err("--scale must be positive".into());
+                if !(opts.config.scale.is_finite() && opts.config.scale > 0.0) {
+                    return Err("--scale must be positive and finite".into());
                 }
             }
             "--seed" => opts.config.seed = flag_value(args, &mut i)?,
@@ -217,6 +217,9 @@ mod tests {
     fn rejects_bad_input() {
         assert!(parse_args(&s(&["--trials", "0"])).is_err());
         assert!(parse_args(&s(&["--scale", "-1"])).is_err());
+        for scale in ["NaN", "inf", "infinity"] {
+            assert!(parse_args(&s(&["--scale", scale])).is_err(), "{scale}");
+        }
         assert!(parse_args(&s(&["--wat"])).is_err());
         assert!(parse_args(&s(&["--trials"])).is_err());
     }

@@ -76,12 +76,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Above this population the degree sweeps switch from the exact
-    /// (materialized view) pipeline to the analytic-sampling pipeline —
-    /// the scenario engine's auto-mode threshold, re-exported so the
-    /// Gplus sizing test below stays tied to the value actually in force.
-    pub const SAMPLED_MODE_THRESHOLD: usize = poison_core::scenario::SAMPLED_MODE_THRESHOLD;
-
     /// The graph stand-in for a dataset under this configuration.
     pub fn graph_for(&self, dataset: Dataset) -> ldp_graph::CsrGraph {
         dataset.generate_with_nodes(self.nodes_for(dataset), self.seed ^ 0xD5)
@@ -142,7 +136,8 @@ mod tests {
             cfg.nodes_for(Dataset::Facebook)
         );
         assert!(
-            cfg.degree_sweep_nodes_for(Dataset::Gplus) > ExperimentConfig::SAMPLED_MODE_THRESHOLD
+            cfg.degree_sweep_nodes_for(Dataset::Gplus)
+                > poison_core::scenario::SAMPLED_MODE_THRESHOLD
         );
     }
 

@@ -1,66 +1,24 @@
-//! Exp 8 / Fig. 13: countermeasures against attacks to the **clustering
-//! coefficient** (Facebook stand-in).
-//!
-//! Panel (a): Detect1 vs. Naive1 vs. no defense against MGA over flag
-//! thresholds {50, 75, 100, 125, 150}; panel (b): Detect2 vs. Naive2 vs.
-//! no defense against RVA over β. Each point is the mean Eq. 5 gain after
-//! the defense, computed as in Fig. 12.
-//!
-//! At the paper's scale, (a)'s Detect1 flags and rebuilds every row at
-//! every threshold of the grid, so its series is flat (see ROADMAP,
-//! "Detect1: a threshold that means something"). In (b) RVA's gain sits
-//! on the protocol's own noise floor, so Detect2's gain stays close to the
-//! undefended one and is above it at some β (see ROADMAP, "Measure gains
-//! above the noise floor").
+//! Fig. 13 under its own module path.
 
-use crate::config::{grids, ExperimentConfig};
-use crate::fig12::{panel_beta_sweep, panel_threshold_sweep};
+use crate::config::ExperimentConfig;
 use crate::output::Figure;
-use ldp_protocols::Metric;
-use poison_core::{AttackStrategy, ScenarioError};
+use poison_core::ScenarioError;
 
-/// Panel (a): threshold sweep against MGA on the clustering coefficient.
-///
-/// # Errors
-/// Propagates the first scenario failure.
-pub fn run_panel_a(cfg: &ExperimentConfig, thresholds: &[usize]) -> Result<Figure, ScenarioError> {
-    panel_threshold_sweep(
-        cfg,
-        Metric::Clustering,
-        thresholds,
-        AttackStrategy::Mga,
-        "Fig 13(a)",
-    )
-}
-
-/// Panel (b): β sweep against RVA on the clustering coefficient.
-///
-/// # Errors
-/// Propagates the first scenario failure.
-pub fn run_panel_b(cfg: &ExperimentConfig, betas: &[f64]) -> Result<Figure, ScenarioError> {
-    panel_beta_sweep(
-        cfg,
-        Metric::Clustering,
-        betas,
-        AttackStrategy::Rva,
-        "Fig 13(b)",
-    )
-}
-
-/// Runs both panels on the paper's grids.
+/// Runs [`countermeasures::FIG13`](crate::countermeasures::FIG13) on the
+/// paper's grids. perfbench's `fig13_defenses` workload checks its series
+/// against this path; ROADMAP item 5 retires it.
 ///
 /// # Errors
 /// Propagates the first scenario failure.
 pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Figure>, ScenarioError> {
-    Ok(vec![
-        run_panel_a(cfg, &grids::FIG13A_THRESHOLDS)?,
-        run_panel_b(cfg, &grids::FIG12B_BETAS)?,
-    ])
+    crate::countermeasures::FIG13.run(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::countermeasures::FIG13;
+    use crate::output::tests::assert_panel;
 
     #[test]
     fn both_panels_smoke() {
@@ -69,14 +27,9 @@ mod tests {
             trials: 1,
             seed: 47,
         };
-        let a = run_panel_a(&cfg, &[100]).unwrap();
-        let b = run_panel_b(&cfg, &[0.05]).unwrap();
-        for fig in [a, b] {
-            assert_eq!(fig.series.len(), 3);
-            assert!(fig
-                .series
-                .iter()
-                .all(|s| s.values.iter().all(|v| v.is_finite())));
-        }
+        let a = FIG13.panel_a(&cfg, &[100]).unwrap();
+        let b = FIG13.panel_b(&cfg, &[0.05]).unwrap();
+        assert_panel(&a, "Fig 13(a)", &["Detect1", "Naive1", "NoDefense"], 1);
+        assert_panel(&b, "Fig 13(b)", &["Detect2", "Naive2", "NoDefense"], 1);
     }
 }

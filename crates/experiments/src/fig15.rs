@@ -1,86 +1,10 @@
-//! Exp 9 / Fig. 15: attacks on LF-GDPR and LDPGen for **modularity**,
-//! sweeping ε (Facebook stand-in).
-//!
-//! The partition comes from label propagation on the genuine graph (the
-//! data collector's standard workflow); the gain is the absolute change of
-//! the estimated modularity, per DESIGN.md §2. Both panels run through
-//! `fig14`'s generic ε-panel helper — only the protocol factory differs.
-
-use crate::config::{defaults, grids, ExperimentConfig};
-use crate::fig14::epsilon_panel;
-use crate::output::Figure;
-use ldp_graph::community::label_propagation;
-use ldp_graph::datasets::Dataset;
-use ldp_graph::Xoshiro256pp;
-use ldp_protocols::{LdpGen, LfGdpr, Metric};
-use poison_core::{ScenarioError, TargetSelection, ThreatModel};
-
-fn setup(cfg: &ExperimentConfig, tag: u64) -> (ldp_graph::CsrGraph, ThreatModel, Vec<usize>) {
-    let graph = cfg.graph_for(Dataset::Facebook);
-    let mut rng = Xoshiro256pp::new(cfg.seed ^ tag);
-    let threat = ThreatModel::from_fractions(
-        &graph,
-        defaults::BETA,
-        defaults::GAMMA,
-        TargetSelection::UniformRandom,
-        &mut rng,
-    );
-    let partition = label_propagation(&graph, 20, &mut rng);
-    (graph, threat, partition)
-}
-
-/// Panel (a): LF-GDPR modularity gains over ε.
-///
-/// # Errors
-/// Propagates the first scenario failure.
-pub fn run_panel_a(cfg: &ExperimentConfig, epsilons: &[f64]) -> Result<Figure, ScenarioError> {
-    let (graph, threat, partition) = setup(cfg, 0x0F15_000A);
-    epsilon_panel(
-        cfg,
-        &graph,
-        &threat,
-        Some(&partition),
-        |epsilon| LfGdpr::new(epsilon).expect("positive epsilon grid"),
-        Metric::Modularity,
-        epsilons,
-        "Fig 15(a) LF-GDPR",
-        "modularity gain",
-    )
-}
-
-/// Panel (b): LDPGen modularity gains over ε.
-///
-/// # Errors
-/// Propagates the first scenario failure.
-pub fn run_panel_b(cfg: &ExperimentConfig, epsilons: &[f64]) -> Result<Figure, ScenarioError> {
-    let (graph, threat, partition) = setup(cfg, 0x0F15_000B);
-    epsilon_panel(
-        cfg,
-        &graph,
-        &threat,
-        Some(&partition),
-        |epsilon| LdpGen::with_defaults(epsilon).expect("positive epsilon grid"),
-        Metric::Modularity,
-        epsilons,
-        "Fig 15(b) LDPGen",
-        "modularity gain",
-    )
-}
-
-/// Runs both panels on the paper's ε grid.
-///
-/// # Errors
-/// Propagates the first scenario failure.
-pub fn run(cfg: &ExperimentConfig) -> Result<Vec<Figure>, ScenarioError> {
-    Ok(vec![
-        run_panel_a(cfg, &grids::EPSILONS)?,
-        run_panel_b(cfg, &grids::EPSILONS)?,
-    ])
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // Smoke tests of Fig. 15 under its own module path; the figure is
+    // [`protocols::FIG15`](crate::protocols::FIG15).
+    use crate::config::ExperimentConfig;
+    use crate::output::tests::assert_panel;
+    use crate::protocols::FIG15;
 
     #[test]
     fn both_panels_smoke() {
@@ -89,14 +13,11 @@ mod tests {
             trials: 1,
             seed: 59,
         };
-        let a = run_panel_a(&cfg, &[4.0]).unwrap();
-        let b = run_panel_b(&cfg, &[4.0]).unwrap();
-        for fig in [a, b] {
-            assert_eq!(fig.series.len(), 3);
-            assert!(fig
-                .series
-                .iter()
-                .all(|s| s.values.iter().all(|v| v.is_finite())));
-        }
+        let a = FIG15.panel_a(&cfg, &[4.0]).unwrap();
+        let b = FIG15.panel_b(&cfg, &[4.0]).unwrap();
+        assert_panel(&a, "Fig 15(a) LF-GDPR", &["RVA", "RNA", "MGA"], 1);
+        assert_panel(&b, "Fig 15(b) LDPGen", &["RVA", "RNA", "MGA"], 1);
+        assert_eq!(a.y_label, FIG15.y_label);
+        assert_eq!(b.y_label, FIG15.y_label);
     }
 }

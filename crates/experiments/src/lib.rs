@@ -2,10 +2,14 @@
 //!
 //! The evaluation harness for the tables and figures of the paper's
 //! §VIII, with one binary per artifact. Figs. 6–11 are rows of one table
-//! ([`sweep::SweepFigure`]); every panel runs its grid through
-//! [`runner::run_grid`], one [`Scenario`](poison_core::scenario::Scenario)
-//! per cell. Each experiment returns [`output::Figure`] values that render
-//! as aligned text tables, CSV, and ASCII charts; the binaries write them
+//! ([`sweep::SweepFigure`]), Figs. 12–13 rows of another
+//! ([`countermeasures::CountermeasureFigure`]) and Figs. 14–15 rows of a
+//! third ([`protocols::ProtocolFigure`]). Every panel runs its grid
+//! through [`runner::run_grid`], one
+//! [`Scenario`](poison_core::scenario::Scenario) per cell, and every
+//! figure and ablation draws its threat model through one function.
+//! Each experiment returns [`output::Figure`] values that render as
+//! aligned text tables, CSV, and ASCII charts; the binaries write them
 //! under `results/`.
 //!
 //! | paper artifact | code | binary |
@@ -18,10 +22,11 @@
 //! | Fig. 9 (clustering coefficient vs ε) | [`sweep::FIG9`] | `fig9` |
 //! | Fig. 10 (clustering coefficient vs β) | [`sweep::FIG10`] | `fig10` |
 //! | Fig. 11 (clustering coefficient vs γ) | [`sweep::FIG11`] | `fig11` |
-//! | Fig. 12 (countermeasures, degree) | [`fig12`] | `fig12` |
-//! | Fig. 13 (countermeasures, clustering) | [`fig13`] | `fig13` |
-//! | Fig. 14 (LF-GDPR vs LDPGen, cc) | [`fig14`] | `fig14` |
-//! | Fig. 15 (LF-GDPR vs LDPGen, modularity) | [`fig15`] | `fig15` |
+//! | Fig. 12 (countermeasures, degree) | [`countermeasures::FIG12`] | `fig12` |
+//! | Fig. 13 (countermeasures, clustering) | [`countermeasures::FIG13`] | `fig13` |
+//! | Fig. 14 (LF-GDPR vs LDPGen, cc) | [`protocols::FIG14`] | `fig14` |
+//! | Fig. 15 (LF-GDPR vs LDPGen, modularity) | [`protocols::FIG15`] | `fig15` |
+//! | Ablations A1–A4 (DESIGN.md §7) | [`ablations`] | `ablations` |
 //!
 //! The experiments run on seeded synthetic stand-ins (DESIGN.md §2
 //! records the substitution). At the default scale 1.0 they have 4,039
@@ -35,11 +40,10 @@
 pub mod ablations;
 pub mod cli;
 pub mod config;
-pub mod fig12;
+pub mod countermeasures;
 pub mod fig13;
-pub mod fig14;
-pub mod fig15;
 pub mod output;
+pub mod protocols;
 pub mod runner;
 pub mod sweep;
 pub mod table2;
@@ -47,3 +51,9 @@ pub mod table3;
 
 pub use config::ExperimentConfig;
 pub use output::{Figure, Series};
+#[cfg(test)]
+mod fig12;
+#[cfg(test)]
+mod fig14;
+#[cfg(test)]
+mod fig15;

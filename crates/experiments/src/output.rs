@@ -191,8 +191,24 @@ pub fn format_num(v: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Asserts that `panel` is titled `title`, plots `labels` in order and
+    /// holds one finite value per point of a `points`-long grid.
+    pub(crate) fn assert_panel(panel: &Figure, title: &str, labels: &[&str], points: usize) {
+        assert_eq!(panel.title, title);
+        assert_eq!(panel.x.len(), points);
+        assert!(panel
+            .series
+            .iter()
+            .map(|s| s.label.as_str())
+            .eq(labels.iter().copied()));
+        assert!(panel
+            .series
+            .iter()
+            .all(|s| s.values.len() == points && s.values.iter().all(|v| v.is_finite())));
+    }
 
     fn fig() -> Figure {
         let mut f = Figure::new("Test", "epsilon", "gain", vec![1.0, 2.0]);

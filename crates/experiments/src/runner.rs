@@ -5,8 +5,11 @@
 //! ([`ldp_graph::runtime`], where `parallel_map` was promoted once the
 //! protocol layer needed it too). Each point carries its own seeds;
 //! results come back in grid order regardless of thread interleaving.
+//! `draw_threat` is the one threat-model draw every figure and ablation
+//! makes.
 
-use poison_core::ScenarioError;
+use ldp_graph::{CsrGraph, Xoshiro256pp};
+use poison_core::{ScenarioError, TargetSelection, ThreatModel};
 
 pub use ldp_graph::runtime::{default_threads, parallel_map};
 
@@ -25,6 +28,21 @@ where
     parallel_map(points, default_threads(), |&(xi, x)| row(xi, x))
         .into_iter()
         .collect()
+}
+
+/// The threat model with fake fraction `beta` and uniformly drawn targets
+/// (fraction `gamma`) on `graph`, drawn from a generator seeded with
+/// `seed`. Returns the generator too, for draws that follow the threat.
+pub(crate) fn draw_threat(
+    graph: &CsrGraph,
+    beta: f64,
+    gamma: f64,
+    seed: u64,
+) -> (ThreatModel, Xoshiro256pp) {
+    let mut rng = Xoshiro256pp::new(seed);
+    let threat =
+        ThreatModel::from_fractions(graph, beta, gamma, TargetSelection::UniformRandom, &mut rng);
+    (threat, rng)
 }
 
 #[cfg(test)]

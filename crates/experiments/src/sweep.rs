@@ -15,14 +15,13 @@
 
 use crate::config::{defaults, grids, ExperimentConfig};
 use crate::output::Figure;
-use crate::runner::run_grid;
+use crate::runner::{draw_threat, run_grid};
 use ldp_graph::datasets::Dataset;
-use ldp_graph::Xoshiro256pp;
 use ldp_protocols::{LfGdpr, Metric};
 use poison_core::scenario::Scenario;
 use poison_core::{
     attack_for, theorem1_degree_gain, theorem2_clustering_gain, AttackStrategy, AttackerKnowledge,
-    MgaOptions, ScenarioError, TargetSelection, ThreatModel,
+    MgaOptions, ScenarioError,
 };
 
 /// Which of the three parameters a figure sweeps.
@@ -181,13 +180,11 @@ impl SweepFigure {
         let rows = run_grid(xs, |xi, x| {
             let (epsilon, beta, gamma) = self.axis.params(x);
             let protocol = LfGdpr::new(epsilon).expect("positive epsilon grid");
-            let mut threat_rng = Xoshiro256pp::new(cfg.seed ^ (xi as u64) << 8 ^ dataset as u64);
-            let threat = ThreatModel::from_fractions(
+            let (threat, _) = draw_threat(
                 &graph,
                 beta,
                 gamma,
-                TargetSelection::UniformRandom,
-                &mut threat_rng,
+                cfg.seed ^ (xi as u64) << 8 ^ dataset as u64,
             );
             let seed = cfg.seed ^ ((xi as u64) << 16);
             let mut row = AttackStrategy::ALL

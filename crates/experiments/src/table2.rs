@@ -1,17 +1,16 @@
 //! Table II: the evaluation datasets — paper statistics next to the
-//! generated synthetic stand-ins actually used at the current scale.
+//! generated synthetic stand-ins the figures run on at the current scale
+//! ([`ExperimentConfig::graph_for`]; Figs. 6–8 run Gplus larger, see
+//! [`ExperimentConfig::degree_sweep_nodes_for`]).
 
 use crate::config::ExperimentConfig;
 use ldp_graph::datasets::{table2_row, Dataset, DatasetStats};
 
-/// Builds one row per dataset at the configuration's experiment scale.
+/// Builds one row per dataset from the configuration's stand-in.
 pub fn run(cfg: &ExperimentConfig) -> Vec<DatasetStats> {
     Dataset::ALL
         .iter()
-        .map(|&d| {
-            let fraction = cfg.nodes_for(d) as f64 / d.paper_nodes() as f64;
-            table2_row(d, fraction, cfg.seed ^ 0xD5)
-        })
+        .map(|&d| table2_row(d, &cfg.graph_for(d)))
         .collect()
 }
 
@@ -51,6 +50,20 @@ mod tests {
         for r in &rows {
             assert!(r.generated_nodes >= 200);
             assert!(r.generated_edges > 0);
+        }
+    }
+
+    #[test]
+    fn rows_describe_the_figures_graphs() {
+        for scale in [0.1, 0.5] {
+            let cfg = ExperimentConfig {
+                scale,
+                ..ExperimentConfig::smoke()
+            };
+            for (row, d) in run(&cfg).iter().zip(Dataset::ALL) {
+                assert_eq!(row.dataset, d);
+                assert_eq!(row.generated_nodes, cfg.nodes_for(d), "{d:?} at {scale}");
+            }
         }
     }
 

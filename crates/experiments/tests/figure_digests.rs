@@ -118,29 +118,29 @@ fn digests() -> Vec<(&'static str, u64)> {
         (
             "fig12",
             [
-                px::fig12::run_panel_a(&cfg, &[50, 150]),
-                px::fig12::run_panel_b(&cfg, &fractions),
+                px::countermeasures::FIG12.panel_a(&cfg, &[50, 150]),
+                px::countermeasures::FIG12.panel_b(&cfg, &fractions),
             ],
         ),
         (
             "fig13",
             [
-                px::fig13::run_panel_a(&cfg, &[50, 150]),
-                px::fig13::run_panel_b(&cfg, &fractions),
+                px::countermeasures::FIG13.panel_a(&cfg, &[50, 150]),
+                px::countermeasures::FIG13.panel_b(&cfg, &fractions),
             ],
         ),
         (
             "fig14",
             [
-                px::fig14::run_panel_a(&cfg, &eps),
-                px::fig14::run_panel_b(&cfg, &eps),
+                px::protocols::FIG14.panel_a(&cfg, &eps),
+                px::protocols::FIG14.panel_b(&cfg, &eps),
             ],
         ),
         (
             "fig15",
             [
-                px::fig15::run_panel_a(&cfg, &eps),
-                px::fig15::run_panel_b(&cfg, &eps),
+                px::protocols::FIG15.panel_a(&cfg, &eps),
+                px::protocols::FIG15.panel_b(&cfg, &eps),
             ],
         ),
     ];

@@ -106,7 +106,7 @@ impl Dataset {
     /// Generates the full-size synthetic stand-in. Deterministic in `seed`.
     ///
     /// Gplus at full size has ~12M edges; expect a few seconds and a few
-    /// hundred MB. Prefer [`Dataset::generate_scaled`] for routine runs.
+    /// hundred MB. Prefer [`Dataset::generate_with_nodes`] for routine runs.
     pub fn generate(self, seed: u64) -> CsrGraph {
         self.generate_with_nodes(self.paper_nodes(), seed)
     }
@@ -178,13 +178,6 @@ impl Dataset {
             .map(|u| (u / block_size).min(num_blocks - 1))
             .collect()
     }
-
-    /// Generates a stand-in scaled to `fraction` of the paper node count
-    /// (minimum 200 nodes).
-    pub fn generate_scaled(self, fraction: f64, seed: u64) -> CsrGraph {
-        let nodes = ((self.paper_nodes() as f64 * fraction).round() as usize).max(200);
-        self.generate_with_nodes(nodes, seed)
-    }
 }
 
 /// One row of the paper's Table II, next to the synthetic stand-in actually
@@ -210,10 +203,8 @@ pub struct DatasetStats {
     pub generated_max_degree: usize,
 }
 
-/// Generates a stand-in (at `fraction` of paper size) and tabulates it
-/// against Table II.
-pub fn table2_row(dataset: Dataset, fraction: f64, seed: u64) -> DatasetStats {
-    let g = dataset.generate_scaled(fraction, seed);
+/// Tabulates `g`, a stand-in for `dataset`, against Table II.
+pub fn table2_row(dataset: Dataset, g: &CsrGraph) -> DatasetStats {
     DatasetStats {
         dataset,
         paper_nodes: dataset.paper_nodes(),
@@ -221,7 +212,7 @@ pub fn table2_row(dataset: Dataset, fraction: f64, seed: u64) -> DatasetStats {
         generated_nodes: g.num_nodes(),
         generated_edges: g.num_edges(),
         generated_avg_degree: g.average_degree(),
-        generated_degree_gini: crate::metrics::degree_gini(&g),
+        generated_degree_gini: crate::metrics::degree_gini(g),
         generated_max_degree: g.max_degree(),
     }
 }
@@ -253,7 +244,7 @@ mod tests {
 
     #[test]
     fn scaled_facebook_matches_average_degree() {
-        let g = Dataset::Facebook.generate_scaled(0.25, 7);
+        let g = Dataset::Facebook.generate_with_nodes(1_010, 7);
         let facebook = Dataset::Facebook;
         let paper_avg = 2.0 * facebook.paper_edges() as f64 / facebook.paper_nodes() as f64;
         let got = g.average_degree();
@@ -283,16 +274,12 @@ mod tests {
 
     #[test]
     fn table2_row_reports_both_sides() {
-        let row = table2_row(Dataset::AstroPh, 0.05, 5);
+        let g = Dataset::AstroPh.generate_with_nodes(939, 5);
+        let row = table2_row(Dataset::AstroPh, &g);
         assert_eq!(row.paper_nodes, 18_772);
-        assert!(row.generated_nodes >= 200);
+        assert_eq!(row.generated_nodes, 939);
+        assert_eq!(row.generated_edges, g.num_edges());
         assert!(row.generated_edges > 0);
-    }
-
-    #[test]
-    fn generate_scaled_enforces_minimum() {
-        let g = Dataset::Facebook.generate_scaled(0.0001, 1);
-        assert_eq!(g.num_nodes(), 200);
     }
 
     #[test]

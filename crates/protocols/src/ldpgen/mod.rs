@@ -221,10 +221,11 @@ impl LdpGen {
         synthesis::synthesize_block_graph(aggregate, rng)
     }
 
-    /// Convenience: full honest pipeline from graph to synthetic graph.
+    /// Convenience: full honest pipeline from graph to synthetic graph —
+    /// the honest world the scenario engine builds from the same `base_rng`.
     pub fn run(&self, graph: &CsrGraph, base_rng: &Xoshiro256pp) -> CsrGraph {
         let aggregate = self.aggregate(graph, base_rng);
-        let mut rng = base_rng.derive(0xD44);
+        let mut rng = base_rng.derive(crate::protocol::STREAM_LDPGEN_SYNTH);
         self.synthesize(&aggregate, &mut rng)
     }
 }
@@ -285,6 +286,19 @@ mod tests {
             (e_synth - e_true).abs() / e_true < 0.5,
             "synthetic edges {e_synth} should be within 50% of {e_true}"
         );
+    }
+
+    #[test]
+    fn run_is_the_engines_honest_world() {
+        use crate::protocol::{GraphLdpProtocol, ServerView};
+        let g = caveman_graph(6, 8);
+        let proto = LdpGen::with_defaults(6.0).unwrap();
+        let base = Xoshiro256pp::new(9);
+        let worlds = proto.run_worlds(&g, &base, 0, None, None, None).unwrap();
+        let ServerView::Synthetic(honest) = worlds.honest else {
+            panic!("LDPGen's honest view is a synthetic graph");
+        };
+        assert_eq!(proto.run(&g, &base), honest);
     }
 
     #[test]
