@@ -30,15 +30,14 @@ use std::sync::Arc;
 /// Events the trace ring retains (latest-wins past this).
 const TRACE_CAPACITY: usize = 1024;
 
-/// Sample the per-fold latency/lock-wait probes roughly every
-/// `1 << FOLD_SAMPLE_SHIFT` reports: timing every fold would put two
-/// `Instant::now` calls on the per-report path, which is exactly the
-/// overhead budget this plane must stay under. In the daemon's batch
-/// loop the decision is a mask of the session's plain fold counter; for
-/// an in-process `ingest_ref` it reads the owning shard's fold counter
-/// (a relaxed load). Either way the untimed majority pays no atomic
-/// write for the privilege of not being timed.
-pub(crate) const FOLD_SAMPLE_SHIFT: u32 = 6;
+/// Sample the fold latency/lock-wait probes every `1 << FOLD_SAMPLE_SHIFT`
+/// (frame, shard) runs: a run folds one frame's entries for one shard
+/// under one lock, and timing each would add three `Instant::now` calls
+/// per run. In the daemon the decision is a mask of the session's plain
+/// run counter; for an in-process `ingest_ref` (one run of one report)
+/// it reads the owning shard's fold counter (a relaxed load). Either way
+/// the untimed majority pays no atomic write for not being timed.
+pub(crate) const FOLD_SAMPLE_SHIFT: u32 = 3;
 
 /// Stable names for the `server::codes` refusal codes, in code order
 /// (code `i` is `ERR_CODE_NAMES[i - 1]`); each gets an `err_{name}`
@@ -76,9 +75,11 @@ pub struct CollectorMetrics {
     /// Reports folded, per shard (index = `user_id % shards`); the sum
     /// over shards reconciles exactly with a round's accepted count.
     pub(crate) shard_folds: Vec<Arc<Counter>>,
-    /// Sampled frame-decode→fold latency of one report, nanoseconds.
+    /// Sampled wall time of one (frame, shard) run — the shard-lock wait
+    /// plus the folds of the run's entries — nanoseconds.
     pub(crate) fold_nanos: Arc<Histogram>,
-    /// Sampled wait to acquire the owning shard's mutex, nanoseconds.
+    /// Sampled wait for the shard's mutex at the start of a run,
+    /// nanoseconds.
     pub(crate) shard_lock_wait_nanos: Arc<Histogram>,
     /// Wall time one `REPORT_BATCH` frame took to fold end-to-end.
     pub(crate) batch_nanos: Arc<Histogram>,
@@ -204,10 +205,10 @@ impl CollectorMetrics {
         self.ring.record(TraceEvent::ErrEmitted { code });
     }
 
-    /// Whether this report (routed to `shard`) gets its fold latency and
-    /// shard-lock wait timed: true for roughly 1-in-64 folds. Costs one
-    /// relaxed load of the shard's own fold counter — no extra RMW on
-    /// the per-report path.
+    /// Whether an in-process report routed to `shard` gets its fold
+    /// latency and shard-lock wait timed: true for every
+    /// `1 << FOLD_SAMPLE_SHIFT`-th fold of the shard. Costs one relaxed
+    /// load of the shard's own fold counter.
     #[inline]
     pub(crate) fn sample_fold(&self, shard: usize) -> bool {
         self.active
@@ -221,36 +222,6 @@ impl CollectorMetrics {
     /// round's accepted count; exact after a `SYNC`/`CLOSE` barrier).
     pub fn reports_folded(&self) -> u64 {
         self.shard_folds.iter().map(|c| c.get()).sum()
-    }
-
-    /// Plain-memory scratch for one `REPORT_BATCH` frame's fold
-    /// accounting: per-report successes land in a local `u64` per shard
-    /// and [`flush_folds`](Self::flush_folds) settles them into the
-    /// registry as at most one `fetch_add` per shard per batch — the
-    /// per-report hot path touches no atomic at all. Empty (and a
-    /// no-op) while the registry is inactive.
-    pub(crate) fn fold_scratch(&self) -> FoldScratch {
-        FoldScratch {
-            counts: vec![
-                0;
-                if self.active {
-                    self.shard_folds.len()
-                } else {
-                    0
-                }
-            ],
-        }
-    }
-
-    /// Settles a batch's scratch counts into the per-shard fold
-    /// counters and re-zeroes the scratch for the next frame.
-    pub(crate) fn flush_folds(&self, scratch: &mut FoldScratch) {
-        for (counter, n) in self.shard_folds.iter().zip(scratch.counts.iter_mut()) {
-            if *n > 0 {
-                counter.add(*n);
-                *n = 0;
-            }
-        }
     }
 
     /// Relaxed point-in-time snapshot of every registered metric.
@@ -278,24 +249,6 @@ impl CollectorMetrics {
     /// The stable events currently in the trace ring, in sequence order.
     pub fn trace(&self) -> Vec<TraceRecord> {
         self.ring.snapshot()
-    }
-}
-
-/// See [`CollectorMetrics::fold_scratch`]: one batch frame's fold
-/// successes, counted in plain memory until the frame-end flush.
-#[derive(Debug)]
-pub(crate) struct FoldScratch {
-    counts: Vec<u64>,
-}
-
-impl FoldScratch {
-    /// Counts one successful fold routed to `shard` (no-op when built
-    /// from an inactive registry).
-    #[inline]
-    pub(crate) fn count(&mut self, shard: usize) {
-        if let Some(n) = self.counts.get_mut(shard) {
-            *n += 1;
-        }
     }
 }
 
@@ -328,27 +281,6 @@ mod tests {
             get("err_round_closed"),
             Some(ldp_obs::SampleValue::Counter(1))
         );
-    }
-
-    #[test]
-    fn fold_scratch_settles_into_shard_counters() {
-        let m = CollectorMetrics::new(3, true);
-        let mut scratch = m.fold_scratch();
-        for shard in [0usize, 1, 1, 2, 2, 2, 9] {
-            scratch.count(shard); // out-of-range shard 9: no-op, no panic
-        }
-        m.flush_folds(&mut scratch);
-        assert_eq!(m.reports_folded(), 6);
-        // Flushing re-zeroes: a second settle adds nothing.
-        m.flush_folds(&mut scratch);
-        assert_eq!(m.reports_folded(), 6);
-        // Inactive registries hand out empty scratch — counting into it
-        // stays a no-op end to end.
-        let off = CollectorMetrics::new(3, false);
-        let mut scratch = off.fold_scratch();
-        scratch.count(0);
-        off.flush_folds(&mut scratch);
-        assert_eq!(off.reports_folded(), 0);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!    look a round up, written only by open (insert) and finalize
 //!    (remove);
 //! 2. each round's **slot lock** — the per-round twin of the old
-//!    single-round engine lock: ingestion takes it read (plus the owning
-//!    shard's mutex), lifecycle transitions (close, finalize,
-//!    checkpoint) take it write, so a close still quiesces every
-//!    in-flight ingest *of that round* and no other.
+//!    single-round engine lock: ingestion takes it read once per frame
+//!    (then each shard the frame touches, one at a time), lifecycle
+//!    transitions (close, finalize, checkpoint) take it write, so a close
+//!    quiesces every in-flight frame *of that round* and no other.
 //!
 //! Finalize drops the slot's write guard before re-taking the registry
 //! writer to remove the entry, so no thread ever waits on the registry
@@ -55,10 +55,12 @@
 //! collector.
 
 use crate::error::CollectorError;
-use crate::metrics::CollectorMetrics;
-use crate::shard::{FinalizedShards, Shards};
+use crate::metrics::{CollectorMetrics, FOLD_SAMPLE_SHIFT};
+use crate::server::{fold_batch, Session};
+use crate::shard::{Admitted, FinalizedShards, Shards};
 use ldp_mechanisms::RandomizedResponse;
 use ldp_obs::TraceEvent;
+use ldp_protocols::wire::{self, ReportBatch, ReportView};
 use ldp_protocols::UserReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -251,6 +253,17 @@ pub enum IngestOutcome {
     /// Dropped: malformed for this round (id, channel, population, or
     /// group count).
     Invalid,
+}
+
+/// What one `REPORT_BATCH` frame did: its entries' outcomes, summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FrameTally {
+    pub(crate) queued: u64,
+    pub(crate) duplicates: u64,
+    pub(crate) quota: u64,
+    pub(crate) invalid: u64,
+    /// Undecodable, or misdirected at a closed round.
+    pub(crate) malformed: u64,
 }
 
 /// A finalized round.
@@ -620,10 +633,10 @@ impl RoundCollector {
         self.ingest_ref(round_id, user_id, &report)
     }
 
-    /// [`Self::ingest`] from a borrow — the fold copies out of the
-    /// report, so a caller's decode buffer can be reused report over
-    /// report. Runs the same fold as the daemon's `REPORT_BATCH` loop,
-    /// settling its fold count into the registry before returning.
+    /// [`Self::ingest`] from a borrow: the report travels as a one-entry
+    /// `REPORT_BATCH` payload through the daemon's own frame fold, so it
+    /// meets exactly the checks a wire report meets — and, like one, is
+    /// counted as malformed when its round is closed.
     ///
     /// # Errors
     /// As [`Self::ingest`].
@@ -633,88 +646,132 @@ impl RoundCollector {
         user_id: u64,
         report: &UserReport,
     ) -> Result<IngestOutcome, CollectorError> {
-        let slot = self.slot(round_id)?;
-        let m = &*self.metrics;
-        let shard = user_id as usize % m.shard_folds.len();
-        let outcome = self.fold_in_slot(&slot, round_id, user_id, report, m.sample_fold(shard))?;
-        if matches!(outcome, IngestOutcome::Queued) && m.active() {
-            // Per-shard fold counters use the same routing key as the
-            // shards themselves, so their sum reconciles exactly with
-            // the round's accepted count.
-            if let Some(c) = m.shard_folds.get(shard) {
-                c.incr();
-            }
+        let mut entry = Vec::new();
+        wire::encode_report(user_id, report, &mut entry);
+        let mut payload = Vec::with_capacity(entry.len() + 30);
+        for varint in [round_id, 1, entry.len() as u64] {
+            wire::put_varint(varint, &mut payload);
         }
-        Ok(outcome)
+        payload.extend_from_slice(&entry);
+        let mut session = Session::replay();
+        // The frame is one run: time it when the owning shard's count says.
+        session.runs_seen = u64::from(
+            !self
+                .metrics
+                .sample_fold(user_id as usize % self.config.shards),
+        );
+        let tally = fold_batch(&mut session, self, &payload)?;
+        Ok(match tally {
+            FrameTally { queued: 1, .. } => IngestOutcome::Queued,
+            FrameTally { duplicates: 1, .. } => IngestOutcome::Duplicate,
+            FrameTally { quota: 1, .. } => IngestOutcome::QuotaExceeded,
+            _ => IngestOutcome::Invalid,
+        })
     }
 
-    /// The one admission + fold path, against an already-resolved slot
-    /// (the daemon looks a batch frame's round up once, keeping the
-    /// registry lock off the per-report path). `sampled` routes this
-    /// fold through the timed variant (fold latency + shard-lock wait
-    /// histograms); fold-count accounting is the caller's job, so the
-    /// daemon's batch loop can keep it in plain memory until the frame
-    /// ends.
-    pub(crate) fn fold_in_slot(
+    /// The engine half of `server::fold_batch`, the one report fold: admits and
+    /// folds one `REPORT_BATCH` frame. Per frame, not per report, it takes the
+    /// slot read lock and checks `closed` (a closed round folds nothing and
+    /// counts every entry as malformed), reads each entry as a view of the
+    /// frame (an undecodable one is malformed and never charged), makes one
+    /// quota reservation on `submitted`, and folds each shard's run of admitted
+    /// entries, in frame order, under one lock of that shard
+    /// ([`Shards::fold_run`]). The reservation reproduces a report-by-report
+    /// engine for one session, which charges each report before validating it:
+    /// the `k`-th valid entry is admitted while the round has room for `k + 1`,
+    /// and an invalid entry is over quota once the valid entries ahead of it
+    /// have filled the room, invalid (uncharged) before. One run in
+    /// `1 << FOLD_SAMPLE_SHIFT` of `runs_seen` is timed.
+    pub(crate) fn fold_frame(
         &self,
-        slot: &RoundSlot,
         round_id: u64,
-        user_id: u64,
-        report: &UserReport,
-        sampled: bool,
-    ) -> Result<IngestOutcome, CollectorError> {
+        mut batch: ReportBatch<'_>,
+        runs_seen: &mut u64,
+    ) -> Result<FrameTally, CollectorError> {
+        let slot = self.slot(round_id)?;
         let guard = read_lock(&slot.inner);
         let round = guard
             .as_ref()
             .ok_or(CollectorError::UnknownRound { round_id })?;
-        if round.closed.load(Ordering::Acquire) {
+        let mut tally = FrameTally::default();
+        let closed = round.closed.load(Ordering::Acquire);
+        let (n, stride) = (round.channel.population(), round.shards.stride());
+        let mut valid = Vec::new();
+        // Per invalid entry, the number of valid entries ahead of it.
+        let mut invalid_after = Vec::new();
+        while let Some(entry) = batch.next_view() {
+            let Ok((user_id, report)) = entry.map_err(|_| tally.malformed += 1) else {
+                continue;
+            };
+            let fits = match (round.channel, report) {
+                (RoundChannel::Adjacency { .. }, ReportView::Adjacency { population, .. }) => {
+                    population == n
+                }
+                (RoundChannel::DegreeVector { groups, .. }, ReportView::DegreeVector(values)) => {
+                    values.len() == groups
+                }
+                _ => false,
+            };
+            if closed {
+                tally.malformed += 1;
+            } else if fits && user_id < n as u64 {
+                let user_id = user_id as usize;
+                let (shard, slot) = (user_id % stride, user_id / stride);
+                valid.push(Admitted {
+                    user_id,
+                    shard,
+                    slot,
+                    report,
+                });
+            } else {
+                invalid_after.push(valid.len() as u64);
+            }
+        }
+        tally.malformed += u64::from(batch.finish().is_err());
+        let mut room = 0;
+        let _ = round
+            .submitted
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |submitted| {
+                room = round.quota.saturating_sub(submitted);
+                let charge = room.min(valid.len() as u64);
+                (charge > 0).then_some(submitted + charge)
+            });
+        let admitted = &valid[..room.min(valid.len() as u64) as usize];
+        let late_invalid = invalid_after.iter().filter(|&&k| k >= room).count();
+        tally.quota = (valid.len() - admitted.len() + late_invalid) as u64;
+        tally.invalid = (invalid_after.len() - late_invalid) as u64;
+        let m = &*self.metrics;
+        for shard in (0..stride).filter(|&s| admitted.iter().any(|e| e.shard == s)) {
+            let sampled = m.active() && *runs_seen & ((1 << FOLD_SAMPLE_SHIFT) - 1) == 0;
+            *runs_seen = runs_seen.wrapping_add(1);
+            let fold_begin = sampled.then(Instant::now);
+            let run = admitted.iter().filter(|e| e.shard == shard);
+            let folded = round.shards.fold_run(shard, run, sampled);
+            if let Some(begin) = fold_begin {
+                m.shard_lock_wait_nanos.observe(folded.wait_nanos);
+                m.fold_nanos.observe(begin.elapsed().as_nanos() as u64);
+            }
+            // The fold counters share the shards' routing key, so their
+            // sum reconciles exactly with the round's accepted count.
+            if let Some(counter) = m.shard_folds.get(shard).filter(|_| m.active()) {
+                counter.add(folded.accepted);
+            }
+            tally.queued += folded.accepted;
+            tally.duplicates += folded.duplicates;
+        }
+        for (counter, count) in [
+            (&round.rejected_quota, tally.quota),
+            (&round.rejected_invalid, tally.invalid),
+            (&round.rejected_malformed, tally.malformed),
+        ] {
+            if count > 0 {
+                counter.fetch_add(count, Ordering::AcqRel);
+            }
+        }
+        if closed {
             return Err(CollectorError::RoundClosed { round_id });
         }
-        // Charge one queued slot atomically; refund if the report turns
-        // out malformed (invalid uploads never consume quota, matching
-        // the sequential engine's check order).
-        if round
-            .submitted
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
-                (s < round.quota).then_some(s + 1)
-            })
-            .is_err()
-        {
-            round.rejected_quota.fetch_add(1, Ordering::AcqRel);
-            return Ok(IngestOutcome::QuotaExceeded);
-        }
-        let refund_invalid = || {
-            round.submitted.fetch_sub(1, Ordering::AcqRel);
-            round.rejected_invalid.fetch_add(1, Ordering::AcqRel);
-            Ok(IngestOutcome::Invalid)
-        };
-        let n = round.channel.population();
-        if user_id >= n as u64 {
-            return refund_invalid();
-        }
-        // Roughly 1-in-64 reports get their fold latency and shard-lock
-        // wait timed; the untimed rest pay only the `sampled` branch.
-        let m = &*self.metrics;
-        let fold_begin = sampled.then(Instant::now);
-        let (folded, wait_nanos) = match (round.channel, report) {
-            (RoundChannel::Adjacency { .. }, UserReport::Adjacency(r)) if r.population() == n => {
-                round.shards.fold_row(user_id as usize, r, sampled)
-            }
-            (RoundChannel::DegreeVector { groups, .. }, UserReport::DegreeVector(v))
-                if v.len() == groups =>
-            {
-                round.shards.fold_vector(user_id as usize, v, sampled)
-            }
-            _ => return refund_invalid(),
-        };
-        if let Some(begin) = fold_begin {
-            m.shard_lock_wait_nanos.observe(wait_nanos);
-            m.fold_nanos.observe(begin.elapsed().as_nanos() as u64);
-        }
-        Ok(match folded {
-            Ok(()) => IngestOutcome::Queued,
-            Err(_) => IngestOutcome::Duplicate,
-        })
+        Ok(tally)
     }
 
     /// Counts a report that failed wire decoding (or was misdirected at a
@@ -865,6 +922,8 @@ mod tests {
     use ldp_graph::generate::caveman_graph;
     use ldp_graph::Xoshiro256pp;
     use ldp_protocols::{GraphLdpProtocol, LfGdpr, ServerView};
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn adjacency_channel(n: usize) -> RoundChannel {
         RoundChannel::Adjacency {
@@ -1370,5 +1429,103 @@ mod tests {
         };
         assert_eq!(a, vec![4.0]);
         assert_eq!(b, vec![40.0]);
+    }
+
+    /// What one frame entry is, for the report-by-report model below.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Valid(u64),
+        OutOfRange,
+        WrongGroups,
+        Malformed,
+    }
+
+    /// The report-by-report engine the frame fold must reproduce for one
+    /// session: each decodable report is charged before it is validated,
+    /// an invalid one is refunded, and a duplicate keeps its charge.
+    fn model(entries: &[Entry], quota: u64, population: usize) -> RoundCounters {
+        let (mut c, mut submitted) = (RoundCounters::default(), 0);
+        let mut seen = vec![false; population];
+        for &entry in entries {
+            match entry {
+                Entry::Malformed => c.rejected_malformed += 1,
+                _ if submitted >= quota => c.rejected_quota += 1,
+                Entry::OutOfRange | Entry::WrongGroups => c.rejected_invalid += 1,
+                Entry::Valid(id) => {
+                    submitted += 1;
+                    if std::mem::replace(&mut seen[id as usize], true) {
+                        c.rejected_duplicate += 1;
+                    } else {
+                        c.accepted += 1;
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    fn vector_report(user_id: u64, vector: &[f64]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        wire::encode_degree_vector_report(user_id, vector, &mut bytes);
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `REPORT_BATCH` frames, each folded as a whole, give every
+        /// counter the report-by-report model gives, for any mix of valid,
+        /// duplicate, invalid and malformed entries and any quota —
+        /// including an invalid entry right where the quota fills, and a
+        /// second frame that sees exactly the charge the first one left.
+        #[test]
+        fn frames_match_report_by_report_admission(
+            population in 1usize..10,
+            quota in 0u64..14,
+            count in 0usize..24,
+            cut in 0usize..24,
+            shards in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Xoshiro256pp::new(seed);
+            let entries: Vec<Entry> = (0..count)
+                .map(|_| match rng.gen_range(0..6u32) {
+                    0 => Entry::OutOfRange,
+                    1 => Entry::WrongGroups,
+                    2 => Entry::Malformed,
+                    _ => Entry::Valid(rng.gen_range(0..population as u64)),
+                })
+                .collect();
+            let frame = |entries: &[Entry]| {
+                let mut payload = Vec::new();
+                wire::put_varint(5, &mut payload);
+                wire::put_varint(entries.len() as u64, &mut payload);
+                for &entry in entries {
+                    let bytes = match entry {
+                        // A varint cut short.
+                        Entry::Malformed => vec![0x80],
+                        Entry::Valid(id) => vector_report(id, &[1.0, 2.0]),
+                        Entry::OutOfRange => vector_report(population as u64, &[1.0, 2.0]),
+                        Entry::WrongGroups => vector_report(0, &[1.0]),
+                    };
+                    wire::put_varint(bytes.len() as u64, &mut payload);
+                    payload.extend_from_slice(&bytes);
+                }
+                payload
+            };
+            let engine = RoundCollector::new(CollectorConfig {
+                shards,
+                ..CollectorConfig::default()
+            })
+            .unwrap();
+            let channel = RoundChannel::DegreeVector { population, groups: 2 };
+            engine.open_round(5, channel, Some(quota)).unwrap();
+            let (first, second) = entries.split_at(cut.min(count));
+            let mut session = Session::replay();
+            for part in [first, second] {
+                fold_batch(&mut session, &engine, &frame(part)).unwrap();
+            }
+            prop_assert_eq!(engine.counters(5).unwrap(), model(&entries, quota, population));
+        }
     }
 }

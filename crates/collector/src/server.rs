@@ -68,7 +68,7 @@ use crate::codec::{
 };
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
-use crate::round::{CollectorConfig, IngestOutcome, RoundCollector, RoundOutcome};
+use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
 use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{
@@ -419,7 +419,8 @@ struct Conn {
 
 /// What [`apply_frame`] reads and writes of a connection: staged
 /// replies, the warn-once set, and the fold-sampling counter. Journal
-/// recovery runs every record through one [`Session::replay`].
+/// recovery runs every record through one [`Session::replay`], and each
+/// in-process report through a fresh one.
 #[derive(Default)]
 pub(crate) struct Session {
     /// Staged outbound replies, flushed once the frames buffered so far
@@ -429,15 +430,15 @@ pub(crate) struct Session {
     /// warning per (connection, round), so a flood of unknown-round
     /// reports cannot turn the daemon into a reply amplifier.
     warned: Vec<u64>,
-    /// Plain count of reports this connection has folded — the
-    /// latency-sampling key (every `1 << FOLD_SAMPLE_SHIFT`-th report
-    /// gets timed), kept out of the registry so the decision costs no
+    /// Plain count of the (frame, shard) runs this connection has
+    /// folded — the latency-sampling key (every `1 << FOLD_SAMPLE_SHIFT`-th
+    /// run gets timed), kept out of the registry so the decision costs no
     /// atomic.
-    folds_seen: u64,
-    /// Set for journal recovery: no client is listening and none sent
-    /// these frames in this process, so replies are not staged and
-    /// nothing is counted as live traffic (`ingest_batches_decoded`,
-    /// `ingest_batch_nanos`, `err_*`).
+    pub(crate) runs_seen: u64,
+    /// Set for journal recovery and in-process reports: no client is
+    /// listening, so replies are not staged and nothing is counted as
+    /// live traffic (`ingest_batches_decoded`, `ingest_batch_nanos`,
+    /// `err_*`).
     replay: bool,
 }
 
@@ -620,53 +621,29 @@ pub(crate) enum Frame {
     Refused(CollectorError),
 }
 
-/// Decodes and folds one `REPORT_BATCH` payload. One registry lookup per
-/// frame, not per report; an unknown round refuses the whole frame with
-/// a warn-once typed ERR. Per-report outcomes (duplicate, quota,
-/// invalid) are counted by the engine and read from the close summary.
-fn fold_batch(session: &mut Session, engine: &RoundCollector, payload: &[u8]) {
+/// Folds one `REPORT_BATCH` payload — the one fold every report takes:
+/// the daemon's sessions, journal replay and the in-process
+/// [`RoundCollector::ingest_ref`] (a one-entry frame) all come here. The
+/// frame is folded as a whole ([`RoundCollector::fold_frame`]): one
+/// registry lookup, one slot read lock and `closed` check, one quota
+/// reservation, and one lock per shard the frame touches, with every
+/// report read in place from `payload`. An unknown or closed round
+/// refuses the whole frame with a warn-once typed ERR. Per-report
+/// outcomes (duplicate, quota, invalid, malformed) are counted by the
+/// engine and read from the close summary; the tally is returned for
+/// `ingest_ref`.
+pub(crate) fn fold_batch(
+    session: &mut Session,
+    engine: &RoundCollector,
+    payload: &[u8],
+) -> Result<FrameTally, CollectorError> {
     let metrics = engine.metrics();
     let batch_begin = (metrics.active() && !session.replay).then(Instant::now);
-    match wire::read_routed_batch(payload) {
-        Ok((round_id, mut batch)) => match engine.slot(round_id) {
-            Ok(slot) => {
-                // Fold successes accumulate in plain memory and settle
-                // into the registry once per frame (at most one
-                // `fetch_add` per shard), so the per-report loop touches
-                // no metric atomics.
-                let mut scratch = metrics.fold_scratch();
-                while let Some(entry) = batch.next_entry() {
-                    match entry {
-                        Ok((user_id, report)) => {
-                            let sampled = metrics.active()
-                                && session.folds_seen
-                                    & ((1 << crate::metrics::FOLD_SAMPLE_SHIFT) - 1)
-                                    == 0;
-                            session.folds_seen = session.folds_seen.wrapping_add(1);
-                            match engine.fold_in_slot(&slot, round_id, user_id, &report, sampled) {
-                                Ok(IngestOutcome::Queued) => {
-                                    scratch.count(user_id as usize % metrics.shard_folds.len())
-                                }
-                                Ok(_) => {}
-                                Err(e) => {
-                                    engine.note_invalid(round_id);
-                                    session.warn_once(round_id, &e, metrics);
-                                }
-                            }
-                        }
-                        // A malformed entry is isolated by its length
-                        // prefix; the rest of the batch still folds.
-                        Err(_) => engine.note_invalid(round_id),
-                    }
-                }
-                metrics.flush_folds(&mut scratch);
-                if batch.finish().is_err() {
-                    engine.note_invalid(round_id);
-                }
-            }
-            Err(e) => session.warn_once(round_id, &e, metrics),
-        },
-        Err(_) => {
+    let folded = match wire::read_routed_batch(payload) {
+        Ok((round_id, batch)) => engine
+            .fold_frame(round_id, batch, &mut session.runs_seen)
+            .inspect_err(|e| session.warn_once(round_id, e, metrics)),
+        Err(e) => {
             // Charge the garbage to its round if the id at least parses;
             // otherwise the frame is simply dropped (its length prefix
             // isolated it from the stream).
@@ -674,14 +651,16 @@ fn fold_batch(session: &mut Session, engine: &RoundCollector, payload: &[u8]) {
             if let Ok(round_id) = get_varint(&mut head) {
                 engine.note_invalid(round_id);
             }
+            Err(CollectorError::Wire(e))
         }
-    }
+    };
     if let Some(begin) = batch_begin {
         metrics.batches_decoded.incr();
         metrics
             .batch_nanos
             .observe(begin.elapsed().as_nanos() as u64);
     }
+    folded
 }
 
 /// Processes one complete frame, staging any reply into the session.
@@ -768,8 +747,10 @@ pub(crate) fn apply_frame(
                 return Frame::Fatal;
             }
         }
-        fold_batch(session, engine, payload);
-        return Frame::Continue; // unacknowledged
+        // Unacknowledged: rejects are counted, and a misdirected frame
+        // already staged its warn-once ERR.
+        let _ = fold_batch(session, engine, payload);
+        return Frame::Continue;
     }
     let mut reply = Vec::new();
     let result: Result<u8, CollectorError> = match kind {

@@ -6,8 +6,8 @@
 //! still saves the day: report `i` writes only the owned words of row `i`,
 //! so partitioning rows by `user_id % shards` gives every shard an
 //! exclusive, disjoint slice of the aggregate. Each shard sits behind its
-//! own mutex; a session folds a report by locking exactly the one shard
-//! that owns the id, so sessions touching different shards never contend
+//! own mutex; a session folds a frame's entries for a shard under one
+//! lock of that shard, so sessions touching different shards never contend
 //! and the duplicate-id check (the shard's seen-bitmap) is race-free by
 //! ownership. Finalize merges nothing: the daemon encodes the `VIEW`
 //! reply straight from the shards, row `i` read from shard `i % shards`,
@@ -35,9 +35,9 @@
 use ldp_graph::runtime::default_threads;
 use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
-use ldp_protocols::ingest::{finalize_lower, fold_lower_bits};
-use ldp_protocols::wire::{self, lower_row_mask, lower_row_words};
-use ldp_protocols::{AdjacencyReport, PerturbedView};
+use ldp_protocols::ingest::{finalize_lower, fold_lower_words};
+use ldp_protocols::wire::{self, le_u64s, lower_row_mask, lower_row_words, ReportView};
+use ldp_protocols::PerturbedView;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -53,11 +53,25 @@ fn inner<T>(m: Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Why a report bounced off a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardReject {
-    /// The user already reported this round.
-    Duplicate,
+/// One entry of a frame, admitted for a fold: its user, where that user
+/// lives, and the report as read from the frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admitted<'a> {
+    pub(crate) user_id: usize,
+    /// `user_id % shards`.
+    pub(crate) shard: usize,
+    /// `user_id / shards`.
+    pub(crate) slot: usize,
+    pub(crate) report: ReportView<'a>,
+}
+
+/// What one [`Shards::fold_run`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RunTally {
+    pub(crate) accepted: u64,
+    pub(crate) duplicates: u64,
+    /// Nanoseconds spent waiting for the shard's lock (0 when untimed).
+    pub(crate) wait_nanos: u64,
 }
 
 /// One shard: the users `i ≡ shard (mod stride)`, user `i` in slot
@@ -148,71 +162,66 @@ impl Shards {
         self.shards.iter().map(|s| lock(s).duplicates).sum()
     }
 
-    /// Folds one adjacency report under its owning shard's lock. The
-    /// caller guarantees `user_id < n` on an adjacency round; duplicate
-    /// ids are counted in the shard and rejected. `timed` also measures
-    /// the shard-lock wait — the sampled probe behind the
-    /// `ingest_shard_lock_wait_nanos` metric. Returns `(fold result,
-    /// nanoseconds spent waiting for the mutex, 0 when untimed)`.
-    pub(crate) fn fold_row(
-        &self,
-        user_id: usize,
-        report: &AdjacencyReport,
-        timed: bool,
-    ) -> (Result<(), ShardReject>, u64) {
-        let offsets = &self.offsets[user_id % self.shards.len()];
-        self.fold(user_id, timed, |shard, slot| {
-            // ldp-lint: hot-path(begin) -- runs under the shard's mutex on
-            // every accepted report
-            let row = &mut shard.words[offsets[slot]..offsets[slot + 1]];
-            fold_lower_bits(row, &report.bits, user_id);
-            shard.floats[slot] = report.degree;
-            // ldp-lint: hot-path(end)
-        })
+    /// Shards in the set: a report's shard is `user_id % stride`, its slot
+    /// `user_id / stride`.
+    pub(crate) fn stride(&self) -> usize {
+        self.shards.len()
     }
 
-    /// [`Self::fold_row`] for a degree vector. The caller guarantees
-    /// `user_id < n` and `vector.len() == groups` on a degree-vector round.
-    pub(crate) fn fold_vector(
+    /// Folds one frame's run of admitted entries for shard `shard`, in
+    /// the order given, under one acquisition of that shard's lock. Each
+    /// entry passes the duplicate check (the shard's seen-bitmap), then an
+    /// adjacency report ORs its owned row words into its slot and records
+    /// its degree, and a degree vector adds into the shard's sums; both
+    /// read the report in place from the frame. The caller guarantees that
+    /// every entry routes to `shard` and was validated against this
+    /// round's channel. `timed` also measures the lock wait — the sampled
+    /// probe behind the `ingest_shard_lock_wait_nanos` metric.
+    pub(crate) fn fold_run<'a>(
         &self,
-        user_id: usize,
-        vector: &[f64],
+        shard: usize,
+        run: impl Iterator<Item = &'a Admitted<'a>>,
         timed: bool,
-    ) -> (Result<(), ShardReject>, u64) {
-        self.fold(user_id, timed, |shard, _| {
-            // ldp-lint: hot-path(begin) -- runs under the shard's mutex on
-            // every accepted vector
-            for (acc, x) in shard.floats.iter_mut().zip(vector) {
-                *acc += x;
-            }
-            // ldp-lint: hot-path(end)
-        })
-    }
-
-    /// The duplicate check and counters both folds share; `apply` writes
-    /// the report into the owning shard's slot.
-    fn fold(
-        &self,
-        user_id: usize,
-        timed: bool,
-        apply: impl FnOnce(&mut Shard, usize),
-    ) -> (Result<(), ShardReject>, u64) {
-        let stride = self.shards.len();
+    ) -> RunTally {
+        let Some(cell) = self.shards.get(shard) else {
+            return RunTally::default();
+        };
+        let offsets = self.offsets.get(shard).map_or(&[][..], Vec::as_slice);
         let begin = timed.then(Instant::now);
-        let mut shard = lock(&self.shards[user_id % stride]);
-        // ldp-lint: hot-path(begin) -- runs under this shard's mutex on every
-        // report; acquiring any further lock here would serialize the whole
-        // ingest plane (or deadlock against the checkpoint quiesce)
-        let wait_nanos = begin.map_or(0, |b| b.elapsed().as_nanos() as u64);
-        let slot = user_id / stride;
-        if shard.seen.get(slot) {
-            shard.duplicates += 1;
-            return (Err(ShardReject::Duplicate), wait_nanos);
+        let mut guard = lock(cell);
+        let state = &mut *guard;
+        // ldp-lint: hot-path(begin) -- runs under this shard's mutex for a
+        // whole run of a frame; acquiring any further lock here would
+        // serialize the ingest plane (or deadlock against the checkpoint
+        // quiesce)
+        let mut tally = RunTally {
+            wait_nanos: begin.map_or(0, |b| b.elapsed().as_nanos() as u64),
+            ..RunTally::default()
+        };
+        for entry in run {
+            let slot = entry.slot;
+            if state.seen.get(slot) {
+                tally.duplicates += 1;
+                continue;
+            }
+            state.seen.set(slot);
+            match entry.report {
+                ReportView::Adjacency { degree, words, .. } => {
+                    let row = &mut state.words[offsets[slot]..offsets[slot + 1]];
+                    fold_lower_words(row, le_u64s(words), entry.user_id);
+                    state.floats[slot] = degree;
+                }
+                ReportView::DegreeVector(values) => {
+                    for (acc, x) in state.floats.iter_mut().zip(le_u64s(values)) {
+                        *acc += f64::from_bits(x);
+                    }
+                }
+            }
+            tally.accepted += 1;
         }
-        shard.seen.set(slot);
-        apply(&mut shard, slot);
-        shard.accepted += 1;
-        (Ok(()), wait_nanos)
+        state.accepted += tally.accepted;
+        state.duplicates += tally.duplicates;
+        tally
         // ldp-lint: hot-path(end)
     }
 
@@ -321,7 +330,47 @@ impl FinalizedShards {
 mod tests {
     use super::*;
     use ldp_graph::Xoshiro256pp;
+    use ldp_protocols::AdjacencyReport;
     use rand::Rng;
+
+    /// Folds one encoded report as a one-entry run, read in place from
+    /// its bytes the way a frame's entries are.
+    fn fold_bytes(shards: &Shards, user_id: usize, bytes: &[u8], timed: bool) -> RunTally {
+        let (_, report) = wire::decode_report_view(bytes).unwrap();
+        let stride = shards.stride();
+        let entry = Admitted {
+            user_id,
+            shard: user_id % stride,
+            slot: user_id / stride,
+            report,
+        };
+        shards.fold_run(entry.shard, std::iter::once(&entry), timed)
+    }
+
+    fn fold_row(
+        shards: &Shards,
+        user_id: usize,
+        report: &AdjacencyReport,
+        timed: bool,
+    ) -> RunTally {
+        let mut bytes = Vec::new();
+        wire::encode_adjacency_report(user_id as u64, report, &mut bytes);
+        fold_bytes(shards, user_id, &bytes, timed)
+    }
+
+    fn fold_vector(shards: &Shards, user_id: usize, vector: &[f64], timed: bool) -> RunTally {
+        let mut bytes = Vec::new();
+        wire::encode_degree_vector_report(user_id as u64, vector, &mut bytes);
+        fold_bytes(shards, user_id, &bytes, timed)
+    }
+
+    fn assert_accepted(tally: RunTally) {
+        assert_eq!((tally.accepted, tally.duplicates), (1, 0));
+    }
+
+    fn assert_duplicate(tally: RunTally) {
+        assert_eq!((tally.accepted, tally.duplicates), (0, 1));
+    }
 
     fn synth_reports(n: usize, seed: u64) -> Vec<AdjacencyReport> {
         let mut rng = Xoshiro256pp::new(seed);
@@ -339,7 +388,7 @@ mod tests {
 
     fn fold_all(shards: &Shards, batch: &[(u64, AdjacencyReport)]) {
         for (id, report) in batch {
-            let _ = shards.fold_row(*id as usize, report, false);
+            let _ = fold_row(shards, *id as usize, report, false);
         }
     }
 
@@ -378,7 +427,7 @@ mod tests {
 
         let sequential = Shards::adjacency(n, 8);
         for (i, r) in reports.iter().enumerate() {
-            sequential.fold_row(i, r, false).0.unwrap();
+            assert_accepted(fold_row(&sequential, i, r, false));
         }
         let reference = sequential.finalize(rr).into_view();
 
@@ -393,7 +442,7 @@ mod tests {
                 scope.spawn(move || {
                     for (i, r) in reports.iter().enumerate() {
                         if i % 4 == t || i % 4 == 0 {
-                            let _ = shards.fold_row(i, r, t == 1);
+                            let _ = fold_row(shards, i, r, t == 1);
                         }
                     }
                 });
@@ -413,11 +462,11 @@ mod tests {
         let reports = synth_reports(n, 7);
         let shards = Shards::adjacency(n, 4);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_row(i, r, false).0.unwrap();
+            assert_accepted(fold_row(&shards, i, r, false));
         }
         // Replay half the population with different contents.
         for (i, r) in synth_reports(n, 8).iter().enumerate().take(n / 2) {
-            assert_eq!(shards.fold_row(i, r, false).0, Err(ShardReject::Duplicate));
+            assert_duplicate(fold_row(&shards, i, r, false));
         }
         assert_eq!(shards.accepted(), n as u64);
         assert_eq!(shards.duplicates(), (n / 2) as u64);
@@ -446,7 +495,7 @@ mod tests {
                 }
                 let shards = Shards::adjacency(n, num_shards);
                 for &i in &order {
-                    shards.fold_row(i, &reports[i], false).0.unwrap();
+                    assert_accepted(fold_row(&shards, i, &reports[i], false));
                 }
                 let finalized = shards.finalize(rr);
                 let mut encoded = Vec::new();
@@ -474,16 +523,15 @@ mod tests {
         let k = 3;
         let shards = Shards::degree_vector(n, k, 4);
         for i in 0..n as u64 {
-            shards
-                .fold_vector(i as usize, &[1.0, 2.0, i as f64], i == 5)
-                .0
-                .unwrap();
+            assert_accepted(fold_vector(
+                &shards,
+                i as usize,
+                &[1.0, 2.0, i as f64],
+                i == 5,
+            ));
         }
         // A duplicate upload changes nothing.
-        assert_eq!(
-            shards.fold_vector(3, &[100.0, 100.0, 100.0], false).0,
-            Err(ShardReject::Duplicate)
-        );
+        assert_duplicate(fold_vector(&shards, 3, &[100.0, 100.0, 100.0], false));
         assert_eq!(shards.accepted(), 10);
         assert_eq!(shards.duplicates(), 1);
         let totals = shards.group_totals();
@@ -506,7 +554,7 @@ mod tests {
         let reports = synth_reports(n, 1);
         let shards = Shards::adjacency(n, 16);
         for (i, r) in reports.iter().enumerate() {
-            shards.fold_row(i, r, false).0.unwrap();
+            assert_accepted(fold_row(&shards, i, r, false));
         }
         assert_eq!(shards.accepted(), 3);
     }

@@ -14,7 +14,7 @@
 //! and writes CSV/markdown files under the output directory (default
 //! `results/`); a file it cannot write is a warning and exit status 1.
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, MAX_NODES};
 use crate::output::Figure;
 use ldp_graph::datasets::Dataset;
 use poison_core::ScenarioError;
@@ -64,8 +64,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             }
             "--scale" => {
                 opts.config.scale = flag_value(args, &mut i)?;
-                if !(opts.config.scale.is_finite() && opts.config.scale > 0.0) {
-                    return Err("--scale must be positive and finite".into());
+                let nodes = Dataset::ALL.map(|d| opts.config.degree_sweep_nodes_for(d));
+                if !(opts.config.scale > 0.0 && nodes.iter().all(|&n| n <= MAX_NODES)) {
+                    return Err(format!("--scale must be > 0 and fit {MAX_NODES} nodes"));
                 }
             }
             "--seed" => opts.config.seed = flag_value(args, &mut i)?,
@@ -217,9 +218,13 @@ mod tests {
     fn rejects_bad_input() {
         assert!(parse_args(&s(&["--trials", "0"])).is_err());
         assert!(parse_args(&s(&["--scale", "-1"])).is_err());
-        for scale in ["NaN", "inf", "infinity"] {
+        for scale in ["NaN", "inf", "infinity", "1e20", "1e300"] {
             assert!(parse_args(&s(&["--scale", scale])).is_err(), "{scale}");
         }
+        // 500 puts the largest stand-in (the 20,000-node Gplus degree
+        // sweep) exactly at the node bound; 501 is past it.
+        assert!(parse_args(&s(&["--scale", "500"])).is_ok());
+        assert!(parse_args(&s(&["--scale", "501"])).is_err());
         assert!(parse_args(&s(&["--wat"])).is_err());
         assert!(parse_args(&s(&["--trials"])).is_err());
     }

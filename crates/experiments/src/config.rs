@@ -12,6 +12,9 @@ pub mod defaults {
     pub const EPSILON: f64 = 4.0;
 }
 
+/// Most nodes any experiment graph may have; the CLI refuses a larger `--scale`.
+pub const MAX_NODES: usize = 10_000_000;
+
 /// Global knobs shared by every experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {

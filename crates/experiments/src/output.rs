@@ -91,11 +91,7 @@ impl Figure {
             let _ = write!(out, " {} |", s.label);
         }
         let _ = writeln!(out);
-        let _ = write!(out, "|---|");
-        for _ in &self.series {
-            let _ = write!(out, "---|");
-        }
-        let _ = writeln!(out);
+        let _ = writeln!(out, "|---|{}", "---|".repeat(self.series.len()));
         for (i, &x) in self.x.iter().enumerate() {
             let _ = write!(out, "| {} |", format_num(x));
             for s in &self.series {

@@ -3,7 +3,7 @@
 //! [`fold_reports`] turns one upload per user into a [`PerturbedView`];
 //! [`PerturbedView::from_reports`], `LfGdpr::aggregate` and the in-process
 //! `run_worlds` are thin entries onto it. The sharded collector service
-//! folds out-of-order rows with the same kernel ([`fold_lower_bits`]) and
+//! folds out-of-order rows with the same kernel ([`fold_lower_words`]) and
 //! finishes through the same [`finalize_lower`], so every view is folded
 //! into the same slots whichever path the reports took.
 //!
@@ -122,34 +122,36 @@ pub fn finalize_lower(
     PerturbedView::from_parts(matrix, reported_degrees, perturbed_degrees, rr)
 }
 
-/// Folds the lower-triangle bits of report `i` into its matrix row.
+/// Folds the lower-triangle bits of report `i` into its matrix row: a
+/// word-level OR of the report's owned words `0..⌈i/64⌉`, the last masked
+/// below bit `i % 64` (see the module docs), whatever the report's density.
 ///
-/// Slot ownership makes row `i` exactly the report's words `0..⌈i/64⌉`
-/// (last word masked below bit `i%64`), so the fold is a word-level OR —
-/// the word-wise form of [`BitSet::iter_ones_below`]'s bound; bits at or
-/// above `i` (non-owned slots, including the self slot) are never even
-/// scanned, and cost is independent of report density.
-///
-/// `row` must hold at least the `⌈i/64⌉` owned words (a full matrix row
-/// works, and so does the sharded collector's triangular packing, which
-/// allots exactly that many). Public because the collector service folds
-/// out-of-order, shard-owned rows with this same kernel — one fold, one
-/// bit pattern, wherever the report arrives.
+/// `row` must hold at least those words: a full matrix row, or a collector
+/// shard's triangularly packed row, which the collector folds with this
+/// same kernel through [`fold_lower_words`], reading the words in place
+/// from the wire frame — one fold, one bit pattern, wherever the report
+/// arrives.
 ///
 /// # Panics
-/// Panics if `row` is shorter than the owned word count or `bits` spans
-/// fewer than `i` slots.
+/// Panics if `row` is shorter than the owned word count.
 // ldp-lint: hot-path(begin) -- the per-report OR-fold kernel; the collector
 // calls it under a shard mutex, so it must stay lock-free
 pub fn fold_lower_bits(row: &mut [u64], bits: &BitSet, i: usize) {
-    let src = bits.words();
-    let full = i / 64;
-    for (dst, &word) in row[..full].iter_mut().zip(src) {
+    fold_lower_words(row, bits.words().iter().copied(), i);
+}
+
+/// [`fold_lower_bits`] over row words from any source that yields them
+/// from word 0 on; a source that ends early reads as zero words.
+pub fn fold_lower_words(row: &mut [u64], words: impl Iterator<Item = u64>, i: usize) {
+    let owned = &mut row[..i.div_ceil(64)];
+    let kept = owned.last().copied().unwrap_or(0);
+    for (dst, word) in owned.iter_mut().zip(words) {
         *dst |= word;
     }
-    let rem = i % 64;
-    if rem != 0 {
-        row[full] |= src[full] & ((1u64 << rem) - 1);
+    // Undo the bits at or above `i` the last word's OR let in.
+    let mask = crate::wire::lower_row_mask(i);
+    if let Some(last) = owned.last_mut() {
+        *last = (*last & mask) | (kept & !mask);
     }
 }
 // ldp-lint: hot-path(end)

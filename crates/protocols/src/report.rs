@@ -71,14 +71,6 @@ pub enum UserReport {
 }
 
 impl UserReport {
-    /// Short name of the variant's channel, used in error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            UserReport::Adjacency(_) => "adjacency",
-            UserReport::DegreeVector(_) => "degree-vector",
-        }
-    }
-
     /// The adjacency report inside, if this is the LF-GDPR variant.
     pub fn as_adjacency(&self) -> Option<&AdjacencyReport> {
         match self {
@@ -146,14 +138,12 @@ mod tests {
     #[test]
     fn enum_unwraps_the_right_variant() {
         let adj = UserReport::from(AdjacencyReport::new(BitSet::new(4), 1.0));
-        assert_eq!(adj.kind(), "adjacency");
         assert!(adj.as_adjacency().is_some());
         assert!(adj.as_degree_vector().is_none());
         assert!(adj.clone().into_adjacency().is_ok());
         assert!(adj.into_degree_vector().is_err());
 
         let vec = UserReport::DegreeVector(vec![1.0, 0.0]);
-        assert_eq!(vec.kind(), "degree-vector");
         assert!(vec.as_degree_vector().is_some());
         assert!(vec.clone().into_degree_vector().is_ok());
         assert!(vec.into_adjacency().is_err());

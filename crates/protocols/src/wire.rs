@@ -47,14 +47,13 @@
 //! | degree vector: length `k` | varint |
 //! | degree vector: entries | `k` × `f64` bits, little-endian |
 //!
-//! The adjacency row is the report's packed [`BitSet`] words with trailing
-//! all-zero words elided — an RR-perturbed row at the paper's budgets is
-//! dense, but crafted rows (RNA: a single bit) compress well. Decoding
-//! restores the elided words and rejects rows that claim bits at or beyond
-//! `N` ([`WireError::BadPadding`]): decoded reports are always canonical.
-//!
-//! `encode ∘ decode == id` for every well-formed [`UserReport`] — pinned by
-//! `tests/proptest_wire.rs` along with the malformed-frame cases.
+//! Trailing all-zero row words are elided (an RR-perturbed row is dense,
+//! but crafted rows such as RNA's single bit compress well). A row setting
+//! bits at or beyond `N` is refused ([`WireError::BadPadding`]), so decoded
+//! reports are canonical. [`decode_report_view`] returns a [`ReportView`]
+//! that reads the row words and vector entries in place; [`decode_report`]
+//! is its owned conversion. `encode ∘ decode == id` for every well-formed
+//! [`UserReport`] — pinned by `tests/proptest_wire.rs`.
 
 use crate::ingest::finalize_lower;
 use crate::lfgdpr::PerturbedView;
@@ -68,13 +67,9 @@ use std::io::{Read, Write};
 /// Magic bytes opening every collection stream.
 pub const MAGIC: [u8; 4] = *b"LDPC";
 
-/// Wire protocol version this codec speaks. Version 3 ships a finalized
-/// view as its strict lower triangle ([`encode_lower_view`]); version 2
-/// sent the full symmetric matrix plus per-user perturbed degrees, and
-/// version 1 frames named no round (every report-bearing frame has
-/// carried an explicit round id since v2, see [`encode_routed_batch`],
-/// so one daemon can multiplex many concurrent rounds). Older peers are
-/// refused at the handshake with [`WireError::VersionDowngrade`].
+/// Wire protocol version this codec speaks: version 3 ships a finalized
+/// view as its strict lower triangle ([`encode_lower_view`]). Older peers
+/// (see the module docs) are refused with [`WireError::VersionDowngrade`].
 pub const VERSION: u8 = 3;
 
 /// Upper bound on one frame's `kind + payload` length (64 MiB). Large
@@ -143,12 +138,10 @@ pub mod frames {
 /// Record framing of the collector's write-ahead journal.
 ///
 /// A WAL segment file is a stream of the **same** length-prefixed frames
-/// the network codec speaks ([`write_frame`]/[`read_frame`]), preceded by
-/// its own magic + version header — so journal replay inherits the
-/// codec's totality discipline for free: a hostile length claim is a
-/// typed refusal before any allocation, and a torn final record is
-/// distinguishable from clean EOF at a frame boundary by
-/// [`read_frame`]'s `Ok(None)`-vs-`UnexpectedEof` split.
+/// the network codec speaks ([`write_frame`]/[`read_frame`]) after its own
+/// magic + version header, so replay inherits the codec's totality: a
+/// hostile length claim is refused before any allocation, and a torn final
+/// record reads as `UnexpectedEof`, not as a clean end (`Ok(None)`).
 ///
 /// These record kinds are deliberately a separate vocabulary from
 /// [`frames`]: a journal byte stream is not a network capture, and the
@@ -359,11 +352,9 @@ pub fn put_f64(v: f64, out: &mut Vec<u8>) {
 /// # Errors
 /// [`WireError::Truncated`] on a short buffer.
 pub fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
-    let (bytes, rest) = buf.split_at_checked(8).ok_or(WireError::Truncated)?;
+    let (bytes, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
     *buf = rest;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
+    Ok(f64::from_le_bytes(*bytes))
 }
 
 /// Appends a `u64` little-endian.
@@ -371,23 +362,9 @@ pub fn put_u64(v: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Reads a little-endian `u64`, advancing `buf`.
-///
-/// # Errors
-/// [`WireError::Truncated`] on a short buffer.
-pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    let (bytes, rest) = buf.split_at_checked(8).ok_or(WireError::Truncated)?;
-    *buf = rest;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(b))
-}
-
 /// Appends a whole `u64` slice little-endian — the bulk form of
-/// [`put_u64`] for packed rows and matrices. One capacity reservation up
-/// front and a tight fixed-stride loop the compiler vectorizes, instead
-/// of a capacity check per word; on the 10k-user wire path this is
-/// megabytes per round.
+/// [`put_u64`] for packed rows: one capacity reservation up front, then a
+/// fixed-stride loop the compiler vectorizes.
 pub fn put_u64s(words: &[u64], out: &mut Vec<u8>) {
     out.reserve(words.len() * 8);
     for &w in words {
@@ -395,23 +372,31 @@ pub fn put_u64s(words: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads `dst.len()` little-endian `u64`s into `dst`, advancing `buf` —
-/// the bulk form of [`get_u64`]: one bounds check for the whole block,
-/// then a fixed-stride copy loop.
+/// Reads `dst.len()` little-endian `u64`s into `dst`, advancing `buf`:
+/// one bounds check for the whole block, then a fixed-stride copy loop.
 ///
 /// # Errors
 /// [`WireError::Truncated`] if fewer than `8 * dst.len()` bytes remain.
 pub fn get_u64s(buf: &mut &[u8], dst: &mut [u64]) -> Result<(), WireError> {
-    let (bytes, rest) = buf
-        .split_at_checked(dst.len() * 8)
-        .ok_or(WireError::Truncated)?;
-    *buf = rest;
-    for (slot, chunk) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(chunk);
-        *slot = u64::from_le_bytes(b);
+    let words = take_words(buf, dst.len())?;
+    for (slot, word) in dst.iter_mut().zip(le_u64s(words)) {
+        *slot = word;
     }
     Ok(())
+}
+
+/// Takes `count` little-endian 8-byte words off the front of `buf`.
+fn take_words<'a>(buf: &mut &'a [u8], count: usize) -> Result<&'a [[u8; 8]], WireError> {
+    let (bytes, rest) = buf
+        .split_at_checked(count.saturating_mul(8))
+        .ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(bytes.as_chunks().0)
+}
+
+/// The little-endian words of a payload as `u64`s, read in place.
+pub fn le_u64s(words: &[[u8; 8]]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    words.iter().map(|w| u64::from_le_bytes(*w))
 }
 
 /// Asserts a payload was fully consumed.
@@ -467,20 +452,11 @@ pub fn read_stream_header(r: &mut impl Read) -> Result<(), WireError> {
 /// [`WireError::OversizeFrame`] if the payload exceeds [`MAX_FRAME_LEN`],
 /// I/O errors otherwise.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    let len = payload.len() + 1;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::OversizeFrame { len });
-    }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)?;
-    Ok(())
+    write_frame_split(w, kind, payload, &[])
 }
 
 /// Like [`write_frame`], but the payload arrives as two slices written
-/// back to back — the batched report path emits a small count header in
-/// front of a large accumulated entry buffer without copying the buffer
-/// into a fresh payload allocation.
+/// back to back (a batch's count header, then its entry buffer, uncopied).
 ///
 /// # Errors
 /// [`WireError::OversizeFrame`] if the combined payload exceeds
@@ -511,9 +487,11 @@ pub fn write_frame_split(
 /// a frame.
 pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>, WireError> {
     let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes)? {
+    // EOF before the first byte is a clean end; after it, a torn frame.
+    if r.read(&mut len_bytes[..1])? == 0 {
         return Ok(None);
     }
+    r.read_exact(&mut len_bytes[1..])?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(WireError::OversizeFrame { len });
@@ -524,23 +502,6 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>
     payload.resize(len - 1, 0);
     r.read_exact(payload)?;
     Ok(Some(kind[0]))
-}
-
-/// Like `read_exact`, but distinguishes a clean EOF before the first byte
-/// (`Ok(false)`) from one mid-buffer (an error).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = r.read(&mut buf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(false);
-            }
-            return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof));
-        }
-        filled += n;
-    }
-    Ok(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +523,7 @@ pub fn encode_report(user_id: u64, report: &UserReport, out: &mut Vec<u8>) {
 /// slice (the collection client's hot send path streams vectors without
 /// wrapping or cloning them).
 pub fn encode_degree_vector_report(user_id: u64, vector: &[f64], out: &mut Vec<u8>) {
+    out.reserve(21 + 8 * vector.len()); // two varints, the tag, the entries
     put_varint(user_id, out);
     out.push(TAG_DEGREE_VECTOR);
     put_varint(vector.len() as u64, out);
@@ -574,6 +536,7 @@ pub fn encode_degree_vector_report(user_id: u64, vector: &[f64], out: &mut Vec<u
 /// report in a [`UserReport`] (the collection client's hot send path
 /// streams borrowed [`AdjacencyReport`]s).
 pub fn encode_adjacency_report(user_id: u64, report: &AdjacencyReport, out: &mut Vec<u8>) {
+    out.reserve(39 + 8 * report.bits.words().len()); // three varints, tag, degree, row
     put_varint(user_id, out);
     out.push(TAG_ADJACENCY);
     put_f64(report.degree, out);
@@ -587,6 +550,45 @@ pub fn encode_adjacency_report(user_id: u64, report: &AdjacencyReport, out: &mut
     put_u64s(&words[..trimmed], out);
 }
 
+/// One report read in place: its row words or vector entries stay in the
+/// payload, little-endian ([`le_u64s`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ReportView<'a> {
+    /// An adjacency report: degree, population `N`, and the shipped row
+    /// words (trailing zero words trimmed, no bit at or beyond `N`).
+    Adjacency {
+        /// The reported degree.
+        degree: f64,
+        /// Population `N`.
+        population: usize,
+        /// The shipped row words.
+        words: &'a [[u8; 8]],
+    },
+    /// A degree vector's entries, as `f64` bit patterns.
+    DegreeVector(&'a [[u8; 8]]),
+}
+
+impl ReportView<'_> {
+    /// The owned report (elided trailing row words restored as zeros).
+    pub fn to_report(&self) -> UserReport {
+        match *self {
+            ReportView::Adjacency {
+                degree,
+                population,
+                words,
+            } => {
+                let mut bits = BitSet::new(population);
+                let dst = bits.words_mut().iter_mut();
+                dst.zip(le_u64s(words)).for_each(|(dst, word)| *dst = word);
+                UserReport::Adjacency(AdjacencyReport::new(bits, degree))
+            }
+            ReportView::DegreeVector(v) => {
+                UserReport::DegreeVector(le_u64s(v).map(f64::from_bits).collect())
+            }
+        }
+    }
+}
+
 /// Decodes one report payload produced by [`encode_report`], returning the
 /// user id and the canonical report.
 ///
@@ -594,7 +596,15 @@ pub fn encode_adjacency_report(user_id: u64, report: &AdjacencyReport, out: &mut
 /// A typed [`WireError`] on any malformed input: truncation, unknown tags,
 /// oversize populations, row overruns, non-canonical padding, or trailing
 /// bytes. Never panics.
-pub fn decode_report(mut buf: &[u8]) -> Result<(u64, UserReport), WireError> {
+pub fn decode_report(buf: &[u8]) -> Result<(u64, UserReport), WireError> {
+    decode_report_view(buf).map(|(user_id, view)| (user_id, view.to_report()))
+}
+
+/// [`decode_report`] without the copy: the report as a view of `buf`.
+///
+/// # Errors
+/// As [`decode_report`].
+pub fn decode_report_view(mut buf: &[u8]) -> Result<(u64, ReportView<'_>), WireError> {
     let buf = &mut buf;
     let user_id = get_varint(buf)?;
     let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
@@ -608,27 +618,23 @@ pub fn decode_report(mut buf: &[u8]) -> Result<(u64, UserReport), WireError> {
             if words > max_words {
                 return Err(WireError::RowOverrun { words, max_words });
             }
-            let mut bits = BitSet::new(n);
-            get_u64s(buf, &mut bits.words_mut()[..words])?;
-            // Reject rows claiming slots the population does not have —
-            // decoded reports are canonical by construction.
-            let tail_start = bits.count_ones();
-            bits.mask_tail();
-            if bits.count_ones() != tail_start {
+            let words = take_words(buf, words)?;
+            // Decoded reports are canonical: only the row's last word can
+            // reach past `N`, and then only in its bits at or above `N % 64`.
+            let rem = n % 64;
+            let last = words.last().map_or(0, |w| u64::from_le_bytes(*w));
+            if rem != 0 && words.len() == max_words && last >> rem != 0 {
                 return Err(WireError::BadPadding);
             }
-            UserReport::Adjacency(AdjacencyReport::new(bits, degree))
+            ReportView::Adjacency {
+                degree,
+                population: n,
+                words,
+            }
         }
         TAG_DEGREE_VECTOR => {
             let k = checked_len(get_varint(buf)?)?;
-            if buf.len() < k.saturating_mul(8) {
-                return Err(WireError::Truncated);
-            }
-            let mut v = Vec::with_capacity(k);
-            for _ in 0..k {
-                v.push(get_f64(buf)?);
-            }
-            UserReport::DegreeVector(v)
+            ReportView::DegreeVector(take_words(buf, k)?)
         }
         tag => return Err(WireError::UnknownReportTag { tag }),
     };
@@ -676,10 +682,9 @@ pub fn encode_routed_batch(round_id: u64, entries: &[(u64, UserReport)], out: &m
 pub struct ReportBatch<'a> {
     buf: &'a [u8],
     remaining: usize,
-    poisoned: bool,
 }
 
-impl ReportBatch<'_> {
+impl<'a> ReportBatch<'a> {
     /// Entries not yet decoded.
     pub fn remaining(&self) -> usize {
         self.remaining
@@ -688,23 +693,27 @@ impl ReportBatch<'_> {
     /// Decodes the next entry; `None` once the claimed count is exhausted
     /// or after a framing error.
     pub fn next_entry(&mut self) -> Option<Result<(u64, UserReport), WireError>> {
-        if self.poisoned || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let len = match get_varint(&mut self.buf) {
-            Ok(len) => len as usize,
-            Err(e) => {
-                self.poisoned = true;
-                return Some(Err(e));
+        self.next_view()
+            .map(|entry| entry.map(|(user_id, view)| (user_id, view.to_report())))
+    }
+
+    /// [`Self::next_entry`] as a view of the payload
+    /// ([`decode_report_view`]), with no copy of the report.
+    pub fn next_view(&mut self) -> Option<Result<(u64, ReportView<'a>), WireError>> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let entry = get_varint(&mut self.buf)
+            .and_then(|len| (self.buf.split_at_checked(len as usize)).ok_or(WireError::Truncated));
+        Some(match entry {
+            Ok((entry, rest)) => {
+                self.buf = rest;
+                decode_report_view(entry)
             }
-        };
-        let Some((entry, rest)) = self.buf.split_at_checked(len) else {
-            self.poisoned = true;
-            return Some(Err(WireError::Truncated));
-        };
-        self.buf = rest;
-        Some(decode_report(entry))
+            // A framing error leaves no boundary to resume at: fuse.
+            Err(e) => {
+                (self.remaining, self.buf) = (0, &[]);
+                Err(e)
+            }
+        })
     }
 
     /// Asserts the payload ended exactly at the last claimed entry.
@@ -714,9 +723,6 @@ impl ReportBatch<'_> {
     /// # Errors
     /// [`WireError::TrailingBytes`] on garbage after the last entry.
     pub fn finish(self) -> Result<(), WireError> {
-        if self.poisoned {
-            return Ok(());
-        }
         expect_end(self.buf)
     }
 }
@@ -741,7 +747,6 @@ pub fn read_routed_batch(payload: &[u8]) -> Result<(u64, ReportBatch<'_>), WireE
         ReportBatch {
             buf,
             remaining: claimed as usize,
-            poisoned: false,
         },
     ))
 }
@@ -982,10 +987,9 @@ pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
     if buf.len() < 8 * (n + lower_triangle_words(n)) {
         return Err(WireError::Truncated);
     }
-    let mut reported = Vec::with_capacity(n);
-    for _ in 0..n {
-        reported.push(get_f64(&mut buf)?);
-    }
+    let reported = le_u64s(take_words(&mut buf, n)?)
+        .map(f64::from_bits)
+        .collect();
     let mut matrix = BitMatrix::new(n);
     let wpr = matrix.words_per_row().max(1);
     for (i, row) in matrix.rows_mut(0, n).chunks_exact_mut(wpr).enumerate() {

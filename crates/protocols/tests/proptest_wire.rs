@@ -556,3 +556,50 @@ fn adversarial_row_claims_are_typed() {
     put_u64(1 << 5, &mut out);
     assert!(matches!(decode_report(&out), Err(WireError::BadPadding)));
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A row that is canonical except for exactly one bit at or beyond its
+    /// population — the only padding the last shipped word can carry — is
+    /// refused as [`WireError::BadPadding`]; the same row without that bit
+    /// decodes to the report it came from.
+    #[test]
+    fn exactly_one_padding_bit_is_refused(
+        n in 1usize..300,
+        pick in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        // A population that ends on a word boundary has no padding bits.
+        let n = n + usize::from(n.is_multiple_of(64));
+        let UserReport::Adjacency(report) = synth_report(true, n, 0, seed) else {
+            unreachable!("adjacency requested");
+        };
+        let padding = 64 * n.div_ceil(64) - n;
+        let bit = n + (pick % padding as u64) as usize;
+        let encode = |padded: bool| {
+            let mut out = Vec::new();
+            put_varint(3, &mut out);
+            out.push(0); // adjacency tag
+            put_f64(report.degree, &mut out);
+            put_varint(n as u64, &mut out);
+            let words = report.bits.words();
+            put_varint(words.len() as u64, &mut out);
+            for (k, &w) in words.iter().enumerate() {
+                let pad = if padded && k == bit / 64 { 1 << (bit % 64) } else { 0 };
+                put_u64(w | pad, &mut out);
+            }
+            out
+        };
+        let (_, clean) = decode_report(&encode(false)).expect("canonical row decodes");
+        if let Err(msg) = assert_identical(&UserReport::Adjacency(report.clone()), &clean) {
+            prop_assert!(false, "{}", msg);
+        }
+        prop_assert!(
+            matches!(decode_report(&encode(true)), Err(WireError::BadPadding)),
+            "padding bit {} of N = {} accepted",
+            bit,
+            n
+        );
+    }
+}
