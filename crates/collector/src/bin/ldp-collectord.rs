@@ -50,24 +50,18 @@ fn parse_args() -> Result<Args, String> {
             "--fsync" => {
                 args.fsync = FsyncPolicy::parse(&value("--fsync")?).map_err(|e| e.to_string())?
             }
-            "--shards" => {
-                args.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards needs an integer".to_string())?,
-                )
-            }
-            "--stall-ms" => {
-                args.stall_ms = Some(
-                    value("--stall-ms")?
-                        .parse()
-                        .map_err(|_| "--stall-ms needs an integer".to_string())?,
-                )
-            }
+            "--shards" => args.shards = Some(integer("--shards", value("--shards")?)?),
+            "--stall-ms" => args.stall_ms = Some(integer("--stall-ms", value("--stall-ms")?)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(args)
+}
+
+fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs an integer"))
 }
 
 fn run(args: Args) -> Result<(), CollectorError> {

@@ -99,18 +99,13 @@ impl RoundCollector {
     }
 
     /// Restores one checkpoint produced by [`Self::checkpoint`] **into
-    /// this engine** alongside whatever rounds it already holds — the
-    /// one restore entry point, which write-ahead-journal recovery uses
-    /// to rebuild every open round from a data directory. The shard
-    /// geometry must match this engine's configuration exactly: the
-    /// daemon's own journaled checkpoints are written by the same
-    /// engine, so a mismatch means the snapshot belongs to a
-    /// differently-configured daemon and is refused rather than
-    /// re-sharded. Returns the restored round's id.
-    ///
-    /// All or nothing: the round enters the registry only once the whole
-    /// snapshot has decoded and matched this engine's geometry, so a
-    /// refused snapshot leaves the engine exactly as it was.
+    /// this engine** alongside whatever rounds it already holds — the one
+    /// restore entry point, which journal recovery uses. The shard
+    /// geometry must match this engine's exactly: a mismatch means another
+    /// daemon's snapshot, refused rather than re-sharded. All or nothing:
+    /// the round enters the registry only once the whole snapshot has
+    /// decoded, so a refused snapshot leaves the engine as it was. Returns
+    /// the restored round's id.
     ///
     /// # Errors
     /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard

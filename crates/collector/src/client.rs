@@ -480,9 +480,7 @@ impl CollectorClient {
         if self.window_frames > 0 {
             self.sync()?;
         }
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        self.expect(frames::CLOSE, &payload, frames::SUMMARY)?;
+        self.expect(frames::CLOSE, &round_payload(round_id), frames::SUMMARY)?;
         let counters = decode_summary(&self.payload)?;
         Ok(RoundSummary { counters })
     }
@@ -510,9 +508,7 @@ impl CollectorClient {
     /// [`CollectorError::Remote`] while reports are outstanding or on a
     /// degree-vector round; transport failures otherwise.
     pub fn finalize_adjacency(&mut self, round_id: u64) -> Result<PerturbedView, CollectorError> {
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        match self.request(frames::FINALIZE, &payload)? {
+        match self.request(frames::FINALIZE, &round_payload(round_id))? {
             frames::VIEW => Ok(wire::decode_view(&self.payload)?),
             frames::DEGREE_SUMMARY => Err(CollectorError::WrongChannel {
                 expected: "adjacency",
@@ -529,9 +525,7 @@ impl CollectorClient {
         &mut self,
         round_id: u64,
     ) -> Result<DegreeVectorSummary, CollectorError> {
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        match self.request(frames::FINALIZE, &payload)? {
+        match self.request(frames::FINALIZE, &round_payload(round_id))? {
             frames::DEGREE_SUMMARY => Ok(decode_degree_summary(&self.payload)?),
             frames::VIEW => Err(CollectorError::WrongChannel {
                 expected: "degree-vector",
@@ -546,9 +540,7 @@ impl CollectorClient {
     /// Daemon refusals (no data directory, unknown round) and transport
     /// failures.
     pub fn checkpoint(&mut self, round_id: u64) -> Result<(), CollectorError> {
-        let mut payload = Vec::new();
-        put_varint(round_id, &mut payload);
-        self.expect(frames::CHECKPOINT, &payload, frames::ACK)
+        self.expect(frames::CHECKPOINT, &round_payload(round_id), frames::ACK)
     }
 
     /// Stops the daemon after this session.
@@ -728,6 +720,13 @@ fn dial(
             )
         }),
     })
+}
+
+/// The payload of a frame that names only its round.
+fn round_payload(round_id: u64) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_varint(round_id, &mut payload);
+    payload
 }
 
 /// True for failures a reconnect can cure: socket-level errors and a

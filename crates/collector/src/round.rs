@@ -136,27 +136,19 @@ impl Default for CollectorConfig {
 
 impl CollectorConfig {
     fn validate(&self) -> Result<(), CollectorError> {
-        if self.shards == 0 {
-            return Err(CollectorError::InvalidConfig {
-                detail: "shards must be positive",
-            });
+        let zero = [
+            (self.shards == 0, "shards must be positive"),
+            (self.max_sessions == 0, "max_sessions must be positive"),
+            (
+                self.max_rounds_per_tenant == 0,
+                "max_rounds_per_tenant must be positive",
+            ),
+            (self.memory_budget == 0, "memory_budget must be positive"),
+        ];
+        match zero.into_iter().find(|&(bad, _)| bad) {
+            Some((_, detail)) => Err(CollectorError::InvalidConfig { detail }),
+            None => Ok(()),
         }
-        if self.max_sessions == 0 {
-            return Err(CollectorError::InvalidConfig {
-                detail: "max_sessions must be positive",
-            });
-        }
-        if self.max_rounds_per_tenant == 0 {
-            return Err(CollectorError::InvalidConfig {
-                detail: "max_rounds_per_tenant must be positive",
-            });
-        }
-        if self.memory_budget == 0 {
-            return Err(CollectorError::InvalidConfig {
-                detail: "memory_budget must be positive",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -611,15 +603,10 @@ impl RoundCollector {
     }
 
     /// Submits one report to the named round, folding it into the owning
-    /// shard immediately. Safe to call from any number of threads at
-    /// once: the registry and slot locks are only read-held, and the
-    /// fold serializes on the one shard that owns the id — sessions on
-    /// different rounds share no lock at all.
-    ///
+    /// shard immediately; safe from any number of threads at once.
     /// Malformed, duplicate, or over-quota reports are *counted and
-    /// dropped* (the stream goes on — one bad upload must not stall a
-    /// million good ones); only a missing or closed round is a hard
-    /// error.
+    /// dropped* (one bad upload must not stall a million good ones); only
+    /// a missing or closed round is a hard error.
     ///
     /// # Errors
     /// [`CollectorError::UnknownRound`] when no round has this id;
@@ -646,13 +633,17 @@ impl RoundCollector {
         user_id: u64,
         report: &UserReport,
     ) -> Result<IngestOutcome, CollectorError> {
-        let mut entry = Vec::new();
-        wire::encode_report(user_id, report, &mut entry);
-        let mut payload = Vec::with_capacity(entry.len() + 30);
-        for varint in [round_id, 1, entry.len() as u64] {
-            wire::put_varint(varint, &mut payload);
+        // Encoded once, straight into the frame (one allocation up to 28
+        // groups), behind a ten-byte LEB128 length patched in after.
+        let mut payload = Vec::with_capacity(256);
+        wire::put_varint(round_id, &mut payload);
+        let at = payload.len() + 1; // the decoder reads a varint of any width
+        payload.extend_from_slice(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0]);
+        wire::encode_report(user_id, report, &mut payload);
+        let len = (payload.len() - at - 10) as u64;
+        for (i, byte) in payload[at..at + 10].iter_mut().enumerate() {
+            *byte |= (len >> (7 * i)) as u8 & 0x7f;
         }
-        payload.extend_from_slice(&entry);
         let mut session = Session::replay();
         // The frame is one run: time it when the owning shard's count says.
         session.runs_seen = u64::from(

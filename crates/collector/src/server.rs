@@ -69,7 +69,7 @@ use crate::codec::{
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
-use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery};
+use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
 use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{
     self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
@@ -266,24 +266,14 @@ impl CollectorServer {
     }
 
     /// Binds to a loopback ephemeral port and serves on a background
-    /// thread — the one-call setup tests and benches use. Returns the address to connect to and the thread handle
-    /// (joins once a client sends `SHUTDOWN`).
+    /// thread — the one-call setup tests and benches use. Returns the
+    /// address to connect to and the thread handle (joins once a client
+    /// sends `SHUTDOWN`).
     ///
     /// # Errors
     /// As [`Self::bind`].
-    pub fn spawn(
-        config: CollectorConfig,
-    ) -> Result<
-        (
-            SocketAddr,
-            std::thread::JoinHandle<Result<(), CollectorError>>,
-        ),
-        CollectorError,
-    > {
-        let mut server = CollectorServer::bind(("127.0.0.1", 0), config)?;
-        let addr = server.local_addr()?;
-        let handle = std::thread::spawn(move || server.serve());
-        Ok((addr, handle))
+    pub fn spawn(config: CollectorConfig) -> Result<Spawned, CollectorError> {
+        CollectorServer::bind(("127.0.0.1", 0), config)?.serve_in_background()
     }
 
     /// [`Self::spawn`] with the crash-durability plane on: recovers
@@ -296,20 +286,23 @@ impl CollectorServer {
         config: CollectorConfig,
         dir: impl Into<PathBuf>,
         policy: FsyncPolicy,
-    ) -> Result<
-        (
-            SocketAddr,
-            std::thread::JoinHandle<Result<(), CollectorError>>,
-        ),
-        CollectorError,
-    > {
-        let mut server =
-            CollectorServer::bind(("127.0.0.1", 0), config)?.with_data_dir(dir, policy)?;
-        let addr = server.local_addr()?;
-        let handle = std::thread::spawn(move || server.serve());
-        Ok((addr, handle))
+    ) -> Result<Spawned, CollectorError> {
+        let server = CollectorServer::bind(("127.0.0.1", 0), config)?;
+        server.with_data_dir(dir, policy)?.serve_in_background()
+    }
+
+    fn serve_in_background(mut self) -> Result<Spawned, CollectorError> {
+        let addr = self.local_addr()?;
+        Ok((addr, std::thread::spawn(move || self.serve())))
     }
 }
+
+/// What [`CollectorServer::spawn`] returns: the bound address and the
+/// serving thread.
+type Spawned = (
+    SocketAddr,
+    std::thread::JoinHandle<Result<(), CollectorError>>,
+);
 
 /// State shared between the acceptor and the session threads.
 struct Shared {
@@ -435,6 +428,8 @@ pub(crate) struct Session {
     /// run gets timed), kept out of the registry so the decision costs no
     /// atomic.
     pub(crate) runs_seen: u64,
+    /// The sync the last journaled batch owes, run once the guard drops.
+    sync: Option<SyncTicket>,
     /// Set for journal recovery and in-process reports: no client is
     /// listening, so replies are not staged and nothing is counted as
     /// live traffic (`ingest_batches_decoded`, `ingest_batch_nanos`,
@@ -614,24 +609,20 @@ enum Head {
 pub(crate) enum Frame {
     Continue,
     Shutdown,
-    /// The connection must drop (a journal append or reply write failed).
+    /// The connection must drop (a journal append, sync or reply failed).
     Fatal,
     /// A request was refused; its typed `ERR` is already staged. Journal
     /// recovery reads the error, the live path moves on.
     Refused(CollectorError),
 }
 
-/// Folds one `REPORT_BATCH` payload — the one fold every report takes:
+/// Folds one `REPORT_BATCH` payload as a whole
+/// ([`RoundCollector::fold_frame`]) — the one fold every report takes:
 /// the daemon's sessions, journal replay and the in-process
-/// [`RoundCollector::ingest_ref`] (a one-entry frame) all come here. The
-/// frame is folded as a whole ([`RoundCollector::fold_frame`]): one
-/// registry lookup, one slot read lock and `closed` check, one quota
-/// reservation, and one lock per shard the frame touches, with every
-/// report read in place from `payload`. An unknown or closed round
-/// refuses the whole frame with a warn-once typed ERR. Per-report
-/// outcomes (duplicate, quota, invalid, malformed) are counted by the
-/// engine and read from the close summary; the tally is returned for
-/// `ingest_ref`.
+/// [`RoundCollector::ingest_ref`] (a one-entry frame) all come here. An
+/// unknown or closed round refuses the frame with a warn-once typed ERR;
+/// per-report outcomes are counted by the engine, and the tally is
+/// returned for `ingest_ref`.
 pub(crate) fn fold_batch(
     session: &mut Session,
     engine: &RoundCollector,
@@ -666,8 +657,10 @@ pub(crate) fn fold_batch(
 /// Processes one complete frame, staging any reply into the session.
 /// Read-only traffic (`SYNC`, `STATS`, `SHUTDOWN`) is answered here;
 /// everything else goes to [`apply_frame`], under the journal guard
-/// when the daemon is durable.
-fn process_frame(
+/// when the daemon is durable. The sync a journaled report batch owes
+/// runs after the guard drops and before this returns, so a session reads
+/// its next frame only once its record is as durable as the policy asks.
+pub(crate) fn process_frame(
     session: &mut Session,
     engine: &RoundCollector,
     durable: Option<&DurableLog>,
@@ -697,9 +690,16 @@ fn process_frame(
         }
         _ => {
             // The guard covers append *and* fold, so a checkpoint (which
-            // also takes it) never observes a fold its journal lacks.
+            // also takes it) never observes a fold its journal lacks. It
+            // drops before the owed sync runs.
             let mut journal = durable.map(DurableLog::lock);
-            return apply_frame(engine, session, journal.as_deref_mut(), kind, payload);
+            let frame = apply_frame(engine, session, journal.as_deref_mut(), kind, payload);
+            drop(journal);
+            return match session.sync.take() {
+                // The fold happened, but its record may not be durable.
+                Some(ticket) if ticket.wait(metrics).is_err() => Frame::Fatal,
+                _ => frame,
+            };
         }
     };
     stage_reply(
@@ -737,14 +737,12 @@ pub(crate) fn apply_frame(
     let metrics = engine.metrics();
     if kind == frames::REPORT_BATCH {
         if let Some(journal) = journal {
-            if journal
-                .append(journal::REC_BATCH, payload, metrics)
-                .is_err()
-            {
+            match journal.append(journal::REC_BATCH, payload, metrics) {
+                Ok(ticket) => session.sync = ticket,
                 // The record is not durable; folding it anyway would let
                 // a crash silently lose an ingested report. Dropping the
                 // connection is the honest failure.
-                return Frame::Fatal;
+                Err(_) => return Frame::Fatal,
             }
         }
         // Unacknowledged: rejects are counted, and a misdirected frame
@@ -819,7 +817,9 @@ fn append_accepted(
     payload: &[u8],
     metrics: &CollectorMetrics,
 ) -> Result<(), CollectorError> {
-    journal.map_or(Ok(()), |journal| journal.append(rec, payload, metrics))
+    journal.map_or(Ok(()), |journal| {
+        journal.append(rec, payload, metrics).map(drop)
+    })
 }
 
 /// Stages the outcome of a request/response frame: the typed reply on

@@ -19,57 +19,62 @@
 //!
 //! ## Journal format
 //!
-//! The journal is a sequence of segment files `wal-<seq>.ldpw`, each a
-//! 5-byte header ([`journal::SEGMENT_MAGIC`] + version) followed by
-//! records framed by the wire codec ([`wire::write_frame`]): 4-byte
-//! little-endian length, record kind byte, payload. Record kinds and
-//! payloads are documented at [`ldp_protocols::wire::journal`]. Reusing
-//! the frame codec buys the journal the codec's totality discipline for
-//! free: every malformed byte sequence decodes to a typed error, never a
-//! panic, and a record torn by a crash is detected by the same
-//! end-of-stream logic that detects a half-written network frame.
-//!
-//! A **torn final record** — the crash hit mid-append — is treated as a
-//! clean end of log: the record never reached the fold on the live path
-//! either (the append happens first), so dropping it recovers the exact
-//! pre-crash state. A torn record *followed by more segments*, a bad
-//! magic or another segment version is real corruption and refuses with
-//! a typed [`CollectorError::BadJournal`] rather than guessing.
+//! Segment files `wal-<seq>.ldpw`, each a 5-byte header
+//! ([`journal::SEGMENT_MAGIC`] + version) followed by records framed by
+//! the wire codec ([`wire::write_frame`]; kinds and payloads at
+//! [`ldp_protocols::wire::journal`]), so every malformed byte sequence
+//! decodes to a typed error and a torn record is detected by the same
+//! end-of-stream logic as a half-written network frame. A **torn final
+//! record** is a clean end of log: the live path appends before it folds,
+//! so the record never acted. A torn record *followed by more segments*,
+//! a bad magic or another segment version refuses with a typed
+//! [`CollectorError::BadJournal`].
 //!
 //! ## Fsync policy
 //!
-//! [`FsyncPolicy`] sets the durability/throughput trade: `Always` syncs
-//! every append (no crash loses anything), `EveryBytes(n)` syncs once
-//! per `n` appended bytes and at segment rotation (power-cut loss is
-//! bounded to the unsynced window), `Off` never syncs on the append path
-//! at all. The distinction that matters is *which* crash: a process
-//! crash (SIGKILL, abort, OOM-kill) loses nothing under any policy —
-//! written bytes live in the OS page cache, which survives the process —
-//! while a **power cut** can drop or reorder unsynced pages, so under
-//! `Off` recovery after power loss is best-effort: it lands on a
-//! consistent earlier state when the tail tore cleanly, and refuses with
-//! [`CollectorError::BadJournal`] (clear the data dir to proceed) when
-//! the surviving pages have holes. Checkpoint and `FINALIZE` records are
-//! synced under every policy: a checkpoint lets segments be deleted, and
-//! a lost `FINALIZE` would replay a consumed round as still open. The
-//! `collector_smoke` bench prints the ingest tax of each policy against
-//! a journal-less daemon and fails if `Off` costs more than half the
-//! throughput.
+//! [`FsyncPolicy`] trades durability for throughput. A process crash
+//! (SIGKILL, abort, OOM-kill) loses nothing under any policy — written
+//! bytes live in the page cache — while a **power cut** can drop or
+//! reorder the pages no completed sync covered.
+//!
+//! * **Syncs under the journal guard:** `FINALIZE` and checkpoint records
+//!   under every policy (a checkpoint lets segments be deleted; a lost
+//!   `FINALIZE` would replay a consumed round as open); a due `OPEN` or
+//!   `CLOSE` (each one under `Always`), before its reply; and rotation
+//!   under `Always` and `EveryBytes`, so a torn tail stays in the last one.
+//! * **After the guard drops:** the sync a `REC_BATCH` record owes, which
+//!   `Journal::append` returns as a `SyncTicket` and the session runs
+//!   before it reads its next frame. A sync covers every byte written
+//!   before it started and raises the segment's `durable_upto` mark to
+//!   that offset; a ticket the mark covers issues no sync, and one queued
+//!   behind a running sync checks again when it returns — one `sync_data`
+//!   serves every session whose records it covers (group commit). Append
+//!   and fold stay under the guard, so journal order is fold order.
+//!
+//! What a power cut can lose: under `Always`, nothing acknowledged (a
+//! batch record is durable before the session's next frame, so before
+//! the `SYNC` after it is answered). Under `EveryBytes(n)`, the record
+//! that brings the bytes since the last window to `n` or more owes the
+//! window's sync, so a window is under `n` bytes plus that record, and
+//! other sessions keep appending while its sync runs, each up to its own
+//! due record: with `S` sessions appending, fewer than `S · (n + r)`
+//! bytes, `r` the largest record (`n + r` for one session). Under `Off`,
+//! whatever the OS has not flushed; recovery is then best-effort — a
+//! cleanly torn tail lands on an earlier consistent state, holes refuse
+//! as [`CollectorError::BadJournal`] (clear the data dir). The
+//! `collector_smoke` bench prints each policy's ingest tax.
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint of round `R` is one `REC_CHECKPOINT` record: `R`'s id,
-//! then its `LDPK` snapshot ([`RoundCollector::checkpoint`]). Appending
-//! it syncs it and moves `R`'s live start to the segment that holds it.
-//! Every open round whose live start is older is checkpointed too, then
-//! the directory is synced and the segments before `R`'s record are
-//! deleted: the journal never holds more than the segments since the
-//! last checkpoint. Recovery restores `R` from its last such record and
-//! replays only the records after it. A crash mid-checkpoint leaves a
-//! torn final record, which the torn-tail rule drops, so recovery falls
-//! back to the previous checkpoint: the one write is crash-atomic on
-//! its own. A durable `OPEN` is refused when the round's snapshot could
-//! outgrow one record (`check_snapshot_fits`).
+//! A checkpoint of round `R` is one synced `REC_CHECKPOINT` record: `R`'s
+//! id, then its `LDPK` snapshot ([`RoundCollector::checkpoint`]). It moves
+//! `R`'s live start to its segment; every open round whose live start is
+//! older is checkpointed too, the directory is synced, and the segments
+//! before the record are deleted. Recovery restores `R` from its last
+//! such record and replays the records after it; a torn one falls back to
+//! the previous checkpoint, so the one write is crash-atomic. A durable
+//! `OPEN` is refused when the snapshot could outgrow one record
+//! (`check_snapshot_fits`).
 
 use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
@@ -81,22 +86,23 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// When the journal forces appended bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended record: a crash loses nothing that
-    /// was folded. The durable default; also the slowest.
+    /// Sync every record, a report batch's after the journal guard drops:
+    /// a power cut loses nothing acknowledged. The durable default; also
+    /// the slowest.
     Always,
-    /// `fsync` once per this many appended bytes: a crash loses at most
-    /// one sync window of reports (recovery still lands on a consistent
-    /// earlier state).
+    /// Sync once per `n` appended bytes and at segment rotation, a report
+    /// batch's after the guard drops: a power cut loses fewer than
+    /// `S · (n + r)` bytes, `S` sessions appending, `r` the largest record.
     EveryBytes(u64),
-    /// Never `fsync` on the append path; the OS flushes at its leisure.
-    /// Checkpoint and `FINALIZE` records still sync (see the module
-    /// docs for what a power cut can lose).
+    /// Never sync on the append path, not even at rotation; checkpoint
+    /// and `FINALIZE` records still sync under the guard.
     Off,
 }
 
@@ -162,8 +168,7 @@ impl DurableLog {
         let (records, last_seq) = read_segments(dir)?;
         let per_round = apply_records(engine, &records)?;
         let replayed_records: u64 = per_round.values().sum();
-        let mut rounds = engine.open_round_ids();
-        rounds.sort_unstable();
+        let rounds = engine.open_round_ids(); // ascending
         let metrics = engine.metrics();
         if metrics.active() {
             metrics.recovered_rounds.add(rounds.len() as u64);
@@ -184,12 +189,9 @@ impl DurableLog {
         // kill schedule can land inside recovery itself (the daemon
         // binary documents `LDP_WAL_KILL_AFTER_BYTES`; see
         // `tests/crash.rs`). Unset outside the harness.
-        if let Some(bytes) = std::env::var("LDP_WAL_KILL_AFTER_BYTES")
+        journal.kill_after = std::env::var("LDP_WAL_KILL_AFTER_BYTES")
             .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            journal.kill_after = Some(bytes);
-        }
+            .and_then(|s| s.parse().ok());
         // Compact: checkpoint every recovered round into the new
         // segment, so the pre-crash segments are superseded and pruned —
         // repeated crash/restart cycles cannot grow the journal without
@@ -203,10 +205,11 @@ impl DurableLog {
             Some(&first) => journal.checkpoint_round(engine, first, metrics)?,
             None => journal.prune(),
         }
+        let log = DurableLog {
+            journal: Mutex::new(journal),
+        };
         Ok((
-            DurableLog {
-                journal: Mutex::new(journal),
-            },
+            log,
             Recovery {
                 rounds,
                 replayed_records,
@@ -221,17 +224,94 @@ impl DurableLog {
     }
 }
 
+/// The segment being appended to, shared with the [`SyncTicket`]s its
+/// report records hand out.
+#[derive(Debug)]
+struct Segment {
+    file: File,
+    /// The segment's end offset, header included; moved under the guard.
+    written: AtomicU64,
+    /// Every byte before this offset is durable: the group-commit mark,
+    /// raised by each completed sync to the offset it started at.
+    durable_upto: AtomicU64,
+    /// Held while a ticket's sync runs, so the sessions queued behind it
+    /// find their records covered when it returns.
+    syncing: Mutex<()>,
+}
+
+impl Segment {
+    fn create(dir: &Path, seq: u64) -> Result<Self, CollectorError> {
+        let mut file = File::create(dir.join(format!("wal-{seq:016x}.ldpw")))?;
+        file.write_all(&journal::SEGMENT_MAGIC)?;
+        file.write_all(&[journal::SEGMENT_VERSION])?;
+        Ok(Segment {
+            file,
+            written: AtomicU64::new(5),
+            durable_upto: AtomicU64::new(0),
+            syncing: Mutex::new(()),
+        })
+    }
+
+    /// Forces the bytes written so far to stable storage (timed into
+    /// `wal_fsync_nanos`), unless a completed sync already covers them.
+    fn sync(&self, metrics: &CollectorMetrics) -> Result<(), CollectorError> {
+        let upto = self.written.load(Ordering::Acquire);
+        if self.durable_upto.load(Ordering::Acquire) >= upto {
+            return Ok(());
+        }
+        let begin = metrics.active().then(Instant::now);
+        self.file.sync_data()?;
+        self.durable_upto.fetch_max(upto, Ordering::AcqRel);
+        if let Some(begin) = begin {
+            metrics
+                .wal_fsync_nanos
+                .observe(begin.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+}
+
+/// The sync a report record owes under the fsync policy, run by its
+/// session after the journal guard drops and before it reads its next
+/// frame: the segment, and the offset just past the record.
+#[derive(Debug)]
+pub(crate) struct SyncTicket(Arc<Segment>, u64);
+
+impl SyncTicket {
+    /// Returns once a completed sync covers the record: at once when one
+    /// already has, else after the running sync, else after its own.
+    ///
+    /// # Errors
+    /// Disk I/O failures; the record may not be durable.
+    pub(crate) fn wait(&self, metrics: &CollectorMetrics) -> Result<(), CollectorError> {
+        let SyncTicket(segment, end) = self;
+        let covered = || segment.durable_upto.load(Ordering::Acquire) >= *end;
+        if covered() {
+            return Ok(());
+        }
+        let _running = segment
+            .syncing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if covered() {
+            return Ok(());
+        }
+        segment.sync(metrics)
+    }
+}
+
 /// The append side of the write-ahead journal. Obtain one via
 /// [`DurableLog`]; all methods assume the caller holds the log's guard.
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
     policy: FsyncPolicy,
-    file: File,
+    segment: Arc<Segment>,
     /// Sequence number of the segment currently appended to.
     seq: u64,
-    segment_bytes: u64,
-    unsynced_bytes: u64,
+    /// Where the current sync window starts: every byte before it is
+    /// durable or owed by a ticket.
+    window_start: u64,
     rotate_bytes: u64,
     /// Per open round: the earliest segment still needed to recover it
     /// (its last checkpoint record's segment, or its `REC_OPEN`'s).
@@ -247,14 +327,12 @@ pub struct Journal {
 
 impl Journal {
     fn create(dir: &Path, policy: FsyncPolicy, seq: u64) -> Result<Self, CollectorError> {
-        let file = create_segment(dir, seq)?;
         Ok(Journal {
             dir: dir.to_path_buf(),
             policy,
-            file,
+            segment: Arc::new(Segment::create(dir, seq)?),
             seq,
-            segment_bytes: 5,
-            unsynced_bytes: 0,
+            window_start: 5,
             rotate_bytes: DEFAULT_SEGMENT_BYTES,
             live_since: BTreeMap::new(),
             kill_after: None,
@@ -269,17 +347,19 @@ impl Journal {
     /// same bytes the live path saw. `FINALIZE` and checkpoint records
     /// are synced whatever the policy, and a checkpoint record moves its
     /// round's live start to the segment it landed in — both before the
-    /// append can rotate.
+    /// append can rotate. A `REC_BATCH` record the policy owes a sync
+    /// returns it as a ticket, for the caller to run once it drops the
+    /// guard; every other sync runs here.
     ///
     /// # Errors
     /// Disk I/O failures; the record is not durable and the caller must
     /// not act on the frame.
-    pub fn append(
+    pub(crate) fn append(
         &mut self,
         kind: u8,
         payload: &[u8],
         metrics: &CollectorMetrics,
-    ) -> Result<(), CollectorError> {
+    ) -> Result<Option<SyncTicket>, CollectorError> {
         let mut buf = std::mem::take(&mut self.frame_buf);
         buf.clear();
         wire::write_frame(&mut buf, kind, payload)?;
@@ -288,21 +368,20 @@ impl Journal {
                 // Torn-write fault injection: persist a strict prefix of
                 // the record, then die as abruptly as a power cut.
                 let cut = limit.saturating_sub(self.total_bytes) as usize;
-                let _ = self.file.write_all(&buf[..cut.min(buf.len())]);
-                let _ = self.file.sync_data();
+                let _ = (&self.segment.file).write_all(&buf[..cut.min(buf.len())]);
+                let _ = self.segment.file.sync_data();
                 std::process::abort();
             }
         }
         let n = buf.len() as u64;
-        let write = self.file.write_all(&buf);
+        let write = (&self.segment.file).write_all(&buf);
         if kind != journal::REC_CHECKPOINT {
             // Reuse a batch-sized buffer; a snapshot-sized one is freed.
             self.frame_buf = buf;
         }
         write?;
         self.total_bytes += n;
-        self.segment_bytes += n;
-        self.unsynced_bytes += n;
+        let end = self.segment.written.fetch_add(n, Ordering::Release) + n;
         if metrics.active() {
             metrics.wal_appended_bytes.add(n);
         }
@@ -314,10 +393,14 @@ impl Journal {
         let forced = matches!(kind, journal::REC_FINALIZE | journal::REC_CHECKPOINT);
         let due = match self.policy {
             FsyncPolicy::Always => true,
-            FsyncPolicy::EveryBytes(window) => self.unsynced_bytes >= window,
+            FsyncPolicy::EveryBytes(window) => end - self.window_start >= window,
             FsyncPolicy::Off => false,
         };
-        if forced || due {
+        let mut ticket = None;
+        if due && kind == journal::REC_BATCH {
+            self.window_start = end;
+            ticket = Some(SyncTicket(Arc::clone(&self.segment), end));
+        } else if forced || due {
             self.sync(metrics)?;
         }
         if let Ok(round) = get_varint(&mut &payload[..]) {
@@ -329,48 +412,30 @@ impl Journal {
                 self.live_since.entry(round).or_insert(self.seq);
             }
         }
-        if self.segment_bytes >= self.rotate_bytes {
+        if end >= self.rotate_bytes {
+            // The rotation sync covers the ticket, which then runs none.
             self.rotate(metrics)?;
         }
-        Ok(())
+        Ok(ticket)
     }
 
-    /// Forces appended bytes to stable storage (timed into
-    /// `wal_fsync_nanos`).
-    ///
-    /// # Errors
-    /// Disk I/O failures.
-    pub fn sync(&mut self, metrics: &CollectorMetrics) -> Result<(), CollectorError> {
-        if self.unsynced_bytes == 0 {
-            return Ok(());
-        }
-        let begin = metrics.active().then(Instant::now);
-        self.file.sync_data()?;
-        self.unsynced_bytes = 0;
-        if let Some(begin) = begin {
-            metrics
-                .wal_fsync_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
-        }
-        Ok(())
+    /// Forces appended bytes to stable storage under the guard, closing
+    /// the sync window.
+    fn sync(&mut self, metrics: &CollectorMetrics) -> Result<(), CollectorError> {
+        self.window_start = self.segment.written.load(Ordering::Relaxed);
+        self.segment.sync(metrics)
     }
 
-    /// Closes the current segment and opens the next. Policies that sync
-    /// at all sync here regardless of their window, so a finished
-    /// segment is durable before the next one takes records and a
-    /// power-cut torn tail stays confined to the *last* segment.
-    /// [`FsyncPolicy::Off`] skips even this (rotation fsyncs were its
-    /// dominant ingest tax): process crashes still lose nothing — the
-    /// page cache survives SIGKILL — and its power-cut contract is
-    /// already best-effort (see the module docs).
+    /// Closes the current segment, synced first under every policy but
+    /// [`FsyncPolicy::Off`] (rotation fsyncs were its dominant ingest
+    /// tax), and opens the next.
     fn rotate(&mut self, metrics: &CollectorMetrics) -> Result<(), CollectorError> {
         if self.policy != FsyncPolicy::Off {
-            self.unsynced_bytes = self.segment_bytes; // force the sync
             self.sync(metrics)?;
         }
         self.seq += 1;
-        self.file = create_segment(&self.dir, self.seq)?;
-        self.segment_bytes = 5;
+        self.segment = Arc::new(Segment::create(&self.dir, self.seq)?);
+        self.window_start = 5;
         Ok(())
     }
 
@@ -459,13 +524,6 @@ pub(crate) fn check_snapshot_fits(
         });
     }
     Ok(())
-}
-
-fn create_segment(dir: &Path, seq: u64) -> Result<File, CollectorError> {
-    let mut file = File::create(dir.join(format!("wal-{seq:016x}.ldpw")))?;
-    file.write_all(&journal::SEGMENT_MAGIC)?;
-    file.write_all(&[journal::SEGMENT_VERSION])?;
-    Ok(file)
 }
 
 fn segment_seq(name: &str) -> Option<u64> {
@@ -642,6 +700,7 @@ fn apply_records(
 mod tests {
     use super::*;
     use crate::round::{CollectorConfig, RoundOutcome};
+    use crate::server::process_frame;
     use ldp_protocols::UserReport;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -660,6 +719,13 @@ mod tests {
 
     fn engine() -> RoundCollector {
         RoundCollector::new(config()).expect("engine")
+    }
+
+    /// Bytes of the current segment no completed sync covers.
+    fn unsynced(journal: &Journal) -> u64 {
+        let segment = &journal.segment;
+        let written = segment.written.load(Ordering::Acquire);
+        written.saturating_sub(segment.durable_upto.load(Ordering::Acquire))
     }
 
     /// Applies an OPEN + a batch of degree vectors through the durable
@@ -688,6 +754,109 @@ mod tests {
             assert!(matches!(outcome, Frame::Continue), "frame {kind:#04x}");
         }
         assert_eq!(eng.counters(round).expect("counters").accepted, upto as u64);
+    }
+
+    /// Group commit through the live frame path: two sessions on two
+    /// threads upload report batches to one round, and the syncs their
+    /// records owe run after the journal guard drops.
+    #[test]
+    fn report_batch_syncs_run_after_the_guard_and_cover_every_session() {
+        const FRAMES: u64 = 24;
+        let batch = |user: u64| {
+            let mut payload = Vec::new();
+            let entries = [(user, UserReport::DegreeVector(vec![1.0, user as f64]))];
+            wire::encode_routed_batch(2, &entries, &mut payload);
+            payload
+        };
+        // Every payload has the same length: ids < 128 are one byte.
+        let record = 5 + batch(0).len() as u64;
+        for policy in [FsyncPolicy::Always, FsyncPolicy::EveryBytes(3 * record)] {
+            let dir = scratch_dir("group-commit");
+            let eng = engine();
+            let (log, _) = DurableLog::open(&dir, policy, &eng).expect("open");
+            let mut open = Vec::new();
+            for varint in [2, 0, 1, 2 * FRAMES + 2, 2, 0] {
+                put_varint(varint, &mut open); // round, tenant, tag, N, groups, quota
+            }
+            let mut session = Session::default();
+            let opened = process_frame(&mut session, &eng, Some(&log), frames::OPEN, &open);
+            assert!(matches!(opened, Frame::Continue));
+            let (segment, path) = {
+                let journal = log.lock();
+                let path = dir.join(format!("wal-{:016x}.ldpw", journal.seq));
+                (Arc::clone(&journal.segment), path)
+            };
+            let fsyncs = || eng.metrics().wal_fsync_nanos.count();
+            let upload = |user: u64| {
+                let payload = batch(user);
+                let mut session = Session::default();
+                let frame = process_frame(
+                    &mut session,
+                    &eng,
+                    Some(&log),
+                    frames::REPORT_BATCH,
+                    &payload,
+                );
+                assert!(matches!(frame, Frame::Continue), "user {user}");
+                payload
+            };
+            if policy == FsyncPolicy::Always {
+                // Both records are written while a sync holds the lock,
+                // so the first ticket's sync covers the second record,
+                // whose ticket then issues none.
+                let running = segment.syncing.lock().expect("sync lock");
+                let before = fsyncs();
+                let end = segment.written.load(Ordering::Acquire) + 2 * record;
+                std::thread::scope(|scope| {
+                    let sessions =
+                        [2 * FRAMES, 2 * FRAMES + 1].map(|u| scope.spawn(move || upload(u)));
+                    while segment.written.load(Ordering::Acquire) < end {
+                        std::thread::yield_now();
+                    }
+                    drop(running);
+                    for session in sessions {
+                        session.join().expect("session");
+                    }
+                });
+                assert_eq!(fsyncs(), before + 1, "a covered ticket ran its own sync");
+            }
+            std::thread::scope(|scope| {
+                for t in 0..2 {
+                    let (segment, path, upload, log) = (&segment, &path, &upload, &log);
+                    scope.spawn(move || {
+                        for user in t * FRAMES..(t + 1) * FRAMES {
+                            let payload = upload(user);
+                            let durable = segment.durable_upto.load(Ordering::Acquire);
+                            if let FsyncPolicy::EveryBytes(n) = policy {
+                                // Bytes no sync has claimed stay under one
+                                // window and a record; the unsynced bytes
+                                // under that bound per session.
+                                let journal = log.lock();
+                                let end = journal.segment.written.load(Ordering::Acquire);
+                                assert!(end - journal.window_start < n + record);
+                                assert!(end - durable < 2 * (n + record), "user {user}");
+                                continue;
+                            }
+                            // The record lies in the prefix a sync covered.
+                            let bytes = std::fs::read(path).expect("read segment");
+                            let mut prefix = bytes.get(5..durable as usize).unwrap_or_default();
+                            let (mut found, mut rec) = (false, Vec::new());
+                            while let Ok(Some(kind)) = wire::read_frame(&mut prefix, &mut rec) {
+                                found |= kind == journal::REC_BATCH && rec == payload;
+                            }
+                            assert!(found, "user {user} returned before its record was durable");
+                        }
+                    });
+                }
+            });
+            let accepted = eng.counters(2).expect("counters").accepted;
+            assert_eq!(
+                accepted,
+                2 * FRAMES + 2 * u64::from(policy == FsyncPolicy::Always)
+            );
+            drop(log);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -816,7 +985,8 @@ mod tests {
             .append(journal::REC_FINALIZE, &finalize, eng.metrics())
             .expect("append");
         assert_eq!(
-            journal.unsynced_bytes, 0,
+            unsynced(&journal),
+            0,
             "the snapshot was deleted ahead of a durable FINALIZE record"
         );
         drop(journal);
@@ -915,7 +1085,7 @@ mod tests {
             journal_round(&mut journal, &eng, 3, 16, 10);
             // The checkpoint record's own append crosses the rotation
             // threshold, so the journal moves on to a new segment.
-            journal.rotate_bytes = journal.segment_bytes + 1;
+            journal.rotate_bytes = journal.segment.written.load(Ordering::Relaxed) + 1;
             journal
                 .checkpoint_round(&eng, 3, eng.metrics())
                 .expect("checkpoint");
@@ -947,7 +1117,7 @@ mod tests {
             journal
                 .checkpoint_round(&eng, 4, eng.metrics())
                 .expect("checkpoint");
-            assert_eq!(journal.unsynced_bytes, 0, "a checkpoint syncs under `Off`");
+            assert_eq!(unsynced(&journal), 0, "a checkpoint syncs under `Off`");
             for u in 6..9u64 {
                 eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
                     .expect("ingest");
@@ -957,8 +1127,7 @@ mod tests {
             eng.checkpoint(4, &mut record).expect("snapshot");
             let mut frame = Vec::new();
             wire::write_frame(&mut frame, journal::REC_CHECKPOINT, &record).expect("frame");
-            journal
-                .file
+            (&journal.segment.file)
                 .write_all(&frame[..frame.len() / 2])
                 .expect("torn append");
         }

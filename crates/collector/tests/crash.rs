@@ -13,7 +13,8 @@
 //!   zero quota/invalid/malformed rejects (duplicate rejects are the
 //!   resend window's audited cost);
 //! * the finalized totals are **bit-identical** to a fault-free run of
-//!   the same binary;
+//!   the same binary, also when two uploaders on two threads race each
+//!   other through the same schedule;
 //! * the daemon's scrape surface shows the recovery
 //!   (`recovered_rounds`, `wal_replayed_frames`);
 //! * finalize after a checkpoint, then SIGKILL: the restarted daemon
@@ -160,6 +161,14 @@ fn counter(stats: &[ldp_protocols::wire::StatsEntry], name: &str) -> Option<u64>
 /// the schedule's data dir for the CI artifact) if the round does not
 /// reconcile exactly.
 fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
+    run_uploaders(tag, kills, 1)
+}
+
+/// [`run_schedule`] with `uploaders` clients. With 2, a second client on
+/// its own thread sends the odd users while this one sends the even
+/// users and runs the schedule, so both sessions race each other through
+/// every restart.
+fn run_uploaders(tag: &str, kills: &BTreeMap<u64, Kill>, uploaders: u64) -> (Vec<f64>, u64) {
     let dir = crash_root().join(tag);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create schedule dir");
@@ -179,6 +188,19 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
         // Resent duplicates charge quota; provision headroom.
         .open_round(ROUND, channel, Some(16 * POPULATION as u64))
         .expect("open round");
+    let (odd_users, odd_rx) = std::sync::mpsc::channel::<u64>();
+    let second = (uploaders == 2).then(|| {
+        let mut second = retrying_client(port);
+        second.set_round(ROUND).expect("second uploader's round");
+        std::thread::spawn(move || {
+            for user in odd_rx {
+                second
+                    .queue_degree_vector(user, &vector(user))
+                    .expect("second uploader across the kill schedule");
+            }
+            second.sync().expect("second uploader's barrier");
+        })
+    });
     for user in 0..POPULATION as u64 {
         match kills.get(&user) {
             Some(Kill::Sigkill) => {
@@ -200,9 +222,17 @@ fn run_schedule(tag: &str, kills: &BTreeMap<u64, Kill>) -> (Vec<f64>, u64) {
             }
             None => {}
         }
+        if user % uploaders == 1 {
+            odd_users.send(user).expect("the second uploader is alive");
+            continue;
+        }
         client
             .queue_degree_vector(user, &vector(user))
             .expect("queue across the kill schedule");
+    }
+    drop(odd_users);
+    if let Some(handle) = second {
+        handle.join().expect("second uploader");
     }
     if let Some(handle) = watcher.take() {
         daemon = Some(handle.join().expect("torn-append watcher"));
@@ -281,6 +311,34 @@ fn sigkill_schedules_finalize_bit_identically() {
         assert!(!kills.is_empty(), "every schedule must kill at least once");
         let tag = format!("schedule-{index}");
         let outcome = run_schedule(&tag, &kills);
+        assert_eq!(
+            outcome.1, reference.1,
+            "{tag} ({kills:?}): accepted count diverged"
+        );
+        assert_eq!(
+            outcome.0, reference.0,
+            "{tag} ({kills:?}): finalized totals are not bit-identical"
+        );
+    }
+    assert_eq!(
+        CollectorClient::pending_flush_failed(),
+        0,
+        "a reconnect counted its dropped connection as a failed flush"
+    );
+}
+
+/// The same schedules with two concurrent uploaders, whose records the
+/// daemon journals and folds interleaved and whose syncs it shares: still
+/// bit-identical to the fault-free single-uploader run. Every `vector()`
+/// entry is a quarter-integer, so the totals are exact in any fold order.
+#[test]
+fn sigkill_schedules_with_two_uploaders_finalize_bit_identically() {
+    let reference = run_schedule("two-uploaders-reference", &BTreeMap::new());
+    assert_eq!(reference.1, POPULATION as u64);
+    for index in 0..SCHEDULES {
+        let kills = schedule(index);
+        let tag = format!("two-uploaders-schedule-{index}");
+        let outcome = run_uploaders(&tag, &kills, 2);
         assert_eq!(
             outcome.1, reference.1,
             "{tag} ({kills:?}): accepted count diverged"
