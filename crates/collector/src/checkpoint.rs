@@ -30,7 +30,6 @@
 use crate::codec::{decode_round_header, encode_round_header, RoundHeader};
 use crate::error::CollectorError;
 use crate::round::{write_lock, RoundCollector};
-use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{get_u64s, get_varint, put_u64s, put_varint};
 use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
@@ -53,8 +52,6 @@ impl RoundCollector {
     /// errors from the writer.
     pub fn checkpoint(&self, round_id: u64, w: &mut impl Write) -> Result<(), CollectorError> {
         let checkpoint_begin = self.metrics().active().then(Instant::now);
-        self.metrics()
-            .emit(TraceEvent::QuiesceBegin { round: round_id });
         let slot = self.slot(round_id)?;
         let mut guard = write_lock(&slot.inner);
         let round = guard
@@ -88,8 +85,6 @@ impl RoundCollector {
         }
         w.write_all(&buf)?;
         w.flush()?;
-        self.metrics()
-            .emit(TraceEvent::QuiesceEnd { round: round_id });
         if let Some(begin) = checkpoint_begin {
             self.metrics()
                 .checkpoint_nanos

@@ -21,9 +21,8 @@
 //!   round, written into a durable daemon's journal as checkpoint records
 //!   (the one persistence mechanism).
 //! * [`metrics`] — the observability plane: pre-registered relaxed-atomic
-//!   instruments over [`ldp_obs`] and a lock-free trace ring, scraped with
-//!   a `STATS` frame; one branch per site when [`CollectorConfig::metrics`]
-//!   is off.
+//!   instruments over [`ldp_obs`], scraped with a `STATS` frame; one
+//!   branch per site when [`CollectorConfig::metrics`] is off.
 //! * [`server`] / [`client`] — the TCP daemon (a session thread per
 //!   connection, up to [`CollectorConfig::max_sessions`], typed
 //!   `SESSION_CAP` refusals past it) and its typed client (batched

@@ -6,14 +6,12 @@
 //! (session pump, batch decode, shard fold) hold pre-resolved `Arc`
 //! handles and a tick is one relaxed `fetch_add` — zero allocation, zero
 //! locks, no registry walk. The registry is only iterated on the cold
-//! scrape path: a `STATS` wire frame ([`CollectorMetrics::wire_entries`]).
-//!
-//! Alongside the numeric registry lives a fixed-capacity
-//! [`TraceRing`] of structured lifecycle events (sessions
-//! accepted/refused, frames decoded, round transitions, checkpoint
-//! quiescence, typed `ERR`s). Trace records carry real timestamps —
-//! the documented wall-clock carve-out of DESIGN.md §10; nothing here
-//! feeds a modelled value.
+//! scrape path: a `STATS` wire frame ([`CollectorMetrics::wire_entries`]),
+//! the daemon's one observability surface. Every lifecycle event has a
+//! registry entry: sessions admitted, refused or reaped, frames decoded,
+//! rounds opened, closed and finalized, recovery, and each typed `ERR`.
+//! The latency histograms read the wall clock — the documented carve-out
+//! of DESIGN.md §10; nothing here feeds a modelled value.
 //!
 //! Disabling metrics ([`CollectorConfig::metrics`](crate::CollectorConfig::metrics)
 //! `= false`) keeps every handle constructed but turns each hot-path
@@ -21,14 +19,9 @@
 //! the baseline of the `collector_smoke` bench's `metrics_overhead`
 //! ≤ 1.03 gate.
 
-use ldp_obs::{
-    Counter, Gauge, Histogram, Registry, Sample, SampleValue, TraceEvent, TraceRecord, TraceRing,
-};
+use ldp_obs::{Counter, Gauge, Histogram, Registry, Sample, SampleValue};
 use ldp_protocols::wire::{StatsEntry, StatsValue};
 use std::sync::Arc;
-
-/// Events the trace ring retains (latest-wins past this).
-const TRACE_CAPACITY: usize = 1024;
 
 /// Sample the fold latency/lock-wait probes every `1 << FOLD_SAMPLE_SHIFT`
 /// (frame, shard) runs: a run folds one frame's entries for one shard
@@ -57,14 +50,13 @@ pub(crate) const ERR_CODE_NAMES: [&str; 12] = [
     "round_closed",
 ];
 
-/// Pre-registered metric handles plus the structured trace ring. See the
-/// module docs; obtain one from
+/// Pre-registered metric handles and the registry that serves them. See
+/// the module docs; obtain one from
 /// [`RoundCollector::metrics`](crate::RoundCollector::metrics).
 #[derive(Debug)]
 pub struct CollectorMetrics {
     active: bool,
     registry: Registry,
-    ring: TraceRing,
     // --- ingest plane ---
     /// Raw socket bytes drained by session pumps.
     pub(crate) bytes_read: Arc<Counter>,
@@ -154,7 +146,6 @@ impl CollectorMetrics {
         CollectorMetrics {
             active,
             registry: reg,
-            ring: TraceRing::new(TRACE_CAPACITY),
             bytes_read,
             frames_decoded,
             batches_decoded,
@@ -186,15 +177,7 @@ impl CollectorMetrics {
         self.active
     }
 
-    /// Records a structured trace event (no-op while inactive).
-    #[inline]
-    pub(crate) fn emit(&self, event: TraceEvent) {
-        if self.active {
-            self.ring.record(event);
-        }
-    }
-
-    /// Counts one emitted `ERR` frame by its refusal code and traces it.
+    /// Counts one emitted `ERR` frame by its refusal code.
     pub(crate) fn on_err(&self, code: u8) {
         if !self.active {
             return;
@@ -202,7 +185,6 @@ impl CollectorMetrics {
         if let Some(counter) = self.errs.get((code as usize).wrapping_sub(1)) {
             counter.incr();
         }
-        self.ring.record(TraceEvent::ErrEmitted { code });
     }
 
     /// Whether an in-process report routed to `shard` gets its fold
@@ -245,11 +227,6 @@ impl CollectorMetrics {
             })
             .collect()
     }
-
-    /// The stable events currently in the trace ring, in sequence order.
-    pub fn trace(&self) -> Vec<TraceRecord> {
-        self.ring.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +242,7 @@ mod tests {
         m.on_err(codes::SESSION_CAP);
         m.on_err(codes::SESSION_CAP);
         m.on_err(codes::ROUND_CLOSED);
-        m.on_err(0); // unknown code: traced nowhere, never panics
+        m.on_err(0); // unknown code: counted nowhere, never panics
         m.on_err(200);
         let snap = m.snapshot();
         let get = |name: &str| {
@@ -289,9 +266,7 @@ mod tests {
         assert!(!m.active());
         assert!(!m.sample_fold(0));
         m.on_err(codes::BAD_FRAME);
-        m.emit(TraceEvent::RoundFinalized { round: 1 });
         assert_eq!(m.reports_folded(), 0);
-        assert_eq!(m.trace().len(), 0);
         // The scrape surface stays structurally intact (zeros).
         assert!(m
             .wire_entries()

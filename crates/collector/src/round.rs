@@ -59,7 +59,6 @@ use crate::metrics::{CollectorMetrics, FOLD_SAMPLE_SHIFT};
 use crate::server::{fold_batch, Session};
 use crate::shard::{Admitted, FinalizedShards, Shards};
 use ldp_mechanisms::RandomizedResponse;
-use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{self, ReportBatch, ReportView};
 use ldp_protocols::UserReport;
 use std::collections::BTreeMap;
@@ -420,7 +419,7 @@ impl RoundCollector {
         &self.config
     }
 
-    /// The engine's observability plane (scrape surface, trace ring).
+    /// The engine's observability plane (the `STATS` scrape surface).
     pub fn metrics(&self) -> &CollectorMetrics {
         &self.metrics
     }
@@ -549,10 +548,6 @@ impl RoundCollector {
                 .observe(begin.elapsed().as_nanos() as u64);
             self.metrics.memory_used_bytes.set(used);
             self.metrics.rounds_open.add(1);
-            self.metrics.emit(TraceEvent::RoundOpened {
-                round: round_id,
-                tenant,
-            });
         }
         Ok(())
     }
@@ -820,10 +815,6 @@ impl RoundCollector {
             self.metrics
                 .close_nanos
                 .observe(begin.elapsed().as_nanos() as u64);
-            self.metrics.emit(TraceEvent::RoundClosed {
-                round: round_id,
-                accepted: counters.accepted,
-            });
         }
         Ok(counters)
     }
@@ -900,8 +891,6 @@ impl RoundCollector {
             self.metrics
                 .finalize_nanos
                 .observe(begin.elapsed().as_nanos() as u64);
-            self.metrics
-                .emit(TraceEvent::RoundFinalized { round: round_id });
         }
         Ok(outcome)
     }

@@ -70,7 +70,6 @@ use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
 use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
-use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{
     self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
 };
@@ -325,7 +324,7 @@ fn admit(
     let mut waited = Duration::ZERO;
     while shared.active.load(Ordering::Acquire) >= cap {
         if waited >= ADMIT_WAIT {
-            refuse_session_cap(&stream, cap, metrics, shared.active.load(Ordering::Relaxed));
+            refuse_session_cap(&stream, cap, metrics);
             return None;
         }
         std::thread::sleep(ADMIT_POLL);
@@ -335,12 +334,9 @@ fn admit(
         }
     }
     let conn = Conn::new(stream).ok()?;
-    let active = shared.active.fetch_add(1, Ordering::AcqRel) + 1;
+    shared.active.fetch_add(1, Ordering::AcqRel);
     if metrics.active() {
         metrics.sessions_active.add(1);
-        metrics.emit(TraceEvent::SessionAccepted {
-            active: active as u64,
-        });
     }
     Some(conn)
 }
@@ -348,12 +344,9 @@ fn admit(
 /// The typed connect refusal: a valid stream header followed by one
 /// `ERR`/`SESSION_CAP` frame, so the latecomer's first reply read is a
 /// clean [`CollectorError::Remote`] instead of a hang or a reset.
-fn refuse_session_cap(stream: &TcpStream, cap: usize, metrics: &CollectorMetrics, active: usize) {
+fn refuse_session_cap(stream: &TcpStream, cap: usize, metrics: &CollectorMetrics) {
     if metrics.active() {
         metrics.sessions_refused_cap.incr();
-        metrics.emit(TraceEvent::SessionRefused {
-            active: active as u64,
-        });
     }
     metrics.on_err(codes::SESSION_CAP);
     let _ = stream.set_nodelay(true);
@@ -670,10 +663,6 @@ pub(crate) fn process_frame(
     let metrics = engine.metrics();
     if metrics.active() {
         metrics.frames_decoded.incr();
-        metrics.emit(TraceEvent::FrameDecoded {
-            kind,
-            len: payload.len() as u64,
-        });
     }
     let mut reply = Vec::new();
     let result = match kind {
@@ -863,12 +852,9 @@ fn session(
                     // Wedged mid-frame past the timeout: drop it. The
                     // partial frame was never ingested, so every round's
                     // aggregate is exactly as if the bytes never arrived.
-                    let remaining = retire(shared, metrics);
+                    retire(shared, metrics);
                     if metrics.active() {
                         metrics.stall_reaps.incr();
-                        metrics.emit(TraceEvent::StallReaped {
-                            active: remaining as u64,
-                        });
                     }
                     return;
                 }
@@ -886,13 +872,12 @@ fn session(
 }
 
 /// Retires one session: the live count and its gauge mirror move
-/// together. Returns the remaining live-session count.
-fn retire(shared: &Shared, metrics: &CollectorMetrics) -> usize {
-    let remaining = shared.active.fetch_sub(1, Ordering::AcqRel) - 1;
+/// together.
+fn retire(shared: &Shared, metrics: &CollectorMetrics) {
+    shared.active.fetch_sub(1, Ordering::AcqRel);
     if metrics.active() {
         metrics.sessions_active.sub(1);
     }
-    remaining
 }
 
 fn decode_open(payload: &[u8]) -> Result<RoundHeader, CollectorError> {

@@ -80,7 +80,6 @@ use crate::error::CollectorError;
 use crate::metrics::CollectorMetrics;
 use crate::round::{RoundChannel, RoundCollector};
 use crate::server::{apply_frame, frames, Frame, Session};
-use ldp_obs::TraceEvent;
 use ldp_protocols::wire::{self, get_varint, journal, put_varint, WireError};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -166,23 +165,12 @@ impl DurableLog {
     ) -> Result<(Self, Recovery), CollectorError> {
         std::fs::create_dir_all(dir)?;
         let (records, last_seq) = read_segments(dir)?;
-        let per_round = apply_records(engine, &records)?;
-        let replayed_records: u64 = per_round.values().sum();
+        let replayed_records = apply_records(engine, &records)?;
         let rounds = engine.open_round_ids(); // ascending
         let metrics = engine.metrics();
         if metrics.active() {
             metrics.recovered_rounds.add(rounds.len() as u64);
             metrics.wal_replayed_frames.add(replayed_records);
-            for &round in &rounds {
-                metrics.emit(TraceEvent::RoundRecovered {
-                    round,
-                    replayed: per_round.get(&round).copied().unwrap_or(0),
-                });
-            }
-            metrics.emit(TraceEvent::RecoveryComplete {
-                rounds: rounds.len() as u64,
-                replayed: replayed_records,
-            });
         }
         let mut journal = Journal::create(dir, policy, last_seq + 1)?;
         // Crash-harness hook, armed *before* startup compaction so a
@@ -624,11 +612,8 @@ fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
 /// just past its last `REC_FINALIZE` (an earlier incarnation left no
 /// state), or at its last `REC_CHECKPOINT` after that, whose snapshot is
 /// restored; every later record re-runs through [`apply_frame`] with a
-/// replay session. Returns per-round applied-record counts.
-fn apply_records(
-    engine: &RoundCollector,
-    records: &[Rec],
-) -> Result<BTreeMap<u64, u64>, CollectorError> {
+/// replay session. Returns the number of records applied.
+fn apply_records(engine: &RoundCollector, records: &[Rec]) -> Result<u64, CollectorError> {
     // Pass 1: where each round's live history starts, and the snapshot
     // when that start is a checkpoint record.
     let mut start: BTreeMap<u64, (usize, Option<&[u8]>)> = BTreeMap::new();
@@ -666,7 +651,7 @@ fn apply_records(
     // identical counter moves. One session for the whole log keeps
     // warn-once and the fold-sampling cadence those of a single client.
     let mut session = Session::replay();
-    let mut applied: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut applied = 0;
     for (i, rec) in records.iter().enumerate() {
         let Ok(round) = get_varint(&mut rec.payload.as_slice()) else {
             // The live path could not even attribute this payload to a
@@ -691,7 +676,7 @@ fn apply_records(
             // than drop its reports.
             return Err(e);
         }
-        *applied.entry(round).or_insert(0) += 1;
+        applied += 1;
     }
     Ok(applied)
 }

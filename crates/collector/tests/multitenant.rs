@@ -15,6 +15,7 @@ use ldp_collector::{
 };
 use ldp_graph::datasets::Dataset;
 use ldp_graph::Xoshiro256pp;
+use ldp_protocols::wire::{StatsEntry, StatsValue};
 use ldp_protocols::{AdjacencyReport, LfGdpr, PerturbedView};
 use rand::Rng;
 use std::net::SocketAddr;
@@ -431,5 +432,88 @@ fn hostile_open_spam_degrades_gracefully() {
     let view = coordinator.finalize_adjacency(1).unwrap();
     assert_views_identical(&view, &reference);
     drop(coordinator);
+    shutdown(addr, handle);
+}
+
+/// The named entry's value in a `STATS` scrape.
+fn stat(entries: &[StatsEntry], name: &str) -> StatsValue {
+    entries
+        .iter()
+        .find(|e| e.name == name)
+        .map(|e| e.value.clone())
+        .unwrap_or_else(|| panic!("scrape has no entry named {name}"))
+}
+
+/// Observations recorded in the named histogram of a `STATS` scrape.
+fn histogram_count(entries: &[StatsEntry], name: &str) -> u64 {
+    match stat(entries, name) {
+        StatsValue::Histogram { buckets, .. } => buckets.iter().sum(),
+        other => panic!("{name} is not a histogram: {other:?}"),
+    }
+}
+
+/// The lifecycle gauges and histograms on a live daemon: two tenants'
+/// sessions open three rounds, and the scrape reads the open rounds,
+/// their priced memory, the live sessions and one open sample per round;
+/// closing and finalizing one round moves each entry by exactly that
+/// round.
+#[test]
+fn stats_track_round_lifecycle_across_tenants() {
+    const SHARDS: usize = 2;
+    let (addr, handle) = spawn_daemon(CollectorConfig {
+        shards: SHARDS,
+        ..CollectorConfig::default()
+    });
+    let adjacency = RoundChannel::Adjacency {
+        population: 16,
+        p_keep: 0.9,
+    };
+    let small = RoundChannel::DegreeVector {
+        population: 3,
+        groups: 2,
+    };
+    let large = RoundChannel::DegreeVector {
+        population: 100,
+        groups: 4,
+    };
+    let mut a = CollectorClient::connect(addr).unwrap().with_tenant(1);
+    let mut b = CollectorClient::connect(addr).unwrap().with_tenant(2);
+    a.open_round(1, adjacency, None).unwrap();
+    a.open_round(2, small, None).unwrap();
+    b.open_round(3, large, None).unwrap();
+
+    let cost = |c: RoundChannel| c.memory_cost(SHARDS);
+    let budget = cost(adjacency) + cost(small) + cost(large);
+    let entries = a.stats().unwrap();
+    assert_eq!(stat(&entries, "rounds_open"), StatsValue::Gauge(3));
+    assert_eq!(
+        stat(&entries, "memory_budget_used_bytes"),
+        StatsValue::Gauge(budget)
+    );
+    assert_eq!(stat(&entries, "sessions_active"), StatsValue::Gauge(2));
+    assert_eq!(histogram_count(&entries, "round_open_nanos"), 3);
+    assert_eq!(histogram_count(&entries, "round_close_nanos"), 0);
+    assert_eq!(histogram_count(&entries, "round_finalize_nanos"), 0);
+
+    a.set_round(2).unwrap();
+    for id in 0..3u64 {
+        a.queue_degree_vector(id, &[1.0, 2.0]).unwrap();
+    }
+    a.close_round(2).unwrap();
+    a.finalize_degree_vector(2).unwrap();
+
+    let entries = b.stats().unwrap();
+    assert_eq!(stat(&entries, "rounds_open"), StatsValue::Gauge(2));
+    assert_eq!(
+        stat(&entries, "memory_budget_used_bytes"),
+        StatsValue::Gauge(budget - cost(small))
+    );
+    assert_eq!(stat(&entries, "sessions_active"), StatsValue::Gauge(2));
+    assert_eq!(histogram_count(&entries, "round_open_nanos"), 3);
+    assert_eq!(histogram_count(&entries, "round_close_nanos"), 1);
+    assert_eq!(histogram_count(&entries, "round_finalize_nanos"), 1);
+
+    drop(a);
+    drop(b);
     shutdown(addr, handle);
 }

@@ -30,9 +30,9 @@ pub const RULES: &[(&str, &str)] = &[
 /// Crates whose `src/` trees must be bit-deterministic: estimators, attacks,
 /// defenses and scenario replay all promise identical output for identical
 /// seeds. `crates/collector` and `crates/obs` are deliberately absent —
-/// the scoped carve-out of DESIGN.md §10: stall timeouts, latency
-/// histograms, and trace-ring timestamps are *observational* wall-clock
-/// reads that never feed a modelled value.
+/// the scoped carve-out of DESIGN.md §10: stall timeouts and latency
+/// histograms are *observational* wall-clock reads that never feed a
+/// modelled value.
 const DETERMINISTIC_PREFIXES: &[&str] = &[
     "crates/graph/src/",
     "crates/mechanisms/src/",

@@ -1,8 +1,8 @@
 //! # ldp-obs
 //!
-//! The observability plane: a std-only metrics registry and structured
-//! trace ring for the collection daemon, hand-rolled on atomics (the
-//! workspace is hermetic — no `tracing`, no `prometheus`).
+//! The observability plane: a std-only metrics registry for the
+//! collection daemon, hand-rolled on atomics (the workspace is hermetic —
+//! no `tracing`, no `prometheus`).
 //!
 //! ## Hot-path discipline
 //!
@@ -21,12 +21,12 @@
 //! ## Determinism carve-out
 //!
 //! This crate is deliberately **outside the determinism domain** that
-//! DESIGN.md §3 pins for the modelled crates: trace events carry real
-//! monotonic timestamps ([`ring::TraceRing`] stamps microseconds since
-//! ring construction), and scrape output depends on wall-clock
-//! interleaving. Nothing here feeds a modelled value — metrics observe
-//! the system, they never steer it — which is why `ldp-lint`'s
-//! `wall-clock` rule scopes `crates/obs/src/` out (see DESIGN.md §10).
+//! DESIGN.md §3 pins for the modelled crates: the collector's latency
+//! histograms observe wall-clock durations, and scrape output depends on
+//! wall-clock interleaving. Nothing here feeds a modelled value —
+//! metrics observe the system, they never steer it — which is why
+//! `ldp-lint`'s `wall-clock` rule scopes `crates/obs/src/` out (see
+//! DESIGN.md §10).
 //!
 //! ## Snapshot semantics
 //!
@@ -38,10 +38,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod ring;
-
-pub use ring::{TraceEvent, TraceRecord, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
