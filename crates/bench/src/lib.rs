@@ -15,10 +15,7 @@
 use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::protocol::STREAM_ATTACK;
 use ldp_protocols::LfGdpr;
-use poison_core::{
-    craft_reports, AttackOutcome, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric,
-    ThreatModel,
-};
+use poison_core::{Attack, AttackOutcome, AttackerKnowledge, Mga, TargetMetric, ThreatModel};
 
 /// The exact LF-GDPR + MGA degree-centrality pipeline written out by
 /// hand (collect → aggregate → craft → swap tail → aggregate →
@@ -43,13 +40,11 @@ pub fn manual_exact_degree(
     let knowledge =
         AttackerKnowledge::derive(protocol, threat.population(), graph.average_degree());
     let mut attack_rng = base.derive(STREAM_ATTACK);
-    let crafted = craft_reports(
-        AttackStrategy::Mga,
-        TargetMetric::DegreeCentrality,
+    let crafted = Mga::default().craft_adjacency(
         protocol,
+        TargetMetric::DegreeCentrality,
         threat,
         &knowledge,
-        MgaOptions::default(),
         &mut attack_rng,
     );
     for (offset, report) in crafted.into_iter().enumerate() {

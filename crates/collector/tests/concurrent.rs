@@ -14,9 +14,7 @@ use ldp_graph::Xoshiro256pp;
 use ldp_protocols::protocol::STREAM_ATTACK;
 use ldp_protocols::wire;
 use ldp_protocols::{AdjacencyReport, LfGdpr, UserReport};
-use poison_core::{
-    craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, ThreatModel,
-};
+use poison_core::{Attack, AttackerKnowledge, Mga, TargetMetric, ThreatModel};
 use std::net::SocketAddr;
 use std::path::Path;
 
@@ -94,13 +92,11 @@ fn mga_tailed_reports(n: usize, m_fake: usize, seed: u64) -> (LfGdpr, Vec<Adjace
     let mut reports = proto.collect_honest(&g, &base);
     let threat = ThreatModel::explicit(n_genuine, m_fake, (0..n_genuine).step_by(12).collect());
     let knowledge = AttackerKnowledge::derive(&proto, n, g.average_degree());
-    let crafted = craft_reports(
-        AttackStrategy::Mga,
-        TargetMetric::DegreeCentrality,
+    let crafted = Mga::default().craft_adjacency(
         &proto,
+        TargetMetric::DegreeCentrality,
         &threat,
         &knowledge,
-        MgaOptions::default(),
         &mut base.derive(STREAM_ATTACK),
     );
     assert_eq!(crafted.len(), m_fake);

@@ -2,9 +2,8 @@
 //! an enum, a `Display` impl, `std::error::Error`, and `From` conversions —
 //! the workspace is hermetic, so no derive macros).
 //!
-//! These replace the `assert_eq!`/panic population checks the legacy
-//! pipelines aborted with: `Scenario::run` returns `Result`, and the
-//! experiment runner propagates failures instead of dying mid-sweep.
+//! `Scenario::run` returns `Result`, and the experiment runner propagates
+//! failures instead of dying mid-sweep.
 
 use ldp_protocols::{Metric, ProtocolError};
 use std::fmt;
@@ -33,6 +32,9 @@ pub enum ScenarioError {
     },
     /// No threat model was supplied to the builder.
     MissingThreat,
+    /// The threat model names no target node, so there is nothing to
+    /// attack or to measure.
+    NoTargets,
     /// Zero trials requested.
     NoTrials,
     /// Sampled mode was forced but the scenario cannot run analytically
@@ -84,6 +86,7 @@ impl fmt::Display for ScenarioError {
                     "a scenario needs a threat model (ScenarioBuilder::threat)"
                 )
             }
+            ScenarioError::NoTargets => write!(f, "the threat model names no target node"),
             ScenarioError::NoTrials => write!(f, "at least one trial required"),
             ScenarioError::SampledModeUnavailable { reason } => {
                 write!(f, "sampled mode unavailable: {reason}")

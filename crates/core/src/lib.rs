@@ -10,12 +10,13 @@
 //! * [`knowledge`] — what the attacker is assumed to know (§IV-A): the
 //!   budgets ε₁/ε₂, the population size, and the average perturbed degree
 //!   `d̃`, from which the per-fake-user connection budget `⌊d̃⌋` follows.
-//! * [`strategy`] — the §IV-B crafting routines for LF-GDPR reports;
-//!   [`ldpgen_attack`] — the same strategies adapted to LDPGen's
-//!   degree-vector channel.
-//! * [`attack`] — the object-safe [`attack::Attack`] trait
-//!   ([`attack::Rva`]/[`attack::Rna`]/[`attack::Mga`]) crafting uploads
-//!   for *any* protocol channel.
+//! * [`attack`] — the paper's three attacks, RVA, RNA and MGA (§IV-B):
+//!   each is one `impl` of the object-safe [`attack::Attack`] trait
+//!   holding its LF-GDPR adjacency craft, its LDPGen degree-vector craft
+//!   and its sampled-mode footprint side by side.
+//! * [`strategy`] — the knobs around them: the targeted metric, the
+//!   [`strategy::AttackStrategy`] selector the figure tables iterate, and
+//!   MGA's options.
 //! * [`defense`] — the object-safe [`defense::Defense`] trait the
 //!   countermeasures in `poison-defense` implement.
 //! * [`scenario`] — the unified evaluation engine:
@@ -29,11 +30,9 @@
 //! * [`error`] — the typed [`error::ScenarioError`] the engine returns
 //!   instead of aborting.
 //!
-//! The pre-engine per-protocol entry points (`run_lfgdpr_attack` and
-//! friends) were deprecated in the scenario-API PR and are gone; every
-//! run is a [`scenario::Scenario`] build. The engine's collection can be
-//! re-backed by [`scenario::WorldRunner`] — `ldp-collector` uses that to
-//! evaluate scenarios over a TCP collection daemon, bit for bit.
+//! The engine's collection can be re-backed by
+//! [`scenario::WorldRunner`] — `ldp-collector` uses that to evaluate
+//! scenarios over a TCP collection daemon, bit for bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +42,6 @@ pub mod defense;
 pub mod error;
 pub mod gain;
 pub mod knowledge;
-pub mod ldpgen_attack;
 pub mod scenario;
 pub mod strategy;
 pub mod theory;
@@ -58,6 +56,6 @@ pub use ldp_protocols::{GraphLdpProtocol, Metric, ServerView};
 pub use scenario::{
     EvalMode, InProcessRunner, Scenario, ScenarioBuilder, ScenarioReport, TrialOutcome, WorldRunner,
 };
-pub use strategy::{craft_reports, AttackStrategy, MgaOptions, TargetMetric};
+pub use strategy::{AttackStrategy, MgaOptions, TargetMetric};
 pub use theory::{theorem1_degree_gain, theorem2_clustering_gain};
 pub use threat::{TargetSelection, ThreatModel};

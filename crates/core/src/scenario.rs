@@ -3,8 +3,7 @@
 //! anything beyond it — evaluates.
 //!
 //! A scenario is assembled with [`ScenarioBuilder`] and run against a
-//! genuine graph; the engine owns the whole evaluation discipline that the
-//! legacy per-protocol entry points each hand-rolled:
+//! genuine graph; the engine owns the whole evaluation discipline:
 //!
 //! * **common random numbers** (paper Eq. 4): honest and attacked worlds
 //!   share all genuine randomness, so per-target differences are caused by
@@ -268,15 +267,18 @@ impl<'a> ScenarioBuilder<'a> {
     /// Runs the scenario against the genuine graph.
     ///
     /// # Errors
-    /// Returns a typed [`ScenarioError`] on population/partition
-    /// mismatches, unsupported combinations (e.g. a defense on LDPGen, a
-    /// forced sampled mode the scenario cannot satisfy), or protocol-layer
-    /// failures — instead of aborting mid-sweep.
+    /// Returns a typed [`ScenarioError`] on a threat model without
+    /// targets, population/partition mismatches, unsupported combinations
+    /// (e.g. a defense on LDPGen, or a forced sampled mode the scenario
+    /// cannot satisfy) or protocol-layer failures, instead of aborting.
     pub fn run(&self, graph: &CsrGraph) -> Result<ScenarioReport, ScenarioError> {
         // ldp-lint: allow(wall-clock) -- observational timing for the report's
         // elapsed field only; never feeds an estimate, a seed, or a verdict
         let start = Instant::now();
         let threat = self.threat.as_ref().ok_or(ScenarioError::MissingThreat)?;
+        if threat.targets.is_empty() {
+            return Err(ScenarioError::NoTargets);
+        }
         if graph.num_nodes() != threat.n_genuine {
             return Err(ScenarioError::PopulationMismatch {
                 graph_nodes: graph.num_nodes(),
@@ -662,7 +664,7 @@ impl ScenarioReport {
     }
 }
 
-/// Maps the legacy per-metric crafting enum onto the unified metric.
+/// Maps the metric an attack crafts for onto the metric the engine measures.
 impl From<TargetMetric> for Metric {
     fn from(metric: TargetMetric) -> Self {
         match metric {
@@ -798,6 +800,40 @@ mod tests {
             Scenario::on(protocol).threat(threat).trials(0).run(&graph),
             Err(ScenarioError::NoTrials)
         ));
+    }
+
+    #[test]
+    fn a_threat_without_targets_is_a_typed_error() {
+        let graph = caveman_graph(10, 8);
+        let threat = ThreatModel::explicit(80, 8, vec![]);
+        let lfgdpr = LfGdpr::new(4.0).unwrap();
+        let ldpgen = LdpGen::with_defaults(4.0).unwrap();
+        let attacks: [&dyn Attack; 3] = [&Rva, &Rna, &Mga::default()];
+        for attack in attacks {
+            let lfgdpr_run = |mode| {
+                Scenario::on(lfgdpr)
+                    .attack(attack)
+                    .threat(threat.clone())
+                    .mode(mode)
+                    .run(&graph)
+            };
+            let ldpgen_run = Scenario::on(ldpgen)
+                .attack(attack)
+                .metric(Metric::Clustering)
+                .threat(threat.clone())
+                .run(&graph);
+            for run in [
+                lfgdpr_run(EvalMode::Exact),
+                lfgdpr_run(EvalMode::Sampled),
+                ldpgen_run,
+            ] {
+                assert!(
+                    matches!(run, Err(ScenarioError::NoTargets)),
+                    "{}",
+                    attack.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,25 +1,9 @@
-//! The three poisoning attacks of §IV-B, crafting LF-GDPR reports.
-//!
-//! Every strategy produces one [`AdjacencyReport`] per fake user. The crafted
-//! bit vector covers the whole population; under the protocol's
-//! lower-triangle slot ownership, a fake user (id `≥ n`) is authoritative
-//! for every slot toward genuine users and toward lower-id fake users, so
-//! crafted bits land in the server's view verbatim (unless the strategy
-//! itself runs them through the mechanism, as RNA does).
-//!
-//! | strategy | connections | bits perturbed? | crafted degree |
-//! |----------|-------------|-----------------|----------------|
-//! | RVA | `⌊d̃⌋` uniform nodes | no | uniform over `[0, N−1]` |
-//! | RNA | 1 random target | yes (RR) | Laplace-perturbed count |
-//! | MGA (degree) | `min(r, ⌊d̃⌋)` targets (+ random padding) | no | Laplace-perturbed count |
-//! | MGA (cc) | fake↔fake first, then targets, ≤ `⌊d̃⌋` | no | Laplace-perturbed count |
-
-use crate::knowledge::AttackerKnowledge;
-use crate::threat::ThreatModel;
-use ldp_graph::BitSet;
-use ldp_mechanisms::sampling::sample_distinct;
-use ldp_protocols::{AdjacencyReport, LfGdpr};
-use rand::Rng;
+//! The knobs that select and configure the §IV-B attacks: the metric an
+//! attack aims at ([`TargetMetric`]), the attack selector the figure
+//! tables iterate ([`AttackStrategy`], realized by
+//! [`crate::attack::attack_for`]) and MGA's options ([`MgaOptions`]). The
+//! crafting itself lives in [`crate::attack`], one `impl Attack` per
+//! attack.
 
 /// Which graph metric the attack aims to distort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,13 +17,11 @@ pub enum TargetMetric {
 /// The attack strategies of §IV-B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackStrategy {
-    /// Random Value Attack: random connections and a random degree value,
-    /// target-oblivious (graph adaptation of Cao et al.'s RPA).
+    /// Random Value Attack, [`crate::attack::Rva`].
     Rva,
-    /// Random Node Attack: one crafted edge to a random target, everything
-    /// honestly perturbed (graph adaptation of RIA).
+    /// Random Node Attack, [`crate::attack::Rna`].
     Rna,
-    /// Maximal Gain Attack: optimization-based crafting (Theorems 1–2).
+    /// Maximal Gain Attack, [`crate::attack::Mga`].
     Mga,
 }
 
@@ -89,217 +71,14 @@ impl Default for MgaOptions {
     }
 }
 
-impl MgaOptions {
-    /// Resolves the effective connection budget for a population.
-    fn effective_budget(&self, knowledge: &AttackerKnowledge, population: usize) -> usize {
-        self.budget_override
-            .unwrap_or_else(|| knowledge.connection_budget())
-            .min(population.saturating_sub(1))
-            .max(1)
-    }
-}
-
-/// Crafts the `m` fake reports for the given strategy and metric.
-///
-/// `protocol` supplies the mechanisms RNA uses for honest-looking
-/// perturbation and the Laplace noise MGA adds to its crafted degrees.
-pub fn craft_reports<R: Rng>(
-    strategy: AttackStrategy,
-    metric: TargetMetric,
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    knowledge: &AttackerKnowledge,
-    options: MgaOptions,
-    rng: &mut R,
-) -> Vec<AdjacencyReport> {
-    match strategy {
-        AttackStrategy::Rva => craft_rva(protocol, threat, knowledge, rng),
-        AttackStrategy::Rna => craft_rna(protocol, threat, rng),
-        AttackStrategy::Mga => match metric {
-            TargetMetric::DegreeCentrality => {
-                craft_mga_degree(protocol, threat, knowledge, options, rng)
-            }
-            TargetMetric::ClusteringCoefficient => {
-                craft_mga_clustering(protocol, threat, knowledge, options, rng)
-            }
-        },
-    }
-}
-
-/// RVA (§V, §VI): each fake user connects to `⌊d̃⌋` uniformly random other
-/// nodes — connections are *not* perturbed — and reports a degree drawn
-/// uniformly from the degree space `[0, N−1]`.
-fn craft_rva<R: Rng>(
-    _protocol: &LfGdpr,
-    threat: &ThreatModel,
-    knowledge: &AttackerKnowledge,
-    rng: &mut R,
-) -> Vec<AdjacencyReport> {
-    let population = threat.population();
-    let budget = knowledge.connection_budget().min(population - 1);
-    threat
-        .fake_ids()
-        .map(|fake| {
-            let mut bits = BitSet::new(population);
-            // Sample `budget` distinct nodes from 0..N−1 excluding `fake`.
-            for idx in sample_distinct(population - 1, budget, rng) {
-                let node = if idx >= fake { idx + 1 } else { idx };
-                bits.set(node);
-            }
-            let degree = rng.gen_range(0..=knowledge.degree_domain()) as f64;
-            AdjacencyReport::new(bits, degree)
-        })
-        .collect()
-}
-
-/// RNA (§V, §VI): each fake user crafts a single edge to one random target
-/// and then runs the genuine LDP pipeline over it: RR on the bit vector,
-/// Laplace on the degree.
-fn craft_rna<R: Rng>(protocol: &LfGdpr, threat: &ThreatModel, rng: &mut R) -> Vec<AdjacencyReport> {
-    let population = threat.population();
-    let flips = protocol.rr().flip_sampler();
-    threat
-        .fake_ids()
-        .map(|fake| {
-            let target = threat.targets[rng.gen_range(0..threat.targets.len())];
-            let truth = BitSet::from_indices(population, [target]);
-            let bits = flips.perturb_bitset(&truth, Some(fake), rng);
-            let degree = protocol
-                .laplace()
-                .perturb_degree(1.0, (population - 1) as f64, rng);
-            AdjacencyReport::new(bits, degree)
-        })
-        .collect()
-}
-
-/// MGA against degree centrality (§V): each fake user connects to
-/// `min(r, ⌊d̃⌋)` targets (randomly chosen if the budget cannot cover all
-/// `r`), optionally pads to the full budget with random non-targets, and
-/// uploads the crafted vector unperturbed.
-fn craft_mga_degree<R: Rng>(
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    knowledge: &AttackerKnowledge,
-    options: MgaOptions,
-    rng: &mut R,
-) -> Vec<AdjacencyReport> {
-    let population = threat.population();
-    let budget = options.effective_budget(knowledge, population);
-    let per_fake_targets = threat.targets.len().min(budget);
-    threat
-        .fake_ids()
-        .map(|fake| {
-            let mut bits = BitSet::new(population);
-            if per_fake_targets == threat.targets.len() {
-                for &t in &threat.targets {
-                    bits.set(t);
-                }
-            } else {
-                for idx in sample_distinct(threat.targets.len(), per_fake_targets, rng) {
-                    bits.set(threat.targets[idx]);
-                }
-            }
-            if options.pad_to_budget {
-                pad_with_random(&mut bits, fake, budget, rng);
-            }
-            let degree = protocol.laplace().perturb_degree(
-                bits.count_ones() as f64,
-                (population - 1) as f64,
-                rng,
-            );
-            AdjacencyReport::new(bits, degree)
-        })
-        .collect()
-}
-
-/// MGA against the clustering coefficient (§VI): prioritized allocation —
-/// fake users first interconnect (every fake↔fake edge is a future triangle
-/// side), then spend remaining budget on targets round-robin, so each
-/// triangle `fake–fake–target` materializes with two target edges plus the
-/// pre-paid fake edge. Vectors are uploaded unperturbed; degrees are
-/// Laplace-consistent with the claimed connections.
-fn craft_mga_clustering<R: Rng>(
-    protocol: &LfGdpr,
-    threat: &ThreatModel,
-    knowledge: &AttackerKnowledge,
-    options: MgaOptions,
-    rng: &mut R,
-) -> Vec<AdjacencyReport> {
-    let population = threat.population();
-    let budget = options.effective_budget(knowledge, population);
-    let m = threat.m_fake;
-    let fake_start = threat.n_genuine;
-    let mut bit_rows: Vec<BitSet> = (0..m).map(|_| BitSet::new(population)).collect();
-    let mut remaining: Vec<usize> = vec![budget; m];
-
-    if options.prioritize_fake_edges {
-        // Fake clique, budget permitting: iterate pairs (i, j), i < j.
-        'outer: for i in 0..m {
-            for j in (i + 1)..m {
-                if remaining[i] == 0 {
-                    continue 'outer;
-                }
-                if remaining[j] == 0 {
-                    continue;
-                }
-                bit_rows[i].set(fake_start + j);
-                bit_rows[j].set(fake_start + i);
-                remaining[i] -= 1;
-                remaining[j] -= 1;
-            }
-        }
-    }
-
-    // Then targets, round-robin over a randomly rotated target order per
-    // fake user so coverage is even when budgets run short.
-    let r = threat.targets.len();
-    for i in 0..m {
-        if r == 0 {
-            break;
-        }
-        let offset = rng.gen_range(0..r);
-        let take = remaining[i].min(r);
-        for step in 0..take {
-            let t = threat.targets[(offset + step) % r];
-            bit_rows[i].set(t);
-            remaining[i] -= 1;
-        }
-    }
-
-    bit_rows
-        .into_iter()
-        .map(|bits| {
-            let degree = protocol.laplace().perturb_degree(
-                bits.count_ones() as f64,
-                (population - 1) as f64,
-                rng,
-            );
-            AdjacencyReport::new(bits, degree)
-        })
-        .collect()
-}
-
-/// Adds random non-target, non-self connections until `bits` has `budget`
-/// ones (or the population is exhausted).
-fn pad_with_random<R: Rng>(bits: &mut BitSet, own_id: usize, budget: usize, rng: &mut R) {
-    let population = bits.capacity();
-    let mut ones = bits.count_ones();
-    let mut guard = 0usize;
-    let max_tries = 20 * budget + 100;
-    while ones < budget && guard < max_tries {
-        let v = rng.gen_range(0..population);
-        if v != own_id && !bits.get(v) {
-            bits.set(v);
-            ones += 1;
-        }
-        guard += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::{Attack, Mga, Rna, Rva};
+    use crate::knowledge::AttackerKnowledge;
+    use crate::threat::ThreatModel;
     use ldp_graph::Xoshiro256pp;
+    use ldp_protocols::LfGdpr;
 
     fn setup(
         n: usize,
@@ -317,13 +96,11 @@ mod tests {
     fn rva_respects_budget_and_randomness() {
         let (protocol, threat, knowledge) = setup(100, 10, vec![1, 2, 3], 4.0);
         let mut rng = Xoshiro256pp::new(1);
-        let reports = craft_reports(
-            AttackStrategy::Rva,
-            TargetMetric::DegreeCentrality,
+        let reports = Rva.craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         assert_eq!(reports.len(), 10);
@@ -340,13 +117,11 @@ mod tests {
         // With huge ε the RR barely flips bits, so the crafted edge shows.
         let (protocol, threat, knowledge) = setup(50, 5, vec![7, 9], 24.0);
         let mut rng = Xoshiro256pp::new(2);
-        let reports = craft_reports(
-            AttackStrategy::Rna,
-            TargetMetric::DegreeCentrality,
+        let reports = Rna.craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         for r in &reports {
@@ -360,13 +135,11 @@ mod tests {
     fn mga_degree_hits_every_target_when_budget_allows() {
         let (protocol, threat, knowledge) = setup(200, 8, vec![3, 50, 120], 2.0);
         let mut rng = Xoshiro256pp::new(3);
-        let reports = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
+        let reports = Mga::default().craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         assert!(
@@ -388,16 +161,15 @@ mod tests {
         let budget = knowledge.connection_budget();
         assert!(budget < 20);
         let mut rng = Xoshiro256pp::new(4);
-        let reports = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
+        let reports = Mga::new(MgaOptions {
+            pad_to_budget: false,
+            ..Default::default()
+        })
+        .craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions {
-                pad_to_budget: false,
-                ..Default::default()
-            },
             &mut rng,
         );
         for r in &reports {
@@ -412,13 +184,11 @@ mod tests {
     fn mga_padding_fills_to_budget() {
         let (protocol, threat, knowledge) = setup(300, 4, vec![5], 2.0);
         let mut rng = Xoshiro256pp::new(5);
-        let reports = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
+        let reports = Mga::default().craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         let budget = knowledge.connection_budget().min(threat.population() - 1);
@@ -432,13 +202,11 @@ mod tests {
     fn mga_clustering_interconnects_fakes_then_targets() {
         let (protocol, threat, knowledge) = setup(100, 6, vec![1, 2], 1.0);
         let mut rng = Xoshiro256pp::new(6);
-        let reports = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::ClusteringCoefficient,
+        let reports = Mga::default().craft_adjacency(
             &protocol,
+            TargetMetric::ClusteringCoefficient,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         // Budget at ε=1 on N=106 is ample: every fake pair linked, every
@@ -460,17 +228,16 @@ mod tests {
     fn mga_clustering_without_prioritization_skips_fake_edges() {
         let (protocol, threat, knowledge) = setup(100, 5, vec![1], 1.0);
         let mut rng = Xoshiro256pp::new(7);
-        let reports = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::ClusteringCoefficient,
+        let reports = Mga::new(MgaOptions {
+            prioritize_fake_edges: false,
+            pad_to_budget: false,
+            ..Default::default()
+        })
+        .craft_adjacency(
             &protocol,
+            TargetMetric::ClusteringCoefficient,
             &threat,
             &knowledge,
-            MgaOptions {
-                prioritize_fake_edges: false,
-                pad_to_budget: false,
-                ..Default::default()
-            },
             &mut rng,
         );
         for r in &reports {

@@ -59,9 +59,7 @@ mod tests {
     use super::*;
     use ldp_graph::datasets::Dataset;
     use ldp_graph::Xoshiro256pp;
-    use poison_core::{
-        craft_reports, AttackStrategy, AttackerKnowledge, MgaOptions, TargetMetric, ThreatModel,
-    };
+    use poison_core::{Attack, AttackerKnowledge, Mga, Rva, TargetMetric, ThreatModel};
 
     /// Build a population poisoned by BOTH attack styles: half the fakes
     /// run RVA (inconsistent degree), half run MGA (shared pattern).
@@ -75,22 +73,18 @@ mod tests {
         let base = Xoshiro256pp::new(52);
         let mut reports = protocol.collect_honest(&extended, &base);
         let mut rng = base.derive(0xC4AF);
-        let mga = craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
+        let mga = Mga::default().craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
-        let rva = craft_reports(
-            AttackStrategy::Rva,
-            TargetMetric::DegreeCentrality,
+        let rva = Rva.craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         for (offset, report) in mga.into_iter().take(10).enumerate() {

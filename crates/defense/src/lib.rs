@@ -22,10 +22,8 @@
 //! * [`combined`] — Detect2 then Detect1, flags unioned (an extension
 //!   beyond the paper).
 //!
-//! The deprecated `GraphDefense` trait and `run_defended_attack` wrapper
-//! are gone; a defended run is `Scenario::on(protocol).attack(…)
-//! .defend(defense)` and its verdict counters live on the returned
-//! `ScenarioReport` trials.
+//! A defended run is `Scenario::on(protocol).attack(…).defend(defense)`,
+//! and its verdict counters live on the returned `ScenarioReport` trials.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

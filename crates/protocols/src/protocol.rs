@@ -19,11 +19,11 @@
 //!
 //! ## Randomness discipline
 //!
-//! Every method takes the trial's base RNG and derives the same streams
-//! the original pipelines used (per-user streams for collection,
+//! Every method takes the trial's base RNG and derives fixed streams from
+//! it (per-user streams for collection,
 //! [`STREAM_ATTACK`]/[`STREAM_DEFENSE`]/[`STREAM_LDPGEN_ATTACK`] for the
-//! callbacks), so scenario-engine output is bit-for-bit identical to the
-//! legacy entry points — pinned by `tests/scenario_equivalence.rs`.
+//! callbacks), so scenario-engine output is reproducible bit for bit;
+//! `tests/scenario_equivalence.rs` pins it.
 
 use crate::ingest::fold_reports;
 use crate::ldpgen::LdpGen;

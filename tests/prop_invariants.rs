@@ -117,13 +117,11 @@ proptest! {
         let threat = ThreatModel::explicit(graph.num_nodes(), m, vec![1, 2, 3]);
         let knowledge = AttackerKnowledge::derive(&protocol, threat.population(), graph.average_degree());
         let mut rng = Xoshiro256pp::new(seed);
-        let reports = graph_ldp_poisoning::attack::craft_reports(
-            AttackStrategy::Mga,
-            TargetMetric::DegreeCentrality,
+        let reports = Mga::default().craft_adjacency(
             &protocol,
+            TargetMetric::DegreeCentrality,
             &threat,
             &knowledge,
-            MgaOptions::default(),
             &mut rng,
         );
         let budget = knowledge.connection_budget().min(threat.population() - 1);
