@@ -29,6 +29,7 @@
 
 use crate::codec::{decode_round_header, encode_round_header, RoundHeader};
 use crate::error::CollectorError;
+use crate::metrics::observe_since;
 use crate::round::{write_lock, RoundCollector};
 use ldp_protocols::wire::{get_u64s, get_varint, put_u64s, put_varint};
 use std::io::{Read, Write};
@@ -85,11 +86,7 @@ impl RoundCollector {
         }
         w.write_all(&buf)?;
         w.flush()?;
-        if let Some(begin) = checkpoint_begin {
-            self.metrics()
-                .checkpoint_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
-        }
+        observe_since(&self.metrics().checkpoint_nanos, checkpoint_begin);
         Ok(())
     }
 
@@ -160,16 +157,14 @@ impl RoundCollector {
                     detail: "trailing bytes",
                 });
             }
-            round.submitted.store(submitted, Ordering::Release);
-            round
-                .rejected_quota
-                .store(rejected_quota, Ordering::Release);
-            round
-                .rejected_invalid
-                .store(rejected_invalid, Ordering::Release);
-            round
-                .rejected_malformed
-                .store(rejected_malformed, Ordering::Release);
+            for (counter, value) in [
+                (&round.submitted, submitted),
+                (&round.rejected_quota, rejected_quota),
+                (&round.rejected_invalid, rejected_invalid),
+                (&round.rejected_malformed, rejected_malformed),
+            ] {
+                counter.store(value, Ordering::Release);
+            }
             round.closed.store(closed, Ordering::Release);
             Ok(())
         })?;

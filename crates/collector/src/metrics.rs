@@ -22,6 +22,7 @@
 use ldp_obs::{Counter, Gauge, Histogram, Registry, Sample, SampleValue};
 use ldp_protocols::wire::{StatsEntry, StatsValue};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Sample the fold latency/lock-wait probes every `1 << FOLD_SAMPLE_SHIFT`
 /// (frame, shard) runs: a run folds one frame's entries for one shard
@@ -31,6 +32,13 @@ use std::sync::Arc;
 /// it reads the owning shard's fold counter (a relaxed load). Either way
 /// the untimed majority pays no atomic write for not being timed.
 pub(crate) const FOLD_SAMPLE_SHIFT: u32 = 3;
+
+/// Records the nanoseconds since `begin` in `histogram`, if timed.
+pub(crate) fn observe_since(histogram: &Histogram, begin: Option<Instant>) {
+    if let Some(begin) = begin {
+        histogram.observe(begin.elapsed().as_nanos() as u64);
+    }
+}
 
 /// Stable names for the `server::codes` refusal codes, in code order
 /// (code `i` is `ERR_CODE_NAMES[i - 1]`); each gets an `err_{name}`
@@ -88,9 +96,12 @@ pub struct CollectorMetrics {
     pub(crate) open_nanos: Arc<Histogram>,
     /// Duration of round closes (including the quiesce), nanoseconds.
     pub(crate) close_nanos: Arc<Histogram>,
-    /// Duration of round finalizations, nanoseconds; on the daemon this
-    /// includes encoding the reply payload.
+    /// Duration of round finalizations up to the `REC_FINALIZE` journal
+    /// record, nanoseconds.
     pub(crate) finalize_nanos: Arc<Histogram>,
+    /// Duration of streaming one adjacency round's `VIEW` reply from its
+    /// shards into the socket, nanoseconds.
+    pub(crate) view_send_nanos: Arc<Histogram>,
     /// Duration of checkpoint snapshots, nanoseconds.
     pub(crate) checkpoint_nanos: Arc<Histogram>,
     /// Priced bytes currently charged against the memory budget.
@@ -136,6 +147,7 @@ impl CollectorMetrics {
         let open_nanos = reg.histogram("round_open_nanos");
         let close_nanos = reg.histogram("round_close_nanos");
         let finalize_nanos = reg.histogram("round_finalize_nanos");
+        let view_send_nanos = reg.histogram("view_send_nanos");
         let checkpoint_nanos = reg.histogram("round_checkpoint_nanos");
         let memory_used_bytes = reg.gauge("memory_budget_used_bytes");
         let rounds_open = reg.gauge("rounds_open");
@@ -160,6 +172,7 @@ impl CollectorMetrics {
             open_nanos,
             close_nanos,
             finalize_nanos,
+            view_send_nanos,
             checkpoint_nanos,
             memory_used_bytes,
             rounds_open,

@@ -20,11 +20,10 @@
 //!
 //! Two lock tiers, always taken registry-before-round:
 //!
-//! 1. the **registry** (`RwLock<HashMap<id, Arc<RoundSlot>>>`) — read to
-//!    look a round up, written only by open (insert) and finalize
+//! 1. the **registry** (`RwLock<BTreeMap<id, Arc<RoundSlot>>>`) — read
+//!    to look a round up, written only by open (insert) and finalize
 //!    (remove);
-//! 2. each round's **slot lock** — the per-round twin of the old
-//!    single-round engine lock: ingestion takes it read once per frame
+//! 2. each round's **slot lock**: ingestion takes it read once per frame
 //!    (then each shard the frame touches, one at a time), lifecycle
 //!    transitions (close, finalize, checkpoint) take it write, so a close
 //!    quiesces every in-flight frame *of that round* and no other.
@@ -32,12 +31,11 @@
 //! Finalize drops the slot's write guard before re-taking the registry
 //! writer to remove the entry, so no thread ever waits on the registry
 //! while holding a slot — the ordering is acyclic and deadlock-free.
-//! Within one round everything works exactly as it did single-round:
-//! duplicate-id rejection lives in the id-sharded seen-bitmaps, quota
-//! and malformed-upload counters are atomics, and the adjacency fold is
-//! a commutative OR into exclusively-owned words — which is what keeps
-//! each round's finalized view bit-identical to a single-round run no
-//! matter how sessions and *other rounds* interleave. Rejected reports
+//! Within a round, duplicate-id rejection lives in the id-sharded
+//! seen-bitmaps, quota and malformed-upload counters are atomics, and the
+//! adjacency fold is a commutative OR into exclusively-owned words — so
+//! each round's finalized view is bit-identical however sessions and
+//! *other rounds* interleave. Rejected reports
 //! (duplicates, quota overruns, malformed or out-of-range uploads —
 //! exactly the attack surface the paper's Detect1/Detect2 score) are
 //! *counted*, never folded, and surfaced in the close summary.
@@ -55,7 +53,7 @@
 //! collector.
 
 use crate::error::CollectorError;
-use crate::metrics::{CollectorMetrics, FOLD_SAMPLE_SHIFT};
+use crate::metrics::{observe_since, CollectorMetrics, FOLD_SAMPLE_SHIFT};
 use crate::server::{fold_batch, Session};
 use crate::shard::{Admitted, FinalizedShards, Shards};
 use ldp_mechanisms::RandomizedResponse;
@@ -190,9 +188,9 @@ impl RoundChannel {
     /// decision made) *before* anything is allocated.
     ///
     /// An adjacency round's daemon-side peak is its triangular shards
-    /// (`≈ N²/16`) plus, during `FINALIZE`, the `VIEW` reply encoded from
-    /// them (another `≈ N²/16`); no full matrix is ever built in the
-    /// daemon, so `N²/8` prices that peak.
+    /// (`≈ N²/16`) plus, during `FINALIZE`, one 1 MiB piece of the `VIEW`
+    /// streamed from them; no full matrix or whole reply is built in the
+    /// daemon, so `N²/8` prices that peak with room to spare.
     pub fn memory_cost(&self, shards: usize) -> u64 {
         match *self {
             RoundChannel::Adjacency { population, .. } => {
@@ -261,7 +259,7 @@ pub(crate) struct FrameTally {
 #[derive(Debug)]
 pub enum RoundOutcome {
     /// The adjacency channel's aggregate, still in its shards: the daemon
-    /// encodes the `VIEW` reply from it ([`FinalizedShards::encode`]), an
+    /// streams the `VIEW` reply from it ([`FinalizedShards::encode`]), an
     /// in-process caller takes the server view
     /// ([`FinalizedShards::into_view`]), bit-identical to the in-process
     /// aggregation of the same reports.
@@ -348,8 +346,7 @@ impl OpenRound {
 }
 
 /// One registry entry: a round's tenant, its priced memory charge, and
-/// the per-round state lock (the multi-round twin of the old engine-wide
-/// round lock — `None` once finalized).
+/// the per-round state lock (`None` once finalized).
 pub(crate) struct RoundSlot {
     pub(crate) tenant: u64,
     pub(crate) cost: u64,
@@ -389,13 +386,9 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 impl RoundCollector {
     /// Largest adjacency population admitted regardless of
     /// `max_population`, so a finalized view always fits a single
-    /// [`ldp_protocols::wire::MAX_FRAME_LEN`] frame. The value was sized
-    /// for the wire-v2 view (the full `N²/8` matrix plus degree fields);
-    /// the v3 view ships only the lower triangle,
-    /// [`ldp_protocols::wire::view_payload_len`] `≈ N²/16 + 8N` bytes,
-    /// so at 23,000 users it fills about half a frame and the cap is
-    /// conservative. Raising it is a population-cap change, not a wire
-    /// one. A unit test checks the exact v3 size against the frame.
+    /// [`ldp_protocols::wire::MAX_FRAME_LEN`] frame: at 23,000 users the
+    /// view ([`ldp_protocols::wire::view_payload_len`], `≈ N²/16 + 8N`
+    /// bytes) fills about half of one, which a unit test checks.
     const WIRE_VIEW_CAP: usize = 23_000;
 
     /// Creates an engine with the given configuration.
@@ -506,9 +499,8 @@ impl RoundCollector {
         if rounds.contains_key(&round_id) {
             return Err(CollectorError::RoundAlreadyOpen { round_id });
         }
-        // Per-round caps and parameter validation come first (those
-        // refusals predate multi-tenancy and keep their error types),
-        // then the admission checks — all of it before any allocation.
+        // Per-round caps and parameter validation come first, then the
+        // admission checks — all of it before any allocation.
         self.validate_channel(&channel)?;
         let open = rounds.values().filter(|s| s.tenant == tenant).count();
         if open >= self.config.max_rounds_per_tenant {
@@ -542,10 +534,8 @@ impl RoundCollector {
             }),
         );
         let used = self.memory_used.fetch_add(cost, Ordering::AcqRel) + cost;
-        if let Some(begin) = open_begin {
-            self.metrics
-                .open_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
+        observe_since(&self.metrics.open_nanos, open_begin);
+        if open_begin.is_some() {
             self.metrics.memory_used_bytes.set(used);
             self.metrics.rounds_open.add(1);
         }
@@ -811,11 +801,7 @@ impl RoundCollector {
         // ldp-lint: allow(lock-order) -- same `OpenRound::counters` name
         // collision as in `counters` above; no lock is taken here.
         let counters = round.counters();
-        if let Some(begin) = close_begin {
-            self.metrics
-                .close_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
-        }
+        observe_since(&self.metrics.close_nanos, close_begin);
         Ok(counters)
     }
 
@@ -829,13 +815,13 @@ impl RoundCollector {
     /// [`CollectorError::RoundIncomplete`] while reports are outstanding;
     /// [`CollectorError::UnknownRound`] when no round has this id.
     pub fn finalize(&self, round_id: u64) -> Result<RoundOutcome, CollectorError> {
-        self.finalize_then(round_id, |outcome| outcome)
+        self.finalize_then(round_id, Ok)
     }
 
-    /// [`Self::finalize`], then `reply` on the outcome, both inside the
-    /// `round_finalize_nanos` measurement. The daemon encodes its reply
-    /// payload here, so the histogram covers its whole `FINALIZE`, from
-    /// taking the round to having the reply bytes.
+    /// [`Self::finalize`], then `then` on the outcome, both inside the
+    /// `round_finalize_nanos` measurement. The daemon journals its
+    /// `REC_FINALIZE` record here; the `VIEW` it streams afterwards is
+    /// timed by `view_send_nanos`.
     ///
     /// Kept out of line: inlined into the daemon's frame-apply function,
     /// which also runs every report-batch fold, it cost the journaled
@@ -845,7 +831,7 @@ impl RoundCollector {
     pub(crate) fn finalize_then<T>(
         &self,
         round_id: u64,
-        reply: impl FnOnce(RoundOutcome) -> T,
+        then: impl FnOnce(RoundOutcome) -> Result<T, CollectorError>,
     ) -> Result<T, CollectorError> {
         let finalize_begin = self.metrics.active().then(Instant::now);
         let slot = self.slot(round_id)?;
@@ -880,19 +866,15 @@ impl RoundCollector {
             }
         }
         // Only adjacency rounds carry a flip mechanism.
-        let outcome = reply(match round.rr {
+        let outcome = then(match round.rr {
             Some(rr) => RoundOutcome::Adjacency(round.shards.finalize(rr)),
             None => RoundOutcome::DegreeVector {
                 group_totals: round.shards.group_totals(),
                 accepted,
             },
         });
-        if let Some(begin) = finalize_begin {
-            self.metrics
-                .finalize_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
-        }
-        Ok(outcome)
+        observe_since(&self.metrics.finalize_nanos, finalize_begin);
+        outcome
     }
 }
 

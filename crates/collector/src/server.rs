@@ -39,7 +39,7 @@
 //! | `ACK` `0x81` | s→c | empty |
 //! | `ERR` `0x82` | s→c | code byte + message |
 //! | `SUMMARY` `0x83` | s→c | intake counters + finalized-at-close flag |
-//! | `VIEW` `0x84` | s→c | a finalized [`PerturbedView`](ldp_protocols::PerturbedView) as `N`, keep probability, reported degrees and the strict lower triangle, encoded straight from the shards ([`wire::encode_lower_view`]); the client mirrors it |
+//! | `VIEW` `0x84` | s→c | a finalized [`PerturbedView`](ldp_protocols::PerturbedView) as `N`, keep probability, reported degrees and the strict lower triangle, streamed from the shards into the socket in [`wire::VIEW_PIECE`] pieces ([`wire::encode_lower_view`]) after the replies staged before it; the client mirrors it |
 //! | `DEGREE_SUMMARY` `0x85` | s→c | group totals + accepted count |
 //! | `STATS_REPLY` `0x86` | s→c | typed metric samples (see [`wire::decode_stats_reply`]) |
 //!
@@ -67,11 +67,12 @@ use crate::codec::{
     RoundHeader,
 };
 use crate::error::CollectorError;
-use crate::metrics::CollectorMetrics;
+use crate::metrics::{observe_since, CollectorMetrics};
 use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
+use crate::shard::FinalizedShards;
 use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
 use ldp_protocols::wire::{
-    self, get_varint, journal, write_frame, write_stream_header, MAX_FRAME_LEN,
+    self, get_varint, journal, write_frame, write_stream_header, WireError, MAX_FRAME_LEN,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -79,9 +80,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Frame kind bytes of the collection protocol. The constants moved next
-/// to the codec in [`ldp_protocols::wire::frames`]; this re-export keeps
-/// the daemon-side spelling (`frames::OPEN`, …) stable.
+/// Frame kind bytes of the collection protocol, defined next to the
+/// codec ([`ldp_protocols::wire::frames`]).
 pub use ldp_protocols::wire::frames;
 
 /// Stable error codes carried by `ERR` frames.
@@ -351,14 +351,13 @@ fn refuse_session_cap(stream: &TcpStream, cap: usize, metrics: &CollectorMetrics
     metrics.on_err(codes::SESSION_CAP);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut out = Vec::new();
-    if write_stream_header(&mut out).is_ok() {
-        let mut reply = Vec::new();
-        encode_error(&CollectorError::SessionCap { cap }, &mut reply);
-        let _ = write_frame(&mut out, frames::ERR, &reply);
-        if (&*stream).write_all(&out).is_err() {
-            return;
-        }
+    // Writes into a `Vec` cannot fail.
+    let (mut out, mut reply) = (Vec::new(), Vec::new());
+    let _ = write_stream_header(&mut out);
+    encode_error(&CollectorError::SessionCap { cap }, &mut reply);
+    let _ = write_frame(&mut out, frames::ERR, &reply);
+    if (&*stream).write_all(&out).is_err() {
+        return;
     }
     // Half-close and absorb whatever the peer already sent (its
     // handshake, typically a first frame too) before dropping the
@@ -410,8 +409,8 @@ struct Conn {
 #[derive(Default)]
 pub(crate) struct Session {
     /// Staged outbound replies, flushed once the frames buffered so far
-    /// are processed.
-    out: Vec<u8>,
+    /// are processed, or before a `VIEW` is streamed.
+    pub(crate) out: Vec<u8>,
     /// Misdirected round ids already answered with a typed ERR — one
     /// warning per (connection, round), so a flood of unknown-round
     /// reports cannot turn the daemon into a reply amplifier.
@@ -521,11 +520,13 @@ impl Conn {
             used += 4 + frame_len;
             match process_frame(&mut self.session, engine, durable, frame[0], &frame[1..]) {
                 Frame::Continue | Frame::Refused(_) => {}
+                Frame::View(shards) if self.send_view(&shards, engine.metrics()).is_ok() => {}
                 Frame::Shutdown => {
                     outcome = Pump::Shutdown;
                     break;
                 }
-                Frame::Fatal => {
+                // A `VIEW` the socket did not take ends the connection.
+                Frame::Fatal | Frame::View(_) => {
                     outcome = Pump::Closed;
                     break;
                 }
@@ -541,6 +542,20 @@ impl Conn {
             return Pump::Closed;
         }
         outcome
+    }
+
+    /// Writes the replies staged so far and the `VIEW` frame head, then
+    /// streams the payload from the shards one [`wire::VIEW_PIECE`] at a
+    /// time, each under the write timeout set at accept.
+    fn send_view(&mut self, view: &FinalizedShards, m: &CollectorMetrics) -> Result<(), WireError> {
+        let begin = m.active().then(Instant::now);
+        let len = wire::view_payload_len(view.n);
+        wire::write_frame_head(&mut self.session.out, frames::VIEW, len)?;
+        self.stream.write_all(&self.session.out)?;
+        self.session.out.clear();
+        view.encode(&mut self.stream)?;
+        observe_since(&m.view_send_nanos, begin);
+        Ok(())
     }
 
     /// One socket read of up to [`READ_CHUNK`] bytes, blocking at most
@@ -607,6 +622,8 @@ pub(crate) enum Frame {
     /// A request was refused; its typed `ERR` is already staged. Journal
     /// recovery reads the error, the live path moves on.
     Refused(CollectorError),
+    /// A finalized, journaled adjacency round, whose `VIEW` the pump streams.
+    View(FinalizedShards),
 }
 
 /// Folds one `REPORT_BATCH` payload as a whole
@@ -638,12 +655,10 @@ pub(crate) fn fold_batch(
             Err(CollectorError::Wire(e))
         }
     };
-    if let Some(begin) = batch_begin {
+    if batch_begin.is_some() {
         metrics.batches_decoded.incr();
-        metrics
-            .batch_nanos
-            .observe(begin.elapsed().as_nanos() as u64);
     }
+    observe_since(&metrics.batch_nanos, batch_begin);
     folded
 }
 
@@ -712,7 +727,8 @@ pub(crate) fn process_frame(
 ///   everything a client was told happened (the `ack-before-durable`
 ///   lint rule pins this order);
 /// * the fold and its malformed-upload accounting;
-/// * the `ACK`/`SUMMARY`/`VIEW`/`DEGREE_SUMMARY` reply encoding.
+/// * the `ACK`/`SUMMARY`/`DEGREE_SUMMARY` reply encoding, and the
+///   handoff of a finalized adjacency round to the pump ([`Frame::View`]).
 ///
 /// Without a journal, `CHECKPOINT` is a typed `CHECKPOINT_FAILED`: a
 /// snapshot is a journal record, superseding the records before it.
@@ -763,28 +779,23 @@ pub(crate) fn apply_frame(
                 encode_summary(&counters, &mut reply);
                 frames::SUMMARY
             }),
-        // The reply is encoded inside the engine's finalize measurement;
-        // it leaves the socket only once the record is journaled.
-        frames::FINALIZE => decode_round_id(payload)
-            .and_then(|id| {
-                engine.finalize_then(id, |outcome| match outcome {
-                    RoundOutcome::Adjacency(shards) => {
-                        shards.encode(&mut reply);
-                        frames::VIEW
-                    }
-                    RoundOutcome::DegreeVector {
-                        group_totals,
-                        accepted,
-                    } => {
-                        encode_degree_summary(accepted, &group_totals, &mut reply);
-                        frames::DEGREE_SUMMARY
-                    }
-                })
+        // The record is journaled inside the engine's finalize
+        // measurement, and before any reply is staged or handed over.
+        frames::FINALIZE => match decode_round_id(payload).and_then(|id| {
+            engine.finalize_then(id, |outcome| {
+                append_accepted(journal, journal::REC_FINALIZE, payload, metrics).map(|()| outcome)
             })
-            .and_then(|kind| {
-                append_accepted(journal, journal::REC_FINALIZE, payload, metrics)?;
-                Ok(kind)
-            }),
+        }) {
+            Ok(RoundOutcome::Adjacency(shards)) => return Frame::View(shards),
+            Ok(RoundOutcome::DegreeVector {
+                group_totals,
+                accepted,
+            }) => {
+                encode_degree_summary(accepted, &group_totals, &mut reply);
+                Ok(frames::DEGREE_SUMMARY)
+            }
+            Err(e) => Err(e),
+        },
         frames::CHECKPOINT => decode_round_id(payload)
             .and_then(|id| match journal {
                 Some(journal) => journal.checkpoint_round(engine, id, metrics),

@@ -9,8 +9,8 @@
 //! own mutex; a session folds a frame's entries for a shard under one
 //! lock of that shard, so sessions touching different shards never contend
 //! and the duplicate-id check (the shard's seen-bitmap) is race-free by
-//! ownership. Finalize merges nothing: the daemon encodes the `VIEW`
-//! reply straight from the shards, row `i` read from shard `i % shards`,
+//! ownership. Finalize merges nothing: the daemon streams the `VIEW`
+//! reply from the shards, row `i` read from shard `i % shards`,
 //! slot `i / shards` ([`FinalizedShards`]) — the shard states never
 //! overlap, so the triangle they hold together is the whole view.
 //!
@@ -19,7 +19,7 @@
 //! words)`. An adjacency shard stores its rows *triangularly packed* —
 //! row `i` is allotted exactly its `⌈i/64⌉` owned words, so the whole
 //! shard set costs one lower triangle (`≈ N²/16` bytes), the size of the
-//! `VIEW` payload it encodes into — and its floats are the reported
+//! `VIEW` payload it streams out — and its floats are the reported
 //! degrees. A degree-vector shard has no rows; its floats are
 //! running per-group sums — `O(groups)` per shard, which is what lets a
 //! million-user degree-vector round run in constant aggregate memory.
@@ -37,7 +37,7 @@ use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
 use ldp_protocols::ingest::{finalize_lower, fold_lower_words};
 use ldp_protocols::wire::{self, le_u64s, lower_row_mask, lower_row_words, ReportView};
-use ldp_protocols::PerturbedView;
+use ldp_protocols::{PerturbedView, WireError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -268,7 +268,7 @@ impl Shards {
 ///
 /// The shards together hold the view's strict lower triangle and its
 /// reported degrees, which is all a `VIEW` payload carries: the daemon
-/// [`encode`](Self::encode)s the reply straight from them, and the
+/// [`encode`](Self::encode)s the reply from them into its socket, and the
 /// client's [`wire::decode_view`] mirrors the triangle once. In-process
 /// callers take the view with [`into_view`](Self::into_view). Both read
 /// the shards through one row accessor, and both finish on the
@@ -276,7 +276,7 @@ impl Shards {
 /// bit.
 #[derive(Debug)]
 pub struct FinalizedShards {
-    n: usize,
+    pub(crate) n: usize,
     shards: Vec<Shard>,
     offsets: Vec<Vec<usize>>,
     rr: RandomizedResponse,
@@ -295,11 +295,14 @@ impl FinalizedShards {
         )
     }
 
-    /// Appends the round's `VIEW` reply payload
+    /// Writes the round's `VIEW` reply payload to `w` in pieces
     /// ([`wire::encode_lower_view`]): the reported degrees, then every
     /// shard row in id order.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        wire::encode_lower_view(self.n, self.rr.p_keep(), |i| self.row(i), out);
+    ///
+    /// # Errors
+    /// I/O errors from `w`.
+    pub fn encode(&self, w: &mut impl std::io::Write) -> Result<(), WireError> {
+        wire::encode_lower_view(self.n, self.rr.p_keep(), |i| self.row(i), w)
     }
 
     /// The finalized view: the rows copied into the lower words of a
@@ -332,6 +335,7 @@ mod tests {
     use ldp_graph::Xoshiro256pp;
     use ldp_protocols::AdjacencyReport;
     use rand::Rng;
+    use std::io::Write;
 
     /// Folds one encoded report as a one-entry run, read in place from
     /// its bytes the way a frame's entries are.
@@ -499,7 +503,7 @@ mod tests {
                 }
                 let finalized = shards.finalize(rr);
                 let mut encoded = Vec::new();
-                finalized.encode(&mut encoded);
+                finalized.encode(&mut encoded).unwrap();
                 let view = finalized.into_view();
                 let mut reencoded = Vec::new();
                 wire::encode_view(&view, &mut reencoded);
@@ -513,6 +517,49 @@ mod tests {
                     assert_eq!(decoded.perturbed_degree(u), view.perturbed_degree(u));
                 }
                 assert_eq!(decoded.rr().p_keep().to_bits(), rr.p_keep().to_bits());
+            }
+        }
+    }
+
+    /// A writer that keeps each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The daemon streams a `VIEW` from the shards in pieces: the writes,
+    /// joined, are the view's encoding, and none exceeds one piece. At
+    /// 5,800 users the payload spans three pieces.
+    #[test]
+    fn streamed_encoding_is_the_view_encoding_in_bounded_pieces() {
+        let rr = RandomizedResponse::from_keep_probability(0.7).unwrap();
+        for n in [0, 1, 63, 64, 65, 200, 5_800] {
+            let shards = Shards::adjacency(n, 3);
+            for (i, r) in synth_reports(n, 3 * n as u64).iter().enumerate() {
+                assert_accepted(fold_row(&shards, i, r, false));
+            }
+            let finalized = shards.finalize(rr);
+            let mut writes = Writes::default();
+            finalized.encode(&mut writes).unwrap();
+            let mut expected = Vec::new();
+            wire::encode_view(&finalized.into_view(), &mut expected);
+            assert_eq!(writes.0.concat(), expected, "N = {n}");
+            assert_eq!(expected.len(), wire::view_payload_len(n));
+            assert!(
+                writes.0.iter().all(|w| w.len() <= wire::VIEW_PIECE),
+                "N = {n}"
+            );
+            if n == 5_800 {
+                assert!(writes.0.len() >= 3, "{} pieces", writes.0.len());
             }
         }
     }

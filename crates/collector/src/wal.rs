@@ -77,7 +77,7 @@
 //! (`check_snapshot_fits`).
 
 use crate::error::CollectorError;
-use crate::metrics::CollectorMetrics;
+use crate::metrics::{observe_since, CollectorMetrics};
 use crate::round::{RoundChannel, RoundCollector};
 use crate::server::{apply_frame, frames, Frame, Session};
 use ldp_protocols::wire::{self, get_varint, journal, put_varint, WireError};
@@ -250,11 +250,7 @@ impl Segment {
         let begin = metrics.active().then(Instant::now);
         self.file.sync_data()?;
         self.durable_upto.fetch_max(upto, Ordering::AcqRel);
-        if let Some(begin) = begin {
-            metrics
-                .wal_fsync_nanos
-                .observe(begin.elapsed().as_nanos() as u64);
-        }
+        observe_since(&metrics.wal_fsync_nanos, begin);
         Ok(())
     }
 }
@@ -975,6 +971,80 @@ mod tests {
             "the snapshot was deleted ahead of a durable FINALIZE record"
         );
         drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A live `FINALIZE` of an adjacency round hands its shards to the
+    /// pump to stream; replaying the same records through one replay
+    /// session drops them unencoded and leaves nothing staged, and a
+    /// restart has no round to rebuild.
+    #[test]
+    fn replaying_a_finalized_adjacency_round_stages_nothing() {
+        let dir = scratch_dir("adjacency-finalize");
+        let (round, n) = (4, 70);
+        let mut open = Vec::new();
+        let header = crate::codec::RoundHeader {
+            round_id: round,
+            tenant: 0,
+            channel: RoundChannel::Adjacency {
+                population: n,
+                p_keep: 0.9,
+            },
+            quota: 0,
+        };
+        crate::codec::encode_round_header(&header, &mut open);
+        let entries: Vec<(u64, UserReport)> = (0..n as u64)
+            .map(|u| {
+                let bits = ldp_graph::BitSet::from_indices(n, [(u as usize + 1) % n]);
+                let report = ldp_protocols::AdjacencyReport::new(bits, 1.0);
+                (u, UserReport::Adjacency(report))
+            })
+            .collect();
+        let mut batch = Vec::new();
+        wire::encode_routed_batch(round, &entries, &mut batch);
+        let mut id = Vec::new();
+        put_varint(round, &mut id);
+        let sent = [
+            (frames::OPEN, open),
+            (frames::REPORT_BATCH, batch),
+            (frames::CLOSE, id.clone()),
+            (frames::FINALIZE, id),
+        ];
+        {
+            let eng = engine();
+            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
+            let mut journal = log.lock();
+            for (kind, payload) in &sent {
+                let live = &mut Session::default();
+                match apply_frame(&eng, live, Some(&mut journal), *kind, payload) {
+                    Frame::View(_) => assert_eq!(*kind, frames::FINALIZE),
+                    outcome => assert!(matches!(outcome, Frame::Continue), "{kind:#04x}"),
+                }
+            }
+        }
+        let (records, _) = read_segments(&dir).expect("read journal");
+        let kinds: Vec<u8> = records.iter().map(|r| r.kind).collect();
+        let recs = [
+            journal::REC_OPEN,
+            journal::REC_BATCH,
+            journal::REC_CLOSE,
+            journal::REC_FINALIZE,
+        ];
+        assert_eq!(kinds, recs);
+        let eng = engine();
+        let mut session = Session::replay();
+        for ((kind, _), rec) in sent.iter().zip(&records) {
+            // The finalized shards are dropped here, unencoded.
+            match apply_frame(&eng, &mut session, None, *kind, &rec.payload) {
+                Frame::View(_) => assert_eq!(*kind, frames::FINALIZE),
+                outcome => assert!(matches!(outcome, Frame::Continue), "{kind:#04x}"),
+            }
+        }
+        assert!(eng.open_round_ids().is_empty(), "the round was finalized");
+        assert!(session.out.is_empty(), "replay staged a reply");
+        let (_log, recovery) =
+            DurableLog::open(&dir, FsyncPolicy::Off, &engine()).expect("recover");
+        assert!(recovery.rounds.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,15 +10,20 @@
 //! flood degrades the daemon gracefully while honest rounds close with
 //! exact counters.
 
+use ldp_collector::server::frames;
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, RoundChannel,
+    RoundCollector, RoundOutcome,
 };
 use ldp_graph::datasets::Dataset;
-use ldp_graph::Xoshiro256pp;
-use ldp_protocols::wire::{StatsEntry, StatsValue};
-use ldp_protocols::{AdjacencyReport, LfGdpr, PerturbedView};
+use ldp_graph::{BitSet, Xoshiro256pp};
+use ldp_protocols::wire::{self, StatsEntry, StatsValue};
+use ldp_protocols::{AdjacencyReport, LfGdpr, PerturbedView, UserReport};
 use rand::Rng;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn spawn_daemon(
     config: CollectorConfig,
@@ -456,7 +461,8 @@ fn histogram_count(entries: &[StatsEntry], name: &str) -> u64 {
 /// sessions open three rounds, and the scrape reads the open rounds,
 /// their priced memory, the live sessions and one open sample per round;
 /// closing and finalizing one round moves each entry by exactly that
-/// round.
+/// round. Only the adjacency round's finalize streams a `VIEW`, so only
+/// it records a `view_send_nanos` sample.
 #[test]
 fn stats_track_round_lifecycle_across_tenants() {
     const SHARDS: usize = 2;
@@ -512,8 +518,139 @@ fn stats_track_round_lifecycle_across_tenants() {
     assert_eq!(histogram_count(&entries, "round_open_nanos"), 3);
     assert_eq!(histogram_count(&entries, "round_close_nanos"), 1);
     assert_eq!(histogram_count(&entries, "round_finalize_nanos"), 1);
+    assert_eq!(histogram_count(&entries, "view_send_nanos"), 0);
+
+    a.set_round(1).unwrap();
+    for id in 0..16u64 {
+        let report = AdjacencyReport::new(BitSet::from_indices(16, [(id as usize + 1) % 16]), 1.0);
+        a.queue_adjacency_report(id, &report).unwrap();
+    }
+    a.close_round(1).unwrap();
+    a.finalize_adjacency(1).unwrap();
+
+    let entries = b.stats().unwrap();
+    assert_eq!(stat(&entries, "rounds_open"), StatsValue::Gauge(1));
+    assert_eq!(histogram_count(&entries, "round_finalize_nanos"), 2);
+    assert_eq!(histogram_count(&entries, "view_send_nanos"), 1);
 
     drop(a);
     drop(b);
+    shutdown(addr, handle);
+}
+
+/// A streamed `VIEW` keeps its place among the replies of one pump:
+/// `CLOSE`, `FINALIZE` and `SYNC` for one adjacency round, sent in one
+/// socket write, are answered `SUMMARY`, then a `VIEW` spanning two
+/// pieces that equals the in-process view, then `ACK`. A second session
+/// streams report batches to another round from before that write until
+/// after the `ACK`, and its `SYNC`s are still acknowledged.
+#[test]
+fn a_streamed_view_keeps_its_place_among_one_pumps_replies() {
+    const N: usize = 4_300;
+    const OTHER: u64 = 1 << 22;
+    assert!(wire::view_payload_len(N) > wire::VIEW_PIECE);
+    let config = CollectorConfig {
+        shards: 4,
+        ..CollectorConfig::default()
+    };
+    let (addr, handle) = spawn_daemon(config.clone());
+    let channel = RoundChannel::Adjacency {
+        population: N,
+        p_keep: 0.8,
+    };
+    let mut rng = Xoshiro256pp::new(0x5EED);
+    let reports: Vec<AdjacencyReport> = (0..N)
+        .map(|_| {
+            let mut bits = BitSet::new(N);
+            for w in bits.words_mut() {
+                *w = rng.gen::<u64>() & rng.gen::<u64>();
+            }
+            bits.mask_tail();
+            AdjacencyReport::new(bits, rng.gen_range(0.0..N as f64))
+        })
+        .collect();
+
+    // The in-process reference: the same reports, the same shard count.
+    let engine = RoundCollector::new(config).unwrap();
+    engine.open_round(1, channel, None).unwrap();
+    for (id, report) in reports.iter().enumerate() {
+        engine
+            .ingest(1, id as u64, UserReport::Adjacency(report.clone()))
+            .unwrap();
+    }
+    engine.close_round(1).unwrap();
+    let Ok(RoundOutcome::Adjacency(shards)) = engine.finalize(1) else {
+        panic!("adjacency outcome expected");
+    };
+    let reference = shards.into_view();
+
+    let mut uploader = CollectorClient::connect(addr).unwrap();
+    uploader.open_round(1, channel, None).unwrap();
+    for (id, report) in reports.iter().enumerate() {
+        uploader.queue_adjacency_report(id as u64, report).unwrap();
+    }
+    uploader.sync().unwrap();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let (streaming, started) = std::sync::mpsc::channel();
+    let other = std::thread::spawn({
+        let done = Arc::clone(&done);
+        move || {
+            let mut client = CollectorClient::connect(addr).unwrap().with_batch_size(64);
+            let groups = RoundChannel::DegreeVector {
+                population: OTHER as usize,
+                groups: 4,
+            };
+            client.open_round(2, groups, None).unwrap();
+            let mut sent = 0;
+            while sent < OTHER && !done.load(Ordering::Acquire) {
+                for id in sent..sent + 1024 {
+                    client.queue_degree_vector(id, &[1.0; 4]).unwrap();
+                }
+                sent += 1024;
+                client.sync().unwrap();
+                let _ = streaming.send(());
+            }
+            client.sync().unwrap();
+            (sent, client.close_round(2).unwrap().counters.accepted)
+        }
+    });
+    started.recv().unwrap();
+
+    let mut round = Vec::new();
+    wire::put_varint(1, &mut round);
+    let mut out = Vec::new();
+    wire::write_stream_header(&mut out).unwrap();
+    for kind in [frames::CLOSE, frames::FINALIZE] {
+        wire::write_frame(&mut out, kind, &round).unwrap();
+    }
+    wire::write_frame(&mut out, frames::SYNC, &[]).unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&out).unwrap();
+    let mut header = [0u8; 6];
+    raw.read_exact(&mut header).unwrap();
+    wire::read_stream_header(&mut &header[..]).unwrap();
+    let mut replies = Vec::new();
+    let mut view = None;
+    for _ in 0..3 {
+        let mut payload = Vec::new();
+        let kind = wire::read_frame(&mut raw, &mut payload).unwrap().unwrap();
+        if kind == frames::VIEW {
+            assert_eq!(payload.len(), wire::view_payload_len(N));
+            view = Some(wire::decode_view(&payload).unwrap());
+        }
+        replies.push(kind);
+    }
+    done.store(true, Ordering::Release);
+    assert_eq!(replies, [frames::SUMMARY, frames::VIEW, frames::ACK]);
+    assert_views_identical(&view.unwrap(), &reference);
+
+    let (sent, accepted) = other.join().unwrap();
+    assert!(
+        sent < OTHER,
+        "the second session ran out before the replies were read"
+    );
+    assert_eq!(accepted, sent);
+    drop((uploader, raw));
     shutdown(addr, handle);
 }

@@ -8,6 +8,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::{FileLex, Finding};
+use std::ops::Range;
 
 /// The rule catalog: `(name, summary)`. DESIGN.md §9 carries the rationale.
 pub const RULES: &[(&str, &str)] = &[
@@ -823,10 +824,12 @@ fn frame_consts(toks: &[Tok]) -> Vec<(String, u32)> {
 // Allocation caps in decode paths
 // ---------------------------------------------------------------------------
 
-/// Reply-staging frame constants: an occurrence of one of these in the
-/// frame-apply path before any journal append is the write-ahead
+/// Reply-staging frame constants, and `View`, the frame outcome that hands
+/// a finalized round to the connection pump to stream its `VIEW` (the
+/// handoff is where that reply is staged): an occurrence of one of these
+/// in the frame-apply path before any journal append is the write-ahead
 /// inversion.
-const REPLY_IDENTS: &[&str] = &["ACK", "SUMMARY", "DEGREE_SUMMARY", "VIEW"];
+const REPLY_IDENTS: &[&str] = &["ACK", "SUMMARY", "DEGREE_SUMMARY", "VIEW", "View"];
 
 /// The function every state-changing frame goes through, live and in
 /// journal replay — the one place the write-ahead order lives.
@@ -840,31 +843,34 @@ const APPLY_FN: &str = "apply_frame";
 ///
 /// Token-level heuristic: within such a function, flag any
 /// [`REPLY_IDENTS`] identifier seen before the first identifier
-/// containing `append`. Linear token order over-approximates control
-/// flow (a reply-first match arm after an append-bearing arm is
-/// missed; an append behind an `if` is trusted), but the daemon funnels
+/// containing `append`; then, per `frames::KIND =>` match arm that
+/// appends, any reply identifier before that arm's own append
+/// ([`ack_before_durable_arms`]). Token order over-approximates control
+/// flow (an append behind an `if` is trusted), but the daemon funnels
 /// every state-changing frame through that one function, where the
 /// textual order *is* the execution order, and the annotation grammar
 /// can discharge deliberate exceptions.
 fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
     let toks = &f.toks;
-    // (name, open depth, seen a journal append) — same fn-stack walk as
-    // `alloc_cap`.
-    let mut stack: Vec<(String, i32, bool)> = Vec::new();
+    // (name, open depth, seen a journal append, body start) — same
+    // fn-stack walk as `alloc_cap`.
+    let mut stack: Vec<(String, i32, bool, usize)> = Vec::new();
     let mut pending_fn: Option<String> = None;
     let mut depth = 0i32;
     for (i, t) in toks.iter().enumerate() {
         if t.is_punct('{') {
             depth += 1;
             if let Some(name) = pending_fn.take() {
-                stack.push((name, depth, false));
+                stack.push((name, depth, false, i));
             }
             continue;
         }
         if t.is_punct('}') {
-            if let Some(&(_, d, _)) = stack.last() {
+            if let Some(&(_, d, _, start)) = stack.last() {
                 if d == depth {
-                    stack.pop();
+                    if let Some((name, ..)) = stack.pop().filter(|(name, ..)| name == APPLY_FN) {
+                        ack_before_durable_arms(f, &name, start..i, out);
+                    }
                 }
             }
             depth -= 1;
@@ -904,6 +910,53 @@ fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
                     t.text, top.0
                 ),
             });
+        }
+    }
+}
+
+/// The per-arm half of [`ack_before_durable`] over one frame-apply
+/// `body`: once any arm has appended, the linear pass trusts every later
+/// token, so each `frames::KIND =>` arm that journals is checked on its
+/// own — no reply identifier before the arm's first `append`. Replies
+/// before the body's first append are the linear pass's findings.
+fn ack_before_durable_arms(f: &FileLex, name: &str, body: Range<usize>, out: &mut Vec<Raw>) {
+    let toks = &f.toks;
+    let live = |i: usize| !f.test_mask[i] && toks[i].kind == TokKind::Ident;
+    let appends = |i: usize| live(i) && toks[i].text.contains("append");
+    let is_head = |i: usize| {
+        let at = |k: usize| toks.get(i + k);
+        live(i)
+            && toks[i].text == "frames"
+            && at(1).is_some_and(|t| t.is_punct(':'))
+            && at(2).is_some_and(|t| t.is_punct(':'))
+            && at(3).is_some_and(|t| t.kind == TokKind::Ident)
+            && at(4).is_some_and(|t| t.is_punct('='))
+            && at(5).is_some_and(|t| t.is_punct('>'))
+    };
+    let Some(first_append) = body.clone().find(|&i| appends(i)) else {
+        return;
+    };
+    let heads: Vec<usize> = body.clone().filter(|&i| is_head(i)).collect();
+    for (k, &head) in heads.iter().enumerate() {
+        let end = heads.get(k + 1).copied().unwrap_or(body.end);
+        let Some(append) = (head..end).find(|&i| appends(i)) else {
+            continue;
+        };
+        for i in (head + 6).max(first_append)..append {
+            if live(i) && REPLY_IDENTS.contains(&toks[i].text.as_str()) {
+                out.push(Raw {
+                    call_path: Vec::new(),
+                    rule: "ack-before-durable",
+                    line: toks[i].line,
+                    message: format!(
+                        "reply `{}` staged in a `{}` arm of frame-apply path `{name}` \
+                         before that arm's journal append; a crash here acknowledges a \
+                         frame the journal never saw",
+                        toks[i].text,
+                        toks[head + 3].text
+                    ),
+                });
+            }
         }
     }
 }

@@ -201,6 +201,24 @@ fn ack_before_durable_is_pinned() {
 }
 
 #[test]
+fn ack_before_durable_checks_each_arm() {
+    assert_rule_pinned("ack-before-durable-arms", "ack-before-durable");
+    // The report-batch append at the top of the function comes first in
+    // token order, so only the per-arm pass sees the early handoff.
+    let bad = lint("ack-before-durable-arms/bad");
+    let findings: Vec<_> = bad
+        .iter()
+        .filter(|f| f.rule == "ack-before-durable")
+        .collect();
+    assert_eq!(findings.len(), 1, "{bad:#?}");
+    let message = &findings[0].message;
+    assert!(
+        message.contains("`View`") && message.contains("`FINALIZE` arm"),
+        "{message}"
+    );
+}
+
+#[test]
 fn allow_without_reason_is_pinned() {
     assert_rule_pinned("allow-without-reason", "allow-without-reason");
     // A reasonless allow suppresses nothing: the underlying wall-clock

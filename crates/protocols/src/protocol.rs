@@ -329,8 +329,7 @@ pub struct WorldViews {
 ///
 /// Adding a protocol to the evaluation matrix is one `impl` of this trait;
 /// every attack, metric, and defense then composes with it through
-/// [`poison-core`'s `ScenarioBuilder`](https://docs.rs) with no new
-/// pipeline code.
+/// `poison-core`'s `ScenarioBuilder`.
 pub trait GraphLdpProtocol {
     /// Display name (as used in figures and error messages).
     fn name(&self) -> &'static str;
@@ -348,9 +347,8 @@ pub trait GraphLdpProtocol {
     /// overwritten; a fake tail larger than the population fails with
     /// [`ProtocolError::CraftedOverrun`] before any crafting.
     ///
-    /// `ingest_batch` has no effect: each world's upload set is folded in
-    /// one pass. The argument stays so existing implementors and callers
-    /// of this signature keep compiling.
+    /// `ingest_batch` has no effect (each world's upload set is folded in
+    /// one pass); it stays for the callers of this signature.
     ///
     /// # Errors
     /// Returns a typed error on foreign report kinds, shape mismatches, or
@@ -704,15 +702,10 @@ impl GraphLdpProtocol for LdpGen {
 }
 
 fn check_targets(targets: &[usize], population: usize) -> Result<(), ProtocolError> {
-    for &t in targets {
-        if t >= population {
-            return Err(ProtocolError::TargetOutOfRange {
-                target: t,
-                population,
-            });
-        }
+    match targets.iter().find(|&&t| t >= population) {
+        Some(&target) => Err(ProtocolError::TargetOutOfRange { target, population }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn check_partition(

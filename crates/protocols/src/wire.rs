@@ -13,10 +13,8 @@
 //! flags byte (zero). Peers speaking another protocol fail fast with
 //! [`WireError::BadMagic`]; a peer on an *older* protocol version (v1 had
 //! no round routing, v2 shipped the full finalized matrix) is a typed
-//! [`WireError::VersionDowngrade`], a *newer* one a
-//! [`WireError::UnsupportedVersion`]. The split matters operationally: a
-//! downgrade names the exact remediation (upgrade the peer), while an
-//! upgrade means this side is the stale one.
+//! [`WireError::VersionDowngrade`] (upgrade the peer), a *newer* one a
+//! [`WireError::UnsupportedVersion`] (this side is the stale one).
 //!
 //! ## Frames
 //!
@@ -62,7 +60,7 @@ use ldp_graph::runtime::default_threads;
 use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 
 /// Magic bytes opening every collection stream.
 pub const MAGIC: [u8; 4] = *b"LDPC";
@@ -94,11 +92,8 @@ pub const MAX_REPORTS_PER_BATCH: usize = 1 << 16;
 /// favour of a one-entry `REPORT_BATCH`. The daemon answers it like any
 /// unknown kind, with a typed `ERR`.
 ///
-/// These live here, next to the codec, rather than in the collector
-/// daemon: the `ldp-lint` wire-totality rules (`opcode-arm`,
-/// `opcode-proptest`) require every constant in this module to be
-/// referenced by a collector decode arm and exercised by a proptest, so
-/// adding an opcode without wiring it end-to-end fails CI.
+/// The `ldp-lint` rules `opcode-arm` and `opcode-proptest` require every
+/// constant here to have a collector decode arm and a proptest.
 pub mod frames {
     /// Client → server: open a round (round id, tenant, channel, quota).
     pub const OPEN: u8 = 0x01;
@@ -137,26 +132,21 @@ pub mod frames {
 
 /// Record framing of the collector's write-ahead journal.
 ///
-/// A WAL segment file is a stream of the **same** length-prefixed frames
-/// the network codec speaks ([`write_frame`]/[`read_frame`]) after its own
-/// magic + version header, so replay inherits the codec's totality: a
-/// hostile length claim is refused before any allocation, and a torn final
+/// A WAL segment file is its own magic + version header, then the same
+/// length-prefixed frames the network codec speaks ([`write_frame`] /
+/// [`read_frame`]), so replay inherits the codec's totality: a torn final
 /// record reads as `UnexpectedEof`, not as a clean end (`Ok(None)`).
 ///
-/// These record kinds are deliberately a separate vocabulary from
-/// [`frames`]: a journal byte stream is not a network capture, and the
-/// wire-totality lint rules (`opcode-arm`/`opcode-proptest`) govern the
-/// network vocabulary only. Every record's payload begins with the
-/// round id as a varint, so truncation-tolerant scans can route records
-/// without understanding every kind. `0x02` is reserved (it journaled
-/// the retired singleton `REPORT` frame); a segment holding it is
+/// Record kinds are a vocabulary apart from [`frames`] (the opcode lint
+/// rules govern the network's only). Every record's payload begins with
+/// the round id as a varint, so a scan routes records of any kind. `0x02`
+/// is reserved (it journaled the retired singleton `REPORT` frame) and
 /// refused as corrupt.
 pub mod journal {
     /// Magic bytes opening a WAL segment file.
     pub const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
     /// Journal format version (2: a checkpoint record carries its
-    /// round's snapshot; version 1's carried an epoch naming a snapshot
-    /// file, and such segments are refused).
+    /// round's snapshot); other versions are refused.
     pub const SEGMENT_VERSION: u8 = 2;
     /// A round was opened; payload = the `OPEN` frame payload verbatim.
     pub const REC_OPEN: u8 = 0x01;
@@ -467,15 +457,20 @@ pub fn write_frame_split(
     head: &[u8],
     tail: &[u8],
 ) -> Result<(), WireError> {
-    let len = head.len() + tail.len() + 1;
+    write_frame_head(w, kind, head.len() + tail.len())?;
+    w.write_all(head)?;
+    Ok(w.write_all(tail)?)
+}
+
+/// Writes a frame's length prefix and kind byte for a `payload_len`-byte
+/// payload the caller writes next; errors as [`write_frame`].
+pub fn write_frame_head(w: &mut impl Write, kind: u8, payload_len: usize) -> Result<(), WireError> {
+    let len = payload_len + 1;
     if len > MAX_FRAME_LEN {
         return Err(WireError::OversizeFrame { len });
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(head)?;
-    w.write_all(tail)?;
-    Ok(())
+    let [a, b, c, d] = (len as u32).to_le_bytes();
+    Ok(w.write_all(&[a, b, c, d, kind])?)
 }
 
 /// Reads one frame into `payload` (cleared and refilled), returning its
@@ -921,8 +916,13 @@ pub fn view_payload_len(n: usize) -> usize {
     varint + 8 + 8 * n + 8 * lower_triangle_words(n)
 }
 
+/// Most bytes [`encode_lower_view`] hands its writer at once: a view
+/// streamed into a socket is held one piece at a time, never whole.
+pub const VIEW_PIECE: usize = 1 << 20;
+
 /// Writes a `VIEW` payload — the one layout every finalized-view encoder
-/// goes through. Layout: varint `N`, `f64` keep probability, `N` × `f64`
+/// goes through — to `w` in pieces of at most [`VIEW_PIECE`] bytes.
+/// Layout: varint `N`, `f64` keep probability, `N` × `f64`
 /// reported degrees, then the strict lower triangle: row `i`'s
 /// [`lower_row_words`]`(i)` words, `u64` little-endian, rows in id order.
 /// The upper triangle and the perturbed degrees are implied (the matrix
@@ -933,36 +933,41 @@ pub fn view_payload_len(n: usize) -> usize {
 /// words; only those ship, the last masked below column `i`
 /// ([`lower_row_mask`]). A full symmetric matrix row and a triangularly
 /// packed row therefore encode alike.
+///
+/// # Errors
+/// I/O errors from `w`.
 pub fn encode_lower_view<'a>(
     n: usize,
     p_keep: f64,
     row: impl Fn(usize) -> (f64, &'a [u64]),
-    out: &mut Vec<u8>,
-) {
-    out.reserve(view_payload_len(n));
-    put_varint(n as u64, out);
-    put_f64(p_keep, out);
+    w: &mut impl Write,
+) -> Result<(), WireError> {
+    let mut w = BufWriter::with_capacity(view_payload_len(n).min(VIEW_PIECE), w);
+    let mut bytes = Vec::new();
+    put_varint(n as u64, &mut bytes);
+    put_f64(p_keep, &mut bytes);
+    w.write_all(&bytes)?;
     for i in 0..n {
-        put_f64(row(i).0, out);
+        w.write_all(&row(i).0.to_bits().to_le_bytes())?;
     }
     for i in 0..n {
         let words = &row(i).1[..lower_row_words(i)];
         if let Some((&last, full)) = words.split_last() {
-            put_u64s(full, out);
-            put_u64(last & lower_row_mask(i), out);
+            bytes.clear();
+            put_u64s(full, &mut bytes);
+            put_u64(last & lower_row_mask(i), &mut bytes);
+            w.write_all(&bytes)?;
         }
     }
+    Ok(w.flush()?)
 }
 
 /// Encodes a finalized [`PerturbedView`] through [`encode_lower_view`].
 pub fn encode_view(view: &PerturbedView, out: &mut Vec<u8>) {
-    let (degrees, matrix) = (view.reported_degrees(), view.matrix());
-    encode_lower_view(
-        view.num_users(),
-        view.rr().p_keep(),
-        |i| (degrees[i], matrix.row(i)),
-        out,
-    );
+    let (n, degrees, matrix) = (view.num_users(), view.reported_degrees(), view.matrix());
+    out.reserve(view_payload_len(n));
+    // Writing into a `Vec` cannot fail.
+    let _ = encode_lower_view(n, view.rr().p_keep(), |i| (degrees[i], matrix.row(i)), out);
 }
 
 /// Decodes a payload produced by [`encode_lower_view`] back into the
