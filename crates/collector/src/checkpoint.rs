@@ -1,16 +1,16 @@
 //! Checkpoint/resume: snapshotting an in-flight round to disk.
 //!
 //! A round at a million users is minutes of intake; a collector restart
-//! must not cost the epoch. [`RoundCollector::checkpoint`] writes one
+//! must not cost the epoch. [`RoundCollector::checkpoint`] appends one
 //! named round's complete state — lifecycle metadata, owning tenant,
 //! counters, and every shard's seen-bitmap, degrees/sums, and packed
-//! rows — to a writer; [`RoundCollector::resume_round_into`] restores
-//! it into an engine mid-round. Under the concurrent ingest plane,
-//! checkpointing takes that round's *slot write* lock: every in-flight
-//! ingest of the round (each holds the slot read lock for the duration
-//! of one fold) drains first, so the snapshot always sits on a frame
-//! boundary — a report is either fully folded into it or not in it at
-//! all, never half-written. Other rounds in the registry keep ingesting,
+//! rows — to a buffer; [`RoundCollector::resume_round_into`] restores
+//! it from those bytes into an engine mid-round. Under the concurrent
+//! ingest plane, checkpointing takes that round's *slot write* lock:
+//! every in-flight ingest of the round (each holds the slot read lock
+//! for the duration of one fold) drains first, so the snapshot always
+//! sits on a frame boundary — a report is either fully folded into it or
+//! not in it at all, never half-written. Other rounds in the registry keep ingesting,
 //! untouched. Resumed intake continues exactly where it stopped: the
 //! same duplicate set, the same quota charge, and a finalize
 //! bit-identical to an uninterrupted run (pinned by the tests below and
@@ -21,9 +21,10 @@
 //! versioned and as type-checked on load as a network frame: every
 //! malformed or geometry-mismatched snapshot is a typed
 //! [`CollectorError::BadCheckpoint`]. Only the current version loads:
-//! the journal, the one writer of snapshots (each is the payload of a
-//! checkpoint record, [`ldp_protocols::wire::journal::REC_CHECKPOINT`]),
-//! has only ever written version 3 (version 2 added the owning tenant,
+//! the journal, the one writer of snapshots, writes each straight into a
+//! checkpoint record (the `CHECKPOINT` frame with the snapshot appended,
+//! see [`crate::wal`]) and restores it from the record's bytes in place.
+//! It has only ever written version 3 (version 2 added the owning tenant,
 //! version 3 the `rejected_malformed` counter), and every other version
 //! is refused with a typed error.
 
@@ -32,7 +33,6 @@ use crate::error::CollectorError;
 use crate::metrics::observe_since;
 use crate::round::{write_lock, RoundCollector};
 use ldp_protocols::wire::{get_u64s, get_varint, put_u64s, put_varint};
-use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -44,21 +44,26 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LDPK";
 pub const CHECKPOINT_VERSION: u8 = 3;
 
 impl RoundCollector {
-    /// Snapshots the named round to `w`. Quiesces that round's concurrent
-    /// sessions at a frame boundary first (see the module docs); every
-    /// other round keeps ingesting.
+    /// Appends the named round's snapshot to `buf`, with no staging copy.
+    /// Quiesces that round's concurrent sessions at a frame boundary
+    /// first (see the module docs); every other round keeps ingesting.
     ///
     /// # Errors
-    /// [`CollectorError::UnknownRound`] when no round has this id; I/O
-    /// errors from the writer.
-    pub fn checkpoint(&self, round_id: u64, w: &mut impl Write) -> Result<(), CollectorError> {
+    /// [`CollectorError::UnknownRound`] when no round has this id.
+    pub fn checkpoint(&self, round_id: u64, buf: &mut Vec<u8>) -> Result<(), CollectorError> {
         let checkpoint_begin = self.metrics().active().then(Instant::now);
         let slot = self.slot(round_id)?;
         let mut guard = write_lock(&slot.inner);
         let round = guard
             .as_mut()
             .ok_or(CollectorError::UnknownRound { round_id })?;
-        let mut buf = Vec::new();
+        // One reservation for the whole snapshot (at most 128 bytes of
+        // header, five varints per shard, then its words): growing a
+        // snapshot-sized buffer by doubling would copy it.
+        let shard_bytes = round.shards.iter_mut().map(|shard| {
+            50 + 8 * (shard.seen.words().len() + shard.floats.len() + shard.words.len())
+        });
+        buf.reserve(128 + shard_bytes.sum::<usize>());
         buf.extend_from_slice(&CHECKPOINT_MAGIC);
         buf.push(CHECKPOINT_VERSION);
         let header = RoundHeader {
@@ -67,32 +72,31 @@ impl RoundCollector {
             channel: round.channel,
             quota: round.quota,
         };
-        encode_round_header(&header, &mut buf);
-        put_varint(round.submitted.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_quota.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_invalid.load(Ordering::Acquire), &mut buf);
-        put_varint(round.rejected_malformed.load(Ordering::Acquire), &mut buf);
+        encode_round_header(&header, buf);
+        put_varint(round.submitted.load(Ordering::Acquire), buf);
+        put_varint(round.rejected_quota.load(Ordering::Acquire), buf);
+        put_varint(round.rejected_invalid.load(Ordering::Acquire), buf);
+        put_varint(round.rejected_malformed.load(Ordering::Acquire), buf);
         buf.push(u8::from(round.closed.load(Ordering::Acquire)));
 
         let shards = round.shards.iter_mut();
-        put_varint(shards.len() as u64, &mut buf);
+        put_varint(shards.len() as u64, buf);
         for shard in shards {
-            put_varint(shard.accepted, &mut buf);
-            put_varint(shard.duplicates, &mut buf);
-            put_words(shard.seen.words(), &mut buf);
+            put_varint(shard.accepted, buf);
+            put_varint(shard.duplicates, buf);
+            put_words(shard.seen.words(), buf);
             let bits: Vec<u64> = shard.floats.iter().map(|x| x.to_bits()).collect();
-            put_words(&bits, &mut buf);
-            put_words(&shard.words, &mut buf);
+            put_words(&bits, buf);
+            put_words(&shard.words, buf);
         }
-        w.write_all(&buf)?;
-        w.flush()?;
         observe_since(&self.metrics().checkpoint_nanos, checkpoint_begin);
         Ok(())
     }
 
-    /// Restores one checkpoint produced by [`Self::checkpoint`] **into
-    /// this engine** alongside whatever rounds it already holds — the one
-    /// restore entry point, which journal recovery uses. The shard
+    /// Restores one snapshot produced by [`Self::checkpoint`], read in
+    /// place from `bytes`, **into this engine** alongside whatever rounds
+    /// it already holds — the one restore entry point, which journal
+    /// recovery uses. The shard
     /// geometry must match this engine's exactly: a mismatch means another
     /// daemon's snapshot, refused rather than re-sharded. All or nothing:
     /// the round enters the registry only once the whole snapshot has
@@ -103,10 +107,8 @@ impl RoundCollector {
     /// [`CollectorError::BadCheckpoint`] on malformed bytes or a shard
     /// count differing from `config.shards`; admission refusals if the
     /// round no longer fits this engine's caps.
-    pub fn resume_round_into(&self, r: &mut impl Read) -> Result<u64, CollectorError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let buf = &mut bytes.as_slice();
+    pub fn resume_round_into(&self, mut bytes: &[u8]) -> Result<u64, CollectorError> {
+        let buf = &mut bytes;
         let header = take(buf, 5)?;
         if !header.starts_with(&CHECKPOINT_MAGIC) {
             return Err(CollectorError::BadCheckpoint {
@@ -241,7 +243,7 @@ mod tests {
     /// Restores `snapshot` into a fresh engine.
     fn resume(snapshot: &[u8]) -> Result<RoundCollector, CollectorError> {
         let engine = RoundCollector::new(config())?;
-        engine.resume_round_into(&mut &snapshot[..])?;
+        engine.resume_round_into(snapshot)?;
         Ok(engine)
     }
 
@@ -427,7 +429,7 @@ mod tests {
         let engine = RoundCollector::new(config()).unwrap();
         for bytes in malformed_checkpoints() {
             assert!(matches!(
-                engine.resume_round_into(&mut &bytes[..]),
+                engine.resume_round_into(&bytes),
                 Err(CollectorError::BadCheckpoint { .. })
             ));
             assert!(engine.open_round_ids().is_empty());
@@ -466,7 +468,7 @@ mod tests {
 
             let fresh = RoundCollector::new(config()).unwrap();
             for len in 0..snapshot.len() {
-                let refused = fresh.resume_round_into(&mut &snapshot[..len]);
+                let refused = fresh.resume_round_into(&snapshot[..len]);
                 prop_assert!(
                     matches!(refused, Err(CollectorError::BadCheckpoint { .. })),
                     "prefix of {} bytes: {:?}", len, refused
@@ -474,7 +476,7 @@ mod tests {
                 prop_assert!(fresh.open_round_ids().is_empty());
                 prop_assert_eq!(fresh.memory_used(), 0);
             }
-            prop_assert_eq!(fresh.resume_round_into(&mut &snapshot[..]).ok(), Some(4));
+            prop_assert_eq!(fresh.resume_round_into(&snapshot).ok(), Some(4));
             prop_assert_eq!(fresh.counters(4).ok(), engine.counters(4).ok());
         }
     }

@@ -64,9 +64,9 @@ pub enum CollectorError {
         cap: usize,
     },
     /// Admitting the round would exceed the collector's global memory
-    /// budget (each open round is priced by the same `O(N²/8)` /
-    /// `O(N/8 + shards·groups)` math as the population caps) — a typed
-    /// backpressure refusal, never an aborting allocation.
+    /// budget (each open round is priced at what its shards hold,
+    /// [`crate::RoundChannel::memory_cost`]) — a typed backpressure
+    /// refusal, never an aborting allocation.
     MemoryBudget {
         /// Bytes this round would charge.
         requested_bytes: u64,

@@ -6,8 +6,9 @@
 //! (session pump, batch decode, shard fold) hold pre-resolved `Arc`
 //! handles and a tick is one relaxed `fetch_add` — zero allocation, zero
 //! locks, no registry walk. The registry is only iterated on the cold
-//! scrape path: a `STATS` wire frame ([`CollectorMetrics::wire_entries`]),
-//! the daemon's one observability surface. Every lifecycle event has a
+//! scrape path: a `STATS` wire frame, which serves
+//! [`CollectorMetrics::snapshot`] as is — the daemon's one observability
+//! surface. Every lifecycle event has a
 //! registry entry: sessions admitted, refused or reaped, frames decoded,
 //! rounds opened, closed and finalized, recovery, and each typed `ERR`.
 //! The latency histograms read the wall clock — the documented carve-out
@@ -19,8 +20,7 @@
 //! the baseline of the `collector_smoke` bench's `metrics_overhead`
 //! ≤ 1.03 gate.
 
-use ldp_obs::{Counter, Gauge, Histogram, Registry, Sample, SampleValue};
-use ldp_protocols::wire::{StatsEntry, StatsValue};
+use ldp_obs::{Counter, Gauge, Histogram, Registry, Sample};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,7 +96,7 @@ pub struct CollectorMetrics {
     pub(crate) open_nanos: Arc<Histogram>,
     /// Duration of round closes (including the quiesce), nanoseconds.
     pub(crate) close_nanos: Arc<Histogram>,
-    /// Duration of round finalizations up to the `REC_FINALIZE` journal
+    /// Duration of round finalizations up to the `FINALIZE` journal
     /// record, nanoseconds.
     pub(crate) finalize_nanos: Arc<Histogram>,
     /// Duration of streaming one adjacency round's `VIEW` reply from its
@@ -219,26 +219,11 @@ impl CollectorMetrics {
         self.shard_folds.iter().map(|c| c.get()).sum()
     }
 
-    /// Relaxed point-in-time snapshot of every registered metric.
+    /// Relaxed point-in-time snapshot of every registered metric — the
+    /// `STATS_REPLY` payload ([`ldp_protocols::wire::StatsEntry`] is
+    /// [`Sample`]).
     pub fn snapshot(&self) -> Vec<Sample> {
         self.registry.snapshot()
-    }
-
-    /// The snapshot as wire-typed entries — the `STATS_REPLY` payload.
-    pub fn wire_entries(&self) -> Vec<StatsEntry> {
-        self.snapshot()
-            .into_iter()
-            .map(|s| StatsEntry {
-                name: s.name,
-                value: match s.value {
-                    SampleValue::Counter(v) => StatsValue::Counter(v),
-                    SampleValue::Gauge(v) => StatsValue::Gauge(v),
-                    SampleValue::Histogram { sum, buckets } => {
-                        StatsValue::Histogram { sum, buckets }
-                    }
-                },
-            })
-            .collect()
     }
 }
 
@@ -246,6 +231,7 @@ impl CollectorMetrics {
 mod tests {
     use super::*;
     use crate::server::codes;
+    use ldp_protocols::wire::{StatsEntry, StatsValue};
 
     #[test]
     fn every_refusal_code_has_a_named_counter() {
@@ -281,19 +267,16 @@ mod tests {
         m.on_err(codes::BAD_FRAME);
         assert_eq!(m.reports_folded(), 0);
         // The scrape surface stays structurally intact (zeros).
-        assert!(m
-            .wire_entries()
-            .iter()
-            .any(|e| e.name == "ingest_bytes_read"));
+        assert!(m.snapshot().iter().any(|e| e.name == "ingest_bytes_read"));
     }
 
     #[test]
-    fn wire_entries_mirror_the_registry_snapshot() {
+    fn the_snapshot_roundtrips_through_the_stats_codec() {
         let m = CollectorMetrics::new(2, true);
         m.bytes_read.add(77);
         m.sessions_active.set(3);
         m.fold_nanos.observe(100);
-        let entries = m.wire_entries();
+        let entries = m.snapshot();
         let find = |name: &str| entries.iter().find(|e| e.name == name).cloned();
         assert_eq!(
             find("ingest_bytes_read").map(|e| e.value),
@@ -308,7 +291,7 @@ mod tests {
             ..
         }) = find("ingest_fold_nanos")
         else {
-            panic!("fold histogram missing from wire entries");
+            panic!("fold histogram missing from the snapshot");
         };
         assert_eq!(sum, 100);
         assert_eq!(buckets.iter().sum::<u64>(), 1);

@@ -45,8 +45,8 @@
 //! Opens are refused — typed, before any allocation — when the tenant
 //! already holds [`CollectorConfig::max_rounds_per_tenant`] open rounds
 //! ([`CollectorError::TenantQuota`]) or when the round's priced memory
-//! ([`RoundChannel::memory_cost`], the same `O(N²/8)` / `O(N/8 +
-//! shards·groups)` math as the population caps) would push the engine
+//! ([`RoundChannel::memory_cost`], what the round's shards hold:
+//! `≈ N²/16` / `O(N/8 + shards·groups)` bytes) would push the engine
 //! past [`CollectorConfig::memory_budget`]
 //! ([`CollectorError::MemoryBudget`]). Finalize refunds the charge. A
 //! hostile tenant can therefore exhaust *its* quota, never the
@@ -106,7 +106,7 @@ pub struct CollectorConfig {
     /// Global budget, in bytes, for the priced memory of all open rounds
     /// together (see [`RoundChannel::memory_cost`]); the admission check
     /// behind [`CollectorError::MemoryBudget`]. The default (1 GiB)
-    /// admits ~30 adjacency rounds at the default population cap.
+    /// admits 63 adjacency rounds at the default population cap.
     pub memory_budget: u64,
     /// Whether the observability plane records (default `true`). Off, every
     /// hot-path instrumentation site reduces to one predictable branch —
@@ -181,21 +181,20 @@ impl RoundChannel {
     }
 
     /// Bytes a round on this channel charges against
-    /// [`CollectorConfig::memory_budget`] while open — the same math the
-    /// population caps price refusals with: `N²/8` for adjacency rounds,
-    /// the `O(N/8)` seen-bitmaps plus `O(shards·groups)` sums for
-    /// degree-vector rounds. The price is computed (and the admission
-    /// decision made) *before* anything is allocated.
-    ///
-    /// An adjacency round's daemon-side peak is its triangular shards
-    /// (`≈ N²/16`) plus, during `FINALIZE`, one 1 MiB piece of the `VIEW`
-    /// streamed from them; no full matrix or whole reply is built in the
-    /// daemon, so `N²/8` prices that peak with room to spare.
+    /// [`CollectorConfig::memory_budget`] while open: what its shards
+    /// hold. An adjacency round's shards hold the strict lower triangle
+    /// (`8 · lower_triangle_words(N)`, `≈ N²/16`), `8N` bytes of reported
+    /// degrees and `⌈N/8⌉` of seen-bitmap — ≈ 16.9 MB at `N = 16,384`; a
+    /// degree-vector round's the `O(N/8)` seen-bitmaps plus
+    /// `O(shards·groups)` sums. The price is computed (and the admission
+    /// decision made) *before* anything is allocated. During `FINALIZE`
+    /// the daemon adds one 1 MiB piece of the `VIEW` it streams from the
+    /// shards; no full matrix or whole reply is built in the daemon.
     pub fn memory_cost(&self, shards: usize) -> u64 {
         match *self {
             RoundChannel::Adjacency { population, .. } => {
                 let n = population as u64;
-                n * n / 8
+                8 * wire::lower_triangle_words(population) as u64 + 8 * n + n.div_ceil(8)
             }
             RoundChannel::DegreeVector { population, groups } => {
                 population as u64 / 8 + (shards.max(1) as u64) * groups as u64 * 8
@@ -820,7 +819,7 @@ impl RoundCollector {
 
     /// [`Self::finalize`], then `then` on the outcome, both inside the
     /// `round_finalize_nanos` measurement. The daemon journals its
-    /// `REC_FINALIZE` record here; the `VIEW` it streams afterwards is
+    /// `FINALIZE` record here; the `VIEW` it streams afterwards is
     /// timed by `view_send_nanos`.
     ///
     /// Kept out of line: inlined into the daemon's frame-apply function,
@@ -1320,9 +1319,11 @@ mod tests {
 
     #[test]
     fn memory_budget_charges_and_refunds() {
-        // Adjacency pricing is N²/8: population 8 → 8 bytes per round.
+        // A budget of two and a half population-8 adjacency rounds.
+        let cost = adjacency_channel(8).memory_cost(CollectorConfig::default().shards);
+        let budget = 2 * cost + cost / 2;
         let engine = RoundCollector::new(CollectorConfig {
-            memory_budget: 20,
+            memory_budget: budget,
             ..CollectorConfig::default()
         })
         .unwrap();
@@ -1332,16 +1333,16 @@ mod tests {
         engine
             .open_round_as(8, 2, adjacency_channel(8), None)
             .unwrap();
-        assert_eq!(engine.memory_used(), 16);
-        // A third 8-byte round would hit 24 > 20: typed refusal carrying
+        assert_eq!(engine.memory_used(), 2 * cost);
+        // A third round would exceed the budget: typed refusal carrying
         // the exact budget math, nothing allocated.
         assert!(matches!(
             engine.open_round_as(9, 3, adjacency_channel(8), None),
             Err(CollectorError::MemoryBudget {
-                requested_bytes: 8,
-                used_bytes: 16,
-                budget_bytes: 20,
-            })
+                requested_bytes,
+                used_bytes,
+                budget_bytes,
+            }) if (requested_bytes, used_bytes, budget_bytes) == (cost, 2 * cost, budget)
         ));
         // Finalizing a round refunds its charge and readmits the open.
         for i in 0..8 {
@@ -1351,7 +1352,7 @@ mod tests {
         }
         engine.close_round(1).unwrap();
         engine.finalize(1).unwrap();
-        assert_eq!(engine.memory_used(), 8);
+        assert_eq!(engine.memory_used(), cost);
         engine
             .open_round_as(9, 3, adjacency_channel(8), None)
             .unwrap();

@@ -57,10 +57,12 @@
 //! Every state-changing frame (`OPEN`, `REPORT_BATCH`, `CLOSE`,
 //! `FINALIZE`, `CHECKPOINT`) goes through `apply_frame`, which owns
 //! the decode, the write-ahead journal append, the fold and its
-//! malformed-upload accounting, and the reply encoding. Journal
-//! recovery ([`crate::wal`]) replays records through the same function,
-//! so a restarted daemon re-makes every accept/reject decision the live
-//! one made because it runs the same code.
+//! malformed-upload accounting, and the reply encoding. A journal
+//! record is the applied frame byte for byte, and recovery
+//! ([`crate::wal`]) splits records with the pump's own
+//! [`wire::split_frame`] and replays them through the same function, so
+//! a restarted daemon re-makes every accept/reject decision the live one
+//! made because it runs the same code on the same bytes.
 
 use crate::codec::{
     decode_round_header, encode_degree_summary, encode_error, encode_summary, error_code,
@@ -72,7 +74,7 @@ use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
 use crate::shard::FinalizedShards;
 use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
 use ldp_protocols::wire::{
-    self, get_varint, journal, write_frame, write_stream_header, WireError, MAX_FRAME_LEN,
+    self, get_varint, write_frame, write_stream_header, RawFrame, WireError,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -503,22 +505,19 @@ impl Conn {
 
         let mut used = 0;
         loop {
-            let frame_len = match frame_head(&self.buf[used..]) {
-                Head::Incomplete => break,
-                Head::Bad(len) => {
+            let frame = match wire::split_frame(&self.buf[used..]) {
+                Ok(Some((frame, _))) => frame,
+                Ok(None) => break,
+                Err(e) => {
                     // Hostile or corrupt length prefix: answer typed, drop.
-                    self.session.stage_err(
-                        &CollectorError::Wire(wire::WireError::OversizeFrame { len }),
-                        engine.metrics(),
-                    );
+                    self.session
+                        .stage_err(&CollectorError::Wire(e), engine.metrics());
                     outcome = Pump::Closed;
                     break;
                 }
-                Head::Frame(len) => len,
             };
-            let frame = &self.buf[used + 4..used + 4 + frame_len];
-            used += 4 + frame_len;
-            match process_frame(&mut self.session, engine, durable, frame[0], &frame[1..]) {
+            used += frame.bytes.len();
+            match process_frame(&mut self.session, engine, durable, frame) {
                 Frame::Continue | Frame::Refused(_) => {}
                 Frame::View(shards) if self.send_view(&shards, engine.metrics()).is_ok() => {}
                 Frame::Shutdown => {
@@ -586,33 +585,6 @@ impl Conn {
     }
 }
 
-/// Inspects the head of `buf` for a complete frame: its `kind+payload`
-/// length, an incomplete prefix, or a hostile length claim (refused
-/// before any buffering toward it).
-fn frame_head(buf: &[u8]) -> Head {
-    let Some(prefix) = buf.first_chunk::<4>() else {
-        return Head::Incomplete;
-    };
-    let len = u32::from_le_bytes(*prefix) as usize;
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Head::Bad(len);
-    }
-    if buf.len() < 4 + len {
-        return Head::Incomplete;
-    }
-    Head::Frame(len)
-}
-
-/// Head-of-buffer parse state (see [`frame_head`]).
-enum Head {
-    /// Not enough bytes for a length prefix or the frame it claims.
-    Incomplete,
-    /// A zero or oversize length claim — the protocol is broken.
-    Bad(usize),
-    /// A complete frame of this `kind+payload` length.
-    Frame(usize),
-}
-
 /// What processing one frame concluded.
 pub(crate) enum Frame {
     Continue,
@@ -672,20 +644,19 @@ pub(crate) fn process_frame(
     session: &mut Session,
     engine: &RoundCollector,
     durable: Option<&DurableLog>,
-    kind: u8,
-    payload: &[u8],
+    frame: RawFrame<'_>,
 ) -> Frame {
     let metrics = engine.metrics();
     if metrics.active() {
         metrics.frames_decoded.incr();
     }
-    let mut reply = Vec::new();
-    let result = match kind {
+    let (mut reply, payload) = (Vec::new(), frame.payload);
+    let result = match frame.kind {
         // Frames are processed in order, so reaching here proves every
         // prior report of this session is folded.
         frames::SYNC => wire::expect_end(payload).map(|()| frames::ACK),
         frames::STATS => wire::expect_end(payload).map(|()| {
-            wire::encode_stats_reply(&metrics.wire_entries(), &mut reply);
+            wire::encode_stats_reply(&metrics.snapshot(), &mut reply);
             frames::STATS_REPLY
         }),
         frames::SHUTDOWN => {
@@ -697,7 +668,7 @@ pub(crate) fn process_frame(
             // also takes it) never observes a fold its journal lacks. It
             // drops before the owed sync runs.
             let mut journal = durable.map(DurableLog::lock);
-            let frame = apply_frame(engine, session, journal.as_deref_mut(), kind, payload);
+            let frame = apply_frame(engine, session, journal.as_deref_mut(), frame);
             drop(journal);
             return match session.sync.take() {
                 // The fold happened, but its record may not be durable.
@@ -719,10 +690,11 @@ pub(crate) fn process_frame(
 /// records are already on disk). Owns, exactly once:
 ///
 /// * the decode;
-/// * the write-ahead point: a `REPORT_BATCH` payload is journaled
-///   verbatim **before** the decode and fold, so replay re-derives
-///   rejects, not just accepts; `OPEN`/`CLOSE`/`FINALIZE` are journaled
-///   after the engine accepts them and **before** the reply is staged,
+/// * the write-ahead point: the frame itself is the journal record,
+///   appended byte for byte — a `REPORT_BATCH` **before** the decode and
+///   fold, so replay re-derives rejects, not just accepts;
+///   `OPEN`/`CLOSE`/`FINALIZE` after the engine accepts them and
+///   **before** the reply is staged,
 ///   so a crash at any instant leaves the journal covering at least
 ///   everything a client was told happened (the `ack-before-durable`
 ///   lint rule pins this order);
@@ -736,13 +708,12 @@ pub(crate) fn apply_frame(
     engine: &RoundCollector,
     session: &mut Session,
     journal: Option<&mut Journal>,
-    kind: u8,
-    payload: &[u8],
+    frame: RawFrame<'_>,
 ) -> Frame {
-    let metrics = engine.metrics();
-    if kind == frames::REPORT_BATCH {
+    let (metrics, payload) = (engine.metrics(), frame.payload);
+    if frame.kind == frames::REPORT_BATCH {
         if let Some(journal) = journal {
-            match journal.append(journal::REC_BATCH, payload, metrics) {
+            match journal.append(frame, metrics) {
                 Ok(ticket) => session.sync = ticket,
                 // The record is not durable; folding it anyway would let
                 // a crash silently lose an ingested report. Dropping the
@@ -756,7 +727,7 @@ pub(crate) fn apply_frame(
         return Frame::Continue;
     }
     let mut reply = Vec::new();
-    let result: Result<u8, CollectorError> = match kind {
+    let result: Result<u8, CollectorError> = match frame.kind {
         frames::OPEN => decode_open(payload)
             .and_then(|h| {
                 // A durable round's snapshot must fit one journal record.
@@ -767,12 +738,12 @@ pub(crate) fn apply_frame(
                 let quota = (h.quota != 0).then_some(h.quota);
                 engine.open_round_as(h.tenant, h.round_id, h.channel, quota)
             })
-            .and_then(|()| append_accepted(journal, journal::REC_OPEN, payload, metrics))
+            .and_then(|()| append_accepted(journal, frame, metrics))
             .map(|()| frames::ACK),
         frames::CLOSE => decode_round_id(payload)
             .and_then(|id| engine.close_round(id))
             .and_then(|counters| {
-                append_accepted(journal, journal::REC_CLOSE, payload, metrics)?;
+                append_accepted(journal, frame, metrics)?;
                 Ok(counters)
             })
             .map(|counters| {
@@ -783,7 +754,7 @@ pub(crate) fn apply_frame(
         // measurement, and before any reply is staged or handed over.
         frames::FINALIZE => match decode_round_id(payload).and_then(|id| {
             engine.finalize_then(id, |outcome| {
-                append_accepted(journal, journal::REC_FINALIZE, payload, metrics).map(|()| outcome)
+                append_accepted(journal, frame, metrics).map(|()| outcome)
             })
         }) {
             Ok(RoundOutcome::Adjacency(shards)) => return Frame::View(shards),
@@ -813,13 +784,10 @@ pub(crate) fn apply_frame(
 /// journal). The journal itself syncs a `FINALIZE` whatever the policy.
 fn append_accepted(
     journal: Option<&mut Journal>,
-    rec: u8,
-    payload: &[u8],
+    frame: RawFrame<'_>,
     metrics: &CollectorMetrics,
 ) -> Result<(), CollectorError> {
-    journal.map_or(Ok(()), |journal| {
-        journal.append(rec, payload, metrics).map(drop)
-    })
+    journal.map_or(Ok(()), |journal| journal.append(frame, metrics).map(drop))
 }
 
 /// Stages the outcome of a request/response frame: the typed reply on

@@ -19,16 +19,18 @@
 //!
 //! ## Journal format
 //!
-//! Segment files `wal-<seq>.ldpw`, each a 5-byte header
-//! ([`journal::SEGMENT_MAGIC`] + version) followed by records framed by
-//! the wire codec ([`wire::write_frame`]; kinds and payloads at
-//! [`ldp_protocols::wire::journal`]), so every malformed byte sequence
-//! decodes to a typed error and a torn record is detected by the same
-//! end-of-stream logic as a half-written network frame. A **torn final
-//! record** is a clean end of log: the live path appends before it folds,
-//! so the record never acted. A torn record *followed by more segments*,
-//! a bad magic or another segment version refuses with a typed
-//! [`CollectorError::BadJournal`].
+//! Segment files `wal-<seq>.ldpw`, each a 5-byte header (magic `LDPW`,
+//! version 3) followed by records. A record is the frame the daemon
+//! applied, byte for byte as it sat in the session's read buffer, of kind
+//! `OPEN`, `REPORT_BATCH`, `CLOSE` or `FINALIZE`
+//! ([`ldp_protocols::wire::frames`]) — or a checkpoint record (below).
+//! Recovery splits the records in place with the session pump's own
+//! parser ([`wire::split_frame`]), so every malformed byte sequence is a
+//! typed error and a torn record reads exactly as a half-received frame.
+//! A **torn final record** is a clean end of log: the live path appends
+//! before it folds, so the record never acted. A torn record *followed by
+//! more segments*, a record of another kind, a bad magic or another
+//! segment version refuses with a typed [`CollectorError::BadJournal`].
 //!
 //! ## Fsync policy
 //!
@@ -42,7 +44,7 @@
 //!   `FINALIZE` would replay a consumed round as open); a due `OPEN` or
 //!   `CLOSE` (each one under `Always`), before its reply; and rotation
 //!   under `Always` and `EveryBytes`, so a torn tail stays in the last one.
-//! * **After the guard drops:** the sync a `REC_BATCH` record owes, which
+//! * **After the guard drops:** the sync a `REPORT_BATCH` record owes, which
 //!   `Journal::append` returns as a `SyncTicket` and the session runs
 //!   before it reads its next frame. A sync covers every byte written
 //!   before it started and raises the segment's `durable_upto` mark to
@@ -66,8 +68,9 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint of round `R` is one synced `REC_CHECKPOINT` record: `R`'s
-//! id, then its `LDPK` snapshot ([`RoundCollector::checkpoint`]). It moves
+//! A checkpoint of round `R` is one synced record: the `CHECKPOINT` frame
+//! naming `R`, with `R`'s `LDPK` snapshot ([`RoundCollector::checkpoint`])
+//! appended to its payload, written straight into the record. It moves
 //! `R`'s live start to its segment; every open round whose live start is
 //! older is checkpointed too, the directory is synced, and the segments
 //! before the record are deleted. Recovery restores `R` from its last
@@ -80,7 +83,7 @@ use crate::error::CollectorError;
 use crate::metrics::{observe_since, CollectorMetrics};
 use crate::round::{RoundChannel, RoundCollector};
 use crate::server::{apply_frame, frames, Frame, Session};
-use ldp_protocols::wire::{self, get_varint, journal, put_varint, WireError};
+use ldp_protocols::wire::{self, get_varint, put_varint, RawFrame, WireError};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
@@ -128,6 +131,13 @@ impl FsyncPolicy {
 /// Bytes a segment accumulates before the journal rotates to a new one.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 
+/// Magic bytes opening a segment file.
+const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
+
+/// Journal format version (3: a record is the applied frame byte for
+/// byte); other versions are refused.
+const SEGMENT_VERSION: u8 = 3;
+
 /// What recovery rebuilt from a data directory.
 #[derive(Debug)]
 pub struct Recovery {
@@ -164,8 +174,10 @@ impl DurableLog {
         engine: &RoundCollector,
     ) -> Result<(Self, Recovery), CollectorError> {
         std::fs::create_dir_all(dir)?;
-        let (records, last_seq) = read_segments(dir)?;
-        let replayed_records = apply_records(engine, &records)?;
+        let (replayed_records, last_seq) = {
+            let (segments, last_seq) = read_segments(dir)?;
+            (apply_records(engine, &split_records(&segments)?)?, last_seq)
+        };
         let rounds = engine.open_round_ids(); // ascending
         let metrics = engine.metrics();
         if metrics.active() {
@@ -230,8 +242,8 @@ struct Segment {
 impl Segment {
     fn create(dir: &Path, seq: u64) -> Result<Self, CollectorError> {
         let mut file = File::create(dir.join(format!("wal-{seq:016x}.ldpw")))?;
-        file.write_all(&journal::SEGMENT_MAGIC)?;
-        file.write_all(&[journal::SEGMENT_VERSION])?;
+        file.write_all(&SEGMENT_MAGIC)?;
+        file.write_all(&[SEGMENT_VERSION])?;
         Ok(Segment {
             file,
             written: AtomicU64::new(5),
@@ -298,7 +310,7 @@ pub struct Journal {
     window_start: u64,
     rotate_bytes: u64,
     /// Per open round: the earliest segment still needed to recover it
-    /// (its last checkpoint record's segment, or its `REC_OPEN`'s).
+    /// (its last checkpoint record's segment, or its `OPEN` record's).
     /// Segments below the minimum are superseded and prunable.
     live_since: BTreeMap<u64, u64>,
     /// Fault hook: abort the process mid-write once this many total
@@ -306,7 +318,6 @@ pub struct Journal {
     /// crash harness pins torn-tail recovery (see `tests/crash.rs`).
     kill_after: Option<u64>,
     total_bytes: u64,
-    frame_buf: Vec<u8>,
 }
 
 impl Journal {
@@ -321,49 +332,40 @@ impl Journal {
             live_since: BTreeMap::new(),
             kill_after: None,
             total_bytes: 0,
-            frame_buf: Vec::new(),
         })
     }
 
-    /// Appends one record (frame-coded) and applies the fsync policy.
-    /// Report payloads are appended **verbatim and before decoding**, so
-    /// replay re-derives every accept *and* reject decision from the
-    /// same bytes the live path saw. `FINALIZE` and checkpoint records
-    /// are synced whatever the policy, and a checkpoint record moves its
-    /// round's live start to the segment it landed in — both before the
-    /// append can rotate. A `REC_BATCH` record the policy owes a sync
-    /// returns it as a ticket, for the caller to run once it drops the
-    /// guard; every other sync runs here.
+    /// Appends one frame as a record, byte for byte in one write, and
+    /// applies the fsync policy. A report frame is appended **before it is
+    /// decoded**, so replay re-derives every accept *and* reject decision
+    /// from the same bytes the live path saw. `FINALIZE` and checkpoint
+    /// records are synced whatever the policy, and a checkpoint record
+    /// moves its round's live start to the segment it landed in — both
+    /// before the append can rotate. A `REPORT_BATCH` record the policy
+    /// owes a sync returns it as a ticket, for the caller to run once it
+    /// drops the guard; every other sync runs here.
     ///
     /// # Errors
     /// Disk I/O failures; the record is not durable and the caller must
     /// not act on the frame.
     pub(crate) fn append(
         &mut self,
-        kind: u8,
-        payload: &[u8],
+        frame: RawFrame<'_>,
         metrics: &CollectorMetrics,
     ) -> Result<Option<SyncTicket>, CollectorError> {
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        buf.clear();
-        wire::write_frame(&mut buf, kind, payload)?;
+        let (record, kind, mut payload) = (frame.bytes, frame.kind, frame.payload);
+        let n = record.len() as u64;
         if let Some(limit) = self.kill_after {
-            if self.total_bytes + buf.len() as u64 > limit {
+            if self.total_bytes + n > limit {
                 // Torn-write fault injection: persist a strict prefix of
                 // the record, then die as abruptly as a power cut.
                 let cut = limit.saturating_sub(self.total_bytes) as usize;
-                let _ = (&self.segment.file).write_all(&buf[..cut.min(buf.len())]);
+                let _ = (&self.segment.file).write_all(record.get(..cut).unwrap_or(record));
                 let _ = self.segment.file.sync_data();
                 std::process::abort();
             }
         }
-        let n = buf.len() as u64;
-        let write = (&self.segment.file).write_all(&buf);
-        if kind != journal::REC_CHECKPOINT {
-            // Reuse a batch-sized buffer; a snapshot-sized one is freed.
-            self.frame_buf = buf;
-        }
-        write?;
+        (&self.segment.file).write_all(record)?;
         self.total_bytes += n;
         let end = self.segment.written.fetch_add(n, Ordering::Release) + n;
         if metrics.active() {
@@ -374,23 +376,23 @@ impl Journal {
         // what a checkpoint supersedes: a power cut that lost a `FINALIZE`
         // would replay a consumed round as still open, and one that lost
         // a checkpoint after the prune would lose its round.
-        let forced = matches!(kind, journal::REC_FINALIZE | journal::REC_CHECKPOINT);
+        let forced = matches!(kind, frames::FINALIZE | frames::CHECKPOINT);
         let due = match self.policy {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryBytes(window) => end - self.window_start >= window,
             FsyncPolicy::Off => false,
         };
         let mut ticket = None;
-        if due && kind == journal::REC_BATCH {
+        if due && kind == frames::REPORT_BATCH {
             self.window_start = end;
             ticket = Some(SyncTicket(Arc::clone(&self.segment), end));
         } else if forced || due {
             self.sync(metrics)?;
         }
-        if let Ok(round) = get_varint(&mut &payload[..]) {
-            if kind == journal::REC_FINALIZE {
+        if let Ok(round) = get_varint(&mut payload) {
+            if kind == frames::FINALIZE {
                 self.live_since.remove(&round);
-            } else if kind == journal::REC_CHECKPOINT {
+            } else if kind == frames::CHECKPOINT {
                 self.live_since.insert(round, self.seq);
             } else {
                 self.live_since.entry(round).or_insert(self.seq);
@@ -423,7 +425,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Snapshots `round_id` into one `REC_CHECKPOINT` record, which
+    /// Snapshots `round_id` into one checkpoint record, which
     /// supersedes its journal prefix, checkpoints every round that still
     /// pins a segment before that record, then deletes the segments
     /// before it. See the module docs for why the single record is
@@ -445,10 +447,9 @@ impl Journal {
         let pinning = (self.live_since.iter())
             .filter_map(|(&round, &s)| (s < since && round != round_id).then_some(round));
         let rounds: Vec<u64> = std::iter::once(round_id).chain(pinning).collect();
+        let mut record = Vec::new();
         for (i, round) in rounds.into_iter().enumerate() {
-            let mut record = Vec::new();
-            put_varint(round, &mut record);
-            match engine.checkpoint(round, &mut record) {
+            let frame = match checkpoint_record(engine, round, &mut record) {
                 // A round the engine never admitted (a stray batch named
                 // it) has nothing to recover.
                 Err(CollectorError::UnknownRound { .. }) if i > 0 => {
@@ -456,8 +457,8 @@ impl Journal {
                     continue;
                 }
                 result => result?,
-            }
-            self.append(journal::REC_CHECKPOINT, &record, metrics)?;
+            };
+            self.append(frame, metrics)?;
         }
         self.prune();
         Ok(())
@@ -510,21 +511,37 @@ pub(crate) fn check_snapshot_fits(
     Ok(())
 }
 
+/// Builds round `round`'s checkpoint record in `record`: a `CHECKPOINT`
+/// frame naming the round, the round's `LDPK` snapshot written straight
+/// after the id ([`RoundCollector::checkpoint`]) and the length prefix
+/// then set to cover both.
+fn checkpoint_record<'a>(
+    engine: &RoundCollector,
+    round: u64,
+    record: &'a mut Vec<u8>,
+) -> Result<RawFrame<'a>, CollectorError> {
+    record.clear();
+    record.extend_from_slice(&[0, 0, 0, 0, frames::CHECKPOINT]);
+    put_varint(round, record);
+    engine.checkpoint(round, record)?;
+    // An oversize length is refused by the split below.
+    let len = u32::try_from(record.len() - 4).unwrap_or(u32::MAX);
+    if let Some(prefix) = record.first_chunk_mut::<4>() {
+        *prefix = len.to_le_bytes();
+    }
+    let (frame, _) = wire::split_frame(record)?.ok_or(WireError::Truncated)?;
+    Ok(frame)
+}
+
 fn segment_seq(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("wal-")?.strip_suffix(".ldpw")?;
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// One journal record as read back from disk.
-struct Rec {
-    kind: u8,
-    payload: Vec<u8>,
-}
-
-/// Reads every segment in order into records, tolerating a torn tail on
-/// the **last** segment only. Returns the records and the highest
-/// segment sequence seen (`0` for an empty directory).
-fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
+/// Reads every segment in sequence order and checks its header. Returns
+/// the segments' bytes and the highest sequence seen (`0` for an empty
+/// directory).
+fn read_segments(dir: &Path) -> Result<(Vec<Vec<u8>>, u64), CollectorError> {
     let mut segments: Vec<(u64, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)?.flatten() {
         let name = entry.file_name();
@@ -534,94 +551,99 @@ fn read_segments(dir: &Path) -> Result<(Vec<Rec>, u64), CollectorError> {
     }
     segments.sort_unstable_by_key(|(seq, _)| *seq);
     let last_seq = segments.last().map(|(seq, _)| *seq).unwrap_or(0);
-    let mut records = Vec::new();
     let total = segments.len();
+    let mut contents = Vec::with_capacity(total);
     for (i, (_, path)) in segments.into_iter().enumerate() {
-        let is_last = i + 1 == total;
         let bytes = std::fs::read(&path)?;
-        if bytes.len() < 5 {
+        match bytes.split_first_chunk::<5>() {
             // A header torn mid-creation: only tolerable at the very end
             // of the log, where it reads as an empty final segment.
-            if is_last {
-                continue;
+            None if i + 1 == total => {}
+            None => {
+                return Err(CollectorError::BadJournal {
+                    detail: "torn segment header followed by more segments",
+                })
             }
-            return Err(CollectorError::BadJournal {
-                detail: "torn segment header followed by more segments",
-            });
+            Some(([magic @ .., _], _)) if *magic != SEGMENT_MAGIC => {
+                return Err(CollectorError::BadJournal {
+                    detail: "bad segment magic",
+                })
+            }
+            Some(([.., version], _)) if *version != SEGMENT_VERSION => {
+                return Err(CollectorError::BadJournal {
+                    detail: "unsupported segment version",
+                })
+            }
+            Some(_) => {}
         }
-        if bytes[..4] != journal::SEGMENT_MAGIC {
-            return Err(CollectorError::BadJournal {
-                detail: "bad segment magic",
-            });
-        }
-        if bytes[4] != journal::SEGMENT_VERSION {
-            return Err(CollectorError::BadJournal {
-                detail: "unsupported segment version",
-            });
-        }
-        let mut cursor = &bytes[5..];
-        let mut payload = Vec::new();
+        contents.push(bytes);
+    }
+    Ok((contents, last_seq))
+}
+
+/// Splits the segments' records in place with [`wire::split_frame`],
+/// tolerating a torn tail on the **last** segment only.
+fn split_records(segments: &[Vec<u8>]) -> Result<Vec<RawFrame<'_>>, CollectorError> {
+    let mut records = Vec::new();
+    for (i, segment) in segments.iter().enumerate() {
+        let mut rest = segment.get(5..).unwrap_or_default();
         loop {
-            match wire::read_frame(&mut cursor, &mut payload) {
-                Ok(None) => break,
-                Ok(Some(kind)) => {
-                    if !matches!(
-                        kind,
-                        journal::REC_OPEN
-                            | journal::REC_BATCH
-                            | journal::REC_CLOSE
-                            | journal::REC_FINALIZE
-                            | journal::REC_CHECKPOINT
-                    ) {
+            match wire::split_frame(rest) {
+                Ok(Some((record, tail))) => {
+                    let kinds = [
+                        frames::OPEN,
+                        frames::REPORT_BATCH,
+                        frames::CLOSE,
+                        frames::FINALIZE,
+                        frames::CHECKPOINT,
+                    ];
+                    if !kinds.contains(&record.kind) {
                         return Err(CollectorError::BadJournal {
                             detail: "unknown record kind",
                         });
                     }
-                    records.push(Rec {
-                        kind,
-                        payload: std::mem::take(&mut payload),
-                    });
+                    records.push(record);
+                    rest = tail;
                 }
-                Err(WireError::Io(std::io::ErrorKind::UnexpectedEof)) => {
-                    // A record torn by the crash. Fine at the end of the
-                    // log (the append never completed, so nothing acted
-                    // on it); anywhere else it is corruption.
-                    if is_last {
-                        break;
-                    }
+                Ok(None) if rest.is_empty() => break,
+                // A record torn by the crash. Fine at the end of the log
+                // (the append never completed, so nothing acted on it);
+                // anywhere else it is corruption.
+                Ok(None) if i + 1 == segments.len() => break,
+                Ok(None) => {
                     return Err(CollectorError::BadJournal {
                         detail: "torn record followed by more segments",
-                    });
+                    })
                 }
                 Err(_) => {
                     return Err(CollectorError::BadJournal {
                         detail: "malformed record framing",
-                    });
+                    })
                 }
             }
         }
     }
-    Ok((records, last_seq))
+    Ok(records)
 }
 
 /// Replays `records` into `engine`. Per round, the live history starts
-/// just past its last `REC_FINALIZE` (an earlier incarnation left no
-/// state), or at its last `REC_CHECKPOINT` after that, whose snapshot is
+/// just past its last `FINALIZE` record (an earlier incarnation left no
+/// state), or at its last checkpoint record after that, whose snapshot is
 /// restored; every later record re-runs through [`apply_frame`] with a
 /// replay session. Returns the number of records applied.
-fn apply_records(engine: &RoundCollector, records: &[Rec]) -> Result<u64, CollectorError> {
+fn apply_records(engine: &RoundCollector, records: &[RawFrame<'_>]) -> Result<u64, CollectorError> {
     // Pass 1: where each round's live history starts, and the snapshot
     // when that start is a checkpoint record.
     let mut start: BTreeMap<u64, (usize, Option<&[u8]>)> = BTreeMap::new();
     for (i, rec) in records.iter().enumerate() {
-        let mut buf = rec.payload.as_slice();
+        let mut buf = rec.payload;
         match rec.kind {
-            journal::REC_FINALIZE => {
+            frames::FINALIZE => {
                 if let Ok(round) = get_varint(&mut buf) {
                     start.insert(round, (i, None));
                 }
             }
-            journal::REC_CHECKPOINT => {
+            frames::CHECKPOINT => {
                 // Never skipped: the records it superseded may be gone.
                 let round = get_varint(&mut buf).map_err(|_| CollectorError::BadJournal {
                     detail: "malformed checkpoint record",
@@ -633,10 +655,10 @@ fn apply_records(engine: &RoundCollector, records: &[Rec]) -> Result<u64, Collec
     }
     // Restore each checkpointed round — its state at that record.
     for (&round, &(_, snapshot)) in &start {
-        let Some(mut snapshot) = snapshot else {
+        let Some(snapshot) = snapshot else {
             continue;
         };
-        if engine.resume_round_into(&mut snapshot)? != round {
+        if engine.resume_round_into(snapshot)? != round {
             return Err(CollectorError::BadJournal {
                 detail: "snapshot round id disagrees with its record",
             });
@@ -646,10 +668,13 @@ fn apply_records(engine: &RoundCollector, records: &[Rec]) -> Result<u64, Collec
     // through the live frame path — identical accept/reject decisions,
     // identical counter moves. One session for the whole log keeps
     // warn-once and the fold-sampling cadence those of a single client.
+    // Every `FINALIZE` and checkpoint record sits at or before its
+    // round's start, so only `OPEN`, `REPORT_BATCH` and `CLOSE` records
+    // are applied.
     let mut session = Session::replay();
     let mut applied = 0;
-    for (i, rec) in records.iter().enumerate() {
-        let Ok(round) = get_varint(&mut rec.payload.as_slice()) else {
+    for (i, &rec) in records.iter().enumerate() {
+        let Ok(round) = get_varint(&mut { rec.payload }) else {
             // The live path could not even attribute this payload to a
             // round; it changed nothing then and changes nothing now.
             continue;
@@ -657,16 +682,8 @@ fn apply_records(engine: &RoundCollector, records: &[Rec]) -> Result<u64, Collec
         if start.get(&round).is_some_and(|&(s, _)| i <= s) {
             continue;
         }
-        let kind = match rec.kind {
-            journal::REC_OPEN => frames::OPEN,
-            journal::REC_BATCH => frames::REPORT_BATCH,
-            journal::REC_CLOSE => frames::CLOSE,
-            // Every FINALIZE and checkpoint record sits at or before its
-            // round's start, so none gets here.
-            _ => continue,
-        };
-        let outcome = apply_frame(engine, &mut session, None, kind, &rec.payload);
-        if let (frames::OPEN, Frame::Refused(e)) = (kind, outcome) {
+        let outcome = apply_frame(engine, &mut session, None, rec);
+        if let (frames::OPEN, Frame::Refused(e)) = (rec.kind, outcome) {
             // The live open succeeded; refusing it now means this
             // engine's caps no longer admit the round — say so rather
             // than drop its reports.
@@ -702,6 +719,31 @@ mod tests {
         RoundCollector::new(config()).expect("engine")
     }
 
+    /// `kind` and `payload` framed as a session's read buffer holds them.
+    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, kind, payload).expect("frame");
+        bytes
+    }
+
+    /// The frame at the head of `bytes`, split in place.
+    fn raw(bytes: &[u8]) -> RawFrame<'_> {
+        wire::split_frame(bytes)
+            .expect("frame")
+            .expect("complete")
+            .0
+    }
+
+    /// The records of the data directory's segments.
+    fn read_records(dir: &Path) -> Vec<(u8, Vec<u8>)> {
+        let (segments, _) = read_segments(dir).expect("read journal");
+        let records = split_records(&segments).expect("split records");
+        records
+            .iter()
+            .map(|r| (r.kind, r.payload.to_vec()))
+            .collect()
+    }
+
     /// Bytes of the current segment no completed sync covers.
     fn unsynced(journal: &Journal) -> u64 {
         let segment = &journal.segment;
@@ -731,7 +773,8 @@ mod tests {
         let mut batch = Vec::new();
         wire::encode_routed_batch(round, &entries, &mut batch);
         for (kind, payload) in [(frames::OPEN, open), (frames::REPORT_BATCH, batch)] {
-            let outcome = apply_frame(eng, &mut Session::default(), Some(journal), kind, &payload);
+            let frame = framed(kind, &payload);
+            let outcome = apply_frame(eng, &mut Session::default(), Some(journal), raw(&frame));
             assert!(matches!(outcome, Frame::Continue), "frame {kind:#04x}");
         }
         assert_eq!(eng.counters(round).expect("counters").accepted, upto as u64);
@@ -760,7 +803,8 @@ mod tests {
                 put_varint(varint, &mut open); // round, tenant, tag, N, groups, quota
             }
             let mut session = Session::default();
-            let opened = process_frame(&mut session, &eng, Some(&log), frames::OPEN, &open);
+            let frame = framed(frames::OPEN, &open);
+            let opened = process_frame(&mut session, &eng, Some(&log), raw(&frame));
             assert!(matches!(opened, Frame::Continue));
             let (segment, path) = {
                 let journal = log.lock();
@@ -771,13 +815,8 @@ mod tests {
             let upload = |user: u64| {
                 let payload = batch(user);
                 let mut session = Session::default();
-                let frame = process_frame(
-                    &mut session,
-                    &eng,
-                    Some(&log),
-                    frames::REPORT_BATCH,
-                    &payload,
-                );
+                let bytes = framed(frames::REPORT_BATCH, &payload);
+                let frame = process_frame(&mut session, &eng, Some(&log), raw(&bytes));
                 assert!(matches!(frame, Frame::Continue), "user {user}");
                 payload
             };
@@ -823,7 +862,7 @@ mod tests {
                             let mut prefix = bytes.get(5..durable as usize).unwrap_or_default();
                             let (mut found, mut rec) = (false, Vec::new());
                             while let Ok(Some(kind)) = wire::read_frame(&mut prefix, &mut rec) {
-                                found |= kind == journal::REC_BATCH && rec == payload;
+                                found |= kind == frames::REPORT_BATCH && rec == payload;
                             }
                             assert!(found, "user {user} returned before its record was durable");
                         }
@@ -876,8 +915,7 @@ mod tests {
                 &eng,
                 &mut Session::default(),
                 Some(&mut journal),
-                frames::REPORT_BATCH,
-                &stray,
+                raw(&framed(frames::REPORT_BATCH, &stray)),
             );
             assert_eq!(eng.metrics().errs.iter().map(|c| c.get()).sum::<u64>(), 1);
             // No clean shutdown: the journal is simply dropped, as a
@@ -963,7 +1001,7 @@ mod tests {
         let mut finalize = Vec::new();
         put_varint(5, &mut finalize);
         journal
-            .append(journal::REC_FINALIZE, &finalize, eng.metrics())
+            .append(raw(&framed(frames::FINALIZE, &finalize)), eng.metrics())
             .expect("append");
         assert_eq!(
             unsynced(&journal),
@@ -1016,26 +1054,27 @@ mod tests {
             let mut journal = log.lock();
             for (kind, payload) in &sent {
                 let live = &mut Session::default();
-                match apply_frame(&eng, live, Some(&mut journal), *kind, payload) {
+                match apply_frame(&eng, live, Some(&mut journal), raw(&framed(*kind, payload))) {
                     Frame::View(_) => assert_eq!(*kind, frames::FINALIZE),
                     outcome => assert!(matches!(outcome, Frame::Continue), "{kind:#04x}"),
                 }
             }
         }
-        let (records, _) = read_segments(&dir).expect("read journal");
+        let (segments, _) = read_segments(&dir).expect("read journal");
+        let records = split_records(&segments).expect("split records");
         let kinds: Vec<u8> = records.iter().map(|r| r.kind).collect();
         let recs = [
-            journal::REC_OPEN,
-            journal::REC_BATCH,
-            journal::REC_CLOSE,
-            journal::REC_FINALIZE,
+            frames::OPEN,
+            frames::REPORT_BATCH,
+            frames::CLOSE,
+            frames::FINALIZE,
         ];
         assert_eq!(kinds, recs);
         let eng = engine();
         let mut session = Session::replay();
         for ((kind, _), rec) in sent.iter().zip(&records) {
             // The finalized shards are dropped here, unencoded.
-            match apply_frame(&eng, &mut session, None, *kind, &rec.payload) {
+            match apply_frame(&eng, &mut session, None, *rec) {
                 Frame::View(_) => assert_eq!(*kind, frames::FINALIZE),
                 outcome => assert!(matches!(outcome, Frame::Continue), "{kind:#04x}"),
             }
@@ -1181,7 +1220,7 @@ mod tests {
             put_varint(4, &mut record);
             eng.checkpoint(4, &mut record).expect("snapshot");
             let mut frame = Vec::new();
-            wire::write_frame(&mut frame, journal::REC_CHECKPOINT, &record).expect("frame");
+            wire::write_frame(&mut frame, frames::CHECKPOINT, &record).expect("frame");
             (&journal.segment.file)
                 .write_all(&frame[..frame.len() / 2])
                 .expect("torn append");
@@ -1212,8 +1251,7 @@ mod tests {
                 &eng,
                 &mut session,
                 Some(&mut journal),
-                frames::REPORT_BATCH,
-                &stray,
+                raw(&framed(frames::REPORT_BATCH, &stray)),
             );
             for u in 6..12u64 {
                 eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
@@ -1223,10 +1261,9 @@ mod tests {
                     .expect("checkpoint");
                 // Round 3 never checkpoints itself, yet only the latest
                 // snapshot of each round is kept.
-                let (records, _) = read_segments(&dir).expect("read journal");
-                let snapshots = records
+                let snapshots = read_records(&dir)
                     .iter()
-                    .filter(|r| r.kind == journal::REC_CHECKPOINT)
+                    .filter(|r| r.0 == frames::CHECKPOINT)
                     .count();
                 assert_eq!(snapshots, 2, "after checkpoint {u}");
             }
@@ -1266,8 +1303,7 @@ mod tests {
             &eng,
             &mut session,
             Some(&mut journal),
-            frames::OPEN,
-            &open(1, 1 << 16),
+            raw(&framed(frames::OPEN, &open(1, 1 << 16))),
         ) {
             Frame::Refused(CollectorError::GroupCap { requested, cap }) => {
                 assert_eq!(requested, 1 << 16);
@@ -1276,13 +1312,12 @@ mod tests {
             _ => panic!("a 64 MiB snapshot was not refused with GroupCap"),
         }
         assert!(eng.open_round_ids().is_empty());
-        assert!(read_segments(&dir).expect("read journal").0.is_empty());
+        assert!(read_records(&dir).is_empty());
         let outcome = apply_frame(
             &eng,
             &mut session,
             Some(&mut journal),
-            frames::OPEN,
-            &open(2, 64),
+            raw(&framed(frames::OPEN, &open(2, 64))),
         );
         assert!(matches!(outcome, Frame::Continue));
         drop(journal);
@@ -1297,8 +1332,7 @@ mod tests {
                 &eng,
                 &mut Session::default(),
                 Some(&mut journal),
-                frames::OPEN,
-                &open(3, 1 << 16),
+                raw(&framed(frames::OPEN, &open(3, 1 << 16))),
             );
             assert!(matches!(outcome, Frame::Continue));
         }
@@ -1344,9 +1378,9 @@ mod tests {
             snapshot
         };
         let segment = |version: u8, payload: &[u8]| {
-            let mut bytes = journal::SEGMENT_MAGIC.to_vec();
+            let mut bytes = SEGMENT_MAGIC.to_vec();
             bytes.push(version);
-            wire::write_frame(&mut bytes, journal::REC_CHECKPOINT, payload).expect("frame");
+            wire::write_frame(&mut bytes, frames::CHECKPOINT, payload).expect("frame");
             bytes
         };
         let with_id = |round: u64, snapshot: &[u8]| {
@@ -1355,10 +1389,15 @@ mod tests {
             payload.extend_from_slice(snapshot);
             payload
         };
-        let current = journal::SEGMENT_VERSION;
-        let cases: [(Vec<u8>, &str); 4] = [
+        let current = SEGMENT_VERSION;
+        let cases: [(Vec<u8>, &str); 5] = [
             // A version-1 segment: its markers carried an epoch.
             (segment(1, &[3, 1]), "unsupported segment version"),
+            // A version-2 segment: its records had kinds of their own.
+            (
+                segment(2, &with_id(3, &snapshot)),
+                "unsupported segment version",
+            ),
             // The round id itself does not parse: never a silent skip.
             (segment(current, &[0x80]), "malformed checkpoint record"),
             (segment(current, &with_id(3, b"LDPKjunk")), "bad checkpoint"),

@@ -32,7 +32,7 @@ fn spawn_daemon(
     .expect("bind loopback daemon")
 }
 
-/// The `LDPK` snapshot in the data directory's last `REC_CHECKPOINT`
+/// The `LDPK` snapshot in the data directory's last `CHECKPOINT`
 /// journal record (the record's payload past its round id).
 fn last_checkpoint_snapshot(dir: &Path) -> Option<Vec<u8>> {
     let mut segments: Vec<_> = std::fs::read_dir(dir)
@@ -46,13 +46,13 @@ fn last_checkpoint_snapshot(dir: &Path) -> Option<Vec<u8>> {
     for segment in segments {
         let bytes = std::fs::read(segment).unwrap();
         let mut records = &bytes[5..];
-        let mut payload = Vec::new();
-        while let Some(kind) = wire::read_frame(&mut records, &mut payload).unwrap() {
-            if kind == wire::journal::REC_CHECKPOINT {
-                let mut rest = payload.as_slice();
-                wire::get_varint(&mut rest).unwrap();
-                snapshot = Some(rest.to_vec());
+        while let Some((record, rest)) = wire::split_frame(records).unwrap() {
+            if record.kind == wire::frames::CHECKPOINT {
+                let mut snap = record.payload;
+                wire::get_varint(&mut snap).unwrap();
+                snapshot = Some(snap.to_vec());
             }
+            records = rest;
         }
     }
     snapshot
@@ -392,7 +392,7 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
     let snapshot = last_checkpoint_snapshot(&crashed).expect("the checkpoint wrote a snapshot");
     let resumed = RoundCollector::new(config.clone()).unwrap();
     resumed
-        .resume_round_into(&mut snapshot.as_slice())
+        .resume_round_into(&snapshot)
         .expect("restore snapshot");
     for (id, report) in reports.iter().enumerate() {
         let outcome = resumed

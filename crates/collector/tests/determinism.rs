@@ -234,7 +234,7 @@ fn geometry_mismatched_checkpoint_is_typed() {
         let mut bad = snapshot.clone();
         bad[pos] ^= 0xFF;
         let resumed = RoundCollector::new(config()).unwrap();
-        match resumed.resume_round_into(&mut bad.as_slice()) {
+        match resumed.resume_round_into(&bad) {
             Ok(_) => {
                 // Some flips only touch counters and still parse; the
                 // engine must still be in a coherent, usable state.

@@ -15,15 +15,17 @@
 //! The companion `tests/crash.rs` covers the same exactly-once claim
 //! against a real daemon *process* killed with SIGKILL.
 
+use ldp_collector::server::frames;
 use ldp_collector::wal::DurableLog;
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, FsyncPolicy, RetryPolicy,
     RoundChannel, RoundCollector,
 };
-use ldp_protocols::wire::StatsValue;
+use ldp_protocols::wire::{self, StatsValue};
 use ldp_protocols::UserReport;
 use proptest::prelude::*;
-use std::net::{TcpListener, ToSocketAddrs};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
@@ -144,7 +146,7 @@ fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
     engine.checkpoint(ROUND, &mut snapshot).expect("snapshot");
     let resumed = RoundCollector::new(config()).expect("engine");
     resumed
-        .resume_round_into(&mut snapshot.as_slice())
+        .resume_round_into(&snapshot)
         .expect("the untruncated snapshot must resume");
     assert_eq!(
         resumed.counters(ROUND).expect("counters").accepted,
@@ -152,7 +154,7 @@ fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
     );
     for cut in 0..snapshot.len() {
         let fresh = RoundCollector::new(config()).expect("engine");
-        match fresh.resume_round_into(&mut &snapshot[..cut]) {
+        match fresh.resume_round_into(&snapshot[..cut]) {
             Ok(_) => panic!(
                 "a {cut}-byte prefix of a {}-byte snapshot resumed cleanly",
                 snapshot.len()
@@ -243,6 +245,109 @@ fn wal_segment_truncated_at_every_offset_recovers_or_refuses() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&sweep_root);
+}
+
+/// The journal is the frame stream: past its 5-byte header, a durable
+/// daemon's segment is the frames a client sent it, byte for byte, and a
+/// checkpoint record is the `CHECKPOINT` frame with the round's `LDPK`
+/// snapshot appended to its payload.
+#[test]
+fn the_journal_is_the_frame_stream() {
+    const QUOTA: u64 = 8;
+    let population = 6usize;
+    let dir = scratch_dir("frame-stream");
+    let (addr, handle) =
+        CollectorServer::spawn_durable(config(), &dir, FsyncPolicy::Off).expect("spawn durable");
+    let frame = |kind: u8, payload: &[u8]| {
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, kind, payload).expect("frame encodes");
+        bytes
+    };
+    let id = |round: u64| {
+        let mut payload = Vec::new();
+        wire::put_varint(round, &mut payload);
+        payload
+    };
+    let open = |round: u64| {
+        let mut payload = id(round);
+        // Tenant 0, degree-vector channel, population, groups, and a
+        // quota with room for the duplicate.
+        for varint in [0, 1, population as u64, GROUPS as u64, QUOTA] {
+            wire::put_varint(varint, &mut payload);
+        }
+        frame(frames::OPEN, &payload)
+    };
+    let batch = |round: u64, users: std::ops::Range<u64>| {
+        let entries: Vec<(u64, UserReport)> = users
+            .map(|u| (u, UserReport::DegreeVector(vector(u))))
+            .collect();
+        let mut payload = Vec::new();
+        wire::encode_routed_batch(round, &entries, &mut payload);
+        frame(frames::REPORT_BATCH, &payload)
+    };
+    // Round 1 runs its whole lifecycle, a duplicate included; round 2 is
+    // checkpointed part-way.
+    let journaled = [
+        open(1),
+        batch(1, 0..2),
+        batch(1, 1..4),
+        batch(1, 4..6),
+        frame(frames::CLOSE, &id(1)),
+        frame(frames::FINALIZE, &id(1)),
+        open(2),
+        batch(2, 0..3),
+    ];
+    let checkpoint = frame(frames::CHECKPOINT, &id(2));
+
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut out = Vec::new();
+    wire::write_stream_header(&mut out).expect("header encodes");
+    out.extend(journaled.iter().flatten());
+    out.extend_from_slice(&checkpoint);
+    stream.write_all(&out).expect("send frames");
+    let mut header = [0u8; 6];
+    stream.read_exact(&mut header).expect("server header");
+    let mut reply = Vec::new();
+    let replies = [
+        frames::ACK,
+        frames::SUMMARY,
+        frames::DEGREE_SUMMARY,
+        frames::ACK,
+        frames::ACK,
+    ];
+    for want in replies {
+        let kind = wire::read_frame(&mut stream, &mut reply).expect("reply");
+        assert_eq!(kind, Some(want));
+    }
+    drop(stream);
+    let mut admin = CollectorClient::connect(addr).expect("admin connect");
+    admin.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exit");
+
+    // Round 2's snapshot as the engine writes it for the same history.
+    let engine = RoundCollector::new(config()).expect("engine");
+    engine
+        .open_round_as(0, 2, channel(population), Some(QUOTA))
+        .expect("open");
+    for user in 0..3 {
+        engine
+            .ingest(2, user, UserReport::DegreeVector(vector(user)))
+            .expect("ingest");
+    }
+    let mut payload = id(2);
+    engine.checkpoint(2, &mut payload).expect("snapshot");
+    let mut expected = b"LDPW\x03".to_vec();
+    expected.extend(journaled.iter().flatten());
+    expected.extend(frame(frames::CHECKPOINT, &payload));
+
+    let segments: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read data dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(segments.len(), 1, "one segment: {segments:?}");
+    let segment = std::fs::read(&segments[0]).expect("read segment");
+    assert_eq!(segment, expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

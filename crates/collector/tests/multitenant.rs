@@ -285,17 +285,19 @@ fn tenant_round_quota_refuses_typed_and_frees_on_finalize() {
 /// the budget would be exceeded, and the charge is refunded on finalize.
 #[test]
 fn memory_budget_refuses_typed_and_refunds_on_finalize() {
-    // A population-8 adjacency round prices at 8²/8 = 8 bytes; a budget
-    // of 20 admits two and refuses the third.
-    let (addr, handle) = spawn_daemon(CollectorConfig {
-        shards: 1,
-        memory_budget: 20,
-        ..CollectorConfig::default()
-    });
+    // A budget of two and a half population-8 adjacency rounds admits
+    // two and refuses the third.
     let channel = RoundChannel::Adjacency {
         population: 8,
         p_keep: 0.9,
     };
+    let cost = channel.memory_cost(1);
+    let budget = 2 * cost + cost / 2;
+    let (addr, handle) = spawn_daemon(CollectorConfig {
+        shards: 1,
+        memory_budget: budget,
+        ..CollectorConfig::default()
+    });
     let mut client = CollectorClient::connect(addr).unwrap();
     client.open_round(1, channel, None).unwrap();
     client.open_round(2, channel, None).unwrap();
@@ -305,11 +307,12 @@ fn memory_budget_refuses_typed_and_refunds_on_finalize() {
     };
     assert_eq!(code, ldp_collector::server::codes::MEMORY_BUDGET);
     assert!(
-        message.contains("needs 8 bytes") && message.contains("16 of 20"),
+        message.contains(&format!("needs {cost} bytes"))
+            && message.contains(&format!("{} of {budget}", 2 * cost)),
         "message: {message}"
     );
 
-    // Complete round 1; its 8 bytes come back and round 3 admits.
+    // Complete round 1; its charge comes back and round 3 admits.
     client.set_round(1).unwrap();
     for id in 0..8u64 {
         client
@@ -343,9 +346,9 @@ fn hostile_open_spam_degrades_gracefully() {
         shards: 2,
         max_sessions: 16,
         max_rounds_per_tenant: 1,
-        // Tight budget: the honest round (n²/8 + n/8 = 1815 bytes)
-        // fits; hostile max-size opens against the remaining headroom
-        // mostly bounce off the budget.
+        // Tight budget: the honest round (2,367 bytes of shards) fits;
+        // hostile max-size opens against the remaining headroom mostly
+        // bounce off the budget.
         memory_budget: 4096,
         ..CollectorConfig::default()
     };
@@ -527,6 +530,11 @@ fn stats_track_round_lifecycle_across_tenants() {
     }
     a.close_round(1).unwrap();
     a.finalize_adjacency(1).unwrap();
+    // `view_send_nanos` is observed once the `VIEW`'s last byte is
+    // written, which the client can read first; a's next frame is
+    // processed only after that, so its `ACK` orders the sample before
+    // b's scrape.
+    a.sync().unwrap();
 
     let entries = b.stats().unwrap();
     assert_eq!(stat(&entries, "rounds_open"), StatsValue::Gauge(1));

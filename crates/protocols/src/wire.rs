@@ -29,6 +29,9 @@
 //! `len` is capped at [`MAX_FRAME_LEN`]; an oversize prefix is rejected
 //! *before* any allocation ([`WireError::OversizeFrame`]), so a hostile
 //! peer cannot OOM the collector with a 4 GiB length claim.
+//! [`split_frame`] parses a frame in place at the head of a buffer; the
+//! collector's journal records are the frames it applied, byte for byte,
+//! so its session pump and its recovery share that one parser.
 //!
 //! ## Report payload
 //!
@@ -128,41 +131,6 @@ pub mod frames {
     /// Server → client: a metrics-registry snapshot (see
     /// [`super::encode_stats_reply`]).
     pub const STATS_REPLY: u8 = 0x86;
-}
-
-/// Record framing of the collector's write-ahead journal.
-///
-/// A WAL segment file is its own magic + version header, then the same
-/// length-prefixed frames the network codec speaks ([`write_frame`] /
-/// [`read_frame`]), so replay inherits the codec's totality: a torn final
-/// record reads as `UnexpectedEof`, not as a clean end (`Ok(None)`).
-///
-/// Record kinds are a vocabulary apart from [`frames`] (the opcode lint
-/// rules govern the network's only). Every record's payload begins with
-/// the round id as a varint, so a scan routes records of any kind. `0x02`
-/// is reserved (it journaled the retired singleton `REPORT` frame) and
-/// refused as corrupt.
-pub mod journal {
-    /// Magic bytes opening a WAL segment file.
-    pub const SEGMENT_MAGIC: [u8; 4] = *b"LDPW";
-    /// Journal format version (2: a checkpoint record carries its
-    /// round's snapshot); other versions are refused.
-    pub const SEGMENT_VERSION: u8 = 2;
-    /// A round was opened; payload = the `OPEN` frame payload verbatim.
-    pub const REC_OPEN: u8 = 0x01;
-    /// A routed report batch; payload = the `REPORT_BATCH` frame payload
-    /// verbatim.
-    pub const REC_BATCH: u8 = 0x03;
-    /// Intake of the named round closed; payload = round id varint.
-    pub const REC_CLOSE: u8 = 0x04;
-    /// The named round finalized (left the registry); payload = round id
-    /// varint.
-    pub const REC_FINALIZE: u8 = 0x05;
-    /// The named round's state through this point; payload = round id
-    /// varint, then the round's `LDPK` checkpoint snapshot. Replay
-    /// restores the round from its last such record and discards the
-    /// round's earlier records.
-    pub const REC_CHECKPOINT: u8 = 0x06;
 }
 
 /// Typed decode/transport failures. Every malformed input maps to one of
@@ -499,6 +467,52 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<Option<u8>
     Ok(Some(kind[0]))
 }
 
+/// One complete frame at the head of a buffer, read in place by
+/// [`split_frame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawFrame<'a> {
+    /// The whole frame as it sits in the buffer: length prefix, kind and
+    /// payload (what the collector's journal stores as one record).
+    pub bytes: &'a [u8],
+    /// The frame's kind byte.
+    pub kind: u8,
+    /// The frame's payload.
+    pub payload: &'a [u8],
+}
+
+/// Splits the complete frame at the head of `buf` from the bytes after
+/// it, without copying or allocating: `Ok(None)` while `buf` holds less
+/// than a length prefix and the frame it claims (an empty `buf`
+/// included). The one frame parser of a session's read buffer and of a
+/// journal segment.
+///
+/// # Errors
+/// [`WireError::OversizeFrame`] on a zero or oversize length prefix,
+/// refused before any of the bytes it claims are awaited.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(RawFrame<'_>, &[u8])>, WireError> {
+    let Some((prefix, body)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len == 0 || len > MAX_FRAME_LEN {
+        return Err(WireError::OversizeFrame { len });
+    }
+    let Some((&kind, payload)) = body.get(..len).and_then(<[u8]>::split_first) else {
+        return Ok(None);
+    };
+    let Some((bytes, rest)) = buf.split_at_checked(4 + len) else {
+        return Ok(None);
+    };
+    Ok(Some((
+        RawFrame {
+            bytes,
+            kind,
+            payload,
+        },
+        rest,
+    )))
+}
+
 // ---------------------------------------------------------------------------
 // Report payloads
 // ---------------------------------------------------------------------------
@@ -767,33 +781,10 @@ const STATS_TAG_COUNTER: u8 = 0;
 const STATS_TAG_GAUGE: u8 = 1;
 const STATS_TAG_HISTOGRAM: u8 = 2;
 
-/// One scraped metric's value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatsValue {
-    /// Monotone counter.
-    Counter(u64),
-    /// Instantaneous gauge.
-    Gauge(u64),
-    /// Log₂-bucketed histogram: sum of observations plus per-bucket
-    /// counts (bucket `i` = values of bit length `i`, trailing zeros
-    /// trimmed by the encoder).
-    Histogram {
-        /// Sum of every observed value.
-        sum: u64,
-        /// Per-bucket observation counts.
-        buckets: Vec<u64>,
-    },
-}
-
-/// One named metric in a `STATS_REPLY` snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsEntry {
-    /// Registered metric name (UTF-8, at most [`MAX_STATS_NAME_LEN`]
-    /// bytes).
-    pub name: String,
-    /// The value at snapshot time.
-    pub value: StatsValue,
-}
+/// One named metric in a `STATS_REPLY` snapshot (name at most
+/// [`MAX_STATS_NAME_LEN`] bytes) and its value: the registry's own
+/// sample types, so the daemon serves its snapshot as is.
+pub use ldp_obs::{Sample as StatsEntry, SampleValue as StatsValue};
 
 /// Encodes a `STATS_REPLY` payload: `varint K`, then `K` entries of
 /// `varint name_len + name bytes + tag u8 + value` (counter/gauge: one

@@ -33,6 +33,45 @@ fn synth_report(adjacency: bool, n: usize, density_shift: u32, seed: u64) -> Use
     }
 }
 
+/// Walks `stream` with [`wire::split_frame`] and [`wire::read_frame`] side
+/// by side: they must return the same frames in order, `split_frame` the
+/// frame's exact bytes in place, and end alike — "incomplete" exactly
+/// where `read_frame` reads a torn frame (or a clean end on an empty
+/// rest), the same oversize refusal otherwise. Returns the frame count.
+fn split_matches_read(stream: &[u8]) -> Result<usize, String> {
+    let (mut rest, mut reader, mut payload) = (stream, stream, Vec::new());
+    for count in 0.. {
+        match (
+            wire::split_frame(rest),
+            wire::read_frame(&mut reader, &mut payload),
+        ) {
+            (Ok(Some((frame, tail))), Ok(Some(kind))) => {
+                if (frame.kind, frame.payload) != (kind, &payload[..]) {
+                    return Err(format!("frame {count} differs"));
+                }
+                if frame.bytes.len() + tail.len() != rest.len() || !rest.starts_with(frame.bytes) {
+                    return Err(format!("frame {count} is not the head of the buffer"));
+                }
+                rest = tail;
+            }
+            (Ok(None), Ok(None)) if rest.is_empty() => return Ok(count),
+            (Ok(None), Err(WireError::Io(std::io::ErrorKind::UnexpectedEof)))
+                if !rest.is_empty() =>
+            {
+                return Ok(count)
+            }
+            (
+                Err(WireError::OversizeFrame { len }),
+                Err(WireError::OversizeFrame { len: read }),
+            ) if len == read => return Ok(count),
+            (split, read) => {
+                return Err(format!("frame {count}: split {split:?}, read {read:?}"));
+            }
+        }
+    }
+    unreachable!("the walk ends within the stream")
+}
+
 fn assert_identical(a: &UserReport, b: &UserReport) -> Result<(), String> {
     match (a, b) {
         (UserReport::Adjacency(x), UserReport::Adjacency(y)) => {
@@ -555,6 +594,39 @@ fn adversarial_row_claims_are_typed() {
     put_varint(1, &mut out);
     put_u64(1 << 5, &mut out);
     assert!(matches!(decode_report(&out), Err(WireError::BadPadding)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `split_frame` is total and agrees with `read_frame` on every prefix
+    /// of a valid frame stream and on every single-byte corruption of it
+    /// (one random corruption per byte position).
+    #[test]
+    fn split_frame_is_total_and_agrees_with_read_frame(
+        count in 0usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut stream = Vec::new();
+        for _ in 0..count {
+            let payload: Vec<u8> = (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect();
+            wire::write_frame(&mut stream, rng.gen(), &payload).expect("frame encodes");
+        }
+        prop_assert_eq!(split_matches_read(&stream), Ok(count));
+        for cut in 0..stream.len() {
+            if let Err(msg) = split_matches_read(&stream[..cut]) {
+                prop_assert!(false, "prefix of {} bytes: {}", cut, msg);
+            }
+        }
+        for pos in 0..stream.len() {
+            let mut corrupt = stream.clone();
+            corrupt[pos] ^= rng.gen_range(1..=255u8);
+            if let Err(msg) = split_matches_read(&corrupt) {
+                prop_assert!(false, "byte {} corrupted: {}", pos, msg);
+            }
+        }
+    }
 }
 
 proptest! {
