@@ -268,7 +268,7 @@ mod tests {
             .unwrap();
         for (i, r) in reports.iter().enumerate() {
             reference
-                .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
+                .ingest_ref(5, i as u64, &UserReport::Adjacency(r.clone()))
                 .unwrap();
         }
         reference.close_round(5).unwrap();
@@ -293,7 +293,7 @@ mod tests {
             .unwrap();
         for (i, r) in reports.iter().enumerate().take(40) {
             first
-                .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
+                .ingest_ref(5, i as u64, &UserReport::Adjacency(r.clone()))
                 .unwrap();
         }
         let mut snapshot = Vec::new();
@@ -307,13 +307,13 @@ mod tests {
         // (and, like any queued upload, still charges the quota).
         assert_eq!(
             resumed
-                .ingest(5, 3, UserReport::Adjacency(reports[3].clone()))
+                .ingest_ref(5, 3, &UserReport::Adjacency(reports[3].clone()))
                 .unwrap(),
             IngestOutcome::Duplicate
         );
         for (i, r) in reports.iter().enumerate().skip(40) {
             resumed
-                .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
+                .ingest_ref(5, i as u64, &UserReport::Adjacency(r.clone()))
                 .unwrap();
         }
         let counters = resumed.close_round(5).unwrap();
@@ -345,7 +345,7 @@ mod tests {
             .unwrap();
         for i in 0..6u64 {
             engine
-                .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
+                .ingest_ref(2, i, &UserReport::DegreeVector(vec![1.0, i as f64]))
                 .unwrap();
         }
         let mut snapshot = Vec::new();
@@ -353,7 +353,7 @@ mod tests {
         let resumed = resume(&snapshot).unwrap();
         for i in 6..9u64 {
             resumed
-                .ingest(2, i, UserReport::DegreeVector(vec![1.0, i as f64]))
+                .ingest_ref(2, i, &UserReport::DegreeVector(vec![1.0, i as f64]))
                 .unwrap();
         }
         resumed.close_round(2).unwrap();
@@ -461,7 +461,7 @@ mod tests {
                 } else {
                     UserReport::DegreeVector(vec![r.degree, 1.0, -0.5])
                 };
-                engine.ingest(4, i as u64, report).unwrap();
+                engine.ingest_ref(4, i as u64, &report).unwrap();
             }
             let mut snapshot = Vec::new();
             engine.checkpoint(4, &mut snapshot).unwrap();

@@ -117,7 +117,8 @@ pub(crate) fn decode_degree_summary(payload: &[u8]) -> Result<DegreeVectorSummar
     let accepted = get_varint(&mut buf)?;
     let k = get_varint(&mut buf)? as usize;
     if k > wire::MAX_WIRE_POPULATION {
-        return Err(WireError::OversizePopulation { claimed: k as u64 });
+        let (claimed, cap) = (k as u64, wire::MAX_WIRE_POPULATION);
+        return Err(WireError::OversizePopulation { claimed, cap });
     }
     // Eight bytes per total: reserve no more than the payload can hold.
     let mut group_totals = Vec::with_capacity(k.min(buf.len() / 8));

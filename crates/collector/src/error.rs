@@ -12,26 +12,27 @@ pub enum CollectorError {
     Io(std::io::Error),
     /// A wire codec failure (malformed frame, bad handshake, truncation).
     Wire(WireError),
-    /// An adjacency round's population exceeds the configured cap: the
-    /// dense aggregate costs `O(N²/8)` bytes, so the collector refuses
-    /// up front instead of dying mid-round (Google+ at `N = 107,614`
-    /// would be ≈ 1.4 GiB).
+    /// A round's population exceeds its channel's cap
+    /// ([`crate::MAX_ADJACENCY_POPULATION`],
+    /// [`crate::MAX_DEGREE_VECTOR_POPULATION`]): an adjacency view costs
+    /// `O(N²/8)` bytes, so the collector refuses up front instead of dying
+    /// mid-round (Google+ at `N = 107,614` would be ≈ 1.4 GiB).
     PopulationCap {
         /// Population the round declared.
         requested: usize,
-        /// Configured cap ([`crate::CollectorConfig::max_population`]).
+        /// The channel's cap.
         cap: usize,
-        /// Bytes the dense aggregate alone would occupy at `requested`.
+        /// Bytes the round's aggregate would occupy at `requested`: the
+        /// dense view, or a degree-vector round's seen-bitmap.
         matrix_bytes: u64,
     },
-    /// A degree-vector round's group count exceeds the configured cap
-    /// (bounds the per-shard sum vectors and the finalize reply frame),
-    /// or on a durable daemon what one checkpoint record can hold.
+    /// A degree-vector round's group count exceeds
+    /// [`crate::MAX_GROUPS`] (bounds the per-shard sum vectors, the
+    /// snapshot and the finalize reply frame).
     GroupCap {
         /// Groups the round declared.
         requested: usize,
-        /// Configured cap ([`crate::CollectorConfig::max_groups`]), or
-        /// the most groups whose snapshot fits one journal record.
+        /// The cap, [`crate::MAX_GROUPS`].
         cap: usize,
     },
     /// A round with this id is already open; close and finalize it first
@@ -132,9 +133,9 @@ pub enum CollectorError {
         /// What was wrong.
         detail: &'static str,
     },
-    /// The collector configuration itself is invalid (zero shards, a
-    /// zero session cap, a keep probability outside the invertible
-    /// range).
+    /// The collector configuration itself is invalid (zero shards or more
+    /// than [`crate::MAX_SHARDS`], a zero session cap, a keep probability
+    /// outside the invertible range).
     InvalidConfig {
         /// What was wrong.
         detail: &'static str,
@@ -152,9 +153,8 @@ impl fmt::Display for CollectorError {
                 matrix_bytes,
             } => write!(
                 f,
-                "adjacency round of {requested} users refused: dense aggregate needs \
-                 {matrix_bytes} bytes (O(N²/8)); cap is {cap} users — raise \
-                 CollectorConfig::max_population only with the memory to back it"
+                "round of {requested} users refused: its aggregate needs {matrix_bytes} \
+                 bytes (O(N²/8) on the adjacency channel); the channel's cap is {cap} users"
             ),
             CollectorError::GroupCap { requested, cap } => {
                 write!(

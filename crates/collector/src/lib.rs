@@ -9,8 +9,9 @@
 //!
 //! * [`round`] — the transport-agnostic engine: a registry of concurrent
 //!   rounds (**open → ingest → close → finalize**), per-round quotas,
-//!   duplicate-id rejection, population caps, and admission control that
-//!   refuses with typed backpressure ([`CollectorError::MemoryBudget`],
+//!   duplicate-id rejection, population caps sized so every round fits
+//!   one frame, and admission control that refuses with typed
+//!   backpressure ([`CollectorError::MemoryBudget`],
 //!   [`CollectorError::TenantQuota`]) instead of allocating. The engine
 //!   is `Sync`: sessions on different rounds never share a lock.
 //! * `shard` (internal) — reports routed by `user_id % shards` into
@@ -68,6 +69,7 @@ pub use error::CollectorError;
 pub use metrics::CollectorMetrics;
 pub use round::{
     CollectorConfig, IngestOutcome, RoundChannel, RoundCollector, RoundCounters, RoundOutcome,
+    MAX_ADJACENCY_POPULATION, MAX_DEGREE_VECTOR_POPULATION, MAX_GROUPS, MAX_SHARDS,
 };
 pub use server::CollectorServer;
 pub use shard::FinalizedShards;

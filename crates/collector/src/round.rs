@@ -42,12 +42,16 @@
 //!
 //! ## Admission control
 //!
-//! Opens are refused — typed, before any allocation — when the tenant
-//! already holds [`CollectorConfig::max_rounds_per_tenant`] open rounds
-//! ([`CollectorError::TenantQuota`]) or when the round's priced memory
-//! ([`RoundChannel::memory_cost`], what the round's shards hold:
-//! `≈ N²/16` / `O(N/8 + shards·groups)` bytes) would push the engine
-//! past [`CollectorConfig::memory_budget`]
+//! Opens are refused — typed, before any allocation — when the round
+//! exceeds a per-round cap ([`MAX_ADJACENCY_POPULATION`],
+//! [`MAX_DEGREE_VECTOR_POPULATION`], [`MAX_GROUPS`]: with at most
+//! [`MAX_SHARDS`] shards, these make every snapshot and finalize reply
+//! fit one frame), when the tenant already holds
+//! [`CollectorConfig::max_rounds_per_tenant`] open rounds
+//! ([`CollectorError::TenantQuota`]), or when the round's priced memory
+//! ([`RoundChannel::memory_cost`], at least what the round's shards
+//! allocate: `≈ N²/16` / `O(N/8 + shards·groups)` bytes) would push the
+//! engine past [`CollectorConfig::memory_budget`]
 //! ([`CollectorError::MemoryBudget`]). Finalize refunds the charge. A
 //! hostile tenant can therefore exhaust *its* quota, never the
 //! collector.
@@ -67,29 +71,10 @@ use std::time::Instant;
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    /// Shard count: reports are routed by `user_id % shards` into
-    /// per-shard state behind per-shard locks, so concurrent sessions
-    /// folding different shards never contend.
+    /// Shard count, `1..=`[`MAX_SHARDS`]: reports are routed by
+    /// `user_id % shards` into per-shard state behind per-shard locks, so
+    /// concurrent sessions folding different shards never contend.
     pub shards: usize,
-    /// Largest adjacency-round population the collector accepts. The
-    /// dense aggregate costs `O(N²/8)` bytes — ≈ 33.5 MB at the default
-    /// cap of 16,384 users and ≈ 1.4 GiB at Google+ scale (`N = 107,614`),
-    /// which is why oversize rounds are refused with a typed
-    /// [`CollectorError::PopulationCap`] instead of found out by the OOM
-    /// killer. Independently of this knob, populations above 23,000 are
-    /// refused at open, so a finalized view always fits one wire frame
-    /// ([`ldp_protocols::wire::MAX_FRAME_LEN`]) — never discovered at
-    /// finalize with the round already consumed.
-    pub max_population: usize,
-    /// Largest degree-vector-round population. That channel's state is
-    /// only `O(N/8)` seen-bitmap bytes plus `O(shards·groups)` sums, so
-    /// the default admits the million-user regime with room to spare —
-    /// but a hostile `OPEN` frame claiming `2^50` users must still be a
-    /// typed refusal, not an aborting allocation.
-    pub max_degree_vector_population: usize,
-    /// Largest group count of a degree-vector round (bounds both the
-    /// per-shard sum vectors and the finalize reply frame).
-    pub max_groups: usize,
     /// Most TCP connections the daemon holds at once; each is served by
     /// its own session thread, which sleeps in a blocking read while its
     /// peer is quiet, so an idle connection costs a thread stack and a
@@ -106,7 +91,7 @@ pub struct CollectorConfig {
     /// Global budget, in bytes, for the priced memory of all open rounds
     /// together (see [`RoundChannel::memory_cost`]); the admission check
     /// behind [`CollectorError::MemoryBudget`]. The default (1 GiB)
-    /// admits 63 adjacency rounds at the default population cap.
+    /// admits 62 adjacency rounds at [`MAX_ADJACENCY_POPULATION`].
     pub memory_budget: u64,
     /// Whether the observability plane records (default `true`). Off, every
     /// hot-path instrumentation site reduces to one predictable branch —
@@ -120,9 +105,6 @@ impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
             shards: 8,
-            max_population: 16_384,
-            max_degree_vector_population: 1 << 24,
-            max_groups: 1 << 16,
             max_sessions: 1024,
             max_rounds_per_tenant: 8,
             memory_budget: 1 << 30,
@@ -133,8 +115,9 @@ impl Default for CollectorConfig {
 
 impl CollectorConfig {
     fn validate(&self) -> Result<(), CollectorError> {
-        let zero = [
+        let bad = [
             (self.shards == 0, "shards must be positive"),
+            (self.shards > MAX_SHARDS, "shards must be at most 64"),
             (self.max_sessions == 0, "max_sessions must be positive"),
             (
                 self.max_rounds_per_tenant == 0,
@@ -142,7 +125,7 @@ impl CollectorConfig {
             ),
             (self.memory_budget == 0, "memory_budget must be positive"),
         ];
-        match zero.into_iter().find(|&(bad, _)| bad) {
+        match bad.into_iter().find(|&(bad, _)| bad) {
             Some((_, detail)) => Err(CollectorError::InvalidConfig { detail }),
             None => Ok(()),
         }
@@ -181,24 +164,25 @@ impl RoundChannel {
     }
 
     /// Bytes a round on this channel charges against
-    /// [`CollectorConfig::memory_budget`] while open: what its shards
-    /// hold. An adjacency round's shards hold the strict lower triangle
+    /// [`CollectorConfig::memory_budget`] while open: at least what its
+    /// shards allocate. Every round pays `8 · ⌈N/64⌉` bytes of seen-bitmap
+    /// plus 136 bytes per shard (its bitmap's last word, its lock and its
+    /// vector headers). An adjacency round adds the strict lower triangle
     /// (`8 · lower_triangle_words(N)`, `≈ N²/16`), `8N` bytes of reported
-    /// degrees and `⌈N/8⌉` of seen-bitmap — ≈ 16.9 MB at `N = 16,384`; a
-    /// degree-vector round's the `O(N/8)` seen-bitmaps plus
-    /// `O(shards·groups)` sums. The price is computed (and the admission
-    /// decision made) *before* anything is allocated. During `FINALIZE`
-    /// the daemon adds one 1 MiB piece of the `VIEW` it streams from the
-    /// shards; no full matrix or whole reply is built in the daemon.
+    /// degrees and `8 · (N + shards)` of row offsets — ≈ 17.1 MB at
+    /// `N = 16,384`; a degree-vector round adds `8 · shards · groups`
+    /// bytes of sums. The price is computed (and the admission decision
+    /// made) *before* anything is allocated. During `FINALIZE` the daemon
+    /// adds one 1 MiB piece of the `VIEW` it streams from the shards; no
+    /// full matrix or whole reply is built in the daemon.
     pub fn memory_cost(&self, shards: usize) -> u64 {
+        let (n, shards) = (self.population() as u64, shards.max(1) as u64);
+        let base = 8 * n.div_ceil(64) + 136 * shards;
         match *self {
             RoundChannel::Adjacency { population, .. } => {
-                let n = population as u64;
-                8 * wire::lower_triangle_words(population) as u64 + 8 * n + n.div_ceil(8)
+                base + 8 * wire::lower_triangle_words(population) as u64 + 8 * (2 * n + shards)
             }
-            RoundChannel::DegreeVector { population, groups } => {
-                population as u64 / 8 + (shards.max(1) as u64) * groups as u64 * 8
-            }
+            RoundChannel::DegreeVector { groups, .. } => base + 8 * shards * groups as u64,
         }
     }
 }
@@ -330,7 +314,9 @@ impl OpenRound {
         })
     }
 
-    fn counters(&self) -> RoundCounters {
+    /// The round's intake counters; locks each shard in turn (the
+    /// caller holds the slot lock: slot before shard).
+    fn read_counters(&self) -> RoundCounters {
         let accepted = self.shards.accepted();
         RoundCounters {
             accepted,
@@ -350,6 +336,66 @@ pub(crate) struct RoundSlot {
     pub(crate) tenant: u64,
     pub(crate) cost: u64,
     pub(crate) inner: RwLock<Option<OpenRound>>,
+}
+
+/// Most shards a [`CollectorConfig`] may ask for. With the three caps
+/// below it bounds every admitted round's journal snapshot and finalize
+/// reply to one [`wire::MAX_FRAME_LEN`] frame: a degree-vector snapshot
+/// holds at most `2²⁴/8` seen-bitmap bytes and `64 · 2¹⁶ · 8` bytes of
+/// sums (≈ 34 MiB), an adjacency snapshot or `VIEW` ≈ 17 MB, and a
+/// `DEGREE_SUMMARY` 512 KiB.
+pub const MAX_SHARDS: usize = 64;
+
+/// Largest adjacency-round population. The round's shards hold `≈ N²/16`
+/// bytes and its finalized view `N²/8`: ≈ 17 and 34 MB here, against
+/// ≈ 0.7 and 1.4 GB at Google+ scale (`N = 107,614`). So an oversize
+/// round is a typed [`CollectorError::PopulationCap`] at open, not a job
+/// for the OOM killer or a surprise at finalize.
+pub const MAX_ADJACENCY_POPULATION: usize = 16_384;
+
+/// Largest degree-vector-round population. That channel's state is only
+/// `N/8` seen-bitmap bytes plus per-shard sums, so the million-user
+/// regime fits with room to spare, but a hostile `OPEN` claiming `2⁵⁰`
+/// users is still a typed refusal, not an aborting allocation.
+pub const MAX_DEGREE_VECTOR_POPULATION: usize = 1 << 24;
+
+/// Largest group count of a degree-vector round (bounds the per-shard
+/// sums, the snapshot and the `DEGREE_SUMMARY` reply).
+pub const MAX_GROUPS: usize = 1 << 16;
+
+/// The per-round caps, the one admission check every `OPEN` (live,
+/// replayed or restored, with or without a journal) passes before
+/// anything is allocated. The keep probability is validated where the
+/// round's `RandomizedResponse` is built, also before any allocation.
+fn validate_channel(channel: &RoundChannel) -> Result<(), CollectorError> {
+    let (population, cap, matrix_bytes, groups) = match *channel {
+        RoundChannel::Adjacency { population, .. } => (
+            population,
+            MAX_ADJACENCY_POPULATION,
+            (population as u64).pow(2) / 8,
+            0,
+        ),
+        RoundChannel::DegreeVector { population, groups } => (
+            population,
+            MAX_DEGREE_VECTOR_POPULATION,
+            population as u64 / 8,
+            groups,
+        ),
+    };
+    if population > cap {
+        return Err(CollectorError::PopulationCap {
+            requested: population,
+            cap,
+            matrix_bytes,
+        });
+    }
+    if groups > MAX_GROUPS {
+        return Err(CollectorError::GroupCap {
+            requested: groups,
+            cap: MAX_GROUPS,
+        });
+    }
+    Ok(())
 }
 
 /// The transport-agnostic collection engine. Any number of concurrent
@@ -383,18 +429,12 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 impl RoundCollector {
-    /// Largest adjacency population admitted regardless of
-    /// `max_population`, so a finalized view always fits a single
-    /// [`ldp_protocols::wire::MAX_FRAME_LEN`] frame: at 23,000 users the
-    /// view ([`ldp_protocols::wire::view_payload_len`], `≈ N²/16 + 8N`
-    /// bytes) fills about half of one, which a unit test checks.
-    const WIRE_VIEW_CAP: usize = 23_000;
-
     /// Creates an engine with the given configuration.
     ///
     /// # Errors
     /// [`CollectorError::InvalidConfig`] on a zero shard count, session
-    /// cap, tenant quota, or memory budget.
+    /// cap, tenant quota, or memory budget, or more than [`MAX_SHARDS`]
+    /// shards.
     pub fn new(config: CollectorConfig) -> Result<Self, CollectorError> {
         config.validate()?;
         let metrics = Arc::new(CollectorMetrics::new(config.shards, config.metrics));
@@ -500,7 +540,7 @@ impl RoundCollector {
         }
         // Per-round caps and parameter validation come first, then the
         // admission checks — all of it before any allocation.
-        self.validate_channel(&channel)?;
+        validate_channel(&channel)?;
         let open = rounds.values().filter(|s| s.tenant == tenant).count();
         if open >= self.config.max_rounds_per_tenant {
             return Err(CollectorError::TenantQuota {
@@ -541,76 +581,18 @@ impl RoundCollector {
         Ok(())
     }
 
-    /// The per-round caps and parameter checks, priced exactly as the
-    /// refusal messages claim. Nothing is allocated before this passes.
-    fn validate_channel(&self, channel: &RoundChannel) -> Result<(), CollectorError> {
-        match *channel {
-            // The keep probability is validated where the round's
-            // RandomizedResponse is constructed, before any allocation.
-            RoundChannel::Adjacency {
-                population,
-                p_keep: _,
-            } => {
-                // The configured memory cap, and — independently — the
-                // wire's frame bound: a finalized view must fit one
-                // FINALIZE reply, and that has to be refused at open, not
-                // at finalize with the round already consumed.
-                let cap = self.config.max_population.min(Self::WIRE_VIEW_CAP);
-                if population > cap {
-                    return Err(CollectorError::PopulationCap {
-                        requested: population,
-                        cap,
-                        matrix_bytes: (population as u64).pow(2) / 8,
-                    });
-                }
-            }
-            RoundChannel::DegreeVector { population, groups } => {
-                // No dense aggregate here, but a hostile OPEN claiming
-                // 2^50 users (or groups) must be a typed refusal, not an
-                // aborting allocation of seen-bitmaps or sum vectors.
-                if population > self.config.max_degree_vector_population {
-                    return Err(CollectorError::PopulationCap {
-                        requested: population,
-                        cap: self.config.max_degree_vector_population,
-                        matrix_bytes: population as u64 / 8,
-                    });
-                }
-                if groups > self.config.max_groups {
-                    return Err(CollectorError::GroupCap {
-                        requested: groups,
-                        cap: self.config.max_groups,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Submits one report to the named round, folding it into the owning
-    /// shard immediately; safe from any number of threads at once.
-    /// Malformed, duplicate, or over-quota reports are *counted and
-    /// dropped* (one bad upload must not stall a million good ones); only
-    /// a missing or closed round is a hard error.
+    /// shard immediately; safe from any number of threads at once. The
+    /// report travels as a one-entry `REPORT_BATCH` payload through the
+    /// daemon's own frame fold, so it meets exactly the checks a wire
+    /// report meets. Malformed, duplicate, or over-quota reports are
+    /// *counted and dropped* (one bad upload must not stall a million good
+    /// ones) — like a wire report, one sent to a closed round is counted
+    /// as malformed; only a missing or closed round is a hard error.
     ///
     /// # Errors
     /// [`CollectorError::UnknownRound`] when no round has this id;
     /// [`CollectorError::RoundClosed`] when its intake already closed.
-    pub fn ingest(
-        &self,
-        round_id: u64,
-        user_id: u64,
-        report: UserReport,
-    ) -> Result<IngestOutcome, CollectorError> {
-        self.ingest_ref(round_id, user_id, &report)
-    }
-
-    /// [`Self::ingest`] from a borrow: the report travels as a one-entry
-    /// `REPORT_BATCH` payload through the daemon's own frame fold, so it
-    /// meets exactly the checks a wire report meets — and, like one, is
-    /// counted as malformed when its round is closed.
-    ///
-    /// # Errors
-    /// As [`Self::ingest`].
     pub fn ingest_ref(
         &self,
         round_id: u64,
@@ -775,10 +757,7 @@ impl RoundCollector {
         let round = guard
             .as_ref()
             .ok_or(CollectorError::UnknownRound { round_id })?;
-        // ldp-lint: allow(lock-order) -- `round` is an `OpenRound`, whose
-        // `counters()` only reads atomics; the call resolver conservatively
-        // merges it with the same-named registry-locking method on this type.
-        Ok(round.counters())
+        Ok(round.read_counters())
     }
 
     /// Closes intake on the named round and returns the final counters.
@@ -797,9 +776,7 @@ impl RoundCollector {
             .as_ref()
             .ok_or(CollectorError::UnknownRound { round_id })?;
         round.closed.store(true, Ordering::Release);
-        // ldp-lint: allow(lock-order) -- same `OpenRound::counters` name
-        // collision as in `counters` above; no lock is taken here.
-        let counters = round.counters();
+        let counters = round.read_counters();
         observe_since(&self.metrics.close_nanos, close_begin);
         Ok(counters)
     }
@@ -926,7 +903,7 @@ mod tests {
             .collect();
         for &i in &order {
             let outcome = engine
-                .ingest(1, i as u64, UserReport::Adjacency(reports[i].clone()))
+                .ingest_ref(1, i as u64, &UserReport::Adjacency(reports[i].clone()))
                 .unwrap();
             assert_eq!(outcome, IngestOutcome::Queued);
         }
@@ -983,7 +960,7 @@ mod tests {
             if threads <= 1 {
                 for (i, r) in reports.iter().enumerate() {
                     engine
-                        .ingest(9, i as u64, UserReport::Adjacency(r.clone()))
+                        .ingest_ref(9, i as u64, &UserReport::Adjacency(r.clone()))
                         .unwrap();
                 }
             } else {
@@ -996,7 +973,7 @@ mod tests {
                                 // Own slice, plus everyone replays slice 0.
                                 if i % threads == t || i % threads == 0 {
                                     engine
-                                        .ingest(9, i as u64, UserReport::Adjacency(r.clone()))
+                                        .ingest_ref(9, i as u64, &UserReport::Adjacency(r.clone()))
                                         .unwrap();
                                 }
                             }
@@ -1027,7 +1004,7 @@ mod tests {
     fn lifecycle_misuse_is_typed() {
         let engine = RoundCollector::new(CollectorConfig::default()).unwrap();
         assert!(matches!(
-            engine.ingest(3, 0, UserReport::DegreeVector(vec![])),
+            engine.ingest_ref(3, 0, &UserReport::DegreeVector(vec![])),
             Err(CollectorError::UnknownRound { round_id: 3 })
         ));
         engine.open_round(3, adjacency_channel(4), None).unwrap();
@@ -1053,12 +1030,12 @@ mod tests {
         engine.close_round(3).unwrap();
         // Intake refused after close — on round 3 only.
         assert!(matches!(
-            engine.ingest(3, 0, UserReport::Adjacency(report(4, 0.0))),
+            engine.ingest_ref(3, 0, &UserReport::Adjacency(report(4, 0.0))),
             Err(CollectorError::RoundClosed { round_id: 3 })
         ));
         assert_eq!(
             engine
-                .ingest(4, 0, UserReport::Adjacency(report(4, 0.0)))
+                .ingest_ref(4, 0, &UserReport::Adjacency(report(4, 0.0)))
                 .unwrap(),
             IngestOutcome::Queued
         );
@@ -1075,46 +1052,46 @@ mod tests {
         // Out-of-range id.
         assert_eq!(
             engine
-                .ingest(1, 99, UserReport::Adjacency(report(3, 0.0)))
+                .ingest_ref(1, 99, &UserReport::Adjacency(report(3, 0.0)))
                 .unwrap(),
             IngestOutcome::Invalid
         );
         // Wrong channel.
         assert_eq!(
             engine
-                .ingest(1, 0, UserReport::DegreeVector(vec![1.0]))
+                .ingest_ref(1, 0, &UserReport::DegreeVector(vec![1.0]))
                 .unwrap(),
             IngestOutcome::Invalid
         );
         // Wrong population.
         assert_eq!(
             engine
-                .ingest(1, 0, UserReport::Adjacency(report(9, 0.0)))
+                .ingest_ref(1, 0, &UserReport::Adjacency(report(9, 0.0)))
                 .unwrap(),
             IngestOutcome::Invalid
         );
         // Three good ones + a duplicate + one more duplicate = quota's 5.
         for i in 0..3 {
             engine
-                .ingest(1, i, UserReport::Adjacency(report(3, i as f64)))
+                .ingest_ref(1, i, &UserReport::Adjacency(report(3, i as f64)))
                 .unwrap();
         }
         assert_eq!(
             engine
-                .ingest(1, 1, UserReport::Adjacency(report(3, 9.0)))
+                .ingest_ref(1, 1, &UserReport::Adjacency(report(3, 9.0)))
                 .unwrap(),
             IngestOutcome::Duplicate
         );
         assert_eq!(
             engine
-                .ingest(1, 2, UserReport::Adjacency(report(3, 9.0)))
+                .ingest_ref(1, 2, &UserReport::Adjacency(report(3, 9.0)))
                 .unwrap(),
             IngestOutcome::Duplicate
         );
         // Quota exhausted now.
         assert_eq!(
             engine
-                .ingest(1, 0, UserReport::Adjacency(report(3, 0.0)))
+                .ingest_ref(1, 0, &UserReport::Adjacency(report(3, 0.0)))
                 .unwrap(),
             IngestOutcome::QuotaExceeded
         );
@@ -1156,38 +1133,6 @@ mod tests {
         assert_eq!(matrix_bytes, 107_614u64 * 107_614 / 8);
         // The engine stays usable.
         assert!(engine.open_round(1, adjacency_channel(10), None).is_ok());
-    }
-
-    #[test]
-    fn raised_cap_is_still_bounded_by_the_wire_frame() {
-        // An operator raising max_population past what a finalize reply
-        // can carry must be refused at open, not stranded at finalize.
-        let engine = RoundCollector::new(CollectorConfig {
-            max_population: usize::MAX,
-            ..CollectorConfig::default()
-        })
-        .unwrap();
-        let err = engine
-            .open_round(
-                1,
-                RoundChannel::Adjacency {
-                    population: 40_000,
-                    p_keep: 0.9,
-                },
-                None,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CollectorError::PopulationCap {
-                cap: RoundCollector::WIRE_VIEW_CAP,
-                ..
-            }
-        ));
-        // The wire cap itself is honest: a view at that population, kind
-        // byte included, fits one frame.
-        let n = RoundCollector::WIRE_VIEW_CAP;
-        assert!(ldp_protocols::wire::view_payload_len(n) < ldp_protocols::wire::MAX_FRAME_LEN);
     }
 
     #[test]
@@ -1245,7 +1190,7 @@ mod tests {
             .unwrap();
         for i in 0..5u64 {
             engine
-                .ingest(7, i, UserReport::DegreeVector(vec![1.0, i as f64]))
+                .ingest_ref(7, i, &UserReport::DegreeVector(vec![1.0, i as f64]))
                 .unwrap();
         }
         engine.close_round(7).unwrap();
@@ -1276,6 +1221,20 @@ mod tests {
             }),
             Err(CollectorError::InvalidConfig { .. })
         ));
+        assert!(matches!(
+            RoundCollector::new(CollectorConfig {
+                shards: MAX_SHARDS + 1,
+                ..CollectorConfig::default()
+            }),
+            Err(CollectorError::InvalidConfig {
+                detail: "shards must be at most 64"
+            })
+        ));
+        assert!(RoundCollector::new(CollectorConfig {
+            shards: MAX_SHARDS,
+            ..CollectorConfig::default()
+        })
+        .is_ok());
         let ok = RoundCollector::new(CollectorConfig::default()).unwrap();
         assert!(matches!(
             ok.open_round(
@@ -1347,7 +1306,7 @@ mod tests {
         // Finalizing a round refunds its charge and readmits the open.
         for i in 0..8 {
             engine
-                .ingest(1, i, UserReport::Adjacency(report(8, i as f64)))
+                .ingest_ref(1, i, &UserReport::Adjacency(report(8, i as f64)))
                 .unwrap();
         }
         engine.close_round(1).unwrap();
@@ -1370,10 +1329,10 @@ mod tests {
         // Report-by-report interleaving across the two rounds.
         for i in 0..4u64 {
             engine
-                .ingest(1, i, UserReport::DegreeVector(vec![1.0]))
+                .ingest_ref(1, i, &UserReport::DegreeVector(vec![1.0]))
                 .unwrap();
             engine
-                .ingest(2, i, UserReport::DegreeVector(vec![10.0]))
+                .ingest_ref(2, i, &UserReport::DegreeVector(vec![10.0]))
                 .unwrap();
         }
         engine.close_round(1).unwrap();

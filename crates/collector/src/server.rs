@@ -72,7 +72,7 @@ use crate::error::CollectorError;
 use crate::metrics::{observe_since, CollectorMetrics};
 use crate::round::{CollectorConfig, FrameTally, RoundCollector, RoundOutcome};
 use crate::shard::FinalizedShards;
-use crate::wal::{self, DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
+use crate::wal::{DurableLog, FsyncPolicy, Journal, Recovery, SyncTicket};
 use ldp_protocols::wire::{
     self, get_varint, write_frame, write_stream_header, RawFrame, WireError,
 };
@@ -730,10 +730,6 @@ pub(crate) fn apply_frame(
     let result: Result<u8, CollectorError> = match frame.kind {
         frames::OPEN => decode_open(payload)
             .and_then(|h| {
-                // A durable round's snapshot must fit one journal record.
-                if journal.is_some() || session.replay {
-                    wal::check_snapshot_fits(&h.channel, engine.config().shards)?;
-                }
                 // An `OPEN` quota of 0 means "the population".
                 let quota = (h.quota != 0).then_some(h.quota);
                 engine.open_round_as(h.tenant, h.round_id, h.channel, quota)

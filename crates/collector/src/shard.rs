@@ -587,6 +587,60 @@ mod tests {
         assert_eq!(totals[2], 45.0);
     }
 
+    /// The admission price covers what the shards allocate (every
+    /// vector, plus each shard's lock and row-offset headers), within 136
+    /// bytes per shard, on both channels and for populations that are no
+    /// multiple of `64 · shards`.
+    #[test]
+    fn memory_cost_covers_what_the_shards_allocate() {
+        use crate::round::{RoundChannel, MAX_SHARDS};
+        use std::mem::size_of;
+        fn allocated(shards: &Shards) -> u64 {
+            let headers = size_of::<Mutex<Shard>>() + size_of::<Vec<usize>>();
+            let vectors: usize = shards
+                .shards
+                .iter()
+                .map(|m| {
+                    let s = lock(m);
+                    8 * s.seen.words().len()
+                        + size_of::<f64>() * s.floats.capacity()
+                        + 8 * s.words.capacity()
+                })
+                .chain(
+                    shards
+                        .offsets
+                        .iter()
+                        .map(|o| size_of::<usize>() * o.capacity()),
+                )
+                .sum();
+            (vectors + headers * shards.stride()) as u64
+        }
+        for n in [0, 1, 63, 64, 65, 1000, 4097, 8191] {
+            for stride in [1, 3, 8, MAX_SHARDS] {
+                let mut cases = vec![(
+                    RoundChannel::Adjacency {
+                        population: n,
+                        p_keep: 0.9,
+                    },
+                    Shards::adjacency(n, stride),
+                )];
+                for groups in [1, 5, 64] {
+                    let channel = RoundChannel::DegreeVector {
+                        population: n,
+                        groups,
+                    };
+                    cases.push((channel, Shards::degree_vector(n, groups, stride)));
+                }
+                for (channel, shards) in cases {
+                    let (used, cost) = (allocated(&shards), channel.memory_cost(stride));
+                    let at = format!("{channel:?}, {stride} shards: {used} used, {cost} priced");
+                    assert!(used <= cost, "{at}");
+                    assert!(cost <= used + 136 * stride as u64, "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_and_tiny_populations() {
         let shards = Shards::adjacency(0, 8);

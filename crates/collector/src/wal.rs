@@ -75,13 +75,13 @@
 //! older is checkpointed too, the directory is synced, and the segments
 //! before the record are deleted. Recovery restores `R` from its last
 //! such record and replays the records after it; a torn one falls back to
-//! the previous checkpoint, so the one write is crash-atomic. A durable
-//! `OPEN` is refused when the snapshot could outgrow one record
-//! (`check_snapshot_fits`).
+//! the previous checkpoint, so the one write is crash-atomic. Every
+//! admitted round's snapshot fits one record: the per-round caps and
+//! [`crate::round::MAX_SHARDS`] bound it to about half a frame.
 
 use crate::error::CollectorError;
 use crate::metrics::{observe_since, CollectorMetrics};
-use crate::round::{RoundChannel, RoundCollector};
+use crate::round::RoundCollector;
 use crate::server::{apply_frame, frames, Frame, Session};
 use ldp_protocols::wire::{self, get_varint, put_varint, RawFrame, WireError};
 use std::collections::BTreeMap;
@@ -487,30 +487,6 @@ impl Journal {
     }
 }
 
-/// Refuses, as a [`CollectorError::GroupCap`], a round whose snapshot
-/// could outgrow one record ([`wire::MAX_FRAME_LEN`]). Only a
-/// degree-vector round can: no cap bounds its `N/8` seen-bitmap bytes
-/// and `shards · groups` sums together, and the rest of a record is
-/// under 128 bytes per shard plus 128. (An adjacency snapshot is at
-/// most ≈ 33 MB, at the wire view cap.)
-pub(crate) fn check_snapshot_fits(
-    channel: &RoundChannel,
-    shards: usize,
-) -> Result<(), CollectorError> {
-    let RoundChannel::DegreeVector { population, groups } = *channel else {
-        return Ok(());
-    };
-    let fixed = population as u64 / 8 + 128 * (shards as u64 + 1);
-    let cap = (wire::MAX_FRAME_LEN as u64).saturating_sub(fixed) / (8 * shards as u64);
-    if groups as u64 > cap {
-        return Err(CollectorError::GroupCap {
-            requested: groups,
-            cap: cap as usize,
-        });
-    }
-    Ok(())
-}
-
 /// Builds round `round`'s checkpoint record in `record`: a `CHECKPOINT`
 /// frame naming the round, the round's `LDPK` snapshot written straight
 /// after the id ([`RoundCollector::checkpoint`]) and the length prefix
@@ -697,7 +673,7 @@ fn apply_records(engine: &RoundCollector, records: &[RawFrame<'_>]) -> Result<u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::{CollectorConfig, RoundOutcome};
+    use crate::round::{CollectorConfig, RoundChannel, RoundOutcome};
     use crate::server::process_frame;
     use ldp_protocols::UserReport;
 
@@ -933,7 +909,7 @@ mod tests {
         assert_eq!(m.reports_folded(), 15);
         // Finish the round and compare with an uninterrupted run.
         for u in 15..n as u64 {
-            eng.ingest(7, u, UserReport::DegreeVector(vec![1.0, u as f64]))
+            eng.ingest_ref(7, u, &UserReport::DegreeVector(vec![1.0, u as f64]))
                 .expect("resume ingest");
         }
         let counters = eng.close_round(7).expect("close");
@@ -1213,7 +1189,7 @@ mod tests {
                 .expect("checkpoint");
             assert_eq!(unsynced(&journal), 0, "a checkpoint syncs under `Off`");
             for u in 6..9u64 {
-                eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
+                eng.ingest_ref(4, u, &UserReport::DegreeVector(vec![1.0, u as f64]))
                     .expect("ingest");
             }
             let mut record = Vec::new();
@@ -1254,7 +1230,7 @@ mod tests {
                 raw(&framed(frames::REPORT_BATCH, &stray)),
             );
             for u in 6..12u64 {
-                eng.ingest(4, u, UserReport::DegreeVector(vec![1.0, u as f64]))
+                eng.ingest_ref(4, u, &UserReport::DegreeVector(vec![1.0, u as f64]))
                     .expect("ingest");
                 journal
                     .checkpoint_round(&eng, 4, eng.metrics())
@@ -1276,94 +1252,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The per-round caps and `MAX_SHARDS` make every admitted round's
+    /// checkpoint record and finalize reply fit one frame. A record is at
+    /// most the round's price (`memory_cost`, which covers what its shards
+    /// allocate and 136 bytes per shard) plus 128: real records confirm
+    /// that slack with every header varint at its widest, and the price,
+    /// monotone in every parameter, is under a frame at the caps.
     #[test]
-    fn a_durable_open_whose_snapshot_outgrows_one_record_is_refused() {
-        let dir = scratch_dir("snapshot-cap");
-        let open = |round: u64, groups: u64| {
-            let mut open = Vec::new();
-            put_varint(round, &mut open);
-            put_varint(0, &mut open); // tenant
-            open.push(1); // degree-vector tag
-            put_varint(1 << 10, &mut open);
-            put_varint(groups, &mut open);
-            put_varint(0, &mut open); // quota default
-            open
+    fn every_admissible_snapshot_and_reply_fits_one_frame() {
+        use crate::round::{
+            MAX_ADJACENCY_POPULATION, MAX_DEGREE_VECTOR_POPULATION, MAX_GROUPS, MAX_SHARDS,
         };
-        let eng = RoundCollector::new(CollectorConfig {
-            shards: 128,
-            ..CollectorConfig::default()
-        })
-        .expect("engine");
-        let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
-        let mut journal = log.lock();
-        // 128 shards × 65,536 groups × 8 bytes of sums is the whole
-        // 64 MiB frame before any header.
-        let mut session = Session::default();
-        match apply_frame(
-            &eng,
-            &mut session,
-            Some(&mut journal),
-            raw(&framed(frames::OPEN, &open(1, 1 << 16))),
-        ) {
-            Frame::Refused(CollectorError::GroupCap { requested, cap }) => {
-                assert_eq!(requested, 1 << 16);
-                assert!(cap < 1 << 16);
-            }
-            _ => panic!("a 64 MiB snapshot was not refused with GroupCap"),
-        }
-        assert!(eng.open_round_ids().is_empty());
-        assert!(read_records(&dir).is_empty());
-        let outcome = apply_frame(
-            &eng,
-            &mut session,
-            Some(&mut journal),
-            raw(&framed(frames::OPEN, &open(2, 64))),
-        );
-        assert!(matches!(outcome, Frame::Continue));
-        drop(journal);
-        // A replayed `OPEN` is checked too: 2 shards hold 65,536 groups
-        // in one record, so a restart with 128 refuses before compaction.
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let eng = engine(); // 2 shards
-            let (log, _) = DurableLog::open(&dir, FsyncPolicy::Off, &eng).expect("open");
-            let mut journal = log.lock();
-            let outcome = apply_frame(
-                &eng,
-                &mut Session::default(),
-                Some(&mut journal),
-                raw(&framed(frames::OPEN, &open(3, 1 << 16))),
-            );
-            assert!(matches!(outcome, Frame::Continue));
-        }
-        assert!(matches!(
-            DurableLog::open(&dir, FsyncPolicy::Off, &eng),
-            Err(CollectorError::GroupCap { .. })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        // The check's per-shard slack holds for real records, with every
-        // varint of the header at its widest.
-        for (n, groups, shards) in [(1, 1, 1), (100, 3, 7), (1000, 50, 2), (4096, 1, 64)] {
+        let adjacency = |population| RoundChannel::Adjacency {
+            population,
+            p_keep: 0.9,
+        };
+        let vectors = |population, groups| RoundChannel::DegreeVector { population, groups };
+        let bound = |channel: RoundChannel, shards| channel.memory_cost(shards) + 128;
+        for (channel, shards) in [
+            (vectors(1, 1), 1),
+            (vectors(100, 3), 7),
+            (vectors(1000, 50), 2),
+            (vectors(4096, 1), MAX_SHARDS),
+            (adjacency(1), 1),
+            (adjacency(200), 3),
+            (adjacency(130), MAX_SHARDS),
+        ] {
             let eng = RoundCollector::new(CollectorConfig {
                 shards,
                 ..CollectorConfig::default()
             })
             .expect("engine");
-            let channel = RoundChannel::DegreeVector {
-                population: n,
-                groups,
-            };
             eng.open_round_as(u64::MAX, u64::MAX, channel, Some(u64::MAX))
                 .expect("open");
-            let mut record = Vec::new();
+            let mut record = vec![frames::CHECKPOINT];
             put_varint(u64::MAX, &mut record);
             eng.checkpoint(u64::MAX, &mut record).expect("snapshot");
-            let bound = n / 8 + 128 * (shards + 1) + 8 * shards * groups;
-            assert!(
-                record.len() < bound, // the frame adds one kind byte
-                "{n} users, {groups} groups, {shards} shards"
-            );
+            let at = format!("{channel:?}, {shards} shards");
+            assert!((record.len() as u64) < bound(channel, shards), "{at}");
         }
+        // The largest admissible rounds, at the most shards: admitted, one
+        // more user refused, and their records under a frame.
+        let eng = RoundCollector::new(CollectorConfig {
+            shards: MAX_SHARDS,
+            ..CollectorConfig::default()
+        })
+        .expect("engine");
+        let largest = [
+            (adjacency(MAX_ADJACENCY_POPULATION), 1),
+            (vectors(MAX_DEGREE_VECTOR_POPULATION, MAX_GROUPS), 2),
+        ];
+        for (channel, round) in largest {
+            assert!(bound(channel, MAX_SHARDS) < wire::MAX_FRAME_LEN as u64);
+            eng.open_round(round, channel, None).expect("largest round");
+        }
+        for channel in [
+            adjacency(MAX_ADJACENCY_POPULATION + 1),
+            vectors(MAX_DEGREE_VECTOR_POPULATION + 1, 1),
+            vectors(1, MAX_GROUPS + 1),
+        ] {
+            assert!(eng.open_round(3, channel, None).is_err(), "{channel:?}");
+        }
+        // Their replies: the kind byte and the `VIEW` or `DEGREE_SUMMARY`.
+        assert!(wire::view_payload_len(MAX_ADJACENCY_POPULATION) < wire::MAX_FRAME_LEN - 1);
+        let mut summary = Vec::new();
+        crate::codec::encode_degree_summary(u64::MAX, &vec![0.0; MAX_GROUPS], &mut summary);
+        assert!(summary.len() < wire::MAX_FRAME_LEN - 1);
     }
 
     #[test]

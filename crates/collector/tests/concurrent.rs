@@ -274,7 +274,7 @@ fn concurrent_degree_vector_round_totals_exactly_once() {
 #[test]
 fn jumbo_degree_vectors_flush_batches_by_bytes() {
     let n = 150usize;
-    let groups = 1 << 16; // CollectorConfig::max_groups default — admitted
+    let groups = 1 << 16; // MAX_GROUPS — admitted
     let (addr, handle) = spawn_daemon(4);
     let mut client = CollectorClient::connect(addr).unwrap();
     client
@@ -396,7 +396,7 @@ fn checkpoint_races_concurrent_sessions_and_resumes_bit_identical() {
         .expect("restore snapshot");
     for (id, report) in reports.iter().enumerate() {
         let outcome = resumed
-            .ingest(3, id as u64, UserReport::Adjacency(report.clone()))
+            .ingest_ref(3, id as u64, &UserReport::Adjacency(report.clone()))
             .unwrap();
         assert!(
             matches!(outcome, IngestOutcome::Queued | IngestOutcome::Duplicate),

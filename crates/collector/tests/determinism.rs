@@ -51,7 +51,7 @@ fn checkpoint_after(order: &[usize], reports: &[AdjacencyReport]) -> Vec<u8> {
     for &i in order {
         assert_eq!(
             engine
-                .ingest(7, i as u64, UserReport::Adjacency(reports[i].clone()))
+                .ingest_ref(7, i as u64, &UserReport::Adjacency(reports[i].clone()))
                 .unwrap(),
             IngestOutcome::Queued
         );
@@ -108,7 +108,7 @@ fn checkpoint_bytes_survive_a_concurrent_schedule() {
                 std::thread::spawn(move || {
                     for i in ids {
                         engine
-                            .ingest(7, i as u64, UserReport::Adjacency(reports[i].clone()))
+                            .ingest_ref(7, i as u64, &UserReport::Adjacency(reports[i].clone()))
                             .unwrap();
                     }
                 })
@@ -148,7 +148,7 @@ fn failed_finalize_leaves_the_round_usable() {
     reference.open_round(3, adjacency(n), None).unwrap();
     for (i, r) in reports.iter().enumerate() {
         reference
-            .ingest(3, i as u64, UserReport::Adjacency(r.clone()))
+            .ingest_ref(3, i as u64, &UserReport::Adjacency(r.clone()))
             .unwrap();
     }
     let RoundOutcome::Adjacency(finalized) = reference.finalize(3).unwrap() else {
@@ -160,7 +160,7 @@ fn failed_finalize_leaves_the_round_usable() {
     engine.open_round(3, adjacency(n), None).unwrap();
     for (i, r) in reports.iter().enumerate().take(n / 2) {
         engine
-            .ingest(3, i as u64, UserReport::Adjacency(r.clone()))
+            .ingest_ref(3, i as u64, &UserReport::Adjacency(r.clone()))
             .unwrap();
     }
     // Premature finalize: typed refusal, not a panic, not a poisoned round.
@@ -173,7 +173,7 @@ fn failed_finalize_leaves_the_round_usable() {
     for (i, r) in reports.iter().enumerate().skip(n / 2) {
         assert_eq!(
             engine
-                .ingest(3, i as u64, UserReport::Adjacency(r.clone()))
+                .ingest_ref(3, i as u64, &UserReport::Adjacency(r.clone()))
                 .unwrap(),
             IngestOutcome::Queued
         );
@@ -221,7 +221,7 @@ fn geometry_mismatched_checkpoint_is_typed() {
     engine.open_round(5, adjacency(30), None).unwrap();
     for (i, r) in synth(30, 1).iter().enumerate().take(10) {
         engine
-            .ingest(5, i as u64, UserReport::Adjacency(r.clone()))
+            .ingest_ref(5, i as u64, &UserReport::Adjacency(r.clone()))
             .unwrap();
     }
     let mut snapshot = Vec::new();
@@ -293,18 +293,18 @@ fn adjacency_checkpoint_bytes_are_pinned() {
     for i in [65, 0, 1, 2, 3, 64, 10, 30] {
         let report = UserReport::Adjacency(fixed_report(n, i));
         assert_eq!(
-            engine.ingest(11, i as u64, report).unwrap(),
+            engine.ingest_ref(11, i as u64, &report).unwrap(),
             IngestOutcome::Queued
         );
     }
     let duplicate = UserReport::Adjacency(fixed_report(n, 4));
     assert_eq!(
-        engine.ingest(11, 3, duplicate).unwrap(),
+        engine.ingest_ref(11, 3, &duplicate).unwrap(),
         IngestOutcome::Duplicate
     );
     let out_of_range = UserReport::Adjacency(fixed_report(n, 5));
     assert_eq!(
-        engine.ingest(11, n as u64, out_of_range).unwrap(),
+        engine.ingest_ref(11, n as u64, &out_of_range).unwrap(),
         IngestOutcome::Invalid
     );
     engine.note_invalid(11);
@@ -333,12 +333,12 @@ fn degree_vector_checkpoint_bytes_are_pinned() {
     let vector = |i: u64| UserReport::DegreeVector(vec![i as f64, 0.25, -1.5 * i as f64]);
     for i in 0..6 {
         assert_eq!(
-            engine.ingest(12, i, vector(i)).unwrap(),
+            engine.ingest_ref(12, i, &vector(i)).unwrap(),
             IngestOutcome::Queued
         );
     }
     assert_eq!(
-        engine.ingest(12, 2, vector(9)).unwrap(),
+        engine.ingest_ref(12, 2, &vector(9)).unwrap(),
         IngestOutcome::Duplicate
     );
     engine.close_round(12).unwrap();

@@ -138,7 +138,7 @@ fn checkpoint_truncated_at_every_offset_is_a_typed_error() {
         .expect("open");
     for user in 0..population as u64 {
         let outcome = engine
-            .ingest(ROUND, user, UserReport::DegreeVector(vector(user)))
+            .ingest_ref(ROUND, user, &UserReport::DegreeVector(vector(user)))
             .expect("ingest");
         assert_eq!(outcome, ldp_collector::IngestOutcome::Queued);
     }
@@ -331,7 +331,7 @@ fn the_journal_is_the_frame_stream() {
         .expect("open");
     for user in 0..3 {
         engine
-            .ingest(2, user, UserReport::DegreeVector(vector(user)))
+            .ingest_ref(2, user, &UserReport::DegreeVector(vector(user)))
             .expect("ingest");
     }
     let mut payload = id(2);

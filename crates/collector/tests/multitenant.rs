@@ -583,7 +583,7 @@ fn a_streamed_view_keeps_its_place_among_one_pumps_replies() {
     engine.open_round(1, channel, None).unwrap();
     for (id, report) in reports.iter().enumerate() {
         engine
-            .ingest(1, id as u64, UserReport::Adjacency(report.clone()))
+            .ingest_ref(1, id as u64, &UserReport::Adjacency(report.clone()))
             .unwrap();
     }
     engine.close_round(1).unwrap();

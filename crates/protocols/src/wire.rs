@@ -168,10 +168,13 @@ pub enum WireError {
         /// Tag byte received.
         tag: u8,
     },
-    /// A population or vector length exceeds the codec's sanity bound.
+    /// A population, vector length or `STATS` count exceeds its cap
+    /// ([`MAX_WIRE_POPULATION`], or a `MAX_STATS_*` cap).
     OversizePopulation {
-        /// Claimed population / length.
+        /// Claimed population / length / count.
         claimed: u64,
+        /// The cap it exceeds.
+        cap: usize,
     },
     /// A report batch claims more entries than [`MAX_REPORTS_PER_BATCH`].
     OversizeBatch {
@@ -223,11 +226,8 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "payload truncated mid-field"),
             WireError::VarintOverflow => write!(f, "varint overflows 64 bits"),
             WireError::UnknownReportTag { tag } => write!(f, "unknown report channel tag {tag}"),
-            WireError::OversizePopulation { claimed } => {
-                write!(
-                    f,
-                    "population/length {claimed} exceeds wire bound {MAX_WIRE_POPULATION}"
-                )
+            WireError::OversizePopulation { claimed, cap } => {
+                write!(f, "length claim {claimed} exceeds its cap {cap}")
             }
             WireError::OversizeBatch { claimed } => {
                 write!(
@@ -621,7 +621,7 @@ pub fn decode_report_view(mut buf: &[u8]) -> Result<(u64, ReportView<'_>), WireE
     let report = match tag {
         TAG_ADJACENCY => {
             let degree = get_f64(buf)?;
-            let n = checked_len(get_varint(buf)?)?;
+            let n = checked_len(get_varint(buf)?, MAX_WIRE_POPULATION)?;
             let max_words = n.div_ceil(64);
             let words = get_varint(buf)? as usize;
             if words > max_words {
@@ -642,7 +642,7 @@ pub fn decode_report_view(mut buf: &[u8]) -> Result<(u64, ReportView<'_>), WireE
             }
         }
         TAG_DEGREE_VECTOR => {
-            let k = checked_len(get_varint(buf)?)?;
+            let k = checked_len(get_varint(buf)?, MAX_WIRE_POPULATION)?;
             ReportView::DegreeVector(take_words(buf, k)?)
         }
         tag => return Err(WireError::UnknownReportTag { tag }),
@@ -651,9 +651,9 @@ pub fn decode_report_view(mut buf: &[u8]) -> Result<(u64, ReportView<'_>), WireE
     Ok((user_id, report))
 }
 
-fn checked_len(claimed: u64) -> Result<usize, WireError> {
-    if claimed > MAX_WIRE_POPULATION as u64 {
-        return Err(WireError::OversizePopulation { claimed });
+fn checked_len(claimed: u64, cap: usize) -> Result<usize, WireError> {
+    if claimed > cap as u64 {
+        return Err(WireError::OversizePopulation { claimed, cap });
     }
     Ok(claimed as usize)
 }
@@ -824,19 +824,11 @@ pub fn encode_stats_reply(entries: &[StatsEntry], out: &mut Vec<u8>) {
 /// A typed [`WireError`] on truncation, oversize claims, a non-UTF-8
 /// name, an unknown value tag, or trailing bytes. Never panics.
 pub fn decode_stats_reply(mut buf: &[u8]) -> Result<Vec<StatsEntry>, WireError> {
-    let claimed = get_varint(&mut buf)?;
-    if claimed > MAX_STATS_ENTRIES as u64 {
-        return Err(WireError::OversizePopulation { claimed });
-    }
-    let mut entries = Vec::with_capacity(claimed as usize);
+    let claimed = checked_len(get_varint(&mut buf)?, MAX_STATS_ENTRIES)?;
+    let mut entries = Vec::with_capacity(claimed);
     for _ in 0..claimed {
-        let name_len = get_varint(&mut buf)?;
-        if name_len > MAX_STATS_NAME_LEN as u64 {
-            return Err(WireError::OversizePopulation { claimed: name_len });
-        }
-        let (name_bytes, rest) = buf
-            .split_at_checked(name_len as usize)
-            .ok_or(WireError::Truncated)?;
+        let name_len = checked_len(get_varint(&mut buf)?, MAX_STATS_NAME_LEN)?;
+        let (name_bytes, rest) = buf.split_at_checked(name_len).ok_or(WireError::Truncated)?;
         buf = rest;
         let name = std::str::from_utf8(name_bytes)
             .map_err(|_| WireError::BadValue {
@@ -850,11 +842,8 @@ pub fn decode_stats_reply(mut buf: &[u8]) -> Result<Vec<StatsEntry>, WireError> 
             STATS_TAG_GAUGE => StatsValue::Gauge(get_varint(&mut buf)?),
             STATS_TAG_HISTOGRAM => {
                 let sum = get_varint(&mut buf)?;
-                let nbuckets = get_varint(&mut buf)?;
-                if nbuckets > MAX_STATS_BUCKETS as u64 {
-                    return Err(WireError::OversizePopulation { claimed: nbuckets });
-                }
-                let mut buckets = Vec::with_capacity(nbuckets as usize);
+                let nbuckets = checked_len(get_varint(&mut buf)?, MAX_STATS_BUCKETS)?;
+                let mut buckets = Vec::with_capacity(nbuckets);
                 for _ in 0..nbuckets {
                     buckets.push(get_varint(&mut buf)?);
                 }
@@ -973,7 +962,7 @@ pub fn encode_view(view: &PerturbedView, out: &mut Vec<u8>) {
 /// keep probability, or trailing bytes; and [`WireError::BadValue`] for
 /// `"matrix"` when a row sets a bit at or above its diagonal.
 pub fn decode_view(mut buf: &[u8]) -> Result<PerturbedView, WireError> {
-    let n = checked_len(get_varint(&mut buf)?)?;
+    let n = checked_len(get_varint(&mut buf)?, MAX_WIRE_POPULATION)?;
     let p_keep = get_f64(&mut buf)?;
     let rr = RandomizedResponse::from_keep_probability(p_keep)
         .map_err(|_| WireError::BadValue { field: "p_keep" })?;
@@ -1306,25 +1295,33 @@ mod tests {
         for cut in 0..out.len() {
             assert!(decode_stats_reply(&out[..cut]).is_err(), "cut at {cut}");
         }
-        // Hostile entry count is refused before any per-entry work.
-        let mut hostile = Vec::new();
-        put_varint(MAX_STATS_ENTRIES as u64 + 1, &mut hostile);
-        assert!(matches!(
-            decode_stats_reply(&hostile),
-            Err(WireError::OversizePopulation { .. })
-        ));
-        // Hostile bucket count is refused before allocation.
-        let mut hostile = Vec::new();
-        put_varint(1, &mut hostile);
-        put_varint(1, &mut hostile);
-        hostile.push(b'x');
-        hostile.push(2); // histogram tag
-        put_varint(0, &mut hostile); // sum
-        put_varint(u64::MAX, &mut hostile); // absurd bucket count
-        assert!(matches!(
-            decode_stats_reply(&hostile),
-            Err(WireError::OversizePopulation { .. })
-        ));
+        // Each hostile count is refused before its allocation, naming the
+        // cap it exceeds: the entry count, a name length, a bucket count.
+        let hostile = |entries: u64, name_len: u64, buckets: u64| {
+            let mut bytes = Vec::new();
+            put_varint(entries, &mut bytes);
+            put_varint(name_len, &mut bytes);
+            bytes.push(b'x');
+            bytes.push(STATS_TAG_HISTOGRAM);
+            put_varint(0, &mut bytes); // sum
+            put_varint(buckets, &mut bytes);
+            bytes
+        };
+        let over = |cap: usize| cap as u64 + 1;
+        let cases = [
+            (hostile(over(MAX_STATS_ENTRIES), 1, 0), MAX_STATS_ENTRIES),
+            (hostile(1, over(MAX_STATS_NAME_LEN), 0), MAX_STATS_NAME_LEN),
+            (hostile(1, 1, over(MAX_STATS_BUCKETS)), MAX_STATS_BUCKETS),
+        ];
+        for (bytes, expected) in cases {
+            let err = decode_stats_reply(&bytes).unwrap_err();
+            let WireError::OversizePopulation { claimed, cap } = err else {
+                panic!("cap {expected}: refused as {err:?}");
+            };
+            assert_eq!((claimed, cap), (over(expected), expected));
+            let message = err.to_string();
+            assert!(message.ends_with(&format!("exceeds its cap {expected}")));
+        }
         // Unknown value tag and trailing bytes are typed.
         let mut bad_tag = Vec::new();
         put_varint(1, &mut bad_tag);

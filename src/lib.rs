@@ -9,7 +9,8 @@
 //! * [`graph`] — graph substrate: bitsets, CSR/dense graphs, exact metrics,
 //!   generators, dataset stand-ins ([`ldp_graph`]).
 //! * [`mechanisms`] — LDP primitives: randomized response, Laplace,
-//!   samplers, frequency-estimation protocols ([`ldp_mechanisms`]).
+//!   Binomial/Geometric samplers and privacy-budget splits
+//!   ([`ldp_mechanisms`]).
 //! * [`protocols`] — LF-GDPR and LDPGen behind the object-safe
 //!   `GraphLdpProtocol` trait ([`ldp_protocols`]).
 //! * [`attack`] — the paper's contribution: the `Attack` trait
