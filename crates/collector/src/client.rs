@@ -11,8 +11,9 @@
 //!
 //! The hot path of a million-report round is
 //! [`CollectorClient::queue_adjacency_report`] /
-//! [`CollectorClient::queue_degree_vector`]: each call appends one
-//! length-prefixed entry to an in-memory batch, and every
+//! [`CollectorClient::queue_degree_vector`]: each call encodes one
+//! length-prefixed entry straight into an in-memory batch
+//! ([`wire::encode_degree_vector_entry`], no staging copy), and every
 //! [`CollectorClient::with_batch_size`] entries the batch leaves as **one**
 //! `REPORT_BATCH` frame — one length prefix, one frame dispatch, and one
 //! engine round-trip on the daemon per *batch* instead of per report.
@@ -132,9 +133,10 @@ impl Default for RetryPolicy {
 pub struct CollectorClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The last reply frame's payload.
     payload: Vec<u8>,
     /// Accumulated length-prefixed batch entries awaiting one
-    /// `REPORT_BATCH` frame.
+    /// `REPORT_BATCH` frame, encoded in place.
     batch: Vec<u8>,
     batch_count: usize,
     batch_cap: usize,
@@ -331,11 +333,8 @@ impl CollectorClient {
         user_id: u64,
         report: &AdjacencyReport,
     ) -> Result<(), CollectorError> {
-        let mut scratch = std::mem::take(&mut self.payload);
-        scratch.clear();
-        wire::encode_adjacency_report(user_id, report, &mut scratch);
-        self.payload = scratch;
-        self.push_batch_entry()
+        wire::encode_adjacency_entry(user_id, report, &mut self.batch);
+        self.entry_queued()
     }
 
     /// [`Self::queue_adjacency_report`] from a borrowed degree vector.
@@ -347,24 +346,16 @@ impl CollectorClient {
         user_id: u64,
         vector: &[f64],
     ) -> Result<(), CollectorError> {
-        let mut scratch = std::mem::take(&mut self.payload);
-        scratch.clear();
-        wire::encode_degree_vector_report(user_id, vector, &mut scratch);
-        self.payload = scratch;
-        self.push_batch_entry()
+        wire::encode_degree_vector_entry(user_id, vector, &mut self.batch);
+        self.entry_queued()
     }
 
-    /// Appends the entry staged in `self.payload` to the batch — the one
-    /// place the entry framing (varint length + bytes) lives on the
-    /// client — and emits the batch once it reaches the configured count
-    /// or [`Self::BATCH_FLUSH_BYTES`]: the byte bound keeps a legal
-    /// round's batch frame far below [`wire::MAX_FRAME_LEN`] whatever
-    /// the per-entry size (a 2¹⁶-group degree vector is ~512 KiB alone).
-    fn push_batch_entry(&mut self) -> Result<(), CollectorError> {
-        put_varint(self.payload.len() as u64, &mut self.batch);
-        let payload = std::mem::take(&mut self.payload);
-        self.batch.extend_from_slice(&payload);
-        self.payload = payload;
+    /// Counts the entry just encoded into the batch, and emits the batch
+    /// once it reaches the configured count or
+    /// [`Self::BATCH_FLUSH_BYTES`]: the byte bound keeps a legal round's
+    /// batch frame far below [`wire::MAX_FRAME_LEN`] whatever the
+    /// per-entry size (a 2¹⁶-group degree vector is ~512 KiB alone).
+    fn entry_queued(&mut self) -> Result<(), CollectorError> {
         self.batch_count += 1;
         if self.batch_count >= self.batch_cap || self.batch.len() >= Self::BATCH_FLUSH_BYTES {
             self.send_batch()?;
@@ -403,17 +394,21 @@ impl CollectorClient {
         let mut head = Vec::with_capacity(20);
         put_varint(self.round, &mut head);
         put_varint(self.batch_count as u64, &mut head);
-        if self.policy.max_attempts > 1 {
-            let start = self.window.len();
-            wire::write_frame_split(&mut self.window, frames::REPORT_BATCH, &head, &self.batch)?;
-            self.window_frames += 1;
-            self.batch.clear();
-            self.batch_count = 0;
-            self.writer.write_all(&self.window[start..])?;
+        let len = head.len() + self.batch.len();
+        let (start, retrying) = (self.window.len(), self.policy.max_attempts > 1);
+        let mut out: &mut dyn Write = if retrying {
+            &mut self.window
         } else {
-            wire::write_frame_split(&mut self.writer, frames::REPORT_BATCH, &head, &self.batch)?;
-            self.batch.clear();
-            self.batch_count = 0;
+            &mut self.writer
+        };
+        wire::write_frame_head(&mut out, frames::REPORT_BATCH, len)?;
+        out.write_all(&head)?;
+        out.write_all(&self.batch)?;
+        self.batch.clear();
+        self.batch_count = 0;
+        if retrying {
+            self.window_frames += 1;
+            self.writer.write_all(&self.window[start..])?;
         }
         Ok(())
     }

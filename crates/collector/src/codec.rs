@@ -115,11 +115,7 @@ pub(crate) fn encode_degree_summary(accepted: u64, group_totals: &[f64], out: &m
 pub(crate) fn decode_degree_summary(payload: &[u8]) -> Result<DegreeVectorSummary, WireError> {
     let mut buf = payload;
     let accepted = get_varint(&mut buf)?;
-    let k = get_varint(&mut buf)? as usize;
-    if k > wire::MAX_WIRE_POPULATION {
-        let (claimed, cap) = (k as u64, wire::MAX_WIRE_POPULATION);
-        return Err(WireError::OversizePopulation { claimed, cap });
-    }
+    let k = wire::checked_len(get_varint(&mut buf)?, wire::MAX_WIRE_POPULATION)?;
     // Eight bytes per total: reserve no more than the payload can hold.
     let mut group_totals = Vec::with_capacity(k.min(buf.len() / 8));
     for _ in 0..k {

@@ -599,17 +599,10 @@ impl RoundCollector {
         user_id: u64,
         report: &UserReport,
     ) -> Result<IngestOutcome, CollectorError> {
-        // Encoded once, straight into the frame (one allocation up to 28
-        // groups), behind a ten-byte LEB128 length patched in after.
+        // Encoded once, straight into a one-entry frame (one allocation up
+        // to 28 groups).
         let mut payload = Vec::with_capacity(256);
-        wire::put_varint(round_id, &mut payload);
-        let at = payload.len() + 1; // the decoder reads a varint of any width
-        payload.extend_from_slice(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0]);
-        wire::encode_report(user_id, report, &mut payload);
-        let len = (payload.len() - at - 10) as u64;
-        for (i, byte) in payload[at..at + 10].iter_mut().enumerate() {
-            *byte |= (len >> (7 * i)) as u8 & 0x7f;
-        }
+        wire::encode_routed_batch(round_id, &[(user_id, report)], &mut payload);
         let mut session = Session::replay();
         // The frame is one run: time it when the owning shard's count says.
         session.runs_seen = u64::from(
@@ -653,7 +646,7 @@ impl RoundCollector {
         let mut tally = FrameTally::default();
         let closed = round.closed.load(Ordering::Acquire);
         let (n, stride) = (round.channel.population(), round.shards.stride());
-        let mut valid = Vec::new();
+        let mut valid = Vec::with_capacity(batch.entry_bound());
         // Per invalid entry, the number of valid entries ahead of it.
         let mut invalid_after = Vec::new();
         while let Some(entry) = batch.next_view() {

@@ -2,16 +2,21 @@
 //!
 //! One [`CollectorServer`] owns a [`std::net::TcpListener`] and a
 //! [`RoundCollector`]. Each admitted connection gets its own scoped
-//! session thread: it blocks in `read` for at most a short tick (so it
-//! still sees a daemon shutdown and its own stall clock), processes
-//! every complete frame its buffer then holds, and writes the replies
-//! under a write timeout set once at accept. The daemon holds up to
+//! session thread: it reads straight into its session buffer, blocking
+//! for at most a short tick (so it still sees a daemon shutdown and its
+//! own stall clock), folds every complete frame the buffer then holds in
+//! place, moves only the unparsed tail to the front, and writes the
+//! replies under a write timeout set once at accept. So the daemon
+//! copies a report once, the kernel's read into the session buffer (plus
+//! the tail move when a read ends mid-frame), and the uploader at most
+//! once, its `BufWriter` taking the batch frame the report was encoded
+//! into. The daemon holds up to
 //! [`CollectorConfig::max_sessions`](crate::CollectorConfig::max_sessions)
 //! sessions, and a connect past that cap is refused with a typed
 //! `ERR`/`SESSION_CAP` after a short bounded wait, never queued
 //! indefinitely. A connection stuck mid-frame past the stall timeout
-//! (half-written batch, wedged peer) is dropped rather than allowed to
-//! pin its buffer forever.
+//! (unparsed bytes and no new ones: a half-written batch, a wedged peer)
+//! is dropped rather than allowed to pin its buffer forever.
 //!
 //! Every report-bearing frame names its round: the engine multiplexes
 //! any number of concurrent rounds (see [`crate::RoundCollector`]), and
@@ -116,7 +121,7 @@ pub mod codes {
     pub const ROUND_CLOSED: u8 = 12;
 }
 
-/// Most bytes one socket read takes.
+/// Least read space a session buffer offers one socket read.
 const READ_CHUNK: usize = 64 << 10;
 /// Cap on the warn-once set of misdirected round ids per connection.
 const WARN_CAP: usize = 32;
@@ -396,8 +401,11 @@ enum Pump {
 /// frame-assembly state.
 struct Conn {
     stream: TcpStream,
-    /// Unparsed inbound bytes (handshake, then length-prefixed frames).
+    /// The session buffer: `buf[..filled]` holds the unparsed inbound
+    /// bytes (handshake, then length-prefixed frames), and the rest is
+    /// read space, zeroed once, when the buffer grows.
     buf: Vec<u8>,
+    filled: usize,
     handshaken: bool,
     /// Last moment bytes arrived; drives the mid-frame stall timeout.
     last_progress: Instant,
@@ -471,6 +479,7 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            filled: 0,
             handshaken: false,
             last_progress: Instant::now(),
             session: Session::default(),
@@ -489,23 +498,24 @@ impl Conn {
         // at a frame boundary, or a mid-frame EOF from a peer that died
         // half-write — the partial frame is never half-ingested.
         let mut outcome = if eof { Pump::Closed } else { Pump::Open };
+        let mut used = 0;
         if !self.handshaken {
-            if self.buf.len() < 6 {
+            let Some(mut header) = self.buf.get(..6).filter(|_| self.filled >= 6) else {
                 return outcome;
-            }
-            if wire::read_stream_header(&mut &self.buf[..6]).is_err() {
+            };
+            if wire::read_stream_header(&mut header).is_err() {
                 // A foreign or downgraded peer: nothing it sends can be
                 // routed; drop it (the peer reads our valid header and
                 // types the mismatch on its own side).
                 return Pump::Closed;
             }
-            self.buf.drain(..6);
+            used = 6;
             self.handshaken = true;
         }
 
-        let mut used = 0;
         loop {
-            let frame = match wire::split_frame(&self.buf[used..]) {
+            let unparsed = self.buf.get(used..self.filled).unwrap_or_default();
+            let frame = match wire::split_frame(unparsed) {
                 Ok(Some((frame, _))) => frame,
                 Ok(None) => break,
                 Err(e) => {
@@ -531,7 +541,11 @@ impl Conn {
                 }
             }
         }
-        self.buf.drain(..used);
+        // Only the unparsed tail moves, to the front of the buffer.
+        if used > 0 {
+            self.buf.copy_within(used..self.filled, 0);
+            self.filled -= used;
+        }
 
         // The write timeout set at accept makes a slow reader a typed I/O
         // failure on this connection, not an unbounded stall.
@@ -557,30 +571,30 @@ impl Conn {
         Ok(())
     }
 
-    /// One socket read of up to [`READ_CHUNK`] bytes, blocking at most
-    /// one [`READ_TICK`]. Returns whether the peer hung up.
+    /// One socket read straight into the session buffer's read space,
+    /// blocking at most one [`READ_TICK`]; the buffer grows (and only
+    /// then zeroes bytes) when less than [`READ_CHUNK`] of space is left.
+    /// Returns whether the peer hung up.
     fn fill(&mut self, metrics: &CollectorMetrics) -> std::io::Result<bool> {
-        let mut chunk = [0u8; READ_CHUNK];
-        match self.stream.read(&mut chunk) {
+        if self.buf.len() - self.filled < READ_CHUNK {
+            self.buf.resize(self.filled + READ_CHUNK, 0);
+        }
+        let space = self.buf.get_mut(self.filled..).unwrap_or_default();
+        match self.stream.read(space) {
             Ok(0) => Ok(true),
             Ok(n) => {
-                // `read` never reports more than the chunk holds.
-                self.buf.extend_from_slice(&chunk[..n.min(READ_CHUNK)]);
+                // `read` never reports more than the space holds.
+                self.filled = (self.filled + n).min(self.buf.len());
                 self.last_progress = Instant::now();
                 if metrics.active() {
                     metrics.bytes_read.add(n as u64);
                 }
                 Ok(false)
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(e),
+            Err(e) => match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted => Ok(false),
+                _ => Err(e),
+            },
         }
     }
 }
@@ -823,7 +837,7 @@ fn session(
     while !shared.shutdown.load(Ordering::Acquire) {
         match conn.pump(engine, durable) {
             Pump::Open => {
-                if !conn.buf.is_empty() && conn.last_progress.elapsed() > stall {
+                if conn.filled > 0 && conn.last_progress.elapsed() > stall {
                     // Wedged mid-frame past the timeout: drop it. The
                     // partial frame was never ingested, so every round's
                     // aggregate is exactly as if the bytes never arrived.

@@ -3,17 +3,22 @@
 //! wire** (LF-GDPR + MGA + Detect2) bit-identical to the in-process
 //! engine at the same seed.
 
+use ldp_collector::server::frames;
 use ldp_collector::{
     CollectorClient, CollectorConfig, CollectorError, CollectorServer, RoundChannel, ServeScenario,
     WireWorldRunner,
 };
 use ldp_graph::datasets::Dataset;
-use ldp_graph::Xoshiro256pp;
-use ldp_protocols::{LfGdpr, Metric};
+use ldp_graph::{BitSet, Xoshiro256pp};
+use ldp_protocols::wire;
+use ldp_protocols::{AdjacencyReport, LfGdpr, Metric, UserReport};
 use poison_core::attack::Mga;
 use poison_core::scenario::{Scenario, ScenarioReport};
 use poison_core::{TargetSelection, ThreatModel};
 use poison_defense::DegreeConsistencyDefense;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 fn spawn_daemon() -> (
     std::net::SocketAddr,
@@ -238,6 +243,165 @@ fn dead_daemon_is_a_typed_transport_error() {
         .threat(threat)
         .exact();
     assert!(builder.serve(addr).is_err());
+}
+
+/// Runs `client` against a stand-in daemon that handshakes and records
+/// every frame the client sends until it hangs up.
+fn captured_frames(client: impl FnOnce(SocketAddr)) -> Vec<(u8, Vec<u8>)> {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let recorder = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        wire::write_stream_header(&mut stream).unwrap();
+        wire::read_stream_header(&mut stream).unwrap();
+        let (mut frames, mut payload) = (Vec::new(), Vec::new());
+        while let Some(kind) = wire::read_frame(&mut stream, &mut payload).unwrap() {
+            frames.push((kind, payload.clone()));
+        }
+        frames
+    });
+    client(addr);
+    recorder.join().unwrap()
+}
+
+/// The `REPORT_BATCH` frames a client sends, in batches of `batch`,
+/// while `queue` queues reports for round `round`.
+fn client_batches(
+    round: u64,
+    batch: usize,
+    queue: impl FnOnce(&mut CollectorClient) -> Result<(), CollectorError>,
+) -> Vec<(u8, Vec<u8>)> {
+    captured_frames(|addr| {
+        let mut client = CollectorClient::connect(addr)
+            .unwrap()
+            .with_batch_size(batch);
+        client.set_round(round).unwrap();
+        queue(&mut client).unwrap();
+        client.flush().unwrap();
+    })
+}
+
+/// The frames `wire::encode_routed_batch` makes of `entries`, in batches
+/// of `batch`, checked against the framing spelled out by hand: each
+/// entry is its `encode_report` bytes behind their measured length.
+fn codec_batches(round: u64, batch: usize, entries: &[(u64, UserReport)]) -> Vec<(u8, Vec<u8>)> {
+    let frame = |chunk: &[(u64, UserReport)]| {
+        let mut payload = Vec::new();
+        wire::encode_routed_batch(round, chunk, &mut payload);
+        let mut by_hand = Vec::new();
+        wire::put_varint(round, &mut by_hand);
+        wire::put_varint(chunk.len() as u64, &mut by_hand);
+        for (user_id, report) in chunk {
+            let mut bytes = Vec::new();
+            wire::encode_report(*user_id, report, &mut bytes);
+            wire::put_varint(bytes.len() as u64, &mut by_hand);
+            by_hand.extend_from_slice(&bytes);
+        }
+        assert!(
+            payload == by_hand,
+            "entry lengths differ from the measured ones"
+        );
+        (frames::REPORT_BATCH, payload)
+    };
+    entries.chunks(batch).map(frame).collect()
+}
+
+/// The client's `REPORT_BATCH` bytes are `wire::encode_routed_batch`'s
+/// for the same entries, on both channels: ids across every varint
+/// width, vectors of width 0, 1 and 8, and adjacency rows with and
+/// without trailing zero words.
+#[test]
+fn client_batches_are_the_routed_batch_codec_bytes() {
+    const ROUND: u64 = 1 << 40;
+    const BATCH: usize = 4;
+    let (mut vectors, mut rows) = (Vec::new(), Vec::new());
+    for id in [0, 127, 128, 1 << 21, u64::MAX] {
+        for width in [0, 1, 8] {
+            let vector = (0..width).map(|i| id as f64 * 0.5 + i as f64 - 3.25);
+            vectors.push((id, vector.collect::<Vec<f64>>()));
+        }
+        // 200 users, four row words: three, one or no trailing zero words.
+        for ones in [&[][..], &[3], &[3, 130], &[0, 199]] {
+            let mut bits = BitSet::new(200);
+            ones.iter().for_each(|&i| bits.set(i));
+            rows.push((id, AdjacencyReport::new(bits, 2.5)));
+        }
+    }
+
+    let sent = client_batches(ROUND, BATCH, |c| {
+        (vectors.iter()).try_for_each(|(id, v)| c.queue_degree_vector(*id, v))
+    });
+    let entries: Vec<(u64, UserReport)> = (vectors.iter())
+        .map(|(id, v)| (*id, UserReport::DegreeVector(v.clone())))
+        .collect();
+    assert_eq!(sent.len(), 4);
+    assert!(sent == codec_batches(ROUND, BATCH, &entries));
+
+    let sent = client_batches(ROUND, BATCH, |c| {
+        (rows.iter()).try_for_each(|(id, r)| c.queue_adjacency_report(*id, r))
+    });
+    let entries: Vec<(u64, UserReport)> = (rows.iter())
+        .map(|(id, r)| (*id, UserReport::Adjacency(r.clone())))
+        .collect();
+    assert_eq!(sent.len(), 5);
+    assert!(sent == codec_batches(ROUND, BATCH, &entries));
+}
+
+/// The stall reaper drops a session only for unparsed bytes: a
+/// handshaken session idle past the stall timeout (its buffer holds read
+/// space but no unparsed byte) is still served, while a session holding
+/// half a frame is reaped.
+#[test]
+fn the_stall_reaper_drops_half_frames_not_idle_sessions() {
+    let stall = Duration::from_millis(100);
+    let mut server = CollectorServer::bind(("127.0.0.1", 0), CollectorConfig::default())
+        .unwrap()
+        .with_stall_timeout(stall);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve());
+
+    let mut idle = CollectorClient::connect(addr).unwrap();
+    let channel = RoundChannel::DegreeVector {
+        population: 4,
+        groups: 1,
+    };
+    idle.open_round(1, channel, None).unwrap();
+    idle.queue_degree_vector(0, &[1.0]).unwrap();
+    idle.sync().unwrap();
+
+    let mut staller = TcpStream::connect(addr).unwrap();
+    wire::write_stream_header(&mut staller).unwrap();
+    wire::read_stream_header(&mut staller).unwrap();
+    let mut frame = Vec::new();
+    let mut payload = Vec::new();
+    wire::encode_routed_batch(1, &[(1, UserReport::DegreeVector(vec![1.0]))], &mut payload);
+    wire::write_frame(&mut frame, frames::REPORT_BATCH, &payload).unwrap();
+    staller.write_all(&frame[..frame.len() / 2]).unwrap();
+
+    std::thread::sleep(stall * 4);
+    idle.queue_degree_vector(2, &[1.0]).unwrap();
+    idle.sync()
+        .expect("an idle session outlives the stall timeout");
+    staller
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut sink = [0u8; 16];
+    match staller.read(&mut sink) {
+        Ok(0) => {}
+        other => panic!("the half-frame session was not reaped: {other:?}"),
+    }
+    let reaps = idle
+        .stats()
+        .unwrap()
+        .into_iter()
+        .find_map(|e| match e.value {
+            wire::StatsValue::Counter(v) if e.name == "stall_reaps" => Some(v),
+            _ => None,
+        });
+    assert_eq!(reaps, Some(1));
+    assert_eq!(idle.close_round(1).unwrap().counters.accepted, 2);
+    drop((idle, staller));
+    shutdown(addr, handle);
 }
 
 fn assert_reports_identical(a: &ScenarioReport, b: &ScenarioReport) {

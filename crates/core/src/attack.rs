@@ -623,7 +623,9 @@ mod tests {
                 );
                 assert_eq!(via_craft.len(), direct.len());
                 for (a, b) in via_craft.iter().zip(&direct) {
-                    let a = a.as_adjacency().expect("adjacency channel");
+                    let UserReport::Adjacency(a) = a else {
+                        panic!("adjacency channel")
+                    };
                     assert_eq!(a.bits, b.bits, "{strategy:?}/{metric:?} bits must match");
                     assert_eq!(
                         a.degree.to_bits(),
@@ -655,7 +657,9 @@ mod tests {
             );
             assert_eq!(via_craft.len(), direct.len());
             for (a, b) in via_craft.iter().zip(&direct) {
-                let a = a.as_degree_vector().expect("degree-vector channel");
+                let UserReport::DegreeVector(a) = a else {
+                    panic!("degree-vector channel")
+                };
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(a), bits(b), "{strategy:?} vectors must match");
             }
@@ -684,7 +688,7 @@ mod tests {
             assert_eq!(crafted.len(), threat.m_fake);
             assert!(crafted
                 .iter()
-                .all(|r| r.as_degree_vector().is_some_and(|v| v.len() == 3)));
+                .all(|r| matches!(r, UserReport::DegreeVector(v) if v.len() == 3)));
         }
     }
 

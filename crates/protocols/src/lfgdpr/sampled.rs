@@ -86,14 +86,6 @@ impl SampledDegreeModel {
         crafted_kept + fake_noise
     }
 
-    /// Convenience: the full honest-world perturbed degree (genuine and
-    /// fake parts drawn from the same stream; fine when no cross-world
-    /// coupling is needed).
-    pub fn sample_before<R: Rng>(&self, true_degree: usize, rng: &mut R) -> usize {
-        let genuine = self.sample_genuine_slots(true_degree, rng);
-        genuine + self.sample_fake_honest(rng)
-    }
-
     /// Degree centrality from a sampled perturbed degree.
     pub fn centrality(&self, perturbed_degree: usize) -> f64 {
         let n = self.population();
@@ -133,7 +125,7 @@ mod tests {
         let trials = 4_000;
         let d = 40;
         let mean: f64 = (0..trials)
-            .map(|_| m.sample_before(d, &mut rng) as f64)
+            .map(|_| (m.sample_genuine_slots(d, &mut rng) + m.sample_fake_honest(&mut rng)) as f64)
             .sum::<f64>()
             / trials as f64;
         let expected = m.expected_before(d);

@@ -71,14 +71,6 @@ pub enum UserReport {
 }
 
 impl UserReport {
-    /// The adjacency report inside, if this is the LF-GDPR variant.
-    pub fn as_adjacency(&self) -> Option<&AdjacencyReport> {
-        match self {
-            UserReport::Adjacency(r) => Some(r),
-            UserReport::DegreeVector(_) => None,
-        }
-    }
-
     /// Unwraps the LF-GDPR variant.
     ///
     /// # Errors
@@ -91,14 +83,6 @@ impl UserReport {
                 expected: "adjacency",
                 got: "degree-vector",
             }),
-        }
-    }
-
-    /// The degree vector inside, if this is the LDPGen variant.
-    pub fn as_degree_vector(&self) -> Option<&DegreeVector> {
-        match self {
-            UserReport::Adjacency(_) => None,
-            UserReport::DegreeVector(v) => Some(v),
         }
     }
 
@@ -138,13 +122,10 @@ mod tests {
     #[test]
     fn enum_unwraps_the_right_variant() {
         let adj = UserReport::from(AdjacencyReport::new(BitSet::new(4), 1.0));
-        assert!(adj.as_adjacency().is_some());
-        assert!(adj.as_degree_vector().is_none());
         assert!(adj.clone().into_adjacency().is_ok());
         assert!(adj.into_degree_vector().is_err());
 
         let vec = UserReport::DegreeVector(vec![1.0, 0.0]);
-        assert!(vec.as_degree_vector().is_some());
         assert!(vec.clone().into_degree_vector().is_ok());
         assert!(vec.into_adjacency().is_err());
     }

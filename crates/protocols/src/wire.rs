@@ -62,6 +62,7 @@ use crate::report::{AdjacencyReport, UserReport};
 use ldp_graph::runtime::default_threads;
 use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::{BufWriter, Read, Write};
 
@@ -410,24 +411,8 @@ pub fn read_stream_header(r: &mut impl Read) -> Result<(), WireError> {
 /// [`WireError::OversizeFrame`] if the payload exceeds [`MAX_FRAME_LEN`],
 /// I/O errors otherwise.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), WireError> {
-    write_frame_split(w, kind, payload, &[])
-}
-
-/// Like [`write_frame`], but the payload arrives as two slices written
-/// back to back (a batch's count header, then its entry buffer, uncopied).
-///
-/// # Errors
-/// [`WireError::OversizeFrame`] if the combined payload exceeds
-/// [`MAX_FRAME_LEN`], I/O errors otherwise.
-pub fn write_frame_split(
-    w: &mut impl Write,
-    kind: u8,
-    head: &[u8],
-    tail: &[u8],
-) -> Result<(), WireError> {
-    write_frame_head(w, kind, head.len() + tail.len())?;
-    w.write_all(head)?;
-    Ok(w.write_all(tail)?)
+    write_frame_head(w, kind, payload.len())?;
+    Ok(w.write_all(payload)?)
 }
 
 /// Writes a frame's length prefix and kind byte for a `payload_len`-byte
@@ -528,9 +513,7 @@ pub fn encode_report(user_id: u64, report: &UserReport, out: &mut Vec<u8>) {
     }
 }
 
-/// The degree-vector arm of [`encode_report`], callable from a borrowed
-/// slice (the collection client's hot send path streams vectors without
-/// wrapping or cloning them).
+/// The degree-vector arm of [`encode_report`], from a borrowed slice.
 pub fn encode_degree_vector_report(user_id: u64, vector: &[f64], out: &mut Vec<u8>) {
     out.reserve(21 + 8 * vector.len()); // two varints, the tag, the entries
     put_varint(user_id, out);
@@ -541,22 +524,46 @@ pub fn encode_degree_vector_report(user_id: u64, vector: &[f64], out: &mut Vec<u
     }
 }
 
-/// The adjacency arm of [`encode_report`], callable without wrapping the
-/// report in a [`UserReport`] (the collection client's hot send path
-/// streams borrowed [`AdjacencyReport`]s).
+/// The adjacency arm of [`encode_report`], from a borrowed report.
 pub fn encode_adjacency_report(user_id: u64, report: &AdjacencyReport, out: &mut Vec<u8>) {
-    out.reserve(39 + 8 * report.bits.words().len()); // three varints, tag, degree, row
+    let row = trimmed_row(report);
+    out.reserve(39 + 8 * row.len()); // three varints, tag, degree, row
     put_varint(user_id, out);
     out.push(TAG_ADJACENCY);
     put_f64(report.degree, out);
     put_varint(report.population() as u64, out);
+    put_varint(row.len() as u64, out);
+    put_u64s(row, out);
+}
+
+/// The row words an adjacency report ships: trailing zero words trimmed.
+fn trimmed_row(report: &AdjacencyReport) -> &[u64] {
     let words = report.bits.words();
-    let trimmed = words
-        .iter()
-        .rposition(|&w| w != 0)
-        .map_or(0, |last| last + 1);
-    put_varint(trimmed as u64, out);
-    put_u64s(&words[..trimmed], out);
+    let zeros = words.iter().rev().take_while(|&&w| w == 0).count();
+    &words[..words.len() - zeros]
+}
+
+/// Bytes [`put_varint`] writes for `v`, computed from its bit length.
+pub const fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Appends a degree vector as one `REPORT_BATCH` entry: the report's
+/// length, computed ([`varint_len`]), as a varint, then the report, with
+/// no staging copy. With [`encode_adjacency_entry`], the one entry framing.
+pub fn encode_degree_vector_entry(user_id: u64, vector: &[f64], out: &mut Vec<u8>) {
+    let k = vector.len();
+    let len = varint_len(user_id) + 1 + varint_len(k as u64) + 8 * k;
+    put_varint(len as u64, out);
+    encode_degree_vector_report(user_id, vector, out);
+}
+
+/// [`encode_degree_vector_entry`] for an adjacency report.
+pub fn encode_adjacency_entry(user_id: u64, report: &AdjacencyReport, out: &mut Vec<u8>) {
+    let (n, w) = (report.population() as u64, trimmed_row(report).len());
+    let len = varint_len(user_id) + 9 + varint_len(n) + varint_len(w as u64) + 8 * w;
+    put_varint(len as u64, out);
+    encode_adjacency_report(user_id, report, out);
 }
 
 /// One report read in place: its row words or vector entries stay in the
@@ -651,7 +658,9 @@ pub fn decode_report_view(mut buf: &[u8]) -> Result<(u64, ReportView<'_>), WireE
     Ok((user_id, report))
 }
 
-fn checked_len(claimed: u64, cap: usize) -> Result<usize, WireError> {
+/// A length claim as a `usize`, refused as [`WireError::OversizePopulation`]
+/// past `cap` before anything is sized by it.
+pub fn checked_len(claimed: u64, cap: usize) -> Result<usize, WireError> {
     if claimed > cap as u64 {
         return Err(WireError::OversizePopulation { claimed, cap });
     }
@@ -668,15 +677,18 @@ fn checked_len(claimed: u64, cap: usize) -> Result<usize, WireError> {
 /// multiplexing concurrent rounds routes each frame without per-session
 /// state; the per-entry length prefix lets the decoder skip one
 /// malformed entry without losing frame sync on the rest of the batch.
-pub fn encode_routed_batch(round_id: u64, entries: &[(u64, UserReport)], out: &mut Vec<u8>) {
+pub fn encode_routed_batch<R: Borrow<UserReport>>(
+    round_id: u64,
+    entries: &[(u64, R)],
+    out: &mut Vec<u8>,
+) {
     put_varint(round_id, out);
     put_varint(entries.len() as u64, out);
-    let mut entry = Vec::new();
     for (user_id, report) in entries {
-        entry.clear();
-        encode_report(*user_id, report, &mut entry);
-        put_varint(entry.len() as u64, out);
-        out.extend_from_slice(&entry);
+        match report.borrow() {
+            UserReport::Adjacency(r) => encode_adjacency_entry(*user_id, r, out),
+            UserReport::DegreeVector(v) => encode_degree_vector_entry(*user_id, v, out),
+        }
     }
 }
 
@@ -697,6 +709,12 @@ impl<'a> ReportBatch<'a> {
     /// Entries not yet decoded.
     pub fn remaining(&self) -> usize {
         self.remaining
+    }
+
+    /// The most entries still able to decode: the claimed count, capped at
+    /// one per 4 bytes left (the shortest entry).
+    pub fn entry_bound(&self) -> usize {
+        self.remaining.min(self.buf.len() / 4)
     }
 
     /// Decodes the next entry; `None` once the claimed count is exhausted
@@ -892,8 +910,7 @@ pub fn lower_triangle_words(n: usize) -> usize {
 /// Exact byte length of a `VIEW` payload over `N` users (see
 /// [`encode_lower_view`] for the layout).
 pub fn view_payload_len(n: usize) -> usize {
-    let varint = (u64::BITS - (n as u64).leading_zeros()).max(1).div_ceil(7) as usize;
-    varint + 8 + 8 * n + 8 * lower_triangle_words(n)
+    varint_len(n as u64) + 8 + 8 * n + 8 * lower_triangle_words(n)
 }
 
 /// Most bytes [`encode_lower_view`] hands its writer at once: a view
@@ -1197,15 +1214,6 @@ mod tests {
             batch.finish(),
             Err(WireError::TrailingBytes { extra: 1 })
         ));
-    }
-
-    #[test]
-    fn write_frame_split_matches_write_frame() {
-        let mut whole = Vec::new();
-        write_frame(&mut whole, 0x07, b"abcdef").unwrap();
-        let mut split = Vec::new();
-        write_frame_split(&mut split, 0x07, b"ab", b"cdef").unwrap();
-        assert_eq!(whole, split);
     }
 
     #[test]

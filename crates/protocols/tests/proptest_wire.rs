@@ -121,6 +121,37 @@ proptest! {
         }
     }
 
+    /// The computed entry length is the encoded one: a batch entry is the
+    /// `encode_report` bytes behind a varint of exactly their length, and
+    /// `varint_len` is what `put_varint` writes. Sparse rows (up to nine
+    /// ANDed draws per word) ship trailing zero words; ids are drawn
+    /// across every varint width.
+    #[test]
+    fn computed_entry_length_is_the_encoded_length(
+        variant in 0usize..2,
+        n in 0usize..300,
+        density_shift in 0u32..9,
+        seed in 0u64..u64::MAX,
+        user_id in 0u64..u64::MAX,
+        id_shift in 0u32..64,
+    ) {
+        let user_id = user_id >> id_shift;
+        let report = synth_report(variant == 0, n, density_shift, seed);
+        let mut bare = Vec::new();
+        encode_report(user_id, &report, &mut bare);
+        let mut id = Vec::new();
+        put_varint(user_id, &mut id);
+        prop_assert_eq!(wire::varint_len(user_id), id.len());
+        // A one-entry batch of round 5: the round, the count, the entry.
+        let mut expected = vec![5, 1];
+        put_varint(bare.len() as u64, &mut expected);
+        prop_assert_eq!(wire::varint_len(bare.len() as u64), expected.len() - 2);
+        expected.extend_from_slice(&bare);
+        let mut batch = Vec::new();
+        wire::encode_routed_batch(5, &[(user_id, &report)], &mut batch);
+        prop_assert_eq!(batch, expected);
+    }
+
     /// Every truncation of a valid payload decodes to a typed error —
     /// never a panic, never a bogus success.
     #[test]
