@@ -16,7 +16,7 @@
 //! trials).
 //!
 //! ```no_run
-//! use ldp_collector::ServeScenario;
+//! use ldp_collector::WireWorldRunner;
 //! use ldp_graph::datasets::Dataset;
 //! use ldp_protocols::{LfGdpr, Metric};
 //! use poison_core::attack::Mga;
@@ -31,7 +31,7 @@
 //!     .attack(Mga::default())
 //!     .metric(Metric::Degree)
 //!     .threat(threat)
-//!     .serve("127.0.0.1:7171").unwrap()   // ← aggregation now runs remotely
+//!     .via(WireWorldRunner::connect("127.0.0.1:7171").unwrap()) // remote fold
 //!     .run(&graph)
 //!     .unwrap();
 //! ```
@@ -46,7 +46,7 @@ use ldp_graph::{CsrGraph, Xoshiro256pp};
 use ldp_protocols::{
     AdjacencyReport, GraphLdpProtocol, ReportCrafter, ReportFilter, ServerView, WorldViews,
 };
-use poison_core::scenario::{InProcessRunner, ScenarioBuilder, WorldRunner};
+use poison_core::scenario::{InProcessRunner, WorldRunner};
 use poison_core::ScenarioError;
 use std::cell::{Cell, RefCell};
 use std::net::ToSocketAddrs;
@@ -114,23 +114,5 @@ impl WorldRunner for WireWorldRunner {
         lf.run_worlds_with(graph, &base, m_fake, crafter, filter, |reports| {
             self.fold_world(lf.p_keep(), reports)
         })
-    }
-}
-
-/// Builder sugar: `Scenario::on(p)…  .serve(addr)?` installs a
-/// [`WireWorldRunner`] so the run's collection/aggregation goes over the
-/// wire.
-pub trait ServeScenario<'a>: Sized {
-    /// Connects to a collection daemon at `addr` and routes the scenario's
-    /// world building through it.
-    ///
-    /// # Errors
-    /// Connection and handshake failures.
-    fn serve(self, addr: impl ToSocketAddrs) -> Result<ScenarioBuilder<'a>, CollectorError>;
-}
-
-impl<'a> ServeScenario<'a> for ScenarioBuilder<'a> {
-    fn serve(self, addr: impl ToSocketAddrs) -> Result<ScenarioBuilder<'a>, CollectorError> {
-        Ok(self.via(WireWorldRunner::connect(addr)?))
     }
 }

@@ -37,7 +37,7 @@
 //!   frame-apply path, so every open round recovers bit-identically. With
 //!   the client's resend window and duplicate-id rejection, at-least-once
 //!   retry becomes exactly-once ingest.
-//! * [`bridge`] — [`ServeScenario::serve`] / [`WireWorldRunner`]: the
+//! * [`bridge`] — [`WireWorldRunner`], for `ScenarioBuilder::via`: the
 //!   `poison-core` scenario engine evaluated **over the wire**,
 //!   bit-identical to the in-process path at the same seed.
 //!
@@ -61,7 +61,7 @@ pub mod server;
 pub(crate) mod shard;
 pub mod wal;
 
-pub use bridge::{ServeScenario, WireWorldRunner};
+pub use bridge::WireWorldRunner;
 pub use client::{
     CollectorClient, DegreeVectorSummary, RetryPolicy, RoundSummary, DEFAULT_BATCH_REPORTS,
 };

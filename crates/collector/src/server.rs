@@ -557,16 +557,15 @@ impl Conn {
         outcome
     }
 
-    /// Writes the replies staged so far and the `VIEW` frame head, then
-    /// streams the payload from the shards one [`wire::VIEW_PIECE`] at a
-    /// time, each under the write timeout set at accept.
+    /// Writes the staged replies and the `VIEW` frame head, then streams the
+    /// payload from the shards in [`wire::VIEW_PIECE`]s ([`PieceWriter`]).
     fn send_view(&mut self, view: &FinalizedShards, m: &CollectorMetrics) -> Result<(), WireError> {
         let begin = m.active().then(Instant::now);
         let len = wire::view_payload_len(view.n);
         wire::write_frame_head(&mut self.session.out, frames::VIEW, len)?;
         self.stream.write_all(&self.session.out)?;
         self.session.out.clear();
-        view.encode(&mut self.stream)?;
+        view.encode(&mut PieceWriter(&self.stream))?;
         observe_since(&m.view_send_nanos, begin);
         Ok(())
     }
@@ -819,6 +818,25 @@ fn stage_reply(
             session.stage_err(&e, metrics);
             Frame::Refused(e)
         }
+    }
+}
+
+/// A session socket whose write fails once it waits out [`WRITE_TIMEOUT`],
+/// also when a peer that stopped reading took a few bytes meanwhile.
+struct PieceWriter<'a>(&'a TcpStream);
+
+impl Write for PieceWriter<'_> {
+    fn write(&mut self, piece: &[u8]) -> std::io::Result<usize> {
+        let begin = Instant::now();
+        let taken = self.0.write(piece)?;
+        if begin.elapsed() >= WRITE_TIMEOUT {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        Ok(taken)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

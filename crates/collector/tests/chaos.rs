@@ -752,3 +752,69 @@ fn the_retired_report_opcode_is_refused_typed() {
     drop(chaos);
     shutdown(addr, handle);
 }
+
+/// A peer that asks for a `VIEW` and stops reading holds its session for
+/// one write timeout: the kernel's growing buffers still take a few bytes
+/// per write, which must not restart the timeout, and the write that
+/// times out ends the session without a second, flushing write.
+#[test]
+fn a_stalled_view_reader_holds_its_session_for_one_write_timeout() {
+    use ldp_collector::server::frames;
+    use ldp_collector::MAX_ADJACENCY_POPULATION;
+    use ldp_graph::BitSet;
+    use ldp_protocols::AdjacencyReport;
+    // The daemon's timeout on each write to a session socket.
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+    let n = MAX_ADJACENCY_POPULATION;
+    let (addr, handle) = spawn_chaos_daemon(
+        CollectorConfig {
+            shards: 2,
+            ..CollectorConfig::default()
+        },
+        Duration::from_secs(60),
+    );
+    let mut client = CollectorClient::connect(addr).unwrap();
+    let channel = RoundChannel::Adjacency {
+        population: n,
+        p_keep: 0.9,
+    };
+    client.open_round(1, channel, None).unwrap();
+    let empty = AdjacencyReport::new(BitSet::new(n), 0.0);
+    for id in 0..n as u64 {
+        client.queue_adjacency_report(id, &empty).unwrap();
+    }
+    client.sync().unwrap();
+
+    // The ~17 MB view outgrows the loopback socket buffers, so the
+    // daemon's writes block once the reader stops reading.
+    let mut reader = ChaosClient::connect(addr).expect("reader connect");
+    let mut finalize = Vec::new();
+    wire::write_frame(&mut finalize, frames::FINALIZE, &[1]).expect("frame");
+    reader.write_all(&finalize).expect("finalize");
+    let mut head = [0u8; 1];
+    reader
+        .stream
+        .read_exact(&mut head)
+        .expect("the view starts");
+    let streaming = Instant::now();
+
+    let sessions_active = |client: &mut CollectorClient| {
+        let scrape = client.stats().expect("scrape");
+        scrape.iter().find_map(|e| match e.value {
+            wire::StatsValue::Gauge(v) if e.name == "sessions_active" => Some(v),
+            _ => None,
+        })
+    };
+    // The scraping client's own session is the one left.
+    while sessions_active(&mut client) != Some(1) {
+        assert!(
+            streaming.elapsed() < WRITE_TIMEOUT * 3 / 2,
+            "the stalled reader's session is still open {:?} into the view",
+            streaming.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    drop(reader);
+    drop(client);
+    shutdown(addr, handle);
+}

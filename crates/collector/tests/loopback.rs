@@ -5,7 +5,7 @@
 
 use ldp_collector::server::frames;
 use ldp_collector::{
-    CollectorClient, CollectorConfig, CollectorError, CollectorServer, RoundChannel, ServeScenario,
+    CollectorClient, CollectorConfig, CollectorError, CollectorServer, RoundChannel,
     WireWorldRunner,
 };
 use ldp_graph::datasets::Dataset;
@@ -187,7 +187,8 @@ fn scenario_over_the_wire_is_bit_identical() {
     let in_process = build(Scenario::on(protocol), &threat).run(&graph).unwrap();
 
     let (addr, handle) = spawn_daemon();
-    let wired = build(Scenario::on(protocol).serve(addr).unwrap(), &threat)
+    let runner = WireWorldRunner::connect(addr).unwrap();
+    let wired = build(Scenario::on(protocol).via(runner), &threat)
         .run(&graph)
         .unwrap();
     assert_reports_identical(&in_process, &wired);
@@ -236,13 +237,7 @@ fn dead_daemon_is_a_typed_transport_error() {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.local_addr().unwrap()
     };
-    let protocol = LfGdpr::new(4.0).unwrap();
-    let threat = ThreatModel::explicit(60, 3, vec![0]);
-    let builder = Scenario::on(protocol)
-        .attack(Mga::default())
-        .threat(threat)
-        .exact();
-    assert!(builder.serve(addr).is_err());
+    assert!(WireWorldRunner::connect(addr).is_err());
 }
 
 /// Runs `client` against a stand-in daemon that handshakes and records

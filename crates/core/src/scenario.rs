@@ -254,11 +254,11 @@ impl<'a> ScenarioBuilder<'a> {
     }
 
     /// Routes exact-mode collection/aggregation through an alternative
-    /// [`WorldRunner`] backend — e.g. `ldp-collector`'s wire bridge, which
-    /// streams every upload through a TCP collection daemon (its
-    /// `ServeScenario::serve(addr)` extension is sugar for this). A
-    /// faithful backend is bit-identical to the default in-process path;
-    /// sampled-mode trials never materialize reports and ignore it.
+    /// [`WorldRunner`] backend — e.g. `ldp-collector`'s wire bridge,
+    /// `.via(WireWorldRunner::connect(addr)?)`, which streams every upload
+    /// through a TCP collection daemon. A faithful backend is bit-identical
+    /// to the default in-process path; sampled-mode trials never
+    /// materialize reports and ignore it.
     pub fn via(mut self, runner: impl WorldRunner + 'a) -> Self {
         self.runner = Some(Box::new(runner));
         self

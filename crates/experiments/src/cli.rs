@@ -1,5 +1,10 @@
-//! Minimal argument parsing and output plumbing shared by the experiment
-//! binaries.
+//! The command line of `all_experiments`, the one entry point that
+//! regenerates the paper's results, and the list of results it runs.
+//!
+//! `all_experiments [RESULT] [flags]` runs one result by name (one of
+//! [`EXPERIMENTS`]: `table2`, `table3`, `fig6`…`fig15`, `ablations`);
+//! without a name it runs both tables and Figs. 6–15, every result but
+//! the ablations.
 //!
 //! Flags (all optional):
 //! `--trials N` `--scale F` `--seed S` `--out DIR` `--threads N`
@@ -10,19 +15,94 @@
 //! any cap. `--dataset` restricts the four-panel sweep figures
 //! (Figs. 6–11) to one dataset.
 //!
-//! Every binary prints each figure as an ASCII chart plus a markdown table
-//! and writes CSV/markdown files under the output directory (default
-//! `results/`); a file it cannot write is a warning and exit status 1.
+//! Each result prints its figures as ASCII charts plus markdown tables
+//! (a table as markdown) and writes CSV/markdown files under the output
+//! directory (default `results/`); a file it cannot write is a warning
+//! and exit status 1.
 
 use crate::config::{ExperimentConfig, MAX_NODES};
 use crate::output::Figure;
+use crate::{ablations, countermeasures, protocols, sweep, table2, table3};
 use ldp_graph::datasets::Dataset;
 use poison_core::ScenarioError;
 use std::path::PathBuf;
+use std::time::Instant;
+
+/// One result `all_experiments` runs by name.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name that selects it on the command line.
+    pub name: &'static str,
+    run: Run,
+}
+
+#[derive(Debug)]
+enum Run {
+    /// A markdown table, written to `NAME.md`.
+    Table(fn(&ExperimentConfig) -> String),
+    /// Figures, timed on stderr as `== NAME done in …`.
+    Figures(fn(&CliOptions) -> Result<Vec<Figure>, ScenarioError>),
+}
+
+const fn table(name: &'static str, run: fn(&ExperimentConfig) -> String) -> Experiment {
+    Experiment {
+        name,
+        run: Run::Table(run),
+    }
+}
+
+const fn figures(
+    name: &'static str,
+    run: fn(&CliOptions) -> Result<Vec<Figure>, ScenarioError>,
+) -> Experiment {
+    Experiment {
+        name,
+        run: Run::Figures(run),
+    }
+}
+
+/// Every result, in run order: the paper's Tables II–III and Figs. 6–15,
+/// then the ablations of DESIGN.md §7, which run only by name.
+pub static EXPERIMENTS: [Experiment; 13] = [
+    table("table2", |cfg| table2::to_markdown(&table2::run(cfg))),
+    table("table3", |_| table3::to_markdown()),
+    figures("fig6", |o| sweep::FIG6.run(&o.config, o.dataset)),
+    figures("fig7", |o| sweep::FIG7.run(&o.config, o.dataset)),
+    figures("fig8", |o| sweep::FIG8.run(&o.config, o.dataset)),
+    figures("fig9", |o| sweep::FIG9.run(&o.config, o.dataset)),
+    figures("fig10", |o| sweep::FIG10.run(&o.config, o.dataset)),
+    figures("fig11", |o| sweep::FIG11.run(&o.config, o.dataset)),
+    figures("fig12", |o| countermeasures::FIG12.run(&o.config)),
+    figures("fig13", |o| countermeasures::FIG13.run(&o.config)),
+    figures("fig14", |o| protocols::FIG14.run(&o.config)),
+    figures("fig15", |o| protocols::FIG15.run(&o.config)),
+    figures("ablations", |o| ablations::run(&o.config)),
+];
+
+impl Experiment {
+    /// Runs the result, prints it and writes its files under the output
+    /// directory. Returns whether every file was written.
+    pub fn emit(&self, opts: &CliOptions) -> bool {
+        match self.run {
+            Run::Table(markdown) => {
+                emit_table(&format!("{}.md", self.name), &markdown(&opts.config), opts)
+            }
+            Run::Figures(run) => {
+                let start = Instant::now();
+                let written = emit_or_exit(run(opts), opts);
+                let secs = start.elapsed().as_secs_f64();
+                eprintln!("== {} done in {secs:.1}s ==", self.name);
+                written
+            }
+        }
+    }
+}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct CliOptions {
+    /// The results to run, in order: the one named, or the full run.
+    pub experiments: &'static [Experiment],
     /// The experiment configuration.
     pub config: ExperimentConfig,
     /// Output directory for CSV/markdown artifacts.
@@ -38,6 +118,8 @@ pub struct CliOptions {
 impl Default for CliOptions {
     fn default() -> Self {
         CliOptions {
+            // The full run: every result but the ablations, which come last.
+            experiments: &EXPERIMENTS[..EXPERIMENTS.len() - 1],
             config: ExperimentConfig::default(),
             out_dir: PathBuf::from("results"),
             threads: None,
@@ -47,12 +129,15 @@ impl Default for CliOptions {
     }
 }
 
-/// Parses an argument list (without the program name).
+/// Parses an argument list (without the program name): at most one
+/// result name, and flags.
 ///
 /// # Errors
-/// Returns a human-readable message for unknown flags or bad values.
+/// Returns a human-readable message for unknown flags or bad values, an
+/// unknown result name, or a second one.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
+    let mut named = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -88,7 +173,18 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 })?);
             }
             "--quiet" => opts.quiet = true,
-            other => return Err(format!("unknown flag {other}")),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            name => {
+                if named {
+                    return Err(format!("one result at most, got a second: {name}"));
+                }
+                let experiment = EXPERIMENTS
+                    .iter()
+                    .find(|e| e.name == name)
+                    .ok_or_else(|| format!("unknown result {name}"))?;
+                opts.experiments = std::slice::from_ref(experiment);
+                named = true;
+            }
         }
         i += 1;
     }
@@ -120,10 +216,13 @@ pub fn options_from_env() -> CliOptions {
             opts
         }
         Err(msg) => {
+            let names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: [--trials N] [--scale F] [--seed S] [--out DIR] \
-                 [--threads N] [--dataset NAME] [--quiet]"
+                "usage: all_experiments [RESULT] [--trials N] [--scale F] [--seed S] \
+                 [--out DIR] [--threads N] [--dataset NAME] [--quiet]\n\
+                 RESULT is one of: {} (default: all but ablations)",
+                names.join(" ")
             );
             std::process::exit(2);
         }
@@ -133,7 +232,7 @@ pub fn options_from_env() -> CliOptions {
 /// Prints and persists an experiment's figures, or reports its scenario
 /// error and exits 1 instead of panicking mid-sweep. Returns whether every
 /// file was written; each failed write is reported as a warning.
-pub fn emit_or_exit(figures: Result<Vec<Figure>, ScenarioError>, opts: &CliOptions) -> bool {
+fn emit_or_exit(figures: Result<Vec<Figure>, ScenarioError>, opts: &CliOptions) -> bool {
     let figures = figures.unwrap_or_else(|e| {
         eprintln!("error: scenario failed: {e}");
         std::process::exit(1);
@@ -155,7 +254,7 @@ pub fn emit_or_exit(figures: Result<Vec<Figure>, ScenarioError>, opts: &CliOptio
 /// Prints a markdown table and writes it to `file` under the output
 /// directory. Returns whether the file was written; a failed write is
 /// reported as a warning.
-pub fn emit_table(file: &str, markdown: &str, opts: &CliOptions) -> bool {
+fn emit_table(file: &str, markdown: &str, opts: &CliOptions) -> bool {
     println!("{markdown}");
     let result = std::fs::create_dir_all(&opts.out_dir)
         .and_then(|()| std::fs::write(opts.out_dir.join(file), markdown));
@@ -165,7 +264,7 @@ pub fn emit_table(file: &str, markdown: &str, opts: &CliOptions) -> bool {
     result.is_ok()
 }
 
-/// A binary's exit status: 0 when every output file was written, else 1.
+/// The exit status: 0 when every output file was written, else 1.
 pub fn exit_code(written: bool) -> std::process::ExitCode {
     std::process::ExitCode::from(u8::from(!written))
 }
@@ -212,6 +311,37 @@ mod tests {
         assert_eq!(o.threads, Some(3));
         assert_eq!(o.dataset, Some(Dataset::Enron));
         assert!(o.quiet);
+    }
+
+    #[test]
+    fn no_name_runs_the_paper_and_a_name_runs_one_result() {
+        let full: Vec<_> = parse_args(&[])
+            .unwrap()
+            .experiments
+            .iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(full.len(), 12);
+        assert_eq!((full[0], full[11]), ("table2", "fig15"));
+        for experiment in &EXPERIMENTS {
+            for args in [
+                vec![experiment.name],
+                vec!["--trials", "2", experiment.name],
+            ] {
+                let o = parse_args(&s(&args)).unwrap();
+                assert_eq!(o.experiments.len(), 1);
+                assert_eq!(o.experiments[0].name, experiment.name);
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_an_unknown_or_a_second_name() {
+        let err = parse_args(&s(&["fig16"])).unwrap_err();
+        assert!(err.contains("unknown result fig16"), "{err}");
+        let err = parse_args(&s(&["fig6", "--quiet", "fig7"])).unwrap_err();
+        assert!(err.contains("second"), "{err}");
+        assert!(parse_args(&s(&["fig6", "fig6"])).is_err());
     }
 
     #[test]

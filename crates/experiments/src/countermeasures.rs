@@ -58,9 +58,6 @@ pub const FIG13: CountermeasureFigure = CountermeasureFigure {
     thresholds: &grids::FIG13A_THRESHOLDS,
 };
 
-/// Figs. 12–13, in paper order.
-pub const FIGURES: [CountermeasureFigure; 2] = [FIG12, FIG13];
-
 impl CountermeasureFigure {
     /// Runs both panels on the paper's grids.
     ///

@@ -1,18 +1,19 @@
 //! # poison-experiments
 //!
 //! The evaluation harness for the tables and figures of the paper's
-//! §VIII, with one binary per artifact. Figs. 6–11 are rows of one table
-//! ([`sweep::SweepFigure`]), Figs. 12–13 rows of another
+//! §VIII, with one entry point: the `all_experiments` binary runs each
+//! artifact by name ([`cli::EXPERIMENTS`]). Figs. 6–11 are rows of one
+//! table ([`sweep::SweepFigure`]), Figs. 12–13 rows of another
 //! ([`countermeasures::CountermeasureFigure`]) and Figs. 14–15 rows of a
 //! third ([`protocols::ProtocolFigure`]). Every panel runs its grid
 //! through [`runner::run_grid`], one
 //! [`Scenario`](poison_core::scenario::Scenario) per cell, and every
 //! figure and ablation draws its threat model through one function.
 //! Each experiment returns [`output::Figure`] values that render as
-//! aligned text tables, CSV, and ASCII charts; the binaries write them
-//! under `results/`.
+//! aligned text tables, CSV, and ASCII charts; `all_experiments` writes
+//! them under `results/`.
 //!
-//! | paper artifact | code | binary |
+//! | paper artifact | code | name |
 //! |----------------|--------|--------|
 //! | Table II (datasets) | [`table2`] | `table2` |
 //! | Table III (defaults) | [`table3`] | `table3` |

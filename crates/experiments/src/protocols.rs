@@ -53,9 +53,6 @@ pub const FIG15: ProtocolFigure = ProtocolFigure {
     seed_tag: 0x0F15_0000,
 };
 
-/// Figs. 14–15, in paper order.
-pub const FIGURES: [ProtocolFigure; 2] = [FIG14, FIG15];
-
 impl ProtocolFigure {
     /// Runs both panels on the paper's ε grid.
     ///

@@ -124,9 +124,6 @@ pub const FIG11: SweepFigure = SweepFigure {
     grid: &grids::GAMMAS,
 };
 
-/// Figs. 6–11, in paper order.
-pub const FIGURES: [SweepFigure; 6] = [FIG6, FIG7, FIG8, FIG9, FIG10, FIG11];
-
 impl SweepFigure {
     /// Runs the figure on the paper's grid, over all four datasets — or
     /// one, when `only` is given (the `--dataset` flag).

@@ -1,6 +1,6 @@
-//! The `table3` binary's exit status follows its output file: it prints
-//! the table either way, and exits non-zero when the file could not be
-//! written.
+//! `all_experiments NAME` runs one result: `table3`'s exit status follows
+//! its output file (it prints the table either way, and exits non-zero
+//! when the file could not be written), and `fig12` writes both panels.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -13,7 +13,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 fn table3(out: &std::path::Path) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_table3"))
+    Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+        .arg("table3")
         .arg("--out")
         .arg(out)
         .output()
@@ -47,5 +48,34 @@ fn writable_out_dir_writes_the_table_and_exits_zero() {
         poison_experiments::table3::to_markdown(),
         "the file holds the printed table"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_named_figure_writes_its_panels() {
+    let dir = scratch_dir("fig12");
+    let output = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+        .args([
+            "fig12", "--scale", "0.1", "--trials", "1", "--quiet", "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "status {}", output.status);
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "fig_12_a_.csv",
+            "fig_12_a_.md",
+            "fig_12_b_.csv",
+            "fig_12_b_.md"
+        ]
+    );
+    assert!(output.stdout.is_empty(), "--quiet prints no chart");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -64,7 +64,7 @@ use ldp_graph::{BitMatrix, BitSet};
 use ldp_mechanisms::RandomizedResponse;
 use std::borrow::Borrow;
 use std::fmt;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 
 /// Magic bytes opening every collection stream.
 pub const MAGIC: [u8; 4] = *b"LDPC";
@@ -913,12 +913,14 @@ pub fn view_payload_len(n: usize) -> usize {
     varint_len(n as u64) + 8 + 8 * n + 8 * lower_triangle_words(n)
 }
 
-/// Most bytes [`encode_lower_view`] hands its writer at once: a view
-/// streamed into a socket is held one piece at a time, never whole.
+/// Most bytes [`encode_lower_view`] hands its writer at once, bar a first
+/// piece whose reported degrees alone pass it (over 131,070 users): a
+/// view streamed into a socket is held one piece at a time, never whole.
 pub const VIEW_PIECE: usize = 1 << 20;
 
 /// Writes a `VIEW` payload — the one layout every finalized-view encoder
-/// goes through — to `w` in pieces of at most [`VIEW_PIECE`] bytes.
+/// goes through — to `w` in pieces of at most [`VIEW_PIECE`] bytes,
+/// staged in one buffer: a failed write leaves nothing to write again.
 /// Layout: varint `N`, `f64` keep probability, `N` × `f64`
 /// reported degrees, then the strict lower triangle: row `i`'s
 /// [`lower_row_words`]`(i)` words, `u64` little-endian, rows in id order.
@@ -939,24 +941,22 @@ pub fn encode_lower_view<'a>(
     row: impl Fn(usize) -> (f64, &'a [u64]),
     w: &mut impl Write,
 ) -> Result<(), WireError> {
-    let mut w = BufWriter::with_capacity(view_payload_len(n).min(VIEW_PIECE), w);
-    let mut bytes = Vec::new();
-    put_varint(n as u64, &mut bytes);
-    put_f64(p_keep, &mut bytes);
-    w.write_all(&bytes)?;
-    for i in 0..n {
-        w.write_all(&row(i).0.to_bits().to_le_bytes())?;
-    }
+    let mut piece = Vec::with_capacity(view_payload_len(n).min(VIEW_PIECE));
+    put_varint(n as u64, &mut piece);
+    put_f64(p_keep, &mut piece);
+    (0..n).for_each(|i| put_f64(row(i).0, &mut piece));
     for i in 0..n {
         let words = &row(i).1[..lower_row_words(i)];
         if let Some((&last, full)) = words.split_last() {
-            bytes.clear();
-            put_u64s(full, &mut bytes);
-            put_u64(last & lower_row_mask(i), &mut bytes);
-            w.write_all(&bytes)?;
+            if piece.len() + 8 * words.len() > VIEW_PIECE {
+                w.write_all(&piece)?;
+                piece.clear();
+            }
+            put_u64s(full, &mut piece);
+            put_u64(last & lower_row_mask(i), &mut piece);
         }
     }
-    Ok(w.flush()?)
+    Ok(w.write_all(&piece)?)
 }
 
 /// Encodes a finalized [`PerturbedView`] through [`encode_lower_view`].

@@ -85,9 +85,7 @@ pub mod prelude {
         NaiveTopDegree,
     };
 
-    pub use ldp_collector::{
-        CollectorClient, CollectorConfig, CollectorServer, ServeScenario, WireWorldRunner,
-    };
+    pub use ldp_collector::{CollectorClient, CollectorConfig, CollectorServer, WireWorldRunner};
 }
 
 #[cfg(test)]
