@@ -58,7 +58,6 @@ use ldp_protocols::{
     ReportFilter, UserReport,
 };
 use rand::RngCore;
-use std::time::{Duration, Instant};
 
 /// Above this genuine population, [`EvalMode::Auto`] degree scenarios
 /// switch from the exact (materialized-view) pipeline to the analytic
@@ -272,9 +271,6 @@ impl<'a> ScenarioBuilder<'a> {
     /// (e.g. a defense on LDPGen, or a forced sampled mode the scenario
     /// cannot satisfy) or protocol-layer failures, instead of aborting.
     pub fn run(&self, graph: &CsrGraph) -> Result<ScenarioReport, ScenarioError> {
-        // ldp-lint: allow(wall-clock) -- observational timing for the report's
-        // elapsed field only; never feeds an estimate, a seed, or a verdict
-        let start = Instant::now();
         let threat = self.threat.as_ref().ok_or(ScenarioError::MissingThreat)?;
         if threat.targets.is_empty() {
             return Err(ScenarioError::NoTargets);
@@ -348,7 +344,6 @@ impl<'a> ScenarioBuilder<'a> {
             m_fake: threat.m_fake,
             num_targets: threat.num_targets(),
             trials,
-            wall: start.elapsed(),
         })
     }
 
@@ -389,9 +384,6 @@ impl<'a> ScenarioBuilder<'a> {
         full_partition: Option<&[usize]>,
         trial_seed: u64,
     ) -> Result<TrialOutcome, ScenarioError> {
-        // ldp-lint: allow(wall-clock) -- observational timing for the report's
-        // elapsed field only; never feeds an estimate, a seed, or a verdict
-        let start = Instant::now();
         let extended = graph.with_isolated_nodes(threat.m_fake);
 
         // Modularity reuses the clustering-coefficient crafting: the
@@ -451,7 +443,6 @@ impl<'a> ScenarioBuilder<'a> {
             outcome: AttackOutcome::new(before, after),
             flagged_fake,
             flagged_genuine,
-            wall: start.elapsed(),
         })
     }
 
@@ -464,9 +455,6 @@ impl<'a> ScenarioBuilder<'a> {
         knowledge: &AttackerKnowledge,
         trial_seed: u64,
     ) -> Result<TrialOutcome, ScenarioError> {
-        // ldp-lint: allow(wall-clock) -- observational timing for the report's
-        // elapsed field only; never feeds an estimate, a seed, or a verdict
-        let start = Instant::now();
         let base = Xoshiro256pp::new(trial_seed);
         let mut rng = base.derive(STREAM_ATTACK);
         let attack = self.attack.as_ref().expect("resolve_mode requires attack");
@@ -512,7 +500,6 @@ impl<'a> ScenarioBuilder<'a> {
             outcome: AttackOutcome::new(before, after),
             flagged_fake: None,
             flagged_genuine: None,
-            wall: start.elapsed(),
         })
     }
 }
@@ -564,8 +551,6 @@ pub struct TrialOutcome {
     pub flagged_fake: Option<usize>,
     /// Genuine users the defense flagged (false positives), when one ran.
     pub flagged_genuine: Option<usize>,
-    /// Wall-clock of this trial.
-    pub wall: Duration,
 }
 
 impl TrialOutcome {
@@ -596,8 +581,6 @@ pub struct ScenarioReport {
     pub num_targets: usize,
     /// Per-trial measurements, in trial order.
     pub trials: Vec<TrialOutcome>,
-    /// Wall-clock of the whole run.
-    pub wall: Duration,
 }
 
 impl ScenarioReport {
@@ -912,7 +895,6 @@ mod tests {
         assert_eq!(report.trials[0].seed, 50);
         assert_eq!(report.trials[1].seed, 50 + 0x9E37_79B9);
         assert_eq!(report.trials[2].seed, 50 + 2 * 0x9E37_79B9);
-        assert!(report.wall >= report.trials[0].wall);
     }
 
     #[test]

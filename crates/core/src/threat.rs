@@ -13,12 +13,6 @@ use rand::Rng;
 pub enum TargetSelection {
     /// Uniformly random genuine nodes (the paper's experimental setting).
     UniformRandom,
-    /// The highest-degree genuine nodes (a natural "attack the influencers"
-    /// variant, used by ablations).
-    HighestDegree,
-    /// The lowest-degree genuine nodes (targets where relative distortion
-    /// is largest).
-    LowestDegree,
 }
 
 /// The attacker's population-level resources.
@@ -56,20 +50,6 @@ impl ThreatModel {
         let r = ((gamma * n as f64).floor() as usize).clamp(1, n);
         let targets = match selection {
             TargetSelection::UniformRandom => sample_distinct(n, r, rng),
-            TargetSelection::HighestDegree => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&u| std::cmp::Reverse(graph.degree(u)));
-                let mut t: Vec<usize> = order.into_iter().take(r).collect();
-                t.sort_unstable();
-                t
-            }
-            TargetSelection::LowestDegree => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&u| graph.degree(u));
-                let mut t: Vec<usize> = order.into_iter().take(r).collect();
-                t.sort_unstable();
-                t
-            }
         };
         ThreatModel {
             n_genuine: n,
@@ -152,23 +132,6 @@ mod tests {
             ThreatModel::from_fractions(&g, 0.001, 0.001, TargetSelection::UniformRandom, &mut rng);
         assert_eq!(t.m_fake, 1);
         assert_eq!(t.num_targets(), 1);
-    }
-
-    #[test]
-    fn highest_degree_selection_picks_the_hub() {
-        let g = star_graph(50);
-        let mut rng = Xoshiro256pp::new(3);
-        let t =
-            ThreatModel::from_fractions(&g, 0.1, 0.02, TargetSelection::HighestDegree, &mut rng);
-        assert_eq!(t.targets, vec![0], "the star hub must be the top target");
-    }
-
-    #[test]
-    fn lowest_degree_selection_avoids_the_hub() {
-        let g = star_graph(50);
-        let mut rng = Xoshiro256pp::new(4);
-        let t = ThreatModel::from_fractions(&g, 0.1, 0.1, TargetSelection::LowestDegree, &mut rng);
-        assert!(!t.targets.contains(&0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # poison-defense
 //!
-//! The two countermeasures of paper §VII against graph-LDP poisoning,
-//! their naive baselines, and their composition — all implementing the
-//! unified [`Defense`] trait (`name` plus `filter_reports`, which flags
-//! uploads and repairs the set), so every one of them plugs into the
-//! scenario engine's `Scenario::on(protocol).attack(…).defend(…)` builder:
+//! The two countermeasures of paper §VII against graph-LDP poisoning and
+//! their naive baselines, all implementing the unified [`Defense`] trait
+//! (`name` plus `filter_reports`, which flags uploads and repairs the set),
+//! so every one of them plugs into the scenario engine's
+//! `Scenario::on(protocol).attack(…).defend(…)` builder:
 //!
 //! * [`apriori`] — a from-scratch Apriori miner of frequent items and
 //!   pairs over adjacency bit vectors (transactions = reported one-sets).
@@ -19,8 +19,6 @@
 //! * [`naive`] — the paper's comparison baselines: Naive1 flags the top 3%
 //!   highest-degree nodes; Naive2 flags the top and bottom 3% of the
 //!   reported-degree distribution and removes them with Detect2's repair.
-//! * [`combined`] — Detect2 then Detect1, flags unioned (an extension
-//!   beyond the paper).
 //!
 //! A defended run is `Scenario::on(protocol).attack(…).defend(defense)`,
 //! and its verdict counters live on the returned `ScenarioReport` trials.
@@ -29,12 +27,10 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod combined;
 pub mod detect1;
 pub mod detect2;
 pub mod naive;
 
-pub use combined::CombinedDefense;
 pub use detect1::FrequentItemsetDefense;
 pub use detect2::DegreeConsistencyDefense;
 pub use naive::{NaiveDegreeTails, NaiveTopDegree};

@@ -6,12 +6,11 @@
 //! table ([`sweep::SweepFigure`]), Figs. 12–13 rows of another
 //! ([`countermeasures::CountermeasureFigure`]) and Figs. 14–15 rows of a
 //! third ([`protocols::ProtocolFigure`]). Every panel runs its grid
-//! through [`runner::run_grid`], one
-//! [`Scenario`](poison_core::scenario::Scenario) per cell, and every
-//! figure and ablation draws its threat model through one function.
-//! Each experiment returns [`output::Figure`] values that render as
-//! aligned text tables, CSV, and ASCII charts; `all_experiments` writes
-//! them under `results/`.
+//! through [`runner::run_grid`], one [`Scenario`](poison_core::scenario::Scenario)
+//! per cell, and every figure and ablation draws its threat model through
+//! one function. Each experiment returns [`output::Figure`] values that
+//! render as aligned text tables, CSV, and ASCII charts; `all_experiments`
+//! writes them under `results/`.
 //!
 //! | paper artifact | code | name |
 //! |----------------|--------|--------|
@@ -52,9 +51,3 @@ pub mod table3;
 
 pub use config::ExperimentConfig;
 pub use output::{Figure, Series};
-#[cfg(test)]
-mod fig12;
-#[cfg(test)]
-mod fig14;
-#[cfg(test)]
-mod fig15;

@@ -128,3 +128,47 @@ impl ProtocolFigure {
         .with_columns(AttackStrategy::ALL.map(|s| s.name()), &rows))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::output::tests::assert_panel;
+
+    mod fig14 {
+        use super::*;
+
+        #[test]
+        fn both_panels_smoke() {
+            let cfg = ExperimentConfig {
+                scale: 0.25,
+                trials: 1,
+                seed: 53,
+            };
+            let a = FIG14.panel_a(&cfg, &[4.0]).unwrap();
+            let b = FIG14.panel_b(&cfg, &[4.0]).unwrap();
+            assert_panel(&a, "Fig 14(a) LF-GDPR", &["RVA", "RNA", "MGA"], 1);
+            assert_panel(&b, "Fig 14(b) LDPGen", &["RVA", "RNA", "MGA"], 1);
+            assert_eq!(a.y_label, FIG14.y_label);
+            assert_eq!(b.y_label, FIG14.y_label);
+        }
+    }
+
+    mod fig15 {
+        use super::*;
+
+        #[test]
+        fn both_panels_smoke() {
+            let cfg = ExperimentConfig {
+                scale: 0.25,
+                trials: 1,
+                seed: 59,
+            };
+            let a = FIG15.panel_a(&cfg, &[4.0]).unwrap();
+            let b = FIG15.panel_b(&cfg, &[4.0]).unwrap();
+            assert_panel(&a, "Fig 15(a) LF-GDPR", &["RVA", "RNA", "MGA"], 1);
+            assert_panel(&b, "Fig 15(b) LDPGen", &["RVA", "RNA", "MGA"], 1);
+            assert_eq!(a.y_label, FIG15.y_label);
+            assert_eq!(b.y_label, FIG15.y_label);
+        }
+    }
+}

@@ -851,65 +851,35 @@ const APPLY_FN: &str = "apply_frame";
 /// textual order *is* the execution order, and the annotation grammar
 /// can discharge deliberate exceptions.
 fn ack_before_durable(f: &FileLex, out: &mut Vec<Raw>) {
-    let toks = &f.toks;
-    // (name, open depth, seen a journal append, body start) — same
-    // fn-stack walk as `alloc_cap`.
-    let mut stack: Vec<(String, i32, bool, usize)> = Vec::new();
-    let mut pending_fn: Option<String> = None;
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_punct('{') {
-            depth += 1;
-            if let Some(name) = pending_fn.take() {
-                stack.push((name, depth, false, i));
-            }
+    let (frames, enclosing) = fn_frames(f);
+    let mut appended = vec![false; frames.len()];
+    for (i, t) in f.toks.iter().enumerate() {
+        if f.test_mask[i] || t.kind != TokKind::Ident || t.text == "fn" {
             continue;
         }
-        if t.is_punct('}') {
-            if let Some(&(_, d, _, start)) = stack.last() {
-                if d == depth {
-                    if let Some((name, ..)) = stack.pop().filter(|(name, ..)| name == APPLY_FN) {
-                        ack_before_durable_arms(f, &name, start..i, out);
-                    }
-                }
-            }
-            depth -= 1;
-            continue;
-        }
-        if t.is_punct(';') && pending_fn.is_some() && depth == 0 {
-            pending_fn = None; // trait method declaration without body
-            continue;
-        }
-        if f.test_mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "fn" {
-            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                pending_fn = Some(name.text.clone());
-            }
-            continue;
-        }
-        let Some(top) = stack.last_mut() else {
+        let Some(k) = enclosing[i].filter(|&k| frames[k].0 == APPLY_FN) else {
             continue;
         };
-        if top.0 != APPLY_FN {
-            continue;
-        }
         if t.text.contains("append") {
-            top.2 = true;
+            appended[k] = true;
             continue;
         }
-        if REPLY_IDENTS.contains(&t.text.as_str()) && !top.2 {
+        if REPLY_IDENTS.contains(&t.text.as_str()) && !appended[k] {
             out.push(Raw {
                 call_path: Vec::new(),
                 rule: "ack-before-durable",
                 line: t.line,
                 message: format!(
-                    "reply `{}` staged in frame-apply path `{}` before any journal append; \
-                     a crash here acknowledges a report the journal never saw",
-                    t.text, top.0
+                    "reply `{}` staged in frame-apply path `{APPLY_FN}` before any journal \
+                     append; a crash here acknowledges a report the journal never saw",
+                    t.text
                 ),
             });
+        }
+    }
+    for (name, body) in &frames {
+        if *name == APPLY_FN && !body.is_empty() {
+            ack_before_durable_arms(f, name, body.clone(), out);
         }
     }
 }
@@ -970,45 +940,16 @@ const DECODE_FN_PREFIXES: &[&str] = &["decode", "read", "get", "resume", "parse"
 fn alloc_cap(f: &FileLex, out: &mut Vec<Raw>) {
     const ALLOCS: &[&str] = &["with_capacity", "resize", "reserve"];
     let toks = &f.toks;
-    // Track enclosing named functions via a (name, depth) stack.
-    let mut stack: Vec<(String, i32, bool)> = Vec::new(); // (name, open depth, has proof)
-    let mut pending_fn: Option<String> = None;
-    let mut depth = 0i32;
+    let (frames, enclosing) = fn_frames(f);
+    let mut proved = vec![false; frames.len()];
     for (i, t) in toks.iter().enumerate() {
-        if t.is_punct('{') {
-            depth += 1;
-            if let Some(name) = pending_fn.take() {
-                stack.push((name, depth, false));
-            }
+        if f.test_mask[i] || t.kind != TokKind::Ident || t.text == "fn" {
             continue;
         }
-        if t.is_punct('}') {
-            if let Some(&(_, d, _)) = stack.last() {
-                if d == depth {
-                    stack.pop();
-                }
-            }
-            depth -= 1;
+        let Some(k) = enclosing[i] else {
             continue;
-        }
-        if t.is_punct(';') && pending_fn.is_some() && depth == 0 {
-            pending_fn = None; // trait method declaration without body
-            continue;
-        }
-        if f.test_mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "fn" {
-            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                pending_fn = Some(name.text.clone());
-            }
-            continue;
-        }
-        let in_decode_fn = stack
-            .last()
-            .map(|(name, _, _)| DECODE_FN_PREFIXES.iter().any(|p| name.starts_with(p)))
-            .unwrap_or(false);
-        // Record proofs on every enclosing frame.
+        };
+        // A proof counts for the innermost enclosing function only.
         let is_proof = t.text.starts_with("MAX_")
             || t.text == "checked_len"
             || t.text == "split_at_checked"
@@ -1019,30 +960,70 @@ fn alloc_cap(f: &FileLex, out: &mut Vec<Raw>) {
                     n.is_punct('<') || n.is_punct('>') || n.is_punct('=') || n.is_punct('!')
                 }));
         if is_proof {
-            if let Some(top) = stack.last_mut() {
-                top.2 = true;
-            }
+            proved[k] = true;
             continue;
         }
-        if !in_decode_fn {
+        let name = frames[k].0;
+        if !DECODE_FN_PREFIXES.iter().any(|p| name.starts_with(p)) {
             continue;
         }
-        let proved = stack.last().map(|&(_, _, p)| p).unwrap_or(false);
         let is_alloc = (ALLOCS.contains(&t.text.as_str())
             && toks.get(i + 1).is_some_and(|n| n.is_punct('(')))
             || (t.text == "vec" && toks.get(i + 1).is_some_and(|n| n.is_punct('!')));
-        if is_alloc && !proved {
+        if is_alloc && !proved[k] {
             out.push(Raw {
                 call_path: Vec::new(),
                 rule: "alloc-cap",
                 line: t.line,
                 message: format!(
-                    "allocation `{}` in decode path `{}` before any length cap \
+                    "allocation `{}` in decode path `{name}` before any length cap \
                      (MAX_* bound, checked_len, or len() comparison)",
-                    t.text,
-                    stack.last().map(|(n, _, _)| n.as_str()).unwrap_or("?")
+                    t.text
                 ),
             });
         }
     }
+}
+
+/// A named function body: its name, and the token range from its `{` to
+/// its `}` (empty while unclosed).
+type FnFrame<'a> = (&'a str, Range<usize>);
+
+/// The enclosing-function walk of [`alloc_cap`] and
+/// [`ack_before_durable`]: every named non-test `fn` body in `f`, and for
+/// each token the index of the innermost such body holding it. A trait
+/// method declared without a body opens none.
+fn fn_frames(f: &FileLex) -> (Vec<FnFrame<'_>>, Vec<Option<usize>>) {
+    let toks = &f.toks;
+    let mut frames: Vec<FnFrame<'_>> = Vec::new();
+    let mut enclosing = vec![None; toks.len()];
+    // (index into `frames`, open depth) of each body the walk is inside.
+    let mut stack: Vec<(usize, i32)> = Vec::new();
+    let mut pending_fn: Option<&str> = None;
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate() {
+        enclosing[i] = stack.last().map(|&(k, _)| k);
+        if t.is_punct('{') {
+            depth += 1;
+            if let Some(name) = pending_fn.take() {
+                stack.push((frames.len(), depth));
+                frames.push((name, i..i));
+            }
+        } else if t.is_punct('}') {
+            if let Some(&(k, d)) = stack.last() {
+                if d == depth {
+                    stack.pop();
+                    frames[k].1.end = i;
+                }
+            }
+            depth -= 1;
+        } else if t.is_punct(';') && depth == 0 {
+            pending_fn = None; // trait method declaration without body
+        } else if t.kind == TokKind::Ident && t.text == "fn" && !f.test_mask[i] {
+            if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
+                pending_fn = Some(&name.text);
+            }
+        }
+    }
+    (frames, enclosing)
 }

@@ -1,10 +1,9 @@
 //! # ldp-mechanisms
 //!
 //! Local-differential-privacy primitives used by the graph protocols and by
-//! the attacks:
+//! the attacks. LF-GDPR splits its total budget ε evenly, ε₁ = ε₂ = ε/2,
+//! between the two channels below:
 //!
-//! * [`budget`] — privacy-budget bookkeeping and the ε₁/ε₂ split between the
-//!   adjacency-bit-vector and degree channels (LF-GDPR style).
 //! * [`laplace`] — the Laplace mechanism for numeric values (degree
 //!   perturbation with budget ε₂).
 //! * [`rr`] — symmetric randomized response over bits and packed bit
@@ -17,13 +16,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod error;
 pub mod laplace;
 pub mod rr;
 pub mod sampling;
 
-pub use budget::PrivacyBudget;
 pub use error::MechanismError;
 pub use laplace::LaplaceMechanism;
 pub use rr::{FlipSampler, RandomizedResponse};

@@ -1,11 +1,11 @@
-//! Property tests for the LDP mechanisms: sampler supports, randomized
-//! response algebra, and budget bookkeeping over randomized parameters.
+//! Property tests for the LDP mechanisms: sampler supports and randomized
+//! response algebra over randomized parameters.
 
 use ldp_graph::{BitSet, Xoshiro256pp};
 use ldp_mechanisms::sampling::{
     sample_binomial, sample_distinct, sample_geometric, GeometricSampler,
 };
-use ldp_mechanisms::{PrivacyBudget, RandomizedResponse};
+use ldp_mechanisms::RandomizedResponse;
 use proptest::prelude::*;
 use rand::RngCore;
 
@@ -77,14 +77,6 @@ proptest! {
         prop_assert_eq!(v.len(), k);
         prop_assert!(v.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(v.iter().all(|&x| x < n));
-    }
-
-    /// Budget splits always re-sum to the total.
-    #[test]
-    fn budget_split_sums(eps in 0.01f64..32.0, frac in 0.01f64..0.99) {
-        let b = PrivacyBudget::split_fraction(eps, frac).unwrap();
-        prop_assert!((b.total() - eps).abs() < 1e-12);
-        prop_assert!(b.epsilon_adjacency > 0.0 && b.epsilon_degree > 0.0);
     }
 
     /// RR keep probability round-trips through epsilon.

@@ -16,46 +16,33 @@ pub use view::PerturbedView;
 use crate::report::AdjacencyReport;
 use ldp_graph::runtime::{default_threads, parallel_map, threads_for_work};
 use ldp_graph::CsrGraph;
-use ldp_mechanisms::{
-    FlipSampler, LaplaceMechanism, MechanismError, PrivacyBudget, RandomizedResponse,
-};
+use ldp_mechanisms::{FlipSampler, LaplaceMechanism, MechanismError, RandomizedResponse};
 use rand::Rng;
 
-/// The LF-GDPR protocol instance: a privacy budget split plus the two local
-/// mechanisms it induces.
+/// The LF-GDPR protocol instance: the two local mechanisms of a total
+/// budget ε, each spending ε/2.
 #[derive(Debug, Clone, Copy)]
 pub struct LfGdpr {
-    budget: PrivacyBudget,
     rr: RandomizedResponse,
     laplace: LaplaceMechanism,
 }
 
 impl LfGdpr {
-    /// Creates the protocol for a total budget ε with an even ε₁/ε₂ split
-    /// (the paper reports only total ε; see DESIGN.md §4).
+    /// Creates the protocol for a total budget ε, split evenly:
+    /// ε₁ = ε₂ = ε/2 (the paper reports only total ε; see DESIGN.md §4).
     ///
     /// # Errors
-    /// Propagates invalid-budget errors from the mechanisms.
+    /// Returns [`MechanismError::InvalidBudget`] carrying ε unless ε is
+    /// positive and finite.
     pub fn new(epsilon: f64) -> Result<Self, MechanismError> {
-        Self::with_budget(PrivacyBudget::split_even(epsilon)?)
-    }
-
-    /// Creates the protocol from an explicit budget split.
-    ///
-    /// # Errors
-    /// Propagates invalid-budget errors from the mechanisms.
-    pub fn with_budget(budget: PrivacyBudget) -> Result<Self, MechanismError> {
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(MechanismError::InvalidBudget(epsilon));
+        }
         Ok(LfGdpr {
-            budget,
-            rr: RandomizedResponse::new(budget.epsilon_adjacency)?,
+            rr: RandomizedResponse::new(epsilon * 0.5)?,
             // Degree sensitivity is 1 under edge-LDP.
-            laplace: LaplaceMechanism::new(1.0, budget.epsilon_degree)?,
+            laplace: LaplaceMechanism::new(1.0, epsilon * 0.5)?,
         })
-    }
-
-    /// The budget split in force.
-    pub fn budget(&self) -> PrivacyBudget {
-        self.budget
     }
 
     /// The randomized-response mechanism of the adjacency channel.
@@ -157,11 +144,21 @@ mod tests {
 
     #[test]
     fn construction_from_total_budget() {
-        let proto = LfGdpr::new(4.0).unwrap();
-        assert_eq!(proto.budget().total(), 4.0);
-        let expected_p = 2.0f64.exp() / (1.0 + 2.0f64.exp());
-        assert!((proto.p_keep() - expected_p).abs() < 1e-12);
-        assert!(LfGdpr::new(0.0).is_err());
+        for epsilon in [0.5, 1.0, 4.0, 7.3] {
+            let proto = LfGdpr::new(epsilon).unwrap();
+            let rr = RandomizedResponse::new(epsilon * 0.5).unwrap();
+            let laplace = LaplaceMechanism::new(1.0, epsilon * 0.5).unwrap();
+            assert_eq!(proto.rr().p_keep().to_bits(), rr.p_keep().to_bits());
+            assert_eq!(proto.laplace().scale().to_bits(), laplace.scale().to_bits());
+        }
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match LfGdpr::new(epsilon) {
+                Err(MechanismError::InvalidBudget(got)) => {
+                    assert_eq!(got.to_bits(), epsilon.to_bits());
+                }
+                other => panic!("ε = {epsilon} gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!
 //! * [`graph`] — graph substrate: bitsets, CSR/dense graphs, exact metrics,
 //!   generators, dataset stand-ins ([`ldp_graph`]).
-//! * [`mechanisms`] — LDP primitives: randomized response, Laplace,
-//!   Binomial/Geometric samplers and privacy-budget splits
-//!   ([`ldp_mechanisms`]).
+//! * [`mechanisms`] — LDP primitives: randomized response, Laplace and
+//!   Binomial/Geometric samplers ([`ldp_mechanisms`]).
 //! * [`protocols`] — LF-GDPR and LDPGen behind the object-safe
 //!   `GraphLdpProtocol` trait ([`ldp_protocols`]).
 //! * [`attack`] — the paper's contribution: the `Attack` trait
@@ -69,7 +68,7 @@ pub use poison_experiments as experiments;
 pub mod prelude {
     pub use ldp_graph::datasets::Dataset;
     pub use ldp_graph::{BitMatrix, BitSet, CsrGraph, GraphBuilder, Xoshiro256pp};
-    pub use ldp_mechanisms::{LaplaceMechanism, PrivacyBudget, RandomizedResponse};
+    pub use ldp_mechanisms::{LaplaceMechanism, RandomizedResponse};
     pub use ldp_protocols::{
         AdjacencyReport, GraphLdpProtocol, LdpGen, LfGdpr, Metric, PerturbedView, ServerView,
         UserReport,
@@ -81,8 +80,7 @@ pub mod prelude {
         TargetMetric, TargetSelection, ThreatModel,
     };
     pub use poison_defense::{
-        CombinedDefense, DegreeConsistencyDefense, FrequentItemsetDefense, NaiveDegreeTails,
-        NaiveTopDegree,
+        DegreeConsistencyDefense, FrequentItemsetDefense, NaiveDegreeTails, NaiveTopDegree,
     };
 
     pub use ldp_collector::{CollectorClient, CollectorConfig, CollectorServer, WireWorldRunner};

@@ -14,8 +14,7 @@ use graph_ldp_poisoning::attack::{
     ThreatModel,
 };
 use graph_ldp_poisoning::defense::{
-    CombinedDefense, Defense, DegreeConsistencyDefense, FrequentItemsetDefense, NaiveDegreeTails,
-    NaiveTopDegree,
+    Defense, DegreeConsistencyDefense, FrequentItemsetDefense, NaiveDegreeTails, NaiveTopDegree,
 };
 use graph_ldp_poisoning::graph::datasets::Dataset;
 use graph_ldp_poisoning::graph::generate::caveman_graph;
@@ -241,10 +240,6 @@ fn defended_runs_pin_golden() {
         (
             Box::new(NaiveDegreeTails::default()),
             [(0x3fdc71c71c71c71d, 0, 16), (0x3fc8de193f987205, 6, 10)],
-        ),
-        (
-            Box::new(CombinedDefense::new(40)),
-            [(0x3fd74b86601f6311, 7, 218), (0x3fe64f5f11aba0a7, 10, 219)],
         ),
     ];
     let cases = [

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Line-count guard for a source directory: counts the non-test lines of
 # DIR/**/*.rs, taken as the lines above each file's first `#[cfg(test)]`
-# (the whole file when it has none).
+# at column 0 (the whole file when it has none), so a doc comment or an
+# indented item that mentions the attribute does not end the count.
 #
 # Usage: tools/src_lines.sh DIR [MAX]   (from the repo root)
 #
@@ -16,7 +17,7 @@ fi
 dir=$1
 
 total=$(find "$dir" -name '*.rs' | sort | while read -r f; do
-    awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
 done | awk '{ s += $1 } END { print s + 0 }')
 
 echo "$dir non-test lines: $total"
